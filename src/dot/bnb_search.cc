@@ -1,7 +1,6 @@
 #include "dot/bnb_search.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -11,6 +10,7 @@
 
 #include "common/arena.h"
 #include "common/check.h"
+#include "common/clock.h"
 #include "common/thread_pool.h"
 #include "dot/candidate_evaluator.h"
 #include "dot/eval_tables.h"
@@ -21,12 +21,6 @@
 namespace dot {
 
 namespace {
-
-double NowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 constexpr long long kCountSaturated = std::numeric_limits<long long>::max();
 

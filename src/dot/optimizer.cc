@@ -1,26 +1,16 @@
 #include "dot/optimizer.h"
 
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <utility>
 
 #include "common/check.h"
+#include "common/clock.h"
 #include "common/thread_pool.h"
 #include "dot/candidate_evaluator.h"
 #include "dot/moves.h"
 
 namespace dot {
-
-namespace {
-
-double NowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 DotOptimizer::DotOptimizer(const DotProblem& problem) : problem_(problem) {
   DOT_CHECK(problem_.schema != nullptr && problem_.box != nullptr &&

@@ -1,7 +1,6 @@
 #include "dot/reprovision.h"
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -10,6 +9,7 @@
 
 #include "common/arena.h"
 #include "common/check.h"
+#include "common/clock.h"
 #include "common/thread_pool.h"
 #include "dot/bnb_search.h"
 #include "dot/candidate_evaluator.h"
@@ -21,12 +21,6 @@ namespace dot {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-double NowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// M^N saturating at cap+1 (the guard only needs "exceeds cap").
 long long PowSaturating(int m, int n, long long cap) {

@@ -87,14 +87,7 @@ Status SolveSpec::Validate(const DotProblem& problem) const {
           " carries a scenario ensemble; fleet mode is point-forecast");
     }
   }
-  const auto& capacity = fleet->config.constraints.capacity_gb;
-  if (!capacity.empty() &&
-      static_cast<int>(capacity.size()) != problem.box->NumClasses()) {
-    return Status::InvalidArgument(
-        "FleetConstraints::capacity_gb must be empty or have one entry "
-        "per storage class");
-  }
-  return Status::OK();
+  return ValidateFleetConfig(fleet->config, *problem.box);
 }
 
 SolveResult Solve(const DotProblem& problem, const SolveSpec& spec) {

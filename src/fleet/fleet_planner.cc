@@ -1,14 +1,16 @@
 #include "fleet/fleet_planner.h"
 
 #include <algorithm>
-#include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <map>
+#include <unordered_map>
 #include <utility>
 
-#include "common/check.h"
+#include "catalog/schema.h"
+#include "common/clock.h"
 #include "common/thread_pool.h"
 #include "dot/bnb_search.h"
 #include "dot/candidate_evaluator.h"
@@ -26,12 +28,6 @@ namespace {
 constexpr double kFleetFeasTol = 1e-9;
 constexpr double kEps = 1e-12;
 
-double NowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 /// M^N saturating at cap+1 (the guard only needs "exceeds cap").
 long long PowSaturating(int m, int n, long long cap) {
   long long total = 1;
@@ -42,12 +38,10 @@ long long PowSaturating(int m, int n, long long cap) {
   return total;
 }
 
+/// Pool-key fields, appended as raw bytes: the key is only ever compared
+/// for equality, never shown.
 void AppendU64(uint64_t v, std::string* out) {
-  static const char* kHex = "0123456789abcdef";
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    out->push_back(kHex[(v >> shift) & 0xf]);
-  }
-  out->push_back('|');
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
 void AppendBits(double v, std::string* out) {
@@ -63,27 +57,28 @@ void AppendPtr(const void* p, std::string* out) {
 /// The pool cache key: everything the pool's scores depend on. Same key =>
 /// same pool, by the FleetConfig::share_pools contract. Pointer-keyed
 /// inputs (targets_override, profiles) share only on pointer identity —
-/// conservative, never wrong.
-std::string PoolKey(const DotProblem& p, const FleetConfig& config) {
-  std::string key;
-  key.reserve(128);
-  AppendU64(p.schema->Fingerprint(), &key);
-  key += p.workload->name();
-  key.push_back('|');
-  AppendBits(p.relative_sla, &key);
-  key.push_back(p.cost_model.discrete ? '1' : '0');
-  key.push_back('|');
-  AppendBits(p.cost_model.alpha, &key);
-  AppendBits(p.tail_sla.percentile, &key);
-  AppendBits(p.tail_sla.latency_cv, &key);
-  for (double s : p.io_scale_hint) AppendBits(s, &key);
-  key.push_back('|');
-  AppendPtr(p.targets_override, &key);
+/// conservative, never wrong. `fingerprint` is p.schema->Fingerprint();
+/// variable-length fields carry their length, so keys never alias.
+/// Overwrites `*key`, reusing its buffer.
+void PoolKey(const DotProblem& p, uint64_t fingerprint,
+             const FleetConfig& config, std::string* key) {
+  const std::string& name = p.workload->name();
+  key->clear();
+  AppendU64(fingerprint, key);
+  AppendU64(name.size(), key);
+  *key += name;
+  AppendBits(p.relative_sla, key);
+  key->push_back(p.cost_model.discrete ? '1' : '0');
+  AppendBits(p.cost_model.alpha, key);
+  AppendBits(p.tail_sla.percentile, key);
+  AppendBits(p.tail_sla.latency_cv, key);
+  AppendU64(p.io_scale_hint.size(), key);
+  for (double s : p.io_scale_hint) AppendBits(s, key);
+  AppendPtr(p.targets_override, key);
   if (config.pool_mode == FleetPoolMode::kSearch &&
       config.search == EpochSearch::kDot) {
-    AppendPtr(p.profiles, &key);
+    AppendPtr(p.profiles, key);
   }
-  return key;
 }
 
 /// One shared candidate pool: the tenant's feasible frontier, sorted under
@@ -202,6 +197,21 @@ TenantPool BuildPool(const DotProblem& tenant_problem, const BoxConfig* box,
   return out;
 }
 
+
+/// The built pools and each tenant's pool id. Every per-candidate quantity
+/// depends on the pool alone (plus the shared prices, or the round-start
+/// totals), so the planner computes it once per pool id and hands it to
+/// the tenants through `tenant_pool`.
+struct SharedPools {
+  std::vector<TenantPool> pools;
+  std::vector<int> tenant_pool;
+
+  size_t pool_of(size_t tenant) const {
+    return static_cast<size_t>(tenant_pool[tenant]);
+  }
+  const TenantPool& of(size_t tenant) const { return pools[pool_of(tenant)]; }
+};
+
 /// Fleet totals of one selection, accumulated in tenant-index order — the
 /// ONE implementation of the FleetPlan accounting contract.
 struct FleetTotals {
@@ -211,12 +221,11 @@ struct FleetTotals {
 };
 
 FleetTotals ComputeTotals(const std::vector<int>& choice,
-                          const std::vector<const TenantPool*>& pools,
-                          int num_classes) {
+                          const SharedPools& fleet, int num_classes) {
   FleetTotals t;
   t.used.assign(static_cast<size_t>(num_classes), 0.0);
   for (size_t i = 0; i < choice.size(); ++i) {
-    const TenantPool& pool = *pools[i];
+    const TenantPool& pool = fleet.of(i);
     const size_t c = static_cast<size_t>(choice[i]);
     t.toc += pool.toc[c];
     t.cost += pool.cost[c];
@@ -255,74 +264,164 @@ double Violation(const FleetTotals& t, const FleetConstraints& c) {
   return v;
 }
 
-FleetTotals ApplyMove(const FleetTotals& t, const TenantPool& pool, int from,
-                      int to, int num_classes) {
-  FleetTotals out = t;
+/// `t` with one tenant moved from candidate `from` to `to`, written into
+/// `out` (a reused buffer: scoring a move allocates nothing).
+void ApplyMove(const FleetTotals& t, const TenantPool& pool, int from, int to,
+               int num_classes, FleetTotals* out) {
+  *out = t;
   const size_t f = static_cast<size_t>(from);
   const size_t c = static_cast<size_t>(to);
-  out.toc += pool.toc[c] - pool.toc[f];
-  out.cost += pool.cost[c] - pool.cost[f];
+  out->toc += pool.toc[c] - pool.toc[f];
+  out->cost += pool.cost[c] - pool.cost[f];
   for (int j = 0; j < num_classes; ++j) {
-    out.used[static_cast<size_t>(j)] +=
+    out->used[static_cast<size_t>(j)] +=
         pool.space[c * static_cast<size_t>(num_classes) +
                    static_cast<size_t>(j)] -
         pool.space[f * static_cast<size_t>(num_classes) +
                    static_cast<size_t>(j)];
   }
-  return out;
 }
+
+/// One candidate move of the repair or improvement pass, ordered by `key`
+/// (smaller first), ties by (tenant, candidate) index.
+struct Move {
+  double key = 0.0;
+  int tenant = 0;
+  int candidate = 0;
+};
+
+/// Builds a round's move list in (key, tenant, candidate) order. A move's
+/// key depends only on the tenant's pool, its current candidate and the
+/// round-start totals, so keys are computed once per (pool id, current
+/// candidate) group — filled lazily through a dense per-pool slot table.
+/// The distinct keys (at most one per group move) are then sorted and
+/// ranked, and each tenant's copy of its group's moves is placed by a
+/// stable counting sort over the ranks in tenant order: equal keys keep
+/// tenant order and, within a tenant, candidate order. The list is
+/// element for element the one a per-tenant scan and a comparison sort
+/// build, at O(G·K log(G·K) + S) for G groups of K candidates and S moves
+/// instead of O(S log S).
+class MoveCollector {
+ public:
+  explicit MoveCollector(const SharedPools& fleet) : fleet_(fleet) {
+    size_t slots = 0;
+    for (const TenantPool& pool : fleet.pools) {
+      first_slot_.push_back(slots);
+      slots += static_cast<size_t>(pool.size());
+    }
+    group_of_slot_.resize(slots);
+  }
+
+  /// `key_of(pool, cur, c, &key)` says whether moving a tenant of `pool`
+  /// from `cur` to `c` is a move this round, and with which key.
+  template <typename KeyFn>
+  const std::vector<Move>& Collect(const std::vector<int>& choice,
+                                   KeyFn key_of) {
+    std::fill(group_of_slot_.begin(), group_of_slot_.end(), -1);
+    group_begin_.assign(1, 0);
+    group_tenants_.clear();
+    group_moves_.clear();
+    tenant_group_.resize(choice.size());
+    for (size_t i = 0; i < choice.size(); ++i) {
+      const size_t pid = fleet_.pool_of(i);
+      const int cur = choice[i];
+      int& group = group_of_slot_[first_slot_[pid] + static_cast<size_t>(cur)];
+      if (group < 0) {
+        const TenantPool& pool = fleet_.pools[pid];
+        for (int c = 0; c < pool.size(); ++c) {
+          Move mv;
+          mv.candidate = c;
+          if (c != cur && key_of(pool, cur, c, &mv.key)) {
+            group_moves_.push_back(mv);
+          }
+        }
+        group = static_cast<int>(group_tenants_.size());
+        group_begin_.push_back(group_moves_.size());
+        group_tenants_.push_back(0);
+      }
+      tenant_group_[i] = group;
+      ++group_tenants_[static_cast<size_t>(group)];
+    }
+
+    // Rank the distinct keys (== keys share a rank) and size each rank's
+    // bucket: a group's move appears once per tenant of the group.
+    keys_.clear();
+    for (const Move& mv : group_moves_) keys_.push_back(mv.key);
+    std::sort(keys_.begin(), keys_.end());
+    keys_.erase(std::unique(keys_.begin(), keys_.end()), keys_.end());
+    rank_.resize(group_moves_.size());
+    bucket_.assign(keys_.size() + 1, 0);
+    for (size_t g = 0; g < group_tenants_.size(); ++g) {
+      for (size_t k = group_begin_[g]; k < group_begin_[g + 1]; ++k) {
+        const double key = group_moves_[k].key;
+        rank_[k] = static_cast<size_t>(
+            std::lower_bound(keys_.begin(), keys_.end(), key) - keys_.begin());
+        bucket_[rank_[k] + 1] += group_tenants_[g];
+      }
+    }
+    for (size_t r = 1; r < bucket_.size(); ++r) bucket_[r] += bucket_[r - 1];
+
+    moves_.resize(bucket_.back());
+    for (size_t i = 0; i < choice.size(); ++i) {
+      const size_t g = static_cast<size_t>(tenant_group_[i]);
+      for (size_t k = group_begin_[g]; k < group_begin_[g + 1]; ++k) {
+        Move& out = moves_[bucket_[rank_[k]]++];
+        out = group_moves_[k];
+        out.tenant = static_cast<int>(i);
+      }
+    }
+    return moves_;
+  }
+
+ private:
+  const SharedPools& fleet_;
+  std::vector<size_t> first_slot_;     ///< pool id -> its first slot
+  std::vector<int> group_of_slot_;     ///< slot -> group, -1 = unscored
+  std::vector<size_t> group_begin_;    ///< group -> first move; + end
+  std::vector<size_t> group_tenants_;  ///< group -> tenants in it
+  std::vector<Move> group_moves_;      ///< every group's moves, in order
+  std::vector<int> tenant_group_;      ///< tenant -> group
+  std::vector<double> keys_;           ///< distinct keys, ascending
+  std::vector<size_t> rank_;           ///< group move -> rank of its key
+  std::vector<size_t> bucket_;         ///< rank -> next output slot
+  std::vector<Move> moves_;
+};
 
 /// Deterministic greedy exchange: walk tenants onto candidates that
 /// strictly reduce the violation, cheapest ΔTOC per unit of violation
 /// removed first, ties by (tenant, candidate) index. Batch rounds — all
-/// improving moves are collected, sorted once, then re-checked and applied
-/// sequentially — keep the pass O(rounds · N · K) instead of re-sorting
-/// after every apply. Returns true when the selection is feasible.
-bool ExchangeRepair(const std::vector<const TenantPool*>& pools,
+/// improving moves are collected and ordered once (MoveCollector), then
+/// re-checked and applied sequentially — keep a round near-linear in the
+/// collected moves instead of re-sorting after every apply. Returns true
+/// when the selection is feasible.
+bool ExchangeRepair(const SharedPools& fleet,
                     const FleetConstraints& constraints, int num_classes,
                     std::vector<int>* choice, FleetTotals* totals,
                     int* moves_applied) {
   constexpr int kMaxRounds = 64;
-  struct Move {
-    double score = 0.0;
-    int tenant = 0;
-    int candidate = 0;
-  };
+  MoveCollector collector(fleet);
+  FleetTotals next;
   for (int round = 0; round < kMaxRounds; ++round) {
     double viol = Violation(*totals, constraints);
     if (viol <= 0.0) return true;
-    std::vector<Move> moves;
-    for (size_t i = 0; i < choice->size(); ++i) {
-      const TenantPool& pool = *pools[i];
-      const int cur = (*choice)[i];
-      for (int c = 0; c < pool.size(); ++c) {
-        if (c == cur) continue;
-        const FleetTotals next =
-            ApplyMove(*totals, pool, cur, c, num_classes);
-        const double dv = Violation(next, constraints) - viol;
-        if (dv >= -kEps) continue;
-        Move mv;
-        mv.score = (pool.toc[static_cast<size_t>(c)] -
-                    pool.toc[static_cast<size_t>(cur)]) /
-                   (-dv);
-        mv.tenant = static_cast<int>(i);
-        mv.candidate = c;
-        moves.push_back(mv);
-      }
-    }
+    const double round_viol = viol;
+    const std::vector<Move>& moves = collector.Collect(
+        *choice, [&](const TenantPool& pool, int cur, int c, double* key) {
+          ApplyMove(*totals, pool, cur, c, num_classes, &next);
+          const double dv = Violation(next, constraints) - round_viol;
+          if (dv >= -kEps) return false;
+          *key = (pool.toc[static_cast<size_t>(c)] -
+                  pool.toc[static_cast<size_t>(cur)]) /
+                 (-dv);
+          return true;
+        });
     if (moves.empty()) return false;
-    std::sort(moves.begin(), moves.end(), [](const Move& a, const Move& b) {
-      if (a.score != b.score) return a.score < b.score;
-      if (a.tenant != b.tenant) return a.tenant < b.tenant;
-      return a.candidate < b.candidate;
-    });
     bool applied_any = false;
     for (const Move& mv : moves) {
       const size_t i = static_cast<size_t>(mv.tenant);
       const int cur = (*choice)[i];
       if (cur == mv.candidate) continue;
-      const FleetTotals next =
-          ApplyMove(*totals, *pools[i], cur, mv.candidate, num_classes);
+      ApplyMove(*totals, fleet.of(i), cur, mv.candidate, num_classes, &next);
       const double dv = Violation(next, constraints) - viol;
       if (dv >= -kEps) continue;  // stale after earlier applies
       (*choice)[i] = mv.candidate;
@@ -334,7 +433,7 @@ bool ExchangeRepair(const std::vector<const TenantPool*>& pools,
     }
     // Kill incremental drift before the feasibility verdict: totals are
     // re-accumulated in the contract order.
-    *totals = ComputeTotals(*choice, pools, num_classes);
+    *totals = ComputeTotals(*choice, fleet, num_classes);
     if (Violation(*totals, constraints) <= 0.0) return true;
     if (!applied_any) return false;
   }
@@ -345,82 +444,143 @@ bool ExchangeRepair(const std::vector<const TenantPool*>& pools,
 /// TOC while the fleet stays feasible, best ΔTOC first, ties by (tenant,
 /// candidate). Monotone in Σ TOC, so it terminates; it can only tighten
 /// the never-lose guarantee.
-void ImprovementPass(const std::vector<const TenantPool*>& pools,
+void ImprovementPass(const SharedPools& fleet,
                      const FleetConstraints& constraints, int num_classes,
                      std::vector<int>* choice, FleetTotals* totals,
                      int* moves_applied) {
   constexpr int kMaxRounds = 64;
-  struct Move {
-    double delta_toc = 0.0;
-    int tenant = 0;
-    int candidate = 0;
-  };
+  MoveCollector collector(fleet);
+  FleetTotals next;
   for (int round = 0; round < kMaxRounds; ++round) {
-    std::vector<Move> moves;
-    for (size_t i = 0; i < choice->size(); ++i) {
-      const TenantPool& pool = *pools[i];
-      const int cur = (*choice)[i];
-      for (int c = 0; c < pool.size(); ++c) {
-        if (c == cur) continue;
-        const double dt = pool.toc[static_cast<size_t>(c)] -
-                          pool.toc[static_cast<size_t>(cur)];
-        if (dt >= 0.0) continue;
-        const FleetTotals next =
-            ApplyMove(*totals, pool, cur, c, num_classes);
-        if (!FleetFeasible(next, constraints)) continue;
-        Move mv;
-        mv.delta_toc = dt;
-        mv.tenant = static_cast<int>(i);
-        mv.candidate = c;
-        moves.push_back(mv);
-      }
-    }
+    const std::vector<Move>& moves = collector.Collect(
+        *choice, [&](const TenantPool& pool, int cur, int c, double* key) {
+          const double dt = pool.toc[static_cast<size_t>(c)] -
+                            pool.toc[static_cast<size_t>(cur)];
+          if (dt >= 0.0) return false;
+          ApplyMove(*totals, pool, cur, c, num_classes, &next);
+          if (!FleetFeasible(next, constraints)) return false;
+          *key = dt;
+          return true;
+        });
     if (moves.empty()) return;
-    std::sort(moves.begin(), moves.end(), [](const Move& a, const Move& b) {
-      if (a.delta_toc != b.delta_toc) return a.delta_toc < b.delta_toc;
-      if (a.tenant != b.tenant) return a.tenant < b.tenant;
-      return a.candidate < b.candidate;
-    });
     bool applied_any = false;
     for (const Move& mv : moves) {
       const size_t i = static_cast<size_t>(mv.tenant);
+      const TenantPool& pool = fleet.of(i);
       const int cur = (*choice)[i];
       if (cur == mv.candidate) continue;
-      const double dt = pools[i]->toc[static_cast<size_t>(mv.candidate)] -
-                        pools[i]->toc[static_cast<size_t>(cur)];
+      const double dt = pool.toc[static_cast<size_t>(mv.candidate)] -
+                        pool.toc[static_cast<size_t>(cur)];
       if (dt >= 0.0) continue;
-      const FleetTotals next =
-          ApplyMove(*totals, *pools[i], cur, mv.candidate, num_classes);
+      ApplyMove(*totals, pool, cur, mv.candidate, num_classes, &next);
       if (!FleetFeasible(next, constraints)) continue;
       (*choice)[i] = mv.candidate;
       *totals = next;
       ++*moves_applied;
       applied_any = true;
     }
-    *totals = ComputeTotals(*choice, pools, num_classes);
+    *totals = ComputeTotals(*choice, fleet, num_classes);
     if (!applied_any) return;
   }
 }
 
+/// argmin over the pool of toc + λ·cost + Σ_j μ_j·space_j; strict compare,
+/// so ties keep the lower index.
+int PricedArgmin(const TenantPool& pool, bool budget_active, double lambda,
+                 bool capacity_active, const std::vector<double>& mu,
+                 int num_classes) {
+  const size_t m = static_cast<size_t>(num_classes);
+  int arg = 0;
+  double best = std::numeric_limits<double>::infinity();
+  for (int c = 0; c < pool.size(); ++c) {
+    const size_t row = static_cast<size_t>(c);
+    double value = pool.toc[row];
+    if (budget_active) value += lambda * pool.cost[row];
+    for (size_t j = 0; capacity_active && j < m; ++j) {
+      value += mu[j] * pool.space[row * m + j];
+    }
+    if (value < best) {
+      best = value;
+      arg = c;
+    }
+  }
+  return arg;
+}
+
+/// The independent baseline's pick from one pool under a fair share
+/// `weight` of the fleet constraints: the best (first, pools being
+/// toc-sorted) candidate within the share, or -1 when none fits.
+int FairShareFit(const TenantPool& pool, const FleetConstraints& cons,
+                 double weight, int num_classes) {
+  const double budget_share =
+      cons.budget_cents_per_hour > 0.0
+          ? cons.budget_cents_per_hour * weight * (1.0 + kFleetFeasTol)
+          : std::numeric_limits<double>::infinity();
+  const size_t m = static_cast<size_t>(num_classes);
+  for (int c = 0; c < pool.size(); ++c) {
+    const size_t row = static_cast<size_t>(c);
+    if (pool.cost[row] > budget_share) continue;
+    bool fits = true;
+    for (size_t j = 0; j < cons.capacity_gb.size(); ++j) {
+      const double cap_share =
+          cons.capacity_gb[j] * weight * (1.0 + kFleetFeasTol);
+      if (pool.space[row * m + j] > cap_share) {
+        fits = false;
+        break;
+      }
+    }
+    if (fits) return c;
+  }
+  return -1;
+}
+
 }  // namespace
 
-FleetPlanner::FleetPlanner(const BoxConfig* box, FleetConfig config)
-    : box_(box), config_(std::move(config)) {
-  DOT_CHECK(box_ != nullptr);
-  DOT_CHECK(config_.max_pool_layouts > 0);
-  DOT_CHECK(config_.price_iterations >= 1);
-  DOT_CHECK(config_.constraints.capacity_gb.empty() ||
-            static_cast<int>(config_.constraints.capacity_gb.size()) ==
-                box_->NumClasses())
-      << "capacity_gb must be empty or have one entry per storage class";
+Status ValidateFleetConfig(const FleetConfig& config, const BoxConfig& box) {
+  if (config.price_iterations < 1) {
+    return Status::InvalidArgument(
+        "FleetConfig::price_iterations must be >= 1");
+  }
+  if (config.max_pool_layouts < 1) {
+    return Status::InvalidArgument(
+        "FleetConfig::max_pool_layouts must be >= 1");
+  }
+  const FleetConstraints& cons = config.constraints;
+  if (std::isnan(cons.budget_cents_per_hour)) {
+    return Status::InvalidArgument(
+        "FleetConstraints::budget_cents_per_hour is NaN");
+  }
+  if (!cons.capacity_gb.empty() &&
+      static_cast<int>(cons.capacity_gb.size()) != box.NumClasses()) {
+    return Status::InvalidArgument(
+        "FleetConstraints::capacity_gb must be empty or have one entry "
+        "per storage class");
+  }
+  for (double cap : cons.capacity_gb) {
+    if (std::isnan(cap) || cap < 0.0) {
+      return Status::InvalidArgument(
+          "FleetConstraints::capacity_gb entries must be non-negative "
+          "numbers");
+    }
+  }
+  return Status::OK();
 }
+
+FleetPlanner::FleetPlanner(const BoxConfig* box, FleetConfig config)
+    : box_(box), config_(std::move(config)) {}
 
 FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
   const double start_ms = NowMs();
-  const int m = box_->NumClasses();
   FleetPlan plan;
+  if (box_ == nullptr) {
+    plan.status = Status::InvalidArgument("FleetPlanner has no box");
+    return plan;
+  }
+  const int m = box_->NumClasses();
   plan.used_gb.assign(static_cast<size_t>(m), 0.0);
   plan.capacity_price.assign(static_cast<size_t>(m), 0.0);
+  plan.status = ValidateFleetConfig(config_, *box_);
+  if (!plan.status.ok()) return plan;
   if (tenants.empty()) {
     plan.status = Status::InvalidArgument("fleet has no tenants");
     return plan;
@@ -446,27 +606,32 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
   const int num_tenants = static_cast<int>(tenants.size());
 
   // --- Pool assignment: first-occurrence order over cache keys, so pool
-  // ids — and everything downstream — are independent of threading.
-  std::vector<int> tenant_pool(static_cast<size_t>(num_tenants), -1);
+  // ids — and everything downstream — are independent of threading. Each
+  // distinct schema is fingerprinted once.
+  SharedPools fleet;
+  fleet.tenant_pool.assign(static_cast<size_t>(num_tenants), -1);
   std::map<std::string, int> key_to_pool;
+  std::unordered_map<const Schema*, uint64_t> fingerprints;
+  std::string key;
   std::vector<int> pool_reference;  // pool id -> first tenant index
   for (int i = 0; i < num_tenants; ++i) {
+    int& pool_id = fleet.tenant_pool[static_cast<size_t>(i)];
     if (!config_.share_pools) {
-      tenant_pool[static_cast<size_t>(i)] =
-          static_cast<int>(pool_reference.size());
+      pool_id = static_cast<int>(pool_reference.size());
       pool_reference.push_back(i);
       continue;
     }
-    const std::string key =
-        PoolKey(tenants[static_cast<size_t>(i)].problem, config_);
+    const DotProblem& p = tenants[static_cast<size_t>(i)].problem;
+    const auto fp = fingerprints.try_emplace(p.schema, 0);
+    if (fp.second) fp.first->second = p.schema->Fingerprint();
+    PoolKey(p, fp.first->second, config_, &key);
     const auto it = key_to_pool.find(key);
     if (it != key_to_pool.end()) {
-      tenant_pool[static_cast<size_t>(i)] = it->second;
+      pool_id = it->second;
       ++plan.pool_cache_hits;
     } else {
-      const int id = static_cast<int>(pool_reference.size());
-      key_to_pool.emplace(key, id);
-      tenant_pool[static_cast<size_t>(i)] = id;
+      pool_id = static_cast<int>(pool_reference.size());
+      key_to_pool.emplace(key, pool_id);
       pool_reference.push_back(i);
     }
   }
@@ -474,17 +639,17 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
   plan.pool_builds = num_pools;
 
   // --- Build the distinct pools, fanned out into distinct slots.
-  std::vector<TenantPool> pools(static_cast<size_t>(num_pools));
+  fleet.pools.resize(static_cast<size_t>(num_pools));
   ThreadPool threads(config_.options.num_threads);
   threads.ParallelFor(0, num_pools, [&](int64_t pid) {
-    pools[static_cast<size_t>(pid)] = BuildPool(
+    fleet.pools[static_cast<size_t>(pid)] = BuildPool(
         tenants[static_cast<size_t>(
                     pool_reference[static_cast<size_t>(pid)])]
             .problem,
         box_, config_);
   });
   for (int pid = 0; pid < num_pools; ++pid) {
-    TenantPool& pool = pools[static_cast<size_t>(pid)];
+    const TenantPool& pool = fleet.pools[static_cast<size_t>(pid)];
     if (!pool.status.ok()) {
       plan.status = pool.status;
       return plan;
@@ -500,12 +665,6 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
     }
     plan.layouts_evaluated += pool.layouts_evaluated;
   }
-  std::vector<const TenantPool*> by_tenant(
-      static_cast<size_t>(num_tenants));
-  for (int i = 0; i < num_tenants; ++i) {
-    by_tenant[static_cast<size_t>(i)] =
-        &pools[static_cast<size_t>(tenant_pool[static_cast<size_t>(i)])];
-  }
 
   const FleetConstraints& cons = config_.constraints;
   const bool budget_active = cons.budget_cents_per_hour > 0.0;
@@ -515,20 +674,20 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
   // Its Σ TOC lower-bounds every selection, so if it is feasible it is THE
   // fleet optimum over the pools.
   std::vector<int> solo(static_cast<size_t>(num_tenants), 0);
-  const FleetTotals solo_totals = ComputeTotals(solo, by_tenant, m);
+  const FleetTotals solo_totals = ComputeTotals(solo, fleet, m);
 
-  // --- The fleet's cost floor: every tenant on its cheapest candidate
-  // (tenant-index order, like every total). Below Σ of these no selection
-  // exists, so callers can sweep budgets from min_cost to the solo cost.
-  std::vector<double> cheapest_cost(static_cast<size_t>(num_tenants), 0.0);
-  for (int i = 0; i < num_tenants; ++i) {
-    const TenantPool& pool = *by_tenant[static_cast<size_t>(i)];
-    double cheapest = pool.cost[0];
-    for (int c = 1; c < pool.size(); ++c) {
-      cheapest = std::min(cheapest, pool.cost[static_cast<size_t>(c)]);
-    }
-    cheapest_cost[static_cast<size_t>(i)] = cheapest;
-    plan.min_cost_cents_per_hour += cheapest;
+  // --- The fleet's cost floor: every tenant on its pool's cheapest
+  // candidate (summed in tenant-index order, like every total). Below it
+  // no selection exists, so callers can sweep budgets from min_cost to the
+  // solo cost.
+  std::vector<double> pool_cheapest(static_cast<size_t>(num_pools), 0.0);
+  for (int pid = 0; pid < num_pools; ++pid) {
+    const TenantPool& pool = fleet.pools[static_cast<size_t>(pid)];
+    pool_cheapest[static_cast<size_t>(pid)] =
+        *std::min_element(pool.cost.begin(), pool.cost.end());
+  }
+  for (size_t i = 0; i < fleet.tenant_pool.size(); ++i) {
+    plan.min_cost_cents_per_hour += pool_cheapest[fleet.pool_of(i)];
   }
 
   // --- Independent fair-share baseline: tenant i provisions alone on a
@@ -537,64 +696,34 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
   // would have to sell it. Minimum-spend weights make the baseline
   // feasible whenever any selection is (share_i >= cheapest_i once the
   // budget covers Σ cheapest), so never-lose is a live comparison across
-  // the whole feasible budget range, not a vacuous one.
-  std::vector<double> weight(static_cast<size_t>(num_tenants), 0.0);
-  {
-    double total_cheapest = 0.0;
-    for (int i = 0; i < num_tenants; ++i) {
-      total_cheapest += cheapest_cost[static_cast<size_t>(i)];
+  // the whole feasible budget range, not a vacuous one. The weight, and so
+  // the pick, is the same for every tenant of a pool.
+  const double total_cheapest = plan.min_cost_cents_per_hour;
+  std::vector<int> pool_baseline(static_cast<size_t>(num_pools), -1);
+  plan.independent_feasible = true;
+  for (int pid = 0; pid < num_pools; ++pid) {
+    const TenantPool& pool = fleet.pools[static_cast<size_t>(pid)];
+    const double w =
+        total_cheapest > 0.0
+            ? pool_cheapest[static_cast<size_t>(pid)] / total_cheapest
+            : 1.0 / num_tenants;
+    int pick = FairShareFit(pool, cons, w, m);
+    if (pick < 0) {
+      // No candidate fits this pool's share: the baseline itself is
+      // infeasible. Report its totals over the cheapest candidate
+      // (deterministic: lowest cost, ties by toc order = index).
+      plan.independent_feasible = false;
+      pick = static_cast<int>(
+          std::min_element(pool.cost.begin(), pool.cost.end()) -
+          pool.cost.begin());
     }
-    for (int i = 0; i < num_tenants; ++i) {
-      weight[static_cast<size_t>(i)] =
-          total_cheapest > 0.0
-              ? cheapest_cost[static_cast<size_t>(i)] / total_cheapest
-              : 1.0 / num_tenants;
-    }
+    pool_baseline[static_cast<size_t>(pid)] = pick;
   }
   std::vector<int> baseline(static_cast<size_t>(num_tenants), -1);
-  plan.independent_feasible = true;
-  for (int i = 0; i < num_tenants; ++i) {
-    const TenantPool& pool = *by_tenant[static_cast<size_t>(i)];
-    const double w = weight[static_cast<size_t>(i)];
-    const double budget_share =
-        budget_active ? cons.budget_cents_per_hour * w * (1.0 + kFleetFeasTol)
-                      : std::numeric_limits<double>::infinity();
-    int pick = -1;
-    for (int c = 0; c < pool.size(); ++c) {
-      if (pool.cost[static_cast<size_t>(c)] > budget_share) continue;
-      bool fits = true;
-      for (int j = 0; capacity_active && j < m; ++j) {
-        const double cap_share =
-            cons.capacity_gb[static_cast<size_t>(j)] * w *
-            (1.0 + kFleetFeasTol);
-        if (pool.space[static_cast<size_t>(c) * static_cast<size_t>(m) +
-                       static_cast<size_t>(j)] > cap_share) {
-          fits = false;
-          break;
-        }
-      }
-      if (fits) {
-        pick = c;  // pools are toc-sorted: the first fit is the best fit
-        break;
-      }
-    }
-    if (pick < 0) {
-      // No candidate fits this tenant's share: the baseline itself is
-      // infeasible. Report its totals over each such tenant's cheapest
-      // candidate (deterministic: lowest cost, ties by toc order = index).
-      plan.independent_feasible = false;
-      int cheapest = 0;
-      for (int c = 1; c < pool.size(); ++c) {
-        if (pool.cost[static_cast<size_t>(c)] <
-            pool.cost[static_cast<size_t>(cheapest)]) {
-          cheapest = c;
-        }
-      }
-      pick = cheapest;
-    }
-    baseline[static_cast<size_t>(i)] = pick;
+  for (size_t i = 0; i < baseline.size(); ++i) {
+    baseline[i] = pool_baseline[fleet.pool_of(i)];
   }
-  const FleetTotals baseline_totals = ComputeTotals(baseline, by_tenant, m);
+  const FleetTotals baseline_totals = ComputeTotals(baseline, fleet, m);
   plan.independent_toc_cents_per_task = baseline_totals.toc;
   plan.independent_cost_cents_per_hour = baseline_totals.cost;
 
@@ -623,33 +752,22 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
           solo_totals.toc /
           std::max(solo_totals.used[static_cast<size_t>(j)], kEps);
     }
+    std::vector<int> pool_arg(static_cast<size_t>(num_pools), 0);
     std::vector<int> sel(static_cast<size_t>(num_tenants), 0);
     std::vector<int> best_feasible;
     double best_feasible_toc = 0.0;
     for (int r = 1; r <= config_.price_iterations; ++r) {
-      threads.ParallelForChunked(0, num_tenants, 256, [&](int64_t i) {
-        const TenantPool& pool = *by_tenant[static_cast<size_t>(i)];
-        int arg = 0;
-        double best = std::numeric_limits<double>::infinity();
-        for (int c = 0; c < pool.size(); ++c) {
-          double value = pool.toc[static_cast<size_t>(c)];
-          if (budget_active) {
-            value += lambda * pool.cost[static_cast<size_t>(c)];
-          }
-          for (int j = 0; capacity_active && j < m; ++j) {
-            value += mu[static_cast<size_t>(j)] *
-                     pool.space[static_cast<size_t>(c) *
-                                    static_cast<size_t>(m) +
-                                static_cast<size_t>(j)];
-          }
-          if (value < best) {  // strict: ties keep the lower index
-            best = value;
-            arg = c;
-          }
-        }
-        sel[static_cast<size_t>(i)] = arg;
+      // One argmin per pool (every tenant of a pool sees the same prices),
+      // into distinct slots; small fan-outs run inline.
+      threads.ParallelForChunked(0, num_pools, 256, [&](int64_t pid) {
+        pool_arg[static_cast<size_t>(pid)] =
+            PricedArgmin(fleet.pools[static_cast<size_t>(pid)],
+                         budget_active, lambda, capacity_active, mu, m);
       });
-      const FleetTotals t = ComputeTotals(sel, by_tenant, m);
+      for (size_t i = 0; i < sel.size(); ++i) {
+        sel[i] = pool_arg[fleet.pool_of(i)];
+      }
+      const FleetTotals t = ComputeTotals(sel, fleet, m);
       if (FleetFeasible(t, cons) &&
           (best_feasible.empty() || t.toc < best_feasible_toc)) {
         best_feasible = sel;
@@ -679,9 +797,9 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
     // precedence on exact ties, so the choice is deterministic and the
     // never-lose guarantee is structural.
     std::vector<int> repaired = sel;
-    FleetTotals repaired_totals = ComputeTotals(repaired, by_tenant, m);
+    FleetTotals repaired_totals = ComputeTotals(repaired, fleet, m);
     const bool repaired_ok =
-        ExchangeRepair(by_tenant, cons, m, &repaired, &repaired_totals,
+        ExchangeRepair(fleet, cons, m, &repaired, &repaired_totals,
                        &plan.exchange_moves);
     if (repaired_ok) {
       choice = repaired;
@@ -689,7 +807,7 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
       feasible = true;
     }
     if (!best_feasible.empty()) {
-      const FleetTotals t = ComputeTotals(best_feasible, by_tenant, m);
+      const FleetTotals t = ComputeTotals(best_feasible, fleet, m);
       if (!feasible || t.toc < totals.toc) {
         choice = best_feasible;
         totals = t;
@@ -713,20 +831,19 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
   }
 
   // --- Reclaim slack: greedy TOC improvement, feasibility-preserving.
-  ImprovementPass(by_tenant, cons, m, &choice, &totals,
-                  &plan.improve_moves);
+  ImprovementPass(fleet, cons, m, &choice, &totals, &plan.improve_moves);
 
   plan.fell_back_to_baseline = plan.independent_feasible &&
                                choice == baseline;
   plan.tenants.resize(static_cast<size_t>(num_tenants));
   for (int i = 0; i < num_tenants; ++i) {
-    const TenantPool& pool = *by_tenant[static_cast<size_t>(i)];
+    const TenantPool& pool = fleet.of(static_cast<size_t>(i));
     const size_t c = static_cast<size_t>(choice[static_cast<size_t>(i)]);
     FleetTenantChoice& out = plan.tenants[static_cast<size_t>(i)];
     out.placement = pool.placements[c];
     out.toc_cents_per_task = pool.toc[c];
     out.cost_cents_per_hour = pool.cost[c];
-    out.pool_id = tenant_pool[static_cast<size_t>(i)];
+    out.pool_id = fleet.tenant_pool[static_cast<size_t>(i)];
     out.candidate = static_cast<int>(c);
   }
   plan.total_toc_cents_per_task = totals.toc;

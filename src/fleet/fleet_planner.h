@@ -79,12 +79,18 @@ struct FleetConfig {
   bool share_pools = true;
 
   /// Engine knobs: `options.num_threads` drives the pool-build and
-  /// per-tenant pricing fan-outs. Results are bit-identical at every
-  /// thread count — pools build into distinct slots, per-tenant argmins
-  /// write distinct slots, and every total is accumulated serially in
+  /// per-pool pricing fan-outs. Results are bit-identical at every thread
+  /// count — pools build into distinct slots, per-pool argmins write
+  /// distinct slots, and every total is accumulated serially in
   /// tenant-index order.
   SearchOptions options;
 };
+
+/// Checks the FleetConfig against the box the fleet provisions on:
+/// price_iterations and max_pool_layouts >= 1, a non-NaN budget, and
+/// capacity_gb empty or one non-negative, non-NaN entry per storage class.
+/// Solve (SolveSpec::Validate) and FleetPlanner::Plan both call it.
+Status ValidateFleetConfig(const FleetConfig& config, const BoxConfig& box);
 
 /// The layout chosen for one tenant, with its bill.
 struct FleetTenantChoice {
@@ -183,21 +189,28 @@ struct FleetPlan {
 ///      BetterCandidate order, so pool[0] is exactly the tenant's solo
 ///      optimum.
 ///   2. Prices — an outer subgradient loop adjusts a budget price λ and
-///      per-class prices μ_j; each iteration every tenant independently
-///      picks argmin(toc + λ·cost + Σ_j μ_j·space_j) from its pool, fanned
-///      out on the ThreadPool into distinct slots.
+///      per-class prices μ_j; each iteration computes
+///      argmin(toc + λ·cost + Σ_j μ_j·space_j) once per shared pool (every
+///      tenant of a pool sees the same prices), fanned out on the
+///      ThreadPool into distinct per-pool slots, and hands each tenant its
+///      pool's argmin. Per-iteration cost O(P·K·M + N·M) for P pools of K
+///      candidates, M classes and N tenants.
 ///   3. Repair — when the relaxation over-subscribes, a deterministic
 ///      greedy exchange walks tenants onto cheaper candidates in best
 ///      ΔTOC-per-violation-reduction order (ties by tenant then candidate
 ///      index) until the fleet fits; a final greedy improvement pass then
-///      reclaims any slack. The independent fair-share baseline competes
-///      as a candidate selection, which is what proves never-lose.
+///      reclaims any slack. Both score a round's moves once per
+///      (pool, current candidate) group and copy them to the group's
+///      tenants. The independent fair-share baseline competes as a
+///      candidate selection, which is what proves never-lose.
 class FleetPlanner {
  public:
   /// `box` must outlive the planner and be the box every tenant problem
   /// references.
   FleetPlanner(const BoxConfig* box, FleetConfig config);
 
+  /// A malformed config (ValidateFleetConfig) or roster comes back in
+  /// FleetPlan::status instead of aborting.
   FleetPlan Plan(const std::vector<FleetTenant>& tenants) const;
 
   const FleetConfig& config() const { return config_; }

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -52,8 +53,11 @@ struct FleetFixture {
   }
 };
 
+/// Plans must agree bit for bit. `same_pools = false` leaves out what
+/// legitimately differs between a shared and an unshared run of the same
+/// fleet: pool ids and the pool-build counters.
 void ExpectSamePlan(const FleetPlan& a, const FleetPlan& b,
-                    const std::string& what) {
+                    const std::string& what, bool same_pools = true) {
   ASSERT_EQ(a.status.ok(), b.status.ok()) << what;
   ASSERT_EQ(a.tenants.size(), b.tenants.size()) << what;
   for (size_t i = 0; i < a.tenants.size(); ++i) {
@@ -61,8 +65,10 @@ void ExpectSamePlan(const FleetPlan& a, const FleetPlan& b,
         << what << " tenant " << i;
     EXPECT_EQ(a.tenants[i].toc_cents_per_task, b.tenants[i].toc_cents_per_task)
         << what << " tenant " << i;
-    EXPECT_EQ(a.tenants[i].pool_id, b.tenants[i].pool_id)
-        << what << " tenant " << i;
+    if (same_pools) {
+      EXPECT_EQ(a.tenants[i].pool_id, b.tenants[i].pool_id)
+          << what << " tenant " << i;
+    }
     EXPECT_EQ(a.tenants[i].candidate, b.tenants[i].candidate)
         << what << " tenant " << i;
   }
@@ -73,12 +79,16 @@ void ExpectSamePlan(const FleetPlan& a, const FleetPlan& b,
   EXPECT_EQ(a.independent_toc_cents_per_task,
             b.independent_toc_cents_per_task)
       << what;
-  EXPECT_EQ(a.pool_builds, b.pool_builds) << what;
-  EXPECT_EQ(a.pool_cache_hits, b.pool_cache_hits) << what;
   EXPECT_EQ(a.price_iterations_run, b.price_iterations_run) << what;
   EXPECT_EQ(a.exchange_moves, b.exchange_moves) << what;
   EXPECT_EQ(a.improve_moves, b.improve_moves) << what;
-  EXPECT_EQ(a.layouts_evaluated, b.layouts_evaluated) << what;
+  EXPECT_EQ(a.budget_price, b.budget_price) << what;
+  EXPECT_EQ(a.capacity_price, b.capacity_price) << what;
+  if (same_pools) {
+    EXPECT_EQ(a.pool_builds, b.pool_builds) << what;
+    EXPECT_EQ(a.pool_cache_hits, b.pool_cache_hits) << what;
+    EXPECT_EQ(a.layouts_evaluated, b.layouts_evaluated) << what;
+  }
 }
 
 void ExpectFeasible(const FleetPlan& plan, const FleetConstraints& cons) {
@@ -247,6 +257,34 @@ TEST(FleetPlannerTest, IdenticalTenantsShareOnePool) {
   EXPECT_EQ(plan.tenants[0].pool_id, plan.tenants[1].pool_id);
 }
 
+TEST(FleetPlannerTest, IdenticalTenantsBreakMoveTiesTowardTheLowestIndex) {
+  // Twins score every move identically, so the repair order's tie-break
+  // — (key, tenant, candidate) — decides alone which twins move: under a
+  // budget a few moves can meet, exactly a prefix of the roster leaves its
+  // solo optimum.
+  SyntheticFleet owner = MakeSyntheticFleet(1, 7);
+  const std::vector<FleetTenant> twins(6, owner.tenants[0]);
+  const FleetPlan free_plan =
+      FleetPlanner(owner.box.get(), FleetConfig{}).Plan(twins);
+  ASSERT_TRUE(free_plan.status.ok()) << free_plan.status.ToString();
+  FleetConfig config;
+  config.constraints.budget_cents_per_hour =
+      free_plan.total_cost_cents_per_hour * 0.97;
+  const FleetPlan plan = FleetPlanner(owner.box.get(), config).Plan(twins);
+  ASSERT_TRUE(plan.status.ok()) << plan.status.ToString();
+  EXPECT_GT(plan.exchange_moves, 0);
+  ExpectFeasible(plan, config.constraints);
+  size_t moved = 0;
+  while (moved < twins.size() && plan.tenants[moved].candidate != 0) {
+    ++moved;
+  }
+  EXPECT_GT(moved, 0u);
+  EXPECT_LT(moved, twins.size());
+  for (size_t i = moved; i < twins.size(); ++i) {
+    EXPECT_EQ(plan.tenants[i].candidate, 0) << "tenant " << i;
+  }
+}
+
 TEST(FleetPlannerTest, BindingBudgetStaysFeasibleAndNeverLoses) {
   FleetFixture fx(16);
   // First find the unconstrained cost, then squeeze.
@@ -345,6 +383,75 @@ TEST(FleetPlannerTest, DeterministicAcrossThreadCountsIncludingCounters) {
   }
 }
 
+TEST(FleetPlannerTest, SharedPoolsPlanLikeUnsharedPoolsUnderCoupling) {
+  // Sharing a pool must change only how often the per-candidate work is
+  // done, never the plan: with share_pools off every tenant is its own
+  // pool. Three coupled cases, each pinned to the path it exercises by
+  // its move counts, at 1, 4 and hardware threads.
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  constexpr int kTenants = 24;
+  const FleetFixture free_fx(kTenants);
+  const SolveResult free_run = free_fx.Run();
+  ASSERT_TRUE(free_run.status.ok()) << free_run.status.ToString();
+  const FleetPlan& free_plan = free_run.fleet;
+  const double floor = free_plan.min_cost_cents_per_hour;
+  const double top = free_plan.total_cost_cents_per_hour;
+
+  // Capacity choke: halve the heaviest class, leave the others roomy.
+  std::vector<double> choke(free_plan.used_gb.size());
+  size_t heavy = 0;
+  for (size_t j = 0; j < choke.size(); ++j) {
+    choke[j] = free_plan.used_gb[j] * 4.0 + 1.0;
+    if (free_plan.used_gb[j] > free_plan.used_gb[heavy]) heavy = j;
+  }
+  choke[heavy] = free_plan.used_gb[heavy] * 0.5;
+
+  struct Case {
+    std::string name;
+    FleetConstraints constraints;
+    bool expect_exchange;
+    bool expect_improve;
+  };
+  std::vector<Case> cases(3);
+  cases[0] = {"budget-exchange", {}, true, false};
+  cases[0].constraints.budget_cents_per_hour = floor + 0.4 * (top - floor);
+  cases[1] = {"budget-improve", {}, false, true};
+  cases[1].constraints.budget_cents_per_hour = floor + 0.9 * (top - floor);
+  cases[2] = {"capacity-choke", {}, true, true};
+  cases[2].constraints.capacity_gb = choke;
+
+  for (const Case& c : cases) {
+    FleetPlan reference;
+    bool have_reference = false;
+    for (int threads : {1, 4, hw}) {
+      for (bool share : {true, false}) {
+        FleetFixture fx(kTenants);
+        fx.spec.config.constraints = c.constraints;
+        fx.spec.config.share_pools = share;
+        const SolveResult r = fx.Run(threads);
+        const std::string what = c.name + " threads=" +
+                                 std::to_string(threads) +
+                                 (share ? " shared" : " unshared");
+        ASSERT_TRUE(r.status.ok()) << what << ": " << r.status.ToString();
+        if (share) {
+          EXPECT_LT(r.fleet.pool_builds, kTenants) << what;
+        } else {
+          EXPECT_EQ(r.fleet.pool_builds, kTenants) << what;
+        }
+        if (!have_reference) {
+          reference = r.fleet;
+          have_reference = true;
+          EXPECT_EQ(reference.exchange_moves > 0, c.expect_exchange) << what;
+          EXPECT_EQ(reference.improve_moves > 0, c.expect_improve) << what;
+          ExpectFeasible(reference, c.constraints);
+        } else {
+          ExpectSamePlan(reference, r.fleet, what, /*same_pools=*/false);
+        }
+      }
+    }
+  }
+}
+
 TEST(FleetPlannerTest, ValidateRejectsMalformedFleets) {
   FleetFixture fx(2);
 
@@ -368,13 +475,38 @@ TEST(FleetPlannerTest, ValidateRejectsMalformedFleets) {
   EXPECT_EQ(Solve(fx.FleetProblem(), spec).status.code(),
             StatusCode::kInvalidArgument);
 
-  // Capacity arity mismatch.
-  FleetSpec arity;
-  arity.tenants = &fx.fleet.tenants;
-  arity.config.constraints.capacity_gb = {1.0};  // Box 2 has 3 classes
-  spec.fleet = &arity;
-  EXPECT_EQ(Solve(fx.FleetProblem(), spec).status.code(),
-            StatusCode::kInvalidArgument);
+  // Malformed FleetConfigs, one rejection each. Solve rejects them up
+  // front, and the planner itself reports them in plan.status instead of
+  // aborting.
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::pair<std::string, FleetConfig>> configs;
+  auto add = [&](const std::string& what) -> FleetConfig& {
+    configs.emplace_back(what, FleetConfig{});
+    return configs.back().second;
+  };
+  add("zero price iterations").price_iterations = 0;
+  add("zero max_pool_layouts").max_pool_layouts = 0;
+  add("NaN budget").constraints.budget_cents_per_hour = kNaN;
+  // Box 2 has 3 classes.
+  add("capacity arity").constraints.capacity_gb = {1.0};
+  add("NaN capacity").constraints.capacity_gb = {1e6, kNaN, 1e6};
+  add("negative capacity").constraints.capacity_gb = {1e6, -1.0, 1e6};
+  for (const auto& [what, config] : configs) {
+    FleetSpec malformed;
+    malformed.tenants = &fx.fleet.tenants;
+    malformed.config = config;
+    spec.fleet = &malformed;
+    EXPECT_EQ(Solve(fx.FleetProblem(), spec).status.code(),
+              StatusCode::kInvalidArgument)
+        << what;
+    EXPECT_EQ(ValidateFleetConfig(config, *fx.fleet.box).code(),
+              StatusCode::kInvalidArgument)
+        << what;
+    const FleetPlan plan =
+        FleetPlanner(fx.fleet.box.get(), config).Plan(fx.fleet.tenants);
+    EXPECT_EQ(plan.status.code(), StatusCode::kInvalidArgument) << what;
+  }
+  EXPECT_TRUE(ValidateFleetConfig(FleetConfig{}, *fx.fleet.box).ok());
 }
 
 TEST(FleetPlannerTest, ImpossibleBudgetReportsInfeasible) {
