@@ -30,7 +30,7 @@ int main() {
   for (int box = 1; box <= 2; ++box) {
     auto inst = Instance::Tpch(box, TpchVariant::kEsSubset);
     const DotProblem base = inst->Problem(0.5);
-    const DotResult es = ExhaustiveSearch(base);
+    const DotResult es = ExactSearch(base, ExactStrategy::kEnumerate);
 
     TablePrinter t({"variant", "TOC (c/query)", "vs ES", "resp time (min)",
                     "layouts"});

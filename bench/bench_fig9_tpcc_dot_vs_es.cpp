@@ -110,8 +110,9 @@ int main() {
   Schema subset = full.Subset({"stock", "pk_stock", "order_line",
                                "pk_order_line", "customer", "pk_customer",
                                "i_customer", "district", "pk_district"});
-  RunSweep(subset, "ES",
-           [](const DotProblem& p) { return ExhaustiveSearch(p); });
+  RunSweep(subset, "ES", [](const DotProblem& p) {
+    return ExactSearch(p, ExactStrategy::kEnumerate);
+  });
 
   std::cout << "\n=== Figure 9 at full scale: exact BnB vs DOT, all "
             << full.NumObjects() << " TPC-C objects (3^"

@@ -147,7 +147,7 @@ void BM_ExhaustiveSearch(benchmark::State& state) {
   problem.options.num_threads = static_cast<int>(state.range(1));
   SearchCounters counters;
   for (auto _ : state) {
-    DotResult r = ExhaustiveSearch(problem);
+    DotResult r = ExactSearch(problem, ExactStrategy::kEnumerate);
     benchmark::DoNotOptimize(r.toc_cents_per_task);
     counters.Tally(r);
   }

@@ -40,7 +40,7 @@ void RunBox(int box_index, int capped_class,
         Instance::TpchOnBox(capped, TpchVariant::kEsSubset);
     DotProblem problem = inst->Problem(0.5);
     DotResult dot_r = DotOptimizer(problem).Optimize();
-    DotResult es_r = ExhaustiveSearch(problem);
+    DotResult es_r = ExactSearch(problem, ExactStrategy::kEnumerate);
     const std::string cap_label =
         cap > 0 ? StrPrintf("%.0f", cap) : std::string("No limit");
     if (!dot_r.status.ok() || !es_r.status.ok()) {

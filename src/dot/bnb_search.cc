@@ -22,25 +22,9 @@ namespace dot {
 
 namespace {
 
-constexpr long long kCountSaturated = std::numeric_limits<long long>::max();
-
-long long SaturatingMul(long long a, long long b) {
-  if (a != 0 && b > kCountSaturated / a) return kCountSaturated;
-  return a * b;
-}
-
 long long SaturatingAdd(long long a, long long b) {
-  if (a > kCountSaturated - b) return kCountSaturated;
+  if (a > kLayoutSpaceSaturated - b) return kLayoutSpaceSaturated;
   return a + b;
-}
-
-/// M^N, saturating at LLONG_MAX instead of wrapping — the overflow-safe
-/// spelling of the layout-space size (3^40 and the like must produce a
-/// clean refusal from the enumeration guard, not undefined behaviour).
-long long PowSaturating(int m, int n) {
-  long long total = 1;
-  for (int i = 0; i < n; ++i) total = SaturatingMul(total, m);
-  return total;
 }
 
 // ---------------------------------------------------------------------------
@@ -51,18 +35,18 @@ DotResult EnumerateSearch(const DotProblem& problem, long long max_layouts,
                           double start_ms) {
   const int n = problem.schema->NumObjects();
   const int m = problem.box->NumClasses();
-  const long long total = PowSaturating(m, n);
+  const long long total = LayoutSpaceSize(m, n);
 
   DotResult result;
-  if (total > max_layouts) {
+  if (total == kLayoutSpaceSaturated || total > max_layouts) {
     // A guard trip is an expected outcome on large schemas, not a
     // programmer error: report it as a Status so callers can fall back to
     // branch-and-bound (or shrink the instance) instead of aborting.
     result.status = Status::OutOfRange(
         "exhaustive enumeration over " + std::to_string(m) + "^" +
         std::to_string(n) + " = " +
-        (total == kCountSaturated ? std::string("> 9.2e18")
-                                  : std::to_string(total)) +
+        (total == kLayoutSpaceSaturated ? std::string("> 9.2e18")
+                                        : std::to_string(total)) +
         " layouts exceeds the guard (" + std::to_string(max_layouts) +
         "); use ExactStrategy::kBranchAndBound or raise max_layouts");
     result.optimize_ms = NowMs() - start_ms;
@@ -130,7 +114,7 @@ struct BnbShared {
   const DotProblem* problem = nullptr;
   const DotOptimizer* estimator = nullptr;
   const FastEvaluator* fast = nullptr;  ///< null: full-path leaves, no bound
-  const FastScorer* scorer = nullptr;   ///< null: no performance bound
+  const FastScorer* scorer = nullptr;   ///< fast's scorer; null with it
   int n = 0;
   int m = 0;
   /// Assignment order: order[d] is the object assigned at depth d,
@@ -325,8 +309,7 @@ class SubtreeWalker {
         CandidateEval eval;
         if (cursor_ != nullptr) {
           cursor_->Assign(obj, placement_);
-          eval = sh_.fast->EvaluateWithScore(placement_,
-                                             cursor_->Optimistic(placement_));
+          eval = sh_.fast->EvaluateLeaf(placement_, *cursor_);
           cursor_->Unassign(obj);
         } else {
           eval = CandidateEvaluator::EvaluateOneWith(
@@ -389,7 +372,7 @@ class SubtreeWalker {
     // nothing), and the search degrades to capacity pruning — skip the
     // cost kernel entirely.
     if (cursor_ != nullptr && live > 0) {
-      cursor_->ProbeClassesRatio(obj, placement_, sh_.m, mask_, qps_, tpden_);
+      cursor_->ProbeClasses(obj, placement_, sh_.m, mask_, qps_, tpden_);
     }
 
     // Pass 3: SLA and bound pruning; survivors become child probes.
@@ -584,7 +567,7 @@ DotResult BranchAndBoundSearch(
   }
   sh.leaves_below.resize(static_cast<size_t>(n) + 1);
   for (int d = 0; d <= n; ++d) {
-    sh.leaves_below[static_cast<size_t>(d)] = PowSaturating(m, n - d);
+    sh.leaves_below[static_cast<size_t>(d)] = LayoutSpaceSize(m, n - d);
   }
 
   // Deterministic incumbent seeds, evaluated through the same path the
@@ -634,7 +617,7 @@ DotResult BranchAndBoundSearch(
   // on (M, N) — never on the thread count — so the task set, the reduction,
   // and every counter are identical at any parallelism.
   int shard_depth = 0;
-  while (shard_depth < n - 1 && PowSaturating(m, shard_depth) < 64) {
+  while (shard_depth < n - 1 && LayoutSpaceSize(m, shard_depth) < 64) {
     ++shard_depth;
   }
   sh.shard_depth = shard_depth;

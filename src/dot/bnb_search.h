@@ -29,13 +29,14 @@ enum class ExactStrategy {
 };
 
 /// Guard for ExactStrategy::kEnumerate: the run returns an OutOfRange
-/// status (it no longer aborts) when M^N exceeds this.
+/// status when M^N exceeds this (or the caller's `max_layouts`), or does
+/// not fit in a long long.
 inline constexpr long long kDefaultMaxEnumeratedLayouts = 50'000'000;
 
-/// The exact-search entry point. ExhaustiveSearch (dot/exhaustive.h) is a
-/// thin alias for the kEnumerate strategy; kBranchAndBound is the scalable
-/// choice — bit-identical results, tractable on full benchmark schemas.
-/// `max_layouts` applies to kEnumerate only.
+/// The exact-search entry point. kEnumerate is the paper's Exhaustive
+/// Search comparator; kBranchAndBound is the scalable choice — bit-identical
+/// results, tractable on full benchmark schemas. `max_layouts` applies to
+/// kEnumerate only.
 ///
 /// Prefer dot::Solve(problem, spec) with SolveMethod::kExact / kEnumerate
 /// (dot/solve.h) over calling this directly: the facade is the documented

@@ -15,6 +15,18 @@ bool BetterCandidate(double toc_a, const std::vector<int>& placement_a,
   return placement_a < placement_b;
 }
 
+long long LayoutSpaceSize(int num_classes, int num_objects) {
+  DOT_CHECK(num_classes >= 1 && num_objects >= 0);
+  long long total = 1;
+  for (int o = 0; o < num_objects; ++o) {
+    if (total > kLayoutSpaceSaturated / num_classes) {
+      return kLayoutSpaceSaturated;
+    }
+    total *= num_classes;
+  }
+  return total;
+}
+
 std::vector<int> DecodeLayoutIndex(long long index, int num_objects,
                                    int num_classes) {
   DOT_CHECK(index >= 0 && num_objects >= 0 && num_classes >= 1);
@@ -68,17 +80,6 @@ CandidateEval CandidateEvaluator::EvaluateQuick(const Layout& layout) const {
   return fast_->EvaluateQuick(layout.placement());
 }
 
-std::vector<CandidateEval> CandidateEvaluator::EvaluateBatch(
-    const std::vector<Layout>& candidates) const {
-  std::vector<CandidateEval> evals(candidates.size());
-  pool_->ParallelFor(0, static_cast<int64_t>(candidates.size()),
-                     [&](int64_t i) {
-                       evals[static_cast<size_t>(i)] =
-                           EvaluateOne(candidates[static_cast<size_t>(i)]);
-                     });
-  return evals;
-}
-
 std::vector<CandidateEval> CandidateEvaluator::EvaluateBatchQuick(
     const std::vector<Layout>& candidates) const {
   std::vector<CandidateEval> evals(candidates.size());
@@ -112,9 +113,9 @@ CandidateEvaluator::SpaceScan CandidateEvaluator::ScanLayoutSpace(
   // comes solely from the merge below being a minimum under the
   // BetterCandidate total order, which picks the same winner for any
   // partition of the space. Do not replace the reduction with a
-  // first-found or shard-order rule. The fast path keeps this safe: every
-  // scalar a candidate is scored from is a fixed-order sum over tables, so
-  // its value cannot depend on which shard (or thread) evaluated it.
+  // first-found or shard-order rule. The fast path keeps this safe: a
+  // fully assigned bound cursor is bit-identical to FastScorer::Score, so a
+  // layout's value cannot depend on which shard (or thread) walked to it.
   const int num_shards = static_cast<int>(std::min<long long>(
       space_end - space_begin, 8LL * pool_->num_threads()));
   std::vector<SpaceScan> per_shard(static_cast<size_t>(num_shards));
@@ -124,19 +125,24 @@ CandidateEvaluator::SpaceScan CandidateEvaluator::ScanLayoutSpace(
       [&](int shard, int64_t shard_begin, int64_t shard_end) {
         SpaceScan local;
         std::vector<int> placement = DecodeLayoutIndex(shard_begin, n, m);
-        std::unique_ptr<FastEvaluator::Cursor> cursor;
+        // The shard walks one bound cursor, LIFO with digit 0 on top: the
+        // start placement is assigned most significant digit first, and
+        // each odometer step unassigns the rolled digits 0..d and
+        // re-assigns d..0, so only the state those digits touch refreshes.
+        // With every object assigned the cursor is exact, and each layout
+        // scores through the branch-and-bound leaf kernel.
+        std::unique_ptr<FastScorer::BoundCursor> cursor;
         if (fast_ != nullptr) {
-          cursor = fast_->MakeCursor();
-          cursor->Reset(placement);
+          cursor = fast_->scorer()->MakeBoundCursor();
+          cursor->Reset();
+          for (int o = n - 1; o >= 0; --o) cursor->Assign(o, placement);
         }
         for (int64_t idx = shard_begin; idx < shard_end; ++idx) {
           local.evaluated += 1;
-          CandidateEval eval;
-          if (cursor != nullptr) {
-            eval = cursor->Eval(placement);
-          } else {
-            eval = EvaluateOne(Layout(problem.schema, problem.box, placement));
-          }
+          CandidateEval eval =
+              cursor != nullptr
+                  ? fast_->EvaluateLeaf(placement, *cursor)
+                  : EvaluateOne(Layout(problem.schema, problem.box, placement));
           if (eval.feasible) {
             if (!local.feasible_found ||
                 BetterCandidate(eval.toc, placement, local.best.toc,
@@ -146,19 +152,17 @@ CandidateEvaluator::SpaceScan CandidateEvaluator::ScanLayoutSpace(
               local.best_placement = placement;
             }
           }
-          // Advance the M-ary odometer (digit 0 least significant) and tell
-          // the cursor which digits rolled — almost always just digit 0, so
-          // incremental scorers refresh O(changed digits) state per step.
-          int digit = 0;
-          while (digit < n) {
-            const size_t d = static_cast<size_t>(digit);
-            const bool carried = ++placement[d] >= m;
-            if (carried) placement[d] = 0;
-            if (cursor != nullptr && idx + 1 < shard_end) {
-              cursor->Touch(digit, placement);
-            }
-            if (!carried) break;
-            ++digit;
+          if (idx + 1 == shard_end) break;
+          // Advance the M-ary odometer (digit 0 least significant): digits
+          // 0..d roll, almost always just digit 0.
+          int rolled = 0;
+          while (++placement[static_cast<size_t>(rolled)] >= m) {
+            placement[static_cast<size_t>(rolled)] = 0;
+            ++rolled;
+          }
+          if (cursor != nullptr) {
+            for (int o = 0; o <= rolled; ++o) cursor->Unassign(o);
+            for (int o = rolled; o >= 0; --o) cursor->Assign(o, placement);
           }
         }
         per_shard[static_cast<size_t>(shard)] = std::move(local);

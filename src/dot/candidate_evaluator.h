@@ -1,6 +1,7 @@
 #ifndef DOTPROV_DOT_CANDIDATE_EVALUATOR_H_
 #define DOTPROV_DOT_CANDIDATE_EVALUATOR_H_
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -70,17 +71,14 @@ class CandidateEvaluator {
   static CandidateEval EvaluateOneWith(const DotOptimizer& estimator,
                                        const Layout& layout);
 
-  /// Evaluates `candidates` concurrently; results align with the input.
-  std::vector<CandidateEval> EvaluateBatch(
-      const std::vector<Layout>& candidates) const;
-
   /// TOC-only evaluation: identical toc/cost/feasibility/violation to
   /// EvaluateOne — bit-for-bit, so search decisions cannot differ — but
   /// CandidateEval::estimate stays empty and no allocation is performed.
   /// Falls back to EvaluateOne when the fast path is unavailable.
   CandidateEval EvaluateQuick(const Layout& layout) const;
 
-  /// Quick variant of EvaluateBatch.
+  /// Evaluates `candidates` concurrently through EvaluateQuick; results
+  /// align with the input.
   std::vector<CandidateEval> EvaluateBatchQuick(
       const std::vector<Layout>& candidates) const;
 
@@ -88,9 +86,10 @@ class CandidateEvaluator {
   /// (placement[o] = (index / M^o) mod M — digit 0 least significant, the
   /// serial odometer's order), sharded across the pool, and returns the
   /// feasible minimum under BetterCandidate. Each shard walks the odometer
-  /// with a fast-path cursor (only the rolled digits refresh scorer state);
-  /// the winner is re-scored through the full path so `best.estimate` is
-  /// populated exactly as before.
+  /// with one FastScorer::BoundCursor (only the rolled digits are
+  /// unassigned and re-assigned) and scores every layout through the
+  /// branch-and-bound leaf kernel; the winner is re-scored through the full
+  /// path so `best.estimate` is populated.
   struct SpaceScan {
     bool feasible_found = false;
     std::vector<int> best_placement;
@@ -110,6 +109,17 @@ class CandidateEvaluator {
   ThreadPool* pool_;
   std::unique_ptr<FastEvaluator> fast_;  ///< null when disabled/unavailable
 };
+
+/// What LayoutSpaceSize returns when M^N does not fit in a long long. No
+/// M^N equals it exactly (2^63 - 1 = 7^2 · 73 · 127 · 337 · 92737 · 649657
+/// is no perfect power, and M^1 is an int), so every size guard refuses
+/// this value whatever its cap, LLONG_MAX included.
+inline constexpr long long kLayoutSpaceSaturated =
+    std::numeric_limits<long long>::max();
+
+/// M^N, the number of layouts of `num_objects` objects over `num_classes`
+/// classes, saturating at kLayoutSpaceSaturated instead of overflowing.
+long long LayoutSpaceSize(int num_classes, int num_objects);
 
 /// placement[o] = (index / M^o) mod M for an N-digit, radix-M space.
 std::vector<int> DecodeLayoutIndex(long long index, int num_objects,

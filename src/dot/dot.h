@@ -28,7 +28,6 @@
 #include "dot/candidate_evaluator.h"
 #include "dot/ensemble.h"
 #include "dot/eval_tables.h"
-#include "dot/exhaustive.h"
 #include "dot/layout.h"
 #include "dot/moves.h"
 #include "dot/object_advisor.h"

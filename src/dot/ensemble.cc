@@ -118,42 +118,6 @@ class EnsembleScorer : public FastScorer {
     return Finish(nominal, scores.data());
   }
 
-  class Cursor : public FastScorer::Cursor {
-   public:
-    Cursor(const EnsembleScorer* owner,
-           std::vector<std::unique_ptr<FastScorer::Cursor>> children)
-        : owner_(owner), children_(std::move(children)) {}
-
-    void Reset(const std::vector<int>& placement) override {
-      for (auto& c : children_) c->Reset(placement);
-    }
-    void Touch(int object_id, const std::vector<int>& placement) override {
-      for (auto& c : children_) c->Touch(object_id, placement);
-    }
-    QuickPerf Score(const std::vector<int>& placement) const override {
-      if (children_.size() == 1) return children_[0]->Score(placement);
-      std::array<ScenarioScore, kMaxScenarios> scores;
-      QuickPerf nominal;
-      for (size_t i = 0; i < children_.size(); ++i) {
-        const QuickPerf qp = children_[i]->Score(placement);
-        if (i == 0) nominal = qp;
-        scores[i] = {qp.tasks_per_hour, qp.sla_ok};
-      }
-      return owner_->Finish(nominal, scores.data());
-    }
-
-   private:
-    const EnsembleScorer* owner_;
-    std::vector<std::unique_ptr<FastScorer::Cursor>> children_;
-  };
-
-  std::unique_ptr<FastScorer::Cursor> MakeCursor() const override {
-    std::vector<std::unique_ptr<FastScorer::Cursor>> cursors;
-    cursors.reserve(children_.size());
-    for (const auto& child : children_) cursors.push_back(child->MakeCursor());
-    return std::make_unique<Cursor>(this, std::move(cursors));
-  }
-
   /// K child bound cursors. Admissibility composes through the monotone
   /// aggregation (see AggregateEnsemble); the few-ULP drift the unequal
   /// summation orders can introduce is absorbed by inflating interior-node
@@ -206,11 +170,7 @@ class EnsembleScorer : public FastScorer {
     std::vector<std::unique_ptr<FastScorer::BoundCursor>> cursors;
     cursors.reserve(children_.size());
     for (const auto& child : children_) {
-      auto cursor = child->MakeBoundCursor();
-      // All or nothing: a scenario without a bound would force its slot to
-      // "unbounded" at every node, weakening the aggregate to uselessness.
-      if (cursor == nullptr) return nullptr;
-      cursors.push_back(std::move(cursor));
+      cursors.push_back(child->MakeBoundCursor());
     }
     return std::make_unique<BoundCursor>(this, std::move(cursors));
   }
@@ -268,11 +228,9 @@ std::unique_ptr<FastScorer> MakeEnsembleScorer(
   for (const Scenario& sc : ensemble.scenarios) {
     const WorkloadModel* model = sc.model != nullptr ? sc.model : &nominal;
     if (model->sla_kind() != targets.kind) return nullptr;
-    auto child = model->MakeFastScorer(
+    children.push_back(model->MakeFastScorer(
         ComposeIoScale(io_scale_hint, sc.io_scale), targets.query_caps_ms,
-        targets.min_tpmc, kDefaultSlaTolerance);
-    if (child == nullptr) return nullptr;
-    children.push_back(std::move(child));
+        targets.min_tpmc, kDefaultSlaTolerance));
   }
   return std::make_unique<EnsembleScorer>(
       objective, ensemble.NormalizedWeights(), std::move(children));

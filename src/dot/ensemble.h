@@ -84,12 +84,12 @@ EnsembleVerdict AggregateEnsemble(const EnsembleObjective& objective,
 
 /// Builds the ensemble fast scorer: one child FastScorer per scenario
 /// (scenario io_scale composed onto `io_scale_hint`, the problem's caps and
-/// tolerance), aggregated through AggregateEnsemble. Cursor and BoundCursor
-/// fan out to K child cursors; the bound cursor inflates interior-node
-/// bounds by kBoundSafety (absorbing aggregation-order drift) and returns
-/// the exact aggregate at leaves. Returns nullptr when any scenario model
-/// offers no fast scorer or its SLA kind mismatches `targets` — callers
-/// then take the full path, exactly like a point forecast without a scorer.
+/// tolerance), aggregated through AggregateEnsemble. The BoundCursor fans
+/// out to K child cursors, inflates interior-node bounds by kBoundSafety
+/// (absorbing aggregation-order drift) and returns the exact aggregate at
+/// leaves. Returns nullptr when the ensemble size is outside
+/// [1, kMaxScenarios] or any scenario model's SLA kind mismatches
+/// `targets` — callers then take the full path.
 std::unique_ptr<FastScorer> MakeEnsembleScorer(
     const WorkloadModel& nominal, const ScenarioEnsemble& ensemble,
     const EnsembleObjective& objective,

@@ -32,8 +32,8 @@ FastEvaluator::FastEvaluator(const DotOptimizer& estimator)
   }
   if (problem.ensemble != nullptr) {
     // Robust mode: K child scorers under the ensemble aggregation. Null
-    // (some scenario model offers no fast scorer) leaves the fast path
-    // disabled, exactly like a point forecast without one.
+    // (an out-of-range ensemble or a scenario of the other SLA kind)
+    // leaves the fast path disabled.
     scorer_ = MakeEnsembleScorer(*problem.workload, *problem.ensemble,
                                  problem.ensemble_objective,
                                  problem.io_scale_hint, targets);
@@ -86,37 +86,12 @@ CandidateEval FastEvaluator::EvaluateQuick(
   return Finish(eval, scorer_->Score(placement));
 }
 
-CandidateEval FastEvaluator::EvaluateWithScore(
-    const std::vector<int>& placement, const QuickPerf& qp) const {
+CandidateEval FastEvaluator::EvaluateLeaf(
+    const std::vector<int>& placement,
+    const FastScorer::BoundCursor& cursor) const {
   CandidateEval eval;
   if (!FitAndCost(placement, &eval)) return eval;
-  return Finish(eval, qp);
-}
-
-FastEvaluator::Cursor::Cursor(
-    const FastEvaluator* owner,
-    std::unique_ptr<FastScorer::Cursor> scorer_cursor)
-    : owner_(owner), scorer_cursor_(std::move(scorer_cursor)) {}
-
-void FastEvaluator::Cursor::Reset(const std::vector<int>& placement) {
-  scorer_cursor_->Reset(placement);
-}
-
-void FastEvaluator::Cursor::Touch(int object_id,
-                                  const std::vector<int>& placement) {
-  scorer_cursor_->Touch(object_id, placement);
-}
-
-CandidateEval FastEvaluator::Cursor::Eval(
-    const std::vector<int>& placement) const {
-  CandidateEval eval;
-  if (!owner_->FitAndCost(placement, &eval)) return eval;
-  return owner_->Finish(eval, scorer_cursor_->Score(placement));
-}
-
-std::unique_ptr<FastEvaluator::Cursor> FastEvaluator::MakeCursor() const {
-  DOT_CHECK(scorer_ != nullptr);
-  return std::make_unique<Cursor>(this, scorer_->MakeCursor());
+  return Finish(eval, cursor.Optimistic(placement));
 }
 
 long long FastEvaluator::plan_cache_hits() const {

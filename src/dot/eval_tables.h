@@ -32,8 +32,9 @@ namespace dot {
 class FastEvaluator {
  public:
   /// Builds the tables once for the run. Disabled (enabled() == false) when
-  /// the workload model offers no FastScorer; callers then use the full
-  /// path.
+  /// the box has more than kMaxClasses classes, the targets' SLA kind does
+  /// not match the workload's, or an ensemble is out of range; callers then
+  /// use the full path.
   explicit FastEvaluator(const DotOptimizer& estimator);
   ~FastEvaluator();
 
@@ -43,33 +44,19 @@ class FastEvaluator {
   /// (CandidateEval::estimate stays empty). Thread-safe.
   CandidateEval EvaluateQuick(const std::vector<int>& placement) const;
 
-  /// Branch-and-bound leaf path: the same fit/cost kernels as
-  /// EvaluateQuick, but the workload score is supplied by the caller (the
-  /// bound cursor's Optimistic(), which is exact at a fully assigned
-  /// placement). Bit-identical to EvaluateQuick whenever `qp` equals what
-  /// the scorer would produce. Thread-safe.
-  CandidateEval EvaluateWithScore(const std::vector<int>& placement,
-                                  const QuickPerf& qp) const;
+  /// Exact-search leaf path (branch-and-bound leaves and every enumerated
+  /// layout): the same fit/cost kernels as EvaluateQuick, but the workload
+  /// score comes from `cursor`, which must have every object assigned
+  /// (Optimistic() is then exact). The cursor is only asked for a score
+  /// when the layout fits. Bit-identical to EvaluateQuick. Thread-safe for
+  /// distinct cursors.
+  CandidateEval EvaluateLeaf(const std::vector<int>& placement,
+                             const FastScorer::BoundCursor& cursor) const;
 
   /// The underlying workload scorer (never null while enabled()); the
-  /// exact search builds its per-subtree BoundCursors from it.
+  /// exact search builds its per-subtree and per-shard BoundCursors from
+  /// it.
   const FastScorer* scorer() const { return scorer_.get(); }
-
-  /// Single-threaded incremental walker for odometer scans: Touch() the
-  /// changed objects, then Eval(). One per shard.
-  class Cursor {
-   public:
-    Cursor(const FastEvaluator* owner,
-           std::unique_ptr<FastScorer::Cursor> scorer_cursor);
-    void Reset(const std::vector<int>& placement);
-    void Touch(int object_id, const std::vector<int>& placement);
-    CandidateEval Eval(const std::vector<int>& placement) const;
-
-   private:
-    const FastEvaluator* owner_;
-    std::unique_ptr<FastScorer::Cursor> scorer_cursor_;
-  };
-  std::unique_ptr<Cursor> MakeCursor() const;
 
   /// Plan-cache traffic of the underlying scorer (0/0 when the model has no
   /// plan cache, e.g. OLTP).

@@ -22,16 +22,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// M^N saturating at cap+1 (the guard only needs "exceeds cap").
-long long PowSaturating(int m, int n, long long cap) {
-  long long total = 1;
-  for (int i = 0; i < n; ++i) {
-    if (total > cap / m) return cap + 1;
-    total *= m;
-  }
-  return total;
-}
-
 /// Builds one epoch's single-shot problem; the planner is a driver of the
 /// existing optimizer stack, not a re-implementation of it.
 DotProblem EpochProblem(const Schema* schema, const BoxConfig* box,
@@ -196,8 +186,8 @@ ReprovisionPlan ReprovisionPlanner::Plan(
   };
   if (config_.exhaustive_pool) {
     const int m = box_->NumClasses();
-    const long long space = PowSaturating(m, n, config_.max_pool_layouts);
-    if (space > config_.max_pool_layouts) {
+    const long long space = LayoutSpaceSize(m, n);
+    if (space == kLayoutSpaceSaturated || space > config_.max_pool_layouts) {
       plan.status = Status::OutOfRange(
           "exhaustive pool of " + std::to_string(m) + "^" +
           std::to_string(n) + " layouts exceeds max_pool_layouts");

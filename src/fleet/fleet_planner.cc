@@ -28,16 +28,6 @@ namespace {
 constexpr double kFleetFeasTol = 1e-9;
 constexpr double kEps = 1e-12;
 
-/// M^N saturating at cap+1 (the guard only needs "exceeds cap").
-long long PowSaturating(int m, int n, long long cap) {
-  long long total = 1;
-  for (int i = 0; i < n; ++i) {
-    if (total > cap / m) return cap + 1;
-    total *= m;
-  }
-  return total;
-}
-
 /// Pool-key fields, appended as raw bytes: the key is only ever compared
 /// for equality, never shown.
 void AppendU64(uint64_t v, std::string* out) {
@@ -110,8 +100,8 @@ TenantPool BuildPool(const DotProblem& tenant_problem, const BoxConfig* box,
 
   std::vector<std::vector<int>> candidates;
   if (config.pool_mode == FleetPoolMode::kEnumerate) {
-    const long long space = PowSaturating(m, n, config.max_pool_layouts);
-    if (space > config.max_pool_layouts) {
+    const long long space = LayoutSpaceSize(m, n);
+    if (space == kLayoutSpaceSaturated || space > config.max_pool_layouts) {
       out.status = Status::OutOfRange(
           "tenant layout space " + std::to_string(m) + "^" +
           std::to_string(n) +

@@ -123,7 +123,7 @@ class DssFastScorer : public FastScorer {
   /// ObjectTimeSpreadMs) so plain DOT runs — which construct this scorer
   /// on every optimization — never pay the ~|templates|·|footprint|·M
   /// extra PlanQuery calls. call_once makes the first demand safe from
-  /// concurrent subtree tasks.
+  /// concurrent subtree tasks and enumeration shards.
   ///
   /// Each template is planned against a synthetic box that appends one
   /// extra storage class whose latency anchors are the pointwise minimum
@@ -213,10 +213,6 @@ class DssFastScorer : public FastScorer {
     return ScoreFromTimes(times.data());
   }
 
-  std::unique_ptr<FastScorer::Cursor> MakeCursor() const override {
-    return std::make_unique<Cursor>(this);
-  }
-
   std::unique_ptr<FastScorer::BoundCursor> MakeBoundCursor() const override {
     EnsureFloors();
     return std::make_unique<BoundCursor>(this);
@@ -259,44 +255,7 @@ class DssFastScorer : public FastScorer {
   }
 
  private:
-  /// Incremental walker: re-resolves only the templates whose footprint
-  /// contains a touched object; every other template keeps its time.
-  class Cursor : public FastScorer::Cursor {
-   public:
-    explicit Cursor(const DssFastScorer* scorer) : scorer_(scorer) {}
-
-    void Reset(const std::vector<int>& placement) override {
-      times_.resize(scorer_->footprints_.size());
-      CacheTally tally;
-      for (size_t t = 0; t < times_.size(); ++t) {
-        times_[t] = scorer_->TemplateTime(static_cast<int>(t), placement,
-                                          sig_, tally);
-      }
-      scorer_->FlushTally(tally);
-    }
-
-    void Touch(int object_id, const std::vector<int>& placement) override {
-      CacheTally tally;
-      for (int t :
-           scorer_->templates_by_object_[static_cast<size_t>(object_id)]) {
-        times_[static_cast<size_t>(t)] =
-            scorer_->TemplateTime(t, placement, sig_, tally);
-      }
-      scorer_->FlushTally(tally);
-    }
-
-    QuickPerf Score(const std::vector<int>& placement) const override {
-      (void)placement;  // the per-template times already reflect it
-      return scorer_->ScoreFromTimes(times_.data());
-    }
-
-   private:
-    const DssFastScorer* scorer_;
-    std::vector<double> times_;
-    std::string sig_;
-  };
-
-  /// Partial-placement walker for the branch-and-bound search: a template
+  /// Partial-placement walker for the exact search: a template
   /// contributes the tightest applicable floor — the max of the
   /// conditional floors of its already-assigned objects — until every
   /// footprint object is assigned, then its exact (cached) time. At a leaf

@@ -215,39 +215,16 @@ class OltpFastScorer : public FastScorer {
       return qp;
     }
 
-    /// Batched probe: the OLTP bound of assigning `object` to class c is
-    /// lb_stack_[depth_] + Excess(object, c) — one table row indexed by c
-    /// — so probing every class needs no per-class Assign/Unassign push.
-    /// Arithmetic is exactly the Assign → Optimistic (interior) → Unassign
-    /// sequence: (base + excess) rounds once, then deflates, then converts
-    /// — bit-identical to the default implementation.
+    /// Division-free batched probe: the OLTP bound of assigning `object`
+    /// to class c is lb_stack_[depth_] + Excess(object, c) — one table row
+    /// indexed by c — so probing every class needs no per-class
+    /// Assign/Unassign push. The throughput conversion stays in ratio form
+    /// (see ThroughputRatioFromMeanLatency) and the tpmC floor is checked
+    /// by cross-multiplication — the whole per-class probe is adds and
+    /// multiplies.
     void ProbeClasses(int object, std::vector<int>& placement,
                       int num_classes, const unsigned char* mask,
-                      QuickPerf* out) override {
-      (void)placement;
-      const double base = lb_stack_[static_cast<size_t>(depth_)];
-      const double* excess_row = scorer_->tables_.ExcessRow(object);
-      for (int cls = 0; cls < num_classes; ++cls) {
-        if (mask[cls] == 0) continue;
-        const double lb_ms = (base + excess_row[cls]) * (1 - kBoundSafety);
-        const OltpWorkloadModel::Throughput tp =
-            scorer_->model_->ThroughputFromMeanLatency(lb_ms);
-        QuickPerf qp;
-        qp.elapsed_ms = scorer_->measurement_period_ms_;
-        qp.tpmc = tp.tpmc;
-        qp.tasks_per_hour = tp.tasks_per_hour;
-        qp.sla_ok = qp.tpmc >= scorer_->tpmc_floor_;
-        out[cls] = qp;
-      }
-    }
-
-    /// Division-free batched probe: the throughput conversion stays in
-    /// ratio form (see ThroughputRatioFromMeanLatency) and the tpmC floor
-    /// is checked by cross-multiplication — the whole per-class probe is
-    /// adds and multiplies.
-    void ProbeClassesRatio(int object, std::vector<int>& placement,
-                           int num_classes, const unsigned char* mask,
-                           QuickPerf* out, double* tp_den) override {
+                      QuickPerf* out, double* tp_den) override {
       (void)placement;
       const double base = lb_stack_[static_cast<size_t>(depth_)];
       const double* excess_row = scorer_->tables_.ExcessRow(object);

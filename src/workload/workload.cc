@@ -6,26 +6,6 @@
 
 namespace dot {
 
-namespace {
-
-/// Default cursor: no incremental state; defers to the scorer.
-class RescoreCursor : public FastScorer::Cursor {
- public:
-  explicit RescoreCursor(const FastScorer* scorer) : scorer_(scorer) {}
-  QuickPerf Score(const std::vector<int>& placement) const override {
-    return scorer_->Score(placement);
-  }
-
- private:
-  const FastScorer* scorer_;
-};
-
-}  // namespace
-
-std::unique_ptr<FastScorer::Cursor> FastScorer::MakeCursor() const {
-  return std::make_unique<RescoreCursor>(this);
-}
-
 PerfEstimate WorkloadModel::EstimateWithIoScale(
     const std::vector<int>& placement, const std::vector<double>& io_scale,
     bool need_io_by_object) const {

@@ -72,40 +72,15 @@ inline constexpr double kBoundSafety = 1e-9;
 /// thousands of candidate placements.
 ///
 /// Thread-safety: Score() must be safe to call concurrently (internal caches
-/// synchronize themselves); a Cursor is single-threaded state and each shard
-/// of a scan must create its own.
+/// synchronize themselves); a BoundCursor is single-threaded state, so each
+/// subtree task of the exact search and each shard of an enumeration scan
+/// creates its own.
 class FastScorer {
  public:
   virtual ~FastScorer() = default;
 
   /// Scores one placement. Bit-identical to the model's full estimate.
   virtual QuickPerf Score(const std::vector<int>& placement) const = 0;
-
-  /// Incremental walker for odometer-style scans (the exhaustive search):
-  /// the caller announces which single objects changed since the last step
-  /// so the scorer refreshes only the state those objects invalidate (for
-  /// DSS, only the query templates whose footprint contains a changed
-  /// object re-resolve their cached plan). Scalar totals are still re-summed
-  /// in fixed object order on every Score — a floating-point delta update
-  /// would make the value depend on the walk's starting point and break the
-  /// shard-independence the determinism contract requires (DESIGN.md §2).
-  class Cursor {
-   public:
-    virtual ~Cursor() = default;
-    /// (Re)seeds the cursor from a full placement.
-    virtual void Reset(const std::vector<int>& placement) { (void)placement; }
-    /// `placement` already reflects object `object_id`'s new class.
-    virtual void Touch(int object_id, const std::vector<int>& placement) {
-      (void)object_id;
-      (void)placement;
-    }
-    virtual QuickPerf Score(const std::vector<int>& placement) const = 0;
-  };
-
-  /// Returns a fresh cursor. The default has no incremental state and simply
-  /// re-scores from scratch (correct for models whose Score is already a
-  /// flat table-lookup sum, e.g. OLTP).
-  virtual std::unique_ptr<Cursor> MakeCursor() const;
 
   /// Partial-placement walker for the exact branch-and-bound search
   /// (dot/bnb_search.h): the search assigns objects one at a time and asks
@@ -144,51 +119,41 @@ class FastScorer {
     /// Batched interior probe for the branch-and-bound inner loop: for
     /// every class c in [0, num_classes) with mask[c] != 0, evaluates the
     /// optimistic completion that assigns `object` to c and writes it to
-    /// out[c] (masked-off entries are left untouched). `placement` is
-    /// scratch — the probed object's entry may be overwritten and holds an
-    /// unspecified class on return. The default is definitionally the
-    /// Assign / Optimistic / Unassign sequence per class in ascending
-    /// order; overrides exist purely so table-driven models can skip the
-    /// per-class state push, and must stay bit-identical to that sequence.
-    /// Callers only probe classes whose child node is interior (the search
-    /// evaluates leaves through Assign/Optimistic so they keep the exact
-    /// Score kernel).
+    /// out[c] (masked-off entries are left untouched), with the optimistic
+    /// throughput as an unreduced ratio: out[c].tasks_per_hour is the
+    /// numerator and tp_den[c] the (positive) denominator. Models whose
+    /// throughput conversion divides can fill both sides without ever
+    /// dividing; the search prunes and orders children by cross-multiplied
+    /// compares under the kBoundSafety margin, so the ULP-level difference
+    /// from the divided value never cuts a tying completion. out[c].sla_ok
+    /// keeps its exact meaning; out[c]'s other fields are unspecified.
+    /// `placement` is scratch — the probed object's entry may be
+    /// overwritten and holds an unspecified class on return. The default
+    /// writes every denominator 1 and runs the Assign / Optimistic /
+    /// Unassign sequence per class in ascending order; overrides exist so
+    /// table-driven models can skip the per-class state push. Callers only
+    /// probe classes whose child node is interior (the search evaluates
+    /// leaves through Assign/Optimistic so they keep the exact Score
+    /// kernel).
     virtual void ProbeClasses(int object, std::vector<int>& placement,
                               int num_classes, const unsigned char* mask,
-                              QuickPerf* out) {
+                              QuickPerf* out, double* tp_den) {
       for (int cls = 0; cls < num_classes; ++cls) {
         if (mask[cls] == 0) continue;
+        tp_den[cls] = 1.0;
         placement[static_cast<size_t>(object)] = cls;
         Assign(object, placement);
         out[cls] = Optimistic(placement);
         Unassign(object);
       }
     }
-    /// ProbeClasses with the optimistic throughput returned as an
-    /// unreduced ratio: out[c].tasks_per_hour is the numerator and
-    /// tp_den[c] the (positive) denominator. Models whose throughput
-    /// conversion divides can fill both sides without ever dividing; the
-    /// search prunes and orders children by cross-multiplied compares
-    /// under the ε safety margin, so the ULP-level difference from the
-    /// divided value never cuts a tying completion. out[c].sla_ok keeps
-    /// its exact meaning; out[c]'s other fields are unspecified. The
-    /// default delegates to ProbeClasses with every denominator 1.
-    virtual void ProbeClassesRatio(int object, std::vector<int>& placement,
-                                   int num_classes, const unsigned char* mask,
-                                   QuickPerf* out, double* tp_den) {
-      for (int cls = 0; cls < num_classes; ++cls) tp_den[cls] = 1.0;
-      ProbeClasses(object, placement, num_classes, mask, out);
-    }
   };
 
-  /// Returns a fresh bound cursor, or nullptr when the model offers no
-  /// admissible bound. Without one the search cannot bound TOC at all
-  /// (cost alone bounds nothing without a throughput bound) and degrades
-  /// to capacity-only pruning with full evaluations at the leaves —
-  /// still exact, close to enumeration cost.
-  virtual std::unique_ptr<BoundCursor> MakeBoundCursor() const {
-    return nullptr;
-  }
+  /// Returns a fresh bound cursor. The exact search walks it both ways:
+  /// branch-and-bound probes interior nodes, and enumeration replays an
+  /// odometer through Assign/Unassign and scores every leaf with
+  /// Optimistic().
+  virtual std::unique_ptr<BoundCursor> MakeBoundCursor() const = 0;
 
   /// Spread of object `object`'s guaranteed workload-time contribution
   /// across storage classes, in ms (0 when unknown). A variable-ordering
@@ -234,22 +199,15 @@ class WorkloadModel {
       const std::vector<int>& placement, const std::vector<double>& io_scale,
       bool need_io_by_object = true) const;
 
-  /// Builds this model's fast scorer, or nullptr when the model has none
-  /// (the search engine then falls back to full estimates). `query_caps_ms`
-  /// aligns with unit_times_ms (per run-sequence entry) and is consulted for
+  /// Builds this model's fast scorer. `query_caps_ms` aligns with
+  /// unit_times_ms (per run-sequence entry) and is consulted for
   /// kPerQueryResponseTime models; `min_tpmc` for kThroughput models.
   /// `sla_tolerance` must be the tolerance the caller's full-path SLA check
   /// uses. `io_scale` is baked into the scorer's tables.
   virtual std::unique_ptr<FastScorer> MakeFastScorer(
       const std::vector<double>& io_scale,
       const std::vector<double>& query_caps_ms, double min_tpmc,
-      double sla_tolerance) const {
-    (void)io_scale;
-    (void)query_caps_ms;
-    (void)min_tpmc;
-    (void)sla_tolerance;
-    return nullptr;
-  }
+      double sla_tolerance) const = 0;
 
   /// True when the workload's plans cannot change with placement (§4.5.1:
   /// TPC-C is all random access), letting the profiler collapse all

@@ -109,7 +109,7 @@ TEST_F(AblationTest, TargetsOverrideAppliesToExhaustiveSearch) {
       MakePerfTargets(workload_, box_, schema_.NumObjects(), 0.05);
   DotProblem p = problem_;
   p.targets_override = &loose;
-  DotResult es = ExhaustiveSearch(p);
+  DotResult es = ExactSearch(p, ExactStrategy::kEnumerate);
   ASSERT_TRUE(es.status.ok());
   EXPECT_DOUBLE_EQ(es.targets.relative_sla, 0.05);
 }

@@ -18,7 +18,6 @@
 #include "catalog/tpcc_schema.h"
 #include "catalog/tpch_schema.h"
 #include "common/rng.h"
-#include "dot/exhaustive.h"
 #include "storage/standard_catalog.h"
 #include "workload/dss_workload.h"
 #include "workload/profiler.h"

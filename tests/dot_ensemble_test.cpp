@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "catalog/tpch_schema.h"
-#include "dot/exhaustive.h"
+#include "dot/bnb_search.h"
 #include "dot/optimizer.h"
 #include "dot/solve.h"
 #include "storage/standard_catalog.h"
@@ -229,10 +229,15 @@ TEST_F(EnsembleOptTest, FastPathMatchesFullPathUnderAnEnsemble) {
   DotProblem full = fast;
   full.options.use_fast_eval = false;
 
-  ExpectSameResult(ExactSearch(fast, ExactStrategy::kEnumerate),
-                   ExactSearch(full, ExactStrategy::kEnumerate));
-  ExpectSameResult(DotOptimizer(fast).Optimize(),
-                   DotOptimizer(full).Optimize());
+  const DotResult full_es = ExactSearch(full, ExactStrategy::kEnumerate);
+  const DotResult full_dot = DotOptimizer(full).Optimize();
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  for (int threads : {1, 4, hw}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    fast.options.num_threads = threads;
+    ExpectSameResult(ExactSearch(fast, ExactStrategy::kEnumerate), full_es);
+    ExpectSameResult(DotOptimizer(fast).Optimize(), full_dot);
+  }
 }
 
 TEST_F(EnsembleOptTest, BranchAndBoundMatchesEnumerationUnderAnEnsemble) {

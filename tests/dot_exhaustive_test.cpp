@@ -1,6 +1,8 @@
-#include "dot/exhaustive.h"
+#include "dot/bnb_search.h"
 
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "catalog/tpch_schema.h"
 #include "dot/layout.h"
@@ -38,13 +40,13 @@ class ExhaustiveTest : public ::testing::Test {
 };
 
 TEST_F(ExhaustiveTest, EnumeratesEveryLayout) {
-  DotResult r = ExhaustiveSearch(problem_);
+  DotResult r = ExactSearch(problem_, ExactStrategy::kEnumerate);
   EXPECT_EQ(r.layouts_evaluated, 81);  // 3^4
   ASSERT_TRUE(r.status.ok());
 }
 
 TEST_F(ExhaustiveTest, ReturnsTheTrueOptimum) {
-  DotResult es = ExhaustiveSearch(problem_);
+  DotResult es = ExactSearch(problem_, ExactStrategy::kEnumerate);
   ASSERT_TRUE(es.status.ok());
   // Re-verify by manual enumeration.
   DotOptimizer estimator(problem_);
@@ -66,7 +68,7 @@ TEST_F(ExhaustiveTest, ReturnsTheTrueOptimum) {
 }
 
 TEST_F(ExhaustiveTest, OptimumNeverWorseThanAnyUniformLayout) {
-  DotResult es = ExhaustiveSearch(problem_);
+  DotResult es = ExactSearch(problem_, ExactStrategy::kEnumerate);
   ASSERT_TRUE(es.status.ok());
   DotOptimizer estimator(problem_);
   for (int cls = 0; cls < box_.NumClasses(); ++cls) {
@@ -84,7 +86,7 @@ TEST_F(ExhaustiveTest, InfeasibleWhenNothingFits) {
   for (auto& sc : tiny.classes) sc.set_capacity_gb(0.001);
   DotProblem p = problem_;
   p.box = &tiny;
-  DotResult r = ExhaustiveSearch(p);
+  DotResult r = ExactSearch(p, ExactStrategy::kEnumerate);
   EXPECT_EQ(r.status.code(), StatusCode::kInfeasible);
 }
 
@@ -92,7 +94,8 @@ TEST_F(ExhaustiveTest, GuardRejectsExplosiveInstancesWithAStatus) {
   // The overflow path is an expected outcome, not a programmer error: the
   // run must come back with an OutOfRange status and an empty result, not
   // abort the process.
-  DotResult r = ExhaustiveSearch(problem_, /*max_layouts=*/10);
+  DotResult r =
+      ExactSearch(problem_, ExactStrategy::kEnumerate, /*max_layouts=*/10);
   EXPECT_EQ(r.status.code(), StatusCode::kOutOfRange);
   EXPECT_NE(r.status.message().find("exceeds the guard"), std::string::npos)
       << r.status.ToString();
@@ -103,17 +106,21 @@ TEST_F(ExhaustiveTest, GuardRejectsExplosiveInstancesWithAStatus) {
 TEST_F(ExhaustiveTest, GuardSurvivesOverflowingLayoutCounts) {
   // 3^80 overflows long long; the M^N computation must saturate instead of
   // wrapping (a wrapped value could slip under the guard and start a
-  // never-ending enumeration).
+  // never-ending enumeration), and the guard must refuse the saturated
+  // count even when the cap itself is LLONG_MAX.
   Schema big;
   for (int i = 0; i < 80; ++i) {
     big.AddTable("t" + std::to_string(i), 1000.0, 100.0);
   }
   DotProblem p = problem_;
   p.schema = &big;
-  DotResult r = ExhaustiveSearch(p);
-  EXPECT_EQ(r.status.code(), StatusCode::kOutOfRange);
-  EXPECT_NE(r.status.message().find("3^80"), std::string::npos)
-      << r.status.ToString();
+  for (long long max_layouts : {kDefaultMaxEnumeratedLayouts,
+                                std::numeric_limits<long long>::max()}) {
+    DotResult r = ExactSearch(p, ExactStrategy::kEnumerate, max_layouts);
+    EXPECT_EQ(r.status.code(), StatusCode::kOutOfRange) << max_layouts;
+    EXPECT_NE(r.status.message().find("3^80"), std::string::npos)
+        << r.status.ToString();
+  }
 }
 
 }  // namespace

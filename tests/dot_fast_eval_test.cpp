@@ -16,7 +16,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "dot/candidate_evaluator.h"
-#include "dot/exhaustive.h"
+#include "dot/bnb_search.h"
 #include "dot/optimizer.h"
 #include "storage/standard_catalog.h"
 #include "workload/dss_workload.h"
@@ -199,13 +199,13 @@ TEST_F(DssFastEvalTest, ExhaustiveMatchesSlowPathAtEveryThreadCount) {
   DotProblem slow = problem_;
   slow.options.use_fast_eval = false;
   slow.options.num_threads = 1;
-  const DotResult full = ExhaustiveSearch(slow);
+  const DotResult full = ExactSearch(slow, ExactStrategy::kEnumerate);
   ASSERT_TRUE(full.status.ok()) << full.status.ToString();
   for (int threads : ThreadCounts()) {
     DotProblem fast = problem_;
     fast.options.use_fast_eval = true;
     fast.options.num_threads = threads;
-    const DotResult r = ExhaustiveSearch(fast);
+    const DotResult r = ExactSearch(fast, ExactStrategy::kEnumerate);
     SCOPED_TRACE("num_threads=" + std::to_string(threads));
     ExpectResultIdentical(r, full, "ExhaustiveSearch fast vs full");
     // The cursor walk resolves almost every template probe from the cache:

@@ -20,7 +20,6 @@
 #include "common/thread_pool.h"
 #include "dot/bnb_search.h"
 #include "dot/candidate_evaluator.h"
-#include "dot/exhaustive.h"
 #include "storage/standard_catalog.h"
 #include "workload/htap_workload.h"
 #include "workload/profiler.h"

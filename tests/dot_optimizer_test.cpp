@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "catalog/tpch_schema.h"
-#include "dot/exhaustive.h"
+#include "dot/bnb_search.h"
 #include "dot/layout.h"
 #include "storage/standard_catalog.h"
 #include "workload/dss_workload.h"
@@ -73,7 +73,7 @@ TEST_F(OptimizerTest, WithinPaperBandsOfExhaustiveSearch) {
   // §4.4.3: "DOT's response time ... within 9% of ES in all cases, and its
   // TOC was within 16% of ES in most cases." Allow modest headroom.
   DotResult dot = DotOptimizer(problem_).Optimize();
-  DotResult es = ExhaustiveSearch(problem_);
+  DotResult es = ExactSearch(problem_, ExactStrategy::kEnumerate);
   ASSERT_TRUE(dot.status.ok());
   ASSERT_TRUE(es.status.ok());
   EXPECT_LE(es.toc_cents_per_task, dot.toc_cents_per_task * (1 + 1e-9));

@@ -1,9 +1,9 @@
 // The parallel candidate-evaluation engine must be invisible in the
-// results: Optimize() and ExhaustiveSearch() at any thread count return the
-// same placement, TOC, cost, and evaluation count — bit-identical doubles,
-// not approximately equal — because candidates are reduced under a total
-// order (TOC, then lexicographically lowest placement), never by arrival
-// time.
+// results: Optimize() and the enumerating ExactSearch at any thread count
+// return the same placement, TOC, cost, and evaluation count — bit-identical
+// doubles, not approximately equal — because candidates are reduced under a
+// total order (TOC, then lexicographically lowest placement), never by
+// arrival time.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,7 @@
 
 #include "catalog/tpch_schema.h"
 #include "dot/candidate_evaluator.h"
-#include "dot/exhaustive.h"
+#include "dot/bnb_search.h"
 #include "dot/optimizer.h"
 #include "dot/provisioner.h"
 #include "storage/standard_catalog.h"
@@ -89,13 +89,13 @@ TEST_F(ParallelDeterminismTest, OptimizeIsIdenticalAtEveryThreadCount) {
 TEST_F(ParallelDeterminismTest, ExhaustiveIsIdenticalAtEveryThreadCount) {
   DotProblem serial = problem_;
   serial.options.num_threads = 1;
-  const DotResult baseline = ExhaustiveSearch(serial);
+  const DotResult baseline = ExactSearch(serial, ExactStrategy::kEnumerate);
   ASSERT_TRUE(baseline.status.ok()) << baseline.status.ToString();
   EXPECT_EQ(baseline.layouts_evaluated, 6561);  // 3^8, the full space
   for (int threads : ThreadCounts()) {
     DotProblem p = problem_;
     p.options.num_threads = threads;
-    DotResult r = ExhaustiveSearch(p);
+    DotResult r = ExactSearch(p, ExactStrategy::kEnumerate);
     SCOPED_TRACE("num_threads=" + std::to_string(threads));
     ExpectIdentical(baseline, r, "ExhaustiveSearch");
   }
@@ -105,7 +105,7 @@ TEST_F(ParallelDeterminismTest, ParallelOptimizeStillWithinPaperBandsOfEs) {
   DotProblem p = problem_;
   p.options.num_threads = 4;
   DotResult dot = DotOptimizer(p).Optimize();
-  DotResult es = ExhaustiveSearch(p);
+  DotResult es = ExactSearch(p, ExactStrategy::kEnumerate);
   ASSERT_TRUE(dot.status.ok());
   ASSERT_TRUE(es.status.ok());
   EXPECT_LE(es.toc_cents_per_task, dot.toc_cents_per_task * (1 + 1e-9));

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -444,6 +445,19 @@ TEST(ReprovisionTest, RejectsDegenerateInputs) {
                 .Plan(schedule)
                 .status.code(),
             StatusCode::kOutOfRange);
+  // So does a space that overflows a long long (at least 3^40 on 40
+  // objects), whatever the cap — LLONG_MAX included.
+  RandomInstance wide(/*seed=*/5, /*tables=*/20);
+  EpochSchedule wide_schedule;
+  wide_schedule.Add(wide.workload.get(), 1.0);
+  for (long long cap : {10LL, std::numeric_limits<long long>::max()}) {
+    big_config.max_pool_layouts = cap;
+    EXPECT_EQ(ReprovisionPlanner(&wide.schema, &wide.box, big_config)
+                  .Plan(wide_schedule)
+                  .status.code(),
+              StatusCode::kOutOfRange)
+        << cap;
+  }
 
   // A sequence of the wrong length is rejected by the evaluator too.
   EXPECT_EQ(planner

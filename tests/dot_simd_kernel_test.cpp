@@ -354,23 +354,28 @@ void ExpectSameCounters(const DotResult& a, const DotResult& b,
   EXPECT_EQ(a.layouts_pruned, b.layouts_pruned) << what;
 }
 
-/// Per supported level: branch-and-bound equals enumeration at every thread
-/// count; across levels: the search tree itself (placement, TOC, every
-/// pruning counter) is a pure function of the problem, not the kernels.
+/// Per supported level: branch-and-bound and the sharded enumeration both
+/// equal the full-path enumeration at every thread count; across levels:
+/// the search tree itself (placement, TOC, every pruning counter) is a pure
+/// function of the problem, not the kernels.
 void CheckBnbAcrossLevelsAndThreads(DotProblem problem,
                                     const std::string& what) {
+  DotProblem full = problem;
+  full.options.use_fast_eval = false;
+  const DotResult reference = ExactSearch(full, ExactStrategy::kEnumerate);
   bool have_baseline = false;
   DotResult baseline;
   for (KernelLevel level : SupportedLevels()) {
     ScopedKernelLevel scoped(level);
     const std::string tag = what + " level=" + KernelLevelName(level);
-    problem.options.num_threads = 1;
-    const DotResult es = ExactSearch(problem, ExactStrategy::kEnumerate);
     for (int threads : ThreadCounts()) {
       problem.options.num_threads = threads;
+      const std::string run = tag + " threads=" + std::to_string(threads);
+      const DotResult es = ExactSearch(problem, ExactStrategy::kEnumerate);
+      ExpectSearchIdentical(es, reference, run + " (enumerate vs full)");
+      EXPECT_EQ(es.layouts_evaluated, reference.layouts_evaluated) << run;
       const DotResult bnb =
           ExactSearch(problem, ExactStrategy::kBranchAndBound);
-      const std::string run = tag + " threads=" + std::to_string(threads);
       ExpectSearchIdentical(bnb, es, run);
       if (!have_baseline) {
         baseline = bnb;

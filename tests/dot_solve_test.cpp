@@ -14,7 +14,7 @@
 
 #include "catalog/tpch_schema.h"
 #include "common/rng.h"
-#include "dot/exhaustive.h"
+#include "dot/bnb_search.h"
 #include "dot/optimizer.h"
 #include "storage/standard_catalog.h"
 #include "workload/dss_workload.h"
@@ -90,7 +90,7 @@ TEST_F(SolveFacadeTest, ExactMatchesDirectExactSearchBitwise) {
 }
 
 TEST_F(SolveFacadeTest, EnumerateMatchesExhaustiveSearchBitwise) {
-  const DotResult direct = ExhaustiveSearch(problem_);
+  const DotResult direct = ExactSearch(problem_, ExactStrategy::kEnumerate);
   SolveSpec spec;
   spec.method = SolveMethod::kEnumerate;
   const SolveResult facade = Solve(problem_, spec);

@@ -200,7 +200,7 @@ TEST_P(CapacityProperty, DotStaysInsideTheCapAndNearEs) {
   problem.profiles = &profiles;
 
   DotResult dot = DotOptimizer(problem).Optimize();
-  DotResult es = ExhaustiveSearch(problem);
+  DotResult es = ExactSearch(problem, ExactStrategy::kEnumerate);
   ASSERT_EQ(dot.status.ok(), es.status.ok());
   if (!dot.status.ok()) return;
   Layout layout(&schema, &box, dot.placement);
