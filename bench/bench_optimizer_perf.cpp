@@ -319,6 +319,46 @@ void BM_PlanTpchWorkload(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanTpchWorkload);
 
+// One template's plan under one placement, the unit the DSS fast scorer
+// prices every cache miss with: /0 runs Planner::PlanQuery (plan tree,
+// device-model latencies per I/O entry), /1 the model's CompiledTemplate
+// (flat program over a per-class device-time table). Both plan the 22
+// TPC-H templates on Box 1 over the same pregenerated random placements;
+// plans_per_s counts template plans.
+void BM_PlanTemplate(benchmark::State& state) {
+  const bool compiled = state.range(0) == 1;
+  Schema schema = MakeTpchSchema(20.0);
+  BoxConfig box = MakeBox1();
+  DssWorkloadModel workload("w", &schema, &box, MakeTpchTemplates(),
+                            RepeatSequence(22, 1), PlannerConfig{});
+  const int n = schema.NumObjects();
+  Rng rng(0x91a7);
+  std::vector<std::vector<int>> placements(64);
+  for (std::vector<int>& p : placements) {
+    for (int o = 0; o < n; ++o) {
+      p.push_back(static_cast<int>(
+          rng.NextBounded(static_cast<uint64_t>(box.NumClasses()))));
+    }
+  }
+  const std::vector<QuerySpec>& templates = workload.templates();
+  long long plans = 0;
+  for (auto _ : state) {
+    for (const std::vector<int>& p : placements) {
+      for (size_t t = 0; t < templates.size(); ++t) {
+        const double time_ms =
+            compiled ? workload.compiled()[t].Run(p.data()).time_ms
+                     : workload.planner().PlanQuery(templates[t], p).time_ms;
+        benchmark::DoNotOptimize(time_ms);
+      }
+    }
+    plans += static_cast<long long>(placements.size() * templates.size());
+  }
+  state.counters["plans_per_s"] = benchmark::Counter(
+      static_cast<double>(plans), benchmark::Counter::kIsRate);
+  state.SetLabel(compiled ? "compiled" : "PlanQuery");
+}
+BENCHMARK(BM_PlanTemplate)->Arg(0)->Arg(1);
+
 // Raw fast-scorer throughput, search machinery excluded: one evaluator per
 // family (OLTP = full TPC-C, DSS = the §4.4.3 TPC-H subset, HTAP = the
 // CH-benCH shared-object composition) scoring a fixed bag of pregenerated

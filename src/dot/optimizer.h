@@ -56,11 +56,13 @@ struct DotResult {
   /// SolveResult provenance block; cannot affect the search result.
   int warm_start_hits = 0;
 
-  /// DSS plan-cache traffic of the run's fast evaluation path (both 0 for
-  /// OLTP models, which have no plan cache, and when the fast path is
-  /// disabled; HTAP models report their analytic side's cache). Diagnostics
-  /// only: the counts vary with thread count even though the search result
-  /// does not.
+  /// DSS plan-cache traffic of the run's fast evaluation path: a hit is a
+  /// template time served from its dense cache slot, a miss one run of the
+  /// template's compiled program (templates too large for a dense cache
+  /// miss on every probe). Both 0 for OLTP models, which have no plan
+  /// cache, and when the fast path is disabled; HTAP models report their
+  /// analytic side's cache. Diagnostics only: the counts vary with thread
+  /// count even though the search result does not.
   long long plan_cache_hits = 0;
   long long plan_cache_misses = 0;
 

@@ -131,7 +131,8 @@ struct SolveProvenance {
   long long nodes_pruned_bound = 0;
   long long nodes_pruned_infeasible = 0;
 
-  /// DSS plan-cache traffic of the run's fast path (single-shot methods;
+  /// DSS plan-cache traffic of the run's fast path: hits are dense-slot
+  /// hits, misses are compiled-template runs (single-shot methods;
   /// thread-count dependent, diagnostics only — dot/optimizer.h).
   long long plan_cache_hits = 0;
   long long plan_cache_misses = 0;

@@ -9,14 +9,6 @@
 
 namespace dot {
 
-namespace {
-
-/// Sort CPU weight relative to the per-row charge (n·log2(n) comparisons,
-/// each far cheaper than full row processing).
-constexpr double kSortCpuFactor = 0.1;
-
-}  // namespace
-
 /// One costed alternative: the I/O it issues, its time split, its output.
 struct Planner::PathCost {
   std::unique_ptr<PlanNode> node;
@@ -36,7 +28,8 @@ Planner::Planner(const Schema* schema, const BoxConfig* box,
 
 double Planner::ExpectedPagesFetched(double pages, double probes) {
   if (pages <= 0.0 || probes <= 0.0) return 0.0;
-  if (pages == 1.0) return 1.0;
+  // Below one page the formula's log1p argument drops under -1 (NaN).
+  if (pages <= 1.0) return 1.0;
   // Cardenas: P * (1 - (1 - 1/P)^k), numerically stable via expm1/log1p.
   const double log_miss = probes * std::log1p(-1.0 / pages);
   return -pages * std::expm1(log_miss);
@@ -51,24 +44,6 @@ double Planner::DeviceTimeMs(int object_id, const std::vector<int>& placement,
       << "object " << object_id << " placed on invalid class " << cls;
   return box_->classes[static_cast<size_t>(cls)].device().TimeForMs(
       io, config_.concurrency);
-}
-
-std::vector<int> Planner::QueryFootprint(const QuerySpec& spec) const {
-  std::vector<int> footprint;
-  for (const RelationAccess& ra : spec.relations) {
-    const int table_id = schema_->FindObject(ra.table);
-    DOT_CHECK(table_id >= 0) << "unknown table " << ra.table;
-    footprint.push_back(table_id);
-    const int index_id = schema_->PrimaryIndexOf(table_id);
-    if (index_id >= 0) footprint.push_back(index_id);
-  }
-  if (config_.temp_object_id >= 0) {
-    footprint.push_back(config_.temp_object_id);
-  }
-  std::sort(footprint.begin(), footprint.end());
-  footprint.erase(std::unique(footprint.begin(), footprint.end()),
-                  footprint.end());
-  return footprint;
 }
 
 Planner::PathCost Planner::CostSeqScan(

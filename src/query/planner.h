@@ -10,6 +10,10 @@
 
 namespace dot {
 
+/// Sort CPU weight relative to the per-row charge (n·log2(n) comparisons,
+/// each far cheaper than full row processing).
+inline constexpr double kSortCpuFactor = 0.1;
+
 /// Tunables of the extended query optimizer (§3.5).
 struct PlannerConfig {
   /// CPU cost per row flowing through an operator, ms. The paper estimates
@@ -58,18 +62,10 @@ class Planner {
   Plan PlanQuery(const QuerySpec& spec,
                  const std::vector<int>& placement) const;
 
-  /// The placement footprint of `spec`: the sorted, deduplicated object ids
-  /// whose placement PlanQuery can ever consult for this template (each
-  /// referenced table, its primary index, and the temp object when spills
-  /// are modeled). Two placements that agree on the footprint yield the
-  /// same plan and the same estimated time — the key of the DSS plan cache.
-  std::vector<int> QueryFootprint(const QuerySpec& spec) const;
-
-  const PlannerConfig& config() const { return config_; }
-
   /// Expected distinct pages fetched when `probes` uniform random probes hit
   /// an object of `pages` pages (Cardenas' formula); models buffer-pool
-  /// reuse of hot pages across probes. Exposed for testing and analysis.
+  /// reuse of hot pages across probes. An object of at most one page costs
+  /// one fetch. Exposed for testing and analysis.
   static double ExpectedPagesFetched(double pages, double probes);
 
  private:

@@ -1,16 +1,13 @@
 #include "workload/dss_workload.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
-#include <unordered_map>
 
 #include "common/check.h"
 #include "common/simd_dispatch.h"
@@ -20,21 +17,22 @@ namespace dot {
 
 namespace {
 
-/// Dense template caches above this entry count fall back to the hashed
-/// map: M^|footprint| grows fast, and 8192 doubles (64 KiB) per template
-/// is where the dense array stops paying for itself.
+/// Footprints above this many placements get no cache: M^|footprint| grows
+/// fast, and 8192 doubles (64 KiB) per template is where the dense array
+/// stops paying for itself. Their probes run the compiled program.
 constexpr std::int64_t kDenseCacheMaxEntries = 8192;
 
 /// Empty-slot sentinel for dense cache entries: an all-ones bit pattern
-/// (a quiet NaN with a payload PlanTime can never produce — plan times
-/// are finite).
+/// (a quiet NaN with a payload a compiled run can never produce — plan
+/// times are finite).
 constexpr std::uint64_t kEmptyCacheSlot = ~std::uint64_t{0};
 
-/// The DSS fast path. Per template it keeps a cache of estimated times
-/// keyed by the placement restricted to the template's footprint; scoring a
-/// candidate is T cache probes plus a fixed-order sum over the run
-/// sequence. Cache values are deterministic functions of their key, so
-/// concurrent fill-in (and any thread interleaving) cannot change a score.
+/// The DSS fast path. Per template it runs the model's compiled program,
+/// behind a dense cache keyed by the placement restricted to the
+/// template's footprint; scoring a candidate is T probes plus a fixed-order
+/// sum over the run sequence. Cache values are deterministic functions of
+/// their key, so concurrent fill-in (and any thread interleaving) cannot
+/// change a score.
 class DssFastScorer : public FastScorer {
  public:
   DssFastScorer(const DssWorkloadModel* model, const BoxConfig* box,
@@ -71,68 +69,60 @@ class DssFastScorer : public FastScorer {
     }
 
     const int num_objects = model_->schema().NumObjects();
-    const int num_classes = box_->NumClasses();
+    num_classes_ = box_->NumClasses();
     templates_by_object_.assign(static_cast<size_t>(num_objects), {});
     footprints_.resize(templates.size());
+    dense_.resize(templates.size());
+    fp_offsets_.reserve(templates.size() + 1);
+    fp_offsets_.push_back(0);
     for (size_t t = 0; t < templates.size(); ++t) {
-      caches_.push_back(std::make_unique<TemplateCache>());
-      if (!used_[t]) continue;
-      footprints_[t] = model_->planner().QueryFootprint(templates[t]);
-      for (int o : footprints_[t]) {
-        templates_by_object_[static_cast<size_t>(o)].push_back(
-            static_cast<int>(t));
-      }
-      // Small footprints get a dense lock-free cache: one slot per
-      // placement of the footprint, indexed by the base-M key the probe
-      // computes. Values are deterministic functions of the key, so a
-      // racing first-wins fill stores the same bits either way.
-      std::int64_t entries = 1;
-      for (size_t i = 0; i < footprints_[t].size(); ++i) {
-        entries *= num_classes;
-        if (entries > kDenseCacheMaxEntries) break;
-      }
-      if (entries <= kDenseCacheMaxEntries) {
-        TemplateCache& cache = *caches_.back();
-        cache.dense_size = entries;
-        cache.dense =
-            std::make_unique<std::atomic<std::uint64_t>[]>(
-                static_cast<size_t>(entries));
-        for (std::int64_t i = 0; i < entries; ++i) {
-          cache.dense[static_cast<size_t>(i)].store(
-              kEmptyCacheSlot, std::memory_order_relaxed);
+      if (used_[t]) {
+        footprints_[t] = model_->compiled()[t].footprint();
+        for (int o : footprints_[t]) {
+          templates_by_object_[static_cast<size_t>(o)].push_back(
+              static_cast<int>(t));
+        }
+        // Small footprints get a dense lock-free cache: one slot per
+        // placement of the footprint, indexed by the base-M key the probe
+        // computes. Values are deterministic functions of the key, so a
+        // racing first-wins fill stores the same bits either way.
+        std::int64_t entries = 1;
+        for (size_t i = 0; i < footprints_[t].size(); ++i) {
+          entries *= num_classes_;
+          if (entries > kDenseCacheMaxEntries) break;
+        }
+        if (entries <= kDenseCacheMaxEntries) {
+          dense_[t] = std::make_unique<std::atomic<std::uint64_t>[]>(
+              static_cast<size_t>(entries));
+          for (std::int64_t i = 0; i < entries; ++i) {
+            dense_[t][static_cast<size_t>(i)].store(
+                kEmptyCacheSlot, std::memory_order_relaxed);
+          }
         }
       }
+      fp_objects_.insert(fp_objects_.end(), footprints_[t].begin(),
+                         footprints_[t].end());
+      fp_offsets_.push_back(static_cast<int>(fp_objects_.size()));
     }
 
     floors_.assign(templates.size(), 0.0);
     cond_floors_.resize(templates.size());
-
-    num_classes_ = num_classes;
-    fp_offsets_.reserve(templates.size() + 1);
-    fp_offsets_.push_back(0);
-    dense_slots_.reserve(templates.size());
-    for (size_t t = 0; t < templates.size(); ++t) {
-      fp_objects_.insert(fp_objects_.end(), footprints_[t].begin(),
-                         footprints_[t].end());
-      fp_offsets_.push_back(static_cast<int>(fp_objects_.size()));
-      dense_slots_.push_back(caches_[t]->dense.get());
-    }
   }
 
   /// Branch-and-bound floors, built on first demand (MakeBoundCursor /
   /// ObjectTimeSpreadMs) so plain DOT runs — which construct this scorer
   /// on every optimization — never pay the ~|templates|·|footprint|·M
-  /// extra PlanQuery calls. call_once makes the first demand safe from
+  /// extra compiled runs. call_once makes the first demand safe from
   /// concurrent subtree tasks and enumeration shards.
   ///
-  /// Each template is planned against a synthetic box that appends one
-  /// extra storage class whose latency anchors are the pointwise minimum
-  /// over the real classes. The planner picks the cheapest access path /
-  /// join method per step against those optimistic devices, so the
-  /// resulting time lower-bounds the template's time under *every* real
-  /// placement (each candidate's device time only grows on a real device,
-  /// and the per-step minimum is taken over the same candidate set). Two
-  /// granularities:
+  /// Each template's program runs with objects on the optimistic column
+  /// (CompiledTemplate::optimistic_class(): per I/O type the minimum
+  /// latency anchors over the real classes). The program picks the
+  /// cheapest access path / join method per step against those devices,
+  /// so the resulting time lower-bounds the template's time under *every*
+  /// real placement (each candidate's device time only grows on a real
+  /// device, and the per-step minimum is taken over the same candidate
+  /// set). Two granularities:
   ///
   ///   * floors_[t]: every footprint object optimistic — the
   ///     unconditional floor;
@@ -149,52 +139,28 @@ class DssFastScorer : public FastScorer {
   /// placement's.
   ///
   /// With a non-empty io_scale the reported time is the *scaled* time of
-  /// the plan chosen on *unscaled* costs, which the synthetic-box argmin
+  /// the plan chosen on *unscaled* costs, which the optimistic argmin
   /// does not bound; the floors stay at 0 (still admissible, just loose).
   void EnsureFloors() const {
     std::call_once(floors_once_, [this] {
       if (!io_scale_.empty()) return;
-      const auto& templates = model_->templates();
       const int num_objects = model_->schema().NumObjects();
-      const int num_classes = box_->NumClasses();
-      std::array<LatencyAnchors, kNumIoTypes> min_anchors{};
-      for (int i = 0; i < kNumIoTypes; ++i) {
-        const IoType type = static_cast<IoType>(i);
-        LatencyAnchors a = box_->classes[0].device().anchors(type);
-        for (const StorageClass& sc : box_->classes) {
-          const LatencyAnchors& b = sc.device().anchors(type);
-          a.at_c1_ms = std::min(a.at_c1_ms, b.at_c1_ms);
-          a.at_c300_ms = std::min(a.at_c300_ms, b.at_c300_ms);
-        }
-        min_anchors[static_cast<size_t>(i)] = a;
-      }
-      BoxConfig bound_box;
-      bound_box.name = "bnb-optimistic";
-      bound_box.classes = box_->classes;
-      // Capacity and price are irrelevant to planning (only the latency
-      // anchors are read); 1.0 satisfies the positivity invariants.
-      bound_box.classes.push_back(StorageClass(
-          "bnb-optimistic", DeviceModel("bnb-optimistic", min_anchors),
-          /*capacity_gb=*/1.0, /*price_cents_per_gb_hour=*/1.0));
-      const Planner bound_planner(&model_->schema(), &bound_box,
-                                  model_->planner().config());
-      std::vector<int> probe(static_cast<size_t>(num_objects), num_classes);
-      for (size_t t = 0; t < templates.size(); ++t) {
+      const int m = num_classes_;
+      std::vector<int> probe(static_cast<size_t>(num_objects), m);
+      for (size_t t = 0; t < footprints_.size(); ++t) {
         if (!used_[t]) continue;
-        floors_[t] = bound_planner.PlanQuery(templates[t], probe).time_ms *
-                     (1 - kBoundSafety);
+        const CompiledTemplate& program = model_->compiled()[t];
+        floors_[t] = program.Run(probe.data()).time_ms * (1 - kBoundSafety);
         const std::vector<int>& fp = footprints_[t];
-        cond_floors_[t].assign(
-            fp.size() * static_cast<size_t>(num_classes), 0.0);
+        cond_floors_[t].assign(fp.size() * static_cast<size_t>(m), 0.0);
         for (size_t i = 0; i < fp.size(); ++i) {
-          for (int c = 0; c < num_classes; ++c) {
+          for (int c = 0; c < m; ++c) {
             probe[static_cast<size_t>(fp[i])] = c;
-            cond_floors_[t][i * static_cast<size_t>(num_classes) +
+            cond_floors_[t][i * static_cast<size_t>(m) +
                             static_cast<size_t>(c)] =
-                bound_planner.PlanQuery(templates[t], probe).time_ms *
-                (1 - kBoundSafety);
+                program.Run(probe.data()).time_ms * (1 - kBoundSafety);
           }
-          probe[static_cast<size_t>(fp[i])] = num_classes;
+          probe[static_cast<size_t>(fp[i])] = m;
         }
       }
     });
@@ -203,11 +169,10 @@ class DssFastScorer : public FastScorer {
   QuickPerf Score(const std::vector<int>& placement) const override {
     // Per-thread scratch: sized once, then reused allocation-free.
     static thread_local std::vector<double> times;
-    static thread_local std::string sig;
     times.resize(footprints_.size());
     CacheTally tally;
     for (size_t t = 0; t < footprints_.size(); ++t) {
-      times[t] = TemplateTime(static_cast<int>(t), placement, sig, tally);
+      times[t] = TemplateTime(static_cast<int>(t), placement, tally);
     }
     FlushTally(tally);
     return ScoreFromTimes(times.data());
@@ -285,7 +250,7 @@ class DssFastScorer : public FastScorer {
            scorer_->templates_by_object_[static_cast<size_t>(object_id)]) {
         if (--unassigned_[static_cast<size_t>(t)] == 0) {
           times_[static_cast<size_t>(t)] =
-              scorer_->TemplateTime(t, placement, sig_, tally);
+              scorer_->TemplateTime(t, placement, tally);
         } else {
           // Still incomplete: raise the floor with this object's
           // conditional (a running max is exact on the LIFO path because
@@ -350,20 +315,6 @@ class DssFastScorer : public FastScorer {
     std::vector<double> times_;
     std::vector<int> unassigned_;
     std::vector<int> cls_;  ///< assigned class per object, -1 = unassigned
-    std::string sig_;
-  };
-
-  struct TemplateCache {
-    /// Dense path (footprints with at most kDenseCacheMaxEntries
-    /// placements): one atomic double-as-bits slot per base-M key,
-    /// kEmptyCacheSlot when unfilled. Lock-free: a probe is one relaxed
-    /// load, a fill one relaxed store of a value any racing filler would
-    /// compute identically.
-    std::int64_t dense_size = 0;  ///< 0 = use the hashed map below
-    std::unique_ptr<std::atomic<std::uint64_t>[]> dense;
-
-    mutable std::shared_mutex mu;
-    std::unordered_map<std::string, double> by_signature;
   };
 
   /// Per-call hit/miss tallies: one atomic flush per scoring call instead
@@ -384,77 +335,57 @@ class DssFastScorer : public FastScorer {
     }
   }
 
-  /// Estimated time of template `t`, via the cache. `sig` is caller scratch
-  /// for the hashed fallback (small-string optimized: building a key
-  /// allocates nothing for footprints up to ~22 objects).
+  /// Estimated time of template `t`: a dense-cache hit, or a compiled
+  /// run (the one miss path).
   double TemplateTime(int t, const std::vector<int>& placement,
-                      std::string& sig, CacheTally& tally) const {
-    // Flat-array fast path: an unused template has an empty footprint
-    // range (and time 0); a dense-cached one costs the base-M key loop
-    // plus one relaxed load.
+                      CacheTally& tally) const {
+    // An unused template has an empty footprint range (and time 0); a
+    // dense-cached one costs the base-M key loop plus one relaxed load.
     const size_t ti = static_cast<size_t>(t);
     const int begin = fp_offsets_[ti];
     const int end = fp_offsets_[ti + 1];
     if (begin == end) return 0.0;  // never runs in the sequence
-    if (std::atomic<std::uint64_t>* dense = dense_slots_[ti]) {
+    std::atomic<std::uint64_t>* dense = dense_[ti].get();
+    std::atomic<std::uint64_t>* slot = nullptr;
+    if (dense != nullptr) {
       const int m = num_classes_;
       const int* p = placement.data();
       std::int64_t key = 0;
       for (int i = begin; i < end; ++i) {
         key = key * m + p[fp_objects_[static_cast<size_t>(i)]];
       }
-      std::atomic<std::uint64_t>& slot = dense[static_cast<size_t>(key)];
-      const std::uint64_t bits = slot.load(std::memory_order_relaxed);
+      slot = &dense[static_cast<size_t>(key)];
+      const std::uint64_t bits = slot->load(std::memory_order_relaxed);
       if (bits != kEmptyCacheSlot) {
         tally.hits += 1;
         double time_ms;
         std::memcpy(&time_ms, &bits, sizeof(time_ms));
         return time_ms;
       }
-      const double time_ms = PlanTime(t, placement);
-      tally.misses += 1;
-      std::uint64_t out;
-      std::memcpy(&out, &time_ms, sizeof(out));
-      slot.store(out, std::memory_order_relaxed);
-      return time_ms;
     }
-    const std::vector<int>& footprint = footprints_[ti];
-    TemplateCache& cache = *caches_[ti];
-    sig.resize(footprint.size());
-    for (size_t i = 0; i < footprint.size(); ++i) {
-      sig[i] = static_cast<char>(
-          placement[static_cast<size_t>(footprint[i])]);
-    }
-    {
-      std::shared_lock<std::shared_mutex> lock(cache.mu);
-      auto it = cache.by_signature.find(sig);
-      if (it != cache.by_signature.end()) {
-        tally.hits += 1;
-        return it->second;
-      }
-    }
-    // Miss: plan outside the lock (planning is the expensive part), then
-    // insert. A concurrent planner of the same key computed the same value,
-    // so first-wins insertion is safe.
     const double time_ms = PlanTime(t, placement);
     tally.misses += 1;
-    std::unique_lock<std::shared_mutex> lock(cache.mu);
-    return cache.by_signature.emplace(sig, time_ms).first->second;
+    if (slot != nullptr) {
+      std::uint64_t out;
+      std::memcpy(&out, &time_ms, sizeof(out));
+      slot->store(out, std::memory_order_relaxed);
+    }
+    return time_ms;
   }
 
   /// Uncached time: exactly the per-template arithmetic of
-  /// DssWorkloadModel::EstimateWithIoScale.
+  /// DssWorkloadModel::EstimateWithIoScale, through the compiled program.
   double PlanTime(int t, const std::vector<int>& placement) const {
-    Plan plan = model_->PlanTemplate(t, placement);
-    double time_ms = plan.time_ms;
-    if (!io_scale_.empty()) {
-      ObjectIoMap scaled = std::move(plan.io_by_object);
-      for (size_t o = 0; o < scaled.size(); ++o) scaled[o] *= io_scale_[o];
-      time_ms = IoTimeShareMs(scaled, placement, *box_,
-                              model_->concurrency()) +
-                plan.cpu_ms;
-    }
-    return time_ms;
+    const CompiledTemplate& program =
+        model_->compiled()[static_cast<size_t>(t)];
+    if (io_scale_.empty()) return program.Run(placement.data()).time_ms;
+    // Per-thread scratch: sized once, then reused allocation-free.
+    static thread_local ObjectIoMap io;
+    io.assign(io_scale_.size(), IoVector{});
+    const double cpu_ms = program.Run(placement.data(), io.data()).cpu_ms;
+    for (size_t o = 0; o < io.size(); ++o) io[o] *= io_scale_[o];
+    return IoTimeShareMs(io, placement, *box_, model_->concurrency()) +
+           cpu_ms;
   }
 
   /// The sequence walk and SLA verdict, shared by Score and the cursor.
@@ -495,15 +426,17 @@ class DssFastScorer : public FastScorer {
   /// per template when floors are disabled (io_scale) or the template is
   /// unused.
   mutable std::vector<std::vector<double>> cond_floors_;
-  std::vector<std::unique_ptr<TemplateCache>> caches_;
-  /// Flat probe-side mirrors of the per-template state, built once at the
-  /// end of the constructor. A dense-cache probe touches only these three
-  /// arrays plus the slot itself — no unique_ptr or nested-vector chasing
-  /// in the hot loop.
+  /// Flat probe-side state. A probe touches only these arrays plus the
+  /// slot itself.
   int num_classes_ = 0;
   std::vector<int> fp_offsets_;  ///< CSR offsets into fp_objects_, T+1
   std::vector<int> fp_objects_;  ///< concatenated footprints (empty if unused)
-  std::vector<std::atomic<std::uint64_t>*> dense_slots_;  ///< null = hashed
+  /// Per template, footprints with at most kDenseCacheMaxEntries
+  /// placements: one atomic double-as-bits slot per base-M key,
+  /// kEmptyCacheSlot when unfilled; null = no cache. Lock-free: a probe is
+  /// one relaxed load, a fill one relaxed store of a value any racing
+  /// filler would compute identically.
+  std::vector<std::unique_ptr<std::atomic<std::uint64_t>[]>> dense_;
   mutable std::atomic<long long> hits_{0};
   mutable std::atomic<long long> misses_{0};
 };
@@ -523,6 +456,8 @@ DssWorkloadModel::DssWorkloadModel(std::string name, const Schema* schema,
       seq_count_(templates_.size(), 0),
       planner_(schema, box, planner_config) {
   DOT_CHECK(!templates_.empty()) << "DSS workload needs query templates";
+  compiled_ =
+      CompiledTemplate::Compile(*schema_, *box_, planner_config, templates_);
   DOT_CHECK(!sequence_.empty()) << "DSS workload needs a run sequence";
   for (int idx : sequence_) {
     DOT_CHECK(idx >= 0 && idx < static_cast<int>(templates_.size()))

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "catalog/schema.h"
+#include "query/compiled_template.h"
 #include "query/planner.h"
 #include "query/query_spec.h"
 #include "storage/storage_class.h"
@@ -17,6 +18,11 @@ namespace dot {
 /// experiments). Performance estimates come from the storage-aware planner,
 /// so plan choice — and therefore the per-object I/O profile — responds to
 /// the candidate placement.
+///
+/// The model snapshots the box's device latencies at construction: each
+/// template is compiled once into a CompiledTemplate, which the fast
+/// scorer prices placements with. Capacities (set_capacity_gb) are not
+/// part of the snapshot; they never enter a plan.
 class DssWorkloadModel : public WorkloadModel {
  public:
   /// `schema` and `box` must outlive the model. `sequence[i]` indexes into
@@ -36,11 +42,11 @@ class DssWorkloadModel : public WorkloadModel {
       const std::vector<int>& placement, const std::vector<double>& io_scale,
       bool need_io_by_object = true) const override;
 
-  /// TOC-only fast path: a per-template plan cache keyed by the placement
-  /// restricted to the template's footprint (a template's plan — and its
-  /// estimated time — depends on no other object), so a move that does not
-  /// touch a template's objects reuses the cached time instead of
-  /// re-running Planner::PlanQuery. Bit-identical to EstimateWithIoScale.
+  /// TOC-only fast path: each template's time comes from its compiled
+  /// program, behind a lock-free dense cache keyed by the placement
+  /// restricted to the template's footprint when that footprint has few
+  /// enough placements. Bit-identical to EstimateWithIoScale, which plans
+  /// through Planner::PlanQuery.
   std::unique_ptr<FastScorer> MakeFastScorer(
       const std::vector<double>& io_scale,
       const std::vector<double>& query_caps_ms, double min_tpmc,
@@ -50,6 +56,9 @@ class DssWorkloadModel : public WorkloadModel {
   const std::vector<int>& sequence() const { return sequence_; }
   const Schema& schema() const { return *schema_; }
   const Planner& planner() const { return planner_; }
+  /// templates()[t] compiled for this model's schema, box and planner
+  /// config.
+  const std::vector<CompiledTemplate>& compiled() const { return compiled_; }
 
   /// Plans a single template under `placement` (used by the INLJ-share
   /// analysis bench and by tests).
@@ -64,6 +73,7 @@ class DssWorkloadModel : public WorkloadModel {
   std::vector<int> sequence_;
   std::vector<int> seq_count_;  ///< occurrences of each template in sequence_
   Planner planner_;
+  std::vector<CompiledTemplate> compiled_;
 };
 
 }  // namespace dot

@@ -77,22 +77,7 @@ class HtapFastScorer : public FastScorer {
   }
 
   QuickPerf Score(const std::vector<int>& placement) const override {
-    const double mean_latency_ms = tables_.MeanLatencyMs(placement);
-    DOT_CHECK(mean_latency_ms > 0);
-    const double oltp_time_ms =
-        mean_latency_ms + model_->OltpInterferenceMs(placement);
-    const OltpWorkloadModel::Throughput tp =
-        model_->oltp().ThroughputFromMeanLatency(oltp_time_ms);
-    const QuickPerf dss_qp = dss_scorer_->Score(placement);
-    const double dss_time_ms =
-        dss_qp.elapsed_ms + model_->DssInterferenceMs(placement);
-    QuickPerf qp;
-    qp.elapsed_ms = measurement_period_ms_;
-    qp.tpmc = tp.tpmc;
-    qp.tasks_per_hour =
-        tp.tasks_per_hour + model_->AnalyticsTasksPerHour(dss_time_ms);
-    qp.sla_ok = !(oltp_time_ms > thr_oltp_) && !(dss_time_ms > thr_dss_);
-    return qp;
+    return Combine(placement, dss_scorer_->Score(placement));
   }
 
   /// Partial-placement bound: the OLTP side's base+excess latency stack
@@ -144,8 +129,10 @@ class HtapFastScorer : public FastScorer {
 
     QuickPerf Optimistic(const std::vector<int>& placement) const override {
       if (depth_ == scorer_->tables_.num_objects()) {
-        // Leaf: the exact kernel, bit-identical to Score.
-        return scorer_->Score(placement);
+        // Leaf: the DSS cursor is exact here (bit-identical to the DSS
+        // Score), so Score's combine step over it is bit-identical to
+        // Score without probing the templates again.
+        return scorer_->Combine(placement, dss_cursor_->Optimistic(placement));
       }
       // Interior node: each side's deflated lower bound; the sum of the
       // derived per-side throughput upper bounds is an upper bound on the
@@ -208,6 +195,27 @@ class HtapFastScorer : public FastScorer {
   }
 
  private:
+  /// The exact score of a full placement given its DSS side's score: the
+  /// OLTP side, the interference terms and the fold into one QuickPerf.
+  QuickPerf Combine(const std::vector<int>& placement,
+                    const QuickPerf& dss_qp) const {
+    const double mean_latency_ms = tables_.MeanLatencyMs(placement);
+    DOT_CHECK(mean_latency_ms > 0);
+    const double oltp_time_ms =
+        mean_latency_ms + model_->OltpInterferenceMs(placement);
+    const OltpWorkloadModel::Throughput tp =
+        model_->oltp().ThroughputFromMeanLatency(oltp_time_ms);
+    const double dss_time_ms =
+        dss_qp.elapsed_ms + model_->DssInterferenceMs(placement);
+    QuickPerf qp;
+    qp.elapsed_ms = measurement_period_ms_;
+    qp.tpmc = tp.tpmc;
+    qp.tasks_per_hour =
+        tp.tasks_per_hour + model_->AnalyticsTasksPerHour(dss_time_ms);
+    qp.sla_ok = !(oltp_time_ms > thr_oltp_) && !(dss_time_ms > thr_dss_);
+    return qp;
+  }
+
   const HtapWorkload* model_;
   OltpLatencyTables tables_;
   double measurement_period_ms_;
@@ -265,7 +273,7 @@ HtapWorkload::HtapWorkload(std::string name, const OltpWorkloadModel* oltp,
   }
   for (size_t t = 0; t < templates.size(); ++t) {
     if (seq_count[t] == 0) continue;
-    for (int o : dss_->planner().QueryFootprint(templates[t])) {
+    for (int o : dss_->compiled()[t].footprint()) {
       dss_intensity[static_cast<size_t>(o)] += seq_count[t];
     }
   }

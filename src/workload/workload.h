@@ -68,8 +68,8 @@ inline constexpr double kBoundSafety = 1e-9;
 
 /// Allocation-free candidate scorer a workload model can offer the search
 /// engine. Built once per optimization run (per-object device-time tables
-/// for OLTP, a placement-signature plan cache for DSS) and then queried for
-/// thousands of candidate placements.
+/// for OLTP, compiled query templates behind a dense plan cache for DSS)
+/// and then queried for thousands of candidate placements.
 ///
 /// Thread-safety: Score() must be safe to call concurrently (internal caches
 /// synchronize themselves); a BoundCursor is single-threaded state, so each

@@ -123,6 +123,21 @@ TEST_F(PlannerTest, CardenasFormulaCapsRepeatedFetches) {
             Planner::ExpectedPagesFetched(1000, 100));
 }
 
+TEST_F(PlannerTest, SubPageObjectsCostOneFetch) {
+  // TPC-H region (0.08 pages) and nation (0.43 pages): Cardenas' log1p
+  // argument would drop below -1 (NaN), and a NaN candidate silently
+  // loses every comparison. Any probe of an object within one page costs
+  // exactly one fetch.
+  for (double pages : {0.08, 0.43, 1.0}) {
+    for (double probes : {1.0, 25.0, 1e6}) {
+      EXPECT_EQ(Planner::ExpectedPagesFetched(pages, probes), 1.0)
+          << pages << " pages, " << probes << " probes";
+    }
+    EXPECT_EQ(Planner::ExpectedPagesFetched(pages, 0.0), 0.0);
+  }
+  EXPECT_GT(Planner::ExpectedPagesFetched(1.5, 1e6), 1.0);
+}
+
 /// Join fixture: orders -> lineitem style FK join.
 class JoinPlannerTest : public ::testing::Test {
  protected:
