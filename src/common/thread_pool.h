@@ -14,7 +14,8 @@
 
 namespace dot {
 
-/// Fixed-size worker pool for the parallel candidate-evaluation engine.
+/// Fixed-size worker pool for the engines that fan out independent work
+/// (SearchOptions::num_threads names them).
 ///
 /// A pool of `num_threads` logical execution lanes: `num_threads - 1`
 /// background workers plus the calling thread, which always participates in

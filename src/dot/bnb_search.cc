@@ -13,7 +13,6 @@
 #include "common/clock.h"
 #include "common/thread_pool.h"
 #include "dot/candidate_evaluator.h"
-#include "dot/eval_tables.h"
 #include "dot/layout.h"
 #include "dot/sla.h"
 #include "storage/pricing.h"
@@ -60,8 +59,9 @@ DotResult EnumerateSearch(const DotProblem& problem, long long max_layouts,
   // reduction under (TOC, lexicographically lowest placement) is a total
   // order, so the winner is the same at every thread count.
   ThreadPool pool(problem.options.num_threads);
-  const CandidateEvaluator evaluator(estimator, &pool);
-  CandidateEvaluator::SpaceScan scan = evaluator.ScanLayoutSpace(0, total);
+  const CandidateEvaluator evaluator(estimator);
+  CandidateEvaluator::SpaceScan scan =
+      evaluator.ScanLayoutSpace(0, total, &pool);
 
   result.layouts_evaluated = scan.evaluated;
   result.plan_cache_hits = evaluator.plan_cache_hits();
@@ -112,9 +112,9 @@ struct SubtreeBest {
 /// is what makes every counter and the task set deterministic.
 struct BnbShared {
   const DotProblem* problem = nullptr;
-  const DotOptimizer* estimator = nullptr;
-  const FastEvaluator* fast = nullptr;  ///< null: full-path leaves, no bound
-  const FastScorer* scorer = nullptr;   ///< fast's scorer; null with it
+  /// The run's evaluator; without a scorer the leaves take the full path
+  /// and no node is bounded.
+  const CandidateEvaluator* evaluator = nullptr;
   int n = 0;
   int m = 0;
   /// Assignment order: order[d] is the object assigned at depth d,
@@ -155,7 +155,8 @@ class SubtreeWalker {
         arena_(arena),
         placement_(static_cast<size_t>(sh.n), 0),
         incumbent_(sh.seed_incumbent) {
-    if (sh_.scorer != nullptr) cursor_ = sh_.scorer->MakeBoundCursor();
+    const FastScorer* scorer = sh_.evaluator->scorer();
+    if (scorer != nullptr) cursor_ = scorer->MakeBoundCursor();
   }
 
   /// Replays a shard prefix (classes of order[0..shard_depth)) — already
@@ -306,16 +307,10 @@ class SubtreeWalker {
         // Leaf: exact evaluation through the same kernels the enumerating
         // search uses — bit-identical toc, fit, and feasibility.
         placement_[static_cast<size_t>(obj)] = cls;
-        CandidateEval eval;
-        if (cursor_ != nullptr) {
-          cursor_->Assign(obj, placement_);
-          eval = sh_.fast->EvaluateLeaf(placement_, *cursor_);
-          cursor_->Unassign(obj);
-        } else {
-          eval = CandidateEvaluator::EvaluateOneWith(
-              *sh_.estimator,
-              Layout(sh_.problem->schema, sh_.problem->box, placement_));
-        }
+        if (cursor_ != nullptr) cursor_->Assign(obj, placement_);
+        const CandidateEval eval =
+            sh_.evaluator->EvaluateLeaf(placement_, cursor_.get());
+        if (cursor_ != nullptr) cursor_->Unassign(obj);
         stats_.leaves += 1;
         if (eval.feasible) ConsiderLeaf(eval.toc);
       }
@@ -482,17 +477,11 @@ DotResult BranchAndBoundSearch(
   DotOptimizer estimator(problem);
   result.targets = estimator.targets();
 
-  std::unique_ptr<FastEvaluator> fast;
-  if (problem.options.use_fast_eval) {
-    auto f = std::make_unique<FastEvaluator>(estimator);
-    if (f->enabled()) fast = std::move(f);
-  }
+  const CandidateEvaluator evaluator(estimator);
 
   BnbShared sh;
   sh.problem = &problem;
-  sh.estimator = &estimator;
-  sh.fast = fast.get();
-  sh.scorer = fast != nullptr ? fast->scorer() : nullptr;
+  sh.evaluator = &evaluator;
   sh.n = n;
   sh.m = m;
 
@@ -514,6 +503,7 @@ DotResult BranchAndBoundSearch(
   // the objects whose placement moves the bound the most are decided first,
   // so both prunes bite near the root. Any order is correct; this one is
   // fast.
+  const FastScorer* scorer = evaluator.scorer();
   std::vector<double> cost_spread(static_cast<size_t>(n), 0.0);
   std::vector<double> time_spread(static_cast<size_t>(n), 0.0);
   double max_cost_spread = 0.0;
@@ -521,8 +511,8 @@ DotResult BranchAndBoundSearch(
   for (int o = 0; o < n; ++o) {
     cost_spread[static_cast<size_t>(o)] =
         problem.schema->object(o).size_gb * (max_price - min_price);
-    if (sh.scorer != nullptr) {
-      time_spread[static_cast<size_t>(o)] = sh.scorer->ObjectTimeSpreadMs(o);
+    if (scorer != nullptr) {
+      time_spread[static_cast<size_t>(o)] = scorer->ObjectTimeSpreadMs(o);
     }
     max_cost_spread =
         std::max(max_cost_spread, cost_spread[static_cast<size_t>(o)]);
@@ -579,12 +569,8 @@ DotResult BranchAndBoundSearch(
   // pruned.
   double seed = std::numeric_limits<double>::infinity();
   for (int cls = 0; cls < m; ++cls) {
-    const std::vector<int> uniform = UniformPlacement(n, cls);
     const CandidateEval eval =
-        fast != nullptr
-            ? fast->EvaluateQuick(uniform)
-            : CandidateEvaluator::EvaluateOneWith(
-                  estimator, Layout(problem.schema, problem.box, uniform));
+        evaluator.EvaluateQuick(UniformPlacement(n, cls));
     if (eval.feasible) seed = std::min(seed, eval.toc);
   }
   if (problem.profiles != nullptr) {
@@ -600,11 +586,7 @@ DotResult BranchAndBoundSearch(
       bool in_range = true;
       for (int cls : w) in_range = in_range && cls >= 0 && cls < m;
       if (!in_range) continue;
-      const CandidateEval eval =
-          fast != nullptr ? fast->EvaluateQuick(w)
-                          : CandidateEvaluator::EvaluateOneWith(
-                                estimator, Layout(problem.schema,
-                                                  problem.box, w));
+      const CandidateEval eval = evaluator.EvaluateQuick(w);
       if (eval.feasible) {
         seed = std::min(seed, eval.toc);
         ++result.warm_start_hits;
@@ -687,17 +669,15 @@ DotResult BranchAndBoundSearch(
   }
   result.arena_resets = static_cast<long long>(arena_resets);
   result.arena_bytes_peak = static_cast<long long>(arena_peak);
-  if (fast != nullptr) {
-    result.plan_cache_hits = fast->plan_cache_hits();
-    result.plan_cache_misses = fast->plan_cache_misses();
-  }
+  result.plan_cache_hits = evaluator.plan_cache_hits();
+  result.plan_cache_misses = evaluator.plan_cache_misses();
 
   if (best.found) {
     // Re-score the winner through the full path (bit-identical toc/cost,
     // now with the PerfEstimate filled) — exactly what the enumerating
     // search does with its winner.
-    const CandidateEval eval = CandidateEvaluator::EvaluateOneWith(
-        estimator, Layout(problem.schema, problem.box, best.placement));
+    const CandidateEval eval = evaluator.EvaluateOne(
+        Layout(problem.schema, problem.box, best.placement));
     DOT_CHECK(eval.feasible) << "winner infeasible on full re-score";
     result.placement = std::move(best.placement);
     result.toc_cents_per_task = eval.toc;

@@ -1,11 +1,13 @@
 #include "dot/candidate_evaluator.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <utility>
 
 #include "common/check.h"
-#include "dot/eval_tables.h"
+#include "dot/ensemble.h"
+#include "storage/pricing.h"
 
 namespace dot {
 
@@ -39,24 +41,8 @@ std::vector<int> DecodeLayoutIndex(long long index, int num_objects,
   return placement;
 }
 
-CandidateEvaluator::CandidateEvaluator(const DotOptimizer& estimator,
-                                       ThreadPool* pool)
-    : estimator_(estimator), pool_(pool) {
-  DOT_CHECK(pool_ != nullptr);
-  if (estimator_.problem().options.use_fast_eval) {
-    auto fast = std::make_unique<FastEvaluator>(estimator_);
-    if (fast->enabled()) fast_ = std::move(fast);
-  }
-}
-
-CandidateEvaluator::~CandidateEvaluator() = default;
-
-CandidateEval CandidateEvaluator::EvaluateOne(const Layout& layout) const {
-  return EvaluateOneWith(estimator_, layout);
-}
-
-CandidateEval CandidateEvaluator::EvaluateOneWith(
-    const DotOptimizer& estimator, const Layout& layout) {
+CandidateEval EvaluateFullPath(const DotOptimizer& estimator,
+                               const Layout& layout) {
   CandidateEval eval;
   const Layout::CapacityFit fit = layout.ComputeCapacityFit();
   eval.fits = fit.fits;
@@ -75,32 +61,105 @@ CandidateEval CandidateEvaluator::EvaluateOneWith(
   return eval;
 }
 
-CandidateEval CandidateEvaluator::EvaluateQuick(const Layout& layout) const {
-  if (fast_ == nullptr) return EvaluateOne(layout);
-  return fast_->EvaluateQuick(layout.placement());
+CandidateEvaluator::CandidateEvaluator(const DotOptimizer& estimator)
+    : estimator_(estimator) {
+  const DotProblem& problem = estimator_.problem();
+  if (!problem.options.use_fast_eval) return;  // the full-path reference
+  if (problem.box->NumClasses() > kMaxClasses) {
+    // Out of stack budget: stay on the full path — such a box must still
+    // optimize, just not fast.
+    return;
+  }
+  const PerfTargets& targets = estimator_.targets();
+  if (targets.kind != problem.workload->sla_kind()) {
+    // A targets_override of the other kind (e.g. throughput targets over a
+    // DSS workload) is degenerate but legal — MeetsTargets just finds every
+    // candidate infeasible. The scorers assume matching caps, so leave the
+    // full path to produce that verdict.
+    return;
+  }
+  if (problem.ensemble != nullptr) {
+    // Robust mode: K child scorers under the ensemble aggregation. Null
+    // (an out-of-range ensemble or a scenario of the other SLA kind)
+    // leaves the full path on.
+    scorer_ = MakeEnsembleScorer(*problem.workload, *problem.ensemble,
+                                 problem.ensemble_objective,
+                                 problem.io_scale_hint, targets);
+  } else {
+    scorer_ = problem.workload->MakeFastScorer(
+        problem.io_scale_hint, targets.query_caps_ms, targets.min_tpmc,
+        kDefaultSlaTolerance);
+  }
+  if (scorer_ == nullptr) return;
+  size_gb_.reserve(static_cast<size_t>(problem.schema->NumObjects()));
+  for (const DbObject& o : problem.schema->objects()) {
+    size_gb_.push_back(o.size_gb);
+  }
 }
 
-std::vector<CandidateEval> CandidateEvaluator::EvaluateBatchQuick(
-    const std::vector<Layout>& candidates) const {
-  std::vector<CandidateEval> evals(candidates.size());
-  pool_->ParallelFor(0, static_cast<int64_t>(candidates.size()),
-                     [&](int64_t i) {
-                       evals[static_cast<size_t>(i)] =
-                           EvaluateQuick(candidates[static_cast<size_t>(i)]);
-                     });
-  return evals;
+bool CandidateEvaluator::FitAndCost(const std::vector<int>& placement,
+                                    CandidateEval* eval) const {
+  const DotProblem& problem = estimator_.problem();
+  // Space by class, in the exact object order Layout::SpaceByClass sums.
+  std::array<double, kMaxClasses> used{};
+  for (size_t o = 0; o < size_gb_.size(); ++o) {
+    used[static_cast<size_t>(placement[o])] += size_gb_[o];
+  }
+  const Layout::CapacityFit fit =
+      Layout::FitFromSpace(*problem.box, used.data());
+  eval->fits = fit.fits;
+  eval->violation_gb = fit.violation_gb;
+  if (!eval->fits) {
+    // The full path skips estimation for over-capacity candidates; so do
+    // we.
+    eval->toc = std::numeric_limits<double>::infinity();
+    return false;
+  }
+  eval->cost_cents_per_hour = LayoutCostCentsPerHour(
+      *problem.box, used.data(), problem.box->NumClasses(),
+      problem.cost_model);
+  return true;
+}
+
+CandidateEval CandidateEvaluator::Finish(CandidateEval eval,
+                                         const QuickPerf& qp) const {
+  DOT_CHECK(qp.tasks_per_hour > 0) << "estimate produced zero throughput";
+  eval.toc = eval.cost_cents_per_hour / qp.tasks_per_hour;
+  eval.feasible = qp.sla_ok;
+  if (!eval.feasible) eval.toc = std::numeric_limits<double>::infinity();
+  return eval;
+}
+
+CandidateEval CandidateEvaluator::EvaluateQuick(
+    const std::vector<int>& placement) const {
+  if (scorer_ == nullptr) {
+    const DotProblem& problem = estimator_.problem();
+    return EvaluateOne(Layout(problem.schema, problem.box, placement));
+  }
+  CandidateEval eval;
+  if (!FitAndCost(placement, &eval)) return eval;
+  return Finish(eval, scorer_->Score(placement));
+}
+
+CandidateEval CandidateEvaluator::EvaluateLeaf(
+    const std::vector<int>& placement,
+    const FastScorer::BoundCursor* cursor) const {
+  if (cursor == nullptr) return EvaluateQuick(placement);
+  CandidateEval eval;
+  if (!FitAndCost(placement, &eval)) return eval;
+  return Finish(eval, cursor->Optimistic(placement));
 }
 
 long long CandidateEvaluator::plan_cache_hits() const {
-  return fast_ != nullptr ? fast_->plan_cache_hits() : 0;
+  return scorer_ != nullptr ? scorer_->cache_hits() : 0;
 }
 
 long long CandidateEvaluator::plan_cache_misses() const {
-  return fast_ != nullptr ? fast_->plan_cache_misses() : 0;
+  return scorer_ != nullptr ? scorer_->cache_misses() : 0;
 }
 
 CandidateEvaluator::SpaceScan CandidateEvaluator::ScanLayoutSpace(
-    long long space_begin, long long space_end) const {
+    long long space_begin, long long space_end, ThreadPool* pool) const {
   const DotProblem& problem = estimator_.problem();
   const int n = problem.schema->NumObjects();
   const int m = problem.box->NumClasses();
@@ -117,10 +176,10 @@ CandidateEvaluator::SpaceScan CandidateEvaluator::ScanLayoutSpace(
   // fully assigned bound cursor is bit-identical to FastScorer::Score, so a
   // layout's value cannot depend on which shard (or thread) walked to it.
   const int num_shards = static_cast<int>(std::min<long long>(
-      space_end - space_begin, 8LL * pool_->num_threads()));
+      space_end - space_begin, 8LL * pool->num_threads()));
   std::vector<SpaceScan> per_shard(static_cast<size_t>(num_shards));
 
-  pool_->ParallelForShards(
+  pool->ParallelForShards(
       space_begin, space_end, num_shards,
       [&](int shard, int64_t shard_begin, int64_t shard_end) {
         SpaceScan local;
@@ -132,17 +191,14 @@ CandidateEvaluator::SpaceScan CandidateEvaluator::ScanLayoutSpace(
         // With every object assigned the cursor is exact, and each layout
         // scores through the branch-and-bound leaf kernel.
         std::unique_ptr<FastScorer::BoundCursor> cursor;
-        if (fast_ != nullptr) {
-          cursor = fast_->scorer()->MakeBoundCursor();
+        if (scorer_ != nullptr) {
+          cursor = scorer_->MakeBoundCursor();
           cursor->Reset();
           for (int o = n - 1; o >= 0; --o) cursor->Assign(o, placement);
         }
         for (int64_t idx = shard_begin; idx < shard_end; ++idx) {
           local.evaluated += 1;
-          CandidateEval eval =
-              cursor != nullptr
-                  ? fast_->EvaluateLeaf(placement, *cursor)
-                  : EvaluateOne(Layout(problem.schema, problem.box, placement));
+          CandidateEval eval = EvaluateLeaf(placement, cursor.get());
           if (eval.feasible) {
             if (!local.feasible_found ||
                 BetterCandidate(eval.toc, placement, local.best.toc,
@@ -182,7 +238,7 @@ CandidateEvaluator::SpaceScan CandidateEvaluator::ScanLayoutSpace(
 
   // Quick evaluations carry no PerfEstimate; re-score the winner through
   // the full path (bit-identical toc/cost, now with the estimate filled).
-  if (out.feasible_found && fast_ != nullptr) {
+  if (out.feasible_found && scorer_ != nullptr) {
     out.best =
         EvaluateOne(Layout(problem.schema, problem.box, out.best_placement));
   }

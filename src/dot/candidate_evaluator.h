@@ -10,14 +10,13 @@
 #include "dot/optimizer.h"
 #include "dot/problem.h"
 #include "dot/sla.h"
+#include "workload/workload.h"
 
 namespace dot {
 
-class FastEvaluator;  // dot/eval_tables.h (includes this header)
-
 /// Verdict of one candidate-layout evaluation. Pure data: producing one has
-/// no side effects, so evaluations can run on any thread and be committed —
-/// or discarded — later by the (sequential, deterministic) search driver.
+/// no side effects, so evaluations can run on any thread and be reduced
+/// later by the (deterministic) search driver.
 struct CandidateEval {
   /// Σ s_o < c_j on every class (strict — an exactly-full class does not
   /// fit; the Layout::ComputeCapacityFit rule).
@@ -43,48 +42,70 @@ struct CandidateEval {
 bool BetterCandidate(double toc_a, const std::vector<int>& placement_a,
                      double toc_b, const std::vector<int>& placement_b);
 
-/// The parallel candidate-evaluation engine shared by both DOT search
-/// phases. Batches EstimateToc calls across a ThreadPool for the heuristic
-/// optimizer's move sequence (Procedure 1) and shards the exhaustive
-/// search's mixed-radix layout space [0, M^N) across workers.
+/// The full-path evaluation rule: capacity fit (Layout::ComputeCapacityFit),
+/// then EstimateToc for the TOC, cost and SLA verdict, with the full
+/// PerfEstimate materialized. The exact engines re-score their winners
+/// through it, and the reprovision DP scores its pool matrix with it
+/// directly (it needs no scorer tables, so it builds none).
+CandidateEval EvaluateFullPath(const DotOptimizer& estimator,
+                               const Layout& layout);
+
+/// The one candidate evaluator of a search run, shared by the DOT walk,
+/// the enumerating scan, branch-and-bound and the fleet pool build.
+///
+/// Both search phases consume only {toc, cost, feasibility, violation} per
+/// candidate, yet the full path re-plans every query template and
+/// heap-allocates an N-object PerfEstimate each time. The evaluator scores
+/// a candidate from tables built once per run instead (DESIGN.md §4):
+///
+///   * space/capacity/cost: a fixed-order sum of per-object sizes into a
+///     stack buffer, priced by the same span kernels Layout uses;
+///   * workload time: the model's FastScorer (per-object device-time tables
+///     for OLTP, compiled templates behind a dense plan cache for DSS, and
+///     for HTAP a composite of both plus the interference tables).
+///
+/// Every value is bit-identical to EvaluateFullPath — the fast path
+/// reorganizes the arithmetic, it never approximates — so search decisions
+/// are unchanged and only the committed winner needs a full re-score to
+/// fill in its PerfEstimate. The scorer is null, and every call takes the
+/// full path, when `use_fast_eval` is off, the box has more than
+/// kMaxClasses classes, the targets' SLA kind does not match the
+/// workload's, or an ensemble is out of range.
 class CandidateEvaluator {
  public:
-  /// `estimator` supplies EstimateToc and the run's targets; `pool` supplies
-  /// the lanes. Both must outlive the evaluator. The estimator is only read
-  /// (EstimateToc is const and touches no mutable state), so concurrent
-  /// calls are safe. Construction builds the TOC-only fast path (device-time
-  /// tables / plan cache) unless the problem disables it or the workload
-  /// model offers none.
-  CandidateEvaluator(const DotOptimizer& estimator, ThreadPool* pool);
-  ~CandidateEvaluator();
+  /// `estimator` supplies EstimateToc and the run's targets and must
+  /// outlive the evaluator. Construction builds the scorer tables. Every
+  /// method is const and thread-safe.
+  explicit CandidateEvaluator(const DotOptimizer& estimator);
 
-  /// Evaluates one candidate on the calling thread, materializing the full
-  /// PerfEstimate. Used for the committed winner; the search loops go
-  /// through the quick variants.
-  CandidateEval EvaluateOne(const Layout& layout) const;
-
-  /// The full-path evaluation rule as a free-standing kernel (EvaluateOne
-  /// delegates here). Exposed so the exact branch-and-bound search can
-  /// score leaves and re-score winners through the one implementation of
-  /// the rule without constructing an engine (and a second fast path) of
-  /// its own.
-  static CandidateEval EvaluateOneWith(const DotOptimizer& estimator,
-                                       const Layout& layout);
+  /// Evaluates one candidate through EvaluateFullPath, materializing the
+  /// full PerfEstimate. Used for committed winners.
+  CandidateEval EvaluateOne(const Layout& layout) const {
+    return EvaluateFullPath(estimator_, layout);
+  }
 
   /// TOC-only evaluation: identical toc/cost/feasibility/violation to
   /// EvaluateOne — bit-for-bit, so search decisions cannot differ — but
   /// CandidateEval::estimate stays empty and no allocation is performed.
-  /// Falls back to EvaluateOne when the fast path is unavailable.
-  CandidateEval EvaluateQuick(const Layout& layout) const;
+  /// Without a scorer it is EvaluateOne.
+  CandidateEval EvaluateQuick(const std::vector<int>& placement) const;
+  CandidateEval EvaluateQuick(const Layout& layout) const {
+    return scorer_ != nullptr ? EvaluateQuick(layout.placement())
+                              : EvaluateOne(layout);
+  }
 
-  /// Evaluates `candidates` concurrently through EvaluateQuick; results
-  /// align with the input.
-  std::vector<CandidateEval> EvaluateBatchQuick(
-      const std::vector<Layout>& candidates) const;
+  /// Exact-search leaf path (branch-and-bound leaves and every enumerated
+  /// layout): the same fit/cost kernels as EvaluateQuick, but the workload
+  /// score comes from `cursor`, which must have every object assigned
+  /// (Optimistic() is then exact). The cursor is only asked for a score
+  /// when the layout fits. Bit-identical to EvaluateQuick, which a null
+  /// cursor (no scorer to make one from) falls back to.
+  CandidateEval EvaluateLeaf(const std::vector<int>& placement,
+                             const FastScorer::BoundCursor* cursor) const;
 
   /// Scans layout indices [space_begin, space_end) of the mixed-radix space
   /// (placement[o] = (index / M^o) mod M — digit 0 least significant, the
-  /// serial odometer's order), sharded across the pool, and returns the
+  /// serial odometer's order), sharded across `pool`, and returns the
   /// feasible minimum under BetterCandidate. Each shard walks the odometer
   /// with one FastScorer::BoundCursor (only the rolled digits are
   /// unassigned and re-assigned) and scores every layout through the
@@ -96,18 +117,33 @@ class CandidateEvaluator {
     CandidateEval best;
     long long evaluated = 0;
   };
-  SpaceScan ScanLayoutSpace(long long space_begin, long long space_end) const;
+  SpaceScan ScanLayoutSpace(long long space_begin, long long space_end,
+                            ThreadPool* pool) const;
 
-  const DotOptimizer& estimator() const { return estimator_; }
+  /// The workload scorer, or null when the run takes the full path; the
+  /// exact search builds its per-subtree and per-shard BoundCursors from
+  /// it.
+  const FastScorer* scorer() const { return scorer_.get(); }
 
-  /// Plan-cache traffic of this run's fast path (0/0 without one).
+  /// Plan-cache traffic of the scorer (0/0 without one, or when the model
+  /// has no plan cache, e.g. OLTP).
   long long plan_cache_hits() const;
   long long plan_cache_misses() const;
 
  private:
+  /// Stack budget for the per-class space accumulator; no real box comes
+  /// close (Table 2 has 3-4 classes).
+  static constexpr int kMaxClasses = 32;
+
+  /// Fills fits/violation/cost; false (with toc = +inf) when over capacity.
+  bool FitAndCost(const std::vector<int>& placement,
+                  CandidateEval* eval) const;
+  /// Applies the workload score: TOC, SLA feasibility.
+  CandidateEval Finish(CandidateEval eval, const QuickPerf& qp) const;
+
   const DotOptimizer& estimator_;
-  ThreadPool* pool_;
-  std::unique_ptr<FastEvaluator> fast_;  ///< null when disabled/unavailable
+  std::vector<double> size_gb_;  ///< per object, schema order
+  std::unique_ptr<FastScorer> scorer_;
 };
 
 /// What LayoutSpaceSize returns when M^N does not fit in a long long. No

@@ -27,7 +27,6 @@
 #include "dot/bnb_search.h"
 #include "dot/candidate_evaluator.h"
 #include "dot/ensemble.h"
-#include "dot/eval_tables.h"
 #include "dot/layout.h"
 #include "dot/moves.h"
 #include "dot/object_advisor.h"

@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/clock.h"
-#include "common/thread_pool.h"
 #include "dot/candidate_evaluator.h"
 #include "dot/moves.h"
 
@@ -73,8 +72,7 @@ DotResult DotOptimizer::Optimize() const {
   DotResult result;
   result.targets = targets_;
 
-  ThreadPool pool(problem_.options.num_threads);
-  const CandidateEvaluator evaluator(*this, &pool);
+  const CandidateEvaluator evaluator(*this);
 
   const int l0_class = problem_.box->MostExpensiveClass();
   Layout current = Layout::Uniform(problem_.schema, problem_.box, l0_class);
@@ -88,13 +86,9 @@ DotResult DotOptimizer::Optimize() const {
 
   // Commits one evaluation to the result: counts it and records it as L*
   // when it is the best feasible candidate under the engine's total order
-  // (TOC, then lexicographically lowest placement). Candidate evaluations
-  // are pure, so speculative batch members that the sequential walk below
-  // discards (their base layout changed before their turn) simply never
-  // reach this function — which is what keeps the committed sequence, and
-  // therefore every field of the result, bit-identical to a serial walk.
-  // Evaluations here are TOC-only (no PerfEstimate is materialized); the
-  // winner is re-scored through the full path once, after the walk.
+  // (TOC, then lexicographically lowest placement). Evaluations here are
+  // TOC-only (no PerfEstimate is materialized); the winner is re-scored
+  // through the full path once, after the walk.
   auto commit = [&](const Layout& layout, const CandidateEval& eval) {
     result.layouts_evaluated += 1;
     if (!eval.feasible) return;
@@ -143,80 +137,43 @@ DotResult DotOptimizer::Optimize() const {
   const std::vector<Move> moves = EnumerateMoves(problem_, groups);
   const int max_sweeps = std::max(1, problem_.options.max_sweeps);
 
-  // The walk over the score-ordered move list is inherently sequential (each
-  // acceptance changes the working layout every later move is judged
-  // against), so the engine parallelizes it speculatively: candidates for
-  // the next `batch_capacity` moves are all derived from the current working
-  // layout and evaluated concurrently, then scanned in move order. Up to the
-  // first accepted move the speculation is exact — those evaluations are the
-  // ones a serial walk performs, and only those are committed. From the
-  // first acceptance on, the remaining batch members have a stale base
-  // layout; they are discarded (never committed) and re-derived from the new
-  // working layout in the next batch. With num_threads == 1 the batch
-  // capacity is 1 and the walk degenerates to exactly the serial procedure.
-  // Caveat: speculative members are layouts a serial walk may never
-  // evaluate, so a programmer-error DOT_CHECK inside estimation (e.g. a
-  // workload model returning zero throughput) can abort at num_threads > 1
-  // on an instance where the serial walk happens not to trip it. Results
-  // are identical across thread counts; aborts on broken models may not be.
-  const size_t batch_capacity =
-      pool.num_threads() == 1 ? 1 : 2 * static_cast<size_t>(pool.num_threads());
-  std::vector<Layout> batch;
-  std::vector<size_t> batch_move;  // move index of each batch member
+  // The walk is serial: each acceptance changes the working layout every
+  // later move is judged against, so every candidate is derived from the
+  // current working layout and scored in move order.
   for (int sweep = 0; sweep < max_sweeps; ++sweep) {
     bool improved = false;
-    size_t next_move = 0;
-    while (next_move < moves.size()) {
-      batch.clear();
-      batch_move.clear();
-      for (size_t j = next_move;
-           j < moves.size() && batch.size() < batch_capacity; ++j) {
-        const Move& move = moves[j];
-        const ObjectGroup& g = groups[static_cast<size_t>(move.group)];
-        // Identity check before constructing: most moves in a converged
-        // sweep change nothing, and skipping them here avoids a placement
-        // copy per move.
-        bool differs = false;
-        for (size_t i = 0; i < g.members.size(); ++i) {
-          differs = differs ||
-                    current.placement()[static_cast<size_t>(g.members[i])] !=
-                        move.placement[i];
-        }
-        if (!differs) continue;
-        batch.push_back(current.WithMoves(g.members, move.placement));
-        batch_move.push_back(j);
+    for (const Move& move : moves) {
+      const ObjectGroup& g = groups[static_cast<size_t>(move.group)];
+      // Identity check before constructing: most moves in a converged
+      // sweep change nothing, and skipping them here avoids a placement
+      // copy per move.
+      bool differs = false;
+      for (size_t i = 0; i < g.members.size(); ++i) {
+        differs = differs ||
+                  current.placement()[static_cast<size_t>(g.members[i])] !=
+                      move.placement[i];
       }
-      if (batch.empty()) break;  // only identity moves remain this sweep
-      const std::vector<CandidateEval> evals =
-          evaluator.EvaluateBatchQuick(batch);
-
-      next_move = batch_move.back() + 1;
-      for (size_t k = 0; k < batch.size(); ++k) {
-        const CandidateEval& eval = evals[k];
-        commit(batch[k], eval);
-        bool accept;
-        if (problem_.options.acceptance == MoveAcceptance::kAnyFeasible) {
-          // Procedure 1 verbatim: keep every feasible move.
-          accept = std::isfinite(eval.toc);
-        } else {
-          // Sweep 0 accepts non-worsening moves (neutral moves open up
-          // later combinations); converging sweeps demand strict
-          // improvement.
-          accept = sweep == 0 ? eval.toc <= current_toc
-                              : eval.toc < current_toc * (1.0 - 1e-12);
-        }
-        accept = accept || (current_violation > 0.0 &&
-                            eval.violation_gb < current_violation);
-        if (accept) {
-          if (eval.toc < current_toc) improved = true;
-          current = std::move(batch[k]);
-          current_toc = eval.toc;
-          current_violation = eval.violation_gb;
-          // The rest of the batch was speculated against the old working
-          // layout; drop it and rebuild from the move after this one.
-          next_move = batch_move[k] + 1;
-          break;
-        }
+      if (!differs) continue;
+      Layout candidate = current.WithMoves(g.members, move.placement);
+      const CandidateEval eval = evaluator.EvaluateQuick(candidate);
+      commit(candidate, eval);
+      bool accept;
+      if (problem_.options.acceptance == MoveAcceptance::kAnyFeasible) {
+        // Procedure 1 verbatim: keep every feasible move.
+        accept = std::isfinite(eval.toc);
+      } else {
+        // Sweep 0 accepts non-worsening moves (neutral moves open up later
+        // combinations); converging sweeps demand strict improvement.
+        accept = sweep == 0 ? eval.toc <= current_toc
+                            : eval.toc < current_toc * (1.0 - 1e-12);
+      }
+      accept = accept || (current_violation > 0.0 &&
+                          eval.violation_gb < current_violation);
+      if (accept) {
+        if (eval.toc < current_toc) improved = true;
+        current = std::move(candidate);
+        current_toc = eval.toc;
+        current_violation = eval.violation_gb;
       }
     }
     if (!improved && sweep > 0) break;

@@ -14,19 +14,12 @@ ProvisioningResult ProvisionOverOptions(
   ProvisioningResult out;
   out.per_option.resize(options.size());
 
-  num_threads = ThreadPool::ResolveThreadCount(num_threads);
-  // The outer fan-out can never use more lanes than there are options;
-  // spare lanes would just sit parked on the pool's condition variable.
-  ThreadPool pool(std::min<int>(num_threads,
+  // The fan-out can never use more lanes than there are options; spare
+  // lanes would just sit parked on the pool's condition variable.
+  ThreadPool pool(std::min<int>(ThreadPool::ResolveThreadCount(num_threads),
                                 static_cast<int>(options.size())));
-  const bool single_option = options.size() == 1;
   pool.ParallelFor(0, static_cast<int64_t>(options.size()), [&](int64_t i) {
-    DotProblem problem = options[static_cast<size_t>(i)].make_problem();
-    if (single_option && problem.options.num_threads == 1) {
-      // Hand the requested lanes to the only inner DOT run instead.
-      problem.options.num_threads = num_threads;
-    }
-    DotOptimizer optimizer(problem);
+    DotOptimizer optimizer(options[static_cast<size_t>(i)].make_problem());
     out.per_option[static_cast<size_t>(i)] = optimizer.Optimize();
   });
 

@@ -40,10 +40,8 @@ struct ProvisioningResult {
 /// concurrency); each option's `make_problem` must then be safe to call
 /// from any thread. The winner is selected by a deterministic scan in
 /// option order after all runs complete, so the result does not depend on
-/// the thread count. With a single option the lanes are handed to the inner
-/// DOT run instead (when its problem leaves `DotProblem::num_threads` at
-/// the serial default); with several options the inner runs keep their own
-/// settings so the box-level fan-out is not oversubscribed.
+/// the thread count. The DOT walk itself is serial, so a single option runs
+/// on one lane whatever `num_threads` says.
 ProvisioningResult ProvisionOverOptions(
     const std::vector<ProvisioningOption>& options, int num_threads = 1);
 

@@ -230,7 +230,7 @@ ReprovisionPlan ReprovisionPlanner::Plan(
         0, static_cast<int64_t>(num_epochs) * k_pool, [&](int64_t flat) {
           const int e = static_cast<int>(flat / k_pool);
           const int k = static_cast<int>(flat % k_pool);
-          const CandidateEval eval = CandidateEvaluator::EvaluateOneWith(
+          const CandidateEval eval = EvaluateFullPath(
               *optimizers[static_cast<size_t>(e)],
               Layout(schema_, box_, pool[static_cast<size_t>(k)]));
           if (eval.feasible) toc[static_cast<size_t>(flat)] = eval.toc;
@@ -432,7 +432,7 @@ ReprovisionPlan ReprovisionPlanner::EvaluateSequence(
   // infeasible epoch scores +inf and marks the whole sequence.
   std::vector<double> tocs(static_cast<size_t>(num_epochs), kInf);
   for (int e = 0; e < num_epochs; ++e) {
-    const CandidateEval eval = CandidateEvaluator::EvaluateOneWith(
+    const CandidateEval eval = EvaluateFullPath(
         *optimizers[static_cast<size_t>(e)],
         Layout(schema_, box_, placements[static_cast<size_t>(e)]));
     plan.layouts_evaluated += 1;

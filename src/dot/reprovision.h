@@ -132,8 +132,8 @@ struct ReprovisionPlan {
 /// Mechanics: a candidate layout pool is seeded per epoch by the existing
 /// searches (warm-started branch-and-bound, or DOT's Procedure 1), every
 /// pool layout is scored under every epoch through the one full-path
-/// evaluation kernel (CandidateEvaluator::EvaluateOneWith — the same rule
-/// both searches commit winners through), and an exact dynamic program
+/// evaluation kernel (EvaluateFullPath — the same rule the exact searches
+/// re-score winners through), and an exact dynamic program
 /// over epochs picks the cheapest sequence; the migration term enters the
 /// DP transition exactly (per-object, zero for staying — the admissible
 /// floor DESIGN.md §8 argues from).

@@ -60,6 +60,10 @@ Status SolveSpec::Validate(const DotProblem& problem) const {
       return Status::InvalidArgument(
           "DotProblem::schema and ::workload must be set");
     }
+    if (method == SolveMethod::kDotHeuristic && problem.profiles == nullptr) {
+      return Status::InvalidArgument(
+          "kDotHeuristic needs DotProblem::profiles for move scoring");
+    }
     return Status::OK();
   }
   // --- kFleet: the problem carries box + options; the spec carries the
@@ -68,26 +72,9 @@ Status SolveSpec::Validate(const DotProblem& problem) const {
     return Status::InvalidArgument(
         "kFleet needs SolveSpec::fleet with a tenants vector");
   }
-  if (fleet->tenants->empty()) {
-    return Status::InvalidArgument("fleet has no tenants");
-  }
-  for (const FleetTenant& t : *fleet->tenants) {
-    if (t.problem.schema == nullptr || t.problem.workload == nullptr) {
-      return Status::InvalidArgument(
-          "tenant " + t.name + " has no schema or workload");
-    }
-    if (t.problem.box != problem.box) {
-      return Status::InvalidArgument(
-          "tenant " + t.name +
-          " references a different box than the fleet problem");
-    }
-    if (t.problem.ensemble != nullptr) {
-      return Status::InvalidArgument(
-          "tenant " + t.name +
-          " carries a scenario ensemble; fleet mode is point-forecast");
-    }
-  }
-  return ValidateFleetConfig(fleet->config, *problem.box);
+  Status st = ValidateFleetConfig(fleet->config, *problem.box);
+  if (!st.ok()) return st;
+  return ValidateFleetRoster(*fleet->tenants, problem.box, fleet->config);
 }
 
 SolveResult Solve(const DotProblem& problem, const SolveSpec& spec) {

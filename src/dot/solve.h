@@ -99,8 +99,9 @@ struct SolveSpec {
   const FleetSpec* fleet = nullptr;
 
   /// Checks this spec against `problem` and returns the exact status
-  /// Solve() would fail with: null problem inputs, an ensemble overlay on
-  /// a method that cannot honor it, or a malformed fleet spec. Solve()
+  /// Solve() would fail with: null problem inputs, kDotHeuristic without
+  /// profiles, an ensemble overlay on a method that cannot honor it, or a
+  /// malformed fleet spec (ValidateFleetConfig, ValidateFleetRoster). Solve()
   /// calls this first and returns the error in SolveResult::status — it no
   /// longer aborts on spec/problem mismatches — so drivers that assemble
   /// specs from config can pre-flight them.

@@ -126,18 +126,15 @@ TenantPool BuildPool(const DotProblem& tenant_problem, const BoxConfig* box,
     }
   }
 
-  // Score every candidate through the searches' own kernel (the TOC fast
-  // path — bit-identical to the full estimate, dot/eval_tables.h).
+  // Score every candidate through the searches' own evaluator: the TOC
+  // fast path, bit-identical to the full estimate.
   const DotOptimizer estimator(p);
-  ThreadPool serial(1);
-  const CandidateEvaluator evaluator(estimator, &serial);
-  std::vector<Layout> layouts;
-  layouts.reserve(candidates.size());
+  const CandidateEvaluator evaluator(estimator);
+  std::vector<CandidateEval> evals;
+  evals.reserve(candidates.size());
   for (const std::vector<int>& c : candidates) {
-    layouts.emplace_back(p.schema, box, c);
+    evals.push_back(evaluator.EvaluateQuick(c));
   }
-  const std::vector<CandidateEval> evals =
-      evaluator.EvaluateBatchQuick(layouts);
   out.layouts_evaluated += static_cast<long long>(candidates.size());
 
   // Keep the feasible ones, in BetterCandidate order.
@@ -161,7 +158,8 @@ TenantPool BuildPool(const DotProblem& tenant_problem, const BoxConfig* box,
   for (int idx : order) {
     const CandidateEval& eval = evals[static_cast<size_t>(idx)];
     const SpaceUsage used =
-        layouts[static_cast<size_t>(idx)].SpaceByClass();
+        Layout(p.schema, box, candidates[static_cast<size_t>(idx)])
+            .SpaceByClass();
     bool dominated = false;
     for (size_t k = 0; k < out.placements.size() && !dominated; ++k) {
       if (out.cost[k] > eval.cost_cents_per_hour) continue;
@@ -556,6 +554,35 @@ Status ValidateFleetConfig(const FleetConfig& config, const BoxConfig& box) {
   return Status::OK();
 }
 
+Status ValidateFleetRoster(const std::vector<FleetTenant>& tenants,
+                           const BoxConfig* box, const FleetConfig& config) {
+  if (tenants.empty()) return Status::InvalidArgument("fleet has no tenants");
+  const bool runs_dot = config.pool_mode == FleetPoolMode::kSearch &&
+                        config.search == EpochSearch::kDot;
+  for (const FleetTenant& t : tenants) {
+    if (t.problem.schema == nullptr || t.problem.workload == nullptr) {
+      return Status::InvalidArgument("tenant " + t.name +
+                                     " has no schema or workload");
+    }
+    if (t.problem.box != box) {
+      return Status::InvalidArgument(
+          "tenant " + t.name +
+          " references a different box than the fleet problem");
+    }
+    if (t.problem.ensemble != nullptr) {
+      return Status::InvalidArgument(
+          "tenant " + t.name +
+          " carries a scenario ensemble; fleet mode is point-forecast");
+    }
+    if (runs_dot && t.problem.profiles == nullptr) {
+      return Status::InvalidArgument(
+          "tenant " + t.name +
+          " has no profiles; EpochSearch::kDot pools need them");
+    }
+  }
+  return Status::OK();
+}
+
 FleetPlanner::FleetPlanner(const BoxConfig* box, FleetConfig config)
     : box_(box), config_(std::move(config)) {}
 
@@ -570,29 +597,10 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
   plan.used_gb.assign(static_cast<size_t>(m), 0.0);
   plan.capacity_price.assign(static_cast<size_t>(m), 0.0);
   plan.status = ValidateFleetConfig(config_, *box_);
+  if (plan.status.ok()) {
+    plan.status = ValidateFleetRoster(tenants, box_, config_);
+  }
   if (!plan.status.ok()) return plan;
-  if (tenants.empty()) {
-    plan.status = Status::InvalidArgument("fleet has no tenants");
-    return plan;
-  }
-  for (const FleetTenant& t : tenants) {
-    if (t.problem.schema == nullptr || t.problem.workload == nullptr) {
-      plan.status = Status::InvalidArgument(
-          "tenant " + t.name + " has no schema or workload");
-      return plan;
-    }
-    if (t.problem.box != box_) {
-      plan.status = Status::InvalidArgument(
-          "tenant " + t.name + " references a different box");
-      return plan;
-    }
-    if (t.problem.ensemble != nullptr) {
-      plan.status = Status::InvalidArgument(
-          "tenant " + t.name +
-          " carries a scenario ensemble; fleet mode is point-forecast");
-      return plan;
-    }
-  }
   const int num_tenants = static_cast<int>(tenants.size());
 
   // --- Pool assignment: first-occurrence order over cache keys, so pool

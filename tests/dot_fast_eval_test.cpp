@@ -14,7 +14,6 @@
 #include "catalog/tpcc_schema.h"
 #include "catalog/tpch_schema.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "dot/candidate_evaluator.h"
 #include "dot/bnb_search.h"
 #include "dot/optimizer.h"
@@ -72,8 +71,7 @@ void ExpectResultIdentical(const DotResult& fast, const DotResult& full,
 void CheckRandomizedEquivalence(const DotProblem& problem, uint64_t seed,
                                 int rounds) {
   DotOptimizer estimator(problem);
-  ThreadPool pool(1);
-  CandidateEvaluator evaluator(estimator, &pool);
+  CandidateEvaluator evaluator(estimator);
 
   const int n = problem.schema->NumObjects();
   const int m = problem.box->NumClasses();
@@ -144,8 +142,7 @@ TEST_F(DssFastEvalTest, RandomizedPlacementsMatchWithIoScaleHint) {
 
 TEST_F(DssFastEvalTest, MovingATouchedObjectInvalidatesTheCachedPlan) {
   DotOptimizer estimator(problem_);
-  ThreadPool pool(1);
-  CandidateEvaluator evaluator(estimator, &pool);
+  CandidateEvaluator evaluator(estimator);
 
   std::vector<int> placement =
       UniformPlacement(schema_.NumObjects(), box_.MostExpensiveClass());

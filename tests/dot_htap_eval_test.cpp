@@ -17,7 +17,6 @@
 #include "catalog/chbench.h"
 #include "catalog/tpcc_schema.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "dot/bnb_search.h"
 #include "dot/candidate_evaluator.h"
 #include "storage/standard_catalog.h"
@@ -197,8 +196,7 @@ void ExpectEvalIdentical(const CandidateEval& fast, const CandidateEval& full,
 void CheckRandomizedEquivalence(const DotProblem& problem, uint64_t seed,
                                 int rounds) {
   DotOptimizer estimator(problem);
-  ThreadPool pool(1);
-  CandidateEvaluator evaluator(estimator, &pool);
+  CandidateEvaluator evaluator(estimator);
   const int n = problem.schema->NumObjects();
   const int m = problem.box->NumClasses();
   Rng rng(seed);

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "catalog/tpch_schema.h"
 #include "dot/bnb_search.h"
 #include "dot/layout.h"
@@ -172,6 +177,62 @@ TEST_F(OptimizerTest, DiscreteCostModelProducesValidResult) {
   Layout layout(&schema_, &box_, r.placement);
   EXPECT_NEAR(r.layout_cost_cents_per_hour,
               layout.CostCentsPerHour(p.cost_model), 1e-9);
+}
+
+/// Forwards to a wrapped model and counts its EstimateWithIoScale calls.
+class CountingWorkload : public WorkloadModel {
+ public:
+  explicit CountingWorkload(const WorkloadModel* inner) : inner_(inner) {}
+
+  const std::string& name() const override { return inner_->name(); }
+  double concurrency() const override { return inner_->concurrency(); }
+  SlaKind sla_kind() const override { return inner_->sla_kind(); }
+  PerfEstimate Estimate(const std::vector<int>& placement) const override {
+    return inner_->Estimate(placement);
+  }
+  PerfEstimate EstimateWithIoScale(const std::vector<int>& placement,
+                                   const std::vector<double>& io_scale,
+                                   bool need_io_by_object) const override {
+    calls_.fetch_add(1);
+    return inner_->EstimateWithIoScale(placement, io_scale,
+                                       need_io_by_object);
+  }
+  std::unique_ptr<FastScorer> MakeFastScorer(
+      const std::vector<double>& io_scale,
+      const std::vector<double>& query_caps_ms, double min_tpmc,
+      double sla_tolerance) const override {
+    return inner_->MakeFastScorer(io_scale, query_caps_ms, min_tpmc,
+                                  sla_tolerance);
+  }
+  bool PlansArePlacementInvariant() const override {
+    return inner_->PlansArePlacementInvariant();
+  }
+  void RederiveFromUnitTimes(PerfEstimate* est) const override {
+    inner_->RederiveFromUnitTimes(est);
+  }
+
+  long long calls() const { return calls_.load(); }
+  void ResetCalls() { calls_.store(0); }
+
+ private:
+  const WorkloadModel* inner_;
+  mutable std::atomic<long long> calls_{0};
+};
+
+TEST_F(OptimizerTest, FullPathWalkEstimatesEachCommittedCandidateOnce) {
+  // On the full path every candidate the walk commits costs one estimate,
+  // and the winner one more for its PerfEstimate. Extra lanes must not
+  // score candidates the walk never commits.
+  CountingWorkload counting(&workload_);
+  DotProblem p = problem_;
+  p.workload = &counting;
+  p.options.use_fast_eval = false;
+  p.options.num_threads = 4;
+  DotOptimizer optimizer(p);
+  counting.ResetCalls();  // the targets' baseline estimate is not the walk's
+  const DotResult r = optimizer.Optimize();
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(counting.calls(), r.layouts_evaluated + 1);
 }
 
 TEST_F(OptimizerTest, MissingComponentAborts) {

@@ -22,7 +22,6 @@
 #include "catalog/tpcc_schema.h"
 #include "catalog/tpch_schema.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "dot/bnb_search.h"
 #include "dot/candidate_evaluator.h"
 #include "dot/ensemble.h"
@@ -196,8 +195,7 @@ struct EvalRecord {
 std::vector<EvalRecord> RunParityWalk(const DotProblem& problem, uint64_t seed,
                                       int rounds) {
   DotOptimizer estimator(problem);
-  ThreadPool pool(1);
-  CandidateEvaluator evaluator(estimator, &pool);
+  CandidateEvaluator evaluator(estimator);
   const int n = problem.schema->NumObjects();
   const int m = problem.box->NumClasses();
   Rng rng(seed);

@@ -170,6 +170,30 @@ TEST_F(SolveFacadeTest, ValidateCatchesSpecProblemMismatches) {
   fleet.method = SolveMethod::kFleet;
   EXPECT_EQ(fleet.Validate(problem_).code(),
             StatusCode::kInvalidArgument);
+
+  // The heuristic without profiles (Optimize() would abort on them).
+  DotProblem no_profiles = problem_;
+  no_profiles.profiles = nullptr;
+  SolveSpec heuristic;
+  heuristic.method = SolveMethod::kDotHeuristic;
+  EXPECT_EQ(heuristic.Validate(no_profiles).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Solve(no_profiles, heuristic).status.code(),
+            StatusCode::kInvalidArgument);
+
+  // A fleet whose pool build runs the heuristic, over a tenant without
+  // profiles; the same tenant with profiles passes.
+  std::vector<FleetTenant> tenants = {{"t0", no_profiles}};
+  FleetSpec dot_pools;
+  dot_pools.tenants = &tenants;
+  dot_pools.config.pool_mode = FleetPoolMode::kSearch;
+  dot_pools.config.search = EpochSearch::kDot;
+  fleet.fleet = &dot_pools;
+  EXPECT_EQ(fleet.Validate(problem_).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Solve(problem_, fleet).status.code(),
+            StatusCode::kInvalidArgument);
+  tenants[0].problem.profiles = &profiles_;
+  EXPECT_TRUE(fleet.Validate(problem_).ok());
 }
 
 TEST_F(SolveFacadeTest, InfeasibleVerdictPassesThroughUnchanged) {

@@ -507,6 +507,28 @@ TEST(FleetPlannerTest, ValidateRejectsMalformedFleets) {
     EXPECT_EQ(plan.status.code(), StatusCode::kInvalidArgument) << what;
   }
   EXPECT_TRUE(ValidateFleetConfig(FleetConfig{}, *fx.fleet.box).ok());
+
+  // Heuristic (EpochSearch::kDot) pools over tenants without profiles:
+  // the synthetic tenants carry none, so Optimize() would abort on them.
+  FleetSpec dot_pools;
+  dot_pools.tenants = &fx.fleet.tenants;
+  dot_pools.config.pool_mode = FleetPoolMode::kSearch;
+  dot_pools.config.search = EpochSearch::kDot;
+  spec.fleet = &dot_pools;
+  EXPECT_EQ(Solve(fx.FleetProblem(), spec).status.code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ValidateFleetRoster(fx.fleet.tenants, fx.fleet.box.get(),
+                                dot_pools.config)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(FleetPlanner(fx.fleet.box.get(), dot_pools.config)
+                .Plan(fx.fleet.tenants)
+                .status.code(),
+            StatusCode::kInvalidArgument);
+  dot_pools.config.search = EpochSearch::kExact;
+  EXPECT_TRUE(ValidateFleetRoster(fx.fleet.tenants, fx.fleet.box.get(),
+                                  dot_pools.config)
+                  .ok());
 }
 
 TEST(FleetPlannerTest, ImpossibleBudgetReportsInfeasible) {
