@@ -1,11 +1,18 @@
 #include "dot/sla.h"
 
 #include <cmath>
+#include <string>
 
 #include "common/check.h"
 #include "workload/workload.h"
 
 namespace dot {
+
+Status ValidateRelativeSla(double relative_sla) {
+  if (relative_sla > 0.0 && relative_sla <= 1.0) return Status::OK();
+  return Status::InvalidArgument("relative SLA must be in (0, 1], got " +
+                                 std::to_string(relative_sla));
+}
 
 PerfTargets MakePerfTargets(const WorkloadModel& model, const BoxConfig& box,
                             int num_objects, double relative_sla,

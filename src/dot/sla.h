@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "common/status.h"
 #include "storage/storage_class.h"
 #include "workload/workload.h"
 
@@ -58,6 +59,10 @@ struct PerfTargets {
   double tail_percentile = 0.0;
   double tail_latency_cv = 0.0;
 };
+
+/// InvalidArgument unless `relative_sla` ∈ (0, 1] (NaN fails): the
+/// caller-facing form of MakePerfTargets' precondition.
+Status ValidateRelativeSla(double relative_sla);
 
 /// Derives targets for `model` on `box` at `relative_sla` ∈ (0, 1]: the
 /// best case is measured with every object on the box's most expensive

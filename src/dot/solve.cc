@@ -64,6 +64,18 @@ Status SolveSpec::Validate(const DotProblem& problem) const {
       return Status::InvalidArgument(
           "kDotHeuristic needs DotProblem::profiles for move scoring");
     }
+    // The epoch planner derives per-epoch targets from relative_sla even
+    // when the problem carries an override.
+    if (problem.targets_override == nullptr ||
+        method == SolveMethod::kEpochPlan) {
+      Status st = ValidateRelativeSla(problem.relative_sla);
+      if (!st.ok()) return st;
+    }
+    const ScenarioEnsemble* scenarios =
+        ensemble != nullptr ? ensemble : problem.ensemble;
+    if (scenarios != nullptr) {
+      return ValidateEnsemble(*scenarios, problem.schema->NumObjects());
+    }
     return Status::OK();
   }
   // --- kFleet: the problem carries box + options; the spec carries the

@@ -574,6 +574,13 @@ Status ValidateFleetRoster(const std::vector<FleetTenant>& tenants,
           "tenant " + t.name +
           " carries a scenario ensemble; fleet mode is point-forecast");
     }
+    if (t.problem.targets_override == nullptr) {
+      Status st = ValidateRelativeSla(t.problem.relative_sla);
+      if (!st.ok()) {
+        return Status::InvalidArgument("tenant " + t.name + ": " +
+                                       st.message());
+      }
+    }
     if (runs_dot && t.problem.profiles == nullptr) {
       return Status::InvalidArgument(
           "tenant " + t.name +

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -17,15 +18,15 @@ namespace dot {
 
 namespace {
 
-/// Footprints above this many placements get no cache: M^|footprint| grows
-/// fast, and 8192 doubles (64 KiB) per template is where the dense array
-/// stops paying for itself. Their probes run the compiled program.
-constexpr std::int64_t kDenseCacheMaxEntries = 8192;
-
 /// Empty-slot sentinel for dense cache entries: an all-ones bit pattern
 /// (a quiet NaN with a payload a compiled run can never produce — plan
 /// times are finite).
 constexpr std::uint64_t kEmptyCacheSlot = ~std::uint64_t{0};
+
+/// Slots of a bound cursor's memo (16 bytes each, 256 KiB per cursor that
+/// uses one). On a full TPC-H Box 1 solve, 4 K slots left about a third
+/// more compiled runs than 16 K (76 K vs 58 K per solve).
+constexpr int kCursorMemoBits = 14;
 
 /// The DSS fast path. Per template it runs the model's compiled program,
 /// behind a dense cache keyed by the placement restricted to the
@@ -61,52 +62,70 @@ class DssFastScorer : public FastScorer {
 
     // Templates the sequence never runs are never planned (the full path
     // skips them too): empty footprint, no cache, time pinned to 0.
-    used_.assign(templates.size(), false);
     seq_count_.assign(templates.size(), 0);
-    for (int idx : sequence) {
-      used_[static_cast<size_t>(idx)] = true;
-      seq_count_[static_cast<size_t>(idx)] += 1;
-    }
+    for (int idx : sequence) seq_count_[static_cast<size_t>(idx)] += 1;
 
     const int num_objects = model_->schema().NumObjects();
+    const size_t num_templates = templates.size();
     num_classes_ = box_->NumClasses();
-    templates_by_object_.assign(static_cast<size_t>(num_objects), {});
-    footprints_.resize(templates.size());
-    dense_.resize(templates.size());
-    fp_offsets_.reserve(templates.size() + 1);
+    dense_.resize(num_templates);
+    memo_eligible_.assign(num_templates, 0);
+    fp_offsets_.reserve(num_templates + 1);
     fp_offsets_.push_back(0);
-    for (size_t t = 0; t < templates.size(); ++t) {
-      if (used_[t]) {
-        footprints_[t] = model_->compiled()[t].footprint();
-        for (int o : footprints_[t]) {
-          templates_by_object_[static_cast<size_t>(o)].push_back(
-              static_cast<int>(t));
-        }
+    std::vector<int> rows_per_object(static_cast<size_t>(num_objects), 0);
+    for (size_t t = 0; t < num_templates; ++t) {
+      if (seq_count_[t] > 0) {
+        const std::vector<int>& fp = model_->compiled()[t].footprint();
+        fp_objects_.insert(fp_objects_.end(), fp.begin(), fp.end());
+        for (int o : fp) rows_per_object[static_cast<size_t>(o)] += 1;
         // Small footprints get a dense lock-free cache: one slot per
         // placement of the footprint, indexed by the base-M key the probe
         // computes. Values are deterministic functions of the key, so a
-        // racing first-wins fill stores the same bits either way.
+        // racing first-wins fill stores the same bits either way. Larger
+        // ones go to the bound cursors' private memos when the memo tag
+        // (key · T + t + 1) fits in 64 bits.
         std::int64_t entries = 1;
-        for (size_t i = 0; i < footprints_[t].size(); ++i) {
+        for (size_t i = 0; i < fp.size(); ++i) {
           entries *= num_classes_;
-          if (entries > kDenseCacheMaxEntries) break;
+          if (entries > DssWorkloadModel::kDenseCacheMaxEntries) break;
         }
-        if (entries <= kDenseCacheMaxEntries) {
+        if (entries <= DssWorkloadModel::kDenseCacheMaxEntries) {
           dense_[t] = std::make_unique<std::atomic<std::uint64_t>[]>(
               static_cast<size_t>(entries));
           for (std::int64_t i = 0; i < entries; ++i) {
             dense_[t][static_cast<size_t>(i)].store(
                 kEmptyCacheSlot, std::memory_order_relaxed);
           }
+        } else {
+          // Every tag key · T + t + 1 is at most T · M^|footprint|; under
+          // 2^63 (a 2x margin over rounding in pow) it fits in 64 bits.
+          const double tags = static_cast<double>(num_templates) *
+                              std::pow(num_classes_, fp.size());
+          memo_eligible_[t] = tags < 0x1p63;
         }
       }
-      fp_objects_.insert(fp_objects_.end(), footprints_[t].begin(),
-                         footprints_[t].end());
       fp_offsets_.push_back(static_cast<int>(fp_objects_.size()));
     }
 
-    floors_.assign(templates.size(), 0.0);
-    cond_floors_.resize(templates.size());
+    // Per-object floor rows: (template, footprint position) for every
+    // template whose footprint holds the object, in template order.
+    row_offsets_.assign(static_cast<size_t>(num_objects) + 1, 0);
+    for (int o = 0; o < num_objects; ++o) {
+      row_offsets_[static_cast<size_t>(o) + 1] =
+          row_offsets_[static_cast<size_t>(o)] +
+          rows_per_object[static_cast<size_t>(o)];
+    }
+    rows_.resize(fp_objects_.size());
+    std::vector<int> fill(row_offsets_.begin(), row_offsets_.end() - 1);
+    for (size_t t = 0; t < num_templates; ++t) {
+      for (int k = fp_offsets_[t]; k < fp_offsets_[t + 1]; ++k) {
+        const size_t o =
+            static_cast<size_t>(fp_objects_[static_cast<size_t>(k)]);
+        rows_[static_cast<size_t>(fill[o]++)] = {static_cast<int>(t), k};
+      }
+    }
+
+    floors_.assign(num_templates, 0.0);
   }
 
   /// Branch-and-bound floors, built on first demand (MakeBoundCursor /
@@ -126,13 +145,13 @@ class DssFastScorer : public FastScorer {
   ///
   ///   * floors_[t]: every footprint object optimistic — the
   ///     unconditional floor;
-  ///   * cond_floors_[t][i·M + c]: footprint object i pinned to its real
-  ///     class c, the rest optimistic — a floor over every completion
-  ///     that places that object there. The bound cursor keeps, per
-  ///     incomplete template, the max of the conditionals of its assigned
-  ///     objects (a max of admissible lower bounds is itself admissible),
-  ///     which lets a response-time cap kill a subtree the moment one hot
-  ///     object lands on a slow device.
+  ///   * cond_floors_[k·M + c], k = fp_offsets_[t] + i: footprint object
+  ///     i of template t pinned to its real class c, the rest optimistic
+  ///     — a floor over every completion that places that object there.
+  ///     The bound cursor keeps, per incomplete template, the max of the
+  ///     conditionals of its assigned objects (a max of admissible lower
+  ///     bounds is itself admissible), which lets a response-time cap
+  ///     kill a subtree the moment one hot object lands on a slow device.
   ///
   /// All floors are deflated by kBoundSafety because the chosen plan tree
   /// — and therefore the summation order — can differ from the real
@@ -140,27 +159,29 @@ class DssFastScorer : public FastScorer {
   ///
   /// With a non-empty io_scale the reported time is the *scaled* time of
   /// the plan chosen on *unscaled* costs, which the optimistic argmin
-  /// does not bound; the floors stay at 0 (still admissible, just loose).
+  /// does not bound; every floor stays at 0 (still admissible, just
+  /// loose).
   void EnsureFloors() const {
     std::call_once(floors_once_, [this] {
-      if (!io_scale_.empty()) return;
-      const int num_objects = model_->schema().NumObjects();
       const int m = num_classes_;
-      std::vector<int> probe(static_cast<size_t>(num_objects), m);
-      for (size_t t = 0; t < footprints_.size(); ++t) {
-        if (!used_[t]) continue;
+      cond_floors_.assign(fp_objects_.size() * static_cast<size_t>(m), 0.0);
+      if (!io_scale_.empty()) return;
+      std::vector<int> probe(static_cast<size_t>(model_->schema().NumObjects()),
+                             m);
+      for (size_t t = 0; t < floors_.size(); ++t) {
+        if (fp_offsets_[t] == fp_offsets_[t + 1]) continue;  // unused
         const CompiledTemplate& program = model_->compiled()[t];
         floors_[t] = program.Run(probe.data()).time_ms * (1 - kBoundSafety);
-        const std::vector<int>& fp = footprints_[t];
-        cond_floors_[t].assign(fp.size() * static_cast<size_t>(m), 0.0);
-        for (size_t i = 0; i < fp.size(); ++i) {
+        for (int k = fp_offsets_[t]; k < fp_offsets_[t + 1]; ++k) {
+          const size_t o =
+              static_cast<size_t>(fp_objects_[static_cast<size_t>(k)]);
           for (int c = 0; c < m; ++c) {
-            probe[static_cast<size_t>(fp[i])] = c;
-            cond_floors_[t][i * static_cast<size_t>(m) +
-                            static_cast<size_t>(c)] =
+            probe[o] = c;
+            cond_floors_[static_cast<size_t>(k) * static_cast<size_t>(m) +
+                         static_cast<size_t>(c)] =
                 program.Run(probe.data()).time_ms * (1 - kBoundSafety);
           }
-          probe[static_cast<size_t>(fp[i])] = m;
+          probe[o] = m;
         }
       }
     });
@@ -169,9 +190,9 @@ class DssFastScorer : public FastScorer {
   QuickPerf Score(const std::vector<int>& placement) const override {
     // Per-thread scratch: sized once, then reused allocation-free.
     static thread_local std::vector<double> times;
-    times.resize(footprints_.size());
+    times.resize(thresholds_.size());
     CacheTally tally;
-    for (size_t t = 0; t < footprints_.size(); ++t) {
+    for (size_t t = 0; t < thresholds_.size(); ++t) {
       times[t] = TemplateTime(static_cast<int>(t), placement, tally);
     }
     FlushTally(tally);
@@ -189,25 +210,18 @@ class DssFastScorer : public FastScorer {
     // time: the spread of its conditional floors across classes, weighted
     // by each template's run-sequence multiplicity. Ordering hint only.
     double spread = 0.0;
-    const int m = box_->NumClasses();
-    for (int t : templates_by_object_[static_cast<size_t>(object)]) {
-      const std::vector<double>& cond =
-          cond_floors_[static_cast<size_t>(t)];
-      if (cond.empty()) continue;
-      const std::vector<int>& fp = footprints_[static_cast<size_t>(t)];
-      for (size_t i = 0; i < fp.size(); ++i) {
-        if (fp[i] != object) continue;
-        double lo = cond[i * static_cast<size_t>(m)];
-        double hi = lo;
-        for (int c = 1; c < m; ++c) {
-          const double v =
-              cond[i * static_cast<size_t>(m) + static_cast<size_t>(c)];
-          lo = std::min(lo, v);
-          hi = std::max(hi, v);
-        }
-        spread += seq_count_[static_cast<size_t>(t)] * (hi - lo);
-        break;
+    const int m = num_classes_;
+    for (int r = row_offsets_[static_cast<size_t>(object)];
+         r < row_offsets_[static_cast<size_t>(object) + 1]; ++r) {
+      const FloorRow& row = rows_[static_cast<size_t>(r)];
+      const double* cond = CondRow(row.k);
+      double lo = cond[0];
+      double hi = lo;
+      for (int c = 1; c < m; ++c) {
+        lo = std::min(lo, cond[c]);
+        hi = std::max(hi, cond[c]);
       }
+      spread += seq_count_[static_cast<size_t>(row.t)] * (hi - lo);
     }
     return spread;
   }
@@ -220,101 +234,11 @@ class DssFastScorer : public FastScorer {
   }
 
  private:
-  /// Partial-placement walker for the exact search: a template
-  /// contributes the tightest applicable floor — the max of the
-  /// conditional floors of its already-assigned objects — until every
-  /// footprint object is assigned, then its exact (cached) time. At a leaf
-  /// every template is exact and Optimistic() is ScoreFromTimes over
-  /// exactly the values Score would compute — bit-identical by
-  /// construction.
-  class BoundCursor : public FastScorer::BoundCursor {
-   public:
-    explicit BoundCursor(const DssFastScorer* scorer) : scorer_(scorer) {
-      Reset();
-    }
-
-    void Reset() override {
-      times_ = scorer_->floors_;
-      unassigned_.resize(scorer_->footprints_.size());
-      for (size_t t = 0; t < unassigned_.size(); ++t) {
-        unassigned_[t] = static_cast<int>(scorer_->footprints_[t].size());
-      }
-      cls_.assign(scorer_->templates_by_object_.size(), -1);
-    }
-
-    void Assign(int object_id, const std::vector<int>& placement) override {
-      const int c = placement[static_cast<size_t>(object_id)];
-      cls_[static_cast<size_t>(object_id)] = c;
-      CacheTally tally;
-      for (int t :
-           scorer_->templates_by_object_[static_cast<size_t>(object_id)]) {
-        if (--unassigned_[static_cast<size_t>(t)] == 0) {
-          times_[static_cast<size_t>(t)] =
-              scorer_->TemplateTime(t, placement, tally);
-        } else {
-          // Still incomplete: raise the floor with this object's
-          // conditional (a running max is exact on the LIFO path because
-          // Unassign recomputes from scratch).
-          times_[static_cast<size_t>(t)] =
-              std::max(times_[static_cast<size_t>(t)],
-                       CondFloor(t, object_id, c));
-        }
-      }
-      scorer_->FlushTally(tally);
-    }
-
-    void Unassign(int object_id) override {
-      cls_[static_cast<size_t>(object_id)] = -1;
-      for (int t :
-           scorer_->templates_by_object_[static_cast<size_t>(object_id)]) {
-        unassigned_[static_cast<size_t>(t)] += 1;
-        times_[static_cast<size_t>(t)] = IncompleteFloor(t);
-      }
-    }
-
-    QuickPerf Optimistic(const std::vector<int>& placement) const override {
-      (void)placement;  // the per-template times already reflect it
-      return scorer_->ScoreFromTimes(times_.data());
-    }
-
-   private:
-    double CondFloor(int t, int object_id, int c) const {
-      const std::vector<double>& cond =
-          scorer_->cond_floors_[static_cast<size_t>(t)];
-      if (cond.empty()) return 0.0;  // io_scale: floors disabled
-      const std::vector<int>& fp =
-          scorer_->footprints_[static_cast<size_t>(t)];
-      const int m = scorer_->box_->NumClasses();
-      for (size_t i = 0; i < fp.size(); ++i) {
-        if (fp[i] == object_id) {
-          return cond[i * static_cast<size_t>(m) + static_cast<size_t>(c)];
-        }
-      }
-      return 0.0;
-    }
-
-    double IncompleteFloor(int t) const {
-      double lb = scorer_->floors_[static_cast<size_t>(t)];
-      const std::vector<double>& cond =
-          scorer_->cond_floors_[static_cast<size_t>(t)];
-      if (cond.empty()) return lb;
-      const std::vector<int>& fp =
-          scorer_->footprints_[static_cast<size_t>(t)];
-      const int m = scorer_->box_->NumClasses();
-      for (size_t i = 0; i < fp.size(); ++i) {
-        const int c = cls_[static_cast<size_t>(fp[i])];
-        if (c >= 0) {
-          lb = std::max(
-              lb, cond[i * static_cast<size_t>(m) + static_cast<size_t>(c)]);
-        }
-      }
-      return lb;
-    }
-
-    const DssFastScorer* scorer_;
-    std::vector<double> times_;
-    std::vector<int> unassigned_;
-    std::vector<int> cls_;  ///< assigned class per object, -1 = unassigned
+  /// One (template, footprint position) pair of an object: `k` indexes
+  /// fp_objects_ and the conditional-floor rows.
+  struct FloorRow {
+    int t = 0;
+    int k = 0;
   };
 
   /// Per-call hit/miss tallies: one atomic flush per scoring call instead
@@ -326,6 +250,124 @@ class DssFastScorer : public FastScorer {
     long long misses = 0;
   };
 
+  /// Partial-placement walker for the exact search: a template
+  /// contributes the tightest applicable floor — the max of the
+  /// conditional floors of its already-assigned objects — until every
+  /// footprint object is assigned, then its exact time. At a leaf every
+  /// template is exact and Optimistic() is ScoreFromTimes over exactly the
+  /// values Score would compute — bit-identical by construction.
+  ///
+  /// Assign and Unassign cost O(templates the object touches). Assign
+  /// pushes each touched template's old time on an undo stack and
+  /// Unassign pops them back, so backtracking restores the very bits the
+  /// path held (a max over the same floors is the same value). This is
+  /// why the LIFO order is checked, not assumed.
+  ///
+  /// Templates the dense cache cannot hold are priced through a private,
+  /// direct-mapped memo keyed by the exact (footprint key, template) tag:
+  /// a hit returns the bits PlanTime returned for that key. It is
+  /// allocated on first use, so cursors that never complete such a
+  /// template (all of HTAP's DSS side) never pay for it. Being private, it
+  /// needs no synchronization, and no thread interleaving can reach it.
+  class BoundCursor : public FastScorer::BoundCursor {
+   public:
+    explicit BoundCursor(const DssFastScorer* scorer) : scorer_(scorer) {
+      undo_.reserve(scorer_->rows_.size());
+      assigned_.reserve(scorer_->row_offsets_.size());
+      Reset();
+    }
+
+    void Reset() override {
+      times_ = scorer_->floors_;
+      unassigned_.resize(times_.size());
+      for (size_t t = 0; t < unassigned_.size(); ++t) {
+        unassigned_[t] = scorer_->fp_offsets_[t + 1] - scorer_->fp_offsets_[t];
+      }
+      undo_.clear();
+      assigned_.clear();
+    }
+
+    void Assign(int object_id, const std::vector<int>& placement) override {
+      const int c = placement[static_cast<size_t>(object_id)];
+      assigned_.push_back(object_id);
+      CacheTally tally;
+      for (int r = scorer_->row_offsets_[static_cast<size_t>(object_id)];
+           r < scorer_->row_offsets_[static_cast<size_t>(object_id) + 1];
+           ++r) {
+        const FloorRow& row = scorer_->rows_[static_cast<size_t>(r)];
+        double& time = times_[static_cast<size_t>(row.t)];
+        undo_.push_back(time);
+        if (--unassigned_[static_cast<size_t>(row.t)] == 0) {
+          time = CompleteTime(row.t, placement, tally);
+        } else {
+          // Still incomplete: raise the floor with this object's
+          // conditional.
+          time = std::max(time, scorer_->CondRow(row.k)[c]);
+        }
+      }
+      scorer_->FlushTally(tally);
+    }
+
+    void Unassign(int object_id) override {
+      DOT_CHECK(!assigned_.empty() && assigned_.back() == object_id)
+          << "BoundCursor::Unassign(" << object_id
+          << ") is not the most recent Assign";
+      assigned_.pop_back();
+      for (int r = scorer_->row_offsets_[static_cast<size_t>(object_id) + 1];
+           r-- > scorer_->row_offsets_[static_cast<size_t>(object_id)];) {
+        const int t = scorer_->rows_[static_cast<size_t>(r)].t;
+        times_[static_cast<size_t>(t)] = undo_.back();
+        undo_.pop_back();
+        unassigned_[static_cast<size_t>(t)] += 1;
+      }
+    }
+
+    QuickPerf Optimistic(const std::vector<int>& placement) const override {
+      (void)placement;  // the per-template times already reflect it
+      return scorer_->ScoreFromTimes(times_.data());
+    }
+
+   private:
+    struct MemoSlot {
+      std::uint64_t tag = 0;  ///< key · T + t + 1; 0 = empty
+      double time_ms = 0.0;
+    };
+
+    /// The exact time of template `t`, whose footprint is now fully
+    /// assigned: the scorer's dense cache, this cursor's memo, or a
+    /// compiled run.
+    double CompleteTime(int t, const std::vector<int>& placement,
+                        CacheTally& tally) {
+      if (scorer_->memo_eligible_[static_cast<size_t>(t)] == 0) {
+        return scorer_->TemplateTime(t, placement, tally);
+      }
+      const std::uint64_t tag =
+          scorer_->FootprintKey(t, placement.data()) * times_.size() +
+          static_cast<std::uint64_t>(t) + 1;
+      if (memo_ == nullptr) {
+        memo_ = std::make_unique<MemoSlot[]>(size_t{1} << kCursorMemoBits);
+      }
+      // Fibonacci hashing: the top bits of tag · 2^64/φ.
+      MemoSlot& slot = memo_[static_cast<size_t>(
+          (tag * 0x9E3779B97F4A7C15ull) >> (64 - kCursorMemoBits))];
+      if (slot.tag == tag) {
+        tally.hits += 1;
+        return slot.time_ms;
+      }
+      tally.misses += 1;
+      slot.tag = tag;
+      slot.time_ms = scorer_->PlanTime(t, placement);
+      return slot.time_ms;
+    }
+
+    const DssFastScorer* scorer_;
+    std::vector<double> times_;
+    std::vector<int> unassigned_;
+    std::vector<double> undo_;          ///< old times, one per touched row
+    std::vector<int> assigned_;         ///< objects in Assign order
+    std::unique_ptr<MemoSlot[]> memo_;  ///< null until first use
+  };
+
   void FlushTally(const CacheTally& tally) const {
     if (tally.hits > 0) {
       hits_.fetch_add(tally.hits, std::memory_order_relaxed);
@@ -335,6 +377,25 @@ class DssFastScorer : public FastScorer {
     }
   }
 
+  /// Conditional floors of footprint entry `k`, one per class.
+  const double* CondRow(int k) const {
+    return cond_floors_.data() +
+           static_cast<size_t>(k) * static_cast<size_t>(num_classes_);
+  }
+
+  /// The placement restricted to template `t`'s footprint, as a base-M
+  /// number (footprint order, most significant first).
+  std::uint64_t FootprintKey(int t, const int* placement) const {
+    const size_t ti = static_cast<size_t>(t);
+    const std::uint64_t m = static_cast<std::uint64_t>(num_classes_);
+    std::uint64_t key = 0;
+    for (int i = fp_offsets_[ti]; i < fp_offsets_[ti + 1]; ++i) {
+      key = key * m + static_cast<std::uint64_t>(
+                          placement[fp_objects_[static_cast<size_t>(i)]]);
+    }
+    return key;
+  }
+
   /// Estimated time of template `t`: a dense-cache hit, or a compiled
   /// run (the one miss path).
   double TemplateTime(int t, const std::vector<int>& placement,
@@ -342,19 +403,11 @@ class DssFastScorer : public FastScorer {
     // An unused template has an empty footprint range (and time 0); a
     // dense-cached one costs the base-M key loop plus one relaxed load.
     const size_t ti = static_cast<size_t>(t);
-    const int begin = fp_offsets_[ti];
-    const int end = fp_offsets_[ti + 1];
-    if (begin == end) return 0.0;  // never runs in the sequence
+    if (fp_offsets_[ti] == fp_offsets_[ti + 1]) return 0.0;  // never runs
     std::atomic<std::uint64_t>* dense = dense_[ti].get();
     std::atomic<std::uint64_t>* slot = nullptr;
     if (dense != nullptr) {
-      const int m = num_classes_;
-      const int* p = placement.data();
-      std::int64_t key = 0;
-      for (int i = begin; i < end; ++i) {
-        key = key * m + p[fp_objects_[static_cast<size_t>(i)]];
-      }
-      slot = &dense[static_cast<size_t>(key)];
+      slot = &dense[static_cast<size_t>(FootprintKey(t, placement.data()))];
       const std::uint64_t bits = slot->load(std::memory_order_relaxed);
       if (bits != kEmptyCacheSlot) {
         tally.hits += 1;
@@ -413,30 +466,35 @@ class DssFastScorer : public FastScorer {
   const DssWorkloadModel* model_;
   const BoxConfig* box_;
   std::vector<double> io_scale_;
-  std::vector<bool> used_;               ///< template appears in sequence
-  std::vector<int> seq_count_;           ///< occurrences in the sequence
-  std::vector<double> thresholds_;       ///< per template, +inf if unused
-  std::vector<std::vector<int>> footprints_;  ///< empty if unused
-  std::vector<std::vector<int>> templates_by_object_;
+  std::vector<int> seq_count_;      ///< occurrences in the sequence
+  std::vector<double> thresholds_;  ///< per template, +inf if unused
+  int num_classes_ = 0;
+  /// Footprints as CSR: template t owns fp_objects_[fp_offsets_[t] ..
+  /// fp_offsets_[t + 1]), empty when the sequence never runs it.
+  std::vector<int> fp_offsets_;  ///< T + 1
+  std::vector<int> fp_objects_;
+  /// Floor rows as CSR: object o owns rows_[row_offsets_[o] ..
+  /// row_offsets_[o + 1]), in template order. Built once per scorer; the
+  /// cursors and ObjectTimeSpreadMs index them instead of searching
+  /// footprints.
+  std::vector<int> row_offsets_;  ///< N + 1
+  std::vector<FloorRow> rows_;
   /// Lazily built by EnsureFloors (mutable + once_flag: construction cost
   /// is confined to runs that actually branch-and-bound).
   mutable std::once_flag floors_once_;
   mutable std::vector<double> floors_;  ///< deflated per-template bounds
-  /// Deflated conditional floors, [t][footprint_pos · M + class]; empty
-  /// per template when floors are disabled (io_scale) or the template is
-  /// unused.
-  mutable std::vector<std::vector<double>> cond_floors_;
-  /// Flat probe-side state. A probe touches only these arrays plus the
-  /// slot itself.
-  int num_classes_ = 0;
-  std::vector<int> fp_offsets_;  ///< CSR offsets into fp_objects_, T+1
-  std::vector<int> fp_objects_;  ///< concatenated footprints (empty if unused)
+  /// Deflated conditional floors, [k · M + class] for footprint entry k;
+  /// all 0 when floors are disabled (io_scale).
+  mutable std::vector<double> cond_floors_;
   /// Per template, footprints with at most kDenseCacheMaxEntries
   /// placements: one atomic double-as-bits slot per base-M key,
   /// kEmptyCacheSlot when unfilled; null = no cache. Lock-free: a probe is
   /// one relaxed load, a fill one relaxed store of a value any racing
   /// filler would compute identically.
   std::vector<std::unique_ptr<std::atomic<std::uint64_t>[]>> dense_;
+  /// 1 for used templates with no dense cache whose memo tag fits in 64
+  /// bits: the bound cursors memoize them.
+  std::vector<char> memo_eligible_;
   mutable std::atomic<long long> hits_{0};
   mutable std::atomic<long long> misses_{0};
 };

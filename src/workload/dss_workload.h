@@ -1,6 +1,7 @@
 #ifndef DOTPROV_WORKLOAD_DSS_WORKLOAD_H_
 #define DOTPROV_WORKLOAD_DSS_WORKLOAD_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,13 @@ namespace dot {
 /// part of the snapshot; they never enter a plan.
 class DssWorkloadModel : public WorkloadModel {
  public:
+  /// Footprints above this many placements get no dense plan cache in the
+  /// fast scorer: M^|footprint| grows fast, and 8192 doubles (64 KiB) per
+  /// template is where the dense array stops paying for itself. Their
+  /// probes run the compiled program, behind each bound cursor's private
+  /// memo.
+  static constexpr std::int64_t kDenseCacheMaxEntries = 8192;
+
   /// `schema` and `box` must outlive the model. `sequence[i]` indexes into
   /// `templates` and defines the executed query order (e.g. the paper's 66
   /// = 22 templates x 3 repetitions).
@@ -44,8 +52,9 @@ class DssWorkloadModel : public WorkloadModel {
 
   /// TOC-only fast path: each template's time comes from its compiled
   /// program, behind a lock-free dense cache keyed by the placement
-  /// restricted to the template's footprint when that footprint has few
-  /// enough placements. Bit-identical to EstimateWithIoScale, which plans
+  /// restricted to the template's footprint when that footprint has at
+  /// most kDenseCacheMaxEntries placements (larger ones are memoized per
+  /// bound cursor). Bit-identical to EstimateWithIoScale, which plans
   /// through Planner::PlanQuery.
   std::unique_ptr<FastScorer> MakeFastScorer(
       const std::vector<double>& io_scale,

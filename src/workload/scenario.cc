@@ -43,6 +43,36 @@ std::vector<double> ScenarioEnsemble::NormalizedWeights() const {
   return weights;
 }
 
+Status ValidateEnsemble(const ScenarioEnsemble& ensemble, int num_objects) {
+  if (ensemble.size() < 1 || ensemble.size() > kMaxScenarios) {
+    return Status::InvalidArgument(
+        "ensemble size must be in [1, " + std::to_string(kMaxScenarios) +
+        "], got " + std::to_string(ensemble.size()));
+  }
+  for (int k = 0; k < ensemble.size(); ++k) {
+    const Scenario& sc = ensemble.scenarios[static_cast<size_t>(k)];
+    if (!(std::isfinite(sc.weight) && sc.weight > 0.0)) {
+      return Status::InvalidArgument("scenario " + std::to_string(k) +
+                                     " weight must be finite and > 0");
+    }
+    if (!sc.io_scale.empty() &&
+        static_cast<int>(sc.io_scale.size()) != num_objects) {
+      return Status::InvalidArgument(
+          "scenario " + std::to_string(k) + " io_scale has " +
+          std::to_string(sc.io_scale.size()) + " entries, expected 0 or " +
+          std::to_string(num_objects));
+    }
+    for (double scale : sc.io_scale) {
+      if (!(std::isfinite(scale) && scale >= 0.0)) {
+        return Status::InvalidArgument("scenario " + std::to_string(k) +
+                                       " io_scale entries must be finite "
+                                       "and >= 0");
+      }
+    }
+  }
+  return Status::OK();
+}
+
 ScenarioEnsemble SampleScenarioEnsemble(
     int num_objects, const ScenarioNoise& noise,
     const std::vector<const WorkloadModel*>& mix_pool) {

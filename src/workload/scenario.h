@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "workload/workload.h"
 
 namespace dot {
@@ -51,6 +52,13 @@ struct ScenarioEnsemble {
   /// K=1 ensemble reproduce the point forecast bit for bit.
   std::vector<double> NormalizedWeights() const;
 };
+
+/// Checks `ensemble` against a problem of `num_objects` objects: 1 to
+/// kMaxScenarios scenarios, every weight finite and > 0, every io_scale
+/// empty or one finite, non-negative entry per object. SolveSpec::Validate
+/// calls it, so a malformed ensemble comes back as InvalidArgument instead
+/// of aborting in the scorers.
+Status ValidateEnsemble(const ScenarioEnsemble& ensemble, int num_objects);
 
 /// Knobs of SampleScenarioEnsemble. All noise is multiplicative lognormal
 /// with unit mean, matching the Executor's jitter and the trace recorder's

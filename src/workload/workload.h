@@ -102,8 +102,12 @@ class FastScorer {
   ///      leaves through this path and its results must match the
   ///      enumerating search bit for bit.
   ///
-  /// Assign/Unassign follow the search's LIFO discipline. A BoundCursor is
-  /// single-threaded state; each subtree task creates its own.
+  /// Assign/Unassign follow the search's LIFO discipline, and the cursors
+  /// rely on it: each Unassign restores the state its matching Assign
+  /// saved (per-depth snapshots for OLTP and HTAP, an undo stack of
+  /// per-template times for DSS), so an out-of-order Unassign would
+  /// restore the wrong values; the DSS cursor DOT_CHECKs it. A BoundCursor
+  /// is single-threaded state; each subtree task creates its own.
   class BoundCursor {
    public:
     virtual ~BoundCursor() = default;

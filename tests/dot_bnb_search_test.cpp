@@ -276,6 +276,64 @@ TEST(BnbSearchTest, DeterministicAcrossThreadCountsIncludingCounters) {
   }
 }
 
+TEST(BnbSearchTest, MatchesEnumerationBeyondTheDenseCache) {
+  // The ES subset without part_pkey (7 objects, 5^7 layouts) on all five
+  // classes: a six-object footprint (customer, orders, lineitem and their
+  // keys) has 5^6 = 15625 placements, past kDenseCacheMaxEntries, so those
+  // templates have no dense cache and the cursors price them through
+  // their private memos.
+  Schema schema = MakeTpchEsSubsetSchema(20.0).Subset(
+      {"lineitem", "orders", "customer", "part", "lineitem_pkey",
+       "orders_pkey", "customer_pkey"});
+  BoxConfig box = MakeAllClassesBox();
+  DssWorkloadModel workload("TPC-H-ES", &schema, &box,
+                            MakeTpchSubsetTemplates(), RepeatSequence(11, 3),
+                            PlannerConfig{});
+  int cacheless = 0;
+  for (const CompiledTemplate& program : workload.compiled()) {
+    if (PowLL(box.NumClasses(),
+              static_cast<int>(program.footprint().size())) >
+        DssWorkloadModel::kDenseCacheMaxEntries) {
+      ++cacheless;
+    }
+  }
+  ASSERT_GT(cacheless, 0) << "no template reaches the cursor memo";
+
+  DotProblem problem;
+  problem.schema = &schema;
+  problem.box = &box;
+  problem.workload = &workload;
+  problem.relative_sla = 0.5;
+  problem.options.num_threads = 1;
+  const DotResult es = ExactSearch(problem, ExactStrategy::kEnumerate);
+  ASSERT_TRUE(es.status.ok()) << es.status.ToString();
+  const DotResult bnb1 = ExactSearch(problem, ExactStrategy::kBranchAndBound);
+  ExpectSameOptimum(bnb1, es, "bnb vs enumerate, 1 thread");
+  ExpectCountersAccountForTree(bnb1, box.NumClasses(), schema.NumObjects(),
+                               "1 thread");
+
+  const int hw =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  for (int t : {4, hw}) {
+    const std::string what = "num_threads=" + std::to_string(t);
+    DotProblem p = problem;
+    p.options.num_threads = t;
+    const DotResult e = ExactSearch(p, ExactStrategy::kEnumerate);
+    ExpectSameOptimum(e, es, "enumerate, " + what);
+    EXPECT_EQ(e.layouts_evaluated, es.layouts_evaluated) << what;
+    const DotResult b = ExactSearch(p, ExactStrategy::kBranchAndBound);
+    ExpectSameOptimum(b, es, "bnb vs enumerate, " + what);
+    ExpectSameCounters(b, bnb1, what);
+  }
+
+  // The fast enumeration against the full estimator on every layout.
+  problem.options.use_fast_eval = false;
+  problem.options.num_threads = hw;
+  const DotResult full = ExactSearch(problem, ExactStrategy::kEnumerate);
+  ExpectSameOptimum(es, full, "fast vs full enumeration");
+  EXPECT_EQ(es.layouts_evaluated, full.layouts_evaluated);
+}
+
 TEST(BnbSearchTest, DotWarmStartSeedDoesNotChangeTheOptimum) {
   // With profiles available BnB seeds its incumbent from the DOT
   // heuristic; the answer must still be the enumerated optimum.

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "storage/standard_catalog.h"
 #include "workload/dss_workload.h"
 #include "workload/profiler.h"
+#include "workload/scenario.h"
 #include "workload/tpcc_workload.h"
 #include "workload/tpch_queries.h"
 
@@ -249,6 +252,176 @@ TEST(DssUnusedTemplateTest, TemplatesOutsideTheSequenceAreNeverPlanned) {
   problem.relative_sla = 0.5;
   problem.profiles = &profiles;
   CheckRandomizedEquivalence(problem, /*seed=*/0x17, /*rounds=*/60);
+}
+
+void ExpectSameQuickPerf(const QuickPerf& a, const QuickPerf& b,
+                         const std::string& where) {
+  EXPECT_EQ(a.elapsed_ms, b.elapsed_ms) << where;
+  EXPECT_EQ(a.tasks_per_hour, b.tasks_per_hour) << where;
+  EXPECT_EQ(a.tpmc, b.tpmc) << where;
+  EXPECT_EQ(a.sla_ok, b.sla_ok) << where;
+}
+
+/// Seeded random depth-first walk of one bound cursor: Assign a random
+/// unassigned object to a random class, ProbeClasses one, or Unassign the
+/// most recent (LIFO). The depth drifts up and then bounces below the
+/// leaves, so whole footprints are re-completed with repeating keys (the
+/// DSS cursor memo's hit path). After every step Optimistic must equal,
+/// bit for bit, a fresh cursor that assigned the same prefix in the same
+/// order; at every leaf it must equal Score, which never reads a cursor
+/// memo.
+void CheckRandomCursorWalk(const FastScorer& scorer, int n, int m,
+                           uint64_t seed, int steps) {
+  Rng rng(seed);
+  std::unique_ptr<FastScorer::BoundCursor> cursor = scorer.MakeBoundCursor();
+  std::vector<int> placement(static_cast<size_t>(n), 0);
+  std::vector<int> order;  // assigned objects, in Assign order
+  std::vector<int> unassigned(static_cast<size_t>(n));
+  for (int o = 0; o < n; ++o) unassigned[static_cast<size_t>(o)] = o;
+  std::vector<unsigned char> mask(static_cast<size_t>(m));
+  std::vector<QuickPerf> out(static_cast<size_t>(m));
+  std::vector<double> tp_den(static_cast<size_t>(m));
+
+  // Replays `order` (plus `extra` on class `extra_cls`, when >= 0) on a
+  // fresh cursor.
+  auto fresh = [&](int extra, int extra_cls) {
+    std::unique_ptr<FastScorer::BoundCursor> c = scorer.MakeBoundCursor();
+    std::vector<int> p = placement;
+    for (int o : order) c->Assign(o, p);
+    if (extra >= 0) {
+      p[static_cast<size_t>(extra)] = extra_cls;
+      c->Assign(extra, p);
+    }
+    return c->Optimistic(p);
+  };
+  int leaves = 0;
+  for (int step = 0; step < steps; ++step) {
+    const std::string where = "seed " + std::to_string(seed) + " step " +
+                              std::to_string(step) + " depth " +
+                              std::to_string(order.size());
+    const uint64_t r = rng.NextBounded(10);
+    if (!unassigned.empty() && (order.empty() || r < 5)) {
+      const size_t pick = rng.NextBounded(unassigned.size());
+      const int o = unassigned[pick];
+      unassigned.erase(unassigned.begin() + static_cast<long>(pick));
+      placement[static_cast<size_t>(o)] =
+          static_cast<int>(rng.NextBounded(static_cast<uint64_t>(m)));
+      cursor->Assign(o, placement);
+      order.push_back(o);
+    } else if (!unassigned.empty() && r < 7) {
+      const int o = unassigned[rng.NextBounded(unassigned.size())];
+      for (int c = 0; c < m; ++c) {
+        mask[static_cast<size_t>(c)] = rng.NextBounded(4) != 0 ? 1 : 0;
+      }
+      const int saved = placement[static_cast<size_t>(o)];
+      cursor->ProbeClasses(o, placement, m, mask.data(), out.data(),
+                           tp_den.data());
+      placement[static_cast<size_t>(o)] = saved;
+      for (int c = 0; c < m; ++c) {
+        if (mask[static_cast<size_t>(c)] == 0) continue;
+        const QuickPerf want = fresh(o, c);
+        EXPECT_EQ(out[static_cast<size_t>(c)].sla_ok, want.sla_ok)
+            << where << " probe class " << c;
+        if (tp_den[static_cast<size_t>(c)] == 1.0) {
+          EXPECT_EQ(out[static_cast<size_t>(c)].tasks_per_hour,
+                    want.tasks_per_hour)
+              << where << " probe class " << c;
+        }
+      }
+    } else {
+      const int o = order.back();
+      order.pop_back();
+      cursor->Unassign(o);
+      unassigned.push_back(o);
+    }
+    const QuickPerf got = cursor->Optimistic(placement);
+    ExpectSameQuickPerf(got, fresh(-1, 0), where + " vs fresh cursor");
+    if (static_cast<int>(order.size()) == n) {
+      ++leaves;
+      ExpectSameQuickPerf(got, scorer.Score(placement), where + " vs Score");
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(leaves, steps / 20) << "the walk should keep reaching leaves";
+}
+
+/// Full TPC-H (16 objects): most templates' footprints have more than
+/// kDenseCacheMaxEntries placements on a 3-class box, so their exact
+/// times come from the cursor memo or a compiled run.
+struct TpchCursorInstance {
+  Schema schema = MakeTpchSchema(20.0);
+  BoxConfig box;
+  std::unique_ptr<DssWorkloadModel> workload;
+
+  explicit TpchCursorInstance(BoxConfig b) : box(std::move(b)) {
+    workload = std::make_unique<DssWorkloadModel>(
+        "TPC-H", &schema, &box, MakeTpchTemplates(), RepeatSequence(22, 3),
+        PlannerConfig{});
+  }
+
+  DotProblem Problem() const {
+    DotProblem p;
+    p.schema = &schema;
+    p.box = &box;
+    p.workload = workload.get();
+    p.relative_sla = 0.5;
+    return p;
+  }
+
+  void Walk(const DotProblem& problem, uint64_t seed) const {
+    DotOptimizer estimator(problem);
+    CandidateEvaluator evaluator(estimator);
+    ASSERT_NE(evaluator.scorer(), nullptr);
+    CheckRandomCursorWalk(*evaluator.scorer(), schema.NumObjects(),
+                          box.NumClasses(), seed, /*steps=*/1000);
+  }
+};
+
+std::vector<double> CursorWalkIoScale(int n) {
+  std::vector<double> scale(static_cast<size_t>(n));
+  for (int o = 0; o < n; ++o) {
+    scale[static_cast<size_t>(o)] = 0.6 + 0.2 * static_cast<double>(o % 4);
+  }
+  return scale;
+}
+
+TEST(DssCursorWalkTest, RandomWalksMatchFreshCursorsAndScore) {
+  int boxes = 0;
+  for (const BoxConfig& box : {MakeBox1(), MakeBox2()}) {
+    SCOPED_TRACE("box " + std::to_string(++boxes));
+    const TpchCursorInstance inst(box);
+    bool memoized = false;
+    for (const CompiledTemplate& program : inst.workload->compiled()) {
+      double placements = 1.0;
+      for (size_t i = 0; i < program.footprint().size(); ++i) {
+        placements *= box.NumClasses();
+      }
+      memoized = memoized ||
+                 placements > DssWorkloadModel::kDenseCacheMaxEntries;
+    }
+    EXPECT_TRUE(memoized) << "no template reaches the cursor memo";
+    inst.Walk(inst.Problem(), /*seed=*/0xc0 + static_cast<uint64_t>(boxes));
+    DotProblem scaled = inst.Problem();
+    scaled.io_scale_hint = CursorWalkIoScale(inst.schema.NumObjects());
+    inst.Walk(scaled, /*seed=*/0xd0 + static_cast<uint64_t>(boxes));
+  }
+}
+
+TEST(DssCursorWalkTest, EnsembleCursorMatchesFreshCursorsAndScore) {
+  const TpchCursorInstance inst(MakeBox1());
+  const int n = inst.schema.NumObjects();
+  ScenarioEnsemble ensemble;
+  for (int k = 0; k < 3; ++k) {
+    Scenario sc;
+    if (k > 0) {
+      sc.io_scale = CursorWalkIoScale(n);
+      for (double& s : sc.io_scale) s *= 0.8 + 0.3 * k;
+    }
+    ensemble.scenarios.push_back(sc);
+  }
+  DotProblem problem = inst.Problem();
+  problem.ensemble = &ensemble;
+  inst.Walk(problem, /*seed=*/0xe3);
 }
 
 class OltpFastEvalTest : public ::testing::Test {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,6 +20,7 @@
 #include "storage/standard_catalog.h"
 #include "workload/dss_workload.h"
 #include "workload/profiler.h"
+#include "workload/scenario.h"
 #include "workload/tpch_queries.h"
 
 namespace dot {
@@ -194,6 +196,123 @@ TEST_F(SolveFacadeTest, ValidateCatchesSpecProblemMismatches) {
             StatusCode::kInvalidArgument);
   tenants[0].problem.profiles = &profiles_;
   EXPECT_TRUE(fleet.Validate(problem_).ok());
+
+  // A relative SLA outside (0, 1], or NaN: MakePerfTargets would abort on
+  // it. A targets_override supplies the targets instead, except for the
+  // epoch planner, which derives per-epoch targets from relative_sla.
+  const PerfTargets targets =
+      MakePerfTargets(workload_, box_, schema_.NumObjects(), 0.5);
+  SolveSpec exact;
+  exact.method = SolveMethod::kExact;
+  SolveSpec epoch;
+  epoch.method = SolveMethod::kEpochPlan;
+  for (double sla : {std::numeric_limits<double>::quiet_NaN(), 0.0, 1.5,
+                     -1.0}) {
+    const std::string what = "relative_sla " + std::to_string(sla);
+    DotProblem bad_sla = problem_;
+    bad_sla.relative_sla = sla;
+    EXPECT_EQ(exact.Validate(bad_sla).code(), StatusCode::kInvalidArgument)
+        << what;
+    EXPECT_EQ(Solve(bad_sla, exact).status.code(),
+              StatusCode::kInvalidArgument)
+        << what;
+    bad_sla.targets_override = &targets;
+    EXPECT_TRUE(exact.Validate(bad_sla).ok()) << what;
+    EXPECT_EQ(epoch.Validate(bad_sla).code(), StatusCode::kInvalidArgument)
+        << what;
+
+    // The same rule per fleet tenant.
+    tenants[0].problem.relative_sla = sla;
+    tenants[0].problem.targets_override = nullptr;
+    EXPECT_EQ(fleet.Validate(problem_).code(), StatusCode::kInvalidArgument)
+        << what;
+    EXPECT_EQ(Solve(problem_, fleet).status.code(),
+              StatusCode::kInvalidArgument)
+        << what;
+    tenants[0].problem.targets_override = &targets;
+    EXPECT_TRUE(fleet.Validate(problem_).ok()) << what;
+  }
+}
+
+/// A malformed ensemble comes back as InvalidArgument from Validate and
+/// from Solve, whether it arrives as the spec's overlay or on the problem.
+void ExpectEnsembleRejected(const DotProblem& problem,
+                            const ScenarioEnsemble& ensemble) {
+  SolveSpec overlay;
+  overlay.method = SolveMethod::kExact;
+  overlay.ensemble = &ensemble;
+  EXPECT_EQ(overlay.Validate(problem).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Solve(problem, overlay).status.code(),
+            StatusCode::kInvalidArgument);
+
+  DotProblem carried = problem;
+  carried.ensemble = &ensemble;
+  SolveSpec exact;
+  exact.method = SolveMethod::kExact;
+  EXPECT_EQ(exact.Validate(carried).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Solve(carried, exact).status.code(),
+            StatusCode::kInvalidArgument);
+}
+
+/// A well-formed K-scenario ensemble over the fixture's objects.
+ScenarioEnsemble NominalEnsemble(int k, int num_objects) {
+  ScenarioEnsemble ensemble;
+  for (int i = 0; i < k; ++i) {
+    Scenario sc;
+    if (i > 0) {
+      sc.io_scale.assign(static_cast<size_t>(num_objects), 1.0 + 0.1 * i);
+    }
+    ensemble.scenarios.push_back(sc);
+  }
+  return ensemble;
+}
+
+TEST_F(SolveFacadeTest, EmptyEnsembleIsRejected) {
+  ExpectEnsembleRejected(problem_, ScenarioEnsemble{});
+}
+
+TEST_F(SolveFacadeTest, OversizedEnsembleIsRejected) {
+  const int n = schema_.NumObjects();
+  EXPECT_TRUE(ValidateEnsemble(NominalEnsemble(kMaxScenarios, n), n).ok());
+  ExpectEnsembleRejected(problem_, NominalEnsemble(kMaxScenarios + 1, n));
+}
+
+TEST_F(SolveFacadeTest, NonPositiveOrNaNScenarioWeightIsRejected) {
+  const int n = schema_.NumObjects();
+  for (double weight : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE("weight " + std::to_string(weight));
+    ScenarioEnsemble ensemble = NominalEnsemble(3, n);
+    ensemble.scenarios[1].weight = weight;
+    ExpectEnsembleRejected(problem_, ensemble);
+  }
+  // A single scenario takes the K = 1 path through NormalizedWeights.
+  ScenarioEnsemble single = NominalEnsemble(1, n);
+  single.scenarios[0].weight = 0.0;
+  ExpectEnsembleRejected(problem_, single);
+}
+
+TEST_F(SolveFacadeTest, ScenarioIoScaleArityMismatchIsRejected) {
+  const int n = schema_.NumObjects();
+  for (int size : {n - 1, n + 1}) {
+    SCOPED_TRACE("io_scale size " + std::to_string(size));
+    ScenarioEnsemble ensemble = NominalEnsemble(3, n);
+    ensemble.scenarios[2].io_scale.assign(static_cast<size_t>(size), 1.0);
+    ExpectEnsembleRejected(problem_, ensemble);
+  }
+  // The right arity, but an entry no workload can have.
+  for (double scale : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE("io_scale entry " + std::to_string(scale));
+    ScenarioEnsemble ensemble = NominalEnsemble(3, n);
+    ensemble.scenarios[2].io_scale[1] = scale;
+    ExpectEnsembleRejected(problem_, ensemble);
+  }
+  // The well-formed ensemble solves, as an overlay and on the problem.
+  const ScenarioEnsemble ok = NominalEnsemble(3, n);
+  SolveSpec overlay;
+  overlay.method = SolveMethod::kExact;
+  overlay.ensemble = &ok;
+  EXPECT_TRUE(Solve(problem_, overlay).status.ok());
 }
 
 TEST_F(SolveFacadeTest, InfeasibleVerdictPassesThroughUnchanged) {

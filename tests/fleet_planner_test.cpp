@@ -529,6 +529,31 @@ TEST(FleetPlannerTest, ValidateRejectsMalformedFleets) {
   EXPECT_TRUE(ValidateFleetRoster(fx.fleet.tenants, fx.fleet.box.get(),
                                   dot_pools.config)
                   .ok());
+
+  // A tenant whose relative SLA lies outside (0, 1], or is NaN: its
+  // targets would be derived from it (MakePerfTargets aborts on it). The
+  // planner itself reports it too.
+  for (double sla : {kNaN, 0.0, 1.5, -1.0}) {
+    const std::string what = "relative_sla " + std::to_string(sla);
+    std::vector<FleetTenant> bad_sla = fx.fleet.tenants;
+    bad_sla[1].problem.relative_sla = sla;
+    FleetSpec roster;
+    roster.tenants = &bad_sla;
+    spec.fleet = &roster;
+    EXPECT_EQ(Solve(fx.FleetProblem(), spec).status.code(),
+              StatusCode::kInvalidArgument)
+        << what;
+    EXPECT_EQ(
+        ValidateFleetRoster(bad_sla, fx.fleet.box.get(), roster.config)
+            .code(),
+        StatusCode::kInvalidArgument)
+        << what;
+    EXPECT_EQ(FleetPlanner(fx.fleet.box.get(), roster.config)
+                  .Plan(bad_sla)
+                  .status.code(),
+              StatusCode::kInvalidArgument)
+        << what;
+  }
 }
 
 TEST(FleetPlannerTest, ImpossibleBudgetReportsInfeasible) {
