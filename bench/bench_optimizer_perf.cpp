@@ -8,26 +8,15 @@
 // layouts_per_s throughput counters) to BENCH_optimizer.json — the
 // machine-readable perf-trajectory format CI archives per commit. All
 // other flags are standard google-benchmark flags.
-//
-// Every entry is tagged with a `kernel_level` counter (0 = scalar,
-// 1 = avx2), and `--json` refuses to replace a trajectory file recorded at
-// a different dispatch level: scalar and AVX2 points must never mix
-// silently in one trajectory (run with DOT_KERNEL=<level> to match, or
-// point --json=<path> at a fresh file).
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/simd_dispatch.h"
 #include "dot/dot.h"
 
 namespace dot {
@@ -116,10 +105,6 @@ struct SearchCounters {
     state.counters["layouts_pruned"] = benchmark::Counter(
         static_cast<double>(layouts_pruned),
         benchmark::Counter::kAvgIterations);
-    // Which summation kernels scored this entry (0 = scalar, 1 = avx2):
-    // trajectory tooling must never compare points across levels.
-    state.counters["kernel_level"] =
-        benchmark::Counter(static_cast<double>(ActiveKernelLevel()));
   }
 };
 
@@ -359,9 +344,8 @@ BENCHMARK(BM_PlanTemplate)->Arg(0)->Arg(1);
 // family (OLTP = full TPC-C, DSS = the §4.4.3 TPC-H subset, HTAP = the
 // CH-benCH shared-object composition) scoring a fixed bag of pregenerated
 // random layouts through EvaluateQuick. This is the microbench of the SoA
-// planes + dispatch kernels themselves — layouts_per_s here moves with the
-// kernel level (compare DOT_KERNEL=scalar vs avx2 runs), while the search
-// benchmarks above fold in pruning and node overheads.
+// planes + summation kernels themselves, while the search benchmarks above
+// fold in pruning and node overheads.
 void BM_FastScorerKernel(benchmark::State& state) {
   Schema schema;
   BoxConfig box;
@@ -430,9 +414,7 @@ void BM_FastScorerKernel(benchmark::State& state) {
   }
   state.counters["layouts_per_s"] = benchmark::Counter(
       static_cast<double>(scored), benchmark::Counter::kIsRate);
-  state.counters["kernel_level"] =
-      benchmark::Counter(static_cast<double>(ActiveKernelLevel()));
-  state.SetLabel(label + " / " + KernelLevelName(ActiveKernelLevel()));
+  state.SetLabel(label);
 }
 BENCHMARK(BM_FastScorerKernel)->DenseRange(0, 2);
 
@@ -448,25 +430,6 @@ void BM_TpccEstimate(benchmark::State& state) {
 }
 BENCHMARK(BM_TpccEstimate);
 
-/// True when the existing trajectory file at `path` holds entries recorded
-/// at a kernel level other than `active` (its `kernel_level` counters).
-/// Entries from before the counter existed carry no tag and don't block.
-bool TrajectoryHasForeignKernelLevel(const std::string& path, int active) {
-  std::ifstream in(path);
-  if (!in.is_open()) return false;  // nothing to replace
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  const std::string key = "\"kernel_level\":";
-  for (std::size_t pos = text.find(key); pos != std::string::npos;
-       pos = text.find(key, pos + key.size())) {
-    const int recorded =
-        std::atoi(text.c_str() + pos + key.size());  // skips spaces
-    if (recorded != active) return true;
-  }
-  return false;
-}
-
 }  // namespace
 }  // namespace dot
 
@@ -474,15 +437,8 @@ bool TrajectoryHasForeignKernelLevel(const std::string& path, int active) {
 // google-benchmark pair --benchmark_out=BENCH_optimizer.json
 // --benchmark_out_format=json (an explicit --json=<path> overrides the
 // file name), so CI and developers produce the perf-trajectory artifact
-// with one stable spelling. Prints the resolved kernel dispatch level, and
-// refuses to replace a trajectory recorded at a different level — mixing
-// scalar and AVX2 points in one trajectory would chart a phantom
-// regression.
+// with one stable spelling.
 int main(int argc, char** argv) {
-  const dot::KernelLevel level = dot::ActiveKernelLevel();
-  std::fprintf(stderr, "dot: kernel dispatch level: %s\n",
-               dot::KernelLevelName(level));
-
   // Owned storage first, pointers second: taking .data() while still
   // appending would dangle on reallocation.
   std::vector<std::string> expanded;
@@ -491,17 +447,6 @@ int main(int argc, char** argv) {
         std::strncmp(argv[i], "--json=", 7) == 0) {
       const char* path =
           argv[i][6] == '=' ? argv[i] + 7 : "BENCH_optimizer.json";
-      if (dot::TrajectoryHasForeignKernelLevel(path,
-                                               static_cast<int>(level))) {
-        std::fprintf(
-            stderr,
-            "dot: refusing --json: %s holds entries from a different "
-            "kernel level than the active '%s' — rerun with DOT_KERNEL "
-            "matching the file, or write to a fresh path with "
-            "--json=<path>\n",
-            path, dot::KernelLevelName(level));
-        return 1;
-      }
       expanded.push_back(std::string("--benchmark_out=") + path);
       expanded.push_back("--benchmark_out_format=json");
     } else {

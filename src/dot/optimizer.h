@@ -121,9 +121,6 @@ class DotOptimizer {
   /// The problem instance this optimizer was built for.
   const DotProblem& problem() const { return problem_; }
 
-  /// True when the problem carries a scenario ensemble (robust mode).
-  bool has_ensemble() const { return ensemble_ != nullptr; }
-
  private:
   DotProblem problem_;
   PerfTargets targets_;

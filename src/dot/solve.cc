@@ -71,6 +71,22 @@ Status SolveSpec::Validate(const DotProblem& problem) const {
       Status st = ValidateRelativeSla(problem.relative_sla);
       if (!st.ok()) return st;
     }
+    if (method == SolveMethod::kEpochPlan) {
+      // A negative weight would turn migration cost into a reward; only
+      // the auto sentinel may sit below zero. NaN fails the comparison.
+      if (!(migration_weight == kAutoMigrationWeight ||
+            migration_weight >= 0.0)) {
+        return Status::InvalidArgument(
+            "migration_weight must be >= 0 or kAutoMigrationWeight");
+      }
+    } else {
+      // The epoch planner ignores the hint (see Solve); the single-shot
+      // methods scale every estimate by it.
+      Status st = ValidateIoScale(problem.io_scale_hint,
+                                  problem.schema->NumObjects(),
+                                  "io_scale_hint");
+      if (!st.ok()) return st;
+    }
     const ScenarioEnsemble* scenarios =
         ensemble != nullptr ? ensemble : problem.ensemble;
     if (scenarios != nullptr) {

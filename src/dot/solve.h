@@ -101,13 +101,15 @@ struct SolveSpec {
   /// Checks this spec against `problem` and returns the exact status
   /// Solve() would fail with: null problem inputs, kDotHeuristic without
   /// profiles, a relative SLA outside (0, 1] that targets are derived
-  /// from, an ensemble overlay on a method that cannot honor it, a
-  /// malformed ensemble (ValidateEnsemble, on the overlay or else the
-  /// problem's own), or a malformed fleet spec (ValidateFleetConfig,
-  /// ValidateFleetRoster). Solve() calls this first and returns the error
-  /// in SolveResult::status — it no longer aborts on spec/problem
-  /// mismatches — so drivers that assemble specs from config can
-  /// pre-flight them.
+  /// from, a malformed io_scale_hint on a single-shot method
+  /// (ValidateIoScale), a kEpochPlan migration_weight that is NaN or
+  /// negative other than kAutoMigrationWeight, an ensemble overlay on a
+  /// method that cannot honor it, a malformed ensemble (ValidateEnsemble,
+  /// on the overlay or else the problem's own), or a malformed fleet spec
+  /// (ValidateFleetConfig, ValidateFleetRoster). Solve() calls this first
+  /// and returns the error in SolveResult::status — it no longer aborts on
+  /// spec/problem mismatches — so drivers that assemble specs from config
+  /// can pre-flight them.
   Status Validate(const DotProblem& problem) const;
 };
 

@@ -581,6 +581,15 @@ Status ValidateFleetRoster(const std::vector<FleetTenant>& tenants,
                                        st.message());
       }
     }
+    {
+      Status st = ValidateIoScale(t.problem.io_scale_hint,
+                                  t.problem.schema->NumObjects(),
+                                  "io_scale_hint");
+      if (!st.ok()) {
+        return Status::InvalidArgument("tenant " + t.name + ": " +
+                                       st.message());
+      }
+    }
     if (runs_dot && t.problem.profiles == nullptr) {
       return Status::InvalidArgument(
           "tenant " + t.name +

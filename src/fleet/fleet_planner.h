@@ -94,7 +94,8 @@ Status ValidateFleetConfig(const FleetConfig& config, const BoxConfig& box);
 
 /// Checks each tenant of the roster: schema and workload set, the fleet's
 /// `box` (by pointer), no scenario ensemble, a relative SLA in (0, 1]
-/// unless targets_override is set, and profiles when the pool build runs
+/// unless targets_override is set, an io_scale_hint valid per
+/// ValidateIoScale, and profiles when the pool build runs
 /// DOT's Procedure 1 (FleetPoolMode::kSearch with EpochSearch::kDot).
 /// Solve (SolveSpec::Validate) and FleetPlanner::Plan both call it.
 Status ValidateFleetRoster(const std::vector<FleetTenant>& tenants,

@@ -532,11 +532,6 @@ Plan DssWorkloadModel::PlanTemplate(int template_idx,
                             placement);
 }
 
-PerfEstimate DssWorkloadModel::Estimate(
-    const std::vector<int>& placement) const {
-  return EstimateWithIoScale(placement, {});
-}
-
 PerfEstimate DssWorkloadModel::EstimateWithIoScale(
     const std::vector<int>& placement, const std::vector<double>& io_scale,
     bool need_io_by_object) const {

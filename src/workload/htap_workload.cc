@@ -341,11 +341,6 @@ double HtapWorkload::AnalyticsTasksPerHour(double dss_total_ms) const {
          (dss_total_ms / kMsPerHour);
 }
 
-PerfEstimate HtapWorkload::Estimate(
-    const std::vector<int>& placement) const {
-  return EstimateWithIoScale(placement, {});
-}
-
 void HtapWorkload::RederiveFromUnitTimes(PerfEstimate* est) const {
   DOT_CHECK(est->unit_times_ms.size() == 2)
       << "HTAP estimates carry exactly two folded unit times";

@@ -93,7 +93,6 @@ class HtapWorkload : public WorkloadModel {
   SlaKind sla_kind() const override {
     return SlaKind::kPerQueryResponseTime;
   }
-  PerfEstimate Estimate(const std::vector<int>& placement) const override;
   PerfEstimate EstimateWithIoScale(
       const std::vector<int>& placement, const std::vector<double>& io_scale,
       bool need_io_by_object = true) const override;

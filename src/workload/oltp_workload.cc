@@ -298,11 +298,6 @@ OltpWorkloadModel::OltpWorkloadModel(std::string name, const Schema* schema,
       << "transaction mix weights must sum to 1, got " << total_weight;
 }
 
-PerfEstimate OltpWorkloadModel::Estimate(
-    const std::vector<int>& placement) const {
-  return EstimateWithIoScale(placement, {});
-}
-
 OltpWorkloadModel::Throughput OltpWorkloadModel::ThroughputFromMeanLatency(
     double mean_latency_ms) const {
   // Lock-convoy contention: long transactions hold locks longer and

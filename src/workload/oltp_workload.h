@@ -55,7 +55,6 @@ class OltpWorkloadModel : public WorkloadModel {
   const std::string& name() const override { return name_; }
   double concurrency() const override { return concurrency_; }
   SlaKind sla_kind() const override { return SlaKind::kThroughput; }
-  PerfEstimate Estimate(const std::vector<int>& placement) const override;
   PerfEstimate EstimateWithIoScale(
       const std::vector<int>& placement, const std::vector<double>& io_scale,
       bool need_io_by_object = true) const override;

@@ -43,6 +43,22 @@ std::vector<double> ScenarioEnsemble::NormalizedWeights() const {
   return weights;
 }
 
+Status ValidateIoScale(const std::vector<double>& io_scale, int num_objects,
+                       const std::string& what) {
+  if (!io_scale.empty() && static_cast<int>(io_scale.size()) != num_objects) {
+    return Status::InvalidArgument(
+        what + " has " + std::to_string(io_scale.size()) +
+        " entries, expected 0 or " + std::to_string(num_objects));
+  }
+  for (double scale : io_scale) {
+    if (!(std::isfinite(scale) && scale >= 0.0)) {
+      return Status::InvalidArgument(what +
+                                     " entries must be finite and >= 0");
+    }
+  }
+  return Status::OK();
+}
+
 Status ValidateEnsemble(const ScenarioEnsemble& ensemble, int num_objects) {
   if (ensemble.size() < 1 || ensemble.size() > kMaxScenarios) {
     return Status::InvalidArgument(
@@ -55,20 +71,9 @@ Status ValidateEnsemble(const ScenarioEnsemble& ensemble, int num_objects) {
       return Status::InvalidArgument("scenario " + std::to_string(k) +
                                      " weight must be finite and > 0");
     }
-    if (!sc.io_scale.empty() &&
-        static_cast<int>(sc.io_scale.size()) != num_objects) {
-      return Status::InvalidArgument(
-          "scenario " + std::to_string(k) + " io_scale has " +
-          std::to_string(sc.io_scale.size()) + " entries, expected 0 or " +
-          std::to_string(num_objects));
-    }
-    for (double scale : sc.io_scale) {
-      if (!(std::isfinite(scale) && scale >= 0.0)) {
-        return Status::InvalidArgument("scenario " + std::to_string(k) +
-                                       " io_scale entries must be finite "
-                                       "and >= 0");
-      }
-    }
+    Status st = ValidateIoScale(sc.io_scale, num_objects,
+                                "scenario " + std::to_string(k) + " io_scale");
+    if (!st.ok()) return st;
   }
   return Status::OK();
 }

@@ -53,11 +53,17 @@ struct ScenarioEnsemble {
   std::vector<double> NormalizedWeights() const;
 };
 
+/// Checks one per-object I/O multiplier vector (a scenario's io_scale or a
+/// problem's io_scale_hint): empty, or one finite, non-negative entry per
+/// object. `what` names the vector in the error message.
+Status ValidateIoScale(const std::vector<double>& io_scale, int num_objects,
+                       const std::string& what);
+
 /// Checks `ensemble` against a problem of `num_objects` objects: 1 to
 /// kMaxScenarios scenarios, every weight finite and > 0, every io_scale
-/// empty or one finite, non-negative entry per object. SolveSpec::Validate
-/// calls it, so a malformed ensemble comes back as InvalidArgument instead
-/// of aborting in the scorers.
+/// valid per ValidateIoScale. SolveSpec::Validate calls it, so a malformed
+/// ensemble comes back as InvalidArgument instead of aborting in the
+/// scorers.
 Status ValidateEnsemble(const ScenarioEnsemble& ensemble, int num_objects);
 
 /// Knobs of SampleScenarioEnsemble. All noise is multiplicative lognormal

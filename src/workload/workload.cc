@@ -6,15 +6,6 @@
 
 namespace dot {
 
-PerfEstimate WorkloadModel::EstimateWithIoScale(
-    const std::vector<int>& placement, const std::vector<double>& io_scale,
-    bool need_io_by_object) const {
-  (void)need_io_by_object;  // generic models always materialize their I/O
-  DOT_CHECK(io_scale.empty())
-      << "this workload model does not support I/O scaling";
-  return Estimate(placement);
-}
-
 void WorkloadModel::RederiveFromUnitTimes(PerfEstimate* est) const {
   if (sla_kind() != SlaKind::kPerQueryResponseTime) return;
   // Same pinned schedule the estimators sum entry times with, so a

@@ -189,8 +189,11 @@ class WorkloadModel {
 
   virtual SlaKind sla_kind() const = 0;
 
-  /// Estimates performance under `placement` (object id → storage class).
-  virtual PerfEstimate Estimate(const std::vector<int>& placement) const = 0;
+  /// Estimates performance under `placement` (object id → storage class):
+  /// EstimateWithIoScale with no scaling.
+  PerfEstimate Estimate(const std::vector<int>& placement) const {
+    return EstimateWithIoScale(placement, {});
+  }
 
   /// Like Estimate, but with each object's I/O counts multiplied by
   /// `io_scale[o]` before timing. Models a workload whose true I/O deviates
@@ -201,7 +204,7 @@ class WorkloadModel {
   /// empty); every other field is unaffected.
   virtual PerfEstimate EstimateWithIoScale(
       const std::vector<int>& placement, const std::vector<double>& io_scale,
-      bool need_io_by_object = true) const;
+      bool need_io_by_object = true) const = 0;
 
   /// Builds this model's fast scorer. `query_caps_ms` aligns with
   /// unit_times_ms (per run-sequence entry) and is consulted for

@@ -187,9 +187,6 @@ class CountingWorkload : public WorkloadModel {
   const std::string& name() const override { return inner_->name(); }
   double concurrency() const override { return inner_->concurrency(); }
   SlaKind sla_kind() const override { return inner_->sla_kind(); }
-  PerfEstimate Estimate(const std::vector<int>& placement) const override {
-    return inner_->Estimate(placement);
-  }
   PerfEstimate EstimateWithIoScale(const std::vector<int>& placement,
                                    const std::vector<double>& io_scale,
                                    bool need_io_by_object) const override {

@@ -1,14 +1,11 @@
-// The runtime-dispatched summation kernels (common/simd_dispatch.h) carry
-// the bit-identity story of the fast scorers: every dispatch level must
-// execute the *pinned blocked schedule* exactly, so scalar and AVX2 return
-// bit-identical doubles and every optimizer verdict — placements, TOC,
-// counters — is the same no matter which level the dispatcher resolved.
-// Pinned here: (1) each kernel against an independent spelling of the
-// schedule, (2) scalar vs AVX2 bitwise on random inputs, (3) fast == full
-// evaluation per level for OLTP / DSS / HTAP / ensemble models on random
-// placement walks with bit-identical verdicts across levels, and (4)
-// branch-and-bound == enumeration per level at 1 / 4 / hardware threads
-// with results and pruning counters bitwise equal across levels.
+// The summation kernels (common/simd_dispatch.h) carry the bit-identity
+// story of the fast scorers: each kernel executes the *pinned blocked
+// schedule* exactly, so every optimizer verdict — placements, TOC,
+// counters — is a pure function of the problem. Pinned here: (1) each
+// kernel against an independent spelling of the schedule, (2) fast == full
+// evaluation for OLTP / DSS / HTAP / ensemble models on random placement
+// walks, and (3) branch-and-bound == enumeration at 1 / 4 / hardware
+// threads, pruning counters bitwise equal across thread counts.
 
 #include "common/simd_dispatch.h"
 
@@ -35,26 +32,6 @@
 
 namespace dot {
 namespace {
-
-/// Forces a dispatch level for the current scope and restores the previous
-/// one on exit (single-threaded test setup only, per the hook's contract).
-class ScopedKernelLevel {
- public:
-  explicit ScopedKernelLevel(KernelLevel level)
-      : prev_(ForceKernelLevelForTest(level)) {}
-  ~ScopedKernelLevel() { ForceKernelLevelForTest(prev_); }
-
- private:
-  KernelLevel prev_;
-};
-
-std::vector<KernelLevel> SupportedLevels() {
-  std::vector<KernelLevel> levels = {KernelLevel::kScalar};
-  if (KernelLevelSupported(KernelLevel::kAvx2)) {
-    levels.push_back(KernelLevel::kAvx2);
-  }
-  return levels;
-}
 
 std::vector<int> ThreadCounts() {
   return {1, 4,
@@ -89,20 +66,15 @@ std::vector<double> RandomDoubles(Rng* rng, int n) {
 
 const int kLengths[] = {0, 1, 2, 3, 5, 7, 8, 9, 12, 15, 16, 31, 64, 257, 1000};
 
-TEST(SimdKernelTest, BlockedSumMatchesReferenceScheduleAtEveryLevel) {
+TEST(SimdKernelTest, BlockedSumMatchesReferenceSchedule) {
   Rng rng(101);
   for (int n : kLengths) {
     const std::vector<double> x = RandomDoubles(&rng, n);
-    const double want = ReferenceSchedule(x);
-    for (KernelLevel level : SupportedLevels()) {
-      ScopedKernelLevel scoped(level);
-      EXPECT_EQ(BlockedSum(x.data(), n), want)
-          << "n=" << n << " level=" << KernelLevelName(level);
-    }
+    EXPECT_EQ(BlockedSum(x.data(), n), ReferenceSchedule(x)) << "n=" << n;
   }
 }
 
-TEST(SimdKernelTest, GatherSumMatchesReferenceScheduleAtEveryLevel) {
+TEST(SimdKernelTest, GatherSumMatchesReferenceSchedule) {
   Rng rng(102);
   const std::vector<double> values = RandomDoubles(&rng, 512);
   for (int n : kLengths) {
@@ -113,16 +85,13 @@ TEST(SimdKernelTest, GatherSumMatchesReferenceScheduleAtEveryLevel) {
       gathered[static_cast<size_t>(i)] =
           values[static_cast<size_t>(idx[static_cast<size_t>(i)])];
     }
-    const double want = ReferenceSchedule(gathered);
-    for (KernelLevel level : SupportedLevels()) {
-      ScopedKernelLevel scoped(level);
-      EXPECT_EQ(GatherSum(values.data(), idx.data(), n), want)
-          << "n=" << n << " level=" << KernelLevelName(level);
-    }
+    EXPECT_EQ(GatherSum(values.data(), idx.data(), n),
+              ReferenceSchedule(gathered))
+        << "n=" << n;
   }
 }
 
-TEST(SimdKernelTest, PlaneGatherSumMatchesReferenceScheduleAtEveryLevel) {
+TEST(SimdKernelTest, PlaneGatherSumMatchesReferenceSchedule) {
   Rng rng(103);
   const int num_classes = 4;
   const int num_objects = 40;
@@ -143,65 +112,27 @@ TEST(SimdKernelTest, PlaneGatherSumMatchesReferenceScheduleAtEveryLevel) {
           plane[static_cast<size_t>(cls) * static_cast<size_t>(n) +
                 static_cast<size_t>(i)];
     }
-    const double want = ReferenceSchedule(gathered);
-    for (KernelLevel level : SupportedLevels()) {
-      ScopedKernelLevel scoped(level);
-      EXPECT_EQ(
-          PlaneGatherSum(plane.data(), objects.data(), placement.data(), n),
-          want)
-          << "n=" << n << " level=" << KernelLevelName(level);
-    }
-  }
-}
-
-TEST(SimdKernelTest, ScalarAndAvx2AreBitwiseIdenticalOnRandomInputs) {
-  if (!KernelLevelSupported(KernelLevel::kAvx2)) {
-    GTEST_SKIP() << "no AVX2 on this machine";
-  }
-  Rng rng(104);
-  for (int trial = 0; trial < 50; ++trial) {
-    const int n = 1 + static_cast<int>(rng.NextBounded(2000));
-    const std::vector<double> x = RandomDoubles(&rng, n);
-    double scalar_sum = 0.0;
-    double avx2_sum = 0.0;
-    {
-      ScopedKernelLevel scoped(KernelLevel::kScalar);
-      scalar_sum = BlockedSum(x.data(), n);
-    }
-    {
-      ScopedKernelLevel scoped(KernelLevel::kAvx2);
-      avx2_sum = BlockedSum(x.data(), n);
-    }
-    EXPECT_EQ(scalar_sum, avx2_sum) << "n=" << n;
+    EXPECT_EQ(
+        PlaneGatherSum(plane.data(), objects.data(), placement.data(), n),
+        ReferenceSchedule(gathered))
+        << "n=" << n;
   }
 }
 
 // ---------------------------------------------------------------------------
-// Fast == full per dispatch level, randomized placements, all model families.
+// Fast == full, randomized placements, all model families.
 // ---------------------------------------------------------------------------
-
-struct EvalRecord {
-  bool fits = false;
-  bool feasible = false;
-  double toc = 0.0;
-  double cost_cents_per_hour = 0.0;
-  double violation_gb = 0.0;
-};
 
 /// Runs `rounds` placements of a deterministic mutation walk through one
-/// evaluator (eval tables built under the currently forced level), checks
-/// fast == full bitwise each round, and returns the fast verdicts so the
-/// caller can compare walks across levels.
-std::vector<EvalRecord> RunParityWalk(const DotProblem& problem, uint64_t seed,
-                                      int rounds) {
+/// evaluator and checks fast == full bitwise each round.
+void CheckFastEqualsFull(const DotProblem& problem, uint64_t seed,
+                         int rounds) {
   DotOptimizer estimator(problem);
   CandidateEvaluator evaluator(estimator);
   const int n = problem.schema->NumObjects();
   const int m = problem.box->NumClasses();
   Rng rng(seed);
   std::vector<int> placement(static_cast<size_t>(n), 0);
-  std::vector<EvalRecord> records;
-  records.reserve(static_cast<size_t>(rounds));
   for (int round = 0; round < rounds; ++round) {
     if (round % 7 == 0) {
       for (int o = 0; o < n; ++o) {
@@ -216,52 +147,16 @@ std::vector<EvalRecord> RunParityWalk(const DotProblem& problem, uint64_t seed,
     const Layout layout(problem.schema, problem.box, placement);
     const CandidateEval fast = evaluator.EvaluateQuick(layout);
     const CandidateEval full = evaluator.EvaluateOne(layout);
-    const std::string what = std::string("level=") +
-                             KernelLevelName(ActiveKernelLevel()) +
-                             " round=" + std::to_string(round);
+    const std::string what = "round=" + std::to_string(round);
     EXPECT_EQ(fast.fits, full.fits) << what;
     EXPECT_EQ(fast.feasible, full.feasible) << what;
     EXPECT_EQ(fast.toc, full.toc) << what;
     EXPECT_EQ(fast.cost_cents_per_hour, full.cost_cents_per_hour) << what;
     EXPECT_EQ(fast.violation_gb, full.violation_gb) << what;
-    records.push_back({fast.fits, fast.feasible, fast.toc,
-                       fast.cost_cents_per_hour, fast.violation_gb});
-  }
-  return records;
-}
-
-/// Fast == full at every supported level, and the whole walk's verdicts
-/// bitwise identical across levels.
-void CheckParityAcrossLevels(const DotProblem& problem, uint64_t seed,
-                             int rounds) {
-  std::vector<EvalRecord> baseline;
-  bool have_baseline = false;
-  for (KernelLevel level : SupportedLevels()) {
-    ScopedKernelLevel scoped(level);
-    const std::vector<EvalRecord> records =
-        RunParityWalk(problem, seed, rounds);
-    if (!have_baseline) {
-      baseline = records;
-      have_baseline = true;
-      continue;
-    }
-    ASSERT_EQ(records.size(), baseline.size());
-    for (size_t i = 0; i < records.size(); ++i) {
-      const std::string what = std::string("cross-level level=") +
-                               KernelLevelName(level) +
-                               " round=" + std::to_string(i);
-      EXPECT_EQ(records[i].fits, baseline[i].fits) << what;
-      EXPECT_EQ(records[i].feasible, baseline[i].feasible) << what;
-      EXPECT_EQ(records[i].toc, baseline[i].toc) << what;
-      EXPECT_EQ(records[i].cost_cents_per_hour,
-                baseline[i].cost_cents_per_hour)
-          << what;
-      EXPECT_EQ(records[i].violation_gb, baseline[i].violation_gb) << what;
-    }
   }
 }
 
-TEST(KernelParityTest, OltpFastEqualsFullAtEveryLevel) {
+TEST(KernelParityTest, OltpFastEqualsFull) {
   Schema full = MakeTpccSchema(30);
   Schema schema = full.Subset({"stock", "pk_stock", "order_line",
                                "pk_order_line", "customer", "pk_customer",
@@ -273,10 +168,10 @@ TEST(KernelParityTest, OltpFastEqualsFullAtEveryLevel) {
   problem.box = &box;
   problem.workload = workload.get();
   problem.relative_sla = 0.25;
-  CheckParityAcrossLevels(problem, /*seed=*/0x011f, /*rounds=*/80);
+  CheckFastEqualsFull(problem, /*seed=*/0x011f, /*rounds=*/80);
 }
 
-TEST(KernelParityTest, DssFastEqualsFullAtEveryLevel) {
+TEST(KernelParityTest, DssFastEqualsFull) {
   Schema schema = MakeTpchEsSubsetSchema(20.0);
   BoxConfig box = MakeBox1();
   DssWorkloadModel workload("TPC-H-ES", &schema, &box,
@@ -287,10 +182,10 @@ TEST(KernelParityTest, DssFastEqualsFullAtEveryLevel) {
   problem.box = &box;
   problem.workload = &workload;
   problem.relative_sla = 0.5;
-  CheckParityAcrossLevels(problem, /*seed=*/0xd55, /*rounds=*/80);
+  CheckFastEqualsFull(problem, /*seed=*/0xd55, /*rounds=*/80);
 }
 
-TEST(KernelParityTest, HtapFastEqualsFullAtEveryLevel) {
+TEST(KernelParityTest, HtapFastEqualsFull) {
   Schema full = MakeTpccSchema(30);
   Schema schema = full.Subset({"stock", "pk_stock", "order_line",
                                "pk_order_line", "customer", "pk_customer",
@@ -302,10 +197,10 @@ TEST(KernelParityTest, HtapFastEqualsFullAtEveryLevel) {
   problem.box = &box;
   problem.workload = bundle.htap.get();
   problem.relative_sla = 0.25;
-  CheckParityAcrossLevels(problem, /*seed=*/0x47a9, /*rounds=*/60);
+  CheckFastEqualsFull(problem, /*seed=*/0x47a9, /*rounds=*/60);
 }
 
-TEST(KernelParityTest, EnsembleFastEqualsFullAtEveryLevel) {
+TEST(KernelParityTest, EnsembleFastEqualsFull) {
   Schema schema = MakeTpchEsSubsetSchema(20.0);
   BoxConfig box = MakeBox1();
   DssWorkloadModel workload("TPC-H-ES", &schema, &box,
@@ -324,11 +219,11 @@ TEST(KernelParityTest, EnsembleFastEqualsFullAtEveryLevel) {
   problem.workload = &workload;
   problem.relative_sla = 0.5;
   problem.ensemble = &ensemble;
-  CheckParityAcrossLevels(problem, /*seed=*/0xe25, /*rounds=*/40);
+  CheckFastEqualsFull(problem, /*seed=*/0xe25, /*rounds=*/40);
 }
 
 // ---------------------------------------------------------------------------
-// Branch-and-bound == enumeration per level, across thread counts.
+// Branch-and-bound == enumeration across thread counts.
 // ---------------------------------------------------------------------------
 
 void ExpectSearchIdentical(const DotResult& a, const DotResult& b,
@@ -352,41 +247,35 @@ void ExpectSameCounters(const DotResult& a, const DotResult& b,
   EXPECT_EQ(a.layouts_pruned, b.layouts_pruned) << what;
 }
 
-/// Per supported level: branch-and-bound and the sharded enumeration both
-/// equal the full-path enumeration at every thread count; across levels:
-/// the search tree itself (placement, TOC, every pruning counter) is a pure
-/// function of the problem, not the kernels.
-void CheckBnbAcrossLevelsAndThreads(DotProblem problem,
-                                    const std::string& what) {
+/// Branch-and-bound and the sharded enumeration both equal the full-path
+/// enumeration at every thread count, and the search tree itself
+/// (placement, TOC, every pruning counter) does not depend on the thread
+/// count.
+void CheckBnbAcrossThreads(DotProblem problem, const std::string& what) {
   DotProblem full = problem;
   full.options.use_fast_eval = false;
   const DotResult reference = ExactSearch(full, ExactStrategy::kEnumerate);
   bool have_baseline = false;
   DotResult baseline;
-  for (KernelLevel level : SupportedLevels()) {
-    ScopedKernelLevel scoped(level);
-    const std::string tag = what + " level=" + KernelLevelName(level);
-    for (int threads : ThreadCounts()) {
-      problem.options.num_threads = threads;
-      const std::string run = tag + " threads=" + std::to_string(threads);
-      const DotResult es = ExactSearch(problem, ExactStrategy::kEnumerate);
-      ExpectSearchIdentical(es, reference, run + " (enumerate vs full)");
-      EXPECT_EQ(es.layouts_evaluated, reference.layouts_evaluated) << run;
-      const DotResult bnb =
-          ExactSearch(problem, ExactStrategy::kBranchAndBound);
-      ExpectSearchIdentical(bnb, es, run);
-      if (!have_baseline) {
-        baseline = bnb;
-        have_baseline = true;
-      } else {
-        ExpectSearchIdentical(bnb, baseline, run + " (cross-level)");
-        ExpectSameCounters(bnb, baseline, run + " (cross-level)");
-      }
+  for (int threads : ThreadCounts()) {
+    problem.options.num_threads = threads;
+    const std::string run = what + " threads=" + std::to_string(threads);
+    const DotResult es = ExactSearch(problem, ExactStrategy::kEnumerate);
+    ExpectSearchIdentical(es, reference, run + " (enumerate vs full)");
+    EXPECT_EQ(es.layouts_evaluated, reference.layouts_evaluated) << run;
+    const DotResult bnb = ExactSearch(problem, ExactStrategy::kBranchAndBound);
+    ExpectSearchIdentical(bnb, es, run);
+    if (!have_baseline) {
+      baseline = bnb;
+      have_baseline = true;
+    } else {
+      ExpectSearchIdentical(bnb, baseline, run + " (cross-thread)");
+      ExpectSameCounters(bnb, baseline, run + " (cross-thread)");
     }
   }
 }
 
-TEST(KernelBnbTest, TpccBnbMatchesEnumerationAtEveryLevelAndThreadCount) {
+TEST(KernelBnbTest, TpccBnbMatchesEnumerationAtEveryThreadCount) {
   Schema full = MakeTpccSchema(30);
   Schema schema = full.Subset({"stock", "pk_stock", "order_line",
                                "pk_order_line", "customer", "pk_customer",
@@ -398,10 +287,10 @@ TEST(KernelBnbTest, TpccBnbMatchesEnumerationAtEveryLevelAndThreadCount) {
   problem.box = &box;
   problem.workload = workload.get();
   problem.relative_sla = 0.25;
-  CheckBnbAcrossLevelsAndThreads(problem, "tpcc");
+  CheckBnbAcrossThreads(problem, "tpcc");
 }
 
-TEST(KernelBnbTest, HtapBnbMatchesEnumerationAtEveryLevelAndThreadCount) {
+TEST(KernelBnbTest, HtapBnbMatchesEnumerationAtEveryThreadCount) {
   Schema full = MakeTpccSchema(30);
   Schema schema = full.Subset({"stock", "pk_stock", "order_line",
                                "pk_order_line", "customer", "pk_customer",
@@ -413,7 +302,7 @@ TEST(KernelBnbTest, HtapBnbMatchesEnumerationAtEveryLevelAndThreadCount) {
   problem.box = &box;
   problem.workload = bundle.htap.get();
   problem.relative_sla = 0.25;
-  CheckBnbAcrossLevelsAndThreads(problem, "htap");
+  CheckBnbAcrossThreads(problem, "htap");
 }
 
 }  // namespace

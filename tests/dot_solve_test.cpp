@@ -232,6 +232,79 @@ TEST_F(SolveFacadeTest, ValidateCatchesSpecProblemMismatches) {
     tenants[0].problem.targets_override = &targets;
     EXPECT_TRUE(fleet.Validate(problem_).ok()) << what;
   }
+
+  // A negative migration weight other than the auto sentinel, or NaN: the
+  // epoch planner would turn migration cost into a reward.
+  for (double weight : {-0.5, -2.0, std::numeric_limits<double>::quiet_NaN()}) {
+    const std::string what = "migration_weight " + std::to_string(weight);
+    SolveSpec bad_weight = epoch;
+    bad_weight.migration_weight = weight;
+    EXPECT_EQ(bad_weight.Validate(problem_).code(),
+              StatusCode::kInvalidArgument)
+        << what;
+    EXPECT_EQ(Solve(problem_, bad_weight).status.code(),
+              StatusCode::kInvalidArgument)
+        << what;
+  }
+  SolveSpec zero_weight = epoch;
+  zero_weight.migration_weight = 0.0;
+  EXPECT_TRUE(zero_weight.Validate(problem_).ok());
+}
+
+TEST_F(SolveFacadeTest, MalformedIoScaleHintIsRejected) {
+  const int n = schema_.NumObjects();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::vector<double>> bad_hints = {
+      std::vector<double>(2, 1.0),
+      std::vector<double>(static_cast<size_t>(n + 1), 1.0),
+      std::vector<double>(static_cast<size_t>(n), nan),
+  };
+  for (double entry : {nan, -1.0, std::numeric_limits<double>::infinity()}) {
+    std::vector<double> hint(static_cast<size_t>(n), 1.0);
+    hint[1] = entry;
+    bad_hints.push_back(hint);
+  }
+  SolveSpec fleet;
+  fleet.method = SolveMethod::kFleet;
+  std::vector<FleetTenant> tenants = {{"t0", problem_}};
+  FleetSpec roster;
+  roster.tenants = &tenants;
+  fleet.fleet = &roster;
+  SolveSpec epoch;
+  epoch.method = SolveMethod::kEpochPlan;
+  for (size_t k = 0; k < bad_hints.size(); ++k) {
+    SCOPED_TRACE("hint " + std::to_string(k));
+    DotProblem bad = problem_;
+    bad.io_scale_hint = bad_hints[k];
+    for (SolveMethod method :
+         {SolveMethod::kExact, SolveMethod::kDotHeuristic,
+          SolveMethod::kEnumerate}) {
+      SolveSpec spec;
+      spec.method = method;
+      EXPECT_EQ(spec.Validate(bad).code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(Solve(bad, spec).status.code(),
+                StatusCode::kInvalidArgument);
+    }
+    // The epoch planner ignores the hint, so it is not checked there.
+    EXPECT_TRUE(epoch.Validate(bad).ok());
+
+    // The same rule per fleet tenant, through every fleet entry point.
+    tenants[0].problem = bad;
+    EXPECT_EQ(ValidateFleetRoster(tenants, &box_, roster.config).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(FleetPlanner(&box_, roster.config).Plan(tenants).status.code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(Solve(problem_, fleet).status.code(),
+              StatusCode::kInvalidArgument);
+  }
+  // A well-formed hint solves.
+  DotProblem scaled = problem_;
+  scaled.io_scale_hint.assign(static_cast<size_t>(n), 1.5);
+  SolveSpec exact;
+  exact.method = SolveMethod::kExact;
+  EXPECT_TRUE(Solve(scaled, exact).status.ok());
+  tenants[0].problem = scaled;
+  EXPECT_TRUE(ValidateFleetRoster(tenants, &box_, roster.config).ok());
 }
 
 /// A malformed ensemble comes back as InvalidArgument from Validate and
