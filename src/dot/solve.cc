@@ -40,42 +40,44 @@ SolveResult FromDot(DotResult result, SolveMethod method,
   return out;
 }
 
-}  // namespace
-
-Status SolveSpec::Validate(const DotProblem& problem) const {
-  if (ensemble != nullptr && method == SolveMethod::kEpochPlan) {
+/// SolveSpec::Validate up to, not including, the kFleet roster walk.
+/// FleetPlanner::Plan checks the roster itself, so Solve runs this instead
+/// of walking every tenant twice.
+Status ValidateAllButRoster(const SolveSpec& spec, const DotProblem& problem) {
+  if (spec.ensemble != nullptr && spec.method == SolveMethod::kEpochPlan) {
     return Status::InvalidArgument(
         "ensemble mode is single-shot; kEpochPlan re-derives per-epoch "
         "point problems");
   }
-  if (ensemble != nullptr && method == SolveMethod::kFleet) {
+  if (spec.ensemble != nullptr && spec.method == SolveMethod::kFleet) {
     return Status::InvalidArgument(
         "ensemble mode is single-shot; fleet tenants are point forecasts");
   }
   if (problem.box == nullptr) {
     return Status::InvalidArgument("DotProblem::box is null");
   }
-  if (method != SolveMethod::kFleet) {
+  if (spec.method != SolveMethod::kFleet) {
     if (problem.schema == nullptr || problem.workload == nullptr) {
       return Status::InvalidArgument(
           "DotProblem::schema and ::workload must be set");
     }
-    if (method == SolveMethod::kDotHeuristic && problem.profiles == nullptr) {
+    if (spec.method == SolveMethod::kDotHeuristic &&
+        problem.profiles == nullptr) {
       return Status::InvalidArgument(
           "kDotHeuristic needs DotProblem::profiles for move scoring");
     }
     // The epoch planner derives per-epoch targets from relative_sla even
     // when the problem carries an override.
     if (problem.targets_override == nullptr ||
-        method == SolveMethod::kEpochPlan) {
+        spec.method == SolveMethod::kEpochPlan) {
       Status st = ValidateRelativeSla(problem.relative_sla);
       if (!st.ok()) return st;
     }
-    if (method == SolveMethod::kEpochPlan) {
+    if (spec.method == SolveMethod::kEpochPlan) {
       // A negative weight would turn migration cost into a reward; only
       // the auto sentinel may sit below zero. NaN fails the comparison.
-      if (!(migration_weight == kAutoMigrationWeight ||
-            migration_weight >= 0.0)) {
+      if (!(spec.migration_weight == kAutoMigrationWeight ||
+            spec.migration_weight >= 0.0)) {
         return Status::InvalidArgument(
             "migration_weight must be >= 0 or kAutoMigrationWeight");
       }
@@ -88,7 +90,7 @@ Status SolveSpec::Validate(const DotProblem& problem) const {
       if (!st.ok()) return st;
     }
     const ScenarioEnsemble* scenarios =
-        ensemble != nullptr ? ensemble : problem.ensemble;
+        spec.ensemble != nullptr ? spec.ensemble : problem.ensemble;
     if (scenarios != nullptr) {
       return ValidateEnsemble(*scenarios, problem.schema->NumObjects());
     }
@@ -96,18 +98,24 @@ Status SolveSpec::Validate(const DotProblem& problem) const {
   }
   // --- kFleet: the problem carries box + options; the spec carries the
   // tenants, each a full problem of its own.
-  if (fleet == nullptr || fleet->tenants == nullptr) {
+  if (spec.fleet == nullptr || spec.fleet->tenants == nullptr) {
     return Status::InvalidArgument(
         "kFleet needs SolveSpec::fleet with a tenants vector");
   }
-  Status st = ValidateFleetConfig(fleet->config, *problem.box);
-  if (!st.ok()) return st;
+  return ValidateFleetConfig(spec.fleet->config, *problem.box);
+}
+
+}  // namespace
+
+Status SolveSpec::Validate(const DotProblem& problem) const {
+  Status st = ValidateAllButRoster(*this, problem);
+  if (!st.ok() || method != SolveMethod::kFleet) return st;
   return ValidateFleetRoster(*fleet->tenants, problem.box, fleet->config);
 }
 
 SolveResult Solve(const DotProblem& problem, const SolveSpec& spec) {
   {
-    Status st = spec.Validate(problem);
+    Status st = ValidateAllButRoster(spec, problem);
     if (!st.ok()) {
       SolveResult out;
       out.status = std::move(st);

@@ -106,10 +106,11 @@ struct SolveSpec {
   /// negative other than kAutoMigrationWeight, an ensemble overlay on a
   /// method that cannot honor it, a malformed ensemble (ValidateEnsemble,
   /// on the overlay or else the problem's own), or a malformed fleet spec
-  /// (ValidateFleetConfig, ValidateFleetRoster). Solve() calls this first
-  /// and returns the error in SolveResult::status — it no longer aborts on
-  /// spec/problem mismatches — so drivers that assemble specs from config
-  /// can pre-flight them.
+  /// (ValidateFleetConfig, ValidateFleetRoster). Solve() runs the same
+  /// checks first and returns the error in SolveResult::status — it never
+  /// aborts on spec/problem mismatches — so drivers that assemble specs
+  /// from config can pre-flight them. (Solve leaves the roster check to
+  /// FleetPlanner::Plan, which returns the same status.)
   Status Validate(const DotProblem& problem) const;
 };
 

@@ -1,19 +1,34 @@
 #include "dot/validator.h"
 
 #include <algorithm>
+#include <cmath>
 
-#include "common/check.h"
 #include "dot/sla.h"
+#include "dot/solve.h"
 #include "query/object_io.h"
+#include "workload/scenario.h"
 
 namespace dot {
 
 namespace {
 
-/// Measured-vs-targets check with tolerance headroom.
-bool MeasuredMeetsTargets(const PerfEstimate& measured,
-                          const PerfTargets& targets, double tolerance) {
-  return MeetsTargets(measured, targets, tolerance);
+/// The problem and config checks RunDotPipeline reports instead of
+/// aborting: the round count, the heuristic solve's own checks
+/// (SolveSpec::Validate), and the test run's noise and io_scale.
+Status ValidatePipeline(const DotProblem& problem,
+                        const PipelineConfig& config) {
+  if (config.max_rounds < 1) {
+    return Status::InvalidArgument("PipelineConfig::max_rounds must be >= 1");
+  }
+  SolveSpec heuristic;
+  heuristic.method = SolveMethod::kDotHeuristic;
+  Status st = heuristic.Validate(problem);
+  if (!st.ok()) return st;
+  if (!(std::isfinite(config.exec.noise_cv) && config.exec.noise_cv >= 0.0)) {
+    return Status::InvalidArgument("exec.noise_cv must be finite and >= 0");
+  }
+  return ValidateIoScale(config.exec.io_scale, problem.schema->NumObjects(),
+                         "exec.io_scale");
 }
 
 /// Per-object ratio of measured to estimated total I/O — the refinement
@@ -39,8 +54,9 @@ std::vector<double> DeriveIoScale(const PerfEstimate& measured,
 
 PipelineResult RunDotPipeline(const DotProblem& problem,
                               const PipelineConfig& config) {
-  DOT_CHECK(config.max_rounds >= 1);
   PipelineResult out;
+  out.final.status = ValidatePipeline(problem, config);
+  if (!out.final.status.ok()) return out;
 
   DotProblem working = problem;
   Executor executor(problem.workload, config.exec);
@@ -59,8 +75,8 @@ PipelineResult RunDotPipeline(const DotProblem& problem,
 
     // Validation phase: test run on the recommended layout.
     vr.measured = executor.Run(vr.recommendation.placement);
-    vr.passed = MeasuredMeetsTargets(vr.measured, optimizer.targets(),
-                                     config.validation_tolerance);
+    vr.passed = MeetsTargets(vr.measured, optimizer.targets(),
+                             config.validation_tolerance);
     vr.measured_psr = Psr(vr.measured, optimizer.targets());
 
     if (vr.passed) {

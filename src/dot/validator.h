@@ -48,6 +48,12 @@ struct PipelineResult {
 /// factors from the run's *actual* I/O statistics and redoes the
 /// optimization phase with them (§3: "uses real runtime statistics ... to
 /// redo the optimization phase").
+///
+/// A malformed problem or config — max_rounds < 1, anything
+/// SolveSpec::Validate rejects for kDotHeuristic (e.g. no profiles), an
+/// exec.io_scale that ValidateIoScale rejects, or a NaN, infinite or
+/// negative exec.noise_cv — comes back as InvalidArgument in
+/// final.status, with no rounds, instead of aborting.
 PipelineResult RunDotPipeline(const DotProblem& problem,
                               const PipelineConfig& config);
 

@@ -97,7 +97,8 @@ Status ValidateFleetConfig(const FleetConfig& config, const BoxConfig& box);
 /// unless targets_override is set, an io_scale_hint valid per
 /// ValidateIoScale, and profiles when the pool build runs
 /// DOT's Procedure 1 (FleetPoolMode::kSearch with EpochSearch::kDot).
-/// Solve (SolveSpec::Validate) and FleetPlanner::Plan both call it.
+/// SolveSpec::Validate and FleetPlanner::Plan call it; Solve(kFleet)
+/// leaves it to Plan, so a roster is walked once per solve.
 Status ValidateFleetRoster(const std::vector<FleetTenant>& tenants,
                            const BoxConfig* box, const FleetConfig& config);
 

@@ -22,19 +22,10 @@ std::vector<double>& TimeScratch() {
 
 }  // namespace
 
-void AccumulateIo(ObjectIoMap& into, const ObjectIoMap& delta) {
-  if (into.size() < delta.size()) into.resize(delta.size());
-  for (size_t i = 0; i < delta.size(); ++i) into[i] += delta[i];
-}
-
 void AccumulateScaledIo(ObjectIoMap& into, const ObjectIoMap& delta,
                         double factor) {
   if (into.size() < delta.size()) into.resize(delta.size());
   for (size_t i = 0; i < delta.size(); ++i) into[i] += delta[i] * factor;
-}
-
-void ScaleIo(ObjectIoMap& io, double factor) {
-  for (IoVector& v : io) v *= factor;
 }
 
 double IoTimeShareMs(const ObjectIoMap& io, const std::vector<int>& placement,

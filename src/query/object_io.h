@@ -12,17 +12,11 @@ namespace dot {
 /// Indexed densely by object id (schema order).
 using ObjectIoMap = std::vector<IoVector>;
 
-/// Elementwise sum; `into` is resized up if needed.
-void AccumulateIo(ObjectIoMap& into, const ObjectIoMap& delta);
-
 /// into[o] += delta[o] * factor, without materializing a scaled copy of
 /// `delta` (the per-candidate copies this avoids were the hottest
 /// allocation in the workload models' estimate loops).
 void AccumulateScaledIo(ObjectIoMap& into, const ObjectIoMap& delta,
                         double factor);
-
-/// Scales all counts by `factor` (e.g. query repetitions).
-void ScaleIo(ObjectIoMap& io, double factor);
 
 /// The I/O time share (Eq. 1) of the given per-object counts under a
 /// placement: Σ_o Σ_r χ_r[o] · τ^{p[o]}_r(c), where `placement[o]` is the

@@ -36,11 +36,11 @@ constexpr int kCursorMemoBits = 14;
 /// change a score.
 class DssFastScorer : public FastScorer {
  public:
-  DssFastScorer(const DssWorkloadModel* model, const BoxConfig* box,
+  DssFastScorer(const DssWorkloadModel* model, const BoxConfig& box,
                 std::vector<double> io_scale,
                 const std::vector<double>& query_caps_ms,
                 double sla_tolerance)
-      : model_(model), box_(box), io_scale_(std::move(io_scale)) {
+      : model_(model), io_scale_(std::move(io_scale)) {
     const auto& templates = model_->templates();
     const auto& sequence = model_->sequence();
     DOT_CHECK(query_caps_ms.size() == sequence.size())
@@ -60,21 +60,18 @@ class DssFastScorer : public FastScorer {
     }
     for (double& thr : thresholds_) thr = thr * (1 + sla_tolerance);
 
-    // Templates the sequence never runs are never planned (the full path
-    // skips them too): empty footprint, no cache, time pinned to 0.
-    seq_count_.assign(templates.size(), 0);
-    for (int idx : sequence) seq_count_[static_cast<size_t>(idx)] += 1;
-
     const int num_objects = model_->schema().NumObjects();
     const size_t num_templates = templates.size();
-    num_classes_ = box_->NumClasses();
+    num_classes_ = box.NumClasses();
     dense_.resize(num_templates);
     memo_eligible_.assign(num_templates, 0);
     fp_offsets_.reserve(num_templates + 1);
     fp_offsets_.push_back(0);
     std::vector<int> rows_per_object(static_cast<size_t>(num_objects), 0);
     for (size_t t = 0; t < num_templates; ++t) {
-      if (seq_count_[t] > 0) {
+      // Templates the sequence never runs are never planned (the full path
+      // skips them too): empty footprint, no cache, time pinned to 0.
+      if (model_->seq_count()[t] > 0) {
         const std::vector<int>& fp = model_->compiled()[t].footprint();
         fp_objects_.insert(fp_objects_.end(), fp.begin(), fp.end());
         for (int o : fp) rows_per_object[static_cast<size_t>(o)] += 1;
@@ -221,7 +218,7 @@ class DssFastScorer : public FastScorer {
         lo = std::min(lo, cond[c]);
         hi = std::max(hi, cond[c]);
       }
-      spread += seq_count_[static_cast<size_t>(row.t)] * (hi - lo);
+      spread += model_->seq_count()[static_cast<size_t>(row.t)] * (hi - lo);
     }
     return spread;
   }
@@ -265,7 +262,7 @@ class DssFastScorer : public FastScorer {
   ///
   /// Templates the dense cache cannot hold are priced through a private,
   /// direct-mapped memo keyed by the exact (footprint key, template) tag:
-  /// a hit returns the bits PlanTime returned for that key. It is
+  /// a hit returns the bits RunTemplate returned for that key. It is
   /// allocated on first use, so cursors that never complete such a
   /// template (all of HTAP's DSS side) never pay for it. Being private, it
   /// needs no synchronization, and no thread interleaving can reach it.
@@ -356,7 +353,9 @@ class DssFastScorer : public FastScorer {
       }
       tally.misses += 1;
       slot.tag = tag;
-      slot.time_ms = scorer_->PlanTime(t, placement);
+      slot.time_ms =
+          scorer_->model_->RunTemplate(t, placement, scorer_->io_scale_)
+              .time_ms;
       return slot.time_ms;
     }
 
@@ -416,7 +415,7 @@ class DssFastScorer : public FastScorer {
         return time_ms;
       }
     }
-    const double time_ms = PlanTime(t, placement);
+    const double time_ms = model_->RunTemplate(t, placement, io_scale_).time_ms;
     tally.misses += 1;
     if (slot != nullptr) {
       std::uint64_t out;
@@ -424,21 +423,6 @@ class DssFastScorer : public FastScorer {
       slot->store(out, std::memory_order_relaxed);
     }
     return time_ms;
-  }
-
-  /// Uncached time: exactly the per-template arithmetic of
-  /// DssWorkloadModel::EstimateWithIoScale, through the compiled program.
-  double PlanTime(int t, const std::vector<int>& placement) const {
-    const CompiledTemplate& program =
-        model_->compiled()[static_cast<size_t>(t)];
-    if (io_scale_.empty()) return program.Run(placement.data()).time_ms;
-    // Per-thread scratch: sized once, then reused allocation-free.
-    static thread_local ObjectIoMap io;
-    io.assign(io_scale_.size(), IoVector{});
-    const double cpu_ms = program.Run(placement.data(), io.data()).cpu_ms;
-    for (size_t o = 0; o < io.size(); ++o) io[o] *= io_scale_[o];
-    return IoTimeShareMs(io, placement, *box_, model_->concurrency()) +
-           cpu_ms;
   }
 
   /// The sequence walk and SLA verdict, shared by Score and the cursor.
@@ -464,9 +448,7 @@ class DssFastScorer : public FastScorer {
   }
 
   const DssWorkloadModel* model_;
-  const BoxConfig* box_;
   std::vector<double> io_scale_;
-  std::vector<int> seq_count_;      ///< occurrences in the sequence
   std::vector<double> thresholds_;  ///< per template, +inf if unused
   int num_classes_ = 0;
   /// Footprints as CSR: template t owns fp_objects_[fp_offsets_[t] ..
@@ -524,72 +506,66 @@ DssWorkloadModel::DssWorkloadModel(std::string name, const Schema* schema,
   }
 }
 
-Plan DssWorkloadModel::PlanTemplate(int template_idx,
-                                    const std::vector<int>& placement) const {
-  DOT_CHECK(template_idx >= 0 &&
-            template_idx < static_cast<int>(templates_.size()));
-  return planner_.PlanQuery(templates_[static_cast<size_t>(template_idx)],
-                            placement);
+CompiledTemplate::Result DssWorkloadModel::RunTemplate(
+    int t, const std::vector<int>& placement,
+    const std::vector<double>& io_scale, ObjectIoMap* io) const {
+  const CompiledTemplate& program = compiled_[static_cast<size_t>(t)];
+  if (io_scale.empty() && io == nullptr) return program.Run(placement.data());
+  // Per-thread scratch: sized once, then reused allocation-free.
+  static thread_local ObjectIoMap scratch;
+  ObjectIoMap& objects = io != nullptr ? *io : scratch;
+  objects.assign(static_cast<size_t>(schema_->NumObjects()), IoVector{});
+  CompiledTemplate::Result r = program.Run(placement.data(), objects.data());
+  if (io_scale.empty()) return r;
+  for (size_t o = 0; o < objects.size(); ++o) objects[o] *= io_scale[o];
+  r.io_ms = IoTimeShareMs(objects, placement, *box_, concurrency());
+  r.time_ms = r.io_ms + r.cpu_ms;
+  return r;
 }
 
 PerfEstimate DssWorkloadModel::EstimateWithIoScale(
     const std::vector<int>& placement, const std::vector<double>& io_scale,
     bool need_io_by_object) const {
-  DOT_CHECK(io_scale.empty() ||
-            static_cast<int>(io_scale.size()) == schema_->NumObjects())
+  const int n = schema_->NumObjects();
+  DOT_CHECK(static_cast<int>(placement.size()) == n)
+      << "placement arity mismatch";
+  for (int cls : placement) {
+    DOT_CHECK(cls >= 0 && cls < box_->NumClasses())
+        << "placement holds invalid class " << cls;
+  }
+  DOT_CHECK(io_scale.empty() || static_cast<int>(io_scale.size()) == n)
       << "io_scale arity mismatch";
   PerfEstimate est;
-  est.unit_times_ms.reserve(sequence_.size());
 
-  // Plan each distinct template once (skipping templates the sequence never
-  // runs); replicate per the run sequence.
-  std::vector<Plan> plans;
-  std::vector<double> plan_times;
-  plans.reserve(templates_.size());
-  plan_times.reserve(templates_.size());
-  for (size_t t = 0; t < templates_.size(); ++t) {
-    if (seq_count_[t] == 0) {
-      plans.emplace_back();
-      plan_times.push_back(0.0);
-      continue;
-    }
-    Plan plan = planner_.PlanQuery(templates_[t], placement);
-    double time_ms = plan.time_ms;
-    if (!io_scale.empty()) {
-      ObjectIoMap scaled = plan.io_by_object;
-      for (size_t o = 0; o < scaled.size(); ++o) scaled[o] *= io_scale[o];
-      time_ms =
-          IoTimeShareMs(scaled, placement, *box_, concurrency()) +
-          plan.cpu_ms;
-      plan.io_by_object = std::move(scaled);
-    }
-    plan_times.push_back(time_ms);
-    plans.push_back(std::move(plan));
-  }
-
-  for (int idx : sequence_) {
-    est.unit_times_ms.push_back(plan_times[static_cast<size_t>(idx)]);
-  }
-  // Same gather (addends and schedule) as the fast scorer's ScoreFromTimes.
-  est.elapsed_ms = GatherSum(plan_times.data(), sequence_.data(),
-                             static_cast<int>(sequence_.size()));
-
-  // Each distinct plan's I/O and join census enter `count` times; multiply
-  // once instead of re-accumulating per sequence entry.
+  // Price each distinct template once (skipping templates the sequence
+  // never runs); its I/O and join census enter `count` times, multiplied
+  // once instead of re-accumulated per sequence entry.
+  std::vector<double> times(templates_.size(), 0.0);
+  ObjectIoMap template_io;
   if (need_io_by_object) {
-    est.io_by_object.assign(static_cast<size_t>(schema_->NumObjects()),
-                            IoVector{});
+    est.io_by_object.assign(static_cast<size_t>(n), IoVector{});
   }
   for (size_t t = 0; t < templates_.size(); ++t) {
     const int count = seq_count_[t];
     if (count == 0) continue;
-    est.num_joins += count * plans[t].num_joins;
-    est.num_index_nl_joins += count * plans[t].num_index_nl_joins;
+    const CompiledTemplate::Result r =
+        RunTemplate(static_cast<int>(t), placement, io_scale,
+                    need_io_by_object ? &template_io : nullptr);
+    times[t] = r.time_ms;
+    est.num_joins += count * r.num_joins;
+    est.num_index_nl_joins += count * r.num_index_nl_joins;
     if (need_io_by_object) {
-      AccumulateScaledIo(est.io_by_object, plans[t].io_by_object, count);
+      AccumulateScaledIo(est.io_by_object, template_io, count);
     }
   }
 
+  est.unit_times_ms.reserve(sequence_.size());
+  for (int idx : sequence_) {
+    est.unit_times_ms.push_back(times[static_cast<size_t>(idx)]);
+  }
+  // Same gather (addends and schedule) as the fast scorer's ScoreFromTimes.
+  est.elapsed_ms = GatherSum(times.data(), sequence_.data(),
+                             static_cast<int>(sequence_.size()));
   if (est.elapsed_ms > 0) {
     est.tasks_per_hour =
         static_cast<double>(sequence_.size()) / (est.elapsed_ms / kMsPerHour);
@@ -605,8 +581,8 @@ std::unique_ptr<FastScorer> DssWorkloadModel::MakeFastScorer(
   DOT_CHECK(io_scale.empty() ||
             static_cast<int>(io_scale.size()) == schema_->NumObjects())
       << "io_scale arity mismatch";
-  return std::make_unique<DssFastScorer>(this, box_, io_scale, query_caps_ms,
-                                         sla_tolerance);
+  return std::make_unique<DssFastScorer>(this, *box_, io_scale,
+                                         query_caps_ms, sla_tolerance);
 }
 
 }  // namespace dot

@@ -21,9 +21,10 @@ namespace dot {
 /// the candidate placement.
 ///
 /// The model snapshots the box's device latencies at construction: each
-/// template is compiled once into a CompiledTemplate, which the fast
-/// scorer prices placements with. Capacities (set_capacity_gb) are not
-/// part of the snapshot; they never enter a plan.
+/// template is compiled once into a CompiledTemplate, which RunTemplate
+/// runs for the full estimate and the fast scorer alike; workload_dss_test
+/// pins both against the Planner's plan trees. Capacities (set_capacity_gb)
+/// are not part of the snapshot; they never enter a plan.
 class DssWorkloadModel : public WorkloadModel {
  public:
   /// Footprints above this many placements get no dense plan cache in the
@@ -49,12 +50,12 @@ class DssWorkloadModel : public WorkloadModel {
       const std::vector<int>& placement, const std::vector<double>& io_scale,
       bool need_io_by_object = true) const override;
 
-  /// TOC-only fast path: each template's time comes from its compiled
-  /// program, behind a lock-free dense cache keyed by the placement
-  /// restricted to the template's footprint when that footprint has at
-  /// most kDenseCacheMaxEntries placements (larger ones are memoized per
-  /// bound cursor). Bit-identical to EstimateWithIoScale, which plans
-  /// through Planner::PlanQuery.
+  /// TOC-only fast path: each template's time comes from RunTemplate,
+  /// behind a lock-free dense cache keyed by the placement restricted to
+  /// the template's footprint when that footprint has at most
+  /// kDenseCacheMaxEntries placements (larger ones are memoized per bound
+  /// cursor). Bit-identical to EstimateWithIoScale, which sums the same
+  /// RunTemplate times.
   std::unique_ptr<FastScorer> MakeFastScorer(
       const std::vector<double>& io_scale,
       const std::vector<double>& query_caps_ms, double min_tpmc,
@@ -62,16 +63,22 @@ class DssWorkloadModel : public WorkloadModel {
 
   const std::vector<QuerySpec>& templates() const { return templates_; }
   const std::vector<int>& sequence() const { return sequence_; }
+  /// seq_count()[t]: how often template t occurs in sequence(); 0 for a
+  /// template the sequence never runs (never priced, time 0).
+  const std::vector<int>& seq_count() const { return seq_count_; }
   const Schema& schema() const { return *schema_; }
   const Planner& planner() const { return planner_; }
   /// templates()[t] compiled for this model's schema, box and planner
   /// config.
   const std::vector<CompiledTemplate>& compiled() const { return compiled_; }
 
-  /// Plans a single template under `placement` (used by the INLJ-share
-  /// analysis bench and by tests).
-  Plan PlanTemplate(int template_idx,
-                    const std::vector<int>& placement) const;
+  /// Template `t` under `placement`: its compiled program's result, or
+  /// with an `io_scale` the (unscaled-cost) plan's per-object I/O scaled
+  /// and re-priced, io_ms = IoTimeShareMs, time_ms = io_ms + cpu_ms. A
+  /// non-null `io` receives that I/O; otherwise per-thread scratch holds it.
+  CompiledTemplate::Result RunTemplate(int t, const std::vector<int>& placement,
+                                       const std::vector<double>& io_scale,
+                                       ObjectIoMap* io = nullptr) const;
 
  private:
   std::string name_;

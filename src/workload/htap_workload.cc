@@ -266,12 +266,8 @@ HtapWorkload::HtapWorkload(std::string name, const OltpWorkloadModel* oltp,
     }
   }
   std::vector<double> dss_intensity(static_cast<size_t>(n), 0.0);
-  const std::vector<QuerySpec>& templates = dss_->templates();
-  std::vector<int> seq_count(templates.size(), 0);
-  for (int idx : dss_->sequence()) {
-    seq_count[static_cast<size_t>(idx)] += 1;
-  }
-  for (size_t t = 0; t < templates.size(); ++t) {
+  const std::vector<int>& seq_count = dss_->seq_count();
+  for (size_t t = 0; t < seq_count.size(); ++t) {
     if (seq_count[t] == 0) continue;
     for (int o : dss_->compiled()[t].footprint()) {
       dss_intensity[static_cast<size_t>(o)] += seq_count[t];

@@ -7,16 +7,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <thread>
 #include <vector>
 
+#include "catalog/tpcc_schema.h"
 #include "catalog/tpch_schema.h"
+#include "common/rng.h"
 #include "dot/candidate_evaluator.h"
 #include "dot/bnb_search.h"
 #include "dot/optimizer.h"
 #include "dot/provisioner.h"
 #include "storage/standard_catalog.h"
 #include "workload/dss_workload.h"
+#include "workload/htap_workload.h"
 #include "workload/profiler.h"
 #include "workload/tpch_queries.h"
 
@@ -151,6 +156,102 @@ TEST_F(ParallelDeterminismTest, ZeroThreadsResolvesToHardwareConcurrency) {
   DotProblem serial = problem_;
   serial.options.num_threads = 1;
   ExpectIdentical(DotOptimizer(serial).Optimize(), r, "auto threads");
+}
+
+std::uint64_t Bits(double x) {
+  std::uint64_t b;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
+
+void ExpectSameEstimate(const PerfEstimate& a, const PerfEstimate& b) {
+  EXPECT_EQ(Bits(a.elapsed_ms), Bits(b.elapsed_ms));
+  EXPECT_EQ(Bits(a.tasks_per_hour), Bits(b.tasks_per_hour));
+  EXPECT_EQ(Bits(a.tpmc), Bits(b.tpmc));
+  EXPECT_EQ(a.num_joins, b.num_joins);
+  EXPECT_EQ(a.num_index_nl_joins, b.num_index_nl_joins);
+  ASSERT_EQ(a.unit_times_ms.size(), b.unit_times_ms.size());
+  for (size_t i = 0; i < a.unit_times_ms.size(); ++i) {
+    EXPECT_EQ(Bits(a.unit_times_ms[i]), Bits(b.unit_times_ms[i])) << i;
+  }
+  ASSERT_EQ(a.io_by_object.size(), b.io_by_object.size());
+  for (size_t o = 0; o < a.io_by_object.size(); ++o) {
+    for (int k = 0; k < kNumIoTypes; ++k) {
+      EXPECT_EQ(Bits(a.io_by_object[o].v[static_cast<size_t>(k)]),
+                Bits(b.io_by_object[o].v[static_cast<size_t>(k)]))
+          << "object " << o << " io type " << k;
+    }
+  }
+}
+
+/// Full estimates under `io_scale` from 4 threads at once — the epoch
+/// planner's pool matrix and the provisioner's fan-out call them this way —
+/// each thread walking its own distinct placements several times over, with
+/// and without io_by_object, must equal the serial estimates bit for bit:
+/// the estimator keeps its per-object I/O in per-call or per-thread
+/// scratch, never in shared state.
+void ExpectConcurrentEstimatesMatchSerial(const WorkloadModel& model,
+                                          int num_objects, int num_classes) {
+  constexpr int kThreads = 4;
+  constexpr int kPlacementsPerThread = 8;
+  constexpr int kRounds = 5;
+  Rng rng(0xe57 + static_cast<std::uint64_t>(num_objects));
+  std::vector<double> io_scale(static_cast<size_t>(num_objects));
+  for (double& s : io_scale) s = 0.5 + 2.0 * rng.NextDouble();
+  std::vector<std::vector<int>> placements(kThreads * kPlacementsPerThread);
+  for (std::vector<int>& p : placements) {
+    p.resize(static_cast<size_t>(num_objects));
+    for (int& cls : p) {
+      cls = static_cast<int>(
+          rng.NextBounded(static_cast<std::uint64_t>(num_classes)));
+    }
+  }
+  // [2 * i + need_io]: placement i without and with io_by_object.
+  std::vector<PerfEstimate> serial;
+  for (const std::vector<int>& p : placements) {
+    for (bool need_io : {false, true}) {
+      serial.push_back(model.EstimateWithIoScale(p, io_scale, need_io));
+    }
+  }
+
+  std::vector<std::vector<PerfEstimate>> concurrent(serial.size());
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t i = static_cast<size_t>(w); i < placements.size();
+             i += kThreads) {
+          for (bool need_io : {false, true}) {
+            concurrent[2 * i + (need_io ? 1 : 0)].push_back(
+                model.EstimateWithIoScale(placements[i], io_scale, need_io));
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (size_t i = 0; i < serial.size(); ++i) {
+    ASSERT_EQ(concurrent[i].size(), static_cast<size_t>(kRounds));
+    for (const PerfEstimate& est : concurrent[i]) {
+      SCOPED_TRACE("placement " + std::to_string(i / 2) +
+                   (i % 2 == 1 ? " with io_by_object" : ""));
+      ExpectSameEstimate(est, serial[i]);
+    }
+  }
+}
+
+TEST_F(ParallelDeterminismTest, ConcurrentDssEstimatesMatchSerial) {
+  ExpectConcurrentEstimatesMatchSerial(workload_, schema_.NumObjects(),
+                                       box_.NumClasses());
+}
+
+TEST(ConcurrentEstimateTest, HtapEstimatesMatchSerial) {
+  const Schema schema = MakeTpccSchema(30);
+  const BoxConfig box = MakeBox2();
+  const HtapBundle bundle =
+      MakeChbenchHtapWorkload(&schema, &box, HtapConfig{});
+  ExpectConcurrentEstimatesMatchSerial(*bundle.htap, schema.NumObjects(),
+                                       box.NumClasses());
 }
 
 TEST(CandidateOrderTest, TieBreaksOnLexicographicallyLowestPlacement) {

@@ -307,6 +307,62 @@ TEST_F(SolveFacadeTest, MalformedIoScaleHintIsRejected) {
   EXPECT_TRUE(ValidateFleetRoster(tenants, &box_, roster.config).ok());
 }
 
+TEST_F(SolveFacadeTest, MalformedRosterGetsTheSameStatusFromSolveAndValidate) {
+  // Solve(kFleet) leaves the roster walk to FleetPlanner::Plan; the status
+  // it returns must still be the one Validate pre-flights, case by case.
+  const BoxConfig other_box = MakeBox2();
+  ScenarioEnsemble ensemble;
+  ensemble.scenarios.push_back(Scenario{});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct RosterCase {
+    std::string what;
+    std::vector<FleetTenant> tenants;
+    bool dot_pools = false;
+  };
+  std::vector<RosterCase> cases;
+  cases.push_back({"empty roster", {}});
+  auto with_tenant = [&](const std::string& what, auto&& mutate,
+                         bool dot_pools = false) {
+    std::vector<FleetTenant> tenants = {{"t0", problem_}, {"t1", problem_}};
+    mutate(tenants[1].problem);
+    cases.push_back({what, std::move(tenants), dot_pools});
+  };
+  with_tenant("no workload", [](DotProblem& p) { p.workload = nullptr; });
+  with_tenant("no schema", [](DotProblem& p) { p.schema = nullptr; });
+  with_tenant("other box", [&](DotProblem& p) { p.box = &other_box; });
+  with_tenant("ensemble", [&](DotProblem& p) { p.ensemble = &ensemble; });
+  for (double sla : {nan, 0.0, 1.5}) {
+    with_tenant("relative_sla " + std::to_string(sla),
+                [sla](DotProblem& p) { p.relative_sla = sla; });
+  }
+  with_tenant("io_scale_hint arity",
+              [](DotProblem& p) { p.io_scale_hint = {1.0, 1.0}; });
+  with_tenant("io_scale_hint NaN", [&](DotProblem& p) {
+    p.io_scale_hint.assign(static_cast<size_t>(schema_.NumObjects()), nan);
+  });
+  with_tenant("DOT pools without profiles",
+              [](DotProblem& p) { p.profiles = nullptr; },
+              /*dot_pools=*/true);
+
+  for (const RosterCase& c : cases) {
+    SCOPED_TRACE(c.what);
+    FleetSpec roster;
+    roster.tenants = &c.tenants;
+    if (c.dot_pools) {
+      roster.config.pool_mode = FleetPoolMode::kSearch;
+      roster.config.search = EpochSearch::kDot;
+    }
+    SolveSpec spec;
+    spec.method = SolveMethod::kFleet;
+    spec.fleet = &roster;
+    const Status validated = spec.Validate(problem_);
+    EXPECT_EQ(validated.code(), StatusCode::kInvalidArgument);
+    const SolveResult solved = Solve(problem_, spec);
+    EXPECT_EQ(solved.status.code(), validated.code());
+    EXPECT_EQ(solved.status.message(), validated.message());
+  }
+}
+
 /// A malformed ensemble comes back as InvalidArgument from Validate and
 /// from Solve, whether it arrives as the spec's overlay or on the problem.
 void ExpectEnsembleRejected(const DotProblem& problem,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "catalog/tpch_schema.h"
 #include "storage/standard_catalog.h"
 #include "workload/dss_workload.h"
@@ -114,6 +116,56 @@ TEST_F(ValidatorTest, MaxRoundsBoundsTheLoop) {
   p.relative_sla = 0.9;
   PipelineResult r = RunDotPipeline(p, cfg);
   EXPECT_LE(r.rounds.size(), 2u);
+}
+
+/// A malformed pipeline input comes back as InvalidArgument in
+/// final.status, before any round runs.
+void ExpectRejected(const DotProblem& problem, const PipelineConfig& cfg) {
+  const PipelineResult r = RunDotPipeline(problem, cfg);
+  EXPECT_EQ(r.final.status.code(), StatusCode::kInvalidArgument)
+      << r.final.status.ToString();
+  EXPECT_FALSE(r.validated);
+  EXPECT_TRUE(r.rounds.empty());
+}
+
+TEST_F(ValidatorTest, MaxRoundsBelowOneIsRejected) {
+  for (int rounds : {0, -1}) {
+    PipelineConfig cfg;
+    cfg.max_rounds = rounds;
+    ExpectRejected(problem_, cfg);
+  }
+}
+
+TEST_F(ValidatorTest, ExecIoScaleArityMismatchIsRejected) {
+  const size_t n = static_cast<size_t>(schema_.NumObjects());
+  for (size_t size : {size_t{2}, n + 1}) {
+    PipelineConfig cfg;
+    cfg.exec.io_scale.assign(size, 1.0);
+    ExpectRejected(problem_, cfg);
+  }
+}
+
+TEST_F(ValidatorTest, NanOrNegativeExecIoScaleIsRejected) {
+  for (double entry : {std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    PipelineConfig cfg;
+    cfg.exec.io_scale.assign(static_cast<size_t>(schema_.NumObjects()), 1.0);
+    cfg.exec.io_scale[1] = entry;
+    ExpectRejected(problem_, cfg);
+  }
+}
+
+TEST_F(ValidatorTest, NanOrNegativeNoiseIsRejected) {
+  for (double cv : {std::numeric_limits<double>::quiet_NaN(), -0.1}) {
+    PipelineConfig cfg;
+    cfg.exec.noise_cv = cv;
+    ExpectRejected(problem_, cfg);
+  }
+}
+
+TEST_F(ValidatorTest, ProblemWithoutProfilesIsRejected) {
+  DotProblem p = problem_;
+  p.profiles = nullptr;
+  ExpectRejected(p, PipelineConfig{});
 }
 
 }  // namespace

@@ -2,13 +2,28 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "catalog/tpch_schema.h"
+#include "common/rng.h"
+#include "common/simd_dispatch.h"
+#include "common/units.h"
+#include "query/planner.h"
 #include "storage/standard_catalog.h"
 #include "workload/tpch_queries.h"
 #include "workload/workload.h"
 
 namespace dot {
 namespace {
+
+std::uint64_t Bits(double x) {
+  std::uint64_t b;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
 
 class DssWorkloadTest : public ::testing::Test {
  protected:
@@ -119,6 +134,172 @@ TEST_F(DssWorkloadTest, SubsetTemplatesTouchOnlyFourTables) {
   PerfEstimate est = subset.Estimate(UniformPlacement(sub.NumObjects(), 2));
   EXPECT_EQ(est.unit_times_ms.size(), 33u);
 }
+
+// --- The oracle: the full estimate rebuilt from Planner::PlanQuery plan
+// trees, independent of the compiled programs both model paths run.
+
+/// EstimateWithIoScale as a PlanQuery loop: plan each template the
+/// sequence runs, re-price its scaled per-object I/O when an io_scale is
+/// set, gather the times over the sequence, and add each plan's I/O and
+/// join census `count` times. uses_inlj[t] receives whether template t's
+/// plan holds an indexed nested-loop join.
+PerfEstimate OracleEstimate(const Planner& planner, const BoxConfig& box,
+                            const std::vector<QuerySpec>& templates,
+                            const std::vector<int>& sequence, int num_objects,
+                            const std::vector<int>& placement,
+                            const std::vector<double>& io_scale,
+                            bool need_io_by_object,
+                            std::vector<bool>* uses_inlj) {
+  std::vector<int> count(templates.size(), 0);
+  for (int idx : sequence) count[static_cast<size_t>(idx)] += 1;
+  std::vector<Plan> plans(templates.size());
+  std::vector<double> times(templates.size(), 0.0);
+  for (size_t t = 0; t < templates.size(); ++t) {
+    if (count[t] == 0) continue;
+    plans[t] = planner.PlanQuery(templates[t], placement);
+    (*uses_inlj)[t] = plans[t].num_index_nl_joins > 0;
+    times[t] = plans[t].time_ms;
+    if (!io_scale.empty()) {
+      for (size_t o = 0; o < plans[t].io_by_object.size(); ++o) {
+        plans[t].io_by_object[o] *= io_scale[o];
+      }
+      times[t] = IoTimeShareMs(plans[t].io_by_object, placement, box, 1.0) +
+                 plans[t].cpu_ms;
+    }
+  }
+  PerfEstimate est;
+  for (int idx : sequence) {
+    est.unit_times_ms.push_back(times[static_cast<size_t>(idx)]);
+  }
+  est.elapsed_ms = GatherSum(times.data(), sequence.data(),
+                             static_cast<int>(sequence.size()));
+  if (need_io_by_object) {
+    est.io_by_object.assign(static_cast<size_t>(num_objects), IoVector{});
+  }
+  for (size_t t = 0; t < templates.size(); ++t) {
+    if (count[t] == 0) continue;
+    est.num_joins += count[t] * plans[t].num_joins;
+    est.num_index_nl_joins += count[t] * plans[t].num_index_nl_joins;
+    if (need_io_by_object) {
+      AccumulateScaledIo(est.io_by_object, plans[t].io_by_object, count[t]);
+    }
+  }
+  if (est.elapsed_ms > 0) {
+    est.tasks_per_hour =
+        static_cast<double>(sequence.size()) / (est.elapsed_ms / kMsPerHour);
+  }
+  return est;
+}
+
+void ExpectBitIdentical(const PerfEstimate& got, const PerfEstimate& want) {
+  ASSERT_EQ(Bits(got.elapsed_ms), Bits(want.elapsed_ms));
+  ASSERT_EQ(Bits(got.tasks_per_hour), Bits(want.tasks_per_hour));
+  ASSERT_EQ(Bits(got.tpmc), Bits(want.tpmc));
+  ASSERT_EQ(got.num_joins, want.num_joins);
+  ASSERT_EQ(got.num_index_nl_joins, want.num_index_nl_joins);
+  ASSERT_EQ(got.unit_times_ms.size(), want.unit_times_ms.size());
+  for (size_t i = 0; i < got.unit_times_ms.size(); ++i) {
+    ASSERT_EQ(Bits(got.unit_times_ms[i]), Bits(want.unit_times_ms[i]))
+        << "sequence entry " << i;
+  }
+  ASSERT_EQ(got.io_by_object.size(), want.io_by_object.size());
+  for (size_t o = 0; o < got.io_by_object.size(); ++o) {
+    for (int k = 0; k < kNumIoTypes; ++k) {
+      ASSERT_EQ(Bits(got.io_by_object[o].v[static_cast<size_t>(k)]),
+                Bits(want.io_by_object[o].v[static_cast<size_t>(k)]))
+          << "object " << o << " io type " << k;
+    }
+  }
+}
+
+struct OracleCase {
+  bool modified;
+  bool box2;
+};
+
+std::string OracleCaseName(const ::testing::TestParamInfo<OracleCase>& info) {
+  return std::string(info.param.modified ? "TpchModified" : "Tpch") +
+         (info.param.box2 ? "_Box2" : "_Box1");
+}
+
+class DssOracleTest : public ::testing::TestWithParam<OracleCase> {};
+
+TEST_P(DssOracleTest, FullEstimateMatchesPlanQueryBitForBit) {
+  const OracleCase& c = GetParam();
+  Schema schema = MakeTpchSchema(20.0);
+  const BoxConfig box = c.box2 ? MakeBox2() : MakeBox1();
+  PlannerConfig config;
+  config.temp_object_id =
+      schema.AddAuxiliary("temp", ObjectKind::kTempSpace, 50.0);
+  config.work_mem_gb = 0.01;  // hash and sort spills reach the temp object
+  const std::vector<QuerySpec> templates =
+      c.modified ? MakeModifiedTpchTemplates() : MakeTpchTemplates();
+  const int num_templates = static_cast<int>(templates.size());
+
+  // An interleaved run sequence in which template 1 never runs and the
+  // others run one to three times.
+  Rng rng(0x5eed + static_cast<std::uint64_t>(c.modified) * 2 +
+          static_cast<std::uint64_t>(c.box2));
+  std::vector<int> sequence;
+  for (int rep = 0; rep < 3; ++rep) {
+    for (int t = 0; t < num_templates; ++t) {
+      if (t != 1 && rep <= t % 3) sequence.push_back(t);
+    }
+  }
+  const DssWorkloadModel model("oracle", &schema, &box, templates, sequence,
+                               config);
+  const Planner planner(&schema, &box, config);
+  const int n = schema.NumObjects();
+
+  // Per template: seen planned with an INLJ, and seen without one.
+  std::vector<bool> with_inlj(templates.size(), false);
+  std::vector<bool> without_inlj(templates.size(), false);
+  std::vector<bool> uses_inlj(templates.size(), false);
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<int> placement(static_cast<size_t>(n));
+    if (trial < box.NumClasses()) {
+      placement.assign(static_cast<size_t>(n), trial);
+    } else {
+      for (int& cls : placement) {
+        cls = static_cast<int>(
+            rng.NextBounded(static_cast<std::uint64_t>(box.NumClasses())));
+      }
+    }
+    std::vector<double> io_scale;
+    if (trial % 2 == 1) {
+      io_scale.resize(static_cast<size_t>(n));
+      for (double& s : io_scale) s = 0.25 + 4.0 * rng.NextDouble();
+    }
+    for (bool need_io : {true, false}) {
+      SCOPED_TRACE("trial " + std::to_string(trial) +
+                   (io_scale.empty() ? "" : " io_scale") +
+                   (need_io ? " io_by_object" : ""));
+      const PerfEstimate want =
+          OracleEstimate(planner, box, templates, sequence, n, placement,
+                         io_scale, need_io, &uses_inlj);
+      ExpectBitIdentical(
+          model.EstimateWithIoScale(placement, io_scale, need_io), want);
+    }
+    for (size_t t = 0; t < templates.size(); ++t) {
+      if (t == 1) continue;  // never planned
+      (uses_inlj[t] ? with_inlj : without_inlj)[t] = true;
+    }
+  }
+  // Not vacuous: the placement moves the join choice — some template is
+  // planned with an INLJ under some placements and without under others.
+  int flips = 0;
+  for (size_t t = 0; t < templates.size(); ++t) {
+    if (with_inlj[t] && without_inlj[t]) ++flips;
+  }
+  EXPECT_GT(flips, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(TpchTemplates, DssOracleTest,
+                         ::testing::Values(OracleCase{false, false},
+                                           OracleCase{false, true},
+                                           OracleCase{true, false},
+                                           OracleCase{true, true}),
+                         OracleCaseName);
 
 TEST(RepeatSequenceTest, TemplateMajorOrder) {
   const std::vector<int> seq = RepeatSequence(3, 2);
