@@ -21,9 +21,10 @@
 // enforces exactly that (plus a strict win over each baseline somewhere
 // on the sweep, so the frontier is demonstrably non-trivial).
 //
-// The planned schedule at the default price is then replayed through the
-// simulated Executor (exec/schedule_replay.h) to validate the estimated
-// objective against a noisy "measured" run.
+// The planned schedule at the default price is then replayed as a layout
+// track through the simulated Executor (ReplayLayoutTrack,
+// exec/trace_replay.h) to validate the estimated objective against a noisy
+// "measured" run.
 //
 // Exit status: 0 when every sweep point satisfies planned <= frozen and
 // planned <= oblivious AND each baseline is strictly beaten somewhere,
@@ -86,7 +87,7 @@ int main() {
                                                    TpccConfig{},
                                                    /*analytics_reps=*/1));
   }
-  EpochSchedule schedule;
+  WorkloadTraceSpec schedule;
   for (const DiurnalEpoch& e : cycle) {
     schedule.Add(bundles.at(e.rho).htap.get(), e.hours, e.label);
   }
@@ -101,7 +102,7 @@ int main() {
       DotProblem p;
       p.schema = &schema;
       p.box = &box;
-      p.workload = schedule.epochs[e].workload;
+      p.workload = schedule.windows[e].workload;
       p.relative_sla = relative_sla;
       p.options.num_threads = 0;
       const SolveResult r = Solve(p);  // kExact default
@@ -156,7 +157,7 @@ int main() {
   bool beat_frozen_somewhere = false;
   bool beat_oblivious_somewhere = false;
   ReprovisionPlan default_plan;
-  EpochSchedule default_schedule = schedule;
+  MigrationCostModel default_migration;
   for (double scale : scales) {
     ReprovisionConfig config;
     config.relative_sla = relative_sla;
@@ -173,7 +174,7 @@ int main() {
     DotProblem epoch_problem;
     epoch_problem.schema = &schema;
     epoch_problem.box = &box;
-    epoch_problem.workload = schedule.epochs[0].workload;
+    epoch_problem.workload = schedule.windows[0].workload;
     epoch_problem.relative_sla = relative_sla;
     epoch_problem.options.num_threads = 0;
     SolveSpec plan_spec;
@@ -206,7 +207,10 @@ int main() {
     beat_oblivious_somewhere =
         beat_oblivious_somewhere ||
         plan.total_objective < oblivious.total_objective * (1 - 1e-12);
-    if (scale == kDefaultScale) default_plan = plan;
+    if (scale == kDefaultScale) {
+      default_plan = plan;
+      default_migration = config.migration;
+    }
 
     double gb_moved = 0.0;
     const std::vector<int>* prev = &current;
@@ -256,14 +260,20 @@ int main() {
   }
   day.Print(std::cout);
 
-  // Validate the estimate by simulation: replay the planned day through
+  // Validate the estimate by simulation: replay the planned day, from the
+  // same current layout and under the plan's migration pricing, through
   // the Executor with 2% run-to-run noise.
-  ReplayConfig replay_config;
-  replay_config.exec.noise_cv = 0.02;
-  replay_config.exec.seed = 42;
-  const ScheduleReplayResult replay =
-      ReplaySchedule(default_schedule, default_plan, schema, box,
-                     replay_config);
+  TrackReplayConfig replay_config;
+  replay_config.migration = default_migration;
+  replay_config.migration_weight = default_plan.resolved_migration_weight;
+  replay_config.exec_noise_cv = 0.02;
+  replay_config.seed = 42;
+  std::vector<std::vector<int>> track;
+  for (const EpochPlanStep& step : default_plan.steps) {
+    track.push_back(step.placement);
+  }
+  const TrackReplayResult replay = ReplayLayoutTrack(
+      schedule, track, schema, box, replay_config, current);
   if (!replay.status.ok()) {
     std::cerr << "replay failed: " << replay.status.ToString() << "\n";
     return 1;

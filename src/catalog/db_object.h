@@ -16,22 +16,6 @@ enum class ObjectKind {
   kLog,
 };
 
-inline const char* ObjectKindName(ObjectKind k) {
-  switch (k) {
-    case ObjectKind::kTable:
-      return "table";
-    case ObjectKind::kPrimaryIndex:
-      return "pk-index";
-    case ObjectKind::kSecondaryIndex:
-      return "sec-index";
-    case ObjectKind::kTempSpace:
-      return "temp";
-    case ObjectKind::kLog:
-      return "log";
-  }
-  return "?";
-}
-
 /// One placeable object o_i: a table, an index, temp space or a log file.
 /// Sizes are in GB (s_i in the paper); pages assume the 8 KiB page size.
 struct DbObject {

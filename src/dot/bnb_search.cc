@@ -582,10 +582,7 @@ DotResult BranchAndBoundSearch(
   // so they tighten pruning without being able to change the result.
   if (warm_starts != nullptr) {
     for (const std::vector<int>& w : *warm_starts) {
-      if (static_cast<int>(w.size()) != n) continue;
-      bool in_range = true;
-      for (int cls : w) in_range = in_range && cls >= 0 && cls < m;
-      if (!in_range) continue;
+      if (!IsValidPlacement(w, n, m)) continue;
       const CandidateEval eval = evaluator.EvaluateQuick(w);
       if (eval.feasible) {
         seed = std::min(seed, eval.toc);

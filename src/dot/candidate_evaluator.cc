@@ -41,8 +41,7 @@ std::vector<int> DecodeLayoutIndex(long long index, int num_objects,
   return placement;
 }
 
-CandidateEval EvaluateFullPath(const DotOptimizer& estimator,
-                               const Layout& layout) {
+CandidateEval CandidateEvaluator::EvaluateOne(const Layout& layout) const {
   CandidateEval eval;
   const Layout::CapacityFit fit = layout.ComputeCapacityFit();
   eval.fits = fit.fits;
@@ -54,8 +53,8 @@ CandidateEval EvaluateFullPath(const DotOptimizer& estimator,
   // EstimateToc owns the SLA verdict: MeetsTargets on the point forecast,
   // the chance constraint under an ensemble.
   bool sla_ok = false;
-  eval.toc = estimator.EstimateToc(layout, &eval.estimate,
-                                   &eval.cost_cents_per_hour, &sla_ok);
+  eval.toc = estimator_.EstimateToc(layout, &eval.estimate,
+                                    &eval.cost_cents_per_hour, &sla_ok);
   eval.feasible = sla_ok;
   if (!eval.feasible) eval.toc = std::numeric_limits<double>::infinity();
   return eval;

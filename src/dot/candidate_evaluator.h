@@ -42,16 +42,9 @@ struct CandidateEval {
 bool BetterCandidate(double toc_a, const std::vector<int>& placement_a,
                      double toc_b, const std::vector<int>& placement_b);
 
-/// The full-path evaluation rule: capacity fit (Layout::ComputeCapacityFit),
-/// then EstimateToc for the TOC, cost and SLA verdict, with the full
-/// PerfEstimate materialized. The exact engines re-score their winners
-/// through it, and the reprovision DP scores its pool matrix with it
-/// directly (it needs no scorer tables, so it builds none).
-CandidateEval EvaluateFullPath(const DotOptimizer& estimator,
-                               const Layout& layout);
-
 /// The one candidate evaluator of a search run, shared by the DOT walk,
-/// the enumerating scan, branch-and-bound and the fleet pool build.
+/// the enumerating scan, branch-and-bound, the fleet pool build and the
+/// epoch planner's pool × epoch matrix.
 ///
 /// Both search phases consume only {toc, cost, feasibility, violation} per
 /// candidate, yet the full path re-plans every query template and
@@ -64,10 +57,10 @@ CandidateEval EvaluateFullPath(const DotOptimizer& estimator,
 ///     for OLTP, compiled templates behind a dense plan cache for DSS, and
 ///     for HTAP a composite of both plus the interference tables).
 ///
-/// Every value is bit-identical to EvaluateFullPath — the fast path
-/// reorganizes the arithmetic, it never approximates — so search decisions
-/// are unchanged and only the committed winner needs a full re-score to
-/// fill in its PerfEstimate. The scorer is null, and every call takes the
+/// Every value is bit-identical to EvaluateOne, the full path — the fast
+/// path reorganizes the arithmetic, it never approximates — so search
+/// decisions are unchanged and only the committed winner needs a full
+/// re-score to fill in its PerfEstimate. The scorer is null, and every call takes the
 /// full path, when `use_fast_eval` is off, the box has more than
 /// kMaxClasses classes, the targets' SLA kind does not match the
 /// workload's, or an ensemble is out of range.
@@ -78,11 +71,12 @@ class CandidateEvaluator {
   /// method is const and thread-safe.
   explicit CandidateEvaluator(const DotOptimizer& estimator);
 
-  /// Evaluates one candidate through EvaluateFullPath, materializing the
-  /// full PerfEstimate. Used for committed winners.
-  CandidateEval EvaluateOne(const Layout& layout) const {
-    return EvaluateFullPath(estimator_, layout);
-  }
+  /// The full-path evaluation rule: capacity fit
+  /// (Layout::ComputeCapacityFit), then the estimator's EstimateToc for the
+  /// TOC, cost and SLA verdict, with the full PerfEstimate materialized.
+  /// Used for committed winners, and the reference every other method is
+  /// bit-identical to.
+  CandidateEval EvaluateOne(const Layout& layout) const;
 
   /// TOC-only evaluation: identical toc/cost/feasibility/violation to
   /// EvaluateOne — bit-for-bit, so search decisions cannot differ — but

@@ -41,7 +41,6 @@
 #include "exec/executor.h"
 #include "fleet/fleet_planner.h"
 #include "fleet/synthetic_fleet.h"
-#include "exec/schedule_replay.h"
 #include "exec/trace_replay.h"
 #include "io/device_model.h"
 #include "io/microbench.h"
@@ -51,7 +50,6 @@
 #include "storage/standard_catalog.h"
 #include "storage/storage_class.h"
 #include "workload/dss_workload.h"
-#include "workload/epoch_schedule.h"
 #include "workload/htap_workload.h"
 #include "workload/oltp_workload.h"
 #include "workload/profiler.h"

@@ -1,6 +1,7 @@
 #include "dot/layout.h"
 
 #include <sstream>
+#include <string>
 
 #include "common/check.h"
 #include "common/str_util.h"
@@ -119,6 +120,27 @@ std::string Layout::ToString() const {
     out << "\n";
   }
   return out.str();
+}
+
+bool IsValidPlacement(const std::vector<int>& placement, int num_objects,
+                      int num_classes) {
+  if (static_cast<int>(placement.size()) != num_objects) return false;
+  for (int cls : placement) {
+    if (cls < 0 || cls >= num_classes) return false;
+  }
+  return true;
+}
+
+Status ValidatePlacement(const std::vector<int>& placement,
+                         const Schema& schema, const BoxConfig& box,
+                         const std::string& what) {
+  if (IsValidPlacement(placement, schema.NumObjects(), box.NumClasses())) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      what + " must place each of the " +
+      std::to_string(schema.NumObjects()) + " schema objects on one of the " +
+      std::to_string(box.NumClasses()) + " storage classes");
 }
 
 }  // namespace dot

@@ -87,6 +87,19 @@ class Layout {
   std::vector<int> placement_;
 };
 
+/// True iff `placement` has one entry per object and every entry names a
+/// class in [0, num_classes) — the condition the Layout constructor
+/// enforces, as a predicate for screens that skip a bad placement.
+bool IsValidPlacement(const std::vector<int>& placement, int num_objects,
+                      int num_classes);
+
+/// The same check at an input boundary: OK, or InvalidArgument naming
+/// `what` (e.g. "current layout"), so callers return a status where the
+/// Layout constructor would abort.
+Status ValidatePlacement(const std::vector<int>& placement,
+                         const Schema& schema, const BoxConfig& box,
+                         const std::string& what);
+
 }  // namespace dot
 
 #endif  // DOTPROV_DOT_LAYOUT_H_

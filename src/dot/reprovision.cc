@@ -22,19 +22,39 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Builds one epoch's single-shot problem; the planner is a driver of the
-/// existing optimizer stack, not a re-implementation of it.
-DotProblem EpochProblem(const Schema* schema, const BoxConfig* box,
-                        const Epoch& epoch, const ReprovisionConfig& config) {
-  DotProblem p;
-  p.schema = schema;
-  p.box = box;
-  p.workload = epoch.workload;
-  p.relative_sla = config.relative_sla;
-  p.cost_model = config.cost_model;
-  p.profiles = epoch.profiles;
-  p.options = config.options;
-  return p;
+/// One epoch's single-shot problem and its evaluator: the planner reuses
+/// the existing optimizer stack rather than re-implementing it.
+/// The estimator derives the epoch's targets exactly as a single-shot run
+/// would; the evaluator scores candidates through the searches' own
+/// CandidateEvaluator (fast path, bit-identical to the full path).
+struct EpochScorer {
+  explicit EpochScorer(const DotProblem& problem)
+      : estimator(problem), evaluator(estimator) {}
+
+  DotOptimizer estimator;
+  CandidateEvaluator evaluator;  ///< references `estimator`
+};
+
+/// One EpochScorer per window of `schedule`, in window order. A window's
+/// io_scale is ground truth for the recorder and the replays; planning
+/// ignores it, as it ignores the spec's noise and seed.
+std::vector<std::unique_ptr<EpochScorer>> MakeEpochScorers(
+    const Schema* schema, const BoxConfig* box,
+    const WorkloadTraceSpec& schedule, const ReprovisionConfig& config) {
+  std::vector<std::unique_ptr<EpochScorer>> scorers;
+  scorers.reserve(schedule.windows.size());
+  for (const TraceWindow& window : schedule.windows) {
+    DotProblem p;
+    p.schema = schema;
+    p.box = box;
+    p.workload = window.workload;
+    p.relative_sla = config.relative_sla;
+    p.cost_model = config.cost_model;
+    p.profiles = window.profiles;
+    p.options = config.options;
+    scorers.push_back(std::make_unique<EpochScorer>(p));
+  }
+  return scorers;
 }
 
 /// Resolves ReprovisionConfig::migration_weight: kAutoMigrationWeight
@@ -42,13 +62,13 @@ DotProblem EpochProblem(const Schema* schema, const BoxConfig* box,
 /// tasks/hour) — identical arithmetic wherever the weight is resolved, so
 /// Plan and EvaluateSequence always price migration at the same rate.
 double ResolveMigrationWeight(
-    double configured, const EpochSchedule& schedule,
-    const std::vector<std::unique_ptr<DotOptimizer>>& optimizers) {
+    double configured, const WorkloadTraceSpec& schedule,
+    const std::vector<std::unique_ptr<EpochScorer>>& scorers) {
   if (configured != kAutoMigrationWeight) return configured;
   double task_hours = 0.0;
-  for (size_t e = 0; e < schedule.epochs.size(); ++e) {
-    task_hours += schedule.epochs[e].duration_hours *
-                  optimizers[e]->targets().best_case.tasks_per_hour;
+  for (size_t e = 0; e < schedule.windows.size(); ++e) {
+    task_hours += schedule.windows[e].duration_hours *
+                  scorers[e]->estimator.targets().best_case.tasks_per_hour;
   }
   return task_hours > 0.0 ? schedule.TotalHours() / task_hours : 0.0;
 }
@@ -66,18 +86,28 @@ bool BetterTerminal(double obj_a, double toc_a,
   return placement_a < placement_b;
 }
 
+/// The input checks Plan and EvaluateSequence share: a valid spec, and a
+/// current layout that is empty (greenfield) or a valid placement.
+Status ValidateInputs(const WorkloadTraceSpec& schedule,
+                      const std::vector<int>& current_layout,
+                      const Schema& schema, const BoxConfig& box) {
+  Status st = ValidateTraceSpec(schedule);
+  if (!st.ok() || current_layout.empty()) return st;
+  return ValidatePlacement(current_layout, schema, box, "current layout");
+}
+
 /// Fills `plan->steps` and the running totals for a decided layout
 /// sequence — the ONE implementation of the accounting contract
 /// ReprovisionPlan documents. `step_placement(e)` / `step_toc(e)` supply
 /// the sequence; the migration bills and the accumulation order live
 /// here, so Plan and EvaluateSequence cannot drift apart by a ULP.
 void AccumulateSteps(
-    const EpochSchedule& schedule, const std::vector<int>& current_layout,
+    const WorkloadTraceSpec& schedule, const std::vector<int>& current_layout,
     double weight, const MigrationCostModel& migration, const Schema& schema,
     const BoxConfig& box,
     const std::function<const std::vector<int>&(int)>& step_placement,
     const std::function<double(int)>& step_toc, ReprovisionPlan* plan) {
-  const int num_epochs = schedule.NumEpochs();
+  const int num_epochs = static_cast<int>(schedule.windows.size());
   plan->steps.resize(static_cast<size_t>(num_epochs));
   const std::vector<int>* previous =
       current_layout.empty() ? nullptr : &current_layout;
@@ -87,7 +117,7 @@ void AccumulateSteps(
     step.toc_cents_per_task = step_toc(e);
     step.epoch_objective =
         step.toc_cents_per_task *
-        schedule.epochs[static_cast<size_t>(e)].duration_hours;
+        schedule.windows[static_cast<size_t>(e)].duration_hours;
     if (previous != nullptr) {
       const MigrationEstimate mig = EstimateMigration(
           migration, box, schema, *previous, step.placement);
@@ -145,35 +175,26 @@ ReprovisionPlanner::ReprovisionPlanner(const Schema* schema,
 }
 
 ReprovisionPlan ReprovisionPlanner::Plan(
-    const EpochSchedule& schedule,
+    const WorkloadTraceSpec& schedule,
     const std::vector<int>& current_layout) const {
   const double start_ms = NowMs();
   ReprovisionPlan plan;
-  plan.status = ValidateSchedule(schedule);
+  plan.status = ValidateInputs(schedule, current_layout, *schema_, *box_);
   if (!plan.status.ok()) return plan;
   const int n = schema_->NumObjects();
-  if (!current_layout.empty() &&
-      static_cast<int>(current_layout.size()) != n) {
-    plan.status = Status::InvalidArgument(
-        "current layout does not place every schema object");
-    return plan;
-  }
-  const int num_epochs = schedule.NumEpochs();
-
-  // Per-epoch estimators: each owns its problem and its targets, derived
-  // exactly as a single-shot run would derive them.
-  std::vector<std::unique_ptr<DotOptimizer>> optimizers;
-  optimizers.reserve(static_cast<size_t>(num_epochs));
-  for (const Epoch& epoch : schedule.epochs) {
-    if (config_.search == EpochSearch::kDot && !config_.exhaustive_pool &&
-        epoch.profiles == nullptr) {
-      plan.status = Status::InvalidArgument(
-          "EpochSearch::kDot needs Epoch::profiles for every epoch");
-      return plan;
+  const int num_epochs = static_cast<int>(schedule.windows.size());
+  if (config_.search == EpochSearch::kDot && !config_.exhaustive_pool) {
+    for (const TraceWindow& window : schedule.windows) {
+      if (window.profiles == nullptr) {
+        plan.status = Status::InvalidArgument(
+            "EpochSearch::kDot needs TraceWindow::profiles for every "
+            "window");
+        return plan;
+      }
     }
-    optimizers.push_back(std::make_unique<DotOptimizer>(
-        EpochProblem(schema_, box_, epoch, config_)));
   }
+  const std::vector<std::unique_ptr<EpochScorer>> scorers =
+      MakeEpochScorers(schema_, box_, schedule, config_);
 
   // --- Candidate pool ---
   std::vector<std::vector<int>> pool;
@@ -204,8 +225,8 @@ ReprovisionPlan ReprovisionPlanner::Plan(
     add_candidate(current_layout);
     for (int e = 0; e < num_epochs; ++e) {
       plan.layouts_evaluated += AppendSoloCandidate(
-          optimizers[static_cast<size_t>(e)]->problem(), config_.search,
-          &pool);
+          scorers[static_cast<size_t>(e)]->estimator.problem(),
+          config_.search, &pool);
     }
   }
   const int k_pool = static_cast<int>(pool.size());
@@ -216,8 +237,9 @@ ReprovisionPlan ReprovisionPlanner::Plan(
   // mark lands in the plan's arena counters.
   Arena arena;
 
-  // --- Score every pool layout under every epoch, through the one
-  // full-path evaluation kernel both searches commit winners through. The
+  // --- Score every pool layout under every epoch through the epoch's
+  // CandidateEvaluator — the searches' own evaluator, whose quick path is
+  // bit-identical to the full path they commit winners through. The
   // matrix is filled into distinct slots, so thread count cannot change a
   // value. Infeasible (capacity or SLA) scores are +inf.
   const size_t toc_cells =
@@ -230,9 +252,9 @@ ReprovisionPlan ReprovisionPlanner::Plan(
         0, static_cast<int64_t>(num_epochs) * k_pool, [&](int64_t flat) {
           const int e = static_cast<int>(flat / k_pool);
           const int k = static_cast<int>(flat % k_pool);
-          const CandidateEval eval = EvaluateFullPath(
-              *optimizers[static_cast<size_t>(e)],
-              Layout(schema_, box_, pool[static_cast<size_t>(k)]));
+          const CandidateEval eval =
+              scorers[static_cast<size_t>(e)]->evaluator.EvaluateQuick(
+                  pool[static_cast<size_t>(k)]);
           if (eval.feasible) toc[static_cast<size_t>(flat)] = eval.toc;
         });
   }
@@ -244,7 +266,7 @@ ReprovisionPlan ReprovisionPlanner::Plan(
 
   // --- Resolve the migration exchange rate (see ReprovisionConfig).
   const double weight =
-      ResolveMigrationWeight(config_.migration_weight, schedule, optimizers);
+      ResolveMigrationWeight(config_.migration_weight, schedule, scorers);
   plan.resolved_migration_weight = weight;
 
   auto weighted_migration = [&](const std::vector<int>& from,
@@ -299,7 +321,7 @@ ReprovisionPlan ReprovisionPlanner::Plan(
   std::fill(pred, pred + toc_cells, -1);
   for (int e = 0; e < num_epochs; ++e) {
     const double duration =
-        schedule.epochs[static_cast<size_t>(e)].duration_hours;
+        schedule.windows[static_cast<size_t>(e)].duration_hours;
     std::fill(next, next + k_pool, kInf);
     bool any_feasible = false;
     for (int k = 0; k < k_pool; ++k) {
@@ -335,11 +357,11 @@ ReprovisionPlan ReprovisionPlanner::Plan(
     }
     std::swap(dp, next);
     if (!any_feasible) {
+      const std::string& label =
+          schedule.windows[static_cast<size_t>(e)].label;
       plan.status = Status::Infeasible(
           "no candidate layout satisfies epoch " + std::to_string(e) +
-          (schedule.epochs[static_cast<size_t>(e)].label.empty()
-               ? std::string()
-               : " (" + schedule.epochs[static_cast<size_t>(e)].label + ")") +
+          (label.empty() ? std::string() : " (" + label + ")") +
           "'s capacity and SLA constraints");
       plan.arena_resets = static_cast<long long>(arena.resets());
       plan.arena_bytes_peak = static_cast<long long>(arena.bytes_peak());
@@ -388,53 +410,40 @@ ReprovisionPlan ReprovisionPlanner::Plan(
 }
 
 ReprovisionPlan ReprovisionPlanner::EvaluateSequence(
-    const EpochSchedule& schedule,
+    const WorkloadTraceSpec& schedule,
     const std::vector<std::vector<int>>& placements,
     const std::vector<int>& current_layout) const {
   const double start_ms = NowMs();
   ReprovisionPlan plan;
-  plan.status = ValidateSchedule(schedule);
+  plan.status = ValidateInputs(schedule, current_layout, *schema_, *box_);
   if (!plan.status.ok()) return plan;
-  if (static_cast<int>(placements.size()) != schedule.NumEpochs()) {
+  if (placements.size() != schedule.windows.size()) {
     plan.status = Status::InvalidArgument(
-        "sequence length does not match the schedule's epoch count");
-    return plan;
-  }
-  const int n = schema_->NumObjects();
-  if (!current_layout.empty() &&
-      static_cast<int>(current_layout.size()) != n) {
-    plan.status = Status::InvalidArgument(
-        "current layout does not place every schema object");
+        "sequence length does not match the schedule's window count");
     return plan;
   }
   for (size_t e = 0; e < placements.size(); ++e) {
-    if (static_cast<int>(placements[e].size()) != n) {
-      plan.status = Status::InvalidArgument(
-          "sequence layout for epoch " + std::to_string(e) +
-          " does not place every schema object");
-      return plan;
-    }
+    plan.status =
+        ValidatePlacement(placements[e], *schema_, *box_,
+                          "sequence layout for epoch " + std::to_string(e));
+    if (!plan.status.ok()) return plan;
   }
-  const int num_epochs = schedule.NumEpochs();
+  const int num_epochs = static_cast<int>(schedule.windows.size());
 
   // Resolve the weight exactly as Plan does (same targets, same order).
-  std::vector<std::unique_ptr<DotOptimizer>> optimizers;
-  optimizers.reserve(static_cast<size_t>(num_epochs));
-  for (const Epoch& epoch : schedule.epochs) {
-    optimizers.push_back(std::make_unique<DotOptimizer>(
-        EpochProblem(schema_, box_, epoch, config_)));
-  }
+  const std::vector<std::unique_ptr<EpochScorer>> scorers =
+      MakeEpochScorers(schema_, box_, schedule, config_);
   const double weight =
-      ResolveMigrationWeight(config_.migration_weight, schedule, optimizers);
+      ResolveMigrationWeight(config_.migration_weight, schedule, scorers);
   plan.resolved_migration_weight = weight;
 
-  // Score the given sequence through the searches' evaluation kernel; an
-  // infeasible epoch scores +inf and marks the whole sequence.
+  // Score the given sequence through Plan's evaluators; an infeasible
+  // epoch scores +inf and marks the whole sequence.
   std::vector<double> tocs(static_cast<size_t>(num_epochs), kInf);
   for (int e = 0; e < num_epochs; ++e) {
-    const CandidateEval eval = EvaluateFullPath(
-        *optimizers[static_cast<size_t>(e)],
-        Layout(schema_, box_, placements[static_cast<size_t>(e)]));
+    const CandidateEval eval =
+        scorers[static_cast<size_t>(e)]->evaluator.EvaluateQuick(
+            placements[static_cast<size_t>(e)]);
     plan.layouts_evaluated += 1;
     if (eval.feasible) tocs[static_cast<size_t>(e)] = eval.toc;
     if (!eval.feasible && plan.status.ok()) {

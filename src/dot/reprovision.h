@@ -9,7 +9,7 @@
 #include "storage/migration.h"
 #include "storage/pricing.h"
 #include "storage/storage_class.h"
-#include "workload/epoch_schedule.h"
+#include "workload/trace.h"
 
 namespace dot {
 
@@ -18,7 +18,7 @@ enum class EpochSearch {
   /// ExactSearch(kBranchAndBound): each epoch's solo optimum is the true
   /// optimum of that epoch's §2.5 instance. The default.
   kExact,
-  /// DotOptimizer::Optimize (Procedure 1): needs Epoch::profiles; the
+  /// DotOptimizer::Optimize (Procedure 1): needs TraceWindow::profiles; the
   /// everyday heuristic path for instances too large to solve exactly.
   kDot,
 };
@@ -87,7 +87,7 @@ struct EpochPlanStep {
 /// A multi-epoch re-provisioning plan.
 ///
 /// Objective accounting contract (shared bit-for-bit by Plan,
-/// EvaluateSequence, and exec/schedule_replay.h):
+/// EvaluateSequence, and ReplayLayoutTrack in exec/trace_replay.h):
 ///
 ///   total = 0
 ///   for each epoch e in order:
@@ -125,15 +125,19 @@ struct ReprovisionPlan {
 };
 
 /// The stateful epoch planner: refactors the optimizer stack from
-/// "stateless DotProblem → DotResult" to "current layout + EpochSchedule →
-/// per-epoch layout plan", minimizing Σ epoch TOC·duration plus the
-/// (weighted) migration cost between consecutive layouts.
+/// "stateless DotProblem → DotResult" to "current layout + workload over
+/// time → per-epoch layout plan", minimizing Σ epoch TOC·duration plus the
+/// (weighted) migration cost between consecutive layouts. Each window of
+/// the WorkloadTraceSpec is one epoch; the planner reads its workload,
+/// duration, profiles and label, and ignores its io_scale and the spec's
+/// count_noise_cv and seed (ground truth that the recorder and the replays
+/// measure).
 ///
 /// Mechanics: a candidate layout pool is seeded per epoch by the existing
 /// searches (warm-started branch-and-bound, or DOT's Procedure 1), every
-/// pool layout is scored under every epoch through the one full-path
-/// evaluation kernel (EvaluateFullPath — the same rule the exact searches
-/// re-score winners through), and an exact dynamic program
+/// pool layout is scored under every epoch through one CandidateEvaluator
+/// per epoch (EvaluateQuick — bit-identical to the full path the exact
+/// searches re-score winners through), and an exact dynamic program
 /// over epochs picks the cheapest sequence; the migration term enters the
 /// DP transition exactly (per-object, zero for staying — the admissible
 /// floor DESIGN.md §8 argues from).
@@ -142,7 +146,7 @@ struct ReprovisionPlan {
 /// current layout) reproduces ExactSearch / Optimize *bit-identically* —
 /// same placement, same TOC, same infeasibility verdicts — because the
 /// pool contains the search's winner, every candidate is scored through
-/// the search's own kernel, and multiplying TOC by the positive duration
+/// the search's own evaluator, and multiplying TOC by the positive duration
 /// is monotone.
 ///
 /// Prefer dot::Solve(problem, spec) with SolveMethod::kEpochPlan over
@@ -157,17 +161,20 @@ class ReprovisionPlanner {
                      ReprovisionConfig config);
 
   /// Plans layouts for `schedule` starting from `current_layout` (empty =
-  /// greenfield: no epoch-0 migration is charged).
-  ReprovisionPlan Plan(const EpochSchedule& schedule,
+  /// greenfield: no epoch-0 migration is charged). An invalid spec
+  /// (ValidateTraceSpec) or a current layout that is not a placement on
+  /// the box (ValidatePlacement) returns InvalidArgument.
+  ReprovisionPlan Plan(const WorkloadTraceSpec& schedule,
                        const std::vector<int>& current_layout = {}) const;
 
   /// Prices a fixed layout sequence under exactly the plan objective —
-  /// same evaluation kernel, same accounting order (see ReprovisionPlan).
+  /// same evaluators, same accounting order (see ReprovisionPlan). Every
+  /// sequence layout must be a valid placement (else InvalidArgument).
   /// The baseline evaluator: bench_reprovision prices the frozen-layout
   /// and migration-oblivious baselines through this, and the DP-optimality
   /// tests brute-force sequences through it.
   ReprovisionPlan EvaluateSequence(
-      const EpochSchedule& schedule,
+      const WorkloadTraceSpec& schedule,
       const std::vector<std::vector<int>>& placements,
       const std::vector<int>& current_layout = {}) const;
 

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "dot/layout.h"
 
 namespace dot {
 
@@ -81,6 +82,11 @@ Status ValidateAllButRoster(const SolveSpec& spec, const DotProblem& problem) {
         return Status::InvalidArgument(
             "migration_weight must be >= 0 or kAutoMigrationWeight");
       }
+      if (!spec.current_layout.empty()) {
+        Status st = ValidatePlacement(spec.current_layout, *problem.schema,
+                                      *problem.box, "current_layout");
+        if (!st.ok()) return st;
+      }
     } else {
       // The epoch planner ignores the hint (see Solve); the single-shot
       // methods scale every estimate by it.
@@ -157,8 +163,8 @@ SolveResult Solve(const DotProblem& problem, const SolveSpec& spec) {
       // positive constant is monotone, so the chosen layout matches the
       // single-shot searches (and with a zero migration model the TOC
       // matches bit for bit; dot_solve_test pins it).
-      EpochSchedule one_epoch;
-      const EpochSchedule* schedule = spec.schedule;
+      WorkloadTraceSpec one_epoch;
+      const WorkloadTraceSpec* schedule = spec.schedule;
       if (schedule == nullptr) {
         one_epoch.Add(problem.workload, /*duration_hours=*/1.0,
                       /*label=*/"now", problem.profiles);

@@ -10,7 +10,7 @@
 #include "dot/reprovision.h"
 #include "fleet/fleet_planner.h"
 #include "storage/migration.h"
-#include "workload/epoch_schedule.h"
+#include "workload/trace.h"
 
 namespace dot {
 
@@ -76,13 +76,16 @@ struct SolveSpec {
 
   // --- kEpochPlan only ---
 
-  /// The epochs to plan across. Null = one epoch of problem.workload with
-  /// duration 1 h and problem.profiles — the single-shot special case,
-  /// which (with a zero migration model) reproduces kExact bit for bit.
-  const EpochSchedule* schedule = nullptr;
+  /// The epochs to plan across, one per window (the planner ignores the
+  /// windows' io_scale and the spec's noise and seed). Null = one window
+  /// of problem.workload with duration 1 h and problem.profiles — the
+  /// single-shot special case, which (with a zero migration model)
+  /// reproduces kExact bit for bit.
+  const WorkloadTraceSpec* schedule = nullptr;
 
   /// The layout the box runs today; empty = greenfield (no epoch-0
-  /// migration is charged).
+  /// migration is charged). Otherwise it must place every schema object
+  /// on one of the box's classes (ValidatePlacement).
   std::vector<int> current_layout;
 
   /// What moving data costs, and how migration cents fold into the
@@ -103,8 +106,10 @@ struct SolveSpec {
   /// profiles, a relative SLA outside (0, 1] that targets are derived
   /// from, a malformed io_scale_hint on a single-shot method
   /// (ValidateIoScale), a kEpochPlan migration_weight that is NaN or
-  /// negative other than kAutoMigrationWeight, an ensemble overlay on a
-  /// method that cannot honor it, a malformed ensemble (ValidateEnsemble,
+  /// negative other than kAutoMigrationWeight, a kEpochPlan
+  /// current_layout that is not a placement on the box
+  /// (ValidatePlacement), an ensemble overlay on a method that cannot
+  /// honor it, a malformed ensemble (ValidateEnsemble,
   /// on the overlay or else the problem's own), or a malformed fleet spec
   /// (ValidateFleetConfig, ValidateFleetRoster). Solve() runs the same
   /// checks first and returns the error in SolveResult::status — it never

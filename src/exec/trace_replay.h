@@ -32,8 +32,9 @@ struct TrackReplayConfig {
   CostModelSpec cost_model;
 
   /// Migration pricing charged whenever consecutive windows run different
-  /// layouts, folded in at `migration_weight` (hours/task, same role as
-  /// the epoch planner's weight).
+  /// layouts (and on entering window 0 from a differing current layout),
+  /// folded in at `migration_weight` (hours/task, same role as the epoch
+  /// planner's weight).
   MigrationCostModel migration;
   double migration_weight = 0.0;
 
@@ -68,17 +69,29 @@ struct TrackReplayResult {
 };
 
 /// Replays `layout_by_window` (one layout per trace window — e.g. an
-/// AdvisorRun's track, or a constant vector for the frozen incumbent)
-/// against the trace spec's ground truth: window w's workload runs once on
-/// layout w with the window's io_scale, and the measured throughput prices
-/// the window. Migration between consecutive differing layouts is billed
-/// via EstimateMigration. This is the advisor's scoreboard — every
-/// strategy is priced by the same function over the same draws.
+/// AdvisorRun's track, an epoch plan's step placements, or a constant
+/// vector for the frozen incumbent) against the trace spec's ground truth:
+/// window w's workload runs once on layout w with the window's io_scale,
+/// and the measured throughput prices the window. Migration between
+/// consecutive differing layouts is billed via EstimateMigration, and so
+/// is the move from a non-empty `current_layout` into window 0 — the
+/// epoch-0 bill ReprovisionPlanner::Plan charges. This is the one
+/// scoreboard: every strategy (advisor, baselines, epoch plans) is priced
+/// by the same function over the same draws. With zero noise, no io_scale
+/// and the plan's migration model and resolved weight, the replay of an
+/// epoch plan equals its total_objective bit for bit.
+///
+/// Returns InvalidArgument (and runs nothing) for an invalid spec
+/// (ValidateTraceSpec), a window io_scale that ValidateIoScale rejects, a
+/// track whose length is not the window count, or a track layout or
+/// non-empty `current_layout` that is not a placement on the box
+/// (ValidatePlacement).
 TrackReplayResult ReplayLayoutTrack(
     const WorkloadTraceSpec& spec,
     const std::vector<std::vector<int>>& layout_by_window,
     const Schema& schema, const BoxConfig& box,
-    const TrackReplayConfig& config);
+    const TrackReplayConfig& config,
+    const std::vector<int>& current_layout = {});
 
 }  // namespace dot
 

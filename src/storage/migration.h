@@ -72,7 +72,7 @@ struct MigrationEstimate {
 /// Σ over the objects whose class changes between `from` and `to`, in
 /// ascending object id — a fixed summation order, so the bill is
 /// reproducible bit for bit wherever it is recomputed (planner DP,
-/// sequence evaluator, schedule replay).
+/// sequence evaluator, layout-track replay).
 MigrationEstimate EstimateMigration(const MigrationCostModel& model,
                                     const BoxConfig& box,
                                     const Schema& schema,

@@ -52,7 +52,6 @@ OltpLatencyTables::OltpLatencyTables(const OltpWorkloadModel& model,
   for (const TxnType& t : model.txn_types()) max_rows += t.io.size();
   tables_.reserve(model.txn_types().size());
   row_objects_.reserve(max_rows);
-  row_min_ms_.reserve(max_rows);
   planes_.reserve(max_rows * static_cast<size_t>(num_classes));
   std::vector<IoVector> row_io;  // per-table scratch
   for (const TxnType& t : model.txn_types()) {
@@ -100,7 +99,6 @@ OltpLatencyTables::OltpLatencyTables(const OltpWorkloadModel& model,
             t.weight *
             (plane[static_cast<size_t>(c) * rows + r] - row_min);
       }
-      row_min_ms_.push_back(row_min);
       min_io_ms += row_min;
     }
     base_mean_latency_ms_ +=

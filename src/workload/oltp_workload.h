@@ -151,12 +151,6 @@ class OltpLatencyTables {
   int num_objects() const { return num_objects_; }
   int num_classes() const { return num_classes_; }
 
-  /// Per-row fastest-class times, precomputed during construction (one
-  /// entry per stored row, tables concatenated in order). Their
-  /// mix-weighted sum plus CPU/overhead is base_mean_latency_ms() — the
-  /// floor the bound cursor grows from.
-  const std::vector<double>& row_min_ms() const { return row_min_ms_; }
-
  private:
   /// One transaction type's slice of the SoA tables below. Rows are the
   /// transaction's non-zero-I/O objects in ascending object order —
@@ -168,7 +162,7 @@ class OltpLatencyTables {
     double overhead_ms = 0.0;
     int num_rows = 0;
     std::size_t plane_begin = 0;  ///< into planes_ (num_classes*num_rows)
-    std::size_t obj_begin = 0;    ///< into row_objects_ / row_min_ms_
+    std::size_t obj_begin = 0;    ///< into row_objects_
   };
 
   int num_objects_ = 0;
@@ -179,8 +173,7 @@ class OltpLatencyTables {
   /// class per table, so scoring a candidate is a contiguous gather over
   /// the class each row's object is placed on (PlaneGatherSum).
   std::vector<double> planes_;
-  std::vector<int> row_objects_;    ///< ascending object ids, per table
-  std::vector<double> row_min_ms_;  ///< min over classes, per row
+  std::vector<int> row_objects_;  ///< ascending object ids, per table
   double base_mean_latency_ms_ = 0.0;
   std::vector<double> excess_;  ///< [object * num_classes + class]
 };

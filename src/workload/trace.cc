@@ -1,6 +1,7 @@
 #include "workload/trace.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -11,6 +12,19 @@ double WorkloadTraceSpec::TotalHours() const {
   double hours = 0.0;
   for (const TraceWindow& w : windows) hours += w.duration_hours;
   return hours;
+}
+
+WorkloadTraceSpec& WorkloadTraceSpec::Add(const WorkloadModel* workload,
+                                          double duration_hours,
+                                          std::string label,
+                                          const WorkloadProfiles* profiles) {
+  TraceWindow window;
+  window.workload = workload;
+  window.duration_hours = duration_hours;
+  window.profiles = profiles;
+  window.label = std::move(label);
+  windows.push_back(std::move(window));
+  return *this;
 }
 
 double WorkloadTrace::TotalHours() const {

@@ -7,15 +7,20 @@
 
 #include "common/status.h"
 #include "query/object_io.h"
+#include "workload/profiler.h"
 #include "workload/workload.h"
 
 namespace dot {
 
-/// Ground truth for one window of a recorded workload trace: which
-/// workload actually ran, at which per-object I/O intensity, for how long.
-/// The advisor never sees this struct — it observes TraceEvents — but the
-/// trace recorder and the realized-cost replay (exec/trace_replay.h) both
-/// price windows from it, so "what really happened" has one definition.
+/// One window of a workload over time: which workload runs, at which
+/// per-object I/O intensity, for how long. It is both a planning epoch
+/// (ReprovisionPlanner plans across windows, dot/reprovision.h) and the
+/// ground truth of a recorded trace. The advisor never sees this struct —
+/// it observes TraceEvents — but the trace recorder and the realized-cost
+/// replay (exec/trace_replay.h) both price windows from it, so "what really
+/// happened" has one definition. Planners read `workload`,
+/// `duration_hours`, `profiles` and `label`; `io_scale` is ground truth
+/// that only the recorder and the replays measure.
 struct TraceWindow {
   /// The workload that ran during this window; must outlive the spec.
   const WorkloadModel* workload = nullptr;
@@ -27,12 +32,20 @@ struct TraceWindow {
 
   double duration_hours = 1.0;
 
+  /// Optional profiles for the DOT-heuristic candidate search of the epoch
+  /// planner (EpochSearch::kDot); nothing else reads them. Must outlive
+  /// the spec.
+  const WorkloadProfiles* profiles = nullptr;
+
   std::string label;  ///< report label, e.g. "night batch"
 };
 
-/// A replayable workload history: windows in virtual-time order. No wall
-/// clock anywhere — recording and replay are bit-reproducible functions of
-/// the spec and a seed.
+/// A workload over time: windows in virtual-time order — the schedule the
+/// epoch planner provisions across and the history a trace records and a
+/// replay prices. No wall clock anywhere — recording and replay are
+/// bit-reproducible functions of the spec and a seed. Closing a diurnal
+/// cycle (charging the migration back to the first window's layout) is the
+/// caller's choice: append the first window again.
 struct WorkloadTraceSpec {
   std::vector<TraceWindow> windows;
 
@@ -47,10 +60,17 @@ struct WorkloadTraceSpec {
   uint64_t seed = 7;
 
   double TotalHours() const;
+
+  /// Appends one window (no io_scale); returns *this for chaining.
+  WorkloadTraceSpec& Add(const WorkloadModel* workload, double duration_hours,
+                         std::string label = std::string(),
+                         const WorkloadProfiles* profiles = nullptr);
 };
 
-/// OK iff the spec is non-empty and every window has a workload and a
-/// positive, finite duration.
+/// OK iff the spec is non-empty, count_noise_cv >= 0, and every window has
+/// a workload, a positive, finite duration and finite, non-negative
+/// io_scale entries. The io_scale length needs a schema, so
+/// ReplayLayoutTrack checks it (ValidateIoScale).
 Status ValidateTraceSpec(const WorkloadTraceSpec& spec);
 
 /// What the advisor observes about one window: the measured per-(object,

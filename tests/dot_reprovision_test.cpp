@@ -123,6 +123,28 @@ MigrationCostModel SomeMigration(double transfer, double downtime) {
   return m;
 }
 
+/// Bitwise equality of everything a plan decides. layouts_evaluated is
+/// left to the callers: it includes the per-epoch searches' counts, and a
+/// full-path branch-and-bound (no scorer, so no bound cursor) prunes
+/// differently from the fast one.
+void ExpectSamePlan(const ReprovisionPlan& plan, const ReprovisionPlan& ref,
+                    const std::string& what) {
+  ASSERT_TRUE(plan.status.ok()) << what << ": " << plan.status.ToString();
+  EXPECT_EQ(plan.total_objective, ref.total_objective) << what;
+  EXPECT_EQ(plan.total_migration_cents, ref.total_migration_cents) << what;
+  EXPECT_EQ(plan.pool_size, ref.pool_size) << what;
+  ASSERT_EQ(plan.steps.size(), ref.steps.size()) << what;
+  for (size_t e = 0; e < plan.steps.size(); ++e) {
+    EXPECT_EQ(plan.steps[e].placement, ref.steps[e].placement)
+        << what << ", epoch " << e;
+    EXPECT_EQ(plan.steps[e].toc_cents_per_task,
+              ref.steps[e].toc_cents_per_task)
+        << what << ", epoch " << e;
+    EXPECT_EQ(plan.steps[e].migration_cents, ref.steps[e].migration_cents)
+        << what << ", epoch " << e;
+  }
+}
+
 TEST(ReprovisionTest, OneEpochZeroMigrationMatchesExactSearchBitwise) {
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   for (uint64_t seed = 1; seed <= 6; ++seed) {
@@ -155,7 +177,7 @@ TEST(ReprovisionTest, OneEpochZeroMigrationMatchesExactSearchBitwise) {
       config.options.num_threads = threads;
       ReprovisionPlanner planner(&inst.schema, &inst.box, config);
 
-      EpochSchedule schedule;
+      WorkloadTraceSpec schedule;
       schedule.Add(inst.workload.get(), duration);
       const ReprovisionPlan plan = planner.Plan(schedule, current);
       const std::string what =
@@ -196,7 +218,7 @@ TEST(ReprovisionTest, OneEpochMatchesDotOptimizeBitwise) {
     config.relative_sla = problem.relative_sla;
     config.search = EpochSearch::kDot;
     ReprovisionPlanner planner(&inst.schema, &inst.box, config);
-    EpochSchedule schedule;
+    WorkloadTraceSpec schedule;
     schedule.Add(inst.workload.get(), 1.0, "only", &profiles);
     const ReprovisionPlan plan = planner.Plan(schedule);
 
@@ -231,16 +253,19 @@ TEST(ReprovisionTest, ExhaustivePoolDpMatchesBruteForceOverSequences) {
         std::vector<QuerySpec>{q}, RepeatSequence(1, 3), PlannerConfig{}));
   }
 
-  EpochSchedule schedule;
+  WorkloadTraceSpec schedule;
   schedule.Add(workloads[0].get(), 4.0, "scan");
   schedule.Add(workloads[1].get(), 10.0, "points");
   schedule.Add(workloads[2].get(), 7.0, "points-wide");
 
+  // The reference planner scores through the full path; the plan under
+  // test through the per-epoch evaluators, at every thread count.
   ReprovisionConfig config;
   config.relative_sla = 0.4;
   config.migration = SomeMigration(50.0, 2000.0);
   config.migration_weight = 1e-3;
   config.exhaustive_pool = true;
+  config.options.use_fast_eval = false;
   ReprovisionPlanner planner(&schema, &box, config);
 
   const std::vector<int> current{0, 0};
@@ -248,7 +273,21 @@ TEST(ReprovisionTest, ExhaustivePoolDpMatchesBruteForceOverSequences) {
   ASSERT_TRUE(plan.status.ok()) << plan.status.ToString();
   EXPECT_EQ(plan.pool_size, 9);
 
-  // Brute force through the planner's own sequence evaluator (the
+  config.options.use_fast_eval = true;
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  for (int threads : {1, 4, hw}) {
+    config.options.num_threads = threads;
+    const ReprovisionPlan fast =
+        ReprovisionPlanner(&schema, &box, config).Plan(schedule, current);
+    const std::string what =
+        "evaluator DP, " + std::to_string(threads) + " threads";
+    ExpectSamePlan(fast, plan, what);
+    // No per-epoch search runs on the exhaustive pool: the count is the
+    // pool × epoch matrix on both paths.
+    EXPECT_EQ(fast.layouts_evaluated, plan.layouts_evaluated) << what;
+  }
+
+  // Brute force through the full-path planner's sequence evaluator (the
   // documented accounting contract makes the totals comparable bit for
   // bit).
   double best_total = 0.0;
@@ -280,7 +319,7 @@ TEST(ReprovisionTest, ExhaustivePoolDpMatchesBruteForceOverSequences) {
 
 TEST(ReprovisionTest, PooledPlanNeverLosesToEitherBaseline) {
   DriftInstance inst;
-  EpochSchedule schedule;
+  WorkloadTraceSpec schedule;
   schedule.Add(inst.epochs[0].get(), 8.0, "morning");
   schedule.Add(inst.epochs[1].get(), 8.0, "afternoon");
   schedule.Add(inst.epochs[2].get(), 6.0, "night");
@@ -295,11 +334,11 @@ TEST(ReprovisionTest, PooledPlanNeverLosesToEitherBaseline) {
     // Per-epoch solo optima (the migration-oblivious baseline's layouts;
     // the first one doubles as the frozen baseline).
     std::vector<std::vector<int>> solo;
-    for (const Epoch& epoch : schedule.epochs) {
+    for (const TraceWindow& window : schedule.windows) {
       DotProblem p;
       p.schema = &inst.schema;
       p.box = &inst.box;
-      p.workload = epoch.workload;
+      p.workload = window.workload;
       p.relative_sla = config.relative_sla;
       const DotResult r = ExactSearch(p, ExactStrategy::kBranchAndBound);
       ASSERT_TRUE(r.status.ok()) << r.status.ToString();
@@ -326,7 +365,7 @@ TEST(ReprovisionTest, PooledPlanNeverLosesToEitherBaseline) {
 
 TEST(ReprovisionTest, MigrationPriceMovesThePlanAlongTheFrontier) {
   DriftInstance inst;
-  EpochSchedule schedule;
+  WorkloadTraceSpec schedule;
   schedule.Add(inst.epochs[0].get(), 8.0);
   schedule.Add(inst.epochs[1].get(), 8.0);
   schedule.Add(inst.epochs[2].get(), 8.0);
@@ -334,11 +373,11 @@ TEST(ReprovisionTest, MigrationPriceMovesThePlanAlongTheFrontier) {
   // The solo optima differ across epochs — otherwise this instance tests
   // nothing.
   std::vector<std::vector<int>> solo;
-  for (const Epoch& epoch : schedule.epochs) {
+  for (const TraceWindow& window : schedule.windows) {
     DotProblem p;
     p.schema = &inst.schema;
     p.box = &inst.box;
-    p.workload = epoch.workload;
+    p.workload = window.workload;
     p.relative_sla = 0.4;
     solo.push_back(ExactSearch(p, ExactStrategy::kBranchAndBound).placement);
   }
@@ -379,39 +418,38 @@ TEST(ReprovisionTest, MigrationPriceMovesThePlanAlongTheFrontier) {
 
 TEST(ReprovisionTest, PlanIsBitIdenticalAcrossThreadCounts) {
   DriftInstance inst;
-  EpochSchedule schedule;
+  WorkloadTraceSpec schedule;
   schedule.Add(inst.epochs[0].get(), 8.0);
   schedule.Add(inst.epochs[1].get(), 8.0);
   schedule.Add(inst.epochs[2].get(), 8.0);
+  const std::vector<int> current{0, 0, 0, 0, 0, 0};
 
+  // The reference scores every candidate through the full path, so the
+  // evaluator DP is checked against an independent oracle, not itself.
   ReprovisionConfig config;
   config.relative_sla = 0.4;
   config.migration = SomeMigration(10.0, 500.0);
   config.options.num_threads = 1;
-  const ReprovisionPlan base =
+  config.options.use_fast_eval = false;
+  const ReprovisionPlan ref =
       ReprovisionPlanner(&inst.schema, &inst.box, config)
-          .Plan(schedule, std::vector<int>{0, 0, 0, 0, 0, 0});
-  ASSERT_TRUE(base.status.ok()) << base.status.ToString();
+          .Plan(schedule, current);
+  ASSERT_TRUE(ref.status.ok()) << ref.status.ToString();
 
+  config.options.use_fast_eval = true;
+  const ReprovisionPlan serial =
+      ReprovisionPlanner(&inst.schema, &inst.box, config)
+          .Plan(schedule, current);
+  ExpectSamePlan(serial, ref, "1 thread");
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   for (int threads : {4, hw}) {
     config.options.num_threads = threads;
     const ReprovisionPlan plan =
         ReprovisionPlanner(&inst.schema, &inst.box, config)
-            .Plan(schedule, std::vector<int>{0, 0, 0, 0, 0, 0});
-    ASSERT_TRUE(plan.status.ok());
-    EXPECT_EQ(plan.total_objective, base.total_objective)
-        << threads << " threads";
-    EXPECT_EQ(plan.total_migration_cents, base.total_migration_cents)
-        << threads << " threads";
-    ASSERT_EQ(plan.steps.size(), base.steps.size());
-    for (size_t e = 0; e < plan.steps.size(); ++e) {
-      EXPECT_EQ(plan.steps[e].placement, base.steps[e].placement)
-          << threads << " threads, epoch " << e;
-      EXPECT_EQ(plan.steps[e].toc_cents_per_task,
-                base.steps[e].toc_cents_per_task)
-          << threads << " threads, epoch " << e;
-    }
+            .Plan(schedule, current);
+    const std::string what = std::to_string(threads) + " threads";
+    ExpectSamePlan(plan, ref, what);
+    EXPECT_EQ(plan.layouts_evaluated, serial.layouts_evaluated) << what;
   }
 }
 
@@ -420,10 +458,10 @@ TEST(ReprovisionTest, RejectsDegenerateInputs) {
   ReprovisionConfig config;
   ReprovisionPlanner planner(&inst.schema, &inst.box, config);
 
-  EpochSchedule empty;
+  WorkloadTraceSpec empty;
   EXPECT_EQ(planner.Plan(empty).status.code(), StatusCode::kInvalidArgument);
 
-  EpochSchedule schedule;
+  WorkloadTraceSpec schedule;
   schedule.Add(inst.epochs[0].get(), 1.0);
   EXPECT_EQ(planner.Plan(schedule, std::vector<int>{0}).status.code(),
             StatusCode::kInvalidArgument);
@@ -448,7 +486,7 @@ TEST(ReprovisionTest, RejectsDegenerateInputs) {
   // So does a space that overflows a long long (at least 3^40 on 40
   // objects), whatever the cap — LLONG_MAX included.
   RandomInstance wide(/*seed=*/5, /*tables=*/20);
-  EpochSchedule wide_schedule;
+  WorkloadTraceSpec wide_schedule;
   wide_schedule.Add(wide.workload.get(), 1.0);
   for (long long cap : {10LL, std::numeric_limits<long long>::max()}) {
     big_config.max_pool_layouts = cap;
@@ -465,6 +503,40 @@ TEST(ReprovisionTest, RejectsDegenerateInputs) {
                                   std::vector<std::vector<int>>{})
                 .status.code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(ReprovisionTest, PlanRejectsACurrentLayoutOutsideTheBox) {
+  DriftInstance inst;
+  ReprovisionPlanner planner(&inst.schema, &inst.box, ReprovisionConfig{});
+  WorkloadTraceSpec schedule;
+  schedule.Add(inst.epochs[0].get(), 1.0);
+  for (int bad : {7, -1}) {
+    const std::vector<int> current{bad, 0, 0, 0, 0, 0};
+    const ReprovisionPlan plan = planner.Plan(schedule, current);
+    EXPECT_EQ(plan.status.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(plan.status.message().find("current layout"),
+              std::string::npos)
+        << plan.status.ToString();
+    EXPECT_EQ(planner
+                  .EvaluateSequence(schedule, {{0, 0, 0, 0, 0, 0}}, current)
+                  .status.code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+}
+
+TEST(ReprovisionTest, EvaluateSequenceRejectsPlacementsOutsideTheBox) {
+  DriftInstance inst;
+  ReprovisionPlanner planner(&inst.schema, &inst.box, ReprovisionConfig{});
+  WorkloadTraceSpec schedule;
+  schedule.Add(inst.epochs[0].get(), 1.0).Add(inst.epochs[1].get(), 1.0);
+  for (int bad : {7, -1}) {
+    const ReprovisionPlan eval = planner.EvaluateSequence(
+        schedule, {{0, 0, 0, 0, 0, 0}, {0, 0, 0, bad, 0, 0}});
+    EXPECT_EQ(eval.status.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(eval.status.message().find("epoch 1"), std::string::npos)
+        << eval.status.ToString();
+  }
 }
 
 }  // namespace

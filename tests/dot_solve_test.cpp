@@ -251,6 +251,22 @@ TEST_F(SolveFacadeTest, ValidateCatchesSpecProblemMismatches) {
   EXPECT_TRUE(zero_weight.Validate(problem_).ok());
 }
 
+TEST_F(SolveFacadeTest, EpochPlanRejectsACurrentLayoutOutsideTheBox) {
+  SolveSpec epoch;
+  epoch.method = SolveMethod::kEpochPlan;
+  for (int bad : {7, -1}) {
+    epoch.current_layout.assign(
+        static_cast<size_t>(problem_.schema->NumObjects()), 0);
+    epoch.current_layout[0] = bad;
+    EXPECT_EQ(epoch.Validate(problem_).code(), StatusCode::kInvalidArgument)
+        << bad;
+    const SolveResult r = Solve(problem_, epoch);
+    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(r.status.message().find("current_layout"), std::string::npos)
+        << r.status.ToString();
+  }
+}
+
 TEST_F(SolveFacadeTest, MalformedIoScaleHintIsRejected) {
   const int n = schema_.NumObjects();
   const double nan = std::numeric_limits<double>::quiet_NaN();

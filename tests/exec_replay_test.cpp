@@ -1,4 +1,10 @@
-#include "exec/schedule_replay.h"
+// An epoch plan replayed as a layout track (exec/trace_replay.h): the
+// noiseless replay reproduces the plan's objective bit for bit, including
+// the epoch-0 migration from the current layout; noise jitters it
+// reproducibly, per window; and malformed tracks, placements and io_scale
+// vectors come back as InvalidArgument instead of aborting.
+
+#include "exec/trace_replay.h"
 
 #include <gtest/gtest.h>
 
@@ -6,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "catalog/tpch_schema.h"
 #include "dot/reprovision.h"
 #include "storage/standard_catalog.h"
 #include "workload/dss_workload.h"
@@ -46,41 +53,68 @@ class ReplayTest : public ::testing::Test {
     }
     schedule_.Add(workloads_[0].get(), 9.0, "scan-heavy");
     schedule_.Add(workloads_[1].get(), 15.0, "point-reads");
+    config_.relative_sla = 0.4;
+    config_.migration.transfer_price_cents_per_gb = 10.0;
+    config_.migration.downtime_price_cents_per_hour = 500.0;
   }
 
   ReprovisionPlan MakePlan() const {
-    ReprovisionConfig config;
-    config.relative_sla = 0.4;
-    config.migration.transfer_price_cents_per_gb = 10.0;
-    config.migration.downtime_price_cents_per_hour = 500.0;
-    ReprovisionPlanner planner(&schema_, &box_, config);
-    return planner.Plan(schedule_, std::vector<int>{0, 0, 0, 0});
+    return ReprovisionPlanner(&schema_, &box_, config_)
+        .Plan(schedule_, current_);
+  }
+
+  /// The replay knobs that price a plan exactly as the planner did.
+  static TrackReplayConfig ReplayConfigFor(const ReprovisionConfig& config,
+                                           const ReprovisionPlan& plan) {
+    TrackReplayConfig replay;
+    replay.cost_model = config.cost_model;
+    replay.migration = config.migration;
+    replay.migration_weight = plan.resolved_migration_weight;
+    return replay;
+  }
+
+  static std::vector<std::vector<int>> Track(const ReprovisionPlan& plan) {
+    std::vector<std::vector<int>> track;
+    for (const EpochPlanStep& step : plan.steps) {
+      track.push_back(step.placement);
+    }
+    return track;
   }
 
   Schema schema_;
   BoxConfig box_;
   std::vector<std::unique_ptr<DssWorkloadModel>> workloads_;
-  EpochSchedule schedule_;
+  WorkloadTraceSpec schedule_;
+  ReprovisionConfig config_;
+  const std::vector<int> current_{0, 0, 0, 0};
 };
 
 TEST_F(ReplayTest, NoiselessReplayReproducesThePlanBitForBit) {
   const ReprovisionPlan plan = MakePlan();
   ASSERT_TRUE(plan.status.ok()) << plan.status.ToString();
+  // The plan leaves the all-class-0 current layout, so the epoch-0 bill is
+  // a real term of the objective.
+  ASSERT_GT(plan.steps[0].migration_cents, 0.0);
 
-  ReplayConfig config;
-  config.exec.noise_cv = 0.0;
-  const ScheduleReplayResult replay =
-      ReplaySchedule(schedule_, plan, schema_, box_, config);
+  TrackReplayConfig config = ReplayConfigFor(config_, plan);
+  config.exec_noise_cv = 0.0;
+  const TrackReplayResult replay = ReplayLayoutTrack(
+      schedule_, Track(plan), schema_, box_, config, current_);
   ASSERT_TRUE(replay.status.ok()) << replay.status.ToString();
 
-  ASSERT_EQ(replay.epochs.size(), plan.steps.size());
+  ASSERT_EQ(replay.windows.size(), plan.steps.size());
   for (size_t e = 0; e < plan.steps.size(); ++e) {
-    EXPECT_EQ(replay.epochs[e].toc_cents_per_task,
+    EXPECT_EQ(replay.windows[e].toc_cents_per_task,
               plan.steps[e].toc_cents_per_task)
         << "epoch " << e;
-    EXPECT_EQ(replay.epochs[e].epoch_objective, plan.steps[e].epoch_objective)
+    EXPECT_EQ(replay.windows[e].window_objective,
+              plan.steps[e].epoch_objective)
+        << "epoch " << e;
+    EXPECT_EQ(replay.windows[e].migration_cents, plan.steps[e].migration_cents)
         << "epoch " << e;
   }
+  EXPECT_EQ(replay.total_migration_cents, plan.total_migration_cents);
+  EXPECT_EQ(replay.num_migrations, plan.num_migrations);
   // The whole estimated objective is validated by simulation, not just the
   // per-epoch terms: same kernels, same accounting order.
   EXPECT_EQ(replay.total_objective, plan.total_objective);
@@ -90,11 +124,11 @@ TEST_F(ReplayTest, NoisyReplayJittersButStaysNearTheEstimate) {
   const ReprovisionPlan plan = MakePlan();
   ASSERT_TRUE(plan.status.ok());
 
-  ReplayConfig config;
-  config.exec.noise_cv = 0.05;
-  config.exec.seed = 17;
-  const ScheduleReplayResult replay =
-      ReplaySchedule(schedule_, plan, schema_, box_, config);
+  TrackReplayConfig config = ReplayConfigFor(config_, plan);
+  config.exec_noise_cv = 0.05;
+  config.seed = 17;
+  const TrackReplayResult replay = ReplayLayoutTrack(
+      schedule_, Track(plan), schema_, box_, config, current_);
   ASSERT_TRUE(replay.status.ok());
 
   EXPECT_NE(replay.total_objective, plan.total_objective);
@@ -102,45 +136,87 @@ TEST_F(ReplayTest, NoisyReplayJittersButStaysNearTheEstimate) {
               0.25 * plan.total_objective);
 
   // Same seed => same replay; it is a simulation, not a dice roll.
-  const ScheduleReplayResult again =
-      ReplaySchedule(schedule_, plan, schema_, box_, config);
+  const TrackReplayResult again = ReplayLayoutTrack(
+      schedule_, Track(plan), schema_, box_, config, current_);
   EXPECT_EQ(again.total_objective, replay.total_objective);
 }
 
-TEST_F(ReplayTest, EpochsDrawIndependentNoiseStreams) {
-  // Two epochs with the same workload and the same layout: if both epochs
-  // replayed the same noise stream their measurements would coincide.
-  EpochSchedule twice;
+TEST_F(ReplayTest, WindowsDrawIndependentNoiseStreams) {
+  // Two windows with the same workload and the same layout: if both
+  // windows replayed the same noise stream their measurements would
+  // coincide.
+  WorkloadTraceSpec twice;
   twice.Add(workloads_[1].get(), 5.0).Add(workloads_[1].get(), 5.0);
 
-  ReprovisionConfig config;
-  config.relative_sla = 0.4;
-  ReprovisionPlanner planner(&schema_, &box_, config);
-  const ReprovisionPlan plan = planner.Plan(twice);
+  const ReprovisionPlan plan =
+      ReprovisionPlanner(&schema_, &box_, config_).Plan(twice);
   ASSERT_TRUE(plan.status.ok());
   ASSERT_EQ(plan.steps[0].placement, plan.steps[1].placement);
 
-  ReplayConfig replay_config;
-  replay_config.exec.noise_cv = 0.1;
-  const ScheduleReplayResult replay =
-      ReplaySchedule(twice, plan, schema_, box_, replay_config);
+  TrackReplayConfig config = ReplayConfigFor(config_, plan);
+  config.exec_noise_cv = 0.1;
+  const TrackReplayResult replay =
+      ReplayLayoutTrack(twice, Track(plan), schema_, box_, config);
   ASSERT_TRUE(replay.status.ok());
-  EXPECT_NE(replay.epochs[0].measured.elapsed_ms,
-            replay.epochs[1].measured.elapsed_ms);
+  EXPECT_NE(replay.windows[0].measured.elapsed_ms,
+            replay.windows[1].measured.elapsed_ms);
 }
 
-TEST_F(ReplayTest, RefusesToReplayABrokenPlan) {
-  ReprovisionPlan broken;
-  broken.status = Status::Infeasible("nope");
-  ReplayConfig config;
-  EXPECT_EQ(ReplaySchedule(schedule_, broken, schema_, box_, config)
-                .status.code(),
-            StatusCode::kInvalidArgument);
+TEST_F(ReplayTest, RefusesATrackOfTheWrongLength) {
+  const TrackReplayResult replay =
+      ReplayLayoutTrack(schedule_, {}, schema_, box_, TrackReplayConfig{});
+  EXPECT_EQ(replay.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(replay.windows.empty());
+}
 
-  ReprovisionPlan wrong_length;  // OK status but no steps
-  EXPECT_EQ(ReplaySchedule(schedule_, wrong_length, schema_, box_, config)
-                .status.code(),
-            StatusCode::kInvalidArgument);
+TEST_F(ReplayTest, RefusesAPlacementOneObjectShort) {
+  const std::vector<std::vector<int>> track{{0, 0, 0, 0}, {0, 0, 0}};
+  const TrackReplayResult replay =
+      ReplayLayoutTrack(schedule_, track, schema_, box_, TrackReplayConfig{});
+  EXPECT_EQ(replay.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(replay.status.message().find("window 1"), std::string::npos)
+      << replay.status.ToString();
+}
+
+TEST_F(ReplayTest, RefusesAPlacementNamingAClassOutsideTheBox) {
+  ASSERT_EQ(box_.NumClasses(), 3);
+  const std::vector<std::vector<int>> track{{0, 0, 9, 0}, {0, 0, 0, 0}};
+  const TrackReplayResult replay =
+      ReplayLayoutTrack(schedule_, track, schema_, box_, TrackReplayConfig{});
+  EXPECT_EQ(replay.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(replay.status.message().find("window 0"), std::string::npos)
+      << replay.status.ToString();
+}
+
+TEST(ReplayTpchTest, RefusesAnIoScaleOfTheWrongLength) {
+  const Schema schema = MakeTpchSchema(1.0);
+  const BoxConfig box = MakeBox1();
+  const DssWorkloadModel tpch("TPC-H", &schema, &box, MakeTpchTemplates(),
+                              RepeatSequence(22, 1), PlannerConfig{});
+  WorkloadTraceSpec spec;
+  spec.Add(&tpch, 1.0);
+  spec.windows[0].io_scale = {1.0, 2.0};
+  const std::vector<std::vector<int>> track{
+      std::vector<int>(static_cast<size_t>(schema.NumObjects()), 0)};
+  const TrackReplayResult replay =
+      ReplayLayoutTrack(spec, track, schema, box, TrackReplayConfig{});
+  EXPECT_EQ(replay.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(replay.status.message().find("io_scale"), std::string::npos)
+      << replay.status.ToString();
+}
+
+TEST_F(ReplayTest, RefusesAnInvalidCurrentLayout) {
+  const std::vector<std::vector<int>> track(2, std::vector<int>{0, 0, 0, 0});
+  for (const std::vector<int>& bad :
+       {std::vector<int>{0, 0, 0}, std::vector<int>{0, -1, 0, 0},
+        std::vector<int>{0, 0, 0, 3}}) {
+    const TrackReplayResult replay = ReplayLayoutTrack(
+        schedule_, track, schema_, box_, TrackReplayConfig{}, bad);
+    EXPECT_EQ(replay.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(replay.status.message().find("current layout"),
+              std::string::npos)
+        << replay.status.ToString();
+  }
 }
 
 }  // namespace

@@ -1,4 +1,9 @@
-#include "workload/epoch_schedule.h"
+// A WorkloadTraceSpec read as an epoch schedule (workload/trace.h): the
+// chaining Add builds the windows the epoch planner provisions across
+// (dot/reprovision.h), and ValidateTraceSpec rejects schedules it cannot
+// plan.
+
+#include "workload/trace.h"
 
 #include <gtest/gtest.h>
 
@@ -24,33 +29,36 @@ class EpochScheduleTest : public ::testing::Test {
 };
 
 TEST_F(EpochScheduleTest, AddChainsAndTotalsDurations) {
-  EpochSchedule schedule;
+  WorkloadTraceSpec schedule;
   schedule.Add(&workload_, 8.0, "day").Add(&workload_, 16.0, "night");
-  ASSERT_EQ(schedule.NumEpochs(), 2);
+  ASSERT_EQ(schedule.windows.size(), 2u);
   EXPECT_DOUBLE_EQ(schedule.TotalHours(), 24.0);
-  EXPECT_EQ(schedule.epochs[0].label, "day");
-  EXPECT_EQ(schedule.epochs[1].label, "night");
-  EXPECT_EQ(schedule.epochs[0].workload, &workload_);
-  EXPECT_TRUE(ValidateSchedule(schedule).ok());
+  EXPECT_EQ(schedule.windows[0].label, "day");
+  EXPECT_EQ(schedule.windows[1].label, "night");
+  EXPECT_EQ(schedule.windows[0].workload, &workload_);
+  EXPECT_TRUE(schedule.windows[0].io_scale.empty());
+  EXPECT_EQ(schedule.windows[0].profiles, nullptr);
+  EXPECT_TRUE(ValidateTraceSpec(schedule).ok());
 }
 
 TEST_F(EpochScheduleTest, ValidationRejectsDegenerateSchedules) {
-  EpochSchedule empty;
-  EXPECT_EQ(ValidateSchedule(empty).code(), StatusCode::kInvalidArgument);
+  WorkloadTraceSpec empty;
+  EXPECT_EQ(ValidateTraceSpec(empty).code(), StatusCode::kInvalidArgument);
 
-  EpochSchedule no_workload;
+  WorkloadTraceSpec no_workload;
   no_workload.Add(nullptr, 1.0);
-  EXPECT_EQ(ValidateSchedule(no_workload).code(),
+  EXPECT_EQ(ValidateTraceSpec(no_workload).code(),
             StatusCode::kInvalidArgument);
 
-  EpochSchedule zero_duration;
+  WorkloadTraceSpec zero_duration;
   zero_duration.Add(&workload_, 0.0);
-  EXPECT_EQ(ValidateSchedule(zero_duration).code(),
+  EXPECT_EQ(ValidateTraceSpec(zero_duration).code(),
             StatusCode::kInvalidArgument);
 
-  EpochSchedule negative;
+  WorkloadTraceSpec negative;
   negative.Add(&workload_, -2.0);
-  EXPECT_EQ(ValidateSchedule(negative).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ValidateTraceSpec(negative).code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace
