@@ -44,6 +44,7 @@
 #include "common/str_util.h"
 #include "common/table_printer.h"
 #include "dot/dot.h"
+#include "fleet/synthetic_fleet.h"
 
 namespace {
 

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "dot/dot.h"
+#include "fleet/synthetic_fleet.h"
 
 int main() {
   // 1. A fleet: 12 tenants drawn from 8 classes over one shared Box 2
@@ -43,7 +44,7 @@ int main() {
   }
   const double free_cost = free_run.fleet.total_cost_cents_per_hour;
   std::printf("unconstrained: %.2f cents/h, TOC %.3e cents/task, "
-              "%d pools built for %zu tenants\n",
+              "%lld pools built for %zu tenants\n",
               free_cost, free_run.toc_cents_per_task,
               free_run.fleet.pool_builds, fleet.tenants.size());
 

@@ -34,6 +34,8 @@ Advisor::Advisor(const DotProblem& problem, AdvisorConfig config)
 
 Status Advisor::Init() {
   DOT_CHECK(!initialized_);
+  Status st = ValidateMigrationWeight(config_.migration_weight);
+  if (!st.ok()) return st;
   SolveSpec spec;
   spec.method = config_.replan_method;
   const SolveResult solved = Solve(problem_, spec);
@@ -55,7 +57,6 @@ Status Advisor::Init() {
     DOT_CHECK(reference_rate > 0.0);
     resolved_weight_ = 1.0 / reference_rate;
   } else {
-    DOT_CHECK(config_.migration_weight >= 0.0);
     resolved_weight_ = config_.migration_weight;
   }
   initialized_ = true;
@@ -183,7 +184,7 @@ void Advisor::Observe(const TraceEvent& event, AdvisorRun* run) {
     // once and a re-plan near the incumbent is nearly free.
     spec.warm_starts = &pool_;
     const SolveResult candidate = Solve(problem_, spec);
-    run->layouts_evaluated += candidate.provenance.layouts_evaluated;
+    run->Add(candidate.provenance);
 
     if (candidate.status.ok()) {
       decision.candidate_toc = candidate.toc_cents_per_task;

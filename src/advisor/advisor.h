@@ -106,8 +106,10 @@ struct AdvisorDecision {
   int model_index = -1;
 };
 
-/// One advisor session over a feed.
-struct AdvisorRun {
+/// One advisor session over a feed. The SearchStats base sums the counters
+/// of the session's re-plan solves (each Solve's provenance, through Add);
+/// the initial solve of Init is not counted.
+struct AdvisorRun : SearchStats {
   Status status = Status::OK();
 
   std::vector<int> initial_layout;
@@ -124,7 +126,6 @@ struct AdvisorRun {
   std::vector<int> final_layout;
   int num_replans = 0;
   int num_migrations = 0;
-  long long layouts_evaluated = 0;
 };
 
 /// The always-on advisor: replays a workload trace through a virtual-time
@@ -143,7 +144,9 @@ class Advisor {
 
   /// Solves the initial incumbent through dot::Solve, installs the
   /// model-predicted I/O profile as the drift baseline, and resolves the
-  /// migration weight. Called implicitly by the first Run.
+  /// migration weight. Called implicitly by the first Run. A migration
+  /// weight ValidateMigrationWeight rejects returns InvalidArgument, and a
+  /// failed initial solve returns its status.
   Status Init();
 
   /// Drains `feed` through a FeedPlayer, deciding after every window.

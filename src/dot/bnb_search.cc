@@ -21,11 +21,6 @@ namespace dot {
 
 namespace {
 
-long long SaturatingAdd(long long a, long long b) {
-  if (a > kLayoutSpaceSaturated - b) return kLayoutSpaceSaturated;
-  return a + b;
-}
-
 // ---------------------------------------------------------------------------
 // ExactStrategy::kEnumerate — the paper's Exhaustive Search comparator.
 // ---------------------------------------------------------------------------
@@ -82,22 +77,6 @@ DotResult EnumerateSearch(const DotProblem& problem, long long max_layouts,
 // ---------------------------------------------------------------------------
 // ExactStrategy::kBranchAndBound
 // ---------------------------------------------------------------------------
-
-struct BnbStats {
-  long long expanded = 0;
-  long long pruned_bound = 0;
-  long long pruned_infeasible = 0;
-  long long layouts_pruned = 0;  ///< saturating: Σ leaf counts under prunes
-  long long leaves = 0;
-
-  void Add(const BnbStats& o) {
-    expanded += o.expanded;
-    pruned_bound += o.pruned_bound;
-    pruned_infeasible += o.pruned_infeasible;
-    layouts_pruned = SaturatingAdd(layouts_pruned, o.layouts_pruned);
-    leaves += o.leaves;
-  }
-};
 
 /// Winner of one subtree task under the BetterCandidate total order.
 struct SubtreeBest {
@@ -175,7 +154,13 @@ class SubtreeWalker {
     Dfs(0);
   }
 
-  const BnbStats& stats() const { return stats_; }
+  /// The walker's counters: its node counts summed over every task it has
+  /// run, and its arena's high-water mark.
+  SearchStats stats() const {
+    SearchStats out = stats_;
+    out.arena_bytes_peak = static_cast<long long>(arena_->bytes_peak());
+    return out;
+  }
   const SubtreeBest& best() const { return best_; }
 
  private:
@@ -199,7 +184,8 @@ class SubtreeWalker {
   /// Per-task reset: reclaim the arena, re-carve the per-depth arrays from
   /// it, and restore every piece of state a fresh walker would start with
   /// — the per-task results must be identical whether a walker is fresh or
-  /// reused, or the shard mapping would leak into the search outcome.
+  /// reused, or the shard mapping would leak into the search outcome. The
+  /// counters alone carry over: they sum across tasks, in any order.
   void BeginTask() {
     arena_->Reset();
     const size_t cells =
@@ -213,7 +199,6 @@ class SubtreeWalker {
     tpden_ = arena_->AllocateArray<double>(static_cast<size_t>(sh_.m));
     std::fill(placement_.begin(), placement_.end(), 0);
     incumbent_ = sh_.seed_incumbent;
-    stats_ = BnbStats{};
     best_ = SubtreeBest{};
     if (cursor_ != nullptr) cursor_->Reset();
   }
@@ -231,14 +216,14 @@ class SubtreeWalker {
   }
 
   void PruneInfeasible(int child_depth) {
-    stats_.pruned_infeasible += 1;
+    stats_.nodes_pruned_infeasible += 1;
     stats_.layouts_pruned = SaturatingAdd(
         stats_.layouts_pruned,
         sh_.leaves_below[static_cast<size_t>(child_depth)]);
   }
 
   void PruneBound(int child_depth) {
-    stats_.pruned_bound += 1;
+    stats_.nodes_pruned_bound += 1;
     stats_.layouts_pruned = SaturatingAdd(
         stats_.layouts_pruned,
         sh_.leaves_below[static_cast<size_t>(child_depth)]);
@@ -283,7 +268,7 @@ class SubtreeWalker {
       task_sink_->emplace_back(placement_prefix(depth));
       return;
     }
-    stats_.expanded += 1;
+    stats_.nodes_expanded += 1;
 
     const int obj = sh_.order[static_cast<size_t>(depth)];
     const double size = sh_.size_at_depth[static_cast<size_t>(depth)];
@@ -311,7 +296,7 @@ class SubtreeWalker {
         const CandidateEval eval =
             sh_.evaluator->EvaluateLeaf(placement_, cursor_.get());
         if (cursor_ != nullptr) cursor_->Unassign(obj);
-        stats_.leaves += 1;
+        stats_.layouts_evaluated += 1;
         if (eval.feasible) ConsiderLeaf(eval.toc);
       }
       return;
@@ -462,7 +447,7 @@ class SubtreeWalker {
   double* tpden_ = nullptr;        ///< per-class probe ratio denominators
   std::unique_ptr<FastScorer::BoundCursor> cursor_;
   double incumbent_;
-  BnbStats stats_;
+  SearchStats stats_;
   SubtreeBest best_;
 };
 
@@ -606,23 +591,20 @@ DotResult BranchAndBoundSearch(
   SubtreeWalker prefix_walker(sh, &tasks, &prefix_arena);
   prefix_walker.RunPrefix();
 
-  BnbStats stats = prefix_walker.stats();
-  SubtreeBest best;
+  result.Add(prefix_walker.stats());
 
   // One arena + walker (and therefore one bound cursor) per shard, reused
   // across the shard's tasks. Shard boundaries depend only on the task
   // count — never on the thread count — and BeginTask restores fresh-walker
-  // state per task, so per-task results are identical at any parallelism.
+  // state per task, so per-task results and per-shard counters are
+  // identical at any parallelism.
   // The shard count caps at 64 for load balancing; below that it is one
   // task per shard, exactly the old walker-per-task behaviour minus the
   // allocations.
   ThreadPool pool(problem.options.num_threads);
   const int num_shards = static_cast<int>(std::min<size_t>(tasks.size(), 64));
-  std::vector<BnbStats> task_stats(tasks.size());
+  std::vector<SearchStats> shard_stats(static_cast<size_t>(num_shards));
   std::vector<SubtreeBest> task_best(tasks.size());
-  std::vector<std::uint64_t> shard_resets(
-      static_cast<size_t>(num_shards), 0);
-  std::vector<std::uint64_t> shard_peak(static_cast<size_t>(num_shards), 0);
   if (!tasks.empty()) {
     pool.ParallelForShards(
         0, static_cast<int64_t>(tasks.size()), num_shards,
@@ -631,18 +613,18 @@ DotResult BranchAndBoundSearch(
           SubtreeWalker walker(sh, nullptr, &arena);
           for (int64_t i = shard_begin; i < shard_end; ++i) {
             walker.RunSubtree(tasks[static_cast<size_t>(i)]);
-            task_stats[static_cast<size_t>(i)] = walker.stats();
             task_best[static_cast<size_t>(i)] = walker.best();
           }
-          shard_resets[static_cast<size_t>(shard)] = arena.resets();
-          shard_peak[static_cast<size_t>(shard)] = arena.bytes_peak();
+          shard_stats[static_cast<size_t>(shard)] = walker.stats();
         });
   }
 
-  // Reduce under the BetterCandidate total order (any reduction order
-  // yields the same winner; see candidate_evaluator.h).
+  // Reduce the counters (SearchStats::Add is order-free) and the winners
+  // under the BetterCandidate total order (any reduction order yields the
+  // same winner; see candidate_evaluator.h).
+  for (const SearchStats& shard : shard_stats) result.Add(shard);
+  SubtreeBest best;
   for (size_t i = 0; i < tasks.size(); ++i) {
-    stats.Add(task_stats[static_cast<size_t>(i)]);
     SubtreeBest& cand = task_best[static_cast<size_t>(i)];
     if (!cand.found) continue;
     if (!best.found || BetterCandidate(cand.toc, cand.placement, best.toc,
@@ -651,21 +633,6 @@ DotResult BranchAndBoundSearch(
     }
   }
 
-  result.nodes_expanded = stats.expanded;
-  result.nodes_pruned_bound = stats.pruned_bound;
-  result.nodes_pruned_infeasible = stats.pruned_infeasible;
-  result.layouts_pruned = stats.layouts_pruned;
-  result.layouts_evaluated = stats.leaves;
-  // Deterministic at any thread count: resets sum over the fixed shard
-  // set, peak is an order-free max.
-  std::uint64_t arena_resets = prefix_arena.resets();
-  std::uint64_t arena_peak = prefix_arena.bytes_peak();
-  for (int s = 0; s < num_shards; ++s) {
-    arena_resets += shard_resets[static_cast<size_t>(s)];
-    arena_peak = std::max(arena_peak, shard_peak[static_cast<size_t>(s)]);
-  }
-  result.arena_resets = static_cast<long long>(arena_resets);
-  result.arena_bytes_peak = static_cast<long long>(arena_peak);
   result.plan_cache_hits = evaluator.plan_cache_hits();
   result.plan_cache_misses = evaluator.plan_cache_misses();
 

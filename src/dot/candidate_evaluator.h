@@ -1,7 +1,6 @@
 #ifndef DOTPROV_DOT_CANDIDATE_EVALUATOR_H_
 #define DOTPROV_DOT_CANDIDATE_EVALUATOR_H_
 
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -139,13 +138,6 @@ class CandidateEvaluator {
   std::vector<double> size_gb_;  ///< per object, schema order
   std::unique_ptr<FastScorer> scorer_;
 };
-
-/// What LayoutSpaceSize returns when M^N does not fit in a long long. No
-/// M^N equals it exactly (2^63 - 1 = 7^2 · 73 · 127 · 337 · 92737 · 649657
-/// is no perfect power, and M^1 is an int), so every size guard refuses
-/// this value whatever its cap, LLONG_MAX included.
-inline constexpr long long kLayoutSpaceSaturated =
-    std::numeric_limits<long long>::max();
 
 /// M^N, the number of layouts of `num_objects` objects over `num_classes`
 /// classes, saturating at kLayoutSpaceSaturated instead of overflowing.

@@ -34,13 +34,13 @@
 #include "dot/problem.h"
 #include "dot/provisioner.h"
 #include "dot/reprovision.h"
+#include "dot/search_stats.h"
 #include "dot/simple_layouts.h"
 #include "dot/sla.h"
 #include "dot/solve.h"
 #include "dot/validator.h"
 #include "exec/executor.h"
 #include "fleet/fleet_planner.h"
-#include "fleet/synthetic_fleet.h"
 #include "exec/trace_replay.h"
 #include "io/device_model.h"
 #include "io/microbench.h"

@@ -8,12 +8,16 @@
 #include "dot/ensemble.h"
 #include "dot/layout.h"
 #include "dot/problem.h"
+#include "dot/search_stats.h"
 #include "dot/sla.h"
 
 namespace dot {
 
-/// Outcome of one optimization run (DOT heuristic or exhaustive search).
-struct DotResult {
+/// Outcome of one optimization run (DOT heuristic or exact search). The
+/// SearchStats base carries the engine counters: layouts_evaluated and the
+/// plan-cache pair for every strategy, the node, warm-start and arena
+/// counters for branch-and-bound only.
+struct DotResult : SearchStats {
   /// OK, or Infeasible when no enumerated layout met every constraint
   /// (§3: "rather than returning a recommended layout, it may return an
   /// answer marked as 'infeasible'").
@@ -33,47 +37,6 @@ struct DotResult {
 
   /// The targets the run enforced (includes the best-case baseline).
   PerfTargets targets;
-
-  /// Number of candidate layouts evaluated (|Δ|+1 for DOT, M^N for the
-  /// enumerating exact search, the surviving leaves for branch-and-bound).
-  long long layouts_evaluated = 0;
-
-  /// Branch-and-bound search statistics (all 0 for the other strategies).
-  /// A node is one partial assignment the search visited: it is either
-  /// expanded (its children were generated), pruned, or — at full depth —
-  /// an evaluated leaf (counted in layouts_evaluated). `layouts_pruned` is
-  /// the number of complete layouts under the pruned subtrees, so
-  /// layouts_evaluated + layouts_pruned == M^N always holds (saturating at
-  /// LLONG_MAX for spaces too large to count).
-  long long nodes_expanded = 0;
-  long long nodes_pruned_bound = 0;       ///< TOC bound ≥ incumbent
-  long long nodes_pruned_infeasible = 0;  ///< capacity/SLA cannot be met
-  long long layouts_pruned = 0;
-
-  /// Caller-supplied warm starts that were valid and feasible, i.e. that
-  /// actually seeded the branch-and-bound incumbent (0 for the other
-  /// strategies and when no warm starts were passed). Diagnostics for the
-  /// SolveResult provenance block; cannot affect the search result.
-  int warm_start_hits = 0;
-
-  /// DSS plan-cache traffic of the run's fast evaluation path: a hit is a
-  /// template time served from its dense cache slot, a miss one run of the
-  /// template's compiled program (templates too large for a dense cache
-  /// miss on every probe). Both 0 for OLTP models, which have no plan
-  /// cache, and when the fast path is disabled; HTAP models report their
-  /// analytic side's cache. Diagnostics only: the counts vary with thread
-  /// count even though the search result does not.
-  long long plan_cache_hits = 0;
-  long long plan_cache_misses = 0;
-
-  /// Search-arena traffic of the branch-and-bound engine (0 for the other
-  /// engines, which allocate nothing per node): total Reset() calls across
-  /// all task arenas plus the prefix walker's, and the largest high-water
-  /// live-byte mark of any single arena. resets is a sum over the
-  /// thread-count-independent shard set and bytes_peak an order-free max,
-  /// so both are deterministic at any parallelism. Diagnostics only.
-  long long arena_resets = 0;
-  long long arena_bytes_peak = 0;
 
   /// Wall-clock optimization time.
   double optimize_ms = 0.0;

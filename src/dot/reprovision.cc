@@ -86,12 +86,15 @@ bool BetterTerminal(double obj_a, double toc_a,
   return placement_a < placement_b;
 }
 
-/// The input checks Plan and EvaluateSequence share: a valid spec, and a
-/// current layout that is empty (greenfield) or a valid placement.
-Status ValidateInputs(const WorkloadTraceSpec& schedule,
+/// The input checks Plan and EvaluateSequence share: a valid config and
+/// spec, and a current layout that is empty (greenfield) or a valid
+/// placement.
+Status ValidateInputs(const ReprovisionConfig& config,
+                      const WorkloadTraceSpec& schedule,
                       const std::vector<int>& current_layout,
                       const Schema& schema, const BoxConfig& box) {
-  Status st = ValidateTraceSpec(schedule);
+  Status st = ValidateReprovisionConfig(config);
+  if (st.ok()) st = ValidateTraceSpec(schedule);
   if (!st.ok() || current_layout.empty()) return st;
   return ValidatePlacement(current_layout, schema, box, "current layout");
 }
@@ -137,7 +140,25 @@ void AccumulateSteps(
 
 }  // namespace
 
-long long AppendSoloCandidate(
+Status ValidateMigrationWeight(double weight) {
+  // NaN fails both comparisons.
+  if (weight == kAutoMigrationWeight || weight >= 0.0) return Status::OK();
+  return Status::InvalidArgument(
+      "migration_weight must be >= 0 or kAutoMigrationWeight, got " +
+      std::to_string(weight));
+}
+
+Status ValidateReprovisionConfig(const ReprovisionConfig& config) {
+  Status st = ValidateRelativeSla(config.relative_sla);
+  if (!st.ok()) return st;
+  if (config.max_pool_layouts < 1) {
+    return Status::InvalidArgument("max_pool_layouts must be >= 1, got " +
+                                   std::to_string(config.max_pool_layouts));
+  }
+  return ValidateMigrationWeight(config.migration_weight);
+}
+
+SearchStats AppendSoloCandidate(
     const DotProblem& problem, EpochSearch search,
     std::vector<std::vector<int>>* pool,
     const std::vector<std::vector<int>>* warm_starts) {
@@ -157,7 +178,7 @@ long long AppendSoloCandidate(
     }
     if (!present) pool->push_back(solo.placement);
   }
-  return solo.layouts_evaluated;
+  return solo;
 }
 
 ReprovisionPlanner::ReprovisionPlanner(const Schema* schema,
@@ -165,13 +186,6 @@ ReprovisionPlanner::ReprovisionPlanner(const Schema* schema,
                                        ReprovisionConfig config)
     : schema_(schema), box_(box), config_(std::move(config)) {
   DOT_CHECK(schema_ != nullptr && box_ != nullptr);
-  DOT_CHECK(config_.max_pool_layouts > 0);
-  // A negative weight would turn migration cost into a reward and make
-  // the DP churn layouts to collect it; only the auto sentinel is allowed
-  // below zero.
-  DOT_CHECK(config_.migration_weight == kAutoMigrationWeight ||
-            config_.migration_weight >= 0.0)
-      << "migration_weight must be >= 0 or kAutoMigrationWeight";
 }
 
 ReprovisionPlan ReprovisionPlanner::Plan(
@@ -179,7 +193,8 @@ ReprovisionPlan ReprovisionPlanner::Plan(
     const std::vector<int>& current_layout) const {
   const double start_ms = NowMs();
   ReprovisionPlan plan;
-  plan.status = ValidateInputs(schedule, current_layout, *schema_, *box_);
+  plan.status =
+      ValidateInputs(config_, schedule, current_layout, *schema_, *box_);
   if (!plan.status.ok()) return plan;
   const int n = schema_->NumObjects();
   const int num_epochs = static_cast<int>(schedule.windows.size());
@@ -224,18 +239,22 @@ ReprovisionPlan ReprovisionPlanner::Plan(
     // and re-optimize-every-epoch baselines as sequences.
     add_candidate(current_layout);
     for (int e = 0; e < num_epochs; ++e) {
-      plan.layouts_evaluated += AppendSoloCandidate(
-          scorers[static_cast<size_t>(e)]->estimator.problem(),
-          config_.search, &pool);
+      const DotProblem& epoch_problem =
+          scorers[static_cast<size_t>(e)]->estimator.problem();
+      plan.Add(AppendSoloCandidate(epoch_problem, config_.search, &pool));
     }
   }
   const int k_pool = static_cast<int>(pool.size());
   plan.pool_size = k_pool;
 
   // All DP-sized tables below come from one bump arena: one block serves
-  // the whole plan (single pass, so resets stays 0) and the high-water
-  // mark lands in the plan's arena counters.
+  // the whole plan, and its high-water mark joins arena_bytes_peak.
   Arena arena;
+  auto finish = [&] {
+    const long long tables = static_cast<long long>(arena.bytes_peak());
+    plan.arena_bytes_peak = std::max(plan.arena_bytes_peak, tables);
+    plan.plan_ms = NowMs() - start_ms;
+  };
 
   // --- Score every pool layout under every epoch through the epoch's
   // CandidateEvaluator — the searches' own evaluator, whose quick path is
@@ -363,9 +382,7 @@ ReprovisionPlan ReprovisionPlanner::Plan(
           "no candidate layout satisfies epoch " + std::to_string(e) +
           (label.empty() ? std::string() : " (" + label + ")") +
           "'s capacity and SLA constraints");
-      plan.arena_resets = static_cast<long long>(arena.resets());
-      plan.arena_bytes_peak = static_cast<long long>(arena.bytes_peak());
-      plan.plan_ms = NowMs() - start_ms;
+      finish();
       return plan;
     }
   }
@@ -403,9 +420,7 @@ ReprovisionPlan ReprovisionPlanner::Plan(
       },
       [&](int e) { return toc_at(e, choice[static_cast<size_t>(e)]); },
       &plan);
-  plan.arena_resets = static_cast<long long>(arena.resets());
-  plan.arena_bytes_peak = static_cast<long long>(arena.bytes_peak());
-  plan.plan_ms = NowMs() - start_ms;
+  finish();
   return plan;
 }
 
@@ -415,7 +430,8 @@ ReprovisionPlan ReprovisionPlanner::EvaluateSequence(
     const std::vector<int>& current_layout) const {
   const double start_ms = NowMs();
   ReprovisionPlan plan;
-  plan.status = ValidateInputs(schedule, current_layout, *schema_, *box_);
+  plan.status =
+      ValidateInputs(config_, schedule, current_layout, *schema_, *box_);
   if (!plan.status.ok()) return plan;
   if (placements.size() != schedule.windows.size()) {
     plan.status = Status::InvalidArgument(

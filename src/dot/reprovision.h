@@ -6,6 +6,7 @@
 #include "catalog/schema.h"
 #include "common/status.h"
 #include "dot/problem.h"
+#include "dot/search_stats.h"
 #include "storage/migration.h"
 #include "storage/pricing.h"
 #include "storage/storage_class.h"
@@ -97,7 +98,13 @@ struct EpochPlanStep {
 /// — left-to-right, epochs in order, so independently recomputed totals of
 /// the same sequence are bit-identical (floating-point addition is not
 /// associative; a different order would drift by ULPs).
-struct ReprovisionPlan {
+///
+/// Counters (the SearchStats base): pool_size; layouts_evaluated, the
+/// per-epoch solo searches' totals plus the pool × epoch matrix (one per
+/// sequence epoch for EvaluateSequence); the solo searches' node, warm-start
+/// and plan-cache counters, summed; arena_bytes_peak, the max of theirs and
+/// the DP table arena's.
+struct ReprovisionPlan : SearchStats {
   Status status = Status::OK();
   std::vector<EpochPlanStep> steps;
 
@@ -111,16 +118,6 @@ struct ReprovisionPlan {
   /// calibration when kAutoMigrationWeight was configured).
   double resolved_migration_weight = 0.0;
 
-  int pool_size = 0;
-  /// Candidate layouts evaluated: per-epoch search totals plus the
-  /// pool × epoch matrix.
-  long long layouts_evaluated = 0;
-  /// Search-arena traffic of the DP's own table allocations (the
-  /// toc/dp/pred/choice tables live in one arena per Plan call; resets
-  /// stays 0 because a plan is a single pass). Deterministic at any
-  /// thread count; diagnostics only (dot/optimizer.h).
-  long long arena_resets = 0;
-  long long arena_bytes_peak = 0;
   double plan_ms = 0.0;
 };
 
@@ -161,15 +158,17 @@ class ReprovisionPlanner {
                      ReprovisionConfig config);
 
   /// Plans layouts for `schedule` starting from `current_layout` (empty =
-  /// greenfield: no epoch-0 migration is charged). An invalid spec
-  /// (ValidateTraceSpec) or a current layout that is not a placement on
-  /// the box (ValidatePlacement) returns InvalidArgument.
+  /// greenfield: no epoch-0 migration is charged). An invalid config
+  /// (ValidateReprovisionConfig), an invalid spec (ValidateTraceSpec) or a
+  /// current layout that is not a placement on the box (ValidatePlacement)
+  /// returns InvalidArgument.
   ReprovisionPlan Plan(const WorkloadTraceSpec& schedule,
                        const std::vector<int>& current_layout = {}) const;
 
   /// Prices a fixed layout sequence under exactly the plan objective —
-  /// same evaluators, same accounting order (see ReprovisionPlan). Every
-  /// sequence layout must be a valid placement (else InvalidArgument).
+  /// same evaluators, same accounting order (see ReprovisionPlan) — after
+  /// the same config, spec and current-layout checks. Every sequence
+  /// layout must be a valid placement (else InvalidArgument).
   /// The baseline evaluator: bench_reprovision prices the frozen-layout
   /// and migration-oblivious baselines through this, and the DP-optimality
   /// tests brute-force sequences through it.
@@ -186,6 +185,18 @@ class ReprovisionPlanner {
   ReprovisionConfig config_;
 };
 
+/// The config checks Plan and EvaluateSequence run first, returned in
+/// ReprovisionPlan::status instead of aborting: relative_sla in (0, 1]
+/// (ValidateRelativeSla), max_pool_layouts >= 1, and the migration weight
+/// (ValidateMigrationWeight).
+Status ValidateReprovisionConfig(const ReprovisionConfig& config);
+
+/// A migration weight must be >= 0 or kAutoMigrationWeight: a negative
+/// weight would turn migration cost into a reward, and make a planner churn
+/// layouts to collect it. NaN is rejected. The one check behind
+/// ValidateReprovisionConfig, SolveSpec::Validate and Advisor::Init.
+Status ValidateMigrationWeight(double weight);
+
 /// Runs the configured candidate search on `problem` — warm-started
 /// branch-and-bound for EpochSearch::kExact, DOT's Procedure 1 for kDot —
 /// and appends the winning placement to `pool` unless already present.
@@ -193,9 +204,8 @@ class ReprovisionPlanner {
 /// pool, exposed as a free function so the fleet planner's
 /// FleetPoolMode::kSearch reuses exactly the same searches (same engines,
 /// same warm-start semantics) instead of growing a second seeding path.
-/// Returns the number of layouts the search evaluated; an infeasible
-/// search appends nothing.
-long long AppendSoloCandidate(
+/// Returns the search's counters; an infeasible search appends nothing.
+SearchStats AppendSoloCandidate(
     const DotProblem& problem, EpochSearch search,
     std::vector<std::vector<int>>* pool,
     const std::vector<std::vector<int>>* warm_starts = nullptr);

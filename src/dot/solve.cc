@@ -9,13 +9,6 @@ namespace dot {
 
 namespace {
 
-/// layouts/s from a count and a wall-clock; 0 when either is 0 so the
-/// field never divides by zero or reports a nonsense rate for a no-op run.
-double LayoutsPerSecond(long long layouts, double ms) {
-  if (layouts <= 0 || ms <= 0.0) return 0.0;
-  return static_cast<double>(layouts) / (ms / 1000.0);
-}
-
 /// Folds a single-shot DotResult into the common shape.
 SolveResult FromDot(DotResult result, SolveMethod method,
                     const char* engine) {
@@ -25,18 +18,8 @@ SolveResult FromDot(DotResult result, SolveMethod method,
   out.toc_cents_per_task = result.toc_cents_per_task;
   out.provenance.method = method;
   out.provenance.engine = engine;
-  out.provenance.layouts_evaluated = result.layouts_evaluated;
-  out.provenance.warm_start_hits = result.warm_start_hits;
-  out.provenance.nodes_expanded = result.nodes_expanded;
-  out.provenance.nodes_pruned_bound = result.nodes_pruned_bound;
-  out.provenance.nodes_pruned_infeasible = result.nodes_pruned_infeasible;
-  out.provenance.plan_cache_hits = result.plan_cache_hits;
-  out.provenance.plan_cache_misses = result.plan_cache_misses;
-  out.provenance.arena_resets = result.arena_resets;
-  out.provenance.arena_bytes_peak = result.arena_bytes_peak;
+  static_cast<SearchStats&>(out.provenance) = result;
   out.provenance.solve_ms = result.optimize_ms;
-  out.provenance.layouts_per_s =
-      LayoutsPerSecond(result.layouts_evaluated, result.optimize_ms);
   out.dot = std::move(result);
   return out;
 }
@@ -75,16 +58,11 @@ Status ValidateAllButRoster(const SolveSpec& spec, const DotProblem& problem) {
       if (!st.ok()) return st;
     }
     if (spec.method == SolveMethod::kEpochPlan) {
-      // A negative weight would turn migration cost into a reward; only
-      // the auto sentinel may sit below zero. NaN fails the comparison.
-      if (!(spec.migration_weight == kAutoMigrationWeight ||
-            spec.migration_weight >= 0.0)) {
-        return Status::InvalidArgument(
-            "migration_weight must be >= 0 or kAutoMigrationWeight");
-      }
+      Status st = ValidateMigrationWeight(spec.migration_weight);
+      if (!st.ok()) return st;
       if (!spec.current_layout.empty()) {
-        Status st = ValidatePlacement(spec.current_layout, *problem.schema,
-                                      *problem.box, "current_layout");
+        st = ValidatePlacement(spec.current_layout, *problem.schema,
+                               *problem.box, "current_layout");
         if (!st.ok()) return st;
       }
     } else {
@@ -177,13 +155,8 @@ SolveResult Solve(const DotProblem& problem, const SolveSpec& spec) {
       out.status = out.plan.status;
       out.provenance.method = spec.method;
       out.provenance.engine = "epoch-dp";
-      out.provenance.layouts_evaluated = out.plan.layouts_evaluated;
-      out.provenance.pool_size = out.plan.pool_size;
-      out.provenance.arena_resets = out.plan.arena_resets;
-      out.provenance.arena_bytes_peak = out.plan.arena_bytes_peak;
+      static_cast<SearchStats&>(out.provenance) = out.plan;
       out.provenance.solve_ms = out.plan.plan_ms;
-      out.provenance.layouts_per_s =
-          LayoutsPerSecond(out.plan.layouts_evaluated, out.plan.plan_ms);
       if (out.status.ok() && !out.plan.steps.empty()) {
         out.placement = out.plan.steps.front().placement;
         out.toc_cents_per_task = out.plan.steps.front().toc_cents_per_task;
@@ -202,12 +175,8 @@ SolveResult Solve(const DotProblem& problem, const SolveSpec& spec) {
       out.toc_cents_per_task = out.fleet.total_toc_cents_per_task;
       out.provenance.method = spec.method;
       out.provenance.engine = "fleet-lagrangian";
-      out.provenance.layouts_evaluated = out.fleet.layouts_evaluated;
-      out.provenance.pool_builds = out.fleet.pool_builds;
-      out.provenance.pool_cache_hits = out.fleet.pool_cache_hits;
+      static_cast<SearchStats&>(out.provenance) = out.fleet;
       out.provenance.solve_ms = out.fleet.plan_ms;
-      out.provenance.layouts_per_s =
-          LayoutsPerSecond(out.fleet.layouts_evaluated, out.fleet.plan_ms);
       return out;
     }
   }

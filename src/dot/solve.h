@@ -105,8 +105,8 @@ struct SolveSpec {
   /// Solve() would fail with: null problem inputs, kDotHeuristic without
   /// profiles, a relative SLA outside (0, 1] that targets are derived
   /// from, a malformed io_scale_hint on a single-shot method
-  /// (ValidateIoScale), a kEpochPlan migration_weight that is NaN or
-  /// negative other than kAutoMigrationWeight, a kEpochPlan
+  /// (ValidateIoScale), a kEpochPlan migration_weight that
+  /// ValidateMigrationWeight rejects, a kEpochPlan
   /// current_layout that is not a placement on the box
   /// (ValidatePlacement), an ensemble overlay on a method that cannot
   /// honor it, a malformed ensemble (ValidateEnsemble,
@@ -122,56 +122,17 @@ struct SolveSpec {
 /// Where a SolveResult came from and what the engine did to produce it —
 /// one block with the same shape for every method, so readers (the advisor
 /// loop, the benches) report counters without switching on the engine.
-/// Fields a given engine has no notion of stay zero; see DESIGN.md §11 for
-/// which engines fill what.
-struct SolveProvenance {
+/// The SearchStats base is the payload's counters (`dot`, `plan` or
+/// `fleet`), copied whole; counters a method has no notion of stay zero
+/// (DESIGN.md §11 tabulates which method fills what).
+struct SolveProvenance : SearchStats {
   /// The method that ran, and a stable human-readable engine label
   /// ("dot-heuristic", "branch-and-bound", "enumerate", "epoch-dp",
   /// "fleet-lagrangian").
   SolveMethod method = SolveMethod::kExact;
   const char* engine = "";
 
-  /// Candidate layouts evaluated by whichever engine ran.
-  long long layouts_evaluated = 0;
-
-  /// kExact: caller-supplied warm starts that actually seeded the
-  /// incumbent (diagnostics; cannot affect the result — bnb_search.h).
-  int warm_start_hits = 0;
-
-  /// Branch-and-bound node counters (kExact; zero elsewhere).
-  long long nodes_expanded = 0;
-  long long nodes_pruned_bound = 0;
-  long long nodes_pruned_infeasible = 0;
-
-  /// DSS plan-cache traffic of the run's fast path: hits are dense-slot
-  /// hits, misses are compiled-template runs (single-shot methods;
-  /// thread-count dependent, diagnostics only — dot/optimizer.h).
-  long long plan_cache_hits = 0;
-  long long plan_cache_misses = 0;
-
-  /// Evaluation throughput of the engine run: layouts_evaluated divided by
-  /// solve_ms (0 when either is 0). The raw-speed number the perf benches
-  /// track, surfaced here so the advisor loop and ops tooling see it
-  /// per-solve. Wall-clock derived — never compare bitwise.
-  double layouts_per_s = 0.0;
-
-  /// Search-arena traffic (kExact branch-and-bound and kEpochPlan's DP;
-  /// zero elsewhere): arena Reset() calls and the largest single-arena
-  /// high-water byte mark. Deterministic at any thread count
-  /// (dot/optimizer.h).
-  long long arena_resets = 0;
-  long long arena_bytes_peak = 0;
-
-  /// kEpochPlan: the DP's candidate-pool size.
-  int pool_size = 0;
-
-  /// kFleet: distinct candidate pools built (== distinct cache keys) and
-  /// tenants served from an already-built pool; pool_builds +
-  /// pool_cache_hits == fleet size (fleet/fleet_planner.h).
-  int pool_builds = 0;
-  int pool_cache_hits = 0;
-
-  /// Wall-clock of the engine run.
+  /// Wall-clock of the engine run (the payload's optimize_ms or plan_ms).
   double solve_ms = 0.0;
 };
 

@@ -82,7 +82,9 @@ struct TenantPool {
   std::vector<double> cost;
   /// Flattened [candidate * num_classes + class] space, GB.
   std::vector<double> space;
-  long long layouts_evaluated = 0;
+  /// The build's counters: its solo search's, plus one layout evaluated
+  /// per scored candidate.
+  SearchStats stats;
 
   int size() const { return static_cast<int>(placements.size()); }
 };
@@ -115,8 +117,7 @@ TenantPool BuildPool(const DotProblem& tenant_problem, const BoxConfig* box,
   } else {
     // The ReprovisionPlanner seeding path (solo optimum), plus the M
     // uniform layouts as deterministic downgrade/upgrade anchors.
-    out.layouts_evaluated +=
-        AppendSoloCandidate(p, config.search, &candidates);
+    out.stats = AppendSoloCandidate(p, config.search, &candidates);
     for (int cls = 0; cls < m; ++cls) {
       std::vector<int> uniform(static_cast<size_t>(n), cls);
       if (std::find(candidates.begin(), candidates.end(), uniform) ==
@@ -135,7 +136,7 @@ TenantPool BuildPool(const DotProblem& tenant_problem, const BoxConfig* box,
   for (const std::vector<int>& c : candidates) {
     evals.push_back(evaluator.EvaluateQuick(c));
   }
-  out.layouts_evaluated += static_cast<long long>(candidates.size());
+  out.stats.layouts_evaluated += static_cast<long long>(candidates.size());
 
   // Keep the feasible ones, in BetterCandidate order.
   std::vector<int> order;
@@ -677,7 +678,7 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
           " has no feasible layout for its own capacity and SLA");
       return plan;
     }
-    plan.layouts_evaluated += pool.layouts_evaluated;
+    plan.Add(pool.stats);
   }
 
   const FleetConstraints& cons = config_.constraints;

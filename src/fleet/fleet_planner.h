@@ -7,6 +7,7 @@
 #include "common/status.h"
 #include "dot/problem.h"
 #include "dot/reprovision.h"
+#include "dot/search_stats.h"
 #include "storage/storage_class.h"
 
 namespace dot {
@@ -129,7 +130,15 @@ struct FleetTenantChoice {
 ///     feasible, because that baseline is itself a candidate selection the
 ///     planner considers (the same argument ReprovisionPlanner makes
 ///     against its pool-sequence baselines).
-struct FleetPlan {
+///
+/// Counters (the SearchStats base): pool_builds, the pools actually built
+/// (== distinct cache keys), and pool_cache_hits, the tenants served from
+/// an already-built pool — pool_builds + pool_cache_hits == number of
+/// tenants, and the O(distinct schemas) memory claim is pool_builds staying
+/// flat as tenants grow; layouts_evaluated across all pool builds (each
+/// shared pool counted once); under FleetPoolMode::kSearch, the node,
+/// plan-cache and arena counters of the pool builds' solo searches.
+struct FleetPlan : SearchStats {
   Status status = Status::OK();
 
   std::vector<FleetTenantChoice> tenants;
@@ -167,22 +176,11 @@ struct FleetPlan {
   double budget_price = 0.0;
   std::vector<double> capacity_price;
 
-  /// Cache-instance counters: pools actually built (== distinct cache
-  /// keys) and tenants served from an already-built pool. pool_builds +
-  /// pool_cache_hits == number of tenants; the O(distinct schemas) memory
-  /// claim is exactly pool_builds staying flat as tenants grow.
-  int pool_builds = 0;
-  int pool_cache_hits = 0;
-
   int price_iterations_run = 0;
   /// Exchange-repair moves applied to restore feasibility.
   int exchange_moves = 0;
   /// Greedy improvement moves applied after feasibility.
   int improve_moves = 0;
-
-  /// Candidate layouts evaluated across all pool builds (each shared pool
-  /// counted once).
-  long long layouts_evaluated = 0;
   double plan_ms = 0.0;
 };
 

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -145,6 +146,7 @@ TEST(AdvisorLoopTest, StepChangeTriggersReplanWithBoundedLatency) {
 TEST(AdvisorLoopTest, DecisionSequenceIsThreadCountInvariant) {
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   std::vector<std::string> fingerprints;
+  std::vector<AdvisorRun> runs;
   for (int threads : {1, 4, hw}) {
     TpchSession session;
     session.problem.options.num_threads = threads;
@@ -156,9 +158,45 @@ TEST(AdvisorLoopTest, DecisionSequenceIsThreadCountInvariant) {
     const AdvisorRun run = advisor.Run(&feed);
     ASSERT_TRUE(run.status.ok());
     fingerprints.push_back(DecisionFingerprint(run));
+    runs.push_back(run);
   }
   EXPECT_EQ(fingerprints[0], fingerprints[1]);
   EXPECT_EQ(fingerprints[0], fingerprints[2]);
+
+  // The re-plans' counters, summed into the run, are deterministic too
+  // (all but the plan-cache pair).
+  ASSERT_GE(runs[0].num_replans, 1);
+  EXPECT_GT(runs[0].nodes_expanded, 0);
+  for (size_t i = 1; i < runs.size(); ++i) {
+    const AdvisorRun& a = runs[0];
+    const AdvisorRun& b = runs[i];
+    EXPECT_EQ(a.layouts_evaluated, b.layouts_evaluated) << i;
+    EXPECT_EQ(a.nodes_expanded, b.nodes_expanded) << i;
+    EXPECT_EQ(a.nodes_pruned_bound, b.nodes_pruned_bound) << i;
+    EXPECT_EQ(a.nodes_pruned_infeasible, b.nodes_pruned_infeasible) << i;
+    EXPECT_EQ(a.layouts_pruned, b.layouts_pruned) << i;
+    EXPECT_EQ(a.warm_start_hits, b.warm_start_hits) << i;
+    EXPECT_EQ(a.arena_bytes_peak, b.arena_bytes_peak) << i;
+    EXPECT_EQ(a.pool_size, b.pool_size) << i;
+    EXPECT_EQ(a.pool_builds, b.pool_builds) << i;
+    EXPECT_EQ(a.pool_cache_hits, b.pool_cache_hits) << i;
+  }
+}
+
+TEST(AdvisorLoopTest, InitRejectsANegativeMigrationWeight) {
+  TpchSession session;
+  AdvisorConfig config;
+  config.migration_weight = -3.0;
+  Advisor advisor(session.problem, config);
+  EXPECT_EQ(advisor.Init().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(AdvisorLoopTest, InitRejectsANanMigrationWeight) {
+  TpchSession session;
+  AdvisorConfig config;
+  config.migration_weight = std::numeric_limits<double>::quiet_NaN();
+  Advisor advisor(session.problem, config);
+  EXPECT_EQ(advisor.Init().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(AdvisorLoopTest, RunIsResumableAcrossFeedSegments) {

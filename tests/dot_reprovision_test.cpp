@@ -453,6 +453,85 @@ TEST(ReprovisionTest, PlanIsBitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(ReprovisionTest, PlanReportsTheNodeCountsOfItsSoloSearches) {
+  DriftInstance inst;
+  WorkloadTraceSpec schedule;
+  schedule.Add(inst.epochs[0].get(), 8.0);
+  schedule.Add(inst.epochs[1].get(), 8.0);
+  schedule.Add(inst.epochs[2].get(), 8.0);
+  ReprovisionConfig config;
+  config.relative_sla = 0.4;
+  config.migration = SomeMigration(10.0, 500.0);
+  ASSERT_EQ(config.search, EpochSearch::kExact);
+  const ReprovisionPlan plan =
+      ReprovisionPlanner(&inst.schema, &inst.box, config).Plan(schedule);
+  ASSERT_TRUE(plan.status.ok()) << plan.status.ToString();
+
+  // The same searches, run directly on each epoch's problem.
+  SearchStats solo;
+  for (const TraceWindow& window : schedule.windows) {
+    DotProblem p;
+    p.schema = &inst.schema;
+    p.box = &inst.box;
+    p.workload = window.workload;
+    p.relative_sla = config.relative_sla;
+    solo.Add(ExactSearch(p, ExactStrategy::kBranchAndBound));
+  }
+  ASSERT_GT(solo.nodes_expanded, 0);
+  EXPECT_EQ(plan.nodes_expanded, solo.nodes_expanded);
+  EXPECT_EQ(plan.nodes_pruned_bound, solo.nodes_pruned_bound);
+  EXPECT_EQ(plan.nodes_pruned_infeasible, solo.nodes_pruned_infeasible);
+  EXPECT_EQ(plan.layouts_pruned, solo.layouts_pruned);
+  // layouts_evaluated is unchanged: the searches' leaves plus the
+  // pool × epoch matrix.
+  EXPECT_EQ(plan.layouts_evaluated,
+            solo.layouts_evaluated + 3 * plan.pool_size);
+  EXPECT_GE(plan.arena_bytes_peak, solo.arena_bytes_peak);
+}
+
+/// A config ValidateReprovisionConfig rejects comes back from Plan and
+/// EvaluateSequence as InvalidArgument instead of aborting.
+void ExpectConfigRejected(const ReprovisionConfig& config) {
+  DriftInstance inst;
+  const ReprovisionPlanner planner(&inst.schema, &inst.box, config);
+  WorkloadTraceSpec schedule;
+  schedule.Add(inst.epochs[0].get(), 1.0);
+  EXPECT_EQ(planner.Plan(schedule).status.code(), StatusCode::kInvalidArgument);
+  const ReprovisionPlan evaluated =
+      planner.EvaluateSequence(schedule, {{0, 0, 0, 0, 0, 0}});
+  EXPECT_EQ(evaluated.status.code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ReprovisionTest, PlanRejectsANanRelativeSla) {
+  ReprovisionConfig config;
+  config.relative_sla = std::numeric_limits<double>::quiet_NaN();
+  ExpectConfigRejected(config);
+}
+
+TEST(ReprovisionTest, PlanRejectsAZeroRelativeSla) {
+  ReprovisionConfig config;
+  config.relative_sla = 0.0;
+  ExpectConfigRejected(config);
+}
+
+TEST(ReprovisionTest, PlanRejectsAZeroPoolCap) {
+  ReprovisionConfig config;
+  config.max_pool_layouts = 0;
+  ExpectConfigRejected(config);
+}
+
+TEST(ReprovisionTest, PlanRejectsANegativeMigrationWeight) {
+  ReprovisionConfig config;
+  config.migration_weight = -5.0;
+  ExpectConfigRejected(config);
+}
+
+TEST(ReprovisionTest, PlanRejectsANanMigrationWeight) {
+  ReprovisionConfig config;
+  config.migration_weight = std::numeric_limits<double>::quiet_NaN();
+  ExpectConfigRejected(config);
+}
+
 TEST(ReprovisionTest, RejectsDegenerateInputs) {
   DriftInstance inst;
   ReprovisionConfig config;

@@ -16,6 +16,7 @@
 #include "catalog/tpch_schema.h"
 #include "common/rng.h"
 #include "dot/bnb_search.h"
+#include "dot/candidate_evaluator.h"
 #include "dot/optimizer.h"
 #include "storage/standard_catalog.h"
 #include "workload/dss_workload.h"
@@ -136,6 +137,99 @@ TEST_F(SolveFacadeTest, WarmStartsCannotChangeTheExactResult) {
   EXPECT_EQ(seeded.toc_cents_per_task, reference.toc_cents_per_task);
   // Seeding the incumbent with the known optimum can only prune harder.
   EXPECT_LE(seeded.dot.nodes_expanded, reference.dot.nodes_expanded);
+}
+
+TEST_F(SolveFacadeTest, WarmStartHitsCountOnlyValidFeasibleSeeds) {
+  SolveSpec cold;
+  cold.method = SolveMethod::kExact;
+  const SolveResult reference = Solve(problem_, cold);
+  ASSERT_TRUE(reference.status.ok());
+  EXPECT_EQ(reference.provenance.warm_start_hits, 0);
+
+  // An infeasible seed: the first uniform layout the search's own
+  // evaluator rejects (capacity or SLA).
+  const int n = schema_.NumObjects();
+  const DotOptimizer estimator(problem_);
+  const CandidateEvaluator evaluator(estimator);
+  std::vector<int> infeasible;
+  for (int cls = 0; cls < box_.NumClasses(); ++cls) {
+    if (!evaluator.EvaluateQuick(UniformPlacement(n, cls)).feasible) {
+      infeasible = UniformPlacement(n, cls);
+      break;
+    }
+  }
+  ASSERT_FALSE(infeasible.empty());
+
+  // Feasible (the one hit), the wrong length, a class outside the box,
+  // infeasible.
+  const std::vector<std::vector<int>> pool = {
+      reference.placement,
+      std::vector<int>{0},
+      UniformPlacement(n, box_.NumClasses()),
+      infeasible,
+  };
+  SolveSpec warm = cold;
+  warm.warm_starts = &pool;
+  const SolveResult seeded = Solve(problem_, warm);
+  ASSERT_TRUE(seeded.status.ok());
+  EXPECT_EQ(seeded.dot.warm_start_hits, 1);
+  EXPECT_EQ(seeded.provenance.warm_start_hits, 1);
+}
+
+/// Field-for-field equality of two counter blocks.
+void ExpectSameSearchStats(const SearchStats& a, const SearchStats& b,
+                           const std::string& what) {
+  EXPECT_EQ(a.layouts_evaluated, b.layouts_evaluated) << what;
+  EXPECT_EQ(a.nodes_expanded, b.nodes_expanded) << what;
+  EXPECT_EQ(a.nodes_pruned_bound, b.nodes_pruned_bound) << what;
+  EXPECT_EQ(a.nodes_pruned_infeasible, b.nodes_pruned_infeasible) << what;
+  EXPECT_EQ(a.layouts_pruned, b.layouts_pruned) << what;
+  EXPECT_EQ(a.warm_start_hits, b.warm_start_hits) << what;
+  EXPECT_EQ(a.plan_cache_hits, b.plan_cache_hits) << what;
+  EXPECT_EQ(a.plan_cache_misses, b.plan_cache_misses) << what;
+  EXPECT_EQ(a.arena_bytes_peak, b.arena_bytes_peak) << what;
+  EXPECT_EQ(a.pool_size, b.pool_size) << what;
+  EXPECT_EQ(a.pool_builds, b.pool_builds) << what;
+  EXPECT_EQ(a.pool_cache_hits, b.pool_cache_hits) << what;
+}
+
+TEST_F(SolveFacadeTest, ProvenanceCountersAreThePayloadsAtEveryThreadCount) {
+  // Two tenants of one pool, built by a solo search, so the fleet
+  // carries node counts too.
+  std::vector<FleetTenant> tenants = {{"t0", problem_}, {"t1", problem_}};
+  FleetSpec fleet;
+  fleet.tenants = &tenants;
+  fleet.config.pool_mode = FleetPoolMode::kSearch;
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  for (int threads : {1, 4, hw}) {
+    DotProblem problem = problem_;
+    problem.options.num_threads = threads;
+    for (SolveMethod method :
+         {SolveMethod::kDotHeuristic, SolveMethod::kExact,
+          SolveMethod::kEnumerate, SolveMethod::kEpochPlan,
+          SolveMethod::kFleet}) {
+      SolveSpec spec;
+      spec.method = method;
+      spec.fleet = &fleet;
+      const SolveResult r = Solve(problem, spec);
+      const std::string what = std::string(r.provenance.engine) + " at " +
+                               std::to_string(threads) + " threads";
+      ASSERT_TRUE(r.status.ok()) << what << ": " << r.status.ToString();
+      if (r.has_plan) {
+        ExpectSameSearchStats(r.provenance, r.plan, what);
+      } else if (r.has_fleet) {
+        ExpectSameSearchStats(r.provenance, r.fleet, what);
+      } else {
+        ExpectSameSearchStats(r.provenance, r.dot, what);
+      }
+      EXPECT_GT(r.provenance.layouts_evaluated, 0) << what;
+      // The planners report the node counts of the searches they ran.
+      if (method == SolveMethod::kExact || method == SolveMethod::kEpochPlan ||
+          method == SolveMethod::kFleet) {
+        EXPECT_GT(r.provenance.nodes_expanded, 0) << what;
+      }
+    }
+  }
 }
 
 TEST_F(SolveFacadeTest, EpochPlanOneEpochZeroMigrationMatchesExact) {
