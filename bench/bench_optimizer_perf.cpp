@@ -408,7 +408,8 @@ void BM_FastScorerKernel(benchmark::State& state) {
   long long scored = 0;
   for (auto _ : state) {
     for (const Layout& layout : layouts) {
-      benchmark::DoNotOptimize(evaluator.EvaluateQuick(layout).toc);
+      benchmark::DoNotOptimize(
+          evaluator.EvaluateQuick(layout.placement()).toc);
     }
     scored += static_cast<long long>(layouts.size());
   }

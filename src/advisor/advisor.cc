@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -9,21 +10,45 @@
 
 namespace dot {
 
+Status ValidateAdvisorConfig(const AdvisorConfig& config) {
+  if (config.replan_method == SolveMethod::kEpochPlan) {
+    return Status::InvalidArgument(
+        "replan_method must not be kEpochPlan: the advisor is the stateful "
+        "loop; re-plans are single-shot");
+  }
+  // NaN fails the comparison.
+  if (!(config.payback_horizon_hours >= 0.0)) {
+    return Status::InvalidArgument(
+        "payback_horizon_hours must be >= 0, got " +
+        std::to_string(config.payback_horizon_hours));
+  }
+  if (config.cooldown_windows < 0) {
+    return Status::InvalidArgument("cooldown_windows must be >= 0, got " +
+                                   std::to_string(config.cooldown_windows));
+  }
+  if (config.replan_interval_windows < 0) {
+    return Status::InvalidArgument(
+        "replan_interval_windows must be >= 0, got " +
+        std::to_string(config.replan_interval_windows));
+  }
+  if (config.max_pool < 1) {
+    return Status::InvalidArgument("max_pool must be >= 1, got " +
+                                   std::to_string(config.max_pool));
+  }
+  for (const WorkloadModel* model : config.model_pool) {
+    if (model == nullptr) {
+      return Status::InvalidArgument("model_pool holds a null model");
+    }
+  }
+  return ValidateMigrationWeight(config.migration_weight);
+}
+
 Advisor::Advisor(const DotProblem& problem, AdvisorConfig config)
     : problem_(problem),
       config_(std::move(config)),
       detector_(config_.drift) {
   DOT_CHECK(problem_.schema != nullptr && problem_.box != nullptr &&
             problem_.workload != nullptr);
-  DOT_CHECK(config_.replan_method != SolveMethod::kEpochPlan)
-      << "the advisor is the stateful loop; re-plans are single-shot";
-  DOT_CHECK(config_.payback_horizon_hours >= 0.0);
-  DOT_CHECK(config_.cooldown_windows >= 0);
-  DOT_CHECK(config_.replan_interval_windows >= 0);
-  DOT_CHECK(config_.max_pool >= 1);
-  for (const WorkloadModel* model : config_.model_pool) {
-    DOT_CHECK(model != nullptr);
-  }
   if (config_.ensemble != nullptr) {
     // Robust mode: install the ensemble on the copied problem so every
     // Solve and every incumbent pricing below runs over it.
@@ -34,7 +59,7 @@ Advisor::Advisor(const DotProblem& problem, AdvisorConfig config)
 
 Status Advisor::Init() {
   DOT_CHECK(!initialized_);
-  Status st = ValidateMigrationWeight(config_.migration_weight);
+  Status st = ValidateAdvisorConfig(config_);
   if (!st.ok()) return st;
   SolveSpec spec;
   spec.method = config_.replan_method;

@@ -128,6 +128,14 @@ struct AdvisorRun : SearchStats {
   int num_migrations = 0;
 };
 
+/// The config checks Advisor::Init runs first, returned as
+/// InvalidArgument instead of aborting: replan_method is not kEpochPlan
+/// (the advisor is the stateful loop; re-plans are single-shot),
+/// payback_horizon_hours >= 0, cooldown_windows >= 0,
+/// replan_interval_windows >= 0, max_pool >= 1, no null model_pool entry,
+/// and the migration weight (ValidateMigrationWeight).
+Status ValidateAdvisorConfig(const AdvisorConfig& config);
+
 /// The always-on advisor: replays a workload trace through a virtual-time
 /// feed, tracks the observed I/O profile against the incumbent plan's
 /// baseline, and on drift re-plans incrementally — warm-started from the
@@ -144,9 +152,9 @@ class Advisor {
 
   /// Solves the initial incumbent through dot::Solve, installs the
   /// model-predicted I/O profile as the drift baseline, and resolves the
-  /// migration weight. Called implicitly by the first Run. A migration
-  /// weight ValidateMigrationWeight rejects returns InvalidArgument, and a
-  /// failed initial solve returns its status.
+  /// migration weight. Called implicitly by the first Run. A config
+  /// ValidateAdvisorConfig rejects returns InvalidArgument, and a failed
+  /// initial solve returns its status.
   Status Init();
 
   /// Drains `feed` through a FeedPlayer, deciding after every window.

@@ -149,6 +149,21 @@ CandidateEval CandidateEvaluator::EvaluateLeaf(
   return Finish(eval, cursor->Optimistic(placement));
 }
 
+std::unique_ptr<FastScorer::MoveWalk> CandidateEvaluator::MakeMoveWalk(
+    const std::vector<int>& start) const {
+  if (scorer_ == nullptr) return nullptr;
+  return scorer_->MakeMoveWalk(start);
+}
+
+CandidateEval CandidateEvaluator::EvaluateMove(
+    const std::vector<int>& placement, const std::vector<int>& moved,
+    FastScorer::MoveWalk* walk) const {
+  if (walk == nullptr) return EvaluateQuick(placement);
+  CandidateEval eval;
+  if (!FitAndCost(placement, &eval)) return eval;
+  return Finish(eval, walk->Price(placement, moved));
+}
+
 long long CandidateEvaluator::plan_cache_hits() const {
   return scorer_ != nullptr ? scorer_->cache_hits() : 0;
 }

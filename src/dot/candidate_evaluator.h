@@ -82,10 +82,6 @@ class CandidateEvaluator {
   /// CandidateEval::estimate stays empty and no allocation is performed.
   /// Without a scorer it is EvaluateOne.
   CandidateEval EvaluateQuick(const std::vector<int>& placement) const;
-  CandidateEval EvaluateQuick(const Layout& layout) const {
-    return scorer_ != nullptr ? EvaluateQuick(layout.placement())
-                              : EvaluateOne(layout);
-  }
 
   /// Exact-search leaf path (branch-and-bound leaves and every enumerated
   /// layout): the same fit/cost kernels as EvaluateQuick, but the workload
@@ -95,6 +91,20 @@ class CandidateEvaluator {
   /// cursor (no scorer to make one from) falls back to.
   CandidateEval EvaluateLeaf(const std::vector<int>& placement,
                              const FastScorer::BoundCursor* cursor) const;
+
+  /// The DOT walk's move pricer, committed at `start`; null when the run
+  /// takes the full path.
+  std::unique_ptr<FastScorer::MoveWalk> MakeMoveWalk(
+      const std::vector<int>& start) const;
+
+  /// DOT-walk path: the same fit/cost kernels as EvaluateQuick, but the
+  /// workload score comes from walk->Price(placement, moved), which must
+  /// find `placement` differing from the walk's committed placement only
+  /// in `moved`. The walk is only asked for a price when the layout fits.
+  /// Bit-identical to EvaluateQuick, which a null walk falls back to.
+  CandidateEval EvaluateMove(const std::vector<int>& placement,
+                             const std::vector<int>& moved,
+                             FastScorer::MoveWalk* walk) const;
 
   /// Scans layout indices [space_begin, space_end) of the mixed-radix space
   /// (placement[o] = (index / M^o) mod M — digit 0 least significant, the

@@ -33,22 +33,6 @@ int Layout::ClassOf(int object_id) const {
   return placement_[static_cast<size_t>(object_id)];
 }
 
-Layout Layout::WithMoves(const std::vector<int>& members,
-                         const std::vector<int>& classes) const {
-  DOT_CHECK(members.size() == classes.size());
-  std::vector<int> placement = placement_;
-  for (size_t i = 0; i < members.size(); ++i) {
-    DOT_CHECK(members[i] >= 0 &&
-              members[i] < static_cast<int>(placement.size()));
-    DOT_CHECK(classes[i] >= 0 && classes[i] < box_->NumClasses())
-        << "invalid storage class " << classes[i];
-    placement[static_cast<size_t>(members[i])] = classes[i];
-  }
-  // The base placement was validated when *this was built and only the
-  // just-checked entries changed, so skip the O(n) re-validation.
-  return Layout(schema_, box_, std::move(placement), ValidatedTag{});
-}
-
 SpaceUsage Layout::SpaceByClass() const {
   SpaceUsage used(static_cast<size_t>(box_->NumClasses()), 0.0);
   // Flat-array scan in object-id order — the same per-class accumulation

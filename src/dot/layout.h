@@ -29,11 +29,6 @@ class Layout {
 
   int ClassOf(int object_id) const;
 
-  /// Returns a copy with the objects of `members` moved to `classes`
-  /// (classes[i] applies to members[i]).
-  Layout WithMoves(const std::vector<int>& members,
-                   const std::vector<int>& classes) const;
-
   /// S_j per storage class, GB.
   SpaceUsage SpaceByClass() const;
 
@@ -74,14 +69,6 @@ class Layout {
   }
 
  private:
-  /// Validation-free path for internal factories whose placement is already
-  /// known valid (WithMoves: a copy of a validated placement with per-move
-  /// checked writes). The public constructor stays O(n)-checked.
-  struct ValidatedTag {};
-  Layout(const Schema* schema, const BoxConfig* box,
-         std::vector<int> placement, ValidatedTag)
-      : schema_(schema), box_(box), placement_(std::move(placement)) {}
-
   const Schema* schema_;
   const BoxConfig* box_;
   std::vector<int> placement_;

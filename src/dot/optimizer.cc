@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/clock.h"
@@ -74,29 +76,30 @@ DotResult DotOptimizer::Optimize() const {
 
   const CandidateEvaluator evaluator(*this);
 
-  const int l0_class = problem_.box->MostExpensiveClass();
-  Layout current = Layout::Uniform(problem_.schema, problem_.box, l0_class);
+  // The working layout is one scratch placement, starting at L0: each move
+  // is applied to it in place, priced through the move walk (which
+  // re-prices only what the move touches), and reverted when rejected.
+  std::vector<int> current = UniformPlacement(
+      problem_.schema->NumObjects(), problem_.box->MostExpensiveClass());
+  const std::unique_ptr<FastScorer::MoveWalk> walk =
+      evaluator.MakeMoveWalk(current);
 
   double best_toc = std::numeric_limits<double>::infinity();
   bool feasible_found = false;
-
-  // Working-layout state for the acceptance rule below.
-  double current_toc = std::numeric_limits<double>::infinity();
-  double current_violation = current.CapacityViolationGb();
 
   // Commits one evaluation to the result: counts it and records it as L*
   // when it is the best feasible candidate under the engine's total order
   // (TOC, then lexicographically lowest placement). Evaluations here are
   // TOC-only (no PerfEstimate is materialized); the winner is re-scored
   // through the full path once, after the walk.
-  auto commit = [&](const Layout& layout, const CandidateEval& eval) {
+  auto commit = [&](const std::vector<int>& placement,
+                    const CandidateEval& eval) {
     result.layouts_evaluated += 1;
     if (!eval.feasible) return;
     if (!feasible_found ||
-        BetterCandidate(eval.toc, layout.placement(), best_toc,
-                        result.placement)) {
+        BetterCandidate(eval.toc, placement, best_toc, result.placement)) {
       best_toc = eval.toc;
-      result.placement = layout.placement();
+      result.placement = placement;
       result.toc_cents_per_task = eval.toc;
       result.layout_cost_cents_per_hour = eval.cost_cents_per_hour;
     }
@@ -104,12 +107,15 @@ DotResult DotOptimizer::Optimize() const {
   };
 
   // L0 itself is the first candidate (feasible unless a capacity cap on
-  // the premium class makes it over-full).
-  {
-    const CandidateEval l0_eval = evaluator.EvaluateQuick(current);
-    commit(current, l0_eval);
-    current_toc = l0_eval.toc;
-  }
+  // the premium class makes it over-full). Working-layout state for the
+  // acceptance rule below starts from its verdict.
+  std::vector<int> moved;  // objects the current move changes
+  std::vector<int> saved;  // their classes in the working layout
+  const CandidateEval l0_eval =
+      evaluator.EvaluateMove(current, moved, walk.get());
+  commit(current, l0_eval);
+  double current_toc = l0_eval.toc;
+  double current_violation = l0_eval.violation_gb;
 
   // Procedure 1 walks the score-ordered move list, applying each move to
   // the working layout when it helps. Two refinements over the literal
@@ -144,19 +150,21 @@ DotResult DotOptimizer::Optimize() const {
     bool improved = false;
     for (const Move& move : moves) {
       const ObjectGroup& g = groups[static_cast<size_t>(move.group)];
-      // Identity check before constructing: most moves in a converged
-      // sweep change nothing, and skipping them here avoids a placement
-      // copy per move.
-      bool differs = false;
+      // Apply the move, remembering what it changed. Most moves in a
+      // converged sweep change nothing and are skipped.
+      moved.clear();
+      saved.clear();
       for (size_t i = 0; i < g.members.size(); ++i) {
-        differs = differs ||
-                  current.placement()[static_cast<size_t>(g.members[i])] !=
-                      move.placement[i];
+        int& cls = current[static_cast<size_t>(g.members[i])];
+        if (cls == move.placement[i]) continue;
+        moved.push_back(g.members[i]);
+        saved.push_back(cls);
+        cls = move.placement[i];
       }
-      if (!differs) continue;
-      Layout candidate = current.WithMoves(g.members, move.placement);
-      const CandidateEval eval = evaluator.EvaluateQuick(candidate);
-      commit(candidate, eval);
+      if (moved.empty()) continue;
+      const CandidateEval eval =
+          evaluator.EvaluateMove(current, moved, walk.get());
+      commit(current, eval);
       bool accept;
       if (problem_.options.acceptance == MoveAcceptance::kAnyFeasible) {
         // Procedure 1 verbatim: keep every feasible move.
@@ -171,9 +179,13 @@ DotResult DotOptimizer::Optimize() const {
                           eval.violation_gb < current_violation);
       if (accept) {
         if (eval.toc < current_toc) improved = true;
-        current = std::move(candidate);
+        if (walk != nullptr) walk->Commit(current, moved);
         current_toc = eval.toc;
         current_violation = eval.violation_gb;
+      } else {
+        for (size_t k = 0; k < moved.size(); ++k) {
+          current[static_cast<size_t>(moved[k])] = saved[k];
+        }
       }
     }
     if (!improved && sweep > 0) break;

@@ -18,22 +18,53 @@ namespace dot {
 
 namespace {
 
-/// Empty-slot sentinel for dense cache entries: an all-ones bit pattern
-/// (a quiet NaN with a payload a compiled run can never produce — plan
-/// times are finite).
-constexpr std::uint64_t kEmptyCacheSlot = ~std::uint64_t{0};
-
 /// Slots of a bound cursor's memo (16 bytes each, 256 KiB per cursor that
 /// uses one). On a full TPC-H Box 1 solve, 4 K slots left about a third
 /// more compiled runs than 16 K (76 K vs 58 K per solve).
 constexpr int kCursorMemoBits = 14;
 
+/// Slots of a move walk's memo (16 KiB). A walk is built per optimization
+/// and its memo zeroed on first use; at 16 K slots that zeroing alone was
+/// about an eighth of a tpch-pipeline op.
+constexpr int kWalkMemoBits = 10;
+
+/// A direct-mapped memo of exact template times, private to one bound
+/// cursor or move walk, keyed by the (footprint key, template) tag: a hit
+/// returns the bits RunTemplate returned for that tag. The slots are
+/// allocated on first use, so an owner that never prices a memoized
+/// template (all of HTAP's DSS side) never pays for them. Being private,
+/// it needs no synchronization, and no thread interleaving can reach it.
+class TemplateMemo {
+ public:
+  struct Slot {
+    std::uint64_t tag = 0;  ///< key · T + t + 1; 0 = empty
+    double time_ms = 0.0;
+  };
+
+  explicit TemplateMemo(int bits) : bits_(bits) {}
+
+  /// The one slot `tag` maps to (Fibonacci hashing: the top bits of
+  /// tag · 2^64/φ).
+  Slot& SlotFor(std::uint64_t tag) {
+    if (slots_ == nullptr) {
+      slots_ = std::make_unique<Slot[]>(size_t{1} << bits_);
+    }
+    return slots_[static_cast<size_t>((tag * 0x9E3779B97F4A7C15ull) >>
+                                      (64 - bits_))];
+  }
+
+ private:
+  int bits_;
+  std::unique_ptr<Slot[]> slots_;  ///< null until first use
+};
+
 /// The DSS fast path. Per template it runs the model's compiled program,
 /// behind a dense cache keyed by the placement restricted to the
 /// template's footprint; scoring a candidate is T probes plus a fixed-order
-/// sum over the run sequence. Cache values are deterministic functions of
-/// their key, so concurrent fill-in (and any thread interleaving) cannot
-/// change a score.
+/// sum over the run sequence, and pricing a move in the DOT walk re-probes
+/// only the templates the move touches. Cache values are deterministic
+/// functions of their key, so concurrent fill-in (and any thread
+/// interleaving) cannot change a score.
 class DssFastScorer : public FastScorer {
  public:
   DssFastScorer(const DssWorkloadModel* model, const BoxConfig& box,
@@ -77,9 +108,10 @@ class DssFastScorer : public FastScorer {
         for (int o : fp) rows_per_object[static_cast<size_t>(o)] += 1;
         // Small footprints get a dense lock-free cache: one slot per
         // placement of the footprint, indexed by the base-M key the probe
-        // computes. Values are deterministic functions of the key, so a
-        // racing first-wins fill stores the same bits either way. Larger
-        // ones go to the bound cursors' private memos when the memo tag
+        // computes, value-initialized to the empty 0. Values are
+        // deterministic functions of the key, so a racing first-wins fill
+        // stores the same bits either way. Larger ones go to the bound
+        // cursors' and move walks' private memos when the memo tag
         // (key · T + t + 1) fits in 64 bits.
         std::int64_t entries = 1;
         for (size_t i = 0; i < fp.size(); ++i) {
@@ -89,10 +121,6 @@ class DssFastScorer : public FastScorer {
         if (entries <= DssWorkloadModel::kDenseCacheMaxEntries) {
           dense_[t] = std::make_unique<std::atomic<std::uint64_t>[]>(
               static_cast<size_t>(entries));
-          for (std::int64_t i = 0; i < entries; ++i) {
-            dense_[t][static_cast<size_t>(i)].store(
-                kEmptyCacheSlot, std::memory_order_relaxed);
-          }
         } else {
           // Every tag key · T + t + 1 is at most T · M^|footprint|; under
           // 2^63 (a 2x margin over rounding in pow) it fits in 64 bits.
@@ -201,6 +229,11 @@ class DssFastScorer : public FastScorer {
     return std::make_unique<BoundCursor>(this);
   }
 
+  std::unique_ptr<FastScorer::MoveWalk> MakeMoveWalk(
+      const std::vector<int>& start) const override {
+    return std::make_unique<MoveWalk>(this, start);
+  }
+
   double ObjectTimeSpreadMs(int object) const override {
     EnsureFloors();
     // How much this object's placement can move the guaranteed elapsed
@@ -260,15 +293,12 @@ class DssFastScorer : public FastScorer {
   /// path held (a max over the same floors is the same value). This is
   /// why the LIFO order is checked, not assumed.
   ///
-  /// Templates the dense cache cannot hold are priced through a private,
-  /// direct-mapped memo keyed by the exact (footprint key, template) tag:
-  /// a hit returns the bits RunTemplate returned for that key. It is
-  /// allocated on first use, so cursors that never complete such a
-  /// template (all of HTAP's DSS side) never pay for it. Being private, it
-  /// needs no synchronization, and no thread interleaving can reach it.
+  /// Templates the dense cache cannot hold complete through the cursor's
+  /// private TemplateMemo.
   class BoundCursor : public FastScorer::BoundCursor {
    public:
-    explicit BoundCursor(const DssFastScorer* scorer) : scorer_(scorer) {
+    explicit BoundCursor(const DssFastScorer* scorer)
+        : scorer_(scorer), memo_(kCursorMemoBits) {
       undo_.reserve(scorer_->rows_.size());
       assigned_.reserve(scorer_->row_offsets_.size());
       Reset();
@@ -295,7 +325,7 @@ class DssFastScorer : public FastScorer {
         double& time = times_[static_cast<size_t>(row.t)];
         undo_.push_back(time);
         if (--unassigned_[static_cast<size_t>(row.t)] == 0) {
-          time = CompleteTime(row.t, placement, tally);
+          time = scorer_->MemoTime(memo_, row.t, placement, tally);
         } else {
           // Still incomplete: raise the floor with this object's
           // conditional.
@@ -325,46 +355,113 @@ class DssFastScorer : public FastScorer {
     }
 
    private:
-    struct MemoSlot {
-      std::uint64_t tag = 0;  ///< key · T + t + 1; 0 = empty
-      double time_ms = 0.0;
-    };
-
-    /// The exact time of template `t`, whose footprint is now fully
-    /// assigned: the scorer's dense cache, this cursor's memo, or a
-    /// compiled run.
-    double CompleteTime(int t, const std::vector<int>& placement,
-                        CacheTally& tally) {
-      if (scorer_->memo_eligible_[static_cast<size_t>(t)] == 0) {
-        return scorer_->TemplateTime(t, placement, tally);
-      }
-      const std::uint64_t tag =
-          scorer_->FootprintKey(t, placement.data()) * times_.size() +
-          static_cast<std::uint64_t>(t) + 1;
-      if (memo_ == nullptr) {
-        memo_ = std::make_unique<MemoSlot[]>(size_t{1} << kCursorMemoBits);
-      }
-      // Fibonacci hashing: the top bits of tag · 2^64/φ.
-      MemoSlot& slot = memo_[static_cast<size_t>(
-          (tag * 0x9E3779B97F4A7C15ull) >> (64 - kCursorMemoBits))];
-      if (slot.tag == tag) {
-        tally.hits += 1;
-        return slot.time_ms;
-      }
-      tally.misses += 1;
-      slot.tag = tag;
-      slot.time_ms =
-          scorer_->model_->RunTemplate(t, placement, scorer_->io_scale_)
-              .time_ms;
-      return slot.time_ms;
-    }
-
     const DssFastScorer* scorer_;
     std::vector<double> times_;
     std::vector<int> unassigned_;
-    std::vector<double> undo_;          ///< old times, one per touched row
-    std::vector<int> assigned_;         ///< objects in Assign order
-    std::unique_ptr<MemoSlot[]> memo_;  ///< null until first use
+    std::vector<double> undo_;   ///< old times, one per touched row
+    std::vector<int> assigned_;  ///< objects in Assign order
+    TemplateMemo memo_;
+  };
+
+  /// Move pricer for the DOT walk. committed_ holds the committed
+  /// placement's per-template times. Price copies them into candidate_
+  /// except for the templates in the moved objects' rows, which it
+  /// re-prices (dense cache, the walk's own memo, or a compiled run), and
+  /// scores through the same ScoreFromTimes: the addends and their order
+  /// are Score's, so the result is bit-identical by construction. Commit
+  /// adopts the priced templates; it re-prices first when the candidate it
+  /// commits is not the one last priced (an over-capacity candidate the
+  /// walk keeps because it shrinks the violation is never priced).
+  class MoveWalk : public FastScorer::MoveWalk {
+   public:
+    MoveWalk(const DssFastScorer* scorer, const std::vector<int>& start)
+        : scorer_(scorer),
+          memo_(kWalkMemoBits),
+          listed_(scorer->thresholds_.size(), 0) {
+      const int num_templates = static_cast<int>(listed_.size());
+      committed_.resize(listed_.size());
+      CacheTally tally;
+      for (int t = 0; t < num_templates; ++t) {
+        committed_[static_cast<size_t>(t)] =
+            scorer_->MemoTime(memo_, t, start, tally);
+      }
+      scorer_->FlushTally(tally);
+      candidate_ = committed_;
+    }
+
+    QuickPerf Price(const std::vector<int>& candidate,
+                    const std::vector<int>& moved) override {
+      Reprice(candidate, moved);
+      return scorer_->ScoreFromTimes(candidate_.data());
+    }
+
+    void Commit(const std::vector<int>& candidate,
+                const std::vector<int>& moved) override {
+      if (!PricedIs(candidate, moved)) Reprice(candidate, moved);
+      for (int t : touched_) {
+        committed_[static_cast<size_t>(t)] = candidate_[static_cast<size_t>(t)];
+      }
+      priced_ = false;
+    }
+
+   private:
+    /// Makes candidate_ the times of `candidate`: the last candidate's
+    /// touched templates go back to their committed times, then every
+    /// template in a moved object's rows is priced afresh.
+    void Reprice(const std::vector<int>& candidate,
+                 const std::vector<int>& moved) {
+      for (int t : touched_) {
+        candidate_[static_cast<size_t>(t)] = committed_[static_cast<size_t>(t)];
+      }
+      touched_.clear();
+      for (int o : moved) {
+        for (int r = scorer_->row_offsets_[static_cast<size_t>(o)];
+             r < scorer_->row_offsets_[static_cast<size_t>(o) + 1]; ++r) {
+          const int t = scorer_->rows_[static_cast<size_t>(r)].t;
+          if (listed_[static_cast<size_t>(t)] != 0) continue;
+          listed_[static_cast<size_t>(t)] = 1;
+          touched_.push_back(t);
+        }
+      }
+      CacheTally tally;
+      for (int t : touched_) {
+        listed_[static_cast<size_t>(t)] = 0;
+        candidate_[static_cast<size_t>(t)] =
+            scorer_->MemoTime(memo_, t, candidate, tally);
+      }
+      scorer_->FlushTally(tally);
+      priced_ = true;
+      priced_moved_ = moved;
+      priced_classes_.clear();
+      for (int o : moved) {
+        priced_classes_.push_back(candidate[static_cast<size_t>(o)]);
+      }
+    }
+
+    /// True when `candidate` is the candidate last priced: the same moved
+    /// objects on the same classes over the same committed placement.
+    bool PricedIs(const std::vector<int>& candidate,
+                  const std::vector<int>& moved) const {
+      if (!priced_ || moved != priced_moved_) return false;
+      for (size_t i = 0; i < moved.size(); ++i) {
+        if (candidate[static_cast<size_t>(moved[i])] != priced_classes_[i]) {
+          return false;
+        }
+      }
+      return true;
+    }
+
+    const DssFastScorer* scorer_;
+    TemplateMemo memo_;
+    std::vector<double> committed_;  ///< per template
+    std::vector<double> candidate_;  ///< committed_ but for touched_
+    std::vector<int> touched_;       ///< templates the last Reprice priced
+    std::vector<char> listed_;       ///< per template, 0 outside Reprice
+    /// The last priced candidate, as its moved objects and their classes;
+    /// meaningful while priced_ (cleared by Commit).
+    bool priced_ = false;
+    std::vector<int> priced_moved_;
+    std::vector<int> priced_classes_;
   };
 
   void FlushTally(const CacheTally& tally) const {
@@ -407,8 +504,8 @@ class DssFastScorer : public FastScorer {
     std::atomic<std::uint64_t>* slot = nullptr;
     if (dense != nullptr) {
       slot = &dense[static_cast<size_t>(FootprintKey(t, placement.data()))];
-      const std::uint64_t bits = slot->load(std::memory_order_relaxed);
-      if (bits != kEmptyCacheSlot) {
+      const std::uint64_t bits = ~slot->load(std::memory_order_relaxed);
+      if (bits != ~std::uint64_t{0}) {
         tally.hits += 1;
         double time_ms;
         std::memcpy(&time_ms, &bits, sizeof(time_ms));
@@ -420,12 +517,34 @@ class DssFastScorer : public FastScorer {
     if (slot != nullptr) {
       std::uint64_t out;
       std::memcpy(&out, &time_ms, sizeof(out));
-      slot->store(out, std::memory_order_relaxed);
+      slot->store(~out, std::memory_order_relaxed);
     }
     return time_ms;
   }
 
-  /// The sequence walk and SLA verdict, shared by Score and the cursor.
+  /// Exact time of template `t`: TemplateTime, except that a template
+  /// too large for the dense cache goes through `memo` first.
+  double MemoTime(TemplateMemo& memo, int t, const std::vector<int>& placement,
+                  CacheTally& tally) const {
+    if (memo_eligible_[static_cast<size_t>(t)] == 0) {
+      return TemplateTime(t, placement, tally);
+    }
+    const std::uint64_t tag = FootprintKey(t, placement.data()) *
+                                  thresholds_.size() +
+                              static_cast<std::uint64_t>(t) + 1;
+    TemplateMemo::Slot& slot = memo.SlotFor(tag);
+    if (slot.tag == tag) {
+      tally.hits += 1;
+      return slot.time_ms;
+    }
+    tally.misses += 1;
+    slot.tag = tag;
+    slot.time_ms = model_->RunTemplate(t, placement, io_scale_).time_ms;
+    return slot.time_ms;
+  }
+
+  /// The sequence walk and SLA verdict, shared by Score, the cursor and
+  /// the move walk.
   QuickPerf ScoreFromTimes(const double* time_by_template) const {
     QuickPerf qp;
     qp.sla_ok = true;
@@ -469,13 +588,14 @@ class DssFastScorer : public FastScorer {
   /// all 0 when floors are disabled (io_scale).
   mutable std::vector<double> cond_floors_;
   /// Per template, footprints with at most kDenseCacheMaxEntries
-  /// placements: one atomic double-as-bits slot per base-M key,
-  /// kEmptyCacheSlot when unfilled; null = no cache. Lock-free: a probe is
-  /// one relaxed load, a fill one relaxed store of a value any racing
-  /// filler would compute identically.
+  /// placements: one atomic slot per base-M key holding the complemented
+  /// bits of the time, so the value-initialized 0 reads as empty (its
+  /// complement, all ones, is a NaN no finite plan time has); null = no
+  /// cache. Lock-free: a probe is one relaxed load, a fill one relaxed
+  /// store of a value any racing filler would compute identically.
   std::vector<std::unique_ptr<std::atomic<std::uint64_t>[]>> dense_;
   /// 1 for used templates with no dense cache whose memo tag fits in 64
-  /// bits: the bound cursors memoize them.
+  /// bits: the bound cursors and move walks memoize them.
   std::vector<char> memo_eligible_;
   mutable std::atomic<long long> hits_{0};
   mutable std::atomic<long long> misses_{0};
@@ -511,14 +631,26 @@ CompiledTemplate::Result DssWorkloadModel::RunTemplate(
     const std::vector<double>& io_scale, ObjectIoMap* io) const {
   const CompiledTemplate& program = compiled_[static_cast<size_t>(t)];
   if (io_scale.empty() && io == nullptr) return program.Run(placement.data());
-  // Per-thread scratch: sized once, then reused allocation-free.
+  // The program adds I/O only to footprint objects. A caller's map is
+  // zeroed whole; the per-thread scratch (sized once, then reused
+  // allocation-free) only on the footprint, the one part read below.
+  const std::vector<int>& footprint = program.footprint();
   static thread_local ObjectIoMap scratch;
   ObjectIoMap& objects = io != nullptr ? *io : scratch;
-  objects.assign(static_cast<size_t>(schema_->NumObjects()), IoVector{});
+  if (io != nullptr) {
+    objects.assign(static_cast<size_t>(schema_->NumObjects()), IoVector{});
+  } else {
+    objects.resize(static_cast<size_t>(schema_->NumObjects()));
+    for (int o : footprint) objects[static_cast<size_t>(o)] = IoVector{};
+  }
   CompiledTemplate::Result r = program.Run(placement.data(), objects.data());
   if (io_scale.empty()) return r;
-  for (size_t o = 0; o < objects.size(); ++o) objects[o] *= io_scale[o];
-  r.io_ms = IoTimeShareMs(objects, placement, *box_, concurrency());
+  for (int o : footprint) {
+    objects[static_cast<size_t>(o)] *= io_scale[static_cast<size_t>(o)];
+  }
+  // The footprint is sorted, so this prices the same non-zero addends in
+  // the same order as the all-objects overload.
+  r.io_ms = IoTimeShareMs(objects, placement, *box_, concurrency(), footprint);
   r.time_ms = r.io_ms + r.cpu_ms;
   return r;
 }
@@ -539,9 +671,11 @@ PerfEstimate DssWorkloadModel::EstimateWithIoScale(
 
   // Price each distinct template once (skipping templates the sequence
   // never runs); its I/O and join census enter `count` times, multiplied
-  // once instead of re-accumulated per sequence entry.
-  std::vector<double> times(templates_.size(), 0.0);
-  ObjectIoMap template_io;
+  // once instead of re-accumulated per sequence entry. Per-thread scratch:
+  // sized once, then reused allocation-free.
+  static thread_local std::vector<double> times;
+  static thread_local ObjectIoMap template_io;
+  times.assign(templates_.size(), 0.0);
   if (need_io_by_object) {
     est.io_by_object.assign(static_cast<size_t>(n), IoVector{});
   }

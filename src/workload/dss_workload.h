@@ -30,8 +30,8 @@ class DssWorkloadModel : public WorkloadModel {
   /// Footprints above this many placements get no dense plan cache in the
   /// fast scorer: M^|footprint| grows fast, and 8192 doubles (64 KiB) per
   /// template is where the dense array stops paying for itself. Their
-  /// probes run the compiled program, behind each bound cursor's private
-  /// memo.
+  /// probes run the compiled program, behind each bound cursor's and move
+  /// walk's private memo.
   static constexpr std::int64_t kDenseCacheMaxEntries = 8192;
 
   /// `schema` and `box` must outlive the model. `sequence[i]` indexes into
@@ -54,8 +54,8 @@ class DssWorkloadModel : public WorkloadModel {
   /// behind a lock-free dense cache keyed by the placement restricted to
   /// the template's footprint when that footprint has at most
   /// kDenseCacheMaxEntries placements (larger ones are memoized per bound
-  /// cursor). Bit-identical to EstimateWithIoScale, which sums the same
-  /// RunTemplate times.
+  /// cursor and per move walk). Bit-identical to EstimateWithIoScale, which
+  /// sums the same RunTemplate times.
   std::unique_ptr<FastScorer> MakeFastScorer(
       const std::vector<double>& io_scale,
       const std::vector<double>& query_caps_ms, double min_tpmc,
@@ -75,7 +75,8 @@ class DssWorkloadModel : public WorkloadModel {
   /// Template `t` under `placement`: its compiled program's result, or
   /// with an `io_scale` the (unscaled-cost) plan's per-object I/O scaled
   /// and re-priced, io_ms = IoTimeShareMs, time_ms = io_ms + cpu_ms. A
-  /// non-null `io` receives that I/O; otherwise per-thread scratch holds it.
+  /// non-null `io` is zeroed and receives that I/O; otherwise per-thread
+  /// scratch holds it, zeroed and read only on the footprint.
   CompiledTemplate::Result RunTemplate(int t, const std::vector<int>& placement,
                                        const std::vector<double>& io_scale,
                                        ObjectIoMap* io = nullptr) const;

@@ -6,6 +6,36 @@
 
 namespace dot {
 
+namespace {
+
+/// The default move walk: every candidate is a fresh Score.
+class ScoreWalk : public FastScorer::MoveWalk {
+ public:
+  explicit ScoreWalk(const FastScorer* scorer) : scorer_(scorer) {}
+
+  QuickPerf Price(const std::vector<int>& candidate,
+                  const std::vector<int>& moved) override {
+    (void)moved;
+    return scorer_->Score(candidate);
+  }
+  void Commit(const std::vector<int>& candidate,
+              const std::vector<int>& moved) override {
+    (void)candidate;
+    (void)moved;
+  }
+
+ private:
+  const FastScorer* scorer_;
+};
+
+}  // namespace
+
+std::unique_ptr<FastScorer::MoveWalk> FastScorer::MakeMoveWalk(
+    const std::vector<int>& start) const {
+  (void)start;
+  return std::make_unique<ScoreWalk>(this);
+}
+
 void WorkloadModel::RederiveFromUnitTimes(PerfEstimate* est) const {
   if (sla_kind() != SlaKind::kPerQueryResponseTime) return;
   // Same pinned schedule the estimators sum entry times with, so a

@@ -159,6 +159,31 @@ class FastScorer {
   /// Optimistic().
   virtual std::unique_ptr<BoundCursor> MakeBoundCursor() const = 0;
 
+  /// Move pricer for the DOT walk (dot/optimizer.h), which judges one
+  /// group move at a time against a committed placement. Every Price must
+  /// be bit-identical to Score(candidate). A MoveWalk is single-threaded
+  /// state.
+  ///
+  /// `candidate` differs from the committed placement only in the objects
+  /// listed in `moved` (objects listed but unchanged are allowed). Commit
+  /// makes such a candidate the committed placement, whether or not it was
+  /// priced since the last Commit.
+  class MoveWalk {
+   public:
+    virtual ~MoveWalk() = default;
+    virtual QuickPerf Price(const std::vector<int>& candidate,
+                            const std::vector<int>& moved) = 0;
+    virtual void Commit(const std::vector<int>& candidate,
+                        const std::vector<int>& moved) = 0;
+  };
+
+  /// Returns a walk whose committed placement is `start`. The default
+  /// walk holds nothing: Price is Score and Commit does nothing. The DSS
+  /// scorer keeps the committed per-template times and re-prices only the
+  /// templates a move touches.
+  virtual std::unique_ptr<MoveWalk> MakeMoveWalk(
+      const std::vector<int>& start) const;
+
   /// Spread of object `object`'s guaranteed workload-time contribution
   /// across storage classes, in ms (0 when unknown). A variable-ordering
   /// hint for the branch-and-bound search — objects whose placement moves

@@ -199,6 +199,57 @@ TEST(AdvisorLoopTest, InitRejectsANanMigrationWeight) {
   EXPECT_EQ(advisor.Init().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(AdvisorLoopTest, InitRejectsAnEpochPlanReplanMethod) {
+  TpchSession session;
+  AdvisorConfig config;
+  config.replan_method = SolveMethod::kEpochPlan;
+  Advisor advisor(session.problem, config);
+  EXPECT_EQ(advisor.Init().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(AdvisorLoopTest, InitRejectsANegativePaybackHorizon) {
+  TpchSession session;
+  AdvisorConfig config;
+  config.payback_horizon_hours = -1.0;
+  Advisor advisor(session.problem, config);
+  EXPECT_EQ(advisor.Init().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(AdvisorLoopTest, InitRejectsANegativeCooldown) {
+  TpchSession session;
+  AdvisorConfig config;
+  config.cooldown_windows = -1;
+  Advisor advisor(session.problem, config);
+  EXPECT_EQ(advisor.Init().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(AdvisorLoopTest, InitRejectsANegativeReplanInterval) {
+  TpchSession session;
+  AdvisorConfig config;
+  config.replan_interval_windows = -1;
+  Advisor advisor(session.problem, config);
+  EXPECT_EQ(advisor.Init().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(AdvisorLoopTest, InitRejectsAnEmptyPoolCap) {
+  TpchSession session;
+  AdvisorConfig config;
+  config.max_pool = 0;
+  Advisor advisor(session.problem, config);
+  // Run reports the same status instead of replaying the feed.
+  WorkloadTrace empty;
+  RecordedTraceFeed feed(&empty);
+  EXPECT_EQ(advisor.Run(&feed).status.code(), StatusCode::kInvalidArgument);
+}
+
+TEST(AdvisorLoopTest, InitRejectsANullPoolModel) {
+  TpchSession session;
+  AdvisorConfig config;
+  config.model_pool = {session.problem.workload, nullptr};
+  Advisor advisor(session.problem, config);
+  EXPECT_EQ(advisor.Init().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(AdvisorLoopTest, RunIsResumableAcrossFeedSegments) {
   TpchSession session;
   const WorkloadTraceSpec spec = session.Trace(6, 6);

@@ -92,7 +92,7 @@ void CheckRandomizedEquivalence(const DotProblem& problem, uint64_t seed,
           static_cast<uint64_t>(m)));
     }
     const Layout layout(problem.schema, problem.box, placement);
-    ExpectEvalIdentical(evaluator.EvaluateQuick(layout),
+    ExpectEvalIdentical(evaluator.EvaluateQuick(placement),
                         evaluator.EvaluateOne(layout), placement);
   }
   // The walk above must have exercised the cache in both directions.
@@ -150,7 +150,7 @@ TEST_F(DssFastEvalTest, MovingATouchedObjectInvalidatesTheCachedPlan) {
   std::vector<int> placement =
       UniformPlacement(schema_.NumObjects(), box_.MostExpensiveClass());
   const Layout base(&schema_, &box_, placement);
-  ExpectEvalIdentical(evaluator.EvaluateQuick(base),
+  ExpectEvalIdentical(evaluator.EvaluateQuick(placement),
                       evaluator.EvaluateOne(base), placement);
   const long long misses_before = evaluator.plan_cache_misses();
 
@@ -162,7 +162,7 @@ TEST_F(DssFastEvalTest, MovingATouchedObjectInvalidatesTheCachedPlan) {
   for (int cls = 0; cls < box_.NumClasses(); ++cls) {
     placement[static_cast<size_t>(lineitem)] = cls;
     const Layout moved(&schema_, &box_, placement);
-    ExpectEvalIdentical(evaluator.EvaluateQuick(moved),
+    ExpectEvalIdentical(evaluator.EvaluateQuick(placement),
                         evaluator.EvaluateOne(moved), placement);
   }
   EXPECT_GT(evaluator.plan_cache_misses(), misses_before);
@@ -171,7 +171,7 @@ TEST_F(DssFastEvalTest, MovingATouchedObjectInvalidatesTheCachedPlan) {
   const long long misses_after = evaluator.plan_cache_misses();
   placement[static_cast<size_t>(lineitem)] = box_.MostExpensiveClass();
   const Layout back(&schema_, &box_, placement);
-  ExpectEvalIdentical(evaluator.EvaluateQuick(back),
+  ExpectEvalIdentical(evaluator.EvaluateQuick(placement),
                       evaluator.EvaluateOne(back), placement);
   EXPECT_EQ(evaluator.plan_cache_misses(), misses_after);
 }
@@ -347,15 +347,19 @@ void CheckRandomCursorWalk(const FastScorer& scorer, int n, int m,
 
 /// Full TPC-H (16 objects): most templates' footprints have more than
 /// kDenseCacheMaxEntries placements on a 3-class box, so their exact
-/// times come from the cursor memo or a compiled run.
+/// times come from the cursor memo or a compiled run. `modified` selects
+/// the 5-template modified workload (x20) instead of the 22 originals (x3).
 struct TpchCursorInstance {
   Schema schema = MakeTpchSchema(20.0);
   BoxConfig box;
   std::unique_ptr<DssWorkloadModel> workload;
 
-  explicit TpchCursorInstance(BoxConfig b) : box(std::move(b)) {
+  explicit TpchCursorInstance(BoxConfig b, bool modified = false)
+      : box(std::move(b)) {
     workload = std::make_unique<DssWorkloadModel>(
-        "TPC-H", &schema, &box, MakeTpchTemplates(), RepeatSequence(22, 3),
+        "TPC-H", &schema, &box,
+        modified ? MakeModifiedTpchTemplates() : MakeTpchTemplates(),
+        modified ? RepeatSequence(5, 20) : RepeatSequence(22, 3),
         PlannerConfig{});
   }
 
@@ -422,6 +426,107 @@ TEST(DssCursorWalkTest, EnsembleCursorMatchesFreshCursorsAndScore) {
   DotProblem problem = inst.Problem();
   problem.ensemble = &ensemble;
   inst.Walk(problem, /*seed=*/0xe3);
+}
+
+/// Seeded random DOT-style walk of one move walk: each step moves one
+/// object group (every member to a random class, so some members may keep
+/// theirs) and then either commits it unpriced, prices it and commits, or
+/// prices it and rejects. Every Price must equal, bit for bit, a fresh
+/// Score of the candidate, and the committed placement is priced with an
+/// empty move at the end.
+void CheckRandomMoveWalk(const FastScorer& scorer, const Schema& schema,
+                         int m, uint64_t seed, int steps) {
+  const std::vector<ObjectGroup> groups = schema.MakeGroups();
+  Rng rng(seed);
+  std::vector<int> committed(static_cast<size_t>(schema.NumObjects()),
+                             m - 1);
+  const std::unique_ptr<FastScorer::MoveWalk> walk =
+      scorer.MakeMoveWalk(committed);
+  int unpriced_commits = 0;
+  int priced_commits = 0;
+  for (int step = 0; step < steps; ++step) {
+    const std::string where =
+        "seed " + std::to_string(seed) + " step " + std::to_string(step);
+    const std::vector<int>& moved =
+        groups[rng.NextBounded(groups.size())].members;
+    std::vector<int> candidate = committed;
+    for (int o : moved) {
+      candidate[static_cast<size_t>(o)] =
+          static_cast<int>(rng.NextBounded(static_cast<uint64_t>(m)));
+    }
+    const uint64_t r = rng.NextBounded(4);
+    if (r != 0) {
+      ExpectSameQuickPerf(walk->Price(candidate, moved),
+                          scorer.Score(candidate), where);
+    }
+    if (r <= 1) {
+      walk->Commit(candidate, moved);
+      committed = candidate;
+      (r == 0 ? unpriced_commits : priced_commits) += 1;
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  ExpectSameQuickPerf(walk->Price(committed, {}), scorer.Score(committed),
+                      "seed " + std::to_string(seed) + " final");
+  EXPECT_GT(unpriced_commits, 0);
+  EXPECT_GT(priced_commits, 0);
+}
+
+TEST(DssMoveWalkTest, RandomGroupMovesMatchScore) {
+  int instance = 0;
+  for (const bool modified : {false, true}) {
+    for (const BoxConfig& box : {MakeBox1(), MakeBox2()}) {
+      ++instance;
+      SCOPED_TRACE(std::string(modified ? "modified" : "original") +
+                   " TPC-H, box " + std::to_string(instance));
+      const TpchCursorInstance inst(box, modified);
+      for (const bool scaled : {false, true}) {
+        DotProblem problem = inst.Problem();
+        if (scaled) {
+          problem.io_scale_hint = CursorWalkIoScale(inst.schema.NumObjects());
+        }
+        DotOptimizer estimator(problem);
+        CandidateEvaluator evaluator(estimator);
+        ASSERT_NE(evaluator.scorer(), nullptr);
+        const uint64_t seed =
+            0xa0 + 2 * static_cast<uint64_t>(instance) + (scaled ? 1 : 0);
+        CheckRandomMoveWalk(*evaluator.scorer(), inst.schema,
+                            box.NumClasses(), seed, /*steps=*/400);
+      }
+    }
+  }
+}
+
+TEST(DssMoveWalkTest, OverCapacityStartMatchesSlowPath) {
+  // A premium-class cap below the database size makes L0 over capacity, so
+  // the walk keeps unpriced candidates while it shrinks the violation.
+  BoxConfig box = MakeBox1();
+  const int premium = box.MostExpensiveClass();
+  TpchCursorInstance inst(box);
+  inst.box.classes[static_cast<size_t>(premium)].set_capacity_gb(
+      0.5 * inst.schema.TotalSizeGb());
+  const Layout l0 = Layout::Uniform(&inst.schema, &inst.box, premium);
+  ASSERT_GT(l0.CapacityViolationGb(), 0.0);
+  Profiler profiler(&inst.schema, &inst.box);
+  const WorkloadProfiles profiles = profiler.ProfileWorkload(
+      *inst.workload,
+      [&](const std::vector<int>& p) { return inst.workload->Estimate(p); });
+  for (const bool scaled : {false, true}) {
+    SCOPED_TRACE(scaled ? "io_scale hint" : "no hint");
+    DotProblem slow = inst.Problem();
+    slow.relative_sla = 0.25;
+    slow.profiles = &profiles;
+    if (scaled) {
+      slow.io_scale_hint = CursorWalkIoScale(inst.schema.NumObjects());
+    }
+    DotProblem fast = slow;
+    slow.options.use_fast_eval = false;
+    fast.options.use_fast_eval = true;
+    const DotResult full = DotOptimizer(slow).Optimize();
+    ASSERT_TRUE(full.status.ok()) << full.status.ToString();
+    ExpectResultIdentical(DotOptimizer(fast).Optimize(), full,
+                          "Optimize fast vs full, over-capacity L0");
+  }
 }
 
 class OltpFastEvalTest : public ::testing::Test {

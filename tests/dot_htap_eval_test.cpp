@@ -213,7 +213,7 @@ void CheckRandomizedEquivalence(const DotProblem& problem, uint64_t seed,
           static_cast<int>(rng.NextBounded(static_cast<uint64_t>(m)));
     }
     const Layout layout(problem.schema, problem.box, placement);
-    ExpectEvalIdentical(evaluator.EvaluateQuick(layout),
+    ExpectEvalIdentical(evaluator.EvaluateQuick(placement),
                         evaluator.EvaluateOne(layout), placement);
   }
   // The analytic side's plan cache must have seen both traffic kinds.

@@ -145,7 +145,7 @@ void CheckFastEqualsFull(const DotProblem& problem, uint64_t seed,
           static_cast<int>(rng.NextBounded(static_cast<uint64_t>(m)));
     }
     const Layout layout(problem.schema, problem.box, placement);
-    const CandidateEval fast = evaluator.EvaluateQuick(layout);
+    const CandidateEval fast = evaluator.EvaluateQuick(placement);
     const CandidateEval full = evaluator.EvaluateOne(layout);
     const std::string what = "round=" + std::to_string(round);
     EXPECT_EQ(fast.fits, full.fits) << what;
