@@ -49,12 +49,6 @@ Advisor::Advisor(const DotProblem& problem, AdvisorConfig config)
       detector_(config_.drift) {
   DOT_CHECK(problem_.schema != nullptr && problem_.box != nullptr &&
             problem_.workload != nullptr);
-  if (config_.ensemble != nullptr) {
-    // Robust mode: install the ensemble on the copied problem so every
-    // Solve and every incumbent pricing below runs over it.
-    problem_.ensemble = config_.ensemble;
-    problem_.ensemble_objective = config_.ensemble_objective;
-  }
 }
 
 Status Advisor::Init() {
@@ -216,8 +210,8 @@ void Advisor::Observe(const TraceEvent& event, AdvisorRun* run) {
       // Price the incumbent under the *same* scaled model — comparing a
       // scaled candidate against an unscaled incumbent would manufacture
       // phantom savings — and check whether it still meets the SLA there.
-      // EstimateToc owns the feasibility verdict (the chance constraint in
-      // ensemble mode, MeetsTargets otherwise).
+      // EstimateToc owns the feasibility verdict (the forecast's chance
+      // constraint; MeetsTargets on the point forecast).
       const DotOptimizer pricer(problem_);
       PerfEstimate incumbent_estimate;
       bool incumbent_sla = false;

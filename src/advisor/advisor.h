@@ -66,18 +66,6 @@ struct AdvisorConfig {
   /// > 0: re-plan every Nth window regardless of drift (the fixed-interval
   /// baseline; 1 = every window). 0: re-plan only on drift.
   int replan_interval_windows = 0;
-
-  /// Robust mode (DESIGN.md §10): when set, the initial plan, every
-  /// re-plan, and the incumbent pricing all run under this scenario
-  /// ensemble and objective instead of the point forecast — the advisor
-  /// hedges against the forecast being wrong, not just against observed
-  /// drift. Scenario models default to the problem's workload (or, after a
-  /// classification switch, the re-plan's model) and their io_scale
-  /// composes onto the re-plan's hint. Must outlive the advisor.
-  const ScenarioEnsemble* ensemble = nullptr;
-
-  /// Objective over `ensemble`; ignored when `ensemble` is null.
-  EnsembleObjective ensemble_objective;
 };
 
 /// What the advisor decided after observing one window.
@@ -147,7 +135,8 @@ class Advisor {
  public:
   /// `problem` is copied; its pointees (schema, box, workload, profiles)
   /// must outlive the advisor. problem.options carries the engine knobs
-  /// for every re-plan.
+  /// for every re-plan, and a problem.ensemble (DESIGN.md §10) puts the
+  /// initial plan, every re-plan and the incumbent pricing under it.
   Advisor(const DotProblem& problem, AdvisorConfig config);
 
   /// Solves the initial incumbent through dot::Solve, installs the

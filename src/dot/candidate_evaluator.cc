@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -41,6 +42,23 @@ std::vector<int> DecodeLayoutIndex(long long index, int num_objects,
   return placement;
 }
 
+Result<std::vector<std::vector<int>>> EnumerateLayoutSpace(
+    int num_objects, int num_classes, long long max_layouts) {
+  const long long space = LayoutSpaceSize(num_classes, num_objects);
+  if (space == kLayoutSpaceSaturated || space > max_layouts) {
+    return Status::OutOfRange(
+        "layout space " + std::to_string(num_classes) + "^" +
+        std::to_string(num_objects) + " exceeds the cap of " +
+        std::to_string(max_layouts) + " layouts");
+  }
+  std::vector<std::vector<int>> layouts;
+  layouts.reserve(static_cast<size_t>(space));
+  for (long long idx = 0; idx < space; ++idx) {
+    layouts.push_back(DecodeLayoutIndex(idx, num_objects, num_classes));
+  }
+  return layouts;
+}
+
 CandidateEval CandidateEvaluator::EvaluateOne(const Layout& layout) const {
   CandidateEval eval;
   const Layout::CapacityFit fit = layout.ComputeCapacityFit();
@@ -50,8 +68,8 @@ CandidateEval CandidateEvaluator::EvaluateOne(const Layout& layout) const {
     eval.toc = std::numeric_limits<double>::infinity();
     return eval;
   }
-  // EstimateToc owns the SLA verdict: MeetsTargets on the point forecast,
-  // the chance constraint under an ensemble.
+  // EstimateToc owns the SLA verdict: the forecast's chance constraint
+  // (MeetsTargets on the point forecast).
   bool sla_ok = false;
   eval.toc = estimator_.EstimateToc(layout, &eval.estimate,
                                     &eval.cost_cents_per_hour, &sla_ok);
@@ -77,18 +95,12 @@ CandidateEvaluator::CandidateEvaluator(const DotOptimizer& estimator)
     // full path to produce that verdict.
     return;
   }
-  if (problem.ensemble != nullptr) {
-    // Robust mode: K child scorers under the ensemble aggregation. Null
-    // (an out-of-range ensemble or a scenario of the other SLA kind)
-    // leaves the full path on.
-    scorer_ = MakeEnsembleScorer(*problem.workload, *problem.ensemble,
-                                 problem.ensemble_objective,
-                                 problem.io_scale_hint, targets);
-  } else {
-    scorer_ = problem.workload->MakeFastScorer(
-        problem.io_scale_hint, targets.query_caps_ms, targets.min_tpmc,
-        kDefaultSlaTolerance);
-  }
+  // K child scorers under the forecast's aggregation, or at K = 1 (the
+  // point forecast) the model's own scorer. Null (a scenario of the other
+  // SLA kind) leaves the full path on.
+  scorer_ = MakeEnsembleScorer(*problem.workload, estimator_.forecast(),
+                               estimator_.objective(), problem.io_scale_hint,
+                               targets);
   if (scorer_ == nullptr) return;
   size_gb_.reserve(static_cast<size_t>(problem.schema->NumObjects()));
   for (const DbObject& o : problem.schema->objects()) {

@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/result.h"
 #include "common/thread_pool.h"
 #include "dot/layout.h"
 #include "dot/optimizer.h"
@@ -59,10 +60,11 @@ bool BetterCandidate(double toc_a, const std::vector<int>& placement_a,
 /// Every value is bit-identical to EvaluateOne, the full path — the fast
 /// path reorganizes the arithmetic, it never approximates — so search
 /// decisions are unchanged and only the committed winner needs a full
-/// re-score to fill in its PerfEstimate. The scorer is null, and every call takes the
-/// full path, when `use_fast_eval` is off, the box has more than
-/// kMaxClasses classes, the targets' SLA kind does not match the
-/// workload's, or an ensemble is out of range.
+/// re-score to fill in its PerfEstimate. The scorer is the forecast's
+/// (MakeEnsembleScorer: the model's own at K = 1). It is null, and every
+/// call takes the full path, when `use_fast_eval` is off, the box has more
+/// than kMaxClasses classes, or the targets' SLA kind does not match the
+/// workload's or a scenario model's.
 class CandidateEvaluator {
  public:
   /// `estimator` supplies EstimateToc and the run's targets and must
@@ -156,6 +158,12 @@ long long LayoutSpaceSize(int num_classes, int num_objects);
 /// placement[o] = (index / M^o) mod M for an N-digit, radix-M space.
 std::vector<int> DecodeLayoutIndex(long long index, int num_objects,
                                    int num_classes);
+
+/// Every layout of the M^N space in index order (DecodeLayoutIndex), the
+/// exhaustive candidate pool of the epoch planner and the fleet; OutOfRange
+/// when the space holds more than `max_layouts` layouts.
+Result<std::vector<std::vector<int>>> EnumerateLayoutSpace(
+    int num_objects, int num_classes, long long max_layouts);
 
 }  // namespace dot
 

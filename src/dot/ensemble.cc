@@ -107,7 +107,6 @@ class EnsembleScorer : public FastScorer {
         children_(std::move(children)) {}
 
   QuickPerf Score(const std::vector<int>& placement) const override {
-    if (children_.size() == 1) return children_[0]->Score(placement);
     std::array<ScenarioScore, kMaxScenarios> scores;
     QuickPerf nominal;
     for (size_t i = 0; i < children_.size(); ++i) {
@@ -144,7 +143,6 @@ class EnsembleScorer : public FastScorer {
       for (auto& c : children_) c->Unassign(object_id);
     }
     QuickPerf Optimistic(const std::vector<int>& placement) const override {
-      if (children_.size() == 1) return children_[0]->Optimistic(placement);
       std::array<ScenarioScore, kMaxScenarios> scores;
       QuickPerf nominal;
       for (size_t i = 0; i < children_.size(); ++i) {
@@ -232,6 +230,10 @@ std::unique_ptr<FastScorer> MakeEnsembleScorer(
         ComposeIoScale(io_scale_hint, sc.io_scale), targets.query_caps_ms,
         targets.min_tpmc, kDefaultSlaTolerance));
   }
+  // One scenario aggregates to its own throughput (AggregateEnsemble
+  // passes it through), so its scorer is the lone child: the point
+  // forecast scores through the model's own scorer.
+  if (k == 1) return std::move(children.front());
   return std::make_unique<EnsembleScorer>(
       objective, ensemble.NormalizedWeights(), std::move(children));
 }

@@ -82,12 +82,14 @@ EnsembleVerdict AggregateEnsemble(const EnsembleObjective& objective,
                                   const std::vector<double>& weights,
                                   const ScenarioScore* scores, int k);
 
-/// Builds the ensemble fast scorer: one child FastScorer per scenario
-/// (scenario io_scale composed onto `io_scale_hint`, the problem's caps and
-/// tolerance), aggregated through AggregateEnsemble. The BoundCursor fans
-/// out to K child cursors, inflates interior-node bounds by kBoundSafety
-/// (absorbing aggregation-order drift) and returns the exact aggregate at
-/// leaves. Returns nullptr when the ensemble size is outside
+/// Builds the forecast's fast scorer — the one scorer CandidateEvaluator
+/// uses: one child FastScorer per scenario (scenario io_scale composed onto
+/// `io_scale_hint`, the problem's caps and tolerance), aggregated through
+/// AggregateEnsemble. The BoundCursor fans out to K child cursors, inflates
+/// interior-node bounds by kBoundSafety (absorbing aggregation-order drift)
+/// and returns the exact aggregate at leaves. At K = 1 (the point forecast
+/// among others) it returns the lone child itself, with its own cursor,
+/// probes and move walk. Returns nullptr when the ensemble size is outside
 /// [1, kMaxScenarios] or any scenario model's SLA kind mismatches
 /// `targets` — callers then take the full path.
 std::unique_ptr<FastScorer> MakeEnsembleScorer(
@@ -95,10 +97,13 @@ std::unique_ptr<FastScorer> MakeEnsembleScorer(
     const EnsembleObjective& objective,
     const std::vector<double>& io_scale_hint, const PerfTargets& targets);
 
-/// The full evaluation path under an ensemble: per-scenario
-/// EstimateWithIoScale + MeetsTargets, aggregated through the same
-/// AggregateEnsemble the fast scorer uses. Owned by DotOptimizer when
-/// DotProblem::ensemble is set.
+/// The full evaluation path: per-scenario EstimateWithIoScale +
+/// MeetsTargets, aggregated through the same AggregateEnsemble the fast
+/// scorer uses. DotOptimizer owns one on every problem — over
+/// DotProblem::ensemble, or else over the one-scenario nominal ensemble
+/// that is the point forecast (bit-identical to a bare EstimateWithIoScale
+/// under the hint: the weight is exactly 1.0, the composed io_scale is the
+/// hint, and AggregateEnsemble passes a lone throughput through).
 class EnsembleEstimator {
  public:
   /// Pointees of `ensemble` must outlive the estimator; `targets` is

@@ -13,27 +13,39 @@
 
 namespace dot {
 
-DotOptimizer::DotOptimizer(const DotProblem& problem) : problem_(problem) {
-  DOT_CHECK(problem_.schema != nullptr && problem_.box != nullptr &&
-            problem_.workload != nullptr)
+namespace {
+
+/// The point forecast as an ensemble: one nominal scenario of weight 1.
+const ScenarioEnsemble& PointForecast() {
+  static const ScenarioEnsemble point{std::vector<Scenario>(1)};
+  return point;
+}
+
+PerfTargets DeriveTargets(const DotProblem& problem) {
+  DOT_CHECK(problem.schema != nullptr && problem.box != nullptr &&
+            problem.workload != nullptr)
       << "DotProblem is missing a component";
   // `profiles` is needed only by Optimize() (move scoring); EstimateToc and
   // the exhaustive-search reuse of this class work without it.
-  targets_ = problem_.targets_override != nullptr
-                 ? *problem_.targets_override
-                 : MakePerfTargets(*problem_.workload, *problem_.box,
-                                   problem_.schema->NumObjects(),
-                                   problem_.relative_sla,
-                                   problem_.io_scale_hint, problem_.tail_sla);
-  if (problem_.ensemble != nullptr) {
-    DOT_CHECK(problem_.ensemble->size() >= 1 &&
-              problem_.ensemble->size() <= kMaxScenarios)
-        << "ensemble size must be in [1, " << kMaxScenarios << "]";
-    ensemble_ = std::make_unique<EnsembleEstimator>(
-        *problem_.workload, *problem_.ensemble, problem_.ensemble_objective,
-        problem_.io_scale_hint, targets_);
-  }
+  return problem.targets_override != nullptr
+             ? *problem.targets_override
+             : MakePerfTargets(*problem.workload, *problem.box,
+                               problem.schema->NumObjects(),
+                               problem.relative_sla, problem.io_scale_hint,
+                               problem.tail_sla);
 }
+
+}  // namespace
+
+DotOptimizer::DotOptimizer(const DotProblem& problem)
+    : problem_(problem),
+      targets_(DeriveTargets(problem_)),
+      forecast_(problem_.ensemble != nullptr ? problem_.ensemble
+                                             : &PointForecast()),
+      objective_(problem_.ensemble != nullptr ? problem_.ensemble_objective
+                                              : EnsembleObjective{}),
+      estimator_(*problem_.workload, *forecast_, objective_,
+                 problem_.io_scale_hint, targets_) {}
 
 double DotOptimizer::EstimateToc(const std::vector<int>& placement,
                                  PerfEstimate* estimate_out, double* cost_out,
@@ -47,24 +59,11 @@ double DotOptimizer::EstimateToc(const Layout& layout,
                                  bool* sla_ok_out) const {
   const double cost = layout.CostCentsPerHour(problem_.cost_model);
   if (cost_out != nullptr) *cost_out = cost;
-  if (ensemble_ != nullptr) {
-    const EnsembleVerdict verdict =
-        ensemble_->Evaluate(layout.placement(), estimate_out);
-    DOT_CHECK(verdict.tasks_per_hour > 0)
-        << "ensemble produced zero effective throughput";
-    if (sla_ok_out != nullptr) *sla_ok_out = verdict.sla_ok;
-    return cost / verdict.tasks_per_hour;
-  }
-  // When the caller discards the estimate, skip the per-object total-I/O
-  // accumulation (the throughput and TOC do not depend on it).
-  PerfEstimate est = problem_.workload->EstimateWithIoScale(
-      layout.placement(), problem_.io_scale_hint,
-      /*need_io_by_object=*/estimate_out != nullptr);
-  DOT_CHECK(est.tasks_per_hour > 0) << "estimate produced zero throughput";
-  const double toc = cost / est.tasks_per_hour;
-  if (sla_ok_out != nullptr) *sla_ok_out = MeetsTargets(est, targets_);
-  if (estimate_out != nullptr) *estimate_out = std::move(est);
-  return toc;
+  const EnsembleVerdict verdict =
+      estimator_.Evaluate(layout.placement(), estimate_out);
+  DOT_CHECK(verdict.tasks_per_hour > 0) << "estimate produced zero throughput";
+  if (sla_ok_out != nullptr) *sla_ok_out = verdict.sla_ok;
+  return cost / verdict.tasks_per_hour;
 }
 
 DotResult DotOptimizer::Optimize() const {
@@ -195,15 +194,9 @@ DotResult DotOptimizer::Optimize() const {
     // One full evaluation of L* fills result.estimate. The fast path's toc
     // and cost are bit-identical to the full path's, so every committed
     // field already matches what a full-evaluation walk would have
-    // recorded (pinned by dot_fast_eval_test). Under an ensemble the
-    // reporting estimate is scenario 0's — bit-identical to this very call
-    // when scenario 0 is nominal.
-    if (ensemble_ != nullptr) {
-      ensemble_->Evaluate(result.placement, &result.estimate);
-    } else {
-      result.estimate = problem_.workload->EstimateWithIoScale(
-          result.placement, problem_.io_scale_hint);
-    }
+    // recorded (pinned by dot_fast_eval_test). The reporting estimate is
+    // scenario 0's: the point forecast's when scenario 0 is nominal.
+    estimator_.Evaluate(result.placement, &result.estimate);
   } else {
     result.status = Status::Infeasible(
         "no enumerated layout satisfies the capacity and SLA constraints");

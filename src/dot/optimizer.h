@@ -1,7 +1,6 @@
 #ifndef DOTPROV_DOT_OPTIMIZER_H_
 #define DOTPROV_DOT_OPTIMIZER_H_
 
-#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -59,15 +58,16 @@ class DotOptimizer {
   DotResult Optimize() const;
 
   /// estimateTOC(W, L): workload estimate and TOC in cents/task under the
-  /// problem's cost model (applies the refinement io_scale hint if set).
-  /// Under an ensemble the returned TOC is the ensemble objective
-  /// (E[TOC] or CVaR) and `estimate_out` receives scenario 0's estimate.
-  /// `cost_out` (if non-null) receives C(L) in cents/hour — the numerator
-  /// the TOC was computed from, so callers need not recompute it.
-  /// `sla_ok_out` (if non-null) receives the SLA verdict — MeetsTargets on
-  /// the point forecast, the chance constraint under an ensemble — which is
-  /// the verdict callers must use for feasibility (judging the nominal
-  /// estimate alone would ignore the ensemble's miss mass).
+  /// problem's cost model and forecast (applies the refinement io_scale
+  /// hint if set). The returned TOC is the forecast's objective (E[TOC] or
+  /// CVaR; the point forecast's own TOC at K = 1) and `estimate_out`
+  /// receives scenario 0's estimate. `cost_out` (if non-null) receives
+  /// C(L) in cents/hour — the numerator the TOC was computed from, so
+  /// callers need not recompute it. `sla_ok_out` (if non-null) receives
+  /// the SLA verdict — the chance constraint, which at K = 1 is
+  /// MeetsTargets — and is the verdict callers must use for feasibility
+  /// (judging the nominal estimate alone would ignore an ensemble's miss
+  /// mass).
   double EstimateToc(const std::vector<int>& placement,
                      PerfEstimate* estimate_out, double* cost_out = nullptr,
                      bool* sla_ok_out = nullptr) const;
@@ -84,13 +84,22 @@ class DotOptimizer {
   /// The problem instance this optimizer was built for.
   const DotProblem& problem() const { return problem_; }
 
+  /// The forecast every candidate is priced under (DESIGN.md §10):
+  /// problem().ensemble, or else the point forecast as a one-scenario
+  /// nominal ensemble.
+  const ScenarioEnsemble& forecast() const { return *forecast_; }
+
+  /// The forecast's objective: problem().ensemble_objective under an
+  /// ensemble, else the default (a problem's ensemble_objective is ignored
+  /// without an ensemble).
+  const EnsembleObjective& objective() const { return objective_; }
+
  private:
   DotProblem problem_;
   PerfTargets targets_;
-
-  /// Full-path ensemble evaluation; null in point-forecast mode. (Makes
-  /// the optimizer move-only, which every caller already respects.)
-  std::unique_ptr<EnsembleEstimator> ensemble_;
+  const ScenarioEnsemble* forecast_;
+  EnsembleObjective objective_;
+  EnsembleEstimator estimator_;  ///< the full evaluation path
 };
 
 /// Repeatedly relaxes the relative SLA by `relax_factor` until `optimize`

@@ -105,12 +105,14 @@ struct DotProblem {
   /// bit-identical to the mean-only path.
   TailSla tail_sla;
 
-  /// Optional scenario ensemble (DESIGN.md §10). When set, every candidate
-  /// is scored under `ensemble_objective` across these scenarios instead of
-  /// the nominal point forecast; scenario models default to `workload`, and
-  /// their io_scale composes onto `io_scale_hint`. Must outlive the run.
-  /// A K=1 nominal ensemble reproduces the point-forecast optimization bit
-  /// for bit (same placements, same TOC, same prune counts).
+  /// Optional scenario ensemble (DESIGN.md §10) — the one way to ask for
+  /// a robust plan. When set, every candidate is scored under
+  /// `ensemble_objective` across these scenarios; scenario models default
+  /// to `workload`, and their io_scale composes onto `io_scale_hint`. Must
+  /// outlive the run. Null = the point forecast, which the engines price as
+  /// the one-scenario nominal ensemble (so a K=1 nominal ensemble
+  /// reproduces it bit for bit: same placements, TOC and counters).
+  /// Single-shot methods only: Solve rejects it on kEpochPlan and kFleet.
   const ScenarioEnsemble* ensemble = nullptr;
 
   /// What "best over the ensemble" means; ignored when `ensemble` is null.

@@ -221,18 +221,13 @@ ReprovisionPlan ReprovisionPlanner::Plan(
     pool.push_back(placement);
   };
   if (config_.exhaustive_pool) {
-    const int m = box_->NumClasses();
-    const long long space = LayoutSpaceSize(m, n);
-    if (space == kLayoutSpaceSaturated || space > config_.max_pool_layouts) {
-      plan.status = Status::OutOfRange(
-          "exhaustive pool of " + std::to_string(m) + "^" +
-          std::to_string(n) + " layouts exceeds max_pool_layouts");
+    Result<std::vector<std::vector<int>>> space = EnumerateLayoutSpace(
+        n, box_->NumClasses(), config_.max_pool_layouts);
+    if (!space.ok()) {
+      plan.status = space.status();
       return plan;
     }
-    pool.reserve(static_cast<size_t>(space));
-    for (long long idx = 0; idx < space; ++idx) {
-      pool.push_back(DecodeLayoutIndex(idx, n, m));
-    }
+    pool = std::move(space).value();
   } else {
     // The stay option first, then each epoch's solo optimum in epoch
     // order — a deterministic pool that always contains the frozen-layout

@@ -28,12 +28,12 @@ SolveResult FromDot(DotResult result, SolveMethod method,
 /// FleetPlanner::Plan checks the roster itself, so Solve runs this instead
 /// of walking every tenant twice.
 Status ValidateAllButRoster(const SolveSpec& spec, const DotProblem& problem) {
-  if (spec.ensemble != nullptr && spec.method == SolveMethod::kEpochPlan) {
+  if (problem.ensemble != nullptr && spec.method == SolveMethod::kEpochPlan) {
     return Status::InvalidArgument(
         "ensemble mode is single-shot; kEpochPlan re-derives per-epoch "
         "point problems");
   }
-  if (spec.ensemble != nullptr && spec.method == SolveMethod::kFleet) {
+  if (problem.ensemble != nullptr && spec.method == SolveMethod::kFleet) {
     return Status::InvalidArgument(
         "ensemble mode is single-shot; fleet tenants are point forecasts");
   }
@@ -73,10 +73,8 @@ Status ValidateAllButRoster(const SolveSpec& spec, const DotProblem& problem) {
                                   "io_scale_hint");
       if (!st.ok()) return st;
     }
-    const ScenarioEnsemble* scenarios =
-        spec.ensemble != nullptr ? spec.ensemble : problem.ensemble;
-    if (scenarios != nullptr) {
-      return ValidateEnsemble(*scenarios, problem.schema->NumObjects());
+    if (problem.ensemble != nullptr) {
+      return ValidateEnsemble(*problem.ensemble, problem.schema->NumObjects());
     }
     return Status::OK();
   }
@@ -107,24 +105,17 @@ SolveResult Solve(const DotProblem& problem, const SolveSpec& spec) {
       return out;
     }
   }
-  // The spec's ensemble overlays the problem's for this call — a local
-  // copy keeps the caller's problem untouched and the overlay scoped.
-  DotProblem p = problem;
-  if (spec.ensemble != nullptr) {
-    p.ensemble = spec.ensemble;
-    p.ensemble_objective = spec.ensemble_objective;
-  }
   switch (spec.method) {
     case SolveMethod::kDotHeuristic:
-      return FromDot(DotOptimizer(p).Optimize(), spec.method,
+      return FromDot(DotOptimizer(problem).Optimize(), spec.method,
                      "dot-heuristic");
     case SolveMethod::kExact:
-      return FromDot(ExactSearch(p, ExactStrategy::kBranchAndBound,
+      return FromDot(ExactSearch(problem, ExactStrategy::kBranchAndBound,
                                  spec.max_layouts, spec.warm_starts),
                      spec.method, "branch-and-bound");
     case SolveMethod::kEnumerate:
       return FromDot(
-          ExactSearch(p, ExactStrategy::kEnumerate, spec.max_layouts),
+          ExactSearch(problem, ExactStrategy::kEnumerate, spec.max_layouts),
           spec.method, "enumerate");
     case SolveMethod::kEpochPlan: {
       ReprovisionConfig config;

@@ -61,19 +61,6 @@ struct SolveSpec {
   /// Tightens pruning; provably cannot change the result (bnb_search.h).
   const std::vector<std::vector<int>>* warm_starts = nullptr;
 
-  // --- robust (ensemble) mode — single-shot methods only ---
-
-  /// When set, overlays DotProblem::ensemble for this call: candidates are
-  /// scored under `ensemble_objective` across these scenarios instead of
-  /// the point forecast (DESIGN.md §10). Must outlive the call.
-  /// Incompatible with kEpochPlan (the epoch DP re-derives per-epoch point
-  /// problems) and kFleet (tenants are point forecasts); Validate() turns
-  /// those combinations into an InvalidArgument status.
-  const ScenarioEnsemble* ensemble = nullptr;
-
-  /// Objective over `ensemble`; ignored when `ensemble` is null.
-  EnsembleObjective ensemble_objective;
-
   // --- kEpochPlan only ---
 
   /// The epochs to plan across, one per window (the planner ignores the
@@ -108,9 +95,9 @@ struct SolveSpec {
   /// (ValidateIoScale), a kEpochPlan migration_weight that
   /// ValidateMigrationWeight rejects, a kEpochPlan
   /// current_layout that is not a placement on the box
-  /// (ValidatePlacement), an ensemble overlay on a method that cannot
-  /// honor it, a malformed ensemble (ValidateEnsemble,
-  /// on the overlay or else the problem's own), or a malformed fleet spec
+  /// (ValidatePlacement), a problem ensemble on kEpochPlan or kFleet
+  /// (neither can honor one), a malformed problem ensemble
+  /// (ValidateEnsemble), or a malformed fleet spec
   /// (ValidateFleetConfig, ValidateFleetRoster). Solve() runs the same
   /// checks first and returns the error in SolveResult::status — it never
   /// aborts on spec/problem mismatches — so drivers that assemble specs

@@ -1,8 +1,11 @@
 #include "exec/trace_replay.h"
 
+#include <cmath>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "dot/layout.h"
 #include "workload/scenario.h"
 
@@ -11,14 +14,54 @@ namespace dot {
 WorkloadTrace RecordTraceWithExecutor(const WorkloadTraceSpec& spec,
                                       const std::vector<int>& placement,
                                       double exec_noise_cv) {
-  return RecordTrace(spec, [&](const TraceWindow& window, int w) {
+  WorkloadTrace trace;
+  trace.status = ValidateTraceSpec(spec);
+  for (size_t w = 0; w < spec.windows.size() && trace.status.ok(); ++w) {
+    trace.status =
+        ValidateIoScale(spec.windows[w].io_scale,
+                        static_cast<int>(placement.size()),
+                        "window " + std::to_string(w) + " io_scale");
+  }
+  if (!trace.status.ok()) return trace;
+
+  // One noise stream for the whole trace, consumed in window order then
+  // object order then request-class order: the recording is a pure function
+  // of (spec, seed, placement, exec_noise_cv).
+  Rng rng(spec.seed);
+  const double sigma2 =
+      std::log(1.0 + spec.count_noise_cv * spec.count_noise_cv);
+  const double mu = -0.5 * sigma2;
+  const double sigma = std::sqrt(sigma2);
+
+  trace.events.reserve(spec.windows.size());
+  double clock_hours = 0.0;
+  for (size_t w = 0; w < spec.windows.size(); ++w) {
+    const TraceWindow& window = spec.windows[w];
     ExecutorConfig cfg;
     cfg.noise_cv = exec_noise_cv;
     cfg.io_scale = window.io_scale;
     cfg.seed = spec.seed + static_cast<uint64_t>(w);
-    Executor executor(window.workload, cfg);
-    return executor.Run(placement);
-  });
+    PerfEstimate measured = Executor(window.workload, cfg).Run(placement);
+
+    TraceEvent event;
+    event.window = static_cast<int>(w);
+    event.start_hours = clock_hours;
+    event.duration_hours = window.duration_hours;
+    event.label = window.label;
+    event.measured_tasks_per_hour = measured.tasks_per_hour;
+    event.io_by_object = std::move(measured.io_by_object);
+    if (spec.count_noise_cv > 0.0) {
+      for (IoVector& io : event.io_by_object) {
+        for (int r = 0; r < kNumIoTypes; ++r) {
+          io[static_cast<IoType>(r)] *=
+              std::exp(mu + sigma * rng.NextGaussian());
+        }
+      }
+    }
+    trace.events.push_back(std::move(event));
+    clock_hours += window.duration_hours;
+  }
+  return trace;
 }
 
 namespace {

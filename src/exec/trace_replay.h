@@ -14,14 +14,22 @@ namespace dot {
 
 /// Records a trace by running each window once through the simulated
 /// Executor on `placement` (the monitoring layout): window w runs at seed
-/// spec.seed + w with the window's io_scale disturbance, then RecordTrace
-/// applies the spec's observation noise to the counts. This is the §3.4(b)
-/// test-run profiler turned into a continuous recorder — the exec layer
-/// supplying the workload layer's MeasureWindowFn.
+/// spec.seed + w with the window's io_scale disturbance, its measured
+/// counts become the window's TraceEvent, stamped with cumulative virtual
+/// time, and the spec's observation noise (one lognormal stream seeded by
+/// spec.seed, drawn in window, then object, then request-class order)
+/// scales the counts. This is the §3.4(b) test-run profiler turned into a
+/// continuous recorder; the recording is bit-reproducible.
 ///
 /// `exec_noise_cv` jitters the measured times/rates only; the Executor
 /// never jitters I/O counts, so count noise comes solely from
 /// spec.count_noise_cv.
+///
+/// Returns a trace whose status is InvalidArgument, with no events and
+/// nothing run, for a spec ValidateTraceSpec rejects or a window io_scale
+/// whose length is neither 0 nor placement.size() (ValidateIoScale). The
+/// recorder sees no schema or box, so `placement` itself must be a valid
+/// placement of every window's workload.
 WorkloadTrace RecordTraceWithExecutor(const WorkloadTraceSpec& spec,
                                       const std::vector<int>& placement,
                                       double exec_noise_cv = 0.0);

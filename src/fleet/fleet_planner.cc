@@ -102,18 +102,13 @@ TenantPool BuildPool(const DotProblem& tenant_problem, const BoxConfig* box,
 
   std::vector<std::vector<int>> candidates;
   if (config.pool_mode == FleetPoolMode::kEnumerate) {
-    const long long space = LayoutSpaceSize(m, n);
-    if (space == kLayoutSpaceSaturated || space > config.max_pool_layouts) {
-      out.status = Status::OutOfRange(
-          "tenant layout space " + std::to_string(m) + "^" +
-          std::to_string(n) +
-          " exceeds max_pool_layouts; use FleetPoolMode::kSearch");
+    Result<std::vector<std::vector<int>>> space =
+        EnumerateLayoutSpace(n, m, config.max_pool_layouts);
+    if (!space.ok()) {
+      out.status = space.status();
       return out;
     }
-    candidates.reserve(static_cast<size_t>(space));
-    for (long long idx = 0; idx < space; ++idx) {
-      candidates.push_back(DecodeLayoutIndex(idx, n, m));
-    }
+    candidates = std::move(space).value();
   } else {
     // The ReprovisionPlanner seeding path (solo optimum), plus the M
     // uniform layouts as deterministic downgrade/upgrade anchors.

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <utility>
 
-#include "common/check.h"
-#include "common/rng.h"
 
 namespace dot {
 
@@ -59,48 +57,6 @@ Status ValidateTraceSpec(const WorkloadTraceSpec& spec) {
     }
   }
   return Status::OK();
-}
-
-WorkloadTrace RecordTrace(const WorkloadTraceSpec& spec,
-                          const MeasureWindowFn& measure) {
-  DOT_CHECK(ValidateTraceSpec(spec).ok());
-  DOT_CHECK(measure != nullptr);
-
-  // One noise stream for the whole trace, consumed in window order then
-  // object order then request-class order: the recording is a pure function
-  // of (spec, seed) regardless of how the measurement callback is built.
-  Rng rng(spec.seed);
-  const double sigma2 =
-      std::log(1.0 + spec.count_noise_cv * spec.count_noise_cv);
-  const double mu = -0.5 * sigma2;
-  const double sigma = std::sqrt(sigma2);
-
-  WorkloadTrace trace;
-  trace.events.reserve(spec.windows.size());
-  double clock_hours = 0.0;
-  for (size_t w = 0; w < spec.windows.size(); ++w) {
-    const TraceWindow& win = spec.windows[w];
-    PerfEstimate measured = measure(win, static_cast<int>(w));
-
-    TraceEvent event;
-    event.window = static_cast<int>(w);
-    event.start_hours = clock_hours;
-    event.duration_hours = win.duration_hours;
-    event.label = win.label;
-    event.measured_tasks_per_hour = measured.tasks_per_hour;
-    event.io_by_object = std::move(measured.io_by_object);
-    if (spec.count_noise_cv > 0.0) {
-      for (IoVector& io : event.io_by_object) {
-        for (int r = 0; r < kNumIoTypes; ++r) {
-          io[static_cast<IoType>(r)] *=
-              std::exp(mu + sigma * rng.NextGaussian());
-        }
-      }
-    }
-    trace.events.push_back(std::move(event));
-    clock_hours += win.duration_hours;
-  }
-  return trace;
 }
 
 }  // namespace dot

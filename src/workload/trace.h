@@ -1,7 +1,6 @@
 #ifndef DOTPROV_WORKLOAD_TRACE_H_
 #define DOTPROV_WORKLOAD_TRACE_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -69,8 +68,9 @@ struct WorkloadTraceSpec {
 
 /// OK iff the spec is non-empty, count_noise_cv >= 0, and every window has
 /// a workload, a positive, finite duration and finite, non-negative
-/// io_scale entries. The io_scale length needs a schema, so
-/// ReplayLayoutTrack checks it (ValidateIoScale).
+/// io_scale entries. The io_scale length needs the object count, so
+/// RecordTraceWithExecutor and ReplayLayoutTrack check it
+/// (ValidateIoScale).
 Status ValidateTraceSpec(const WorkloadTraceSpec& spec);
 
 /// What the advisor observes about one window: the measured per-(object,
@@ -89,24 +89,16 @@ struct TraceEvent {
 };
 
 /// A recorded trace, ready to feed through advisor::RecordedTraceFeed.
+/// The recorder is exec/trace_replay.h's RecordTraceWithExecutor.
 struct WorkloadTrace {
+  /// OK, or InvalidArgument (with no events) for an input the recorder
+  /// rejects.
+  Status status = Status::OK();
+
   std::vector<TraceEvent> events;
 
   double TotalHours() const;
 };
-
-/// Produces one window's measurement: the profiling callback idiom
-/// (workload/profiler.h) — the workload layer defines what a recording
-/// is, the exec layer supplies the simulated test run.
-using MeasureWindowFn =
-    std::function<PerfEstimate(const TraceWindow& window, int window_index)>;
-
-/// Records a trace by measuring every window through `measure`, stamping
-/// virtual time cumulatively, and applying the spec's observation noise to
-/// the counts (seeded; bit-reproducible). Aborts via DOT_CHECK on an
-/// invalid spec — validate first if the spec is untrusted.
-WorkloadTrace RecordTrace(const WorkloadTraceSpec& spec,
-                          const MeasureWindowFn& measure);
 
 }  // namespace dot
 

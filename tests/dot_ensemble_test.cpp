@@ -6,24 +6,31 @@
 //     bit for bit (heuristic, branch-and-bound, and enumeration);
 //   * under a real ensemble, fast == full, branch-and-bound == enumerate,
 //     and results are bit-identical at every thread count;
-//   * CVaR at alpha = 1 is the expectation, bitwise.
+//   * CVaR at alpha = 1 is the expectation, bitwise;
+//   * the point forecast is the K=1 nominal ensemble on DSS, OLTP and
+//     HTAP models, counters included, and DotProblem::ensemble is the one
+//     route to a robust plan.
 
 #include "dot/ensemble.h"
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "catalog/tpcc_schema.h"
 #include "catalog/tpch_schema.h"
 #include "dot/bnb_search.h"
 #include "dot/optimizer.h"
 #include "dot/solve.h"
 #include "storage/standard_catalog.h"
 #include "workload/dss_workload.h"
+#include "workload/htap_workload.h"
 #include "workload/profiler.h"
 #include "workload/scenario.h"
+#include "workload/tpcc_workload.h"
 #include "workload/tpch_queries.h"
 
 namespace dot {
@@ -325,7 +332,9 @@ TEST_F(EnsembleOptTest, EstimateTocReportsTheChanceVerdict) {
                               "constraint";
 }
 
-TEST_F(EnsembleOptTest, SolveSpecOverlayMatchesProblemLevelEnsemble) {
+TEST_F(EnsembleOptTest, SolveRunsTheProblemEnsemble) {
+  // DotProblem::ensemble is the one route to a robust plan: Solve runs it
+  // exactly as the engines do when called directly.
   DotProblem robust = problem_;
   robust.ensemble = &noisy_;
   robust.ensemble_objective = CVaR(0.4);
@@ -334,27 +343,163 @@ TEST_F(EnsembleOptTest, SolveSpecOverlayMatchesProblemLevelEnsemble) {
 
   SolveSpec spec;
   spec.method = SolveMethod::kExact;
-  spec.ensemble = &noisy_;
-  spec.ensemble_objective = CVaR(0.4);
-  const SolveResult facade = Solve(problem_, spec);
+  const SolveResult facade = Solve(robust, spec);
   ASSERT_TRUE(facade.status.ok());
   EXPECT_EQ(facade.placement, direct.placement);
   EXPECT_EQ(facade.toc_cents_per_task, direct.toc_cents_per_task);
   EXPECT_EQ(facade.provenance.layouts_evaluated, direct.layouts_evaluated);
 
-  // The caller's problem was not mutated by the overlay.
-  EXPECT_EQ(problem_.ensemble, nullptr);
+  spec.method = SolveMethod::kDotHeuristic;
+  ExpectSameResult(Solve(robust, spec).dot, DotOptimizer(robust).Optimize());
 
-  // An ensemble overlay on the epoch planner is a spec error: Validate
+  // A problem ensemble on the epoch planner is a spec error: Validate
   // refuses it, and Solve returns that status instead of running.
-  SolveSpec epoch = spec;
+  SolveSpec epoch;
   epoch.method = SolveMethod::kEpochPlan;
-  const Status verdict = epoch.Validate(problem_);
+  const Status verdict = epoch.Validate(robust);
   EXPECT_EQ(verdict.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(verdict.message().find("single-shot"), std::string::npos);
-  const SolveResult refused = Solve(problem_, epoch);
+  const SolveResult refused = Solve(robust, epoch);
   EXPECT_EQ(refused.status, verdict);
   EXPECT_FALSE(refused.has_plan);
+}
+
+TEST_F(EnsembleOptTest, PointProblemIgnoresItsEnsembleObjective) {
+  // Without an ensemble the objective is not read: an out-of-range one
+  // (a vacuous chance constraint, a NaN CVaR tail) solves bit-identically
+  // to the default.
+  DotProblem odd = problem_;
+  odd.ensemble_objective.kind = EnsembleObjective::Kind::kCVaR;
+  odd.ensemble_objective.alpha = std::numeric_limits<double>::quiet_NaN();
+  odd.ensemble_objective.min_feasible_fraction = 0.0;
+
+  ExpectSameResult(DotOptimizer(problem_).Optimize(),
+                   DotOptimizer(odd).Optimize());
+  const DotResult point = ExactSearch(problem_, ExactStrategy::kBranchAndBound);
+  const DotResult ignored = ExactSearch(odd, ExactStrategy::kBranchAndBound);
+  ExpectSameResult(point, ignored);
+  EXPECT_EQ(point.nodes_expanded, ignored.nodes_expanded);
+  EXPECT_EQ(point.nodes_pruned_bound, ignored.nodes_pruned_bound);
+  EXPECT_EQ(point.nodes_pruned_infeasible, ignored.nodes_pruned_infeasible);
+
+  // An infeasible layout stays infeasible: the vacuous chance constraint
+  // is not applied.
+  int infeasible = 0;
+  for (int cls = 0; cls < box_.NumClasses(); ++cls) {
+    const std::vector<int> uniform =
+        UniformPlacement(schema_.NumObjects(), cls);
+    bool point_ok = true;
+    bool odd_ok = true;
+    const double point_toc = DotOptimizer(problem_).EstimateToc(
+        uniform, nullptr, nullptr, &point_ok);
+    const double odd_toc =
+        DotOptimizer(odd).EstimateToc(uniform, nullptr, nullptr, &odd_ok);
+    EXPECT_EQ(point_toc, odd_toc) << cls;
+    EXPECT_EQ(point_ok, odd_ok) << cls;
+    if (!point_ok) ++infeasible;
+  }
+  EXPECT_GT(infeasible, 0);
+}
+
+// --- K = 1 over the OLTP and HTAP models ------------------------------
+
+/// Placement, TOC, estimate and every SearchStats counter of two runs. The
+/// plan-cache pair is compared only when `cache_counters`: it is the one
+/// counter a multi-threaded search fills in a timing-dependent order.
+void ExpectSameRun(const DotResult& a, const DotResult& b, bool cache_counters,
+                   const std::string& what) {
+  ASSERT_EQ(a.status.code(), b.status.code()) << what;
+  EXPECT_EQ(a.placement, b.placement) << what;
+  EXPECT_EQ(a.toc_cents_per_task, b.toc_cents_per_task) << what;
+  EXPECT_EQ(a.layout_cost_cents_per_hour, b.layout_cost_cents_per_hour)
+      << what;
+  EXPECT_EQ(a.estimate.tasks_per_hour, b.estimate.tasks_per_hour) << what;
+  EXPECT_EQ(a.layouts_evaluated, b.layouts_evaluated) << what;
+  EXPECT_EQ(a.nodes_expanded, b.nodes_expanded) << what;
+  EXPECT_EQ(a.nodes_pruned_bound, b.nodes_pruned_bound) << what;
+  EXPECT_EQ(a.nodes_pruned_infeasible, b.nodes_pruned_infeasible) << what;
+  EXPECT_EQ(a.layouts_pruned, b.layouts_pruned) << what;
+  EXPECT_EQ(a.warm_start_hits, b.warm_start_hits) << what;
+  EXPECT_EQ(a.arena_bytes_peak, b.arena_bytes_peak) << what;
+  EXPECT_EQ(a.pool_size, b.pool_size) << what;
+  EXPECT_EQ(a.pool_builds, b.pool_builds) << what;
+  EXPECT_EQ(a.pool_cache_hits, b.pool_cache_hits) << what;
+  if (cache_counters) {
+    EXPECT_EQ(a.plan_cache_hits, b.plan_cache_hits) << what;
+    EXPECT_EQ(a.plan_cache_misses, b.plan_cache_misses) << what;
+  }
+}
+
+/// The heuristic and branch-and-bound on `problem` (which must carry
+/// profiles), as the point forecast and under a K = 1 nominal ensemble,
+/// at 1, 4 and hardware-concurrency threads.
+void ExpectK1EnsembleIsThePointForecast(DotProblem problem,
+                                        const std::string& what) {
+  ScenarioNoise one;
+  one.num_scenarios = 1;
+  const ScenarioEnsemble k1 =
+      SampleScenarioEnsemble(problem.schema->NumObjects(), one);
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  for (int threads : {1, 4, hw}) {
+    problem.options.num_threads = threads;
+    DotProblem robust = problem;
+    robust.ensemble = &k1;
+    const std::string at = what + " at " + std::to_string(threads);
+    const DotResult point_dot = DotOptimizer(problem).Optimize();
+    ASSERT_TRUE(point_dot.status.ok()) << at << point_dot.status.ToString();
+    // The DOT walk is serial, so its plan-cache counters are exact too.
+    ExpectSameRun(point_dot, DotOptimizer(robust).Optimize(),
+                  /*cache_counters=*/true, at + " heuristic");
+    const DotResult point_bnb =
+        ExactSearch(problem, ExactStrategy::kBranchAndBound);
+    ASSERT_TRUE(point_bnb.status.ok()) << at << point_bnb.status.ToString();
+    EXPECT_GT(point_bnb.nodes_expanded, 0) << at;
+    ExpectSameRun(point_bnb,
+                  ExactSearch(robust, ExactStrategy::kBranchAndBound),
+                  /*cache_counters=*/threads == 1, at + " bnb");
+  }
+}
+
+TEST(EnsembleK1Test, OltpK1EnsembleIsThePointForecast) {
+  // TPC-C's bound cursor is the only one with its own ProbeClasses.
+  Schema full = MakeTpccSchema(30);
+  Schema schema = full.Subset({"stock", "pk_stock", "order_line",
+                               "pk_order_line", "customer", "pk_customer",
+                               "i_customer", "district", "pk_district"});
+  BoxConfig box = MakeBox2();
+  const auto workload = MakeTpccWorkload(&schema, &box, TpccConfig{});
+  Profiler profiler(&schema, &box);
+  const WorkloadProfiles profiles = profiler.ProfileWorkload(
+      *workload,
+      [&](const std::vector<int>& p) { return workload->Estimate(p); });
+  DotProblem problem;
+  problem.schema = &schema;
+  problem.box = &box;
+  problem.workload = workload.get();
+  problem.relative_sla = 0.25;
+  problem.profiles = &profiles;
+  ExpectK1EnsembleIsThePointForecast(problem, "tpcc");
+}
+
+TEST(EnsembleK1Test, HtapK1EnsembleIsThePointForecast) {
+  Schema full = MakeTpccSchema(30);
+  Schema schema = full.Subset({"stock", "pk_stock", "order_line",
+                               "pk_order_line", "customer", "pk_customer",
+                               "orders", "pk_orders"});
+  BoxConfig box = MakeBox2();
+  const HtapBundle bundle =
+      MakeChbenchHtapWorkload(&schema, &box, HtapConfig{});
+  Profiler profiler(&schema, &box);
+  const WorkloadProfiles profiles = profiler.ProfileWorkload(
+      *bundle.htap,
+      [&](const std::vector<int>& p) { return bundle.htap->Estimate(p); });
+  DotProblem problem;
+  problem.schema = &schema;
+  problem.box = &box;
+  problem.workload = bundle.htap.get();
+  problem.relative_sla = 0.25;
+  problem.profiles = &profiles;
+  ExpectK1EnsembleIsThePointForecast(problem, "chbench htap");
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <vector>
 
 #include "catalog/tpch_schema.h"
+#include "dot/candidate_evaluator.h"
 #include "dot/layout.h"
 #include "storage/standard_catalog.h"
 #include "workload/dss_workload.h"
@@ -121,6 +123,27 @@ TEST_F(ExhaustiveTest, GuardSurvivesOverflowingLayoutCounts) {
     EXPECT_NE(r.status.message().find("3^80"), std::string::npos)
         << r.status.ToString();
   }
+}
+
+TEST(EnumerateLayoutSpaceTest, ListsTheSpaceInIndexOrderUpToTheCap) {
+  // 3^2 = 9 layouts, digit 0 least significant.
+  const Result<std::vector<std::vector<int>>> space =
+      EnumerateLayoutSpace(/*num_objects=*/2, /*num_classes=*/3,
+                           /*max_layouts=*/9);
+  ASSERT_TRUE(space.ok()) << space.status().ToString();
+  ASSERT_EQ(space->size(), 9u);
+  for (long long idx = 0; idx < 9; ++idx) {
+    EXPECT_EQ((*space)[static_cast<size_t>(idx)], DecodeLayoutIndex(idx, 2, 3));
+  }
+  EXPECT_EQ((*space)[5], (std::vector<int>{2, 1}));
+
+  // One layout past the cap, and a saturated space under the largest cap.
+  EXPECT_EQ(EnumerateLayoutSpace(2, 3, 8).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(EnumerateLayoutSpace(80, 3, std::numeric_limits<long long>::max())
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
 }
 
 }  // namespace

@@ -473,17 +473,10 @@ TEST_F(SolveFacadeTest, MalformedRosterGetsTheSameStatusFromSolveAndValidate) {
   }
 }
 
-/// A malformed ensemble comes back as InvalidArgument from Validate and
-/// from Solve, whether it arrives as the spec's overlay or on the problem.
+/// A malformed problem ensemble comes back as InvalidArgument from
+/// Validate and from Solve.
 void ExpectEnsembleRejected(const DotProblem& problem,
                             const ScenarioEnsemble& ensemble) {
-  SolveSpec overlay;
-  overlay.method = SolveMethod::kExact;
-  overlay.ensemble = &ensemble;
-  EXPECT_EQ(overlay.Validate(problem).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(Solve(problem, overlay).status.code(),
-            StatusCode::kInvalidArgument);
-
   DotProblem carried = problem;
   carried.ensemble = &ensemble;
   SolveSpec exact;
@@ -546,12 +539,39 @@ TEST_F(SolveFacadeTest, ScenarioIoScaleArityMismatchIsRejected) {
     ensemble.scenarios[2].io_scale[1] = scale;
     ExpectEnsembleRejected(problem_, ensemble);
   }
-  // The well-formed ensemble solves, as an overlay and on the problem.
+  // The well-formed ensemble solves on the problem.
   const ScenarioEnsemble ok = NominalEnsemble(3, n);
-  SolveSpec overlay;
-  overlay.method = SolveMethod::kExact;
-  overlay.ensemble = &ok;
-  EXPECT_TRUE(Solve(problem_, overlay).status.ok());
+  DotProblem carried = problem_;
+  carried.ensemble = &ok;
+  SolveSpec exact;
+  exact.method = SolveMethod::kExact;
+  EXPECT_TRUE(Solve(carried, exact).status.ok());
+}
+
+TEST_F(SolveFacadeTest, ProblemEnsembleIsRejectedOnEpochPlanAndFleet) {
+  // Neither the epoch DP (it re-derives per-epoch point problems) nor the
+  // fleet (its tenants are point forecasts) can honor an ensemble, so a
+  // problem that carries one is refused rather than silently planned as a
+  // point forecast.
+  const ScenarioEnsemble ensemble = NominalEnsemble(3, schema_.NumObjects());
+  DotProblem robust = problem_;
+  robust.ensemble = &ensemble;
+  std::vector<FleetTenant> tenants = {{"t0", problem_}};
+  FleetSpec fleet;
+  fleet.tenants = &tenants;
+  for (SolveMethod method : {SolveMethod::kEpochPlan, SolveMethod::kFleet}) {
+    SolveSpec spec;
+    spec.method = method;
+    spec.fleet = &fleet;
+    // Without the ensemble the spec is well-formed.
+    ASSERT_TRUE(spec.Validate(problem_).ok());
+    const Status validated = spec.Validate(robust);
+    EXPECT_EQ(validated.code(), StatusCode::kInvalidArgument);
+    const SolveResult solved = Solve(robust, spec);
+    EXPECT_EQ(solved.status, validated);
+    EXPECT_FALSE(solved.has_plan);
+    EXPECT_FALSE(solved.has_fleet);
+  }
 }
 
 TEST_F(SolveFacadeTest, InfeasibleVerdictPassesThroughUnchanged) {

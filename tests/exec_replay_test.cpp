@@ -2,17 +2,21 @@
 // noiseless replay reproduces the plan's objective bit for bit, including
 // the epoch-0 migration from the current layout; noise jitters it
 // reproducibly, per window; and malformed tracks, placements and io_scale
-// vectors come back as InvalidArgument instead of aborting.
+// vectors come back as InvalidArgument instead of aborting. The trace
+// recorder draws its observation noise in a pinned order and returns a
+// status for a spec or io_scale it cannot record.
 
 #include "exec/trace_replay.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "catalog/tpch_schema.h"
+#include "common/rng.h"
 #include "dot/reprovision.h"
 #include "storage/standard_catalog.h"
 #include "workload/dss_workload.h"
@@ -203,6 +207,109 @@ TEST(ReplayTpchTest, RefusesAnIoScaleOfTheWrongLength) {
   EXPECT_EQ(replay.status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(replay.status.message().find("io_scale"), std::string::npos)
       << replay.status.ToString();
+}
+
+TEST_F(ReplayTest, RecordingDrawsNoiseInWindowObjectClassOrder) {
+  // The recorder's reference: one executor run per window at seed + w,
+  // then one lognormal noise stream over the counts in window, object,
+  // request-class order.
+  WorkloadTraceSpec spec = schedule_;
+  spec.count_noise_cv = 0.2;
+  spec.windows[1].io_scale = {1.5, 0.5, 1.0, 2.0};
+  const std::vector<int> placement{0, 1, 2, 0};
+  const double exec_noise_cv = 0.1;
+
+  Rng rng(spec.seed);
+  const double sigma2 = std::log(1.0 + 0.2 * 0.2);
+  std::vector<TraceEvent> expected;
+  double clock_hours = 0.0;
+  for (size_t w = 0; w < spec.windows.size(); ++w) {
+    ExecutorConfig cfg;
+    cfg.noise_cv = exec_noise_cv;
+    cfg.io_scale = spec.windows[w].io_scale;
+    cfg.seed = spec.seed + w;
+    const PerfEstimate measured =
+        Executor(spec.windows[w].workload, cfg).Run(placement);
+    TraceEvent event;
+    event.start_hours = clock_hours;
+    event.measured_tasks_per_hour = measured.tasks_per_hour;
+    event.io_by_object = measured.io_by_object;
+    for (IoVector& io : event.io_by_object) {
+      for (int r = 0; r < kNumIoTypes; ++r) {
+        io[static_cast<IoType>(r)] *= std::exp(
+            -0.5 * sigma2 + std::sqrt(sigma2) * rng.NextGaussian());
+      }
+    }
+    expected.push_back(std::move(event));
+    clock_hours += spec.windows[w].duration_hours;
+  }
+
+  const WorkloadTrace trace =
+      RecordTraceWithExecutor(spec, placement, exec_noise_cv);
+  ASSERT_TRUE(trace.status.ok()) << trace.status.ToString();
+  ASSERT_EQ(trace.events.size(), expected.size());
+  for (size_t w = 0; w < expected.size(); ++w) {
+    const TraceEvent& got = trace.events[w];
+    EXPECT_EQ(got.window, static_cast<int>(w));
+    EXPECT_EQ(got.label, spec.windows[w].label);
+    EXPECT_EQ(got.duration_hours, spec.windows[w].duration_hours);
+    EXPECT_EQ(got.start_hours, expected[w].start_hours);
+    EXPECT_EQ(got.measured_tasks_per_hour,
+              expected[w].measured_tasks_per_hour);
+    ASSERT_EQ(got.io_by_object.size(), expected[w].io_by_object.size());
+    for (size_t o = 0; o < got.io_by_object.size(); ++o) {
+      for (int r = 0; r < kNumIoTypes; ++r) {
+        EXPECT_EQ(got.io_by_object[o][static_cast<IoType>(r)],
+                  expected[w].io_by_object[o][static_cast<IoType>(r)])
+            << "window " << w << " object " << o << " class " << r;
+      }
+    }
+  }
+}
+
+TEST_F(ReplayTest, RecordingRefusesASpecValidateTraceSpecRejects) {
+  const std::vector<int> placement{0, 0, 0, 0};
+  WorkloadTraceSpec no_workload = schedule_;
+  no_workload.windows[1].workload = nullptr;
+  WorkloadTraceSpec negative_noise = schedule_;
+  negative_noise.count_noise_cv = -0.1;
+  WorkloadTraceSpec zero_duration = schedule_;
+  zero_duration.windows[0].duration_hours = 0.0;
+  for (const WorkloadTraceSpec& spec :
+       {WorkloadTraceSpec{}, no_workload, negative_noise, zero_duration}) {
+    const WorkloadTrace trace = RecordTraceWithExecutor(spec, placement);
+    EXPECT_EQ(trace.status, ValidateTraceSpec(spec));
+    EXPECT_EQ(trace.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(trace.events.empty());
+  }
+}
+
+TEST(ReplayTpchTest, RecordingRefusesAnIoScaleOfTheWrongLength) {
+  // The recorder returns a status where it used to abort in the workload
+  // model ("io_scale arity mismatch").
+  const Schema schema = MakeTpchSchema(1.0);
+  const BoxConfig box = MakeBox1();
+  const DssWorkloadModel tpch("TPC-H", &schema, &box, MakeTpchTemplates(),
+                              RepeatSequence(22, 1), PlannerConfig{});
+  WorkloadTraceSpec spec;
+  spec.Add(&tpch, 1.0);
+  spec.Add(&tpch, 1.0);
+  spec.windows[1].io_scale = {1.0, 2.0};
+  const std::vector<int> placement(static_cast<size_t>(schema.NumObjects()),
+                                   0);
+  const WorkloadTrace trace = RecordTraceWithExecutor(spec, placement);
+  EXPECT_EQ(trace.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(trace.status.message().find("window 1 io_scale"),
+            std::string::npos)
+      << trace.status.ToString();
+  EXPECT_TRUE(trace.events.empty());
+
+  // The right length records both windows.
+  spec.windows[1].io_scale.assign(static_cast<size_t>(schema.NumObjects()),
+                                  2.0);
+  const WorkloadTrace ok = RecordTraceWithExecutor(spec, placement);
+  ASSERT_TRUE(ok.status.ok()) << ok.status.ToString();
+  EXPECT_EQ(ok.events.size(), 2u);
 }
 
 TEST_F(ReplayTest, RefusesAnInvalidCurrentLayout) {
