@@ -9,8 +9,8 @@
 //   * frozen     — solve epoch 0 once, keep that layout all day;
 //   * oblivious  — re-optimize every epoch, pretending data movement is
 //                  free (then pay the actual migration bill);
-//   * planned    — dot::ReprovisionPlanner's epoch DP, which weighs each
-//                  re-layout against the migration it costs.
+//   * planned    — the epoch DP behind dot::Solve(kEpochPlan), which
+//                  weighs each re-layout against the migration it costs.
 //
 // Sweeping the migration price scale traces the frontier: at zero the
 // planned strategy coincides with oblivious (migrate freely), at
@@ -159,18 +159,6 @@ int main() {
   ReprovisionPlan default_plan;
   MigrationCostModel default_migration;
   for (double scale : scales) {
-    ReprovisionConfig config;
-    config.relative_sla = relative_sla;
-    config.cost_model = CostModelSpec{};
-    config.migration = base_migration;
-    config.migration.transfer_price_cents_per_gb *= scale;
-    config.migration.downtime_price_cents_per_hour *= scale;
-    config.options.num_threads = 0;
-    // The plan itself goes through the facade (Solve builds exactly this
-    // config from the problem + spec); the planner instance remains for
-    // EvaluateSequence, the documented baseline-pricing entry point.
-    ReprovisionPlanner planner(&schema, &box, config);
-
     DotProblem epoch_problem;
     epoch_problem.schema = &schema;
     epoch_problem.box = &box;
@@ -181,7 +169,13 @@ int main() {
     plan_spec.method = SolveMethod::kEpochPlan;
     plan_spec.schedule = &schedule;
     plan_spec.current_layout = current;
-    plan_spec.migration = config.migration;
+    plan_spec.epoch.migration = base_migration;
+    plan_spec.epoch.migration.transfer_price_cents_per_gb *= scale;
+    plan_spec.epoch.migration.downtime_price_cents_per_hour *= scale;
+    const MigrationCostModel& migration = plan_spec.epoch.migration;
+    // The plan goes through the facade; a planner over the same problem
+    // and config prices the baselines (EvaluateSequence, the documented
+    // baseline-pricing entry point).
     const SolveResult solved = Solve(epoch_problem, plan_spec);
     const ReprovisionPlan& plan = solved.plan;
     if (!solved.status.ok()) {
@@ -189,6 +183,7 @@ int main() {
                 << solved.status.ToString() << "\n";
       return 1;
     }
+    const ReprovisionPlanner planner(epoch_problem, plan_spec.epoch);
     const ReprovisionPlan frozen =
         planner.EvaluateSequence(schedule, frozen_seq, current);
     const ReprovisionPlan oblivious =
@@ -209,13 +204,13 @@ int main() {
         plan.total_objective < oblivious.total_objective * (1 - 1e-12);
     if (scale == kDefaultScale) {
       default_plan = plan;
-      default_migration = config.migration;
+      default_migration = migration;
     }
 
     double gb_moved = 0.0;
     const std::vector<int>* prev = &current;
     for (const EpochPlanStep& step : plan.steps) {
-      gb_moved += EstimateMigration(config.migration, box, schema, *prev,
+      gb_moved += EstimateMigration(migration, box, schema, *prev,
                                     step.placement)
                       .gb_moved;
       prev = &step.placement;

@@ -3,12 +3,28 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
 #include "common/simd_dispatch.h"
 
 namespace dot {
+
+Status ValidateEnsembleObjective(const EnsembleObjective& objective) {
+  if (objective.kind == EnsembleObjective::Kind::kCVaR &&
+      !(objective.alpha > 0.0 && objective.alpha <= 1.0)) {
+    return Status::InvalidArgument("CVaR alpha must be in (0, 1], got " +
+                                   std::to_string(objective.alpha));
+  }
+  if (!(objective.min_feasible_fraction > kChanceTolerance &&
+        objective.min_feasible_fraction <= 1.0)) {
+    return Status::InvalidArgument(
+        "min_feasible_fraction must be in (kChanceTolerance, 1], got " +
+        std::to_string(objective.min_feasible_fraction));
+  }
+  return Status::OK();
+}
 
 EnsembleVerdict AggregateEnsemble(const EnsembleObjective& objective,
                                   const std::vector<double>& weights,

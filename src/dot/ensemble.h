@@ -36,6 +36,15 @@ struct EnsembleObjective {
 /// 1 ± few ULP, which must not fail min_feasible_fraction = 1.0).
 inline constexpr double kChanceTolerance = 1e-12;
 
+/// InvalidArgument unless kCVaR's `alpha` is in (0, 1] and
+/// `min_feasible_fraction` is in (kChanceTolerance, 1] (NaN fails either):
+/// a fraction at or below the tolerance would call every layout feasible
+/// on the full path while a lone K = 1 child scorer still reports its own
+/// SLA verdict. The caller-facing form of EnsembleEstimator's
+/// preconditions; ValidateProblem runs it when DotProblem::ensemble is set
+/// (a point problem's objective is ignored, so it is not checked).
+Status ValidateEnsembleObjective(const EnsembleObjective& objective);
+
 /// One scenario's contribution to an ensemble verdict: the throughput its
 /// model predicts (or optimistically bounds) and its SLA verdict.
 struct ScenarioScore {

@@ -37,6 +37,23 @@ PerfTargets DeriveTargets(const DotProblem& problem) {
 
 }  // namespace
 
+Status ValidateProblem(const DotProblem& problem) {
+  if (problem.schema == nullptr || problem.box == nullptr ||
+      problem.workload == nullptr) {
+    return Status::InvalidArgument(
+        "DotProblem::schema, ::box and ::workload must be set");
+  }
+  const int n = problem.schema->NumObjects();
+  Status st = problem.targets_override == nullptr
+                  ? ValidateRelativeSla(problem.relative_sla)
+                  : Status::OK();
+  if (st.ok()) st = ValidateTailSla(problem.tail_sla);
+  if (st.ok()) st = ValidateIoScale(problem.io_scale_hint, n, "io_scale_hint");
+  if (!st.ok() || problem.ensemble == nullptr) return st;
+  st = ValidateEnsembleObjective(problem.ensemble_objective);
+  return st.ok() ? ValidateEnsemble(*problem.ensemble, n) : st;
+}
+
 DotOptimizer::DotOptimizer(const DotProblem& problem)
     : problem_(problem),
       targets_(DeriveTargets(problem_)),
@@ -205,20 +222,6 @@ DotResult DotOptimizer::Optimize() const {
   result.plan_cache_misses = evaluator.plan_cache_misses();
   result.optimize_ms = NowMs() - start_ms;
   return result;
-}
-
-DotResult OptimizeWithRelaxation(DotProblem& problem, double relax_factor,
-                                 double min_sla) {
-  DOT_CHECK(relax_factor > 0.0 && relax_factor < 1.0);
-  DOT_CHECK(min_sla > 0.0);
-  for (;;) {
-    DotOptimizer optimizer(problem);
-    DotResult result = optimizer.Optimize();
-    if (result.status.ok()) return result;
-    const double next_sla = problem.relative_sla * relax_factor;
-    if (next_sla < min_sla) return result;  // give up: still infeasible
-    problem.relative_sla = next_sla;
-  }
 }
 
 }  // namespace dot

@@ -102,14 +102,15 @@ class DotOptimizer {
   EnsembleEstimator estimator_;  ///< the full evaluation path
 };
 
-/// Repeatedly relaxes the relative SLA by `relax_factor` until `optimize`
-/// (run at that SLA) finds a feasible layout — the loop the paper applies
-/// when capacity and performance constraints conflict (§4.5.3, Figure 9:
-/// "we slightly relax the relative SLA and repeat the optimization").
-/// Returns the final result; `problem.relative_sla` is updated in place to
-/// the achieved SLA.
-DotResult OptimizeWithRelaxation(DotProblem& problem, double relax_factor,
-                                 double min_sla);
+/// DotOptimizer's preconditions as a Status instead of an abort: schema,
+/// box and workload set; relative_sla in (0, 1] unless a targets_override
+/// supplies the targets (ValidateRelativeSla); a valid tail SLA
+/// (ValidateTailSla) and io_scale_hint (ValidateIoScale); and, when the
+/// problem carries an ensemble, a valid objective and scenario set
+/// (ValidateEnsembleObjective, ValidateEnsemble — a point problem's
+/// objective is not read, so it is not checked). Solve runs it on every
+/// single-shot method, and ValidateFleetRoster on every tenant.
+Status ValidateProblem(const DotProblem& problem);
 
 }  // namespace dot
 

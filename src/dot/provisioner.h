@@ -10,6 +10,18 @@
 
 namespace dot {
 
+/// Repeatedly relaxes the relative SLA by `relax_factor` until
+/// Solve(kDotHeuristic) at that SLA finds a feasible layout — the loop the
+/// paper applies when capacity and performance constraints conflict
+/// (§4.5.3, Figure 9: "we slightly relax the relative SLA and repeat the
+/// optimization"). Only an Infeasible verdict relaxes; any other error is
+/// returned at once. Returns the final result; `problem.relative_sla` is
+/// updated in place to the achieved SLA. A `relax_factor` outside (0, 1),
+/// a `min_sla` <= 0 or a problem SolveSpec::Validate rejects comes back as
+/// InvalidArgument in the result status.
+DotResult OptimizeWithRelaxation(DotProblem& problem, double relax_factor,
+                                 double min_sla);
+
 /// One candidate storage configuration f_i of the generalized provisioning
 /// problem (§5.1), with everything DOT needs to evaluate a workload on it.
 /// The box/workload/profiles must outlive the provisioning run; the
@@ -30,10 +42,12 @@ struct ProvisioningResult {
   std::vector<DotResult> per_option;
 };
 
-/// Solves the §5.1 generalized provisioning problem by running DOT on
-/// every storage-configuration option and returning the feasible
-/// configuration (plus layout) with the lowest TOC — the paper's suggested
-/// use of DOT for purchasing and capacity-planning decisions (§7).
+/// Solves the §5.1 generalized provisioning problem by running DOT
+/// (Solve(kDotHeuristic)) on every storage-configuration option and
+/// returning the feasible configuration (plus layout) with the lowest TOC
+/// — the paper's suggested use of DOT for purchasing and capacity-planning
+/// decisions (§7). A malformed option problem comes back as
+/// InvalidArgument in its per_option status and never wins.
 ///
 /// The per-option DOT runs are independent, so `num_threads > 1` evaluates
 /// the configuration menu concurrently (1 = serial, 0 = hardware

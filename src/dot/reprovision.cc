@@ -35,23 +35,18 @@ struct EpochScorer {
   CandidateEvaluator evaluator;  ///< references `estimator`
 };
 
-/// One EpochScorer per window of `schedule`, in window order. A window's
-/// io_scale is ground truth for the recorder and the replays; planning
-/// ignores it, as it ignores the spec's noise and seed.
+/// One EpochScorer per window of `schedule`, in window order: `problem`
+/// with the window's workload and profiles. A window's io_scale is ground
+/// truth for the recorder and the replays; planning ignores it, as it
+/// ignores the spec's noise and seed.
 std::vector<std::unique_ptr<EpochScorer>> MakeEpochScorers(
-    const Schema* schema, const BoxConfig* box,
-    const WorkloadTraceSpec& schedule, const ReprovisionConfig& config) {
+    const DotProblem& problem, const WorkloadTraceSpec& schedule) {
   std::vector<std::unique_ptr<EpochScorer>> scorers;
   scorers.reserve(schedule.windows.size());
+  DotProblem p = problem;
   for (const TraceWindow& window : schedule.windows) {
-    DotProblem p;
-    p.schema = schema;
-    p.box = box;
     p.workload = window.workload;
-    p.relative_sla = config.relative_sla;
-    p.cost_model = config.cost_model;
     p.profiles = window.profiles;
-    p.options = config.options;
     scorers.push_back(std::make_unique<EpochScorer>(p));
   }
   return scorers;
@@ -86,17 +81,19 @@ bool BetterTerminal(double obj_a, double toc_a,
   return placement_a < placement_b;
 }
 
-/// The input checks Plan and EvaluateSequence share: a valid config and
-/// spec, and a current layout that is empty (greenfield) or a valid
-/// placement.
-Status ValidateInputs(const ReprovisionConfig& config,
+/// The input checks Plan and EvaluateSequence share: a valid problem,
+/// config and spec, and a current layout that is empty (greenfield) or a
+/// valid placement.
+Status ValidateInputs(const DotProblem& problem,
+                      const ReprovisionConfig& config,
                       const WorkloadTraceSpec& schedule,
-                      const std::vector<int>& current_layout,
-                      const Schema& schema, const BoxConfig& box) {
-  Status st = ValidateReprovisionConfig(config);
+                      const std::vector<int>& current_layout) {
+  Status st = ValidateEpochProblem(problem);
+  if (st.ok()) st = ValidateReprovisionConfig(config);
   if (st.ok()) st = ValidateTraceSpec(schedule);
   if (!st.ok() || current_layout.empty()) return st;
-  return ValidatePlacement(current_layout, schema, box, "current layout");
+  return ValidatePlacement(current_layout, *problem.schema, *problem.box,
+                           "current layout");
 }
 
 /// Fills `plan->steps` and the running totals for a decided layout
@@ -148,9 +145,21 @@ Status ValidateMigrationWeight(double weight) {
       std::to_string(weight));
 }
 
-Status ValidateReprovisionConfig(const ReprovisionConfig& config) {
-  Status st = ValidateRelativeSla(config.relative_sla);
+Status ValidateEpochProblem(const DotProblem& problem) {
+  if (problem.schema == nullptr || problem.box == nullptr) {
+    return Status::InvalidArgument("DotProblem::schema and ::box must be set");
+  }
+  if (problem.ensemble != nullptr) {
+    return Status::InvalidArgument(
+        "ensemble mode is single-shot; kEpochPlan re-derives per-epoch "
+        "point problems");
+  }
+  Status st = ValidateRelativeSla(problem.relative_sla);
   if (!st.ok()) return st;
+  return ValidateTailSla(problem.tail_sla);
+}
+
+Status ValidateReprovisionConfig(const ReprovisionConfig& config) {
   if (config.max_pool_layouts < 1) {
     return Status::InvalidArgument("max_pool_layouts must be >= 1, got " +
                                    std::to_string(config.max_pool_layouts));
@@ -181,11 +190,11 @@ SearchStats AppendSoloCandidate(
   return solo;
 }
 
-ReprovisionPlanner::ReprovisionPlanner(const Schema* schema,
-                                       const BoxConfig* box,
+ReprovisionPlanner::ReprovisionPlanner(const DotProblem& problem,
                                        ReprovisionConfig config)
-    : schema_(schema), box_(box), config_(std::move(config)) {
-  DOT_CHECK(schema_ != nullptr && box_ != nullptr);
+    : problem_(problem), config_(std::move(config)) {
+  problem_.targets_override = nullptr;
+  problem_.io_scale_hint.clear();
 }
 
 ReprovisionPlan ReprovisionPlanner::Plan(
@@ -193,10 +202,11 @@ ReprovisionPlan ReprovisionPlanner::Plan(
     const std::vector<int>& current_layout) const {
   const double start_ms = NowMs();
   ReprovisionPlan plan;
-  plan.status =
-      ValidateInputs(config_, schedule, current_layout, *schema_, *box_);
+  plan.status = ValidateInputs(problem_, config_, schedule, current_layout);
   if (!plan.status.ok()) return plan;
-  const int n = schema_->NumObjects();
+  const Schema& schema = *problem_.schema;
+  const BoxConfig& box = *problem_.box;
+  const int n = schema.NumObjects();
   const int num_epochs = static_cast<int>(schedule.windows.size());
   if (config_.search == EpochSearch::kDot && !config_.exhaustive_pool) {
     for (const TraceWindow& window : schedule.windows) {
@@ -209,7 +219,7 @@ ReprovisionPlan ReprovisionPlanner::Plan(
     }
   }
   const std::vector<std::unique_ptr<EpochScorer>> scorers =
-      MakeEpochScorers(schema_, box_, schedule, config_);
+      MakeEpochScorers(problem_, schedule);
 
   // --- Candidate pool ---
   std::vector<std::vector<int>> pool;
@@ -222,7 +232,7 @@ ReprovisionPlan ReprovisionPlanner::Plan(
   };
   if (config_.exhaustive_pool) {
     Result<std::vector<std::vector<int>>> space = EnumerateLayoutSpace(
-        n, box_->NumClasses(), config_.max_pool_layouts);
+        n, box.NumClasses(), config_.max_pool_layouts);
     if (!space.ok()) {
       plan.status = space.status();
       return plan;
@@ -261,7 +271,7 @@ ReprovisionPlan ReprovisionPlanner::Plan(
   double* toc = arena.AllocateArray<double>(toc_cells);
   std::fill(toc, toc + toc_cells, kInf);
   {
-    ThreadPool threads(config_.options.num_threads);
+    ThreadPool threads(problem_.options.num_threads);
     threads.ParallelFor(
         0, static_cast<int64_t>(num_epochs) * k_pool, [&](int64_t flat) {
           const int e = static_cast<int>(flat / k_pool);
@@ -289,7 +299,7 @@ ReprovisionPlan ReprovisionPlanner::Plan(
       return 0.0;
     }
     return weight *
-           EstimateMigration(config_.migration, *box_, *schema_, from, to)
+           EstimateMigration(config_.migration, box, schema, from, to)
                .cents;
   };
 
@@ -409,7 +419,7 @@ ReprovisionPlan ReprovisionPlanner::Plan(
   // --- Fill the steps, re-accumulating the objective in the documented
   // order (bit-identical to the DP value by construction).
   AccumulateSteps(
-      schedule, current_layout, weight, config_.migration, *schema_, *box_,
+      schedule, current_layout, weight, config_.migration, schema, box,
       [&](int e) -> const std::vector<int>& {
         return pool[static_cast<size_t>(choice[static_cast<size_t>(e)])];
       },
@@ -425,9 +435,10 @@ ReprovisionPlan ReprovisionPlanner::EvaluateSequence(
     const std::vector<int>& current_layout) const {
   const double start_ms = NowMs();
   ReprovisionPlan plan;
-  plan.status =
-      ValidateInputs(config_, schedule, current_layout, *schema_, *box_);
+  plan.status = ValidateInputs(problem_, config_, schedule, current_layout);
   if (!plan.status.ok()) return plan;
+  const Schema& schema = *problem_.schema;
+  const BoxConfig& box = *problem_.box;
   if (placements.size() != schedule.windows.size()) {
     plan.status = Status::InvalidArgument(
         "sequence length does not match the schedule's window count");
@@ -435,7 +446,7 @@ ReprovisionPlan ReprovisionPlanner::EvaluateSequence(
   }
   for (size_t e = 0; e < placements.size(); ++e) {
     plan.status =
-        ValidatePlacement(placements[e], *schema_, *box_,
+        ValidatePlacement(placements[e], schema, box,
                           "sequence layout for epoch " + std::to_string(e));
     if (!plan.status.ok()) return plan;
   }
@@ -443,7 +454,7 @@ ReprovisionPlan ReprovisionPlanner::EvaluateSequence(
 
   // Resolve the weight exactly as Plan does (same targets, same order).
   const std::vector<std::unique_ptr<EpochScorer>> scorers =
-      MakeEpochScorers(schema_, box_, schedule, config_);
+      MakeEpochScorers(problem_, schedule);
   const double weight =
       ResolveMigrationWeight(config_.migration_weight, schedule, scorers);
   plan.resolved_migration_weight = weight;
@@ -465,7 +476,7 @@ ReprovisionPlan ReprovisionPlanner::EvaluateSequence(
   }
 
   AccumulateSteps(
-      schedule, current_layout, weight, config_.migration, *schema_, *box_,
+      schedule, current_layout, weight, config_.migration, schema, box,
       [&](int e) -> const std::vector<int>& {
         return placements[static_cast<size_t>(e)];
       },

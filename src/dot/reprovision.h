@@ -3,13 +3,10 @@
 
 #include <vector>
 
-#include "catalog/schema.h"
 #include "common/status.h"
 #include "dot/problem.h"
 #include "dot/search_stats.h"
 #include "storage/migration.h"
-#include "storage/pricing.h"
-#include "storage/storage_class.h"
 #include "workload/trace.h"
 
 namespace dot {
@@ -28,15 +25,9 @@ enum class EpochSearch {
 /// rate from the schedule itself (see the field comment).
 inline constexpr double kAutoMigrationWeight = -1.0;
 
-/// Knobs of a ReprovisionPlanner run.
+/// The planner's own knobs; everything the epochs share with a
+/// single-shot run comes from the DotProblem the planner is built on.
 struct ReprovisionConfig {
-  /// Per-epoch relative SLA (each epoch derives its own targets from its
-  /// own best case, exactly as a single-shot run would).
-  double relative_sla = 0.5;
-
-  /// Layout cost model shared by every epoch evaluation.
-  CostModelSpec cost_model;
-
   /// What moving data costs (storage/migration.h). A zero model makes the
   /// plan degenerate to per-epoch greedy re-optimization.
   MigrationCostModel migration;
@@ -63,13 +54,6 @@ struct ReprovisionConfig {
 
   /// Guard for exhaustive_pool (the DP is O(E·K²) in the pool size K).
   long long max_pool_layouts = 20'000;
-
-  /// Engine knobs, forwarded wholesale to every per-epoch search
-  /// (dot/problem.h): `options.num_threads` also drives the pool-matrix
-  /// evaluation (1 = serial, 0 = hardware_concurrency). Results are
-  /// bit-identical at every thread count: searches guarantee it, and the
-  /// pool matrix is filled into distinct slots and reduced in fixed order.
-  SearchOptions options;
 };
 
 /// The layout chosen for one epoch, with its bill.
@@ -146,19 +130,28 @@ struct ReprovisionPlan : SearchStats {
 /// the search's own evaluator, and multiplying TOC by the positive duration
 /// is monotone.
 ///
+/// Each epoch's problem is a copy of the planner's DotProblem that takes
+/// the window's workload and profiles, so an epoch derives its targets
+/// exactly as a single-shot run would; the problem's targets_override and
+/// io_scale_hint are ignored. `options.num_threads` also drives the
+/// pool × epoch matrix; results are bit-identical at every thread count —
+/// searches guarantee it, and the matrix is filled into distinct slots
+/// and reduced in fixed order.
+///
 /// Prefer dot::Solve(problem, spec) with SolveMethod::kEpochPlan over
 /// instantiating this class (dot/solve.h): the facade is the documented
-/// entry point and builds the config from the problem. The class remains
-/// public for EvaluateSequence (the baseline/brute-force pricing kernel)
-/// and for drivers that reuse one planner across schedules.
+/// entry point and hands SolveSpec::epoch to the planner unchanged. The
+/// class remains public for EvaluateSequence (the baseline/brute-force
+/// pricing kernel) and for drivers that reuse one planner across
+/// schedules.
 class ReprovisionPlanner {
  public:
-  /// `schema` and `box` must outlive the planner.
-  ReprovisionPlanner(const Schema* schema, const BoxConfig* box,
-                     ReprovisionConfig config);
+  /// The pointees of `problem` (schema, box) must outlive the planner.
+  ReprovisionPlanner(const DotProblem& problem, ReprovisionConfig config);
 
   /// Plans layouts for `schedule` starting from `current_layout` (empty =
-  /// greenfield: no epoch-0 migration is charged). An invalid config
+  /// greenfield: no epoch-0 migration is charged). A problem
+  /// ValidateEpochProblem rejects, an invalid config
   /// (ValidateReprovisionConfig), an invalid spec (ValidateTraceSpec) or a
   /// current layout that is not a placement on the box (ValidatePlacement)
   /// returns InvalidArgument.
@@ -167,8 +160,8 @@ class ReprovisionPlanner {
 
   /// Prices a fixed layout sequence under exactly the plan objective —
   /// same evaluators, same accounting order (see ReprovisionPlan) — after
-  /// the same config, spec and current-layout checks. Every sequence
-  /// layout must be a valid placement (else InvalidArgument).
+  /// the same problem, config, spec and current-layout checks. Every
+  /// sequence layout must be a valid placement (else InvalidArgument).
   /// The baseline evaluator: bench_reprovision prices the frozen-layout
   /// and migration-oblivious baselines through this, and the DP-optimality
   /// tests brute-force sequences through it.
@@ -177,18 +170,21 @@ class ReprovisionPlanner {
       const std::vector<std::vector<int>>& placements,
       const std::vector<int>& current_layout = {}) const;
 
-  const ReprovisionConfig& config() const { return config_; }
-
  private:
-  const Schema* schema_;
-  const BoxConfig* box_;
+  DotProblem problem_;  ///< the per-epoch template (see the class comment)
   ReprovisionConfig config_;
 };
 
+/// The problem checks Plan, EvaluateSequence and Solve(kEpochPlan) run
+/// first, returned as InvalidArgument instead of aborting: schema and box
+/// set, no scenario ensemble (per-epoch point problems cannot honor one),
+/// relative_sla in (0, 1] even under a targets_override (every epoch
+/// derives its targets from it), and a valid tail SLA.
+Status ValidateEpochProblem(const DotProblem& problem);
+
 /// The config checks Plan and EvaluateSequence run first, returned in
-/// ReprovisionPlan::status instead of aborting: relative_sla in (0, 1]
-/// (ValidateRelativeSla), max_pool_layouts >= 1, and the migration weight
-/// (ValidateMigrationWeight).
+/// ReprovisionPlan::status instead of aborting: max_pool_layouts >= 1 and
+/// the migration weight (ValidateMigrationWeight).
 Status ValidateReprovisionConfig(const ReprovisionConfig& config);
 
 /// A migration weight must be >= 0 or kAutoMigrationWeight: a negative

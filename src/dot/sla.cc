@@ -14,6 +14,21 @@ Status ValidateRelativeSla(double relative_sla) {
                                  std::to_string(relative_sla));
 }
 
+Status ValidateTailSla(const TailSla& tail) {
+  if (!(tail.percentile == 0.0 ||
+        (tail.percentile >= 0.5 && tail.percentile < 1.0))) {
+    return Status::InvalidArgument(
+        "tail SLA percentile must be 0 or in [0.5, 1), got " +
+        std::to_string(tail.percentile));
+  }
+  if (!(std::isfinite(tail.latency_cv) && tail.latency_cv >= 0.0)) {
+    return Status::InvalidArgument(
+        "tail SLA latency_cv must be finite and >= 0, got " +
+        std::to_string(tail.latency_cv));
+  }
+  return Status::OK();
+}
+
 PerfTargets MakePerfTargets(const WorkloadModel& model, const BoxConfig& box,
                             int num_objects, double relative_sla,
                             const std::vector<double>& io_scale,

@@ -64,6 +64,11 @@ struct PerfTargets {
 /// caller-facing form of MakePerfTargets' precondition.
 Status ValidateRelativeSla(double relative_sla);
 
+/// InvalidArgument unless `tail.percentile` is 0 (no tail target) or in
+/// [0.5, 1), and `tail.latency_cv` is finite and >= 0 (NaN fails either):
+/// the caller-facing form of TailLatencyFactor's precondition.
+Status ValidateTailSla(const TailSla& tail);
+
 /// Derives targets for `model` on `box` at `relative_sla` ∈ (0, 1]: the
 /// best case is measured with every object on the box's most expensive
 /// storage class. `io_scale` (if non-empty) applies the refinement phase's

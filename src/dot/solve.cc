@@ -28,11 +28,6 @@ SolveResult FromDot(DotResult result, SolveMethod method,
 /// FleetPlanner::Plan checks the roster itself, so Solve runs this instead
 /// of walking every tenant twice.
 Status ValidateAllButRoster(const SolveSpec& spec, const DotProblem& problem) {
-  if (problem.ensemble != nullptr && spec.method == SolveMethod::kEpochPlan) {
-    return Status::InvalidArgument(
-        "ensemble mode is single-shot; kEpochPlan re-derives per-epoch "
-        "point problems");
-  }
   if (problem.ensemble != nullptr && spec.method == SolveMethod::kFleet) {
     return Status::InvalidArgument(
         "ensemble mode is single-shot; fleet tenants are point forecasts");
@@ -40,43 +35,25 @@ Status ValidateAllButRoster(const SolveSpec& spec, const DotProblem& problem) {
   if (problem.box == nullptr) {
     return Status::InvalidArgument("DotProblem::box is null");
   }
-  if (spec.method != SolveMethod::kFleet) {
-    if (problem.schema == nullptr || problem.workload == nullptr) {
+  if (spec.method == SolveMethod::kEpochPlan) {
+    // The planner's own checks, so Validate pre-flights what Plan returns.
+    if (problem.workload == nullptr) {
       return Status::InvalidArgument(
           "DotProblem::schema and ::workload must be set");
     }
+    Status st = ValidateEpochProblem(problem);
+    if (st.ok()) st = ValidateReprovisionConfig(spec.epoch);
+    if (!st.ok() || spec.current_layout.empty()) return st;
+    return ValidatePlacement(spec.current_layout, *problem.schema,
+                             *problem.box, "current_layout");
+  }
+  if (spec.method != SolveMethod::kFleet) {
     if (spec.method == SolveMethod::kDotHeuristic &&
         problem.profiles == nullptr) {
       return Status::InvalidArgument(
           "kDotHeuristic needs DotProblem::profiles for move scoring");
     }
-    // The epoch planner derives per-epoch targets from relative_sla even
-    // when the problem carries an override.
-    if (problem.targets_override == nullptr ||
-        spec.method == SolveMethod::kEpochPlan) {
-      Status st = ValidateRelativeSla(problem.relative_sla);
-      if (!st.ok()) return st;
-    }
-    if (spec.method == SolveMethod::kEpochPlan) {
-      Status st = ValidateMigrationWeight(spec.migration_weight);
-      if (!st.ok()) return st;
-      if (!spec.current_layout.empty()) {
-        st = ValidatePlacement(spec.current_layout, *problem.schema,
-                               *problem.box, "current_layout");
-        if (!st.ok()) return st;
-      }
-    } else {
-      // The epoch planner ignores the hint (see Solve); the single-shot
-      // methods scale every estimate by it.
-      Status st = ValidateIoScale(problem.io_scale_hint,
-                                  problem.schema->NumObjects(),
-                                  "io_scale_hint");
-      if (!st.ok()) return st;
-    }
-    if (problem.ensemble != nullptr) {
-      return ValidateEnsemble(*problem.ensemble, problem.schema->NumObjects());
-    }
-    return Status::OK();
+    return ValidateProblem(problem);
   }
   // --- kFleet: the problem carries box + options; the spec carries the
   // tenants, each a full problem of its own.
@@ -118,14 +95,7 @@ SolveResult Solve(const DotProblem& problem, const SolveSpec& spec) {
           ExactSearch(problem, ExactStrategy::kEnumerate, spec.max_layouts),
           spec.method, "enumerate");
     case SolveMethod::kEpochPlan: {
-      ReprovisionConfig config;
-      config.relative_sla = problem.relative_sla;
-      config.cost_model = problem.cost_model;
-      config.migration = spec.migration;
-      config.migration_weight = spec.migration_weight;
-      config.search = spec.epoch_search;
-      config.options = problem.options;
-      ReprovisionPlanner planner(problem.schema, problem.box, config);
+      ReprovisionPlanner planner(problem, spec.epoch);
 
       // No schedule = the single-shot special case: one epoch of the
       // problem's own workload. Duration 1 h — multiplying TOC by a
@@ -155,9 +125,7 @@ SolveResult Solve(const DotProblem& problem, const SolveSpec& spec) {
       return out;
     }
     case SolveMethod::kFleet: {
-      FleetConfig config = spec.fleet->config;
-      config.options = problem.options;
-      FleetPlanner planner(problem.box, config);
+      FleetPlanner planner(problem, spec.fleet->config);
 
       SolveResult out;
       out.has_fleet = true;

@@ -9,7 +9,6 @@
 #include "dot/problem.h"
 #include "dot/reprovision.h"
 #include "fleet/fleet_planner.h"
-#include "storage/migration.h"
 #include "workload/trace.h"
 
 namespace dot {
@@ -29,7 +28,9 @@ enum class SolveMethod {
   kEnumerate,
   /// ReprovisionPlanner: the stateful epoch DP over SolveSpec::schedule
   /// (or a synthetic one-epoch schedule of problem.workload when none is
-  /// given), charging SolveSpec::migration between consecutive layouts.
+  /// given), charging SolveSpec::epoch.migration between consecutive
+  /// layouts. Every epoch honors the problem's relative and tail SLA,
+  /// cost model and engine knobs.
   kEpochPlan,
   /// FleetPlanner: N per-tenant problems under one budget/capacity
   /// (SolveSpec::fleet). The DotProblem supplies the shared box and the
@@ -39,9 +40,9 @@ enum class SolveMethod {
 
 /// The kFleet inputs: the tenants and the fleet knobs. The tenants vector
 /// must outlive the Solve() call; every tenant's problem must reference
-/// the same box as the DotProblem passed to Solve. FleetConfig::options is
-/// overwritten from problem.options inside Solve — the problem is the one
-/// source of engine knobs on every method.
+/// the same box as the DotProblem passed to Solve, whose options drive the
+/// fleet run — the problem is the one source of engine knobs on every
+/// method.
 struct FleetSpec {
   const std::vector<FleetTenant>* tenants = nullptr;
   FleetConfig config;
@@ -75,13 +76,10 @@ struct SolveSpec {
   /// on one of the box's classes (ValidatePlacement).
   std::vector<int> current_layout;
 
-  /// What moving data costs, and how migration cents fold into the
-  /// objective (dot/reprovision.h).
-  MigrationCostModel migration;
-  double migration_weight = kAutoMigrationWeight;
-
-  /// Candidate search seeding the planner's per-epoch pools.
-  EpochSearch epoch_search = EpochSearch::kExact;
+  /// The planner's own knobs — migration pricing and weight, candidate
+  /// search, pool mode (dot/reprovision.h) — handed to ReprovisionPlanner
+  /// unchanged.
+  ReprovisionConfig epoch;
 
   // --- kFleet only ---
 
@@ -89,16 +87,13 @@ struct SolveSpec {
   const FleetSpec* fleet = nullptr;
 
   /// Checks this spec against `problem` and returns the exact status
-  /// Solve() would fail with: null problem inputs, kDotHeuristic without
-  /// profiles, a relative SLA outside (0, 1] that targets are derived
-  /// from, a malformed io_scale_hint on a single-shot method
-  /// (ValidateIoScale), a kEpochPlan migration_weight that
-  /// ValidateMigrationWeight rejects, a kEpochPlan
-  /// current_layout that is not a placement on the box
-  /// (ValidatePlacement), a problem ensemble on kEpochPlan or kFleet
-  /// (neither can honor one), a malformed problem ensemble
-  /// (ValidateEnsemble), or a malformed fleet spec
-  /// (ValidateFleetConfig, ValidateFleetRoster). Solve() runs the same
+  /// Solve() would fail with: a single-shot problem ValidateProblem
+  /// rejects, kDotHeuristic without profiles, a kEpochPlan problem or
+  /// config the planner rejects (ValidateEpochProblem,
+  /// ValidateReprovisionConfig), a kEpochPlan current_layout that is not a
+  /// placement on the box (ValidatePlacement), a problem ensemble on
+  /// kFleet, or a malformed fleet spec (ValidateFleetConfig,
+  /// ValidateFleetRoster). Solve() runs the same
   /// checks first and returns the error in SolveResult::status — it never
   /// aborts on spec/problem mismatches — so drivers that assemble specs
   /// from config can pre-flight them. (Solve leaves the roster check to
@@ -173,10 +168,10 @@ struct SolveResult {
 /// Solve() never aborts on spec/problem mismatches: SolveSpec::Validate
 /// runs first and its error comes back in SolveResult::status.
 ///
-/// kEpochPlan notes: the planner derives each epoch's targets from its own
-/// best case (exactly as a single-shot run would), so
+/// kEpochPlan runs ReprovisionPlanner(problem, spec.epoch): each epoch
+/// derives its targets from its own best case, tail SLA included, so
 /// problem.targets_override and problem.io_scale_hint are ignored on this
-/// path — the same contract as calling ReprovisionPlanner directly.
+/// path.
 SolveResult Solve(const DotProblem& problem, const SolveSpec& spec = {});
 
 }  // namespace dot

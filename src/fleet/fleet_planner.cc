@@ -89,16 +89,16 @@ struct TenantPool {
   int size() const { return static_cast<int>(placements.size()); }
 };
 
-TenantPool BuildPool(const DotProblem& tenant_problem, const BoxConfig* box,
-                     const FleetConfig& config) {
+TenantPool BuildPool(const DotProblem& tenant_problem,
+                     const SearchOptions& options, const FleetConfig& config) {
   TenantPool out;
   // One engine setup per fleet run; the pool build itself is serial (the
   // planner parallelizes across distinct pools, into distinct slots).
   DotProblem p = tenant_problem;
-  p.options = config.options;
+  p.options = options;
   p.options.num_threads = 1;
   const int n = p.schema->NumObjects();
-  const int m = box->NumClasses();
+  const int m = p.box->NumClasses();
 
   std::vector<std::vector<int>> candidates;
   if (config.pool_mode == FleetPoolMode::kEnumerate) {
@@ -154,7 +154,7 @@ TenantPool BuildPool(const DotProblem& tenant_problem, const BoxConfig* box,
   for (int idx : order) {
     const CandidateEval& eval = evals[static_cast<size_t>(idx)];
     const SpaceUsage used =
-        Layout(p.schema, box, candidates[static_cast<size_t>(idx)])
+        Layout(p.schema, p.box, candidates[static_cast<size_t>(idx)])
             .SpaceByClass();
     bool dominated = false;
     for (size_t k = 0; k < out.placements.size() && !dominated; ++k) {
@@ -556,10 +556,6 @@ Status ValidateFleetRoster(const std::vector<FleetTenant>& tenants,
   const bool runs_dot = config.pool_mode == FleetPoolMode::kSearch &&
                         config.search == EpochSearch::kDot;
   for (const FleetTenant& t : tenants) {
-    if (t.problem.schema == nullptr || t.problem.workload == nullptr) {
-      return Status::InvalidArgument("tenant " + t.name +
-                                     " has no schema or workload");
-    }
     if (t.problem.box != box) {
       return Status::InvalidArgument(
           "tenant " + t.name +
@@ -570,21 +566,10 @@ Status ValidateFleetRoster(const std::vector<FleetTenant>& tenants,
           "tenant " + t.name +
           " carries a scenario ensemble; fleet mode is point-forecast");
     }
-    if (t.problem.targets_override == nullptr) {
-      Status st = ValidateRelativeSla(t.problem.relative_sla);
-      if (!st.ok()) {
-        return Status::InvalidArgument("tenant " + t.name + ": " +
-                                       st.message());
-      }
-    }
-    {
-      Status st = ValidateIoScale(t.problem.io_scale_hint,
-                                  t.problem.schema->NumObjects(),
-                                  "io_scale_hint");
-      if (!st.ok()) {
-        return Status::InvalidArgument("tenant " + t.name + ": " +
-                                       st.message());
-      }
+    const Status st = ValidateProblem(t.problem);
+    if (!st.ok()) {
+      return Status::InvalidArgument("tenant " + t.name + ": " +
+                                     st.message());
     }
     if (runs_dot && t.problem.profiles == nullptr) {
       return Status::InvalidArgument(
@@ -595,8 +580,10 @@ Status ValidateFleetRoster(const std::vector<FleetTenant>& tenants,
   return Status::OK();
 }
 
-FleetPlanner::FleetPlanner(const BoxConfig* box, FleetConfig config)
-    : box_(box), config_(std::move(config)) {}
+FleetPlanner::FleetPlanner(const DotProblem& problem, FleetConfig config)
+    : box_(problem.box),
+      options_(problem.options),
+      config_(std::move(config)) {}
 
 FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
   const double start_ms = NowMs();
@@ -650,13 +637,13 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
 
   // --- Build the distinct pools, fanned out into distinct slots.
   fleet.pools.resize(static_cast<size_t>(num_pools));
-  ThreadPool threads(config_.options.num_threads);
+  ThreadPool threads(options_.num_threads);
   threads.ParallelFor(0, num_pools, [&](int64_t pid) {
     fleet.pools[static_cast<size_t>(pid)] = BuildPool(
         tenants[static_cast<size_t>(
                     pool_reference[static_cast<size_t>(pid)])]
             .problem,
-        box_, config_);
+        options_, config_);
   });
   for (int pid = 0; pid < num_pools; ++pid) {
     const TenantPool& pool = fleet.pools[static_cast<size_t>(pid)];

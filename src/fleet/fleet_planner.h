@@ -15,8 +15,9 @@ namespace dot {
 /// One tenant database of the fleet: its own §2.5 instance. Every tenant
 /// must reference the *same* BoxConfig (the shared storage catalog the
 /// fleet provisions against); schemas and workloads are per-tenant.
-/// `problem.options` is ignored — the fleet run's FleetConfig::options
-/// drive every evaluation, so one fleet solve has one engine setup.
+/// `problem.options` is ignored — the options of the fleet's own problem
+/// (the one FleetPlanner is built on) drive every evaluation, so one fleet
+/// solve has one engine setup.
 struct FleetTenant {
   std::string name;
   DotProblem problem;
@@ -78,13 +79,6 @@ struct FleetConfig {
   /// O(distinct schemas) instead of O(tenants). Turn off for fleets that
   /// violate the contract.
   bool share_pools = true;
-
-  /// Engine knobs: `options.num_threads` drives the pool-build and
-  /// per-pool pricing fan-outs. Results are bit-identical at every thread
-  /// count — pools build into distinct slots, per-pool argmins write
-  /// distinct slots, and every total is accumulated serially in
-  /// tenant-index order.
-  SearchOptions options;
 };
 
 /// Checks the FleetConfig against the box the fleet provisions on:
@@ -93,11 +87,10 @@ struct FleetConfig {
 /// Solve (SolveSpec::Validate) and FleetPlanner::Plan both call it.
 Status ValidateFleetConfig(const FleetConfig& config, const BoxConfig& box);
 
-/// Checks each tenant of the roster: schema and workload set, the fleet's
-/// `box` (by pointer), no scenario ensemble, a relative SLA in (0, 1]
-/// unless targets_override is set, an io_scale_hint valid per
-/// ValidateIoScale, and profiles when the pool build runs
-/// DOT's Procedure 1 (FleetPoolMode::kSearch with EpochSearch::kDot).
+/// Checks each tenant of the roster: the fleet's `box` (by pointer), no
+/// scenario ensemble, a problem ValidateProblem accepts (dot/optimizer.h),
+/// and profiles when the pool build runs DOT's Procedure 1
+/// (FleetPoolMode::kSearch with EpochSearch::kDot).
 /// SolveSpec::Validate and FleetPlanner::Plan call it; Solve(kFleet)
 /// leaves it to Plan, so a roster is walked once per solve.
 Status ValidateFleetRoster(const std::vector<FleetTenant>& tenants,
@@ -211,20 +204,25 @@ struct FleetPlan : SearchStats {
 ///      (pool, current candidate) group and copy them to the group's
 ///      tenants. The independent fair-share baseline competes as a
 ///      candidate selection, which is what proves never-lose.
+///
+/// The fleet's own DotProblem supplies only the shared box and the engine
+/// knobs. `options.num_threads` drives the pool-build and per-pool pricing
+/// fan-outs; results are bit-identical at every thread count — pools and
+/// per-pool argmins write distinct slots, and every total is accumulated
+/// serially in tenant-index order.
 class FleetPlanner {
  public:
-  /// `box` must outlive the planner and be the box every tenant problem
-  /// references.
-  FleetPlanner(const BoxConfig* box, FleetConfig config);
+  /// `problem.box` must outlive the planner and be the box every tenant
+  /// problem references.
+  FleetPlanner(const DotProblem& problem, FleetConfig config);
 
-  /// A malformed config (ValidateFleetConfig) or roster comes back in
-  /// FleetPlan::status instead of aborting.
+  /// A null box, a malformed config (ValidateFleetConfig) or roster comes
+  /// back in FleetPlan::status instead of aborting.
   FleetPlan Plan(const std::vector<FleetTenant>& tenants) const;
-
-  const FleetConfig& config() const { return config_; }
 
  private:
   const BoxConfig* box_;
+  SearchOptions options_;
   FleetConfig config_;
 };
 

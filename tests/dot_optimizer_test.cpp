@@ -10,6 +10,7 @@
 #include "catalog/tpch_schema.h"
 #include "dot/bnb_search.h"
 #include "dot/layout.h"
+#include "dot/provisioner.h"
 #include "storage/standard_catalog.h"
 #include "workload/dss_workload.h"
 #include "workload/profiler.h"

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <string>
 
 #include "catalog/tpch_schema.h"
 #include "storage/standard_catalog.h"
@@ -90,6 +92,55 @@ TEST_F(ProvisionerTest, NoFeasibleOptionReportsMinusOne) {
   ProvisioningResult r = ProvisionOverOptions(options);
   EXPECT_EQ(r.best_option, -1);
   EXPECT_TRUE(r.best_name.empty());
+}
+
+TEST_F(ProvisionerTest, MalformedOptionProblemIsReportedNotAborted) {
+  // Relative SLAs Solve rejects (MakePerfTargets would abort on them): the
+  // option reports InvalidArgument and never wins; the good one still does.
+  for (double sla : {0.0, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE("relative_sla " + std::to_string(sla));
+    std::vector<ProvisioningOption> options;
+    options.push_back(MakeOption(MakeBox1(), sla));
+    options.push_back(MakeOption(MakeBox2(), 0.5));
+    ProvisioningResult r = ProvisionOverOptions(options, /*num_threads=*/2);
+    EXPECT_EQ(r.per_option[0].status.code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(r.per_option[1].status.ok());
+    EXPECT_EQ(r.best_option, 1);
+  }
+}
+
+TEST_F(ProvisionerTest, RelaxationRejectsMalformedKnobs) {
+  const ProvisioningOption option = MakeOption(MakeBox1(), 0.5);
+  DotProblem problem = option.make_problem();
+  for (double factor : {0.0, 1.0, 1.5, -0.5,
+                        std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE("relax_factor " + std::to_string(factor));
+    EXPECT_EQ(OptimizeWithRelaxation(problem, factor, 0.01).status.code(),
+              StatusCode::kInvalidArgument);
+  }
+  for (double min_sla : {0.0, -0.1, std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE("min_sla " + std::to_string(min_sla));
+    EXPECT_EQ(OptimizeWithRelaxation(problem, 0.9, min_sla).status.code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(problem.relative_sla, 0.5);
+}
+
+TEST_F(ProvisionerTest, RelaxationStopsOnErrorsOtherThanInfeasible) {
+  // A problem the facade rejects is not relaxed: the first verdict comes
+  // back as is and the SLA is left alone.
+  const ProvisioningOption option = MakeOption(MakeBox1(), 0.5);
+  DotProblem no_profiles = option.make_problem();
+  no_profiles.profiles = nullptr;
+  const DotResult r = OptimizeWithRelaxation(no_profiles, 0.9, 0.01);
+  EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(no_profiles.relative_sla, 0.5);
+
+  DotProblem bad_sla = option.make_problem();
+  bad_sla.relative_sla = 1.5;
+  EXPECT_EQ(OptimizeWithRelaxation(bad_sla, 0.9, 0.01).status.code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad_sla.relative_sla, 1.5);
 }
 
 }  // namespace

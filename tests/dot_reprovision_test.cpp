@@ -116,6 +116,17 @@ struct DriftInstance {
   }
 };
 
+/// The planner's problem: the instance's schema and box at `relative_sla`
+/// (each epoch supplies its own workload).
+DotProblem PlannerProblem(const Schema& schema, const BoxConfig& box,
+                          double relative_sla) {
+  DotProblem p;
+  p.schema = &schema;
+  p.box = &box;
+  p.relative_sla = relative_sla;
+  return p;
+}
+
 MigrationCostModel SomeMigration(double transfer, double downtime) {
   MigrationCostModel m;
   m.transfer_price_cents_per_gb = transfer;
@@ -170,12 +181,11 @@ TEST(ReprovisionTest, OneEpochZeroMigrationMatchesExactSearchBitwise) {
     }
 
     for (int threads : {1, 4, hw}) {
+      DotProblem threaded = problem;
+      threaded.options.num_threads = threads;
       ReprovisionConfig config;
-      config.relative_sla = problem.relative_sla;
-      config.cost_model = problem.cost_model;
       config.search = EpochSearch::kExact;
-      config.options.num_threads = threads;
-      ReprovisionPlanner planner(&inst.schema, &inst.box, config);
+      ReprovisionPlanner planner(threaded, config);
 
       WorkloadTraceSpec schedule;
       schedule.Add(inst.workload.get(), duration);
@@ -215,9 +225,8 @@ TEST(ReprovisionTest, OneEpochMatchesDotOptimizeBitwise) {
     const DotResult dot = DotOptimizer(problem).Optimize();
 
     ReprovisionConfig config;
-    config.relative_sla = problem.relative_sla;
     config.search = EpochSearch::kDot;
-    ReprovisionPlanner planner(&inst.schema, &inst.box, config);
+    ReprovisionPlanner planner(problem, config);
     WorkloadTraceSpec schedule;
     schedule.Add(inst.workload.get(), 1.0, "only", &profiles);
     const ReprovisionPlan plan = planner.Plan(schedule);
@@ -260,25 +269,25 @@ TEST(ReprovisionTest, ExhaustivePoolDpMatchesBruteForceOverSequences) {
 
   // The reference planner scores through the full path; the plan under
   // test through the per-epoch evaluators, at every thread count.
+  DotProblem problem = PlannerProblem(schema, box, 0.4);
+  problem.options.use_fast_eval = false;
   ReprovisionConfig config;
-  config.relative_sla = 0.4;
   config.migration = SomeMigration(50.0, 2000.0);
   config.migration_weight = 1e-3;
   config.exhaustive_pool = true;
-  config.options.use_fast_eval = false;
-  ReprovisionPlanner planner(&schema, &box, config);
+  ReprovisionPlanner planner(problem, config);
 
   const std::vector<int> current{0, 0};
   const ReprovisionPlan plan = planner.Plan(schedule, current);
   ASSERT_TRUE(plan.status.ok()) << plan.status.ToString();
   EXPECT_EQ(plan.pool_size, 9);
 
-  config.options.use_fast_eval = true;
+  problem.options.use_fast_eval = true;
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   for (int threads : {1, 4, hw}) {
-    config.options.num_threads = threads;
+    problem.options.num_threads = threads;
     const ReprovisionPlan fast =
-        ReprovisionPlanner(&schema, &box, config).Plan(schedule, current);
+        ReprovisionPlanner(problem, config).Plan(schedule, current);
     const std::string what =
         "evaluator DP, " + std::to_string(threads) + " threads";
     ExpectSamePlan(fast, plan, what);
@@ -326,20 +335,17 @@ TEST(ReprovisionTest, PooledPlanNeverLosesToEitherBaseline) {
   schedule.Add(inst.epochs[0].get(), 2.0, "wrap");
 
   for (double transfer : {0.0, 20.0, 2000.0}) {
+    const DotProblem problem = PlannerProblem(inst.schema, inst.box, 0.4);
     ReprovisionConfig config;
-    config.relative_sla = 0.4;
     config.migration = SomeMigration(transfer, 100.0 * transfer);
-    ReprovisionPlanner planner(&inst.schema, &inst.box, config);
+    ReprovisionPlanner planner(problem, config);
 
     // Per-epoch solo optima (the migration-oblivious baseline's layouts;
     // the first one doubles as the frozen baseline).
     std::vector<std::vector<int>> solo;
     for (const TraceWindow& window : schedule.windows) {
-      DotProblem p;
-      p.schema = &inst.schema;
-      p.box = &inst.box;
+      DotProblem p = problem;
       p.workload = window.workload;
-      p.relative_sla = config.relative_sla;
       const DotResult r = ExactSearch(p, ExactStrategy::kBranchAndBound);
       ASSERT_TRUE(r.status.ok()) << r.status.ToString();
       solo.push_back(r.placement);
@@ -387,9 +393,9 @@ TEST(ReprovisionTest, MigrationPriceMovesThePlanAlongTheFrontier) {
   int previous_migrations = -1;
   for (double transfer : {0.0, 1.0, 1e7}) {
     ReprovisionConfig config;
-    config.relative_sla = 0.4;
     config.migration = SomeMigration(transfer, 0.0);
-    ReprovisionPlanner planner(&inst.schema, &inst.box, config);
+    ReprovisionPlanner planner(PlannerProblem(inst.schema, inst.box, 0.4),
+                               config);
     const ReprovisionPlan plan = planner.Plan(schedule, current);
     ASSERT_TRUE(plan.status.ok()) << plan.status.ToString();
 
@@ -426,27 +432,24 @@ TEST(ReprovisionTest, PlanIsBitIdenticalAcrossThreadCounts) {
 
   // The reference scores every candidate through the full path, so the
   // evaluator DP is checked against an independent oracle, not itself.
+  DotProblem problem = PlannerProblem(inst.schema, inst.box, 0.4);
+  problem.options.num_threads = 1;
+  problem.options.use_fast_eval = false;
   ReprovisionConfig config;
-  config.relative_sla = 0.4;
   config.migration = SomeMigration(10.0, 500.0);
-  config.options.num_threads = 1;
-  config.options.use_fast_eval = false;
   const ReprovisionPlan ref =
-      ReprovisionPlanner(&inst.schema, &inst.box, config)
-          .Plan(schedule, current);
+      ReprovisionPlanner(problem, config).Plan(schedule, current);
   ASSERT_TRUE(ref.status.ok()) << ref.status.ToString();
 
-  config.options.use_fast_eval = true;
+  problem.options.use_fast_eval = true;
   const ReprovisionPlan serial =
-      ReprovisionPlanner(&inst.schema, &inst.box, config)
-          .Plan(schedule, current);
+      ReprovisionPlanner(problem, config).Plan(schedule, current);
   ExpectSamePlan(serial, ref, "1 thread");
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   for (int threads : {4, hw}) {
-    config.options.num_threads = threads;
+    problem.options.num_threads = threads;
     const ReprovisionPlan plan =
-        ReprovisionPlanner(&inst.schema, &inst.box, config)
-            .Plan(schedule, current);
+        ReprovisionPlanner(problem, config).Plan(schedule, current);
     const std::string what = std::to_string(threads) + " threads";
     ExpectSamePlan(plan, ref, what);
     EXPECT_EQ(plan.layouts_evaluated, serial.layouts_evaluated) << what;
@@ -459,22 +462,19 @@ TEST(ReprovisionTest, PlanReportsTheNodeCountsOfItsSoloSearches) {
   schedule.Add(inst.epochs[0].get(), 8.0);
   schedule.Add(inst.epochs[1].get(), 8.0);
   schedule.Add(inst.epochs[2].get(), 8.0);
+  const DotProblem problem = PlannerProblem(inst.schema, inst.box, 0.4);
   ReprovisionConfig config;
-  config.relative_sla = 0.4;
   config.migration = SomeMigration(10.0, 500.0);
   ASSERT_EQ(config.search, EpochSearch::kExact);
   const ReprovisionPlan plan =
-      ReprovisionPlanner(&inst.schema, &inst.box, config).Plan(schedule);
+      ReprovisionPlanner(problem, config).Plan(schedule);
   ASSERT_TRUE(plan.status.ok()) << plan.status.ToString();
 
   // The same searches, run directly on each epoch's problem.
   SearchStats solo;
   for (const TraceWindow& window : schedule.windows) {
-    DotProblem p;
-    p.schema = &inst.schema;
-    p.box = &inst.box;
+    DotProblem p = problem;
     p.workload = window.workload;
-    p.relative_sla = config.relative_sla;
     solo.Add(ExactSearch(p, ExactStrategy::kBranchAndBound));
   }
   ASSERT_GT(solo.nodes_expanded, 0);
@@ -489,11 +489,13 @@ TEST(ReprovisionTest, PlanReportsTheNodeCountsOfItsSoloSearches) {
   EXPECT_GE(plan.arena_bytes_peak, solo.arena_bytes_peak);
 }
 
-/// A config ValidateReprovisionConfig rejects comes back from Plan and
+/// A problem ValidateEpochProblem rejects, or a config
+/// ValidateReprovisionConfig rejects, comes back from Plan and
 /// EvaluateSequence as InvalidArgument instead of aborting.
-void ExpectConfigRejected(const ReprovisionConfig& config) {
+void ExpectRejected(const DotProblem& problem,
+                    const ReprovisionConfig& config) {
   DriftInstance inst;
-  const ReprovisionPlanner planner(&inst.schema, &inst.box, config);
+  const ReprovisionPlanner planner(problem, config);
   WorkloadTraceSpec schedule;
   schedule.Add(inst.epochs[0].get(), 1.0);
   EXPECT_EQ(planner.Plan(schedule).status.code(), StatusCode::kInvalidArgument);
@@ -502,16 +504,55 @@ void ExpectConfigRejected(const ReprovisionConfig& config) {
   EXPECT_EQ(evaluated.status.code(), StatusCode::kInvalidArgument);
 }
 
+void ExpectConfigRejected(const ReprovisionConfig& config) {
+  DriftInstance inst;
+  ExpectRejected(PlannerProblem(inst.schema, inst.box, 0.5), config);
+}
+
+void ExpectProblemRejected(const DotProblem& problem) {
+  ExpectRejected(problem, ReprovisionConfig{});
+}
+
 TEST(ReprovisionTest, PlanRejectsANanRelativeSla) {
-  ReprovisionConfig config;
-  config.relative_sla = std::numeric_limits<double>::quiet_NaN();
-  ExpectConfigRejected(config);
+  DriftInstance inst;
+  ExpectProblemRejected(PlannerProblem(
+      inst.schema, inst.box, std::numeric_limits<double>::quiet_NaN()));
 }
 
 TEST(ReprovisionTest, PlanRejectsAZeroRelativeSla) {
-  ReprovisionConfig config;
-  config.relative_sla = 0.0;
-  ExpectConfigRejected(config);
+  DriftInstance inst;
+  ExpectProblemRejected(PlannerProblem(inst.schema, inst.box, 0.0));
+}
+
+TEST(ReprovisionTest, PlanRejectsAnOverriddenOutOfRangeRelativeSla) {
+  // Every epoch derives its targets from relative_sla, so an override does
+  // not excuse it.
+  DriftInstance inst;
+  const PerfTargets targets = MakePerfTargets(
+      *inst.epochs[0], inst.box, inst.schema.NumObjects(), 0.5);
+  DotProblem problem = PlannerProblem(inst.schema, inst.box, 1.5);
+  problem.targets_override = &targets;
+  ExpectProblemRejected(problem);
+}
+
+TEST(ReprovisionTest, PlanRejectsAMalformedTailSla) {
+  DriftInstance inst;
+  DotProblem problem = PlannerProblem(inst.schema, inst.box, 0.5);
+  problem.tail_sla.percentile = 1.0;
+  problem.tail_sla.latency_cv = 0.1;
+  ExpectProblemRejected(problem);
+}
+
+TEST(ReprovisionTest, PlanRejectsAProblemEnsembleOrAMissingSchema) {
+  DriftInstance inst;
+  ScenarioEnsemble ensemble;
+  ensemble.scenarios.push_back(Scenario{});
+  DotProblem robust = PlannerProblem(inst.schema, inst.box, 0.5);
+  robust.ensemble = &ensemble;
+  ExpectProblemRejected(robust);
+  DotProblem no_schema = PlannerProblem(inst.schema, inst.box, 0.5);
+  no_schema.schema = nullptr;
+  ExpectProblemRejected(no_schema);
 }
 
 TEST(ReprovisionTest, PlanRejectsAZeroPoolCap) {
@@ -534,8 +575,8 @@ TEST(ReprovisionTest, PlanRejectsANanMigrationWeight) {
 
 TEST(ReprovisionTest, RejectsDegenerateInputs) {
   DriftInstance inst;
-  ReprovisionConfig config;
-  ReprovisionPlanner planner(&inst.schema, &inst.box, config);
+  const DotProblem problem = PlannerProblem(inst.schema, inst.box, 0.5);
+  ReprovisionPlanner planner(problem, ReprovisionConfig{});
 
   WorkloadTraceSpec empty;
   EXPECT_EQ(planner.Plan(empty).status.code(), StatusCode::kInvalidArgument);
@@ -548,7 +589,7 @@ TEST(ReprovisionTest, RejectsDegenerateInputs) {
   // kDot without profiles is a usage error, not an abort.
   ReprovisionConfig dot_config;
   dot_config.search = EpochSearch::kDot;
-  EXPECT_EQ(ReprovisionPlanner(&inst.schema, &inst.box, dot_config)
+  EXPECT_EQ(ReprovisionPlanner(problem, dot_config)
                 .Plan(schedule)
                 .status.code(),
             StatusCode::kInvalidArgument);
@@ -558,7 +599,7 @@ TEST(ReprovisionTest, RejectsDegenerateInputs) {
   ReprovisionConfig big_config;
   big_config.exhaustive_pool = true;
   big_config.max_pool_layouts = 10;  // 3^6 = 729 > 10
-  EXPECT_EQ(ReprovisionPlanner(&inst.schema, &inst.box, big_config)
+  EXPECT_EQ(ReprovisionPlanner(problem, big_config)
                 .Plan(schedule)
                 .status.code(),
             StatusCode::kOutOfRange);
@@ -569,7 +610,7 @@ TEST(ReprovisionTest, RejectsDegenerateInputs) {
   wide_schedule.Add(wide.workload.get(), 1.0);
   for (long long cap : {10LL, std::numeric_limits<long long>::max()}) {
     big_config.max_pool_layouts = cap;
-    EXPECT_EQ(ReprovisionPlanner(&wide.schema, &wide.box, big_config)
+    EXPECT_EQ(ReprovisionPlanner(wide.Problem(), big_config)
                   .Plan(wide_schedule)
                   .status.code(),
               StatusCode::kOutOfRange)
@@ -586,7 +627,8 @@ TEST(ReprovisionTest, RejectsDegenerateInputs) {
 
 TEST(ReprovisionTest, PlanRejectsACurrentLayoutOutsideTheBox) {
   DriftInstance inst;
-  ReprovisionPlanner planner(&inst.schema, &inst.box, ReprovisionConfig{});
+  ReprovisionPlanner planner(PlannerProblem(inst.schema, inst.box, 0.5),
+                             ReprovisionConfig{});
   WorkloadTraceSpec schedule;
   schedule.Add(inst.epochs[0].get(), 1.0);
   for (int bad : {7, -1}) {
@@ -606,7 +648,8 @@ TEST(ReprovisionTest, PlanRejectsACurrentLayoutOutsideTheBox) {
 
 TEST(ReprovisionTest, EvaluateSequenceRejectsPlacementsOutsideTheBox) {
   DriftInstance inst;
-  ReprovisionPlanner planner(&inst.schema, &inst.box, ReprovisionConfig{});
+  ReprovisionPlanner planner(PlannerProblem(inst.schema, inst.box, 0.5),
+                             ReprovisionConfig{});
   WorkloadTraceSpec schedule;
   schedule.Add(inst.epochs[0].get(), 1.0).Add(inst.epochs[1].get(), 1.0);
   for (int bad : {7, -1}) {

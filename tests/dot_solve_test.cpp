@@ -233,22 +233,42 @@ TEST_F(SolveFacadeTest, ProvenanceCountersAreThePayloadsAtEveryThreadCount) {
 }
 
 TEST_F(SolveFacadeTest, EpochPlanOneEpochZeroMigrationMatchesExact) {
-  SolveSpec exact;
-  exact.method = SolveMethod::kExact;
-  const SolveResult single = Solve(problem_, exact);
-  ASSERT_TRUE(single.status.ok());
-
   // Null schedule + zero migration model: the stateful path degenerates
-  // to the single-shot problem and must land on the same layout and TOC.
-  SolveSpec epoch;
-  epoch.method = SolveMethod::kEpochPlan;
-  const SolveResult planned = Solve(problem_, epoch);
-  ASSERT_TRUE(planned.status.ok()) << planned.status.ToString();
-  ASSERT_TRUE(planned.has_plan);
-  EXPECT_EQ(planned.placement, single.placement);
-  EXPECT_EQ(planned.toc_cents_per_task, single.toc_cents_per_task);
-  EXPECT_EQ(planned.plan.steps.size(), 1u);
-  EXPECT_EQ(planned.plan.total_migration_cents, 0.0);
+  // to the single-shot problem and must land on the same verdict, layout
+  // and TOC — tail SLA included: a p95 target the box can meet, and a p99
+  // target at high jitter it cannot.
+  std::vector<TailSla> tails(3);
+  tails[1].percentile = 0.95;
+  tails[1].latency_cv = 0.1;
+  tails[2].percentile = 0.99;
+  tails[2].latency_cv = 0.5;
+  for (const TailSla& tail : tails) {
+    const std::string what = "tail p" + std::to_string(tail.percentile) +
+                             " cv " + std::to_string(tail.latency_cv);
+    DotProblem problem = problem_;
+    problem.tail_sla = tail;
+    SolveSpec exact;
+    exact.method = SolveMethod::kExact;
+    const SolveResult single = Solve(problem, exact);
+    SolveSpec epoch;
+    epoch.method = SolveMethod::kEpochPlan;
+    const SolveResult planned = Solve(problem, epoch);
+    ASSERT_EQ(planned.status.code(), single.status.code())
+        << what << ": " << planned.status.ToString() << " vs "
+        << single.status.ToString();
+    if (!single.status.ok()) continue;
+    ASSERT_TRUE(planned.has_plan) << what;
+    EXPECT_EQ(planned.placement, single.placement) << what;
+    EXPECT_EQ(planned.toc_cents_per_task, single.toc_cents_per_task) << what;
+    EXPECT_EQ(planned.plan.steps.size(), 1u) << what;
+    EXPECT_EQ(planned.plan.total_migration_cents, 0.0) << what;
+  }
+  // The fixture's own problem is feasible without a tail, and the p99
+  // target is not: both verdicts are exercised.
+  DotProblem strict = problem_;
+  strict.tail_sla = tails[2];
+  EXPECT_TRUE(Solve(problem_).status.ok());
+  EXPECT_EQ(Solve(strict).status.code(), StatusCode::kInfeasible);
 }
 
 TEST_F(SolveFacadeTest, ValidateCatchesSpecProblemMismatches) {
@@ -332,7 +352,7 @@ TEST_F(SolveFacadeTest, ValidateCatchesSpecProblemMismatches) {
   for (double weight : {-0.5, -2.0, std::numeric_limits<double>::quiet_NaN()}) {
     const std::string what = "migration_weight " + std::to_string(weight);
     SolveSpec bad_weight = epoch;
-    bad_weight.migration_weight = weight;
+    bad_weight.epoch.migration_weight = weight;
     EXPECT_EQ(bad_weight.Validate(problem_).code(),
               StatusCode::kInvalidArgument)
         << what;
@@ -341,8 +361,61 @@ TEST_F(SolveFacadeTest, ValidateCatchesSpecProblemMismatches) {
         << what;
   }
   SolveSpec zero_weight = epoch;
-  zero_weight.migration_weight = 0.0;
+  zero_weight.epoch.migration_weight = 0.0;
   EXPECT_TRUE(zero_weight.Validate(problem_).ok());
+
+  // The rest of the planner's config is checked up front too.
+  SolveSpec no_pool = epoch;
+  no_pool.epoch.max_pool_layouts = 0;
+  EXPECT_EQ(no_pool.Validate(problem_).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Solve(problem_, no_pool).status.code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(SolveFacadeTest, MalformedTailSlaIsRejected) {
+  // TailLatencyFactor would abort on a percentile of 1; every method that
+  // derives targets, and every fleet tenant, refuses it up front.
+  std::vector<TailSla> bad(5);
+  bad[0].percentile = 1.0;
+  bad[0].latency_cv = 0.1;
+  bad[1].percentile = 0.3;
+  bad[2].percentile = std::numeric_limits<double>::quiet_NaN();
+  bad[3].percentile = 0.95;
+  bad[3].latency_cv = -0.1;
+  bad[4].percentile = 0.95;
+  bad[4].latency_cv = std::numeric_limits<double>::infinity();
+  std::vector<FleetTenant> tenants = {{"t0", problem_}};
+  FleetSpec roster;
+  roster.tenants = &tenants;
+  for (size_t k = 0; k < bad.size(); ++k) {
+    SCOPED_TRACE("tail " + std::to_string(k));
+    EXPECT_EQ(ValidateTailSla(bad[k]).code(), StatusCode::kInvalidArgument);
+    DotProblem problem = problem_;
+    problem.tail_sla = bad[k];
+    for (SolveMethod method :
+         {SolveMethod::kDotHeuristic, SolveMethod::kExact,
+          SolveMethod::kEnumerate, SolveMethod::kEpochPlan}) {
+      SolveSpec spec;
+      spec.method = method;
+      EXPECT_EQ(spec.Validate(problem).code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(Solve(problem, spec).status.code(),
+                StatusCode::kInvalidArgument);
+    }
+    tenants[0].problem = problem;
+    SolveSpec fleet;
+    fleet.method = SolveMethod::kFleet;
+    fleet.fleet = &roster;
+    EXPECT_EQ(fleet.Validate(problem_).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(Solve(problem_, fleet).status.code(),
+              StatusCode::kInvalidArgument);
+  }
+  // The accepted shapes: disabled, the median, and just below 1.
+  for (double percentile : {0.0, 0.5, 0.999}) {
+    TailSla tail;
+    tail.percentile = percentile;
+    tail.latency_cv = 0.2;
+    EXPECT_TRUE(ValidateTailSla(tail).ok()) << percentile;
+  }
 }
 
 TEST_F(SolveFacadeTest, EpochPlanRejectsACurrentLayoutOutsideTheBox) {
@@ -402,7 +475,7 @@ TEST_F(SolveFacadeTest, MalformedIoScaleHintIsRejected) {
     tenants[0].problem = bad;
     EXPECT_EQ(ValidateFleetRoster(tenants, &box_, roster.config).code(),
               StatusCode::kInvalidArgument);
-    EXPECT_EQ(FleetPlanner(&box_, roster.config).Plan(tenants).status.code(),
+    EXPECT_EQ(FleetPlanner(problem_, roster.config).Plan(tenants).status.code(),
               StatusCode::kInvalidArgument);
     EXPECT_EQ(Solve(problem_, fleet).status.code(),
               StatusCode::kInvalidArgument);
@@ -497,6 +570,47 @@ ScenarioEnsemble NominalEnsemble(int k, int num_objects) {
     ensemble.scenarios.push_back(sc);
   }
   return ensemble;
+}
+
+TEST_F(SolveFacadeTest, NanCvarAlphaIsRejected) {
+  // EnsembleEstimator would abort on it.
+  const ScenarioEnsemble ensemble = NominalEnsemble(3, schema_.NumObjects());
+  DotProblem problem = problem_;
+  problem.ensemble_objective.kind = EnsembleObjective::Kind::kCVaR;
+  for (double alpha :
+       {std::numeric_limits<double>::quiet_NaN(), 0.0, -0.5, 1.5}) {
+    SCOPED_TRACE("alpha " + std::to_string(alpha));
+    problem.ensemble_objective.alpha = alpha;
+    ExpectEnsembleRejected(problem, ensemble);
+  }
+  // A point problem's objective is not read, so it is not checked either.
+  problem.ensemble_objective.alpha = std::numeric_limits<double>::quiet_NaN();
+  SolveSpec exact;
+  exact.method = SolveMethod::kExact;
+  EXPECT_TRUE(exact.Validate(problem).ok());
+  EXPECT_TRUE(Solve(problem, exact).status.ok());
+}
+
+TEST_F(SolveFacadeTest, VacuousChanceConstraintIsRejected) {
+  // At K = 1 a fraction at or below kChanceTolerance made the fast path
+  // (the lone scenario's own verdict) and the full path (every layout
+  // feasible) disagree; it is refused instead.
+  const ScenarioEnsemble single = NominalEnsemble(1, schema_.NumObjects());
+  DotProblem problem = problem_;
+  for (double fraction : {0.0, kChanceTolerance, -0.5, 1.5,
+                          std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE("min_feasible_fraction " + std::to_string(fraction));
+    problem.ensemble_objective.min_feasible_fraction = fraction;
+    ExpectEnsembleRejected(problem, single);
+    DotProblem carried = problem;
+    carried.ensemble = &single;
+    SolveSpec enumerate;
+    enumerate.method = SolveMethod::kEnumerate;
+    EXPECT_EQ(Solve(carried, enumerate).status.code(),
+              StatusCode::kInvalidArgument);
+  }
+  problem.ensemble_objective.min_feasible_fraction = 1e-9;
+  EXPECT_TRUE(ValidateEnsembleObjective(problem.ensemble_objective).ok());
 }
 
 TEST_F(SolveFacadeTest, EmptyEnsembleIsRejected) {
@@ -649,6 +763,122 @@ TEST(SolveRandomizedTest, ExactFacadeMatchesDirectAcrossInstancesAndThreads) {
       SolveSpec spec;
       const SolveResult facade = Solve(problem, spec);
       ExpectSameDotResult(direct, facade.dot);
+    }
+  }
+}
+
+/// Everything an epoch plan decides, and every counter.
+void ExpectSameEpochPlan(const ReprovisionPlan& a, const ReprovisionPlan& b,
+                         const std::string& what) {
+  ASSERT_EQ(a.status.code(), b.status.code()) << what;
+  ASSERT_EQ(a.steps.size(), b.steps.size()) << what;
+  for (size_t e = 0; e < a.steps.size(); ++e) {
+    EXPECT_EQ(a.steps[e].placement, b.steps[e].placement) << what << " " << e;
+    EXPECT_EQ(a.steps[e].toc_cents_per_task, b.steps[e].toc_cents_per_task)
+        << what << " " << e;
+    EXPECT_EQ(a.steps[e].migration_cents, b.steps[e].migration_cents)
+        << what << " " << e;
+  }
+  EXPECT_EQ(a.total_objective, b.total_objective) << what;
+  EXPECT_EQ(a.total_migration_cents, b.total_migration_cents) << what;
+  EXPECT_EQ(a.num_migrations, b.num_migrations) << what;
+  EXPECT_EQ(a.resolved_migration_weight, b.resolved_migration_weight) << what;
+  ExpectSameSearchStats(a, b, what);
+}
+
+/// Everything a fleet plan decides, and every counter.
+void ExpectSameFleetPlan(const FleetPlan& a, const FleetPlan& b,
+                         const std::string& what) {
+  ASSERT_EQ(a.status.code(), b.status.code()) << what;
+  ASSERT_EQ(a.tenants.size(), b.tenants.size()) << what;
+  for (size_t i = 0; i < a.tenants.size(); ++i) {
+    EXPECT_EQ(a.tenants[i].placement, b.tenants[i].placement) << what << i;
+    EXPECT_EQ(a.tenants[i].candidate, b.tenants[i].candidate) << what << i;
+    EXPECT_EQ(a.tenants[i].pool_id, b.tenants[i].pool_id) << what << i;
+  }
+  EXPECT_EQ(a.total_toc_cents_per_task, b.total_toc_cents_per_task) << what;
+  EXPECT_EQ(a.total_cost_cents_per_hour, b.total_cost_cents_per_hour)
+      << what;
+  EXPECT_EQ(a.price_iterations_run, b.price_iterations_run) << what;
+  EXPECT_EQ(a.exchange_moves, b.exchange_moves) << what;
+  EXPECT_EQ(a.improve_moves, b.improve_moves) << what;
+  ExpectSameSearchStats(a, b, what);
+}
+
+TEST(SolveRandomizedTest, PlannerRoutesMatchTheDirectPlanners) {
+  // Solve hands the planners the problem and the spec's config unchanged:
+  // Solve(kEpochPlan) is ReprovisionPlanner(problem, spec.epoch).Plan and
+  // Solve(kFleet) is FleetPlanner(problem, config).Plan, bit for bit and
+  // counter for counter, over pooled and exhaustive epoch pools, both
+  // fleet pool modes, and every thread count.
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  RandomInstance inst(/*seed=*/3, /*tables=*/2);
+  const DssWorkloadModel head("rand-head", &inst.schema, &inst.box,
+                              inst.workload->templates(), {0, 0, 0, 1},
+                              PlannerConfig{});
+  WorkloadTraceSpec schedule;
+  schedule.Add(inst.workload.get(), 6.0, "mixed")
+      .Add(&head, 4.0, "head")
+      .Add(inst.workload.get(), 2.0, "mixed again");
+  const std::vector<int> current(
+      static_cast<size_t>(inst.schema.NumObjects()), 0);
+
+  DotProblem tenant_b = inst.Problem();
+  tenant_b.workload = &head;
+  tenant_b.relative_sla = 0.4;
+  const std::vector<FleetTenant> tenants = {
+      {"a", inst.Problem()}, {"b", tenant_b}, {"a2", inst.Problem()}};
+
+  for (int threads : {1, 4, hw}) {
+    DotProblem problem = inst.Problem();
+    problem.relative_sla = 0.3;
+    problem.options.num_threads = threads;
+    for (bool exhaustive : {false, true}) {
+      const std::string what = std::to_string(threads) + " threads, " +
+                               (exhaustive ? "exhaustive" : "pooled");
+      SolveSpec spec;
+      spec.method = SolveMethod::kEpochPlan;
+      spec.schedule = &schedule;
+      spec.current_layout = current;
+      spec.epoch.migration.transfer_price_cents_per_gb = 1.0;
+      spec.epoch.migration.downtime_price_cents_per_hour = 100.0;
+      spec.epoch.exhaustive_pool = exhaustive;
+      const SolveResult solved = Solve(problem, spec);
+      ASSERT_TRUE(solved.status.ok()) << what << ": "
+                                      << solved.status.ToString();
+      const ReprovisionPlan direct =
+          ReprovisionPlanner(problem, spec.epoch).Plan(schedule, current);
+      ExpectSameEpochPlan(solved.plan, direct, what);
+      if (exhaustive) {
+        long long space = 1;
+        for (int o = 0; o < inst.schema.NumObjects(); ++o) {
+          space *= inst.box.NumClasses();
+        }
+        EXPECT_EQ(solved.plan.pool_size, space) << what;
+      }
+    }
+    for (FleetPoolMode mode :
+         {FleetPoolMode::kEnumerate, FleetPoolMode::kSearch}) {
+      const std::string what =
+          std::to_string(threads) + " threads, " +
+          (mode == FleetPoolMode::kEnumerate ? "enumerated" : "searched") +
+          " pools";
+      FleetSpec fleet;
+      fleet.tenants = &tenants;
+      fleet.config.pool_mode = mode;
+      SolveSpec spec;
+      spec.method = SolveMethod::kFleet;
+      spec.fleet = &fleet;
+      const SolveResult free_run = Solve(problem, spec);
+      ASSERT_TRUE(free_run.status.ok()) << what;
+      // A binding budget, so the price loop and the repair pass run.
+      fleet.config.constraints.budget_cents_per_hour =
+          0.9 * free_run.fleet.total_cost_cents_per_hour;
+      const SolveResult solved = Solve(problem, spec);
+      const FleetPlan direct =
+          FleetPlanner(problem, fleet.config).Plan(tenants);
+      ExpectSameFleetPlan(solved.fleet, direct, what);
+      EXPECT_EQ(solved.fleet.pool_builds, 2) << what;
     }
   }
 }

@@ -57,22 +57,22 @@ class ReplayTest : public ::testing::Test {
     }
     schedule_.Add(workloads_[0].get(), 9.0, "scan-heavy");
     schedule_.Add(workloads_[1].get(), 15.0, "point-reads");
-    config_.relative_sla = 0.4;
+    problem_.schema = &schema_;
+    problem_.box = &box_;
+    problem_.relative_sla = 0.4;
     config_.migration.transfer_price_cents_per_gb = 10.0;
     config_.migration.downtime_price_cents_per_hour = 500.0;
   }
 
   ReprovisionPlan MakePlan() const {
-    return ReprovisionPlanner(&schema_, &box_, config_)
-        .Plan(schedule_, current_);
+    return ReprovisionPlanner(problem_, config_).Plan(schedule_, current_);
   }
 
   /// The replay knobs that price a plan exactly as the planner did.
-  static TrackReplayConfig ReplayConfigFor(const ReprovisionConfig& config,
-                                           const ReprovisionPlan& plan) {
+  TrackReplayConfig ReplayConfigFor(const ReprovisionPlan& plan) const {
     TrackReplayConfig replay;
-    replay.cost_model = config.cost_model;
-    replay.migration = config.migration;
+    replay.cost_model = problem_.cost_model;
+    replay.migration = config_.migration;
     replay.migration_weight = plan.resolved_migration_weight;
     return replay;
   }
@@ -89,6 +89,7 @@ class ReplayTest : public ::testing::Test {
   BoxConfig box_;
   std::vector<std::unique_ptr<DssWorkloadModel>> workloads_;
   WorkloadTraceSpec schedule_;
+  DotProblem problem_;
   ReprovisionConfig config_;
   const std::vector<int> current_{0, 0, 0, 0};
 };
@@ -100,7 +101,7 @@ TEST_F(ReplayTest, NoiselessReplayReproducesThePlanBitForBit) {
   // a real term of the objective.
   ASSERT_GT(plan.steps[0].migration_cents, 0.0);
 
-  TrackReplayConfig config = ReplayConfigFor(config_, plan);
+  TrackReplayConfig config = ReplayConfigFor(plan);
   config.exec_noise_cv = 0.0;
   const TrackReplayResult replay = ReplayLayoutTrack(
       schedule_, Track(plan), schema_, box_, config, current_);
@@ -128,7 +129,7 @@ TEST_F(ReplayTest, NoisyReplayJittersButStaysNearTheEstimate) {
   const ReprovisionPlan plan = MakePlan();
   ASSERT_TRUE(plan.status.ok());
 
-  TrackReplayConfig config = ReplayConfigFor(config_, plan);
+  TrackReplayConfig config = ReplayConfigFor(plan);
   config.exec_noise_cv = 0.05;
   config.seed = 17;
   const TrackReplayResult replay = ReplayLayoutTrack(
@@ -153,11 +154,11 @@ TEST_F(ReplayTest, WindowsDrawIndependentNoiseStreams) {
   twice.Add(workloads_[1].get(), 5.0).Add(workloads_[1].get(), 5.0);
 
   const ReprovisionPlan plan =
-      ReprovisionPlanner(&schema_, &box_, config_).Plan(twice);
+      ReprovisionPlanner(problem_, config_).Plan(twice);
   ASSERT_TRUE(plan.status.ok());
   ASSERT_EQ(plan.steps[0].placement, plan.steps[1].placement);
 
-  TrackReplayConfig config = ReplayConfigFor(config_, plan);
+  TrackReplayConfig config = ReplayConfigFor(plan);
   config.exec_noise_cv = 0.1;
   const TrackReplayResult replay =
       ReplayLayoutTrack(twice, Track(plan), schema_, box_, config);

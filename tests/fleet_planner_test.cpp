@@ -27,6 +27,14 @@
 namespace dot {
 namespace {
 
+/// The fleet's own problem: the shared box and the engine knobs.
+DotProblem FleetProblemOn(const BoxConfig* box, int num_threads = 1) {
+  DotProblem p;
+  p.box = box;
+  p.options.num_threads = num_threads;
+  return p;
+}
+
 /// A small fleet from the synthetic generator, with the spec pointing at
 /// it. All tenant classes are enumerable (<= 3^6 layouts).
 struct FleetFixture {
@@ -39,10 +47,7 @@ struct FleetFixture {
   }
 
   DotProblem FleetProblem(int num_threads = 1) const {
-    DotProblem p;
-    p.box = fleet.box.get();
-    p.options.num_threads = num_threads;
-    return p;
+    return FleetProblemOn(fleet.box.get(), num_threads);
   }
 
   SolveResult Run(int num_threads = 1) const {
@@ -234,7 +239,7 @@ TEST(FleetPlannerTest, ObjectOrderVariantDoesNotShareAPool) {
   ASSERT_NE(pair[0].problem.schema->Fingerprint(),
             pair[1].problem.schema->Fingerprint());
   FleetConfig config;
-  FleetPlanner planner(owner.box.get(), config);
+  FleetPlanner planner(FleetProblemOn(owner.box.get()), config);
   const FleetPlan plan = planner.Plan(pair);
   ASSERT_TRUE(plan.status.ok()) << plan.status.ToString();
   EXPECT_EQ(plan.pool_builds, 2);
@@ -249,7 +254,7 @@ TEST(FleetPlannerTest, IdenticalTenantsShareOnePool) {
   std::vector<FleetTenant> pair = {twins.tenants[0], twins.tenants[0]};
   pair[1].name = "twin";
   FleetConfig config;
-  FleetPlanner planner(twins.box.get(), config);
+  FleetPlanner planner(FleetProblemOn(twins.box.get()), config);
   const FleetPlan plan = planner.Plan(pair);
   ASSERT_TRUE(plan.status.ok()) << plan.status.ToString();
   EXPECT_EQ(plan.pool_builds, 1);
@@ -265,12 +270,13 @@ TEST(FleetPlannerTest, IdenticalTenantsBreakMoveTiesTowardTheLowestIndex) {
   SyntheticFleet owner = MakeSyntheticFleet(1, 7);
   const std::vector<FleetTenant> twins(6, owner.tenants[0]);
   const FleetPlan free_plan =
-      FleetPlanner(owner.box.get(), FleetConfig{}).Plan(twins);
+      FleetPlanner(FleetProblemOn(owner.box.get()), FleetConfig{}).Plan(twins);
   ASSERT_TRUE(free_plan.status.ok()) << free_plan.status.ToString();
   FleetConfig config;
   config.constraints.budget_cents_per_hour =
       free_plan.total_cost_cents_per_hour * 0.97;
-  const FleetPlan plan = FleetPlanner(owner.box.get(), config).Plan(twins);
+  const FleetPlan plan =
+      FleetPlanner(FleetProblemOn(owner.box.get()), config).Plan(twins);
   ASSERT_TRUE(plan.status.ok()) << plan.status.ToString();
   EXPECT_GT(plan.exchange_moves, 0);
   ExpectFeasible(plan, config.constraints);
@@ -503,7 +509,7 @@ TEST(FleetPlannerTest, ValidateRejectsMalformedFleets) {
               StatusCode::kInvalidArgument)
         << what;
     const FleetPlan plan =
-        FleetPlanner(fx.fleet.box.get(), config).Plan(fx.fleet.tenants);
+        FleetPlanner(fx.FleetProblem(), config).Plan(fx.fleet.tenants);
     EXPECT_EQ(plan.status.code(), StatusCode::kInvalidArgument) << what;
   }
   EXPECT_TRUE(ValidateFleetConfig(FleetConfig{}, *fx.fleet.box).ok());
@@ -521,7 +527,7 @@ TEST(FleetPlannerTest, ValidateRejectsMalformedFleets) {
                                 dot_pools.config)
                 .code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(FleetPlanner(fx.fleet.box.get(), dot_pools.config)
+  EXPECT_EQ(FleetPlanner(fx.FleetProblem(), dot_pools.config)
                 .Plan(fx.fleet.tenants)
                 .status.code(),
             StatusCode::kInvalidArgument);
@@ -548,7 +554,7 @@ TEST(FleetPlannerTest, ValidateRejectsMalformedFleets) {
             .code(),
         StatusCode::kInvalidArgument)
         << what;
-    EXPECT_EQ(FleetPlanner(fx.fleet.box.get(), roster.config)
+    EXPECT_EQ(FleetPlanner(fx.FleetProblem(), roster.config)
                   .Plan(bad_sla)
                   .status.code(),
               StatusCode::kInvalidArgument)
