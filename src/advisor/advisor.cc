@@ -40,21 +40,19 @@ Status ValidateAdvisorConfig(const AdvisorConfig& config) {
       return Status::InvalidArgument("model_pool holds a null model");
     }
   }
+  Status st = ValidateDriftConfig(config.drift);
+  if (!st.ok()) return st;
   return ValidateMigrationWeight(config.migration_weight);
 }
 
 Advisor::Advisor(const DotProblem& problem, AdvisorConfig config)
-    : problem_(problem),
-      config_(std::move(config)),
-      detector_(config_.drift) {
-  DOT_CHECK(problem_.schema != nullptr && problem_.box != nullptr &&
-            problem_.workload != nullptr);
-}
+    : problem_(problem), config_(std::move(config)) {}
 
 Status Advisor::Init() {
   DOT_CHECK(!initialized_);
   Status st = ValidateAdvisorConfig(config_);
   if (!st.ok()) return st;
+  detector_ = DriftDetector(config_.drift);
   SolveSpec spec;
   spec.method = config_.replan_method;
   const SolveResult solved = Solve(problem_, spec);

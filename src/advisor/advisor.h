@@ -121,7 +121,8 @@ struct AdvisorRun : SearchStats {
 /// (the advisor is the stateful loop; re-plans are single-shot),
 /// payback_horizon_hours >= 0, cooldown_windows >= 0,
 /// replan_interval_windows >= 0, max_pool >= 1, no null model_pool entry,
-/// and the migration weight (ValidateMigrationWeight).
+/// the drift config (ValidateDriftConfig) and the migration weight
+/// (ValidateMigrationWeight).
 Status ValidateAdvisorConfig(const AdvisorConfig& config);
 
 /// The always-on advisor: replays a workload trace through a virtual-time
@@ -143,7 +144,7 @@ class Advisor {
   /// model-predicted I/O profile as the drift baseline, and resolves the
   /// migration weight. Called implicitly by the first Run. A config
   /// ValidateAdvisorConfig rejects returns InvalidArgument, and a failed
-  /// initial solve returns its status.
+  /// initial solve (e.g. no workload) returns its status.
   Status Init();
 
   /// Drains `feed` through a FeedPlayer, deciding after every window.
@@ -164,7 +165,7 @@ class Advisor {
 
   DotProblem problem_;  ///< io_scale_hint mutated by re-plans
   AdvisorConfig config_;
-  DriftDetector detector_;
+  DriftDetector detector_;  ///< built by Init from config_.drift
 
   std::vector<int> incumbent_;
   double incumbent_toc_ = 0.0;

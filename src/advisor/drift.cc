@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "common/str_util.h"
 
 namespace dot {
 
@@ -28,11 +29,21 @@ void OnlineIoProfile::Reset() {
   has_observation_ = false;
 }
 
+Status ValidateDriftConfig(const DriftConfig& config) {
+  // NaN fails every comparison.
+  if (config.ewma_alpha > 0.0 && config.ewma_alpha <= 1.0 &&
+      config.deadband >= 0.0 && config.trigger > 0.0 &&
+      config.count_floor > 0.0) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(StrPrintf(
+      "DriftConfig needs ewma_alpha in (0, 1], deadband >= 0, trigger > 0 "
+      "and count_floor > 0; got %g, %g, %g, %g",
+      config.ewma_alpha, config.deadband, config.trigger, config.count_floor));
+}
+
 DriftDetector::DriftDetector(DriftConfig config) : config_(config) {
-  DOT_CHECK(config_.ewma_alpha > 0.0 && config_.ewma_alpha <= 1.0);
-  DOT_CHECK(config_.deadband >= 0.0);
-  DOT_CHECK(config_.trigger > 0.0);
-  DOT_CHECK(config_.count_floor > 0.0);
+  DOT_CHECK_OK(ValidateDriftConfig(config_));
 }
 
 void DriftDetector::Rebase(const ObjectIoMap& baseline) {

@@ -1,6 +1,7 @@
 #ifndef DOTPROV_ADVISOR_DRIFT_H_
 #define DOTPROV_ADVISOR_DRIFT_H_
 
+#include "common/status.h"
 #include "query/object_io.h"
 
 namespace dot {
@@ -26,6 +27,10 @@ struct DriftConfig {
   /// drift.
   double count_floor = 1.0;
 };
+
+/// InvalidArgument unless ewma_alpha is in (0, 1], deadband >= 0, trigger
+/// > 0 and count_floor > 0 (NaN fails each).
+Status ValidateDriftConfig(const DriftConfig& config);
 
 /// Exponentially-weighted running mean of per-(object, I/O-class) request
 /// counts — the advisor's online estimate of "what the workload does now".
@@ -53,7 +58,8 @@ class OnlineIoProfile {
 /// promise identical decision sequences at any thread count.
 class DriftDetector {
  public:
-  explicit DriftDetector(DriftConfig config);
+  /// Asserts ValidateDriftConfig(config).
+  explicit DriftDetector(DriftConfig config = {});
 
   /// Installs a new baseline profile (the counts the incumbent plan
   /// assumes) and clears the EWMA and the accumulated statistic. Called at

@@ -660,8 +660,11 @@ DotResult BranchAndBoundSearch(
 DotResult ExactSearch(const DotProblem& problem, ExactStrategy strategy,
                       long long max_layouts,
                       const std::vector<std::vector<int>>* warm_starts) {
-  DOT_CHECK(problem.schema != nullptr && problem.box != nullptr &&
-            problem.workload != nullptr);
+  if (Status st = ValidateProblem(problem); !st.ok()) {
+    DotResult rejected;
+    rejected.status = std::move(st);
+    return rejected;
+  }
   const double start_ms = NowMs();
   switch (strategy) {
     case ExactStrategy::kEnumerate:

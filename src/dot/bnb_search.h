@@ -42,7 +42,9 @@ inline constexpr long long kDefaultMaxEnumeratedLayouts = 50'000'000;
 /// (dot/solve.h) over calling this directly: the facade is the documented
 /// entry point and returns the same DotResult in SolveResult::dot, bit for
 /// bit. ExactSearch remains public as the engine internal the facade (and
-/// the planners) drive.
+/// the planners) drive. Called directly, it returns the status Solve
+/// would: a problem ValidateProblem rejects (dot/optimizer.h) comes back as
+/// InvalidArgument in DotResult::status before anything is built.
 ///
 /// `warm_starts` (optional, kBranchAndBound only) seeds the incumbent with
 /// the best feasible TOC among the given layouts before the tree search

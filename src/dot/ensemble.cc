@@ -70,7 +70,6 @@ EnsembleVerdict AggregateEnsemble(const EnsembleObjective& objective,
     return out;
   }
 
-  DOT_CHECK(objective.alpha > 0.0) << "CVaR alpha must be in (0, 1]";
   // Worst-first scenario order: lowest throughput = highest TOC first;
   // unbounded (0) is the *cheapest* possible TOC and sorts last; exact
   // throughput ties break by scenario index (deterministic).
@@ -236,7 +235,6 @@ std::unique_ptr<FastScorer> MakeEnsembleScorer(
     const EnsembleObjective& objective,
     const std::vector<double>& io_scale_hint, const PerfTargets& targets) {
   const int k = ensemble.size();
-  if (k < 1 || k > kMaxScenarios) return nullptr;
   std::vector<std::unique_ptr<FastScorer>> children;
   children.reserve(static_cast<size_t>(k));
   for (const Scenario& sc : ensemble.scenarios) {
@@ -262,13 +260,6 @@ EnsembleEstimator::EnsembleEstimator(const WorkloadModel& nominal,
     : weights_(ensemble.NormalizedWeights()),
       objective_(objective),
       targets_(std::move(targets)) {
-  DOT_CHECK(ensemble.size() >= 1 && ensemble.size() <= kMaxScenarios)
-      << "ensemble size must be in [1, " << kMaxScenarios << "]";
-  DOT_CHECK(objective_.min_feasible_fraction >= 0.0 &&
-            objective_.min_feasible_fraction <= 1.0);
-  DOT_CHECK(objective_.kind != EnsembleObjective::Kind::kCVaR ||
-            (objective_.alpha > 0.0 && objective_.alpha <= 1.0))
-      << "CVaR alpha must be in (0, 1]";
   slots_.reserve(static_cast<size_t>(ensemble.size()));
   for (const Scenario& sc : ensemble.scenarios) {
     Slot slot;

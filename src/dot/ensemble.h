@@ -40,9 +40,10 @@ inline constexpr double kChanceTolerance = 1e-12;
 /// `min_feasible_fraction` is in (kChanceTolerance, 1] (NaN fails either):
 /// a fraction at or below the tolerance would call every layout feasible
 /// on the full path while a lone K = 1 child scorer still reports its own
-/// SLA verdict. The caller-facing form of EnsembleEstimator's
-/// preconditions; ValidateProblem runs it when DotProblem::ensemble is set
-/// (a point problem's objective is ignored, so it is not checked).
+/// SLA verdict. The one check of an ensemble objective: ValidateProblem
+/// runs it when DotProblem::ensemble is set (a point problem's objective
+/// is ignored, so it is not checked), and everything below takes it as
+/// given.
 Status ValidateEnsembleObjective(const EnsembleObjective& objective);
 
 /// One scenario's contribution to an ensemble verdict: the throughput its
@@ -98,9 +99,8 @@ EnsembleVerdict AggregateEnsemble(const EnsembleObjective& objective,
 /// interior-node bounds by kBoundSafety (absorbing aggregation-order drift)
 /// and returns the exact aggregate at leaves. At K = 1 (the point forecast
 /// among others) it returns the lone child itself, with its own cursor,
-/// probes and move walk. Returns nullptr when the ensemble size is outside
-/// [1, kMaxScenarios] or any scenario model's SLA kind mismatches
-/// `targets` — callers then take the full path.
+/// probes and move walk. Returns nullptr when any scenario model's SLA
+/// kind mismatches `targets` — callers then take the full path.
 std::unique_ptr<FastScorer> MakeEnsembleScorer(
     const WorkloadModel& nominal, const ScenarioEnsemble& ensemble,
     const EnsembleObjective& objective,

@@ -60,8 +60,6 @@ double GroupIoTimeShareMs(const DotProblem& problem, const ObjectGroup& g,
 
 std::vector<Move> EnumerateMoves(const DotProblem& problem,
                                  const std::vector<ObjectGroup>& groups) {
-  DOT_CHECK(problem.schema != nullptr && problem.box != nullptr &&
-            problem.workload != nullptr && problem.profiles != nullptr);
   const int m = problem.box->NumClasses();
   const int l0_class = problem.box->MostExpensiveClass();
 

@@ -36,6 +36,7 @@ double GroupIoTimeShareMs(const DotProblem& problem, const ObjectGroup& g,
 /// on the box's most expensive class) and sorted ascending — most
 /// beneficial (large cost saving per unit performance penalty) first.
 /// The identity placement (all members still on L0's class) is skipped.
+/// `problem` is DotOptimizer::Optimize's: valid, with profiles.
 std::vector<Move> EnumerateMoves(const DotProblem& problem,
                                  const std::vector<ObjectGroup>& groups);
 

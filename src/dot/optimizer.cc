@@ -22,11 +22,8 @@ const ScenarioEnsemble& PointForecast() {
 }
 
 PerfTargets DeriveTargets(const DotProblem& problem) {
-  DOT_CHECK(problem.schema != nullptr && problem.box != nullptr &&
-            problem.workload != nullptr)
-      << "DotProblem is missing a component";
-  // `profiles` is needed only by Optimize() (move scoring); EstimateToc and
-  // the exhaustive-search reuse of this class work without it.
+  // The constructor's one precondition; entry points return it first.
+  DOT_CHECK_OK(ValidateProblem(problem));
   return problem.targets_override != nullptr
              ? *problem.targets_override
              : MakePerfTargets(*problem.workload, *problem.box,
@@ -84,11 +81,16 @@ double DotOptimizer::EstimateToc(const Layout& layout,
 }
 
 DotResult DotOptimizer::Optimize() const {
-  DOT_CHECK(problem_.profiles != nullptr)
-      << "Optimize() needs workload profiles from the profiling phase";
   const double start_ms = NowMs();
   DotResult result;
   result.targets = targets_;
+  // `profiles` is needed only here (move scoring); EstimateToc and the
+  // exact searches' reuse of this class work without it.
+  if (problem_.profiles == nullptr) {
+    result.status = Status::InvalidArgument(
+        "Optimize() needs DotProblem::profiles from the profiling phase");
+    return result;
+  }
 
   const CandidateEvaluator evaluator(*this);
 

@@ -53,8 +53,11 @@ struct DotResult : SearchStats {
 /// on, not just a search.
 class DotOptimizer {
  public:
+  /// Asserts ValidateProblem(problem): entry points return it first.
   explicit DotOptimizer(const DotProblem& problem);
 
+  /// InvalidArgument, with nothing walked, when DotProblem::profiles is
+  /// null (move scoring needs them).
   DotResult Optimize() const;
 
   /// estimateTOC(W, L): workload estimate and TOC in cents/task under the
@@ -108,8 +111,9 @@ class DotOptimizer {
 /// (ValidateTailSla) and io_scale_hint (ValidateIoScale); and, when the
 /// problem carries an ensemble, a valid objective and scenario set
 /// (ValidateEnsembleObjective, ValidateEnsemble — a point problem's
-/// objective is not read, so it is not checked). Solve runs it on every
-/// single-shot method, and ValidateFleetRoster on every tenant.
+/// objective is not read, so it is not checked). ExactSearch,
+/// Solve(kDotHeuristic), RunDotPipeline and ValidateFleetRoster return it;
+/// DotOptimizer asserts it.
 Status ValidateProblem(const DotProblem& problem);
 
 }  // namespace dot

@@ -112,7 +112,7 @@ struct DotProblem {
   /// outlive the run. Null = the point forecast, which the engines price as
   /// the one-scenario nominal ensemble (so a K=1 nominal ensemble
   /// reproduces it bit for bit: same placements, TOC and counters).
-  /// Single-shot methods only: Solve rejects it on kEpochPlan and kFleet.
+  /// Single-shot methods only: the epoch and fleet planners reject it.
   const ScenarioEnsemble* ensemble = nullptr;
 
   /// What "best over the ensemble" means; ignored when `ensemble` is null.

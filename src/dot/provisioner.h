@@ -17,8 +17,9 @@ namespace dot {
 /// optimization"). Only an Infeasible verdict relaxes; any other error is
 /// returned at once. Returns the final result; `problem.relative_sla` is
 /// updated in place to the achieved SLA. A `relax_factor` outside (0, 1),
-/// a `min_sla` <= 0 or a problem SolveSpec::Validate rejects comes back as
-/// InvalidArgument in the result status.
+/// a `min_sla` <= 0 or a problem Solve(kDotHeuristic) rejects
+/// (ValidateProblem, missing profiles) comes back as InvalidArgument in the
+/// result status.
 DotResult OptimizeWithRelaxation(DotProblem& problem, double relax_factor,
                                  double min_sla);
 

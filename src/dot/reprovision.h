@@ -175,11 +175,11 @@ class ReprovisionPlanner {
   ReprovisionConfig config_;
 };
 
-/// The problem checks Plan, EvaluateSequence and Solve(kEpochPlan) run
-/// first, returned as InvalidArgument instead of aborting: schema and box
-/// set, no scenario ensemble (per-epoch point problems cannot honor one),
-/// relative_sla in (0, 1] even under a targets_override (every epoch
-/// derives its targets from it), and a valid tail SLA.
+/// The problem checks Plan and EvaluateSequence run first (Solve(kEpochPlan)
+/// forwards the status), returned as InvalidArgument instead of aborting:
+/// schema and box set, no scenario ensemble (per-epoch point problems
+/// cannot honor one), relative_sla in (0, 1] even under a targets_override
+/// (every epoch derives its targets from it), and a valid tail SLA.
 Status ValidateEpochProblem(const DotProblem& problem);
 
 /// The config checks Plan and EvaluateSequence run first, returned in
@@ -190,7 +190,7 @@ Status ValidateReprovisionConfig(const ReprovisionConfig& config);
 /// A migration weight must be >= 0 or kAutoMigrationWeight: a negative
 /// weight would turn migration cost into a reward, and make a planner churn
 /// layouts to collect it. NaN is rejected. The one check behind
-/// ValidateReprovisionConfig, SolveSpec::Validate and Advisor::Init.
+/// ValidateReprovisionConfig and ValidateAdvisorConfig.
 Status ValidateMigrationWeight(double weight);
 
 /// Runs the configured candidate search on `problem` — warm-started

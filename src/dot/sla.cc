@@ -33,8 +33,7 @@ PerfTargets MakePerfTargets(const WorkloadModel& model, const BoxConfig& box,
                             int num_objects, double relative_sla,
                             const std::vector<double>& io_scale,
                             const TailSla& tail) {
-  DOT_CHECK(relative_sla > 0.0 && relative_sla <= 1.0)
-      << "relative SLA must be in (0, 1], got " << relative_sla;
+  DOT_CHECK_OK(ValidateRelativeSla(relative_sla));
   PerfTargets targets;
   targets.kind = model.sla_kind();
   targets.relative_sla = relative_sla;

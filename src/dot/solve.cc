@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "dot/layout.h"
 
 namespace dot {
 
@@ -24,68 +23,18 @@ SolveResult FromDot(DotResult result, SolveMethod method,
   return out;
 }
 
-/// SolveSpec::Validate up to, not including, the kFleet roster walk.
-/// FleetPlanner::Plan checks the roster itself, so Solve runs this instead
-/// of walking every tenant twice.
-Status ValidateAllButRoster(const SolveSpec& spec, const DotProblem& problem) {
-  if (problem.ensemble != nullptr && spec.method == SolveMethod::kFleet) {
-    return Status::InvalidArgument(
-        "ensemble mode is single-shot; fleet tenants are point forecasts");
-  }
-  if (problem.box == nullptr) {
-    return Status::InvalidArgument("DotProblem::box is null");
-  }
-  if (spec.method == SolveMethod::kEpochPlan) {
-    // The planner's own checks, so Validate pre-flights what Plan returns.
-    if (problem.workload == nullptr) {
-      return Status::InvalidArgument(
-          "DotProblem::schema and ::workload must be set");
-    }
-    Status st = ValidateEpochProblem(problem);
-    if (st.ok()) st = ValidateReprovisionConfig(spec.epoch);
-    if (!st.ok() || spec.current_layout.empty()) return st;
-    return ValidatePlacement(spec.current_layout, *problem.schema,
-                             *problem.box, "current_layout");
-  }
-  if (spec.method != SolveMethod::kFleet) {
-    if (spec.method == SolveMethod::kDotHeuristic &&
-        problem.profiles == nullptr) {
-      return Status::InvalidArgument(
-          "kDotHeuristic needs DotProblem::profiles for move scoring");
-    }
-    return ValidateProblem(problem);
-  }
-  // --- kFleet: the problem carries box + options; the spec carries the
-  // tenants, each a full problem of its own.
-  if (spec.fleet == nullptr || spec.fleet->tenants == nullptr) {
-    return Status::InvalidArgument(
-        "kFleet needs SolveSpec::fleet with a tenants vector");
-  }
-  return ValidateFleetConfig(spec.fleet->config, *problem.box);
-}
-
 }  // namespace
 
-Status SolveSpec::Validate(const DotProblem& problem) const {
-  Status st = ValidateAllButRoster(*this, problem);
-  if (!st.ok() || method != SolveMethod::kFleet) return st;
-  return ValidateFleetRoster(*fleet->tenants, problem.box, fleet->config);
-}
-
 SolveResult Solve(const DotProblem& problem, const SolveSpec& spec) {
-  {
-    Status st = ValidateAllButRoster(spec, problem);
-    if (!st.ok()) {
-      SolveResult out;
-      out.status = std::move(st);
-      out.provenance.method = spec.method;
-      return out;
-    }
-  }
   switch (spec.method) {
-    case SolveMethod::kDotHeuristic:
-      return FromDot(DotOptimizer(problem).Optimize(), spec.method,
-                     "dot-heuristic");
+    case SolveMethod::kDotHeuristic: {
+      // The optimizer asserts ValidateProblem; return it instead. Optimize
+      // returns the missing-profiles status itself.
+      DotResult result;
+      result.status = ValidateProblem(problem);
+      if (result.status.ok()) result = DotOptimizer(problem).Optimize();
+      return FromDot(std::move(result), spec.method, "dot-heuristic");
+    }
     case SolveMethod::kExact:
       return FromDot(ExactSearch(problem, ExactStrategy::kBranchAndBound,
                                  spec.max_layouts, spec.warm_starts),
@@ -125,6 +74,13 @@ SolveResult Solve(const DotProblem& problem, const SolveSpec& spec) {
       return out;
     }
     case SolveMethod::kFleet: {
+      if (spec.fleet == nullptr || spec.fleet->tenants == nullptr) {
+        SolveResult out;
+        out.status = Status::InvalidArgument(
+            "kFleet needs SolveSpec::fleet with a tenants vector");
+        out.provenance.method = spec.method;
+        return out;
+      }
       FleetPlanner planner(problem, spec.fleet->config);
 
       SolveResult out;

@@ -85,20 +85,6 @@ struct SolveSpec {
 
   /// The fleet to provision (see FleetSpec). Must outlive the call.
   const FleetSpec* fleet = nullptr;
-
-  /// Checks this spec against `problem` and returns the exact status
-  /// Solve() would fail with: a single-shot problem ValidateProblem
-  /// rejects, kDotHeuristic without profiles, a kEpochPlan problem or
-  /// config the planner rejects (ValidateEpochProblem,
-  /// ValidateReprovisionConfig), a kEpochPlan current_layout that is not a
-  /// placement on the box (ValidatePlacement), a problem ensemble on
-  /// kFleet, or a malformed fleet spec (ValidateFleetConfig,
-  /// ValidateFleetRoster). Solve() runs the same
-  /// checks first and returns the error in SolveResult::status — it never
-  /// aborts on spec/problem mismatches — so drivers that assemble specs
-  /// from config can pre-flight them. (Solve leaves the roster check to
-  /// FleetPlanner::Plan, which returns the same status.)
-  Status Validate(const DotProblem& problem) const;
 };
 
 /// Where a SolveResult came from and what the engine did to produce it —
@@ -126,12 +112,13 @@ struct SolveProvenance : SearchStats {
 ///     DotOptimizer::Optimize / ExactSearch directly (same placement, TOC,
 ///     estimate, counters, infeasibility verdicts);
 ///   * kEpochPlan sets has_plan and fills `plan` — bit-identical to
-///     ReprovisionPlanner::Plan — and the convenience fields mirror the
-///     plan's first epoch (the layout to deploy now);
+///     ReprovisionPlanner::Plan, a rejected input included — and the
+///     convenience fields mirror the plan's first epoch (the layout to
+///     deploy now);
 ///   * kFleet sets has_fleet and fills `fleet` — bit-identical to
-///     FleetPlanner::Plan. `placement` stays empty (a fleet has one
-///     placement per tenant, in fleet.tenants) and toc_cents_per_task is
-///     the fleet total.
+///     FleetPlanner::Plan — once the planner runs. `placement` stays empty
+///     (a fleet has one placement per tenant, in fleet.tenants) and
+///     toc_cents_per_task is the fleet total.
 struct SolveResult {
   Status status = Status::OK();
 
@@ -165,8 +152,11 @@ struct SolveResult {
 /// method. This is the documented way to run any engine; the engine
 /// classes stay public as internals.
 ///
-/// Solve() never aborts on spec/problem mismatches: SolveSpec::Validate
-/// runs first and its error comes back in SolveResult::status.
+/// Solve() routes and never aborts on a malformed input: each input is
+/// checked once, by the engine it enters (DESIGN.md §11), and Solve
+/// forwards that status — the one a direct engine call returns. It checks
+/// only kFleet's SolveSpec::fleet itself, and runs ValidateProblem before
+/// it builds the kDotHeuristic optimizer (whose constructor asserts it).
 ///
 /// kEpochPlan runs ReprovisionPlanner(problem, spec.epoch): each epoch
 /// derives its targets from its own best case, tail SLA included, so

@@ -1,34 +1,27 @@
 #include "dot/validator.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "dot/sla.h"
-#include "dot/solve.h"
 #include "query/object_io.h"
-#include "workload/scenario.h"
 
 namespace dot {
 
 namespace {
 
 /// The problem and config checks RunDotPipeline reports instead of
-/// aborting: the round count, the heuristic solve's own checks
-/// (SolveSpec::Validate), and the test run's noise and io_scale.
+/// aborting: the round count, the problem (ValidateProblem) and the test
+/// run's executor config (ValidateExecutorConfig). Missing profiles come
+/// back from the first Optimize.
 Status ValidatePipeline(const DotProblem& problem,
                         const PipelineConfig& config) {
   if (config.max_rounds < 1) {
     return Status::InvalidArgument("PipelineConfig::max_rounds must be >= 1");
   }
-  SolveSpec heuristic;
-  heuristic.method = SolveMethod::kDotHeuristic;
-  Status st = heuristic.Validate(problem);
+  Status st = ValidateProblem(problem);
   if (!st.ok()) return st;
-  if (!(std::isfinite(config.exec.noise_cv) && config.exec.noise_cv >= 0.0)) {
-    return Status::InvalidArgument("exec.noise_cv must be finite and >= 0");
-  }
-  return ValidateIoScale(config.exec.io_scale, problem.schema->NumObjects(),
-                         "exec.io_scale");
+  return ValidateExecutorConfig(config.exec, problem.schema->NumObjects(),
+                                "PipelineConfig::exec");
 }
 
 /// Per-object ratio of measured to estimated total I/O — the refinement
@@ -67,9 +60,12 @@ PipelineResult RunDotPipeline(const DotProblem& problem,
     vr.recommendation = optimizer.Optimize();
     if (!vr.recommendation.status.ok()) {
       // Infeasible: surface it; the caller decides whether to relax the
-      // SLA (Figure 2's "Relax the performance constraints" edge).
+      // SLA (Figure 2's "Relax the performance constraints" edge). A
+      // problem without profiles is refused before the walk: no round.
+      const bool refused =
+          vr.recommendation.status.code() == StatusCode::kInvalidArgument;
       out.final = std::move(vr.recommendation);
-      out.rounds.push_back(std::move(vr));
+      if (!refused) out.rounds.push_back(std::move(vr));
       return out;
     }
 

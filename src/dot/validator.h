@@ -49,11 +49,12 @@ struct PipelineResult {
 /// optimization phase with them (§3: "uses real runtime statistics ... to
 /// redo the optimization phase").
 ///
-/// A malformed problem or config — max_rounds < 1, anything
-/// SolveSpec::Validate rejects for kDotHeuristic (e.g. no profiles), an
-/// exec.io_scale that ValidateIoScale rejects, or a NaN, infinite or
-/// negative exec.noise_cv — comes back as InvalidArgument in
-/// final.status, with no rounds, instead of aborting.
+/// A malformed problem or config — max_rounds < 1, a problem
+/// ValidateProblem rejects or one without profiles, or an executor config
+/// ValidateExecutorConfig rejects (a mis-sized, NaN or negative
+/// exec.io_scale; a NaN, infinite or negative exec.noise_cv) — comes back
+/// as InvalidArgument in final.status, with no rounds, instead of
+/// aborting.
 PipelineResult RunDotPipeline(const DotProblem& problem,
                               const PipelineConfig& config);
 

@@ -3,14 +3,24 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "workload/scenario.h"
 
 namespace dot {
+
+Status ValidateExecutorConfig(const ExecutorConfig& config, int num_objects,
+                              const std::string& what) {
+  if (!(std::isfinite(config.noise_cv) && config.noise_cv >= 0.0)) {
+    return Status::InvalidArgument(what +
+                                   " noise_cv must be finite and >= 0");
+  }
+  return ValidateIoScale(config.io_scale, num_objects, what + " io_scale");
+}
 
 Executor::Executor(const WorkloadModel* model, ExecutorConfig config)
     : model_(model), config_(std::move(config)), rng_(config_.seed) {
   DOT_CHECK(model_ != nullptr);
-  DOT_CHECK(config_.noise_cv >= 0.0);
-  for (double s : config_.io_scale) DOT_CHECK(s >= 0.0);
+  DOT_CHECK_OK(ValidateExecutorConfig(
+      config_, static_cast<int>(config_.io_scale.size())));
 }
 
 PerfEstimate Executor::Run(const std::vector<int>& placement) {

@@ -1,9 +1,11 @@
 #ifndef DOTPROV_EXEC_EXECUTOR_H_
 #define DOTPROV_EXEC_EXECUTOR_H_
 
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "workload/workload.h"
 
 namespace dot {
@@ -24,6 +26,12 @@ struct ExecutorConfig {
   uint64_t seed = 7;
 };
 
+/// InvalidArgument unless `noise_cv` is finite and >= 0 and `io_scale` is
+/// valid for `num_objects` objects (ValidateIoScale); `what` prefixes the
+/// field names in the message.
+Status ValidateExecutorConfig(const ExecutorConfig& config, int num_objects,
+                              const std::string& what = "ExecutorConfig");
+
 /// Simulated execution of a workload on a concrete layout — the "test run"
 /// of the validation phase (§3, Figure 2) and of test-run-based profiling
 /// (§3.4 option (b), §4.5.1).
@@ -35,7 +43,8 @@ struct ExecutorConfig {
 /// phase feeds back into optimization.
 class Executor {
  public:
-  /// `model` must outlive the executor.
+  /// `model` must outlive the executor. Asserts ValidateExecutorConfig
+  /// (the io_scale arity is left to callers, who know the schema).
   Executor(const WorkloadModel* model, ExecutorConfig config);
 
   /// Runs the workload once on `placement` and returns the measurement.

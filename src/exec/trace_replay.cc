@@ -7,7 +7,6 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "dot/layout.h"
-#include "workload/scenario.h"
 
 namespace dot {
 
@@ -17,10 +16,9 @@ WorkloadTrace RecordTraceWithExecutor(const WorkloadTraceSpec& spec,
   WorkloadTrace trace;
   trace.status = ValidateTraceSpec(spec);
   for (size_t w = 0; w < spec.windows.size() && trace.status.ok(); ++w) {
-    trace.status =
-        ValidateIoScale(spec.windows[w].io_scale,
-                        static_cast<int>(placement.size()),
-                        "window " + std::to_string(w) + " io_scale");
+    trace.status = ValidateExecutorConfig(
+        {exec_noise_cv, spec.windows[w].io_scale},
+        static_cast<int>(placement.size()), "window " + std::to_string(w));
   }
   if (!trace.status.ok()) return trace;
 
@@ -71,17 +69,25 @@ namespace {
 Status ValidateTrack(const WorkloadTraceSpec& spec,
                      const std::vector<std::vector<int>>& layout_by_window,
                      const Schema& schema, const BoxConfig& box,
+                     const TrackReplayConfig& config,
                      const std::vector<int>& current_layout) {
   Status st = ValidateTraceSpec(spec);
   if (!st.ok()) return st;
+  if (!(std::isfinite(config.migration_weight) &&
+        config.migration_weight >= 0.0)) {
+    return Status::InvalidArgument(
+        "TrackReplayConfig::migration_weight must be finite and >= 0, got " +
+        std::to_string(config.migration_weight));
+  }
   if (layout_by_window.size() != spec.windows.size()) {
     return Status::InvalidArgument(
         "layout track length does not match the trace's window count");
   }
   for (size_t w = 0; w < spec.windows.size(); ++w) {
     const std::string window = "window " + std::to_string(w);
-    st = ValidateIoScale(spec.windows[w].io_scale, schema.NumObjects(),
-                         window + " io_scale");
+    st = ValidateExecutorConfig(
+        {config.exec_noise_cv, spec.windows[w].io_scale}, schema.NumObjects(),
+        window);
     if (!st.ok()) return st;
     st = ValidatePlacement(layout_by_window[w], schema, box,
                            window + " layout");
@@ -100,8 +106,8 @@ TrackReplayResult ReplayLayoutTrack(
     const TrackReplayConfig& config,
     const std::vector<int>& current_layout) {
   TrackReplayResult result;
-  result.status =
-      ValidateTrack(spec, layout_by_window, schema, box, current_layout);
+  result.status = ValidateTrack(spec, layout_by_window, schema, box, config,
+                                current_layout);
   if (!result.status.ok()) return result;
 
   result.windows.resize(spec.windows.size());

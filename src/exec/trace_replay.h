@@ -26,10 +26,12 @@ namespace dot {
 /// spec.count_noise_cv.
 ///
 /// Returns a trace whose status is InvalidArgument, with no events and
-/// nothing run, for a spec ValidateTraceSpec rejects or a window io_scale
-/// whose length is neither 0 nor placement.size() (ValidateIoScale). The
-/// recorder sees no schema or box, so `placement` itself must be a valid
-/// placement of every window's workload.
+/// nothing run, for a spec ValidateTraceSpec rejects, or a window whose
+/// executor config ValidateExecutorConfig rejects: an `exec_noise_cv`
+/// that is NaN, infinite or negative, or an io_scale whose length is
+/// neither 0 nor placement.size(). The recorder sees no schema or box, so
+/// `placement` itself must be a valid placement of every window's
+/// workload.
 WorkloadTrace RecordTraceWithExecutor(const WorkloadTraceSpec& spec,
                                       const std::vector<int>& placement,
                                       double exec_noise_cv = 0.0);
@@ -42,7 +44,8 @@ struct TrackReplayConfig {
   /// Migration pricing charged whenever consecutive windows run different
   /// layouts (and on entering window 0 from a differing current layout),
   /// folded in at `migration_weight` (hours/task, same role as the epoch
-  /// planner's weight).
+  /// planner's weight; finite and >= 0 — the replay has no auto sentinel,
+  /// so pass a plan's resolved_migration_weight).
   MigrationCostModel migration;
   double migration_weight = 0.0;
 
@@ -90,10 +93,11 @@ struct TrackReplayResult {
 /// epoch plan equals its total_objective bit for bit.
 ///
 /// Returns InvalidArgument (and runs nothing) for an invalid spec
-/// (ValidateTraceSpec), a window io_scale that ValidateIoScale rejects, a
-/// track whose length is not the window count, or a track layout or
-/// non-empty `current_layout` that is not a placement on the box
-/// (ValidatePlacement).
+/// (ValidateTraceSpec), a migration_weight that is NaN, infinite or
+/// negative, a window whose executor config (exec_noise_cv, io_scale)
+/// ValidateExecutorConfig rejects, a track whose length is not the window
+/// count, or a track layout or non-empty `current_layout` that is not a
+/// placement on the box (ValidatePlacement).
 TrackReplayResult ReplayLayoutTrack(
     const WorkloadTraceSpec& spec,
     const std::vector<std::vector<int>>& layout_by_window,

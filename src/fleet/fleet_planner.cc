@@ -582,6 +582,7 @@ Status ValidateFleetRoster(const std::vector<FleetTenant>& tenants,
 
 FleetPlanner::FleetPlanner(const DotProblem& problem, FleetConfig config)
     : box_(problem.box),
+      ensemble_(problem.ensemble),
       options_(problem.options),
       config_(std::move(config)) {}
 
@@ -590,6 +591,11 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
   FleetPlan plan;
   if (box_ == nullptr) {
     plan.status = Status::InvalidArgument("FleetPlanner has no box");
+    return plan;
+  }
+  if (ensemble_ != nullptr) {
+    plan.status = Status::InvalidArgument(
+        "ensemble mode is single-shot; fleet tenants are point forecasts");
     return plan;
   }
   const int m = box_->NumClasses();

@@ -84,15 +84,14 @@ struct FleetConfig {
 /// Checks the FleetConfig against the box the fleet provisions on:
 /// price_iterations and max_pool_layouts >= 1, a non-NaN budget, and
 /// capacity_gb empty or one non-negative, non-NaN entry per storage class.
-/// Solve (SolveSpec::Validate) and FleetPlanner::Plan both call it.
+/// FleetPlanner::Plan runs it, once per plan.
 Status ValidateFleetConfig(const FleetConfig& config, const BoxConfig& box);
 
 /// Checks each tenant of the roster: the fleet's `box` (by pointer), no
 /// scenario ensemble, a problem ValidateProblem accepts (dot/optimizer.h),
 /// and profiles when the pool build runs DOT's Procedure 1
 /// (FleetPoolMode::kSearch with EpochSearch::kDot).
-/// SolveSpec::Validate and FleetPlanner::Plan call it; Solve(kFleet)
-/// leaves it to Plan, so a roster is walked once per solve.
+/// FleetPlanner::Plan runs it, so a roster is walked once per solve.
 Status ValidateFleetRoster(const std::vector<FleetTenant>& tenants,
                            const BoxConfig* box, const FleetConfig& config);
 
@@ -216,12 +215,15 @@ class FleetPlanner {
   /// problem references.
   FleetPlanner(const DotProblem& problem, FleetConfig config);
 
-  /// A null box, a malformed config (ValidateFleetConfig) or roster comes
-  /// back in FleetPlan::status instead of aborting.
+  /// A null box, a problem ensemble (fleet tenants are point forecasts),
+  /// a malformed config (ValidateFleetConfig) or roster
+  /// (ValidateFleetRoster) comes back in FleetPlan::status instead of
+  /// aborting; Solve(kFleet) forwards it.
   FleetPlan Plan(const std::vector<FleetTenant>& tenants) const;
 
  private:
   const BoxConfig* box_;
+  const ScenarioEnsemble* ensemble_;  ///< must be null (Plan refuses one)
   SearchOptions options_;
   FleetConfig config_;
 };

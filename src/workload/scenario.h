@@ -61,7 +61,7 @@ Status ValidateIoScale(const std::vector<double>& io_scale, int num_objects,
 
 /// Checks `ensemble` against a problem of `num_objects` objects: 1 to
 /// kMaxScenarios scenarios, every weight finite and > 0, every io_scale
-/// valid per ValidateIoScale. SolveSpec::Validate calls it, so a malformed
+/// valid per ValidateIoScale. ValidateProblem calls it, so a malformed
 /// ensemble comes back as InvalidArgument instead of aborting in the
 /// scorers.
 Status ValidateEnsemble(const ScenarioEnsemble& ensemble, int num_objects);

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <utility>
 
+#include "workload/scenario.h"
 
 namespace dot {
 
@@ -48,13 +49,11 @@ Status ValidateTraceSpec(const WorkloadTraceSpec& spec) {
       return Status::InvalidArgument("window " + std::to_string(w) +
                                      " has non-positive duration");
     }
-    for (double s : win.io_scale) {
-      if (!(s >= 0.0) || !std::isfinite(s)) {
-        return Status::InvalidArgument("window " + std::to_string(w) +
-                                       " has negative or non-finite "
-                                       "io_scale");
-      }
-    }
+    // Entries only: the spec sees no schema, so arity is the caller's.
+    Status st = ValidateIoScale(win.io_scale,
+                                static_cast<int>(win.io_scale.size()),
+                                "window " + std::to_string(w) + " io_scale");
+    if (!st.ok()) return st;
   }
   return Status::OK();
 }

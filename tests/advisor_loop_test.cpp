@@ -20,6 +20,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "catalog/tpcc_schema.h"
@@ -248,6 +249,58 @@ TEST(AdvisorLoopTest, InitRejectsANullPoolModel) {
   config.model_pool = {session.problem.workload, nullptr};
   Advisor advisor(session.problem, config);
   EXPECT_EQ(advisor.Init().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(AdvisorLoopTest, InitRejectsAMalformedDriftConfig) {
+  // The detector is built by Init, after the config check, so a bad drift
+  // knob comes back as a status instead of aborting in the constructor.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::pair<std::string, DriftConfig>> cases;
+  for (double alpha : {0.0, -0.3, 1.5, nan}) {
+    DriftConfig drift;
+    drift.ewma_alpha = alpha;
+    cases.push_back({"ewma_alpha " + std::to_string(alpha), drift});
+  }
+  for (double deadband : {-0.1, nan}) {
+    DriftConfig drift;
+    drift.deadband = deadband;
+    cases.push_back({"deadband " + std::to_string(deadband), drift});
+  }
+  for (double trigger : {0.0, -1.0, nan}) {
+    DriftConfig drift;
+    drift.trigger = trigger;
+    cases.push_back({"trigger " + std::to_string(trigger), drift});
+  }
+  for (double floor : {0.0, -1.0, nan}) {
+    DriftConfig drift;
+    drift.count_floor = floor;
+    cases.push_back({"count_floor " + std::to_string(floor), drift});
+  }
+  TpchSession session;
+  for (const auto& [what, drift] : cases) {
+    SCOPED_TRACE(what);
+    EXPECT_EQ(ValidateDriftConfig(drift).code(),
+              StatusCode::kInvalidArgument);
+    AdvisorConfig config;
+    config.drift = drift;
+    Advisor advisor(session.problem, config);
+    EXPECT_EQ(advisor.Init().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_TRUE(ValidateDriftConfig(DriftConfig{}).ok());
+}
+
+TEST(AdvisorLoopTest, InitRejectsAProblemWithoutAWorkload) {
+  // The initial Solve returns the status; the constructor checks nothing.
+  TpchSession session;
+  DotProblem problem = session.problem;
+  problem.workload = nullptr;
+  for (SolveMethod method : {SolveMethod::kExact, SolveMethod::kDotHeuristic,
+                             SolveMethod::kEnumerate}) {
+    AdvisorConfig config;
+    config.replan_method = method;
+    Advisor advisor(problem, config);
+    EXPECT_EQ(advisor.Init().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(AdvisorLoopTest, RunIsResumableAcrossFeedSegments) {

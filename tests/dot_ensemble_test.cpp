@@ -352,16 +352,15 @@ TEST_F(EnsembleOptTest, SolveRunsTheProblemEnsemble) {
   spec.method = SolveMethod::kDotHeuristic;
   ExpectSameResult(Solve(robust, spec).dot, DotOptimizer(robust).Optimize());
 
-  // A problem ensemble on the epoch planner is a spec error: Validate
-  // refuses it, and Solve returns that status instead of running.
+  // A problem ensemble on the epoch planner is a spec error: the planner
+  // refuses it before planning, and Solve forwards that status.
   SolveSpec epoch;
   epoch.method = SolveMethod::kEpochPlan;
-  const Status verdict = epoch.Validate(robust);
-  EXPECT_EQ(verdict.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(verdict.message().find("single-shot"), std::string::npos);
   const SolveResult refused = Solve(robust, epoch);
-  EXPECT_EQ(refused.status, verdict);
-  EXPECT_FALSE(refused.has_plan);
+  EXPECT_EQ(refused.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.status.message().find("single-shot"), std::string::npos);
+  EXPECT_EQ(refused.plan.status, refused.status);
+  EXPECT_TRUE(refused.plan.steps.empty());
 }
 
 TEST_F(EnsembleOptTest, PointProblemIgnoresItsEnsembleObjective) {

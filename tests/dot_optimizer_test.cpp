@@ -234,16 +234,21 @@ TEST_F(OptimizerTest, FullPathWalkEstimatesEachCommittedCandidateOnce) {
 }
 
 TEST_F(OptimizerTest, MissingComponentAborts) {
+  // The constructor asserts ValidateProblem; entry points return it.
   DotProblem p = problem_;
   p.workload = nullptr;
-  EXPECT_DEATH(DotOptimizer{p}, "missing");
+  EXPECT_DEATH(DotOptimizer{p}, "must be set");
 }
 
-TEST_F(OptimizerTest, OptimizeWithoutProfilesAborts) {
+TEST_F(OptimizerTest, OptimizeWithoutProfilesReturnsInvalidArgument) {
   DotProblem p = problem_;
   p.profiles = nullptr;
-  DotOptimizer opt(p);
-  EXPECT_DEATH((void)opt.Optimize(), "profiles");
+  const DotResult r = DotOptimizer(p).Optimize();
+  EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status.message().find("profiles"), std::string::npos)
+      << r.status.ToString();
+  EXPECT_EQ(r.layouts_evaluated, 0);
+  EXPECT_TRUE(r.placement.empty());
 }
 
 }  // namespace

@@ -271,30 +271,28 @@ TEST_F(SolveFacadeTest, EpochPlanOneEpochZeroMigrationMatchesExact) {
   EXPECT_EQ(Solve(strict).status.code(), StatusCode::kInfeasible);
 }
 
-TEST_F(SolveFacadeTest, ValidateCatchesSpecProblemMismatches) {
+TEST_F(SolveFacadeTest, SpecProblemMismatchesComeBackAsStatus) {
   // A malformed problem comes back as a status, not an abort.
   DotProblem no_workload = problem_;
   no_workload.workload = nullptr;
   SolveSpec spec;
-  EXPECT_EQ(spec.Validate(no_workload).code(),
+  EXPECT_EQ(Solve(no_workload, spec).status.code(),
             StatusCode::kInvalidArgument);
-  const SolveResult r = Solve(no_workload, spec);
-  EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
 
   // kFleet without a fleet spec is refused the same way.
   SolveSpec fleet;
   fleet.method = SolveMethod::kFleet;
-  EXPECT_EQ(fleet.Validate(problem_).code(),
+  EXPECT_EQ(Solve(problem_, fleet).status.code(),
             StatusCode::kInvalidArgument);
 
-  // The heuristic without profiles (Optimize() would abort on them).
+  // The heuristic without profiles: Optimize returns the status itself.
   DotProblem no_profiles = problem_;
   no_profiles.profiles = nullptr;
   SolveSpec heuristic;
   heuristic.method = SolveMethod::kDotHeuristic;
-  EXPECT_EQ(heuristic.Validate(no_profiles).code(),
-            StatusCode::kInvalidArgument);
   EXPECT_EQ(Solve(no_profiles, heuristic).status.code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(DotOptimizer(no_profiles).Optimize().status.code(),
             StatusCode::kInvalidArgument);
 
   // A fleet whose pool build runs the heuristic, over a tenant without
@@ -305,11 +303,11 @@ TEST_F(SolveFacadeTest, ValidateCatchesSpecProblemMismatches) {
   dot_pools.config.pool_mode = FleetPoolMode::kSearch;
   dot_pools.config.search = EpochSearch::kDot;
   fleet.fleet = &dot_pools;
-  EXPECT_EQ(fleet.Validate(problem_).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(Solve(problem_, fleet).status.code(),
             StatusCode::kInvalidArgument);
   tenants[0].problem.profiles = &profiles_;
-  EXPECT_TRUE(fleet.Validate(problem_).ok());
+  EXPECT_NE(Solve(problem_, fleet).status.code(),
+            StatusCode::kInvalidArgument);
 
   // A relative SLA outside (0, 1], or NaN: MakePerfTargets would abort on
   // it. A targets_override supplies the targets instead, except for the
@@ -325,26 +323,27 @@ TEST_F(SolveFacadeTest, ValidateCatchesSpecProblemMismatches) {
     const std::string what = "relative_sla " + std::to_string(sla);
     DotProblem bad_sla = problem_;
     bad_sla.relative_sla = sla;
-    EXPECT_EQ(exact.Validate(bad_sla).code(), StatusCode::kInvalidArgument)
-        << what;
     EXPECT_EQ(Solve(bad_sla, exact).status.code(),
               StatusCode::kInvalidArgument)
         << what;
     bad_sla.targets_override = &targets;
-    EXPECT_TRUE(exact.Validate(bad_sla).ok()) << what;
-    EXPECT_EQ(epoch.Validate(bad_sla).code(), StatusCode::kInvalidArgument)
+    EXPECT_NE(Solve(bad_sla, exact).status.code(),
+              StatusCode::kInvalidArgument)
+        << what;
+    EXPECT_EQ(Solve(bad_sla, epoch).status.code(),
+              StatusCode::kInvalidArgument)
         << what;
 
     // The same rule per fleet tenant.
     tenants[0].problem.relative_sla = sla;
     tenants[0].problem.targets_override = nullptr;
-    EXPECT_EQ(fleet.Validate(problem_).code(), StatusCode::kInvalidArgument)
-        << what;
     EXPECT_EQ(Solve(problem_, fleet).status.code(),
               StatusCode::kInvalidArgument)
         << what;
     tenants[0].problem.targets_override = &targets;
-    EXPECT_TRUE(fleet.Validate(problem_).ok()) << what;
+    EXPECT_NE(Solve(problem_, fleet).status.code(),
+              StatusCode::kInvalidArgument)
+        << what;
   }
 
   // A negative migration weight other than the auto sentinel, or NaN: the
@@ -353,21 +352,18 @@ TEST_F(SolveFacadeTest, ValidateCatchesSpecProblemMismatches) {
     const std::string what = "migration_weight " + std::to_string(weight);
     SolveSpec bad_weight = epoch;
     bad_weight.epoch.migration_weight = weight;
-    EXPECT_EQ(bad_weight.Validate(problem_).code(),
-              StatusCode::kInvalidArgument)
-        << what;
     EXPECT_EQ(Solve(problem_, bad_weight).status.code(),
               StatusCode::kInvalidArgument)
         << what;
   }
   SolveSpec zero_weight = epoch;
   zero_weight.epoch.migration_weight = 0.0;
-  EXPECT_TRUE(zero_weight.Validate(problem_).ok());
+  EXPECT_NE(Solve(problem_, zero_weight).status.code(),
+            StatusCode::kInvalidArgument);
 
   // The rest of the planner's config is checked up front too.
   SolveSpec no_pool = epoch;
   no_pool.epoch.max_pool_layouts = 0;
-  EXPECT_EQ(no_pool.Validate(problem_).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(Solve(problem_, no_pool).status.code(),
             StatusCode::kInvalidArgument);
 }
@@ -397,7 +393,6 @@ TEST_F(SolveFacadeTest, MalformedTailSlaIsRejected) {
           SolveMethod::kEnumerate, SolveMethod::kEpochPlan}) {
       SolveSpec spec;
       spec.method = method;
-      EXPECT_EQ(spec.Validate(problem).code(), StatusCode::kInvalidArgument);
       EXPECT_EQ(Solve(problem, spec).status.code(),
                 StatusCode::kInvalidArgument);
     }
@@ -405,7 +400,6 @@ TEST_F(SolveFacadeTest, MalformedTailSlaIsRejected) {
     SolveSpec fleet;
     fleet.method = SolveMethod::kFleet;
     fleet.fleet = &roster;
-    EXPECT_EQ(fleet.Validate(problem_).code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(Solve(problem_, fleet).status.code(),
               StatusCode::kInvalidArgument);
   }
@@ -425,11 +419,11 @@ TEST_F(SolveFacadeTest, EpochPlanRejectsACurrentLayoutOutsideTheBox) {
     epoch.current_layout.assign(
         static_cast<size_t>(problem_.schema->NumObjects()), 0);
     epoch.current_layout[0] = bad;
-    EXPECT_EQ(epoch.Validate(problem_).code(), StatusCode::kInvalidArgument)
-        << bad;
     const SolveResult r = Solve(problem_, epoch);
     EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument) << bad;
-    EXPECT_NE(r.status.message().find("current_layout"), std::string::npos)
+    // The planner's own status, forwarded.
+    EXPECT_EQ(r.status, r.plan.status) << bad;
+    EXPECT_NE(r.status.message().find("current layout"), std::string::npos)
         << r.status.ToString();
   }
 }
@@ -464,12 +458,11 @@ TEST_F(SolveFacadeTest, MalformedIoScaleHintIsRejected) {
           SolveMethod::kEnumerate}) {
       SolveSpec spec;
       spec.method = method;
-      EXPECT_EQ(spec.Validate(bad).code(), StatusCode::kInvalidArgument);
       EXPECT_EQ(Solve(bad, spec).status.code(),
                 StatusCode::kInvalidArgument);
     }
     // The epoch planner ignores the hint, so it is not checked there.
-    EXPECT_TRUE(epoch.Validate(bad).ok());
+    EXPECT_NE(Solve(bad, epoch).status.code(), StatusCode::kInvalidArgument);
 
     // The same rule per fleet tenant, through every fleet entry point.
     tenants[0].problem = bad;
@@ -490,9 +483,9 @@ TEST_F(SolveFacadeTest, MalformedIoScaleHintIsRejected) {
   EXPECT_TRUE(ValidateFleetRoster(tenants, &box_, roster.config).ok());
 }
 
-TEST_F(SolveFacadeTest, MalformedRosterGetsTheSameStatusFromSolveAndValidate) {
-  // Solve(kFleet) leaves the roster walk to FleetPlanner::Plan; the status
-  // it returns must still be the one Validate pre-flights, case by case.
+TEST_F(SolveFacadeTest, MalformedRosterGetsTheSameStatusFromSolveAndPlan) {
+  // Solve(kFleet) leaves the roster walk to FleetPlanner::Plan and
+  // forwards its status, case by case.
   const BoxConfig other_box = MakeBox2();
   ScenarioEnsemble ensemble;
   ensemble.scenarios.push_back(Scenario{});
@@ -538,23 +531,22 @@ TEST_F(SolveFacadeTest, MalformedRosterGetsTheSameStatusFromSolveAndValidate) {
     SolveSpec spec;
     spec.method = SolveMethod::kFleet;
     spec.fleet = &roster;
-    const Status validated = spec.Validate(problem_);
-    EXPECT_EQ(validated.code(), StatusCode::kInvalidArgument);
+    const Status planned =
+        FleetPlanner(problem_, roster.config).Plan(c.tenants).status;
+    EXPECT_EQ(planned.code(), StatusCode::kInvalidArgument);
     const SolveResult solved = Solve(problem_, spec);
-    EXPECT_EQ(solved.status.code(), validated.code());
-    EXPECT_EQ(solved.status.message(), validated.message());
+    EXPECT_EQ(solved.status.code(), planned.code());
+    EXPECT_EQ(solved.status.message(), planned.message());
   }
 }
 
-/// A malformed problem ensemble comes back as InvalidArgument from
-/// Validate and from Solve.
+/// A malformed problem ensemble comes back as InvalidArgument from Solve.
 void ExpectEnsembleRejected(const DotProblem& problem,
                             const ScenarioEnsemble& ensemble) {
   DotProblem carried = problem;
   carried.ensemble = &ensemble;
   SolveSpec exact;
   exact.method = SolveMethod::kExact;
-  EXPECT_EQ(exact.Validate(carried).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(Solve(carried, exact).status.code(),
             StatusCode::kInvalidArgument);
 }
@@ -587,7 +579,6 @@ TEST_F(SolveFacadeTest, NanCvarAlphaIsRejected) {
   problem.ensemble_objective.alpha = std::numeric_limits<double>::quiet_NaN();
   SolveSpec exact;
   exact.method = SolveMethod::kExact;
-  EXPECT_TRUE(exact.Validate(problem).ok());
   EXPECT_TRUE(Solve(problem, exact).status.ok());
 }
 
@@ -678,13 +669,87 @@ TEST_F(SolveFacadeTest, ProblemEnsembleIsRejectedOnEpochPlanAndFleet) {
     spec.method = method;
     spec.fleet = &fleet;
     // Without the ensemble the spec is well-formed.
-    ASSERT_TRUE(spec.Validate(problem_).ok());
-    const Status validated = spec.Validate(robust);
-    EXPECT_EQ(validated.code(), StatusCode::kInvalidArgument);
+    ASSERT_NE(Solve(problem_, spec).status.code(),
+              StatusCode::kInvalidArgument);
     const SolveResult solved = Solve(robust, spec);
-    EXPECT_EQ(solved.status, validated);
-    EXPECT_FALSE(solved.has_plan);
-    EXPECT_FALSE(solved.has_fleet);
+    EXPECT_EQ(solved.status.code(), StatusCode::kInvalidArgument);
+    // The planner refused before planning anything; Solve forwards its
+    // status.
+    if (method == SolveMethod::kEpochPlan) {
+      EXPECT_EQ(solved.plan.status, solved.status);
+      EXPECT_TRUE(solved.plan.steps.empty());
+    } else {
+      EXPECT_EQ(solved.fleet.status, solved.status);
+      EXPECT_TRUE(solved.fleet.tenants.empty());
+    }
+  }
+}
+
+TEST_F(SolveFacadeTest, EveryEntryPointReturnsOneStatusForAMalformedProblem) {
+  // One check per input, run by the engine it enters: each single-shot
+  // method through Solve and ExactSearch called directly (both strategies)
+  // return ValidateProblem's InvalidArgument for the same corpus, instead
+  // of one path aborting or answering where another refuses.
+  const int n = schema_.NumObjects();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const ScenarioEnsemble empty;
+  const ScenarioEnsemble oversized = NominalEnsemble(kMaxScenarios + 1, n);
+  const ScenarioEnsemble three = NominalEnsemble(3, n);
+  const ScenarioEnsemble single = NominalEnsemble(1, n);
+  struct Case {
+    std::string what;
+    DotProblem problem;
+  };
+  std::vector<Case> cases;
+  auto add = [&](const std::string& what, auto&& mutate) {
+    DotProblem p = problem_;
+    mutate(p);
+    cases.push_back({what, std::move(p)});
+  };
+  for (double sla : {nan, 0.0, 1.5}) {
+    add("relative_sla " + std::to_string(sla),
+        [sla](DotProblem& p) { p.relative_sla = sla; });
+  }
+  add("tail percentile 1", [](DotProblem& p) {
+    p.tail_sla.percentile = 1.0;
+    p.tail_sla.latency_cv = 0.1;
+  });
+  add("hint arity", [](DotProblem& p) { p.io_scale_hint = {1.0, 1.0}; });
+  add("hint NaN", [&](DotProblem& p) {
+    p.io_scale_hint.assign(static_cast<size_t>(n), 1.0);
+    p.io_scale_hint[1] = nan;
+  });
+  add("empty ensemble", [&](DotProblem& p) { p.ensemble = &empty; });
+  add("oversized ensemble", [&](DotProblem& p) { p.ensemble = &oversized; });
+  add("CVaR alpha NaN", [&](DotProblem& p) {
+    p.ensemble = &three;
+    p.ensemble_objective.kind = EnsembleObjective::Kind::kCVaR;
+    p.ensemble_objective.alpha = nan;
+  });
+  add("fraction 0 at K = 1", [&](DotProblem& p) {
+    p.ensemble = &single;
+    p.ensemble_objective.min_feasible_fraction = 0.0;
+  });
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const Status expected = ValidateProblem(c.problem);
+    ASSERT_EQ(expected.code(), StatusCode::kInvalidArgument);
+    for (SolveMethod method :
+         {SolveMethod::kDotHeuristic, SolveMethod::kExact,
+          SolveMethod::kEnumerate}) {
+      SolveSpec spec;
+      spec.method = method;
+      const SolveResult solved = Solve(c.problem, spec);
+      EXPECT_EQ(solved.status, expected);
+      EXPECT_TRUE(solved.placement.empty());
+    }
+    for (ExactStrategy strategy :
+         {ExactStrategy::kEnumerate, ExactStrategy::kBranchAndBound}) {
+      const DotResult direct = ExactSearch(c.problem, strategy);
+      EXPECT_EQ(direct.status, expected);
+      EXPECT_EQ(direct.layouts_evaluated, 0);
+    }
   }
 }
 

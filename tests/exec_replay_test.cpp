@@ -2,15 +2,17 @@
 // noiseless replay reproduces the plan's objective bit for bit, including
 // the epoch-0 migration from the current layout; noise jitters it
 // reproducibly, per window; and malformed tracks, placements and io_scale
-// vectors come back as InvalidArgument instead of aborting. The trace
-// recorder draws its observation noise in a pinned order and returns a
-// status for a spec or io_scale it cannot record.
+// vectors, executor noise and migration weights come back as
+// InvalidArgument instead of aborting. The trace recorder draws its
+// observation noise in a pinned order and returns a status for a spec,
+// io_scale or executor noise it cannot record.
 
 #include "exec/trace_replay.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -325,6 +327,58 @@ TEST_F(ReplayTest, RefusesAnInvalidCurrentLayout) {
               std::string::npos)
         << replay.status.ToString();
   }
+}
+
+TEST_F(ReplayTest, RecordingRefusesANegativeOrNonFiniteExecutorNoise) {
+  // The Executor constructor used to abort on these.
+  const std::vector<int> placement{0, 0, 0, 0};
+  for (double cv : {-0.1, std::numeric_limits<double>::quiet_NaN(),
+                    std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE("exec_noise_cv " + std::to_string(cv));
+    const WorkloadTrace trace =
+        RecordTraceWithExecutor(schedule_, placement, cv);
+    EXPECT_EQ(trace.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(trace.status.message().find("noise_cv"), std::string::npos)
+        << trace.status.ToString();
+    EXPECT_TRUE(trace.events.empty());
+  }
+}
+
+TEST_F(ReplayTest, RefusesANegativeOrNonFiniteExecutorNoise) {
+  const std::vector<std::vector<int>> track(2, std::vector<int>{0, 0, 0, 0});
+  for (double cv : {-0.1, std::numeric_limits<double>::quiet_NaN(),
+                    std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE("exec_noise_cv " + std::to_string(cv));
+    TrackReplayConfig config;
+    config.exec_noise_cv = cv;
+    const TrackReplayResult replay =
+        ReplayLayoutTrack(schedule_, track, schema_, box_, config);
+    EXPECT_EQ(replay.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(replay.status.message().find("noise_cv"), std::string::npos)
+        << replay.status.ToString();
+    EXPECT_TRUE(replay.windows.empty());
+  }
+}
+
+TEST_F(ReplayTest, RefusesAMigrationWeightThatIsNotFiniteAndNonNegative) {
+  // A NaN weight used to come back OK with a NaN total_objective; the
+  // replay has no auto sentinel, so kAutoMigrationWeight is refused too.
+  const std::vector<std::vector<int>> track(2, std::vector<int>{0, 0, 0, 0});
+  for (double weight : {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(), -0.5,
+                        kAutoMigrationWeight}) {
+    SCOPED_TRACE("migration_weight " + std::to_string(weight));
+    TrackReplayConfig config;
+    config.migration_weight = weight;
+    const TrackReplayResult replay =
+        ReplayLayoutTrack(schedule_, track, schema_, box_, config);
+    EXPECT_EQ(replay.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(replay.windows.empty());
+  }
+  TrackReplayConfig zero;
+  zero.migration_weight = 0.0;
+  EXPECT_TRUE(
+      ReplayLayoutTrack(schedule_, track, schema_, box_, zero).status.ok());
 }
 
 }  // namespace
