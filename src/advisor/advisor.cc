@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "catalog/schema.h"
 #include "common/check.h"
 #include "dot/sla.h"
 
@@ -52,6 +53,19 @@ Status Advisor::Init() {
   DOT_CHECK(!initialized_);
   Status st = ValidateAdvisorConfig(config_);
   if (!st.ok()) return st;
+  // Classification prices each pool model on the problem's placements, so
+  // every model must index the problem's objects: the same schema, or one
+  // with an equal fingerprint. A null problem schema is Solve's to reject.
+  for (const WorkloadModel* model : config_.model_pool) {
+    const Schema* schema = model->schema();
+    if (problem_.schema != nullptr && schema != problem_.schema &&
+        (schema == nullptr ||
+         schema->Fingerprint() != problem_.schema->Fingerprint())) {
+      return Status::InvalidArgument(
+          "model_pool model " + model->name() +
+          " is built over a different schema than the problem's");
+    }
+  }
   detector_ = DriftDetector(config_.drift);
   SolveSpec spec;
   spec.method = config_.replan_method;
@@ -88,7 +102,8 @@ AdvisorRun Advisor::Run(TraceFeed* feed) {
   }
   run.initial_layout = incumbent_;
 
-  FeedPlayer player(feed);
+  FeedPlayer player(feed,
+                    static_cast<size_t>(problem_.schema->NumObjects()));
   const Status played =
       player.Play([&](const TraceEvent& event) { Observe(event, &run); });
   // A malformed feed stops the drain but keeps everything decided so far:

@@ -143,13 +143,18 @@ class Advisor {
   /// Solves the initial incumbent through dot::Solve, installs the
   /// model-predicted I/O profile as the drift baseline, and resolves the
   /// migration weight. Called implicitly by the first Run. A config
-  /// ValidateAdvisorConfig rejects returns InvalidArgument, and a failed
-  /// initial solve (e.g. no workload) returns its status.
+  /// ValidateAdvisorConfig rejects, or a model_pool model built over
+  /// another schema than the problem's (pointer or fingerprint), returns
+  /// InvalidArgument, and a failed initial solve (e.g. no workload) returns
+  /// its status.
   Status Init();
 
   /// Drains `feed` through a FeedPlayer, deciding after every window.
   /// Callable repeatedly; incumbent, detector and pool state carry over
-  /// (one long advisor session across several feed segments).
+  /// (one long advisor session across several feed segments). A malformed
+  /// event, including one whose I/O map does not cover the problem's
+  /// objects, ends the run with InvalidArgument naming its window; the
+  /// decisions made before it stay in the run.
   AdvisorRun Run(TraceFeed* feed);
 
   const std::vector<int>& incumbent() const { return incumbent_; }

@@ -12,7 +12,9 @@ namespace {
 /// OK iff `event` is something the virtual clock and the drift machinery
 /// can digest. `clock_hours` is the virtual time the previous event ended
 /// at; the comparison is written so that a NaN start also fails it.
-Status ValidateEvent(const TraceEvent& event, double clock_hours) {
+/// `num_objects` is the object count the I/O map must cover.
+Status ValidateEvent(const TraceEvent& event, double clock_hours,
+                     size_t num_objects) {
   const std::string where = "trace window " + std::to_string(event.window);
   if (!(event.start_hours >= clock_hours - 1e-9) ||
       !std::isfinite(event.start_hours)) {
@@ -25,6 +27,11 @@ Status ValidateEvent(const TraceEvent& event, double clock_hours) {
   if (event.io_by_object.empty()) {
     return Status::InvalidArgument(where + ": empty window (no observed "
                                            "objects)");
+  }
+  if (event.io_by_object.size() != num_objects) {
+    return Status::InvalidArgument(
+        where + ": observes " + std::to_string(event.io_by_object.size()) +
+        " objects, the problem has " + std::to_string(num_objects));
   }
   for (const IoVector& io : event.io_by_object) {
     for (IoType t : kAllIoTypes) {
@@ -52,7 +59,8 @@ bool RecordedTraceFeed::Next(TraceEvent* event) {
   return true;
 }
 
-FeedPlayer::FeedPlayer(TraceFeed* feed) : feed_(feed) {
+FeedPlayer::FeedPlayer(TraceFeed* feed, size_t num_objects)
+    : feed_(feed), num_objects_(num_objects) {
   DOT_CHECK(feed_ != nullptr);
 }
 
@@ -62,7 +70,7 @@ Status FeedPlayer::Play(const Observer& observe, int* delivered) {
   if (delivered != nullptr) *delivered = 0;
   TraceEvent event;
   while (feed_->Next(&event)) {
-    const Status valid = ValidateEvent(event, clock_hours_);
+    const Status valid = ValidateEvent(event, clock_hours_, num_objects_);
     if (!valid.ok()) return valid;
     observe(event);
     clock_hours_ = event.start_hours + event.duration_hours;

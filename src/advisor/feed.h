@@ -46,17 +46,19 @@ class FeedPlayer {
  public:
   using Observer = std::function<void(const TraceEvent&)>;
 
-  /// `feed` must outlive the player.
-  explicit FeedPlayer(TraceFeed* feed);
+  /// `feed` must outlive the player. Every event's I/O map must cover
+  /// exactly `num_objects` objects (the advisor passes its problem's).
+  FeedPlayer(TraceFeed* feed, size_t num_objects);
 
   /// Drains the feed, invoking `observe` once per event in order.
   /// Malformed events — non-monotone or non-finite start times, a
-  /// non-positive duration, an empty I/O map, negative or non-finite
-  /// counts — stop the drain with InvalidArgument naming the offending
-  /// window instead of crashing: a live feed is untrusted input, and the
-  /// always-on loop must degrade gracefully. Events *before* the bad one
-  /// stay delivered (the observer has already seen them), and `delivered`
-  /// (if non-null) receives the count either way.
+  /// non-positive duration, an empty I/O map or one of the wrong object
+  /// count, negative or non-finite counts — stop the drain with
+  /// InvalidArgument naming the offending window instead of crashing: a
+  /// live feed is untrusted input, and the always-on loop must degrade
+  /// gracefully. Events *before* the bad one stay delivered (the observer
+  /// has already seen them), and `delivered` (if non-null) receives the
+  /// count either way.
   Status Play(const Observer& observe, int* delivered = nullptr);
 
   /// Virtual time after the last delivered event, hours.
@@ -64,6 +66,7 @@ class FeedPlayer {
 
  private:
   TraceFeed* feed_;
+  size_t num_objects_;
   double clock_hours_ = 0.0;
 };
 

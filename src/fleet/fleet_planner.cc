@@ -4,8 +4,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <map>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -28,48 +30,83 @@ namespace {
 constexpr double kFleetFeasTol = 1e-9;
 constexpr double kEps = 1e-12;
 
-/// Pool-key fields, appended as raw bytes: the key is only ever compared
-/// for equality, never shown.
-void AppendU64(uint64_t v, std::string* out) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void AppendBits(double v, std::string* out) {
+uint64_t Bits(double v) {
   uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
-  AppendU64(bits, out);
+  return bits;
 }
 
-void AppendPtr(const void* p, std::string* out) {
-  AppendU64(reinterpret_cast<uintptr_t>(p), out);
+/// One step of a 64-bit multiplicative hash: fold `v` into `h`. Cheap on
+/// purpose (pool assignment hashes one key per tenant); fold the high half
+/// down before using the result as a bucket index.
+uint64_t Mix(uint64_t h, uint64_t v) {
+  return (h ^ v) * 0x9E3779B97F4A7C15ull;
 }
 
 /// The pool cache key: everything the pool's scores depend on. Same key =>
-/// same pool, by the FleetConfig::share_pools contract. Pointer-keyed
-/// inputs (targets_override, profiles) share only on pointer identity —
-/// conservative, never wrong. `fingerprint` is p.schema->Fingerprint();
-/// variable-length fields carry their length, so keys never alias.
-/// Overwrites `*key`, reusing its buffer.
-void PoolKey(const DotProblem& p, uint64_t fingerprint,
-             const FleetConfig& config, std::string* key) {
-  const std::string& name = p.workload->name();
-  key->clear();
-  AppendU64(fingerprint, key);
-  AppendU64(name.size(), key);
-  *key += name;
-  AppendBits(p.relative_sla, key);
-  key->push_back(p.cost_model.discrete ? '1' : '0');
-  AppendBits(p.cost_model.alpha, key);
-  AppendBits(p.tail_sla.percentile, key);
-  AppendBits(p.tail_sla.latency_cv, key);
-  AppendU64(p.io_scale_hint.size(), key);
-  for (double s : p.io_scale_hint) AppendBits(s, key);
-  AppendPtr(p.targets_override, key);
-  if (config.pool_mode == FleetPoolMode::kSearch &&
-      config.search == EpochSearch::kDot) {
-    AppendPtr(p.profiles, key);
+/// same pool, by the FleetConfig::share_pools contract. Doubles compare by
+/// bit pattern; pointer-keyed inputs (targets_override, profiles) share
+/// only on pointer identity — conservative, never wrong. The name and the
+/// hint are views into the tenant's problem, so a key allocates nothing;
+/// the roster outlives every key built from it.
+struct PoolKey {
+  uint64_t fingerprint;  ///< p.schema->Fingerprint()
+  std::string_view workload_name;
+  uint64_t relative_sla;
+  bool discrete;
+  uint64_t alpha;
+  uint64_t tail_percentile;
+  uint64_t tail_latency_cv;
+  const double* hint;
+  size_t hint_size;
+  const PerfTargets* targets_override;
+  /// Only when the pool build runs DOT's Procedure 1 (kSearch + kDot);
+  /// null otherwise.
+  const WorkloadProfiles* profiles;
+
+  PoolKey(const DotProblem& p, uint64_t schema_fingerprint,
+          bool key_profiles)
+      : fingerprint(schema_fingerprint),
+        workload_name(p.workload->name()),
+        relative_sla(Bits(p.relative_sla)),
+        discrete(p.cost_model.discrete),
+        alpha(Bits(p.cost_model.alpha)),
+        tail_percentile(Bits(p.tail_sla.percentile)),
+        tail_latency_cv(Bits(p.tail_sla.latency_cv)),
+        hint(p.io_scale_hint.data()),
+        hint_size(p.io_scale_hint.size()),
+        targets_override(p.targets_override),
+        profiles(key_profiles ? p.profiles : nullptr) {}
+
+  bool operator==(const PoolKey& o) const {
+    return fingerprint == o.fingerprint &&
+           workload_name == o.workload_name &&
+           relative_sla == o.relative_sla && discrete == o.discrete &&
+           alpha == o.alpha && tail_percentile == o.tail_percentile &&
+           tail_latency_cv == o.tail_latency_cv &&
+           hint_size == o.hint_size &&
+           (hint_size == 0 ||
+            std::memcmp(hint, o.hint, hint_size * sizeof(double)) == 0) &&
+           targets_override == o.targets_override && profiles == o.profiles;
   }
-}
+
+  struct Hash {
+    size_t operator()(const PoolKey& k) const {
+      uint64_t h = Mix(k.fingerprint,
+                       std::hash<std::string_view>()(k.workload_name));
+      h = Mix(h, k.relative_sla);
+      h = Mix(h, k.discrete ? 1 : 0);
+      h = Mix(h, k.alpha);
+      h = Mix(h, k.tail_percentile);
+      h = Mix(h, k.tail_latency_cv);
+      h = Mix(h, k.hint_size);
+      for (size_t o = 0; o < k.hint_size; ++o) h = Mix(h, Bits(k.hint[o]));
+      h = Mix(h, reinterpret_cast<uintptr_t>(k.targets_override));
+      h = Mix(h, reinterpret_cast<uintptr_t>(k.profiles));
+      return static_cast<size_t>(h ^ (h >> 32));
+    }
+  };
+};
 
 /// One shared candidate pool: the tenant's feasible frontier, sorted under
 /// the BetterCandidate order (toc, then lexicographically lowest
@@ -221,6 +258,44 @@ FleetTotals ComputeTotals(const std::vector<int>& choice,
   }
   return t;
 }
+
+/// The tenant-level selection of a per-pool one: every tenant of pool p
+/// takes candidate `pool_arg[p]`.
+std::vector<int> TenantSelection(const SharedPools& fleet,
+                                 const std::vector<int>& pool_arg) {
+  std::vector<int> choice(fleet.tenant_pool.size());
+  for (size_t i = 0; i < choice.size(); ++i) {
+    choice[i] = pool_arg[fleet.pool_of(i)];
+  }
+  return choice;
+}
+
+/// The totals of every per-pool selection one Plan call has asked for.
+/// A selection's totals are computed once, in tenant order, on its first
+/// request; a later request returns them, bit-identical to a recount (the
+/// same addends in the same order). The price loop revisits a handful of
+/// selections over its iterations, so this turns one O(N·M) pass per
+/// iteration into one per distinct selection. References stay valid for
+/// the memo's lifetime.
+class SelectionMemo {
+ public:
+  SelectionMemo(const SharedPools& fleet, int num_classes)
+      : fleet_(fleet), num_classes_(num_classes) {}
+
+  const FleetTotals& Totals(const std::vector<int>& pool_arg) {
+    const auto slot = totals_.try_emplace(pool_arg);
+    if (slot.second) {
+      slot.first->second = ComputeTotals(TenantSelection(fleet_, pool_arg),
+                                         fleet_, num_classes_);
+    }
+    return slot.first->second;
+  }
+
+ private:
+  const SharedPools& fleet_;
+  int num_classes_;
+  std::map<std::vector<int>, FleetTotals> totals_;
+};
 
 bool FleetFeasible(const FleetTotals& t, const FleetConstraints& c) {
   if (c.budget_cents_per_hour > 0.0 &&
@@ -613,29 +688,28 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
   // distinct schema is fingerprinted once.
   SharedPools fleet;
   fleet.tenant_pool.assign(static_cast<size_t>(num_tenants), -1);
-  std::map<std::string, int> key_to_pool;
+  std::unordered_map<PoolKey, int, PoolKey::Hash> key_to_pool;
   std::unordered_map<const Schema*, uint64_t> fingerprints;
-  std::string key;
+  const bool key_profiles = config_.pool_mode == FleetPoolMode::kSearch &&
+                            config_.search == EpochSearch::kDot;
   std::vector<int> pool_reference;  // pool id -> first tenant index
   for (int i = 0; i < num_tenants; ++i) {
     int& pool_id = fleet.tenant_pool[static_cast<size_t>(i)];
-    if (!config_.share_pools) {
-      pool_id = static_cast<int>(pool_reference.size());
-      pool_reference.push_back(i);
-      continue;
-    }
-    const DotProblem& p = tenants[static_cast<size_t>(i)].problem;
-    const auto fp = fingerprints.try_emplace(p.schema, 0);
-    if (fp.second) fp.first->second = p.schema->Fingerprint();
-    PoolKey(p, fp.first->second, config_, &key);
-    const auto it = key_to_pool.find(key);
-    if (it != key_to_pool.end()) {
-      pool_id = it->second;
-      ++plan.pool_cache_hits;
+    const int next_id = static_cast<int>(pool_reference.size());
+    if (config_.share_pools) {
+      const DotProblem& p = tenants[static_cast<size_t>(i)].problem;
+      const auto fp = fingerprints.try_emplace(p.schema, 0);
+      if (fp.second) fp.first->second = p.schema->Fingerprint();
+      const auto slot = key_to_pool.try_emplace(
+          PoolKey(p, fp.first->second, key_profiles), next_id);
+      pool_id = slot.first->second;
     } else {
-      pool_id = static_cast<int>(pool_reference.size());
-      key_to_pool.emplace(key, pool_id);
+      pool_id = next_id;
+    }
+    if (pool_id == next_id) {
       pool_reference.push_back(i);
+    } else {
+      ++plan.pool_cache_hits;
     }
   }
   const int num_pools = static_cast<int>(pool_reference.size());
@@ -675,9 +749,12 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
 
   // --- The zero-price selection: every tenant's solo optimum (pool[0]).
   // Its Σ TOC lower-bounds every selection, so if it is feasible it is THE
-  // fleet optimum over the pools.
-  std::vector<int> solo(static_cast<size_t>(num_tenants), 0);
-  const FleetTotals solo_totals = ComputeTotals(solo, fleet, m);
+  // fleet optimum over the pools. Every selection below — solo, baseline,
+  // each price iterate — gives all tenants of a pool one candidate, so its
+  // totals come from the memo.
+  SelectionMemo memo(fleet, m);
+  const std::vector<int> solo(static_cast<size_t>(num_pools), 0);
+  const FleetTotals& solo_totals = memo.Totals(solo);
 
   // --- The fleet's cost floor: every tenant on its pool's cheapest
   // candidate (summed in tenant-index order, like every total). Below it
@@ -702,7 +779,7 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
   // the whole feasible budget range, not a vacuous one. The weight, and so
   // the pick, is the same for every tenant of a pool.
   const double total_cheapest = plan.min_cost_cents_per_hour;
-  std::vector<int> pool_baseline(static_cast<size_t>(num_pools), -1);
+  std::vector<int> baseline(static_cast<size_t>(num_pools), -1);
   plan.independent_feasible = true;
   for (int pid = 0; pid < num_pools; ++pid) {
     const TenantPool& pool = fleet.pools[static_cast<size_t>(pid)];
@@ -720,13 +797,9 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
           std::min_element(pool.cost.begin(), pool.cost.end()) -
           pool.cost.begin());
     }
-    pool_baseline[static_cast<size_t>(pid)] = pick;
+    baseline[static_cast<size_t>(pid)] = pick;
   }
-  std::vector<int> baseline(static_cast<size_t>(num_tenants), -1);
-  for (size_t i = 0; i < baseline.size(); ++i) {
-    baseline[i] = pool_baseline[fleet.pool_of(i)];
-  }
-  const FleetTotals baseline_totals = ComputeTotals(baseline, fleet, m);
+  const FleetTotals& baseline_totals = memo.Totals(baseline);
   plan.independent_toc_cents_per_task = baseline_totals.toc;
   plan.independent_cost_cents_per_hour = baseline_totals.cost;
 
@@ -738,7 +811,7 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
   if (FleetFeasible(solo_totals, cons)) {
     // Unconstrained (or slack) fleet: the solo optima win outright, and
     // with no coupling this reproduces dot::Solve per tenant bit for bit.
-    choice = solo;
+    choice = TenantSelection(fleet, solo);
     totals = solo_totals;
     feasible = true;
   } else {
@@ -755,9 +828,10 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
           solo_totals.toc /
           std::max(solo_totals.used[static_cast<size_t>(j)], kEps);
     }
+    // The loop's state is the per-pool argmin; no tenant-level selection
+    // is built until one leaves the loop.
     std::vector<int> pool_arg(static_cast<size_t>(num_pools), 0);
-    std::vector<int> sel(static_cast<size_t>(num_tenants), 0);
-    std::vector<int> best_feasible;
+    std::vector<int> best_feasible;  // per pool; empty = none yet
     double best_feasible_toc = 0.0;
     for (int r = 1; r <= config_.price_iterations; ++r) {
       // One argmin per pool (every tenant of a pool sees the same prices),
@@ -767,13 +841,10 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
             PricedArgmin(fleet.pools[static_cast<size_t>(pid)],
                          budget_active, lambda, capacity_active, mu, m);
       });
-      for (size_t i = 0; i < sel.size(); ++i) {
-        sel[i] = pool_arg[fleet.pool_of(i)];
-      }
-      const FleetTotals t = ComputeTotals(sel, fleet, m);
+      const FleetTotals& t = memo.Totals(pool_arg);
       if (FleetFeasible(t, cons) &&
           (best_feasible.empty() || t.toc < best_feasible_toc)) {
-        best_feasible = sel;
+        best_feasible = pool_arg;
         best_feasible_toc = t.toc;
       }
       const double step = 1.0 / r;
@@ -799,8 +870,8 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
     // {repaired, best price-feasible, independent baseline} — fixed
     // precedence on exact ties, so the choice is deterministic and the
     // never-lose guarantee is structural.
-    std::vector<int> repaired = sel;
-    FleetTotals repaired_totals = ComputeTotals(repaired, fleet, m);
+    std::vector<int> repaired = TenantSelection(fleet, pool_arg);
+    FleetTotals repaired_totals = memo.Totals(pool_arg);
     const bool repaired_ok =
         ExchangeRepair(fleet, cons, m, &repaired, &repaired_totals,
                        &plan.exchange_moves);
@@ -810,9 +881,9 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
       feasible = true;
     }
     if (!best_feasible.empty()) {
-      const FleetTotals t = ComputeTotals(best_feasible, fleet, m);
+      const FleetTotals& t = memo.Totals(best_feasible);
       if (!feasible || t.toc < totals.toc) {
-        choice = best_feasible;
+        choice = TenantSelection(fleet, best_feasible);
         totals = t;
         feasible = true;
       }
@@ -820,7 +891,7 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
     if (plan.independent_feasible &&
         FleetFeasible(baseline_totals, cons) &&
         (!feasible || baseline_totals.toc < totals.toc)) {
-      choice = baseline;
+      choice = TenantSelection(fleet, baseline);
       totals = baseline_totals;
       feasible = true;
     }
@@ -837,7 +908,7 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
   ImprovementPass(fleet, cons, m, &choice, &totals, &plan.improve_moves);
 
   plan.fell_back_to_baseline = plan.independent_feasible &&
-                               choice == baseline;
+                               choice == TenantSelection(fleet, baseline);
   plan.tenants.resize(static_cast<size_t>(num_tenants));
   for (int i = 0; i < num_tenants; ++i) {
     const TenantPool& pool = fleet.of(static_cast<size_t>(i));

@@ -192,9 +192,11 @@ struct FleetPlan : SearchStats {
 ///      per-class prices μ_j; each iteration computes
 ///      argmin(toc + λ·cost + Σ_j μ_j·space_j) once per shared pool (every
 ///      tenant of a pool sees the same prices), fanned out on the
-///      ThreadPool into distinct per-pool slots, and hands each tenant its
-///      pool's argmin. Per-iteration cost O(P·K·M + N·M) for P pools of K
-///      candidates, M classes and N tenants.
+///      ThreadPool into distinct per-pool slots; the loop's state is that
+///      per-pool argmin vector. Per-iteration cost O(P·K·M) for P pools of
+///      K candidates and M classes, plus one O(N·M) tenant-order total
+///      (N tenants) per distinct per-pool selection: a memo scoped to the
+///      Plan call hands a revisited selection its totals, bit-identical.
 ///   3. Repair — when the relaxation over-subscribes, a deterministic
 ///      greedy exchange walks tenants onto cheaper candidates in best
 ///      ΔTOC-per-violation-reduction order (ties by tenant then candidate

@@ -91,7 +91,7 @@ class DssFastScorer : public FastScorer {
     }
     for (double& thr : thresholds_) thr = thr * (1 + sla_tolerance);
 
-    const int num_objects = model_->schema().NumObjects();
+    const int num_objects = model_->schema()->NumObjects();
     const size_t num_templates = templates.size();
     num_classes_ = box.NumClasses();
     dense_.resize(num_templates);
@@ -191,8 +191,8 @@ class DssFastScorer : public FastScorer {
       const int m = num_classes_;
       cond_floors_.assign(fp_objects_.size() * static_cast<size_t>(m), 0.0);
       if (!io_scale_.empty()) return;
-      std::vector<int> probe(static_cast<size_t>(model_->schema().NumObjects()),
-                             m);
+      std::vector<int> probe(
+          static_cast<size_t>(model_->schema()->NumObjects()), m);
       for (size_t t = 0; t < floors_.size(); ++t) {
         if (fp_offsets_[t] == fp_offsets_[t + 1]) continue;  // unused
         const CompiledTemplate& program = model_->compiled()[t];

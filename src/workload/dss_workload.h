@@ -42,6 +42,7 @@ class DssWorkloadModel : public WorkloadModel {
                    std::vector<int> sequence, PlannerConfig planner_config);
 
   const std::string& name() const override { return name_; }
+  const Schema* schema() const override { return schema_; }
   double concurrency() const override { return 1.0; }
   SlaKind sla_kind() const override {
     return SlaKind::kPerQueryResponseTime;
@@ -66,7 +67,6 @@ class DssWorkloadModel : public WorkloadModel {
   /// seq_count()[t]: how often template t occurs in sequence(); 0 for a
   /// template the sequence never runs (never priced, time 0).
   const std::vector<int>& seq_count() const { return seq_count_; }
-  const Schema& schema() const { return *schema_; }
   const Planner& planner() const { return planner_; }
   /// templates()[t] compiled for this model's schema, box and planner
   /// config.

@@ -89,6 +89,7 @@ class HtapWorkload : public WorkloadModel {
                const BoxConfig* box, HtapConfig config);
 
   const std::string& name() const override { return name_; }
+  const Schema* schema() const override { return schema_; }
   double concurrency() const override { return oltp_->concurrency(); }
   SlaKind sla_kind() const override {
     return SlaKind::kPerQueryResponseTime;

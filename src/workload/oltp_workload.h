@@ -53,6 +53,7 @@ class OltpWorkloadModel : public WorkloadModel {
                     double contention_reference_ms = 190.0);
 
   const std::string& name() const override { return name_; }
+  const Schema* schema() const override { return schema_; }
   double concurrency() const override { return concurrency_; }
   SlaKind sla_kind() const override { return SlaKind::kThroughput; }
   PerfEstimate EstimateWithIoScale(

@@ -9,6 +9,8 @@
 
 namespace dot {
 
+class Schema;
+
 /// How the SLA constrains a workload (§2.4): per-query response-time caps
 /// for DSS workloads, an aggregate throughput floor for OLTP (§4.3).
 enum class SlaKind {
@@ -207,6 +209,10 @@ class WorkloadModel {
   virtual ~WorkloadModel() = default;
 
   virtual const std::string& name() const = 0;
+
+  /// The schema the model is built over: placements, I/O maps and io_scale
+  /// vectors are indexed by its object ids.
+  virtual const Schema* schema() const = 0;
 
   /// Degree of concurrency the workload runs at (§3.5: 1 for the DSS
   /// experiments, 300 for TPC-C).

@@ -303,6 +303,64 @@ TEST(AdvisorLoopTest, InitRejectsAProblemWithoutAWorkload) {
   }
 }
 
+TEST(AdvisorLoopTest, PoolModelOverAnotherSchemaIsRejected) {
+  // Classification prices every pool model on the problem's placements: a
+  // model over full TPC-H next to the TPC-H ES subset problem is refused
+  // up front, while one over a fingerprint-equal copy of the problem's
+  // schema is accepted.
+  TpchSession session;
+  const Schema full = MakeTpchSchema(20.0);
+  const DssWorkloadModel full_model("TPC-H", &full, &session.box,
+                                    MakeTpchTemplates(),
+                                    RepeatSequence(22, 1), PlannerConfig{});
+  Advisor plain(session.problem, AdvisorConfig{});
+  ASSERT_TRUE(plain.Init().ok());
+  const WorkloadTrace trace =
+      RecordTraceWithExecutor(session.Trace(2, 0), plain.incumbent());
+  RecordedTraceFeed feed(&trace);
+
+  // A re-plan every window: the first one would classify.
+  AdvisorConfig config;
+  config.replan_interval_windows = 1;
+  config.model_pool = {session.problem.workload, &full_model};
+  Advisor advisor(session.problem, config);
+  const AdvisorRun run = advisor.Run(&feed);
+  EXPECT_EQ(run.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(run.status.message().find("model_pool model TPC-H "),
+            std::string::npos)
+      << run.status.ToString();
+  EXPECT_TRUE(run.decisions.empty());
+
+  const Schema copy = session.schema;
+  const DssWorkloadModel copy_model("TPC-H-ES copy", &copy, &session.box,
+                                    MakeTpchSubsetTemplates(),
+                                    RepeatSequence(11, 3), PlannerConfig{});
+  config.model_pool = {session.problem.workload, &copy_model};
+  Advisor accepting(session.problem, config);
+  EXPECT_TRUE(accepting.Init().ok());
+}
+
+TEST(AdvisorLoopTest, RunEndsWithAStatusOnAnEventThatMissesObjects) {
+  // An event whose I/O map does not cover the problem's objects ends the
+  // run like any malformed event: InvalidArgument naming the window, with
+  // the decisions before it kept.
+  TpchSession session;
+  Advisor advisor(session.problem, AdvisorConfig{});
+  ASSERT_TRUE(advisor.Init().ok());
+  WorkloadTrace trace =
+      RecordTraceWithExecutor(session.Trace(4, 0), advisor.incumbent());
+  ASSERT_EQ(trace.events.size(), 4u);
+  trace.events[2].io_by_object.resize(3);
+  RecordedTraceFeed feed(&trace);
+  const AdvisorRun run = advisor.Run(&feed);
+  EXPECT_EQ(run.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(run.status.message().find("trace window 2"), std::string::npos)
+      << run.status.ToString();
+  EXPECT_EQ(run.decisions.size(), 2u);
+  EXPECT_EQ(run.layout_by_window.size(), 2u);
+  EXPECT_EQ(run.final_layout, advisor.incumbent());
+}
+
 TEST(AdvisorLoopTest, RunIsResumableAcrossFeedSegments) {
   TpchSession session;
   const WorkloadTraceSpec spec = session.Trace(6, 6);

@@ -186,6 +186,7 @@ class CountingWorkload : public WorkloadModel {
   explicit CountingWorkload(const WorkloadModel* inner) : inner_(inner) {}
 
   const std::string& name() const override { return inner_->name(); }
+  const Schema* schema() const override { return inner_->schema(); }
   double concurrency() const override { return inner_->concurrency(); }
   SlaKind sla_kind() const override { return inner_->sla_kind(); }
   PerfEstimate EstimateWithIoScale(const std::vector<int>& placement,

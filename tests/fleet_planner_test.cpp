@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -18,11 +20,13 @@
 #include <vector>
 
 #include "catalog/schema.h"
+#include "dot/sla.h"
 #include "dot/solve.h"
 #include "fleet/synthetic_fleet.h"
 #include "io/io_types.h"
 #include "storage/standard_catalog.h"
 #include "workload/oltp_workload.h"
+#include "workload/profiler.h"
 
 namespace dot {
 namespace {
@@ -188,9 +192,9 @@ TEST(FleetPlannerTest, PoolsAreSharedPerSchemaFingerprint) {
 /// can be added in either order — the same objects, different ids — with a
 /// same-named point-lookup workload over orders. The schema/model live in
 /// `fleet`'s owner vectors.
-FleetTenant MakeOrderVariantTenant(SyntheticFleet* fleet,
-                                   const std::string& name,
-                                   bool orders_first) {
+FleetTenant MakeOrderVariantTenant(
+    SyntheticFleet* fleet, const std::string& name, bool orders_first,
+    const std::string& workload_name = "order-lookup") {
   auto schema = std::make_unique<Schema>();
   int orders, items;
   if (orders_first) {
@@ -214,7 +218,7 @@ FleetTenant MakeOrderVariantTenant(SyntheticFleet* fleet,
   lookup.cpu_ms = 0.05;
   lookup.overhead_ms = 0.5;
   auto model = std::make_unique<OltpWorkloadModel>(
-      "order-lookup", schema.get(), fleet->box.get(),
+      workload_name, schema.get(), fleet->box.get(),
       std::vector<TxnType>{lookup}, 40.0, 3600.0 * 1000.0);
 
   FleetTenant tenant;
@@ -245,6 +249,110 @@ TEST(FleetPlannerTest, ObjectOrderVariantDoesNotShareAPool) {
   EXPECT_EQ(plan.pool_builds, 2);
   EXPECT_EQ(plan.pool_cache_hits, 0);
   EXPECT_NE(plan.tenants[0].pool_id, plan.tenants[1].pool_id);
+}
+
+TEST(FleetPlannerTest, EveryPoolKeyFieldSplitsThePool) {
+  // The pool cache key holds every input a pool's scores depend on: a
+  // tenant that differs from the base in any single one of them must get
+  // its own pool, and one that differs only in which Schema object it
+  // points at (equal fingerprints, same-named workload) shares the base's.
+  SyntheticFleet owner = MakeSyntheticFleet(1, 7);
+  FleetTenant base = MakeOrderVariantTenant(&owner, "base", true);
+  const int n = base.problem.schema->NumObjects();
+  base.problem.io_scale_hint.assign(static_cast<size_t>(n), 1.0);
+  const PerfTargets targets = MakePerfTargets(
+      *base.problem.workload, *owner.box, n, base.problem.relative_sla);
+
+  std::vector<std::pair<std::string, FleetTenant>> variants;
+  auto variant = [&](const std::string& what) -> DotProblem& {
+    variants.emplace_back(what, base);
+    return variants.back().second.problem;
+  };
+  variant("relative_sla").relative_sla = 0.45;
+  variant("cost_model.discrete").cost_model.discrete = true;
+  variant("cost_model.alpha").cost_model.alpha = 0.25;
+  variant("tail_sla.percentile").tail_sla.percentile = 0.95;
+  variant("tail_sla.latency_cv").tail_sla.latency_cv = 0.2;
+  variant("one hint entry").io_scale_hint[2] = 1.25;
+  variant("hint length").io_scale_hint.clear();
+  variant("targets_override").targets_override = &targets;
+  // Tenants over their own schema and model, with the base's hint.
+  auto own_tenant = [&](const std::string& name, bool orders_first,
+                        const std::string& workload_name) {
+    FleetTenant t =
+        MakeOrderVariantTenant(&owner, name, orders_first, workload_name);
+    t.problem.io_scale_hint = base.problem.io_scale_hint;
+    return t;
+  };
+  variants.emplace_back("workload name",
+                        own_tenant("renamed", true, "order-lookup-2"));
+  variants.emplace_back("schema fingerprint",
+                        own_tenant("rev", false, "order-lookup"));
+
+  const FleetPlanner planner(FleetProblemOn(owner.box.get()), FleetConfig{});
+  for (const auto& [what, tenant] : variants) {
+    const FleetPlan plan = planner.Plan({base, tenant});
+    ASSERT_TRUE(plan.status.ok()) << what << ": " << plan.status.ToString();
+    EXPECT_EQ(plan.pool_builds, 2) << what;
+    EXPECT_EQ(plan.pool_cache_hits, 0) << what;
+    EXPECT_NE(plan.tenants[0].pool_id, plan.tenants[1].pool_id) << what;
+  }
+
+  const FleetTenant copy = own_tenant("copy", true, "order-lookup");
+  ASSERT_NE(copy.problem.schema, base.problem.schema);
+  ASSERT_NE(copy.problem.workload, base.problem.workload);
+  ASSERT_EQ(copy.problem.schema->Fingerprint(),
+            base.problem.schema->Fingerprint());
+  const FleetPlan shared = planner.Plan({base, copy});
+  ASSERT_TRUE(shared.status.ok()) << shared.status.ToString();
+  EXPECT_EQ(shared.pool_builds, 1);
+  EXPECT_EQ(shared.pool_cache_hits, 1);
+  EXPECT_EQ(shared.tenants[0].pool_id, shared.tenants[1].pool_id);
+}
+
+TEST(FleetPlannerTest, ProfilesSplitThePoolOnlyWhenThePoolBuildRunsDot) {
+  // Profiles drive only DOT's Procedure 1, so two equal-content profile
+  // objects split the pool under kSearch + kDot and nowhere else.
+  SyntheticFleet owner = MakeSyntheticFleet(1, 7);
+  FleetTenant first = MakeOrderVariantTenant(&owner, "first", true);
+  const Profiler profiler(first.problem.schema, owner.box.get());
+  const WorkloadModel& model = *first.problem.workload;
+  auto profile = [&] {
+    return profiler.ProfileWorkload(
+        model, [&](const std::vector<int>& p) { return model.Estimate(p); });
+  };
+  const WorkloadProfiles profiles_a = profile();
+  const WorkloadProfiles profiles_b = profile();
+  first.problem.profiles = &profiles_a;
+  FleetTenant second = first;
+  second.name = "second";
+  second.problem.profiles = &profiles_b;
+
+  struct Case {
+    FleetPoolMode mode;
+    EpochSearch search;
+    long long pool_builds;
+  };
+  const std::vector<Case> cases = {
+      {FleetPoolMode::kEnumerate, EpochSearch::kExact, 1},
+      {FleetPoolMode::kEnumerate, EpochSearch::kDot, 1},
+      {FleetPoolMode::kSearch, EpochSearch::kExact, 1},
+      {FleetPoolMode::kSearch, EpochSearch::kDot, 2}};
+  for (const Case& c : cases) {
+    FleetConfig config;
+    config.pool_mode = c.mode;
+    config.search = c.search;
+    const FleetPlan plan =
+        FleetPlanner(FleetProblemOn(owner.box.get()), config)
+            .Plan({first, second});
+    const std::string what =
+        std::string(c.mode == FleetPoolMode::kSearch ? "kSearch"
+                                                     : "kEnumerate") +
+        (c.search == EpochSearch::kDot ? " + kDot" : " + kExact");
+    ASSERT_TRUE(plan.status.ok()) << what << ": " << plan.status.ToString();
+    EXPECT_EQ(plan.pool_builds, c.pool_builds) << what;
+    EXPECT_EQ(plan.pool_cache_hits, 2 - c.pool_builds) << what;
+  }
 }
 
 TEST(FleetPlannerTest, IdenticalTenantsShareOnePool) {
@@ -575,6 +683,196 @@ TEST(FleetPlannerTest, EnumerateGuardRefusesOversizedTenants) {
   fx.spec.config.max_pool_layouts = 2;
   const SolveResult r = fx.Run();
   EXPECT_EQ(r.status.code(), StatusCode::kOutOfRange);
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// One plan pinned to the bit: its totals and shadow prices as IEEE-754
+/// bit patterns, its iteration and move counters, and every tenant's
+/// candidate.
+struct PinnedPlan {
+  uint64_t total_toc;
+  uint64_t total_cost;
+  std::vector<uint64_t> used_gb;
+  uint64_t budget_price;
+  std::vector<uint64_t> capacity_price;
+  int price_iterations_run;
+  int exchange_moves;
+  int improve_moves;
+  std::vector<int> candidates;
+
+  bool operator==(const PinnedPlan& o) const {
+    return total_toc == o.total_toc && total_cost == o.total_cost &&
+           used_gb == o.used_gb && budget_price == o.budget_price &&
+           capacity_price == o.capacity_price &&
+           price_iterations_run == o.price_iterations_run &&
+           exchange_moves == o.exchange_moves &&
+           improve_moves == o.improve_moves && candidates == o.candidates;
+  }
+};
+
+PinnedPlan Pin(const FleetPlan& plan) {
+  PinnedPlan p;
+  p.total_toc = Bits(plan.total_toc_cents_per_task);
+  p.total_cost = Bits(plan.total_cost_cents_per_hour);
+  for (double v : plan.used_gb) p.used_gb.push_back(Bits(v));
+  p.budget_price = Bits(plan.budget_price);
+  for (double v : plan.capacity_price) p.capacity_price.push_back(Bits(v));
+  p.price_iterations_run = plan.price_iterations_run;
+  p.exchange_moves = plan.exchange_moves;
+  p.improve_moves = plan.improve_moves;
+  for (const FleetTenantChoice& t : plan.tenants) {
+    p.candidates.push_back(t.candidate);
+  }
+  return p;
+}
+
+/// `p` as the initializer the expected table below is written in.
+std::string ToInitializer(const PinnedPlan& p) {
+  auto hex = [](uint64_t v) {
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "0x%016llx",
+                  static_cast<unsigned long long>(v));
+    return std::string(buf);
+  };
+  auto list = [](const auto& values, const auto& show) {
+    std::string out = "{";
+    for (size_t i = 0; i < values.size(); ++i) {
+      out += (i ? ", " : "") + show(values[i]);
+    }
+    return out + "}";
+  };
+  auto num = [](int v) { return std::to_string(v); };
+  return "{" + hex(p.total_toc) + ", " + hex(p.total_cost) + ", " +
+         list(p.used_gb, hex) + ", " + hex(p.budget_price) + ", " +
+         list(p.capacity_price, hex) + ", " + num(p.price_iterations_run) +
+         ", " + num(p.exchange_moves) + ", " + num(p.improve_moves) + ", " +
+         list(p.candidates, num) + "}";
+}
+
+TEST(FleetPlannerTest, CoupledPlansArePinnedToTheBit) {
+  // A mixed-class fleet (OLTP, DSS and HTAP pools) under a budget sweep
+  // from near its cost floor to near its unconstrained cost, and under a
+  // capacity choke. The expected values were produced by the planner that
+  // re-summed every price iterate's totals over the tenants; memoized
+  // totals and the per-pool best price-feasible selection must reproduce
+  // them bit for bit, at every thread count. The sweep revisits
+  // selections across price iterations and keeps a best price-feasible
+  // selection older than the last iterate.
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  constexpr int kTenants = 32;
+  const FleetFixture free_fx(kTenants);
+  const SolveResult free_run = free_fx.Run();
+  ASSERT_TRUE(free_run.status.ok()) << free_run.status.ToString();
+  const FleetPlan& free_plan = free_run.fleet;
+  const double floor = free_plan.min_cost_cents_per_hour;
+  const double top = free_plan.total_cost_cents_per_hour;
+
+  struct Case {
+    std::string name;
+    FleetConstraints constraints;
+    int price_iterations;
+  };
+  std::vector<Case> cases;
+  auto budget = [&](double f, int iterations) {
+    Case c{"budget " + std::to_string(f) + " iterations " +
+               std::to_string(iterations),
+           {}, iterations};
+    c.constraints.budget_cents_per_hour = floor + f * (top - floor);
+    cases.push_back(c);
+  };
+  for (double f : {0.1, 0.3, 0.5, 0.7, 0.9}) budget(f, 48);
+  // A short price loop ends away from its best price-feasible iterate,
+  // which then beats the repaired last one.
+  for (double f : {0.4, 0.5}) budget(f, 8);
+  Case choke{"capacity choke", {}, 48};
+  size_t heavy = 0;
+  for (size_t j = 0; j < free_plan.used_gb.size(); ++j) {
+    choke.constraints.capacity_gb.push_back(free_plan.used_gb[j] * 4.0 + 1.0);
+    if (free_plan.used_gb[j] > free_plan.used_gb[heavy]) heavy = j;
+  }
+  choke.constraints.capacity_gb[heavy] = free_plan.used_gb[heavy] * 0.5;
+  cases.push_back(choke);
+
+  // In `cases` order; the sweep's value at each thread count.
+  const std::vector<PinnedPlan> expected = {
+    {0x3ed5214384e8c477, 0x400d2dd37cb801d5,
+      {0x4052c1ab17a3e931, 0x401d49756f9e792c, 0x4034e857f760e4d3},
+      0x3e7fdbdfea936ff6,
+      {0x0000000000000000, 0x0000000000000000, 0x0000000000000000},
+      48, 0, 4,
+      {9, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9, 9, 0, 9, 0, 0, 0, 0, 0, 9, 0, 0, 9,
+       9, 9, 0, 0, 0, 0, 0, 9}},
+    {0x3ed51ea77a4fac2d, 0x400ddd48c520a31f,
+      {0x4052c1ab17a3e931, 0x401b26062e0bf678, 0x40357133c7c58581},
+      0x3e5116817c47da89,
+      {0x0000000000000000, 0x0000000000000000, 0x0000000000000000},
+      48, 0, 0,
+      {9, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 9,
+       9, 0, 0, 0, 0, 0, 0, 9}},
+    {0x3ed51bfc72fbd039, 0x400f3c25912350c9,
+      {0x4052c1ab17a3e931, 0x4016df52a0678c6b, 0x403682e0ab2ea005},
+      0x3e4ee94eef79be00,
+      {0x0000000000000000, 0x0000000000000000, 0x0000000000000000},
+      48, 0, 2,
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 9,
+       9, 0, 0, 0, 0, 0, 0, 9}},
+    {0x3ed51aa6ef51e241, 0x400feb93f724a79e,
+      {0x4052c1ab17a3e931, 0x4014bbf8d9955766, 0x40370bb71ce32d44},
+      0x3e503c29cd4476d9,
+      {0x0000000000000000, 0x0000000000000000, 0x0000000000000000},
+      48, 3, 0,
+      {9, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+       0, 0, 0, 0, 0, 0, 0, 0}},
+    {0x3ed517fbe7fe064d, 0x4010a5386193aaa4,
+      {0x4052c1ab17a3e931, 0x401075454bf0ed59, 0x40381d64004c47c8},
+      0x3e4e58658929aa1c,
+      {0x0000000000000000, 0x0000000000000000, 0x0000000000000000},
+      48, 1, 0,
+      {9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+       0, 0, 0, 0, 0, 0, 0, 0}},
+    {0x3ed51d51f6a5be33, 0x400e8cb72b21f9f4,
+      {0x4052c1ab17a3e931, 0x401902ac6739c171, 0x4035fa0a397a12c3},
+      0x3e58d685b5387c52,
+      {0x0000000000000000, 0x0000000000000000, 0x0000000000000000},
+      8, 0, 1,
+      {0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 9,
+       9, 0, 0, 0, 0, 0, 0, 9}},
+    {0x3ed51bfc72fbd039, 0x400f3c25912350c9,
+      {0x4052c1ab17a3e931, 0x4016df52a0678c6b, 0x403682e0ab2ea005},
+      0x3e5125e65487dd01,
+      {0x0000000000000000, 0x0000000000000000, 0x0000000000000000},
+      8, 0, 2,
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 9,
+       9, 0, 0, 0, 0, 0, 0, 9}},
+    {0x3ed993371909949a, 0x402179cdb53f4e4f,
+      {0x4042c0676af060f8, 0x402e70d9ca94c1cb, 0x40494412fb568288},
+      0x0000000000000000,
+      {0x3e636e46b9b9f087, 0x3e7dfe160ef454b4, 0x0000000000000000},
+      48, 31, 22,
+      {1, 3, 23, 2, 3, 2, 0, 0, 3, 0, 23, 3, 2, 0, 3, 0, 0, 23, 0, 0, 3, 0, 0,
+       5, 5, 3, 0, 3, 0, 0, 0, 5}},
+  };
+  ASSERT_EQ(expected.size(), cases.size());
+  for (size_t k = 0; k < cases.size(); ++k) {
+    for (int threads : {1, 4, hw}) {
+      FleetFixture fx(kTenants);
+      fx.spec.config.constraints = cases[k].constraints;
+      fx.spec.config.price_iterations = cases[k].price_iterations;
+      const SolveResult r = fx.Run(threads);
+      const std::string what =
+          cases[k].name + " threads=" + std::to_string(threads);
+      ASSERT_TRUE(r.status.ok()) << what << ": " << r.status.ToString();
+      const PinnedPlan actual = Pin(r.fleet);
+      EXPECT_TRUE(actual == expected[k])
+          << what << "\n  expected " << ToInitializer(expected[k])
+          << "\n  actual   " << ToInitializer(actual);
+    }
+  }
 }
 
 }  // namespace

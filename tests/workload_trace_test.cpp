@@ -117,12 +117,15 @@ class VectorFeed : public TraceFeed {
   size_t next_ = 0;
 };
 
+/// The object count of every GoodEvent's I/O map.
+constexpr size_t kGoodObjects = 2;
+
 TraceEvent GoodEvent(int window, double start_hours) {
   TraceEvent event;
   event.window = window;
   event.start_hours = start_hours;
   event.duration_hours = 1.0;
-  event.io_by_object = ObjectIoMap(2);
+  event.io_by_object = ObjectIoMap(kGoodObjects);
   event.io_by_object[0][IoType::kSeqRead] = 100.0;
   event.io_by_object[1][IoType::kRandRead] = 50.0;
   return event;
@@ -130,7 +133,7 @@ TraceEvent GoodEvent(int window, double start_hours) {
 
 TEST(FeedPlayerTest, DrainsAWellFormedFeedAndAdvancesTheClock) {
   VectorFeed feed({GoodEvent(0, 0.0), GoodEvent(1, 1.0), GoodEvent(2, 2.0)});
-  FeedPlayer player(&feed);
+  FeedPlayer player(&feed, kGoodObjects);
   int seen = 0;
   int delivered = -1;
   const Status s = player.Play(
@@ -151,7 +154,7 @@ TEST(FeedPlayerTest, StopsOnANonMonotoneStartAndKeepsPriorEvents) {
   std::vector<TraceEvent> events{GoodEvent(0, 0.0), GoodEvent(1, 1.0),
                                  GoodEvent(2, 0.25)};
   VectorFeed feed(std::move(events));
-  FeedPlayer player(&feed);
+  FeedPlayer player(&feed, kGoodObjects);
   int seen = 0;
   int delivered = -1;
   const Status s = player.Play([&](const TraceEvent&) { ++seen; },
@@ -169,7 +172,7 @@ TEST(FeedPlayerTest, RejectsNonFiniteStartTimes) {
     TraceEvent event = GoodEvent(0, 0.0);
     event.start_hours = bad;
     VectorFeed feed({event});
-    FeedPlayer player(&feed);
+    FeedPlayer player(&feed, kGoodObjects);
     const Status s = player.Play([](const TraceEvent&) {});
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << bad;
   }
@@ -180,7 +183,7 @@ TEST(FeedPlayerTest, RejectsNonPositiveDurations) {
     TraceEvent event = GoodEvent(7, 0.0);
     event.duration_hours = bad;
     VectorFeed feed({event});
-    FeedPlayer player(&feed);
+    FeedPlayer player(&feed, kGoodObjects);
     int delivered = -1;
     const Status s = player.Play([](const TraceEvent&) {}, &delivered);
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << bad;
@@ -194,10 +197,28 @@ TEST(FeedPlayerTest, RejectsAnEmptyIoMap) {
   TraceEvent event = GoodEvent(3, 0.0);
   event.io_by_object.clear();
   VectorFeed feed({event});
-  FeedPlayer player(&feed);
+  FeedPlayer player(&feed, kGoodObjects);
   const Status s = player.Play([](const TraceEvent&) {});
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(s.message().find("empty window"), std::string::npos);
+}
+
+TEST(FeedPlayerTest, RejectsAnIoMapOfTheWrongObjectCount) {
+  // The player refuses a window that observes more or fewer objects than
+  // it was told.
+  for (size_t objects : {1u, 3u}) {
+    TraceEvent event = GoodEvent(4, 1.0);
+    event.io_by_object.resize(objects);
+    VectorFeed feed({GoodEvent(0, 0.0), event});
+    FeedPlayer player(&feed, kGoodObjects);
+    int delivered = -1;
+    const Status s = player.Play([](const TraceEvent&) {}, &delivered);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << objects;
+    EXPECT_NE(s.message().find("trace window 4: observes"),
+              std::string::npos)
+        << s.ToString();
+    EXPECT_EQ(delivered, 1);
+  }
 }
 
 TEST(FeedPlayerTest, RejectsNegativeAndNonFiniteCounts) {
@@ -205,7 +226,7 @@ TEST(FeedPlayerTest, RejectsNegativeAndNonFiniteCounts) {
     TraceEvent event = GoodEvent(5, 0.0);
     event.io_by_object[1][IoType::kSeqWrite] = bad;
     VectorFeed feed({event});
-    FeedPlayer player(&feed);
+    FeedPlayer player(&feed, kGoodObjects);
     const Status s = player.Play([](const TraceEvent&) {});
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << bad;
     EXPECT_NE(s.message().find("I/O count"), std::string::npos) << bad;
@@ -217,7 +238,7 @@ TEST(FeedPlayerTest, BackToBackWindowsWithinToleranceAreInOrder) {
   // before, within the documented 1e-9 slack) is legitimate timing, not a
   // violation.
   VectorFeed feed({GoodEvent(0, 0.0), GoodEvent(1, 1.0 - 1e-12)});
-  FeedPlayer player(&feed);
+  FeedPlayer player(&feed, kGoodObjects);
   EXPECT_TRUE(player.Play([](const TraceEvent&) {}).ok());
 }
 
