@@ -31,7 +31,8 @@ namespace dot {
 /// box's classes. Its times lower-bound every real class's, which the DSS
 /// branch-and-bound floors use.
 ///
-/// Device latencies are read once, at compilation.
+/// Device latencies are read once, at compilation: one row per column,
+/// kept for PriceIoMs.
 class CompiledTemplate {
  public:
   /// Compiles each of `templates` for one (schema, box, config); the
@@ -54,6 +55,23 @@ class CompiledTemplate {
   /// by object id) receives the chosen plan's per-object I/O, added in
   /// tree-walk order: a zeroed map ends equal to Plan::io_by_object.
   Result Run(const int* placement, IoVector* io_by_object = nullptr) const;
+
+  /// Run with each entry's device time multiplied by its object's factor
+  /// in `io_scale` (indexed by object id, each >= 0): every step picks its
+  /// cheapest candidate under the scaled times, and time_ms is that
+  /// plan's scaled time. With every footprint object on the optimistic
+  /// column, or all but one, this lower-bounds (up to rounding) the scaled
+  /// re-price RunTemplate reports at every placement that agrees with it:
+  /// see DssFastScorer::EnsureFloors.
+  Result RunScaled(const int* placement, const double* io_scale) const;
+
+  /// The I/O time of `io_by_object` (indexed by object id) on the
+  /// footprint under `placement`, priced on the program's latency rows:
+  /// per object with non-zero I/O, Σ count × latency over the I/O types in
+  /// type order (zero counts skipped), then BlockedSum over the sorted
+  /// footprint. These are IoTimeShareMs's addends and schedule at the
+  /// planning concurrency, without a LatencyMs call.
+  double PriceIoMs(const int* placement, const IoVector* io_by_object) const;
 
   /// The sorted, deduplicated object ids whose class the program can read:
   /// every referenced table, its primary index, and the temp object when
@@ -115,13 +133,22 @@ class CompiledTemplate {
     return times_[e * static_cast<size_t>(stride_) +
                   static_cast<size_t>(placement[entries_[e].object])];
   }
-  AccessChoice Choose(const Access& a, const int* placement) const;
+  /// Run's comparisons and tree walk over the entry times `time(entry)`
+  /// returns: Run reads the table, RunScaled scales what it reads.
+  template <class EntryTime>
+  Result Walk(const EntryTime& time, IoVector* io_by_object) const;
+  template <class EntryTime>
+  AccessChoice Choose(const Access& a, const EntryTime& time) const;
   /// True when `join` picks the indexed nested-loop join.
-  bool ChoosesInlj(const Join& join, const int* placement) const;
+  template <class EntryTime>
+  bool ChoosesInlj(const Join& join, const EntryTime& time) const;
   void AddIo(int entry, int num_entries, IoVector* io_by_object) const;
 
   std::vector<int> footprint_;
   std::vector<Entry> entries_;
+  /// Per-type latencies of each column at the planning concurrency, the
+  /// optimistic column last.
+  std::vector<IoVector> latency_;
   /// Device time of each entry per column: [entry * stride_ + class], the
   /// optimistic column last.
   std::vector<double> times_;

@@ -7,21 +7,6 @@
 
 namespace dot {
 
-namespace {
-
-/// Per-thread buffer of the non-zero per-object times, so both
-/// IoTimeShareMs overloads can run the pinned blocked summation schedule
-/// (common/simd_dispatch.h) over exactly the addends the scalar walk used
-/// to accumulate. The fast scorers gather the same per-object times from
-/// their SoA planes through the same schedule — that shared schedule is
-/// what keeps fast == full bit-identical.
-std::vector<double>& TimeScratch() {
-  static thread_local std::vector<double> scratch;
-  return scratch;
-}
-
-}  // namespace
-
 void AccumulateScaledIo(ObjectIoMap& into, const ObjectIoMap& delta,
                         double factor) {
   if (into.size() < delta.size()) into.resize(delta.size());
@@ -32,7 +17,13 @@ double IoTimeShareMs(const ObjectIoMap& io, const std::vector<int>& placement,
                      const BoxConfig& box, double concurrency) {
   DOT_CHECK(io.size() <= placement.size())
       << "placement does not cover all objects";
-  std::vector<double>& times = TimeScratch();
+  // Per-thread buffer of the non-zero per-object times, so the pinned
+  // blocked summation schedule (common/simd_dispatch.h) runs over exactly
+  // the addends the scalar walk used to accumulate. The fast scorers
+  // gather the same per-object times from their SoA planes through the
+  // same schedule — that shared schedule is what keeps fast == full
+  // bit-identical.
+  static thread_local std::vector<double> times;
   times.clear();
   for (size_t o = 0; o < io.size(); ++o) {
     if (io[o].IsZero()) continue;
@@ -41,23 +32,6 @@ double IoTimeShareMs(const ObjectIoMap& io, const std::vector<int>& placement,
         << "object " << o << " has invalid placement " << cls;
     times.push_back(box.classes[static_cast<size_t>(cls)].device().TimeForMs(
         io[o], concurrency));
-  }
-  return BlockedSum(times.data(), static_cast<int>(times.size()));
-}
-
-double IoTimeShareMs(const ObjectIoMap& io, const std::vector<int>& placement,
-                     const BoxConfig& box, double concurrency,
-                     const std::vector<int>& members) {
-  std::vector<double>& times = TimeScratch();
-  times.clear();
-  for (int o : members) {
-    const size_t idx = static_cast<size_t>(o);
-    if (idx >= io.size() || io[idx].IsZero()) continue;
-    const int cls = placement[idx];
-    DOT_CHECK(cls >= 0 && cls < box.NumClasses())
-        << "object " << o << " has invalid placement " << cls;
-    times.push_back(box.classes[static_cast<size_t>(cls)].device().TimeForMs(
-        io[idx], concurrency));
   }
   return BlockedSum(times.data(), static_cast<int>(times.size()));
 }

@@ -25,11 +25,6 @@ void AccumulateScaledIo(ObjectIoMap& into, const ObjectIoMap& delta,
 double IoTimeShareMs(const ObjectIoMap& io, const std::vector<int>& placement,
                      const BoxConfig& box, double concurrency);
 
-/// As above but restricted to the objects in `members`.
-double IoTimeShareMs(const ObjectIoMap& io, const std::vector<int>& placement,
-                     const BoxConfig& box, double concurrency,
-                     const std::vector<int>& members);
-
 }  // namespace dot
 
 #endif  // DOTPROV_QUERY_OBJECT_IO_H_

@@ -62,6 +62,8 @@ class Planner {
   Plan PlanQuery(const QuerySpec& spec,
                  const std::vector<int>& placement) const;
 
+  const PlannerConfig& config() const { return config_; }
+
   /// Expected distinct pages fetched when `probes` uniform random probes hit
   /// an object of `pages` pages (Cardenas' formula); models buffer-pool
   /// reuse of hot pages across probes. An object of at most one page costs

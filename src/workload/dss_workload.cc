@@ -178,33 +178,43 @@ class DssFastScorer : public FastScorer {
   ///     bounds is itself admissible), which lets a response-time cap
   ///     kill a subtree the moment one hot object lands on a slow device.
   ///
+  /// With an io_scale the reported time is RunTemplate's scaled re-price
+  /// of the plan chosen on *unscaled* costs, so the floors run
+  /// CompiledTemplate::RunScaled instead: each entry's device time is
+  /// multiplied by its object's s_o before every step takes its minimum.
+  /// That stays admissible: s_o >= 0 (ValidateIoScale); the re-price is
+  /// linear in the chosen plan's per-object I/O, i.e. the sum over the
+  /// plan's entries of s_o × device time; and each step's chosen candidate
+  /// costs at least the cheapest candidate under the scaled optimistic
+  /// times, whichever costs chose it.
+  ///
   /// All floors are deflated by kBoundSafety because the chosen plan tree
   /// — and therefore the summation order — can differ from the real
-  /// placement's.
-  ///
-  /// With a non-empty io_scale the reported time is the *scaled* time of
-  /// the plan chosen on *unscaled* costs, which the optimistic argmin
-  /// does not bound; every floor stays at 0 (still admissible, just
-  /// loose).
+  /// placement's, and the scaled re-price sums per object, not per node.
   void EnsureFloors() const {
     std::call_once(floors_once_, [this] {
       const int m = num_classes_;
       cond_floors_.assign(fp_objects_.size() * static_cast<size_t>(m), 0.0);
-      if (!io_scale_.empty()) return;
       std::vector<int> probe(
           static_cast<size_t>(model_->schema()->NumObjects()), m);
+      auto floor = [&](const CompiledTemplate& program) {
+        const double time_ms =
+            io_scale_.empty()
+                ? program.Run(probe.data()).time_ms
+                : program.RunScaled(probe.data(), io_scale_.data()).time_ms;
+        return time_ms * (1 - kBoundSafety);
+      };
       for (size_t t = 0; t < floors_.size(); ++t) {
         if (fp_offsets_[t] == fp_offsets_[t + 1]) continue;  // unused
         const CompiledTemplate& program = model_->compiled()[t];
-        floors_[t] = program.Run(probe.data()).time_ms * (1 - kBoundSafety);
+        floors_[t] = floor(program);
         for (int k = fp_offsets_[t]; k < fp_offsets_[t + 1]; ++k) {
           const size_t o =
               static_cast<size_t>(fp_objects_[static_cast<size_t>(k)]);
           for (int c = 0; c < m; ++c) {
             probe[o] = c;
             cond_floors_[static_cast<size_t>(k) * static_cast<size_t>(m) +
-                         static_cast<size_t>(c)] =
-                program.Run(probe.data()).time_ms * (1 - kBoundSafety);
+                         static_cast<size_t>(c)] = floor(program);
           }
           probe[o] = m;
         }
@@ -584,8 +594,8 @@ class DssFastScorer : public FastScorer {
   /// is confined to runs that actually branch-and-bound).
   mutable std::once_flag floors_once_;
   mutable std::vector<double> floors_;  ///< deflated per-template bounds
-  /// Deflated conditional floors, [k · M + class] for footprint entry k;
-  /// all 0 when floors are disabled (io_scale).
+  /// Deflated conditional floors, [k · M + class] for footprint entry k
+  /// (scaled ones under an io_scale, like floors_).
   mutable std::vector<double> cond_floors_;
   /// Per template, footprints with at most kDenseCacheMaxEntries
   /// placements: one atomic slot per base-M key holding the complemented
@@ -649,8 +659,8 @@ CompiledTemplate::Result DssWorkloadModel::RunTemplate(
     objects[static_cast<size_t>(o)] *= io_scale[static_cast<size_t>(o)];
   }
   // The footprint is sorted, so this prices the same non-zero addends in
-  // the same order as the all-objects overload.
-  r.io_ms = IoTimeShareMs(objects, placement, *box_, concurrency(), footprint);
+  // the same order as IoTimeShareMs at the planning concurrency.
+  r.io_ms = program.PriceIoMs(placement.data(), objects.data());
   r.time_ms = r.io_ms + r.cpu_ms;
   return r;
 }

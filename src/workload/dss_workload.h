@@ -43,7 +43,9 @@ class DssWorkloadModel : public WorkloadModel {
 
   const std::string& name() const override { return name_; }
   const Schema* schema() const override { return schema_; }
-  double concurrency() const override { return 1.0; }
+  /// The planning concurrency (PlannerConfig::concurrency), at which every
+  /// plan and every scaled re-price is timed.
+  double concurrency() const override { return planner_.config().concurrency; }
   SlaKind sla_kind() const override {
     return SlaKind::kPerQueryResponseTime;
   }
@@ -74,9 +76,13 @@ class DssWorkloadModel : public WorkloadModel {
 
   /// Template `t` under `placement`: its compiled program's result, or
   /// with an `io_scale` the (unscaled-cost) plan's per-object I/O scaled
-  /// and re-priced, io_ms = IoTimeShareMs, time_ms = io_ms + cpu_ms. A
-  /// non-null `io` is zeroed and receives that I/O; otherwise per-thread
-  /// scratch holds it, zeroed and read only on the footprint.
+  /// and re-priced on the program's latency rows (PriceIoMs, at the
+  /// planning concurrency), time_ms = io_ms + cpu_ms. The plan is chosen
+  /// on unscaled costs, so the scaled time is no program run's per-step
+  /// minimum; CompiledTemplate::RunScaled on the optimistic column still
+  /// bounds it from below. A non-null `io` is zeroed and receives that
+  /// I/O; otherwise per-thread scratch holds it, zeroed and read only on
+  /// the footprint.
   CompiledTemplate::Result RunTemplate(int t, const std::vector<int>& placement,
                                        const std::vector<double>& io_scale,
                                        ObjectIoMap* io = nullptr) const;

@@ -148,9 +148,10 @@ class HtapFastScorer : public FastScorer {
       QuickPerf qp;
       qp.elapsed_ms = scorer_->measurement_period_ms_;
       qp.tpmc = tp.tpmc;
-      // With the DSS floors disabled (io_scale) the analytic side has no
-      // finite time bound, so the combined throughput is unbounded — 0
-      // per the BoundCursor contract.
+      // The DSS floors (scaled ones under an io_scale) bound the analytic
+      // side's time from below. Only a zero bound (every template free of
+      // CPU and of scaled I/O) leaves its throughput unbounded — 0 per
+      // the BoundCursor contract.
       qp.tasks_per_hour =
           dss_lb_ms > 0 ? tp.tasks_per_hour +
                               scorer_->model_->AnalyticsTasksPerHour(dss_lb_ms)

@@ -5,11 +5,13 @@
 // count, SLA, io_scale hints, discrete cost model, targets_override),
 // checks determinism across 1/4/hardware threads including every pruning
 // counter, and checks that the counters account for the full M^N tree.
+// Under io_scale hints the match must hold at every planning concurrency.
 
 #include "dot/bnb_search.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <thread>
@@ -332,6 +334,100 @@ TEST(BnbSearchTest, MatchesEnumerationBeyondTheDenseCache) {
   const DotResult full = ExactSearch(problem, ExactStrategy::kEnumerate);
   ExpectSameOptimum(es, full, "fast vs full enumeration");
   EXPECT_EQ(es.layouts_evaluated, full.layouts_evaluated);
+}
+
+/// A refinement-style io_scale hint over `n` objects: one factor for all
+/// (uniform), or per-object draws in [0, 3] with about a quarter of them 0
+/// (skewed).
+std::vector<double> MakeHint(int n, bool skewed, Rng& rng) {
+  std::vector<double> hint(static_cast<size_t>(n), rng.NextUniform(0.5, 2.0));
+  if (skewed) {
+    for (double& s : hint) {
+      s = rng.NextBounded(4) == 0 ? 0.0 : rng.NextUniform(0.0, 3.0);
+    }
+  }
+  return hint;
+}
+
+/// TPC-H at SF 2 reduced to six objects: the four subset tables, and the
+/// keys of lineitem and orders.
+Schema MakeTpchSixObjectSchema() {
+  const Schema subset = MakeTpchEsSubsetSchema(2.0);
+  return subset.Subset({"lineitem", "orders", "customer", "part",
+                        "lineitem_pkey", "orders_pkey"});
+}
+
+TEST(BnbSearchTest, MatchesEnumerationUnderHintsAtEveryPlanningConcurrency) {
+  // Under a hint the bound cursor prunes on scaled floors, which the
+  // compiled program prices at PlannerConfig::concurrency; the leaves are
+  // scaled re-prices. Both must read the same latency rows, or the floors
+  // overshoot and BnB reports Infeasible (or a worse layout) where
+  // enumeration finds the optimum.
+  Schema schema = MakeTpchSixObjectSchema();
+  for (bool box2 : {false, true}) {
+    SCOPED_TRACE(box2 ? "box 2" : "box 1");
+    const BoxConfig box = box2 ? MakeBox2() : MakeBox1();
+    for (double concurrency : {1.0, 30.0, 300.0}) {
+      SCOPED_TRACE("planning concurrency " + std::to_string(concurrency));
+      PlannerConfig config;
+      config.concurrency = concurrency;
+      DssWorkloadModel workload("TPC-H-6obj", &schema, &box,
+                                MakeTpchSubsetTemplates(),
+                                RepeatSequence(11, 3), config);
+      Rng rng(static_cast<uint64_t>(concurrency) * 2 +
+              static_cast<uint64_t>(box2));
+      for (bool skewed : {false, true}) {
+        SCOPED_TRACE(skewed ? "skewed hint" : "uniform hint");
+        for (double sla : {0.3, 0.6}) {
+          SCOPED_TRACE("relative sla " + std::to_string(sla));
+          DotProblem problem;
+          problem.schema = &schema;
+          problem.box = &box;
+          problem.workload = &workload;
+          problem.relative_sla = sla;
+          problem.io_scale_hint = MakeHint(schema.NumObjects(), skewed, rng);
+          const DotResult es = ExactSearch(problem, ExactStrategy::kEnumerate);
+          const DotResult bnb =
+              ExactSearch(problem, ExactStrategy::kBranchAndBound);
+          ExpectSameOptimum(bnb, es, "hinted");
+          ExpectCountersAccountForTree(bnb, box.NumClasses(),
+                                       schema.NumObjects(), "hinted");
+        }
+      }
+    }
+  }
+}
+
+TEST(BnbSearchTest, HintedCountersMatchAcrossThreadCounts) {
+  Schema schema = MakeTpchSixObjectSchema();
+  const BoxConfig box = MakeBox1();
+  PlannerConfig config;
+  config.concurrency = 30.0;
+  DssWorkloadModel workload("TPC-H-6obj", &schema, &box,
+                            MakeTpchSubsetTemplates(), RepeatSequence(11, 3),
+                            config);
+  Rng rng(0x41);
+  DotProblem problem;
+  problem.schema = &schema;
+  problem.box = &box;
+  problem.workload = &workload;
+  problem.relative_sla = 0.4;
+  problem.io_scale_hint = MakeHint(schema.NumObjects(), /*skewed=*/true, rng);
+  problem.options.num_threads = 1;
+  const DotResult baseline =
+      ExactSearch(problem, ExactStrategy::kBranchAndBound);
+  ASSERT_TRUE(baseline.status.ok()) << baseline.status.ToString();
+  EXPECT_GT(baseline.nodes_pruned_bound, 0);
+  const int hw =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  for (int t : {4, hw}) {
+    DotProblem p = problem;
+    p.options.num_threads = t;
+    const DotResult r = ExactSearch(p, ExactStrategy::kBranchAndBound);
+    const std::string what = "num_threads=" + std::to_string(t);
+    ExpectSameOptimum(r, baseline, what);
+    ExpectSameCounters(r, baseline, what);
+  }
 }
 
 TEST(BnbSearchTest, DotWarmStartSeedDoesNotChangeTheOptimum) {

@@ -5,11 +5,13 @@
 // search — driven by the summed two-side bound — must match the
 // enumerating Exhaustive Search bit for bit at 1, 4, and
 // hardware-concurrency threads, with pruning counters accounting for the
-// full M^N tree.
+// full M^N tree — under io_scale hints at every planning concurrency too,
+// where the analytic floors must keep pruning.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "common/rng.h"
 #include "dot/bnb_search.h"
 #include "dot/candidate_evaluator.h"
+#include "dot/solve.h"
 #include "storage/standard_catalog.h"
 #include "workload/htap_workload.h"
 #include "workload/profiler.h"
@@ -330,6 +333,131 @@ TEST(HtapBnbTest, MatchesEnumerationOnChbenchSubset) {
     if (bnb.status.ok()) {
       EXPECT_LT(bnb.layouts_evaluated, es.layouts_evaluated / 2) << what;
     }
+  }
+}
+
+/// The CH-benCH subset of the advisor benchmark: stock, order_line,
+/// customer and orders with their keys (3^8 layouts on Box 2).
+Schema MakeChbenchSubsetSchema() {
+  return MakeTpccSchema(30).Subset({"stock", "pk_stock", "order_line",
+                                    "pk_order_line", "customer", "pk_customer",
+                                    "orders", "pk_orders"});
+}
+
+/// MakeChbenchHtapWorkload's composition with the analytic side planned
+/// at `planning_concurrency`.
+HtapBundle MakeChbenchAtPlanningConcurrency(const Schema* schema,
+                                            const BoxConfig* box,
+                                            const HtapConfig& config,
+                                            double planning_concurrency) {
+  HtapBundle bundle;
+  bundle.oltp = MakeTpccWorkload(schema, box, TpccConfig{});
+  std::vector<QuerySpec> templates =
+      FilterTemplatesToSchema(MakeChbenchTemplates(), *schema);
+  const int num_templates = static_cast<int>(templates.size());
+  PlannerConfig planner_config;
+  planner_config.concurrency = planning_concurrency;
+  bundle.dss = std::make_unique<DssWorkloadModel>(
+      "CH-benCH", schema, box, std::move(templates),
+      RepeatSequence(num_templates, 1), planner_config);
+  bundle.htap = std::make_unique<HtapWorkload>(
+      "CH-benCH-HTAP", bundle.oltp.get(), bundle.dss.get(), schema, box,
+      config);
+  return bundle;
+}
+
+/// A refinement-style io_scale hint over `n` objects: one factor for all
+/// (uniform), or per-object draws in [0, 3] with about a quarter of them 0
+/// (skewed).
+std::vector<double> MakeHint(int n, bool skewed, Rng& rng) {
+  std::vector<double> hint(static_cast<size_t>(n), rng.NextUniform(0.5, 2.0));
+  if (skewed) {
+    for (double& s : hint) {
+      s = rng.NextBounded(4) == 0 ? 0.0 : rng.NextUniform(0.0, 3.0);
+    }
+  }
+  return hint;
+}
+
+TEST(HtapBnbTest, MatchesEnumerationUnderHintsAtEveryPlanningConcurrency) {
+  // The analytic side's scaled floors and its scaled re-price must time
+  // I/O on the same latency rows at every planning concurrency.
+  Schema schema = MakeChbenchSubsetSchema();
+  const BoxConfig box = MakeBox2();
+  for (double concurrency : {1.0, 30.0, 300.0}) {
+    HtapConfig config;
+    config.analytics_streams = 8.0;
+    HtapBundle bundle =
+        MakeChbenchAtPlanningConcurrency(&schema, &box, config, concurrency);
+    Rng rng(static_cast<uint64_t>(concurrency) + 5);
+    for (bool skewed : {false, true}) {
+      DotProblem problem;
+      problem.schema = &schema;
+      problem.box = &box;
+      problem.workload = bundle.htap.get();
+      problem.relative_sla = 0.35;
+      problem.options.num_threads = 0;
+      problem.io_scale_hint = MakeHint(schema.NumObjects(), skewed, rng);
+      const std::string what = "concurrency " + std::to_string(concurrency) +
+                               (skewed ? " skewed" : " uniform");
+      const DotResult es = ExactSearch(problem, ExactStrategy::kEnumerate);
+      const DotResult bnb =
+          ExactSearch(problem, ExactStrategy::kBranchAndBound);
+      ExpectSameOptimum(bnb, es, what);
+      ExpectCountersAccountForTree(bnb, box.NumClasses(), schema.NumObjects(),
+                                   what);
+    }
+  }
+}
+
+TEST(HtapBnbTest, HintedCountersMatchAcrossThreadCounts) {
+  Schema schema = MakeChbenchSubsetSchema();
+  const BoxConfig box = MakeBox2();
+  HtapConfig config;
+  config.analytics_streams = 8.0;
+  HtapBundle bundle =
+      MakeChbenchAtPlanningConcurrency(&schema, &box, config, 30.0);
+  Rng rng(0x68);
+  DotProblem problem;
+  problem.schema = &schema;
+  problem.box = &box;
+  problem.workload = bundle.htap.get();
+  problem.relative_sla = 0.35;
+  problem.io_scale_hint = MakeHint(schema.NumObjects(), /*skewed=*/true, rng);
+  problem.options.num_threads = 1;
+  const DotResult baseline =
+      ExactSearch(problem, ExactStrategy::kBranchAndBound);
+  for (int t : ThreadCounts()) {
+    DotProblem p = problem;
+    p.options.num_threads = t;
+    const DotResult r = ExactSearch(p, ExactStrategy::kBranchAndBound);
+    const std::string what = "num_threads=" + std::to_string(t);
+    ExpectSameOptimum(r, baseline, what);
+    ExpectSameCounters(r, baseline, what);
+  }
+}
+
+TEST(HtapBnbTest, AnalyticBoundIsLiveUnderHints) {
+  // With the analytic floors at 0 a hinted search prunes only on capacity
+  // and the OLTP side, and scans a large share of the 3^8 layouts.
+  Schema schema = MakeChbenchSubsetSchema();
+  const BoxConfig box = MakeBox2();
+  HtapConfig config;
+  config.analytics_streams = 8.0;
+  HtapBundle bundle = MakeChbenchHtapWorkload(&schema, &box, config);
+  Rng rng(0xb0);
+  for (bool skewed : {false, true}) {
+    DotProblem problem;
+    problem.schema = &schema;
+    problem.box = &box;
+    problem.workload = bundle.htap.get();
+    problem.relative_sla = 0.35;
+    problem.io_scale_hint = MakeHint(schema.NumObjects(), skewed, rng);
+    const std::string what = skewed ? "skewed hint" : "uniform hint";
+    const SolveResult r = Solve(problem);
+    ASSERT_TRUE(r.status.ok()) << what << ": " << r.status.ToString();
+    EXPECT_GT(r.provenance.nodes_pruned_bound, 0) << what;
+    EXPECT_LT(r.provenance.layouts_evaluated, PowLL(3, 8) / 20) << what;
   }
 }
 

@@ -4,7 +4,10 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "catalog/tpch_schema.h"
@@ -139,11 +142,13 @@ TEST_F(DssWorkloadTest, SubsetTemplatesTouchOnlyFourTables) {
 // trees, independent of the compiled programs both model paths run.
 
 /// EstimateWithIoScale as a PlanQuery loop: plan each template the
-/// sequence runs, re-price its scaled per-object I/O when an io_scale is
-/// set, gather the times over the sequence, and add each plan's I/O and
-/// join census `count` times. uses_inlj[t] receives whether template t's
-/// plan holds an indexed nested-loop join.
+/// sequence runs, re-price its scaled per-object I/O at the planning
+/// `concurrency` when an io_scale is set, gather the times over the
+/// sequence, and add each plan's I/O and join census `count` times.
+/// uses_inlj[t] receives whether template t's plan holds an indexed
+/// nested-loop join.
 PerfEstimate OracleEstimate(const Planner& planner, const BoxConfig& box,
+                            double concurrency,
                             const std::vector<QuerySpec>& templates,
                             const std::vector<int>& sequence, int num_objects,
                             const std::vector<int>& placement,
@@ -163,8 +168,9 @@ PerfEstimate OracleEstimate(const Planner& planner, const BoxConfig& box,
       for (size_t o = 0; o < plans[t].io_by_object.size(); ++o) {
         plans[t].io_by_object[o] *= io_scale[o];
       }
-      times[t] = IoTimeShareMs(plans[t].io_by_object, placement, box, 1.0) +
-                 plans[t].cpu_ms;
+      const double io_ms =
+          IoTimeShareMs(plans[t].io_by_object, placement, box, concurrency);
+      times[t] = io_ms + plans[t].cpu_ms;
     }
   }
   PerfEstimate est;
@@ -215,11 +221,13 @@ void ExpectBitIdentical(const PerfEstimate& got, const PerfEstimate& want) {
 struct OracleCase {
   bool modified;
   bool box2;
+  double concurrency;
 };
 
 std::string OracleCaseName(const ::testing::TestParamInfo<OracleCase>& info) {
   return std::string(info.param.modified ? "TpchModified" : "Tpch") +
-         (info.param.box2 ? "_Box2" : "_Box1");
+         (info.param.box2 ? "_Box2" : "_Box1") +
+         (info.param.concurrency > 1 ? "_C30" : "");
 }
 
 class DssOracleTest : public ::testing::TestWithParam<OracleCase> {};
@@ -232,6 +240,7 @@ TEST_P(DssOracleTest, FullEstimateMatchesPlanQueryBitForBit) {
   config.temp_object_id =
       schema.AddAuxiliary("temp", ObjectKind::kTempSpace, 50.0);
   config.work_mem_gb = 0.01;  // hash and sort spills reach the temp object
+  config.concurrency = c.concurrency;
   const std::vector<QuerySpec> templates =
       c.modified ? MakeModifiedTpchTemplates() : MakeTpchTemplates();
   const int num_templates = static_cast<int>(templates.size());
@@ -275,8 +284,8 @@ TEST_P(DssOracleTest, FullEstimateMatchesPlanQueryBitForBit) {
                    (io_scale.empty() ? "" : " io_scale") +
                    (need_io ? " io_by_object" : ""));
       const PerfEstimate want =
-          OracleEstimate(planner, box, templates, sequence, n, placement,
-                         io_scale, need_io, &uses_inlj);
+          OracleEstimate(planner, box, config.concurrency, templates, sequence,
+                         n, placement, io_scale, need_io, &uses_inlj);
       ExpectBitIdentical(
           model.EstimateWithIoScale(placement, io_scale, need_io), want);
     }
@@ -295,11 +304,143 @@ TEST_P(DssOracleTest, FullEstimateMatchesPlanQueryBitForBit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(TpchTemplates, DssOracleTest,
-                         ::testing::Values(OracleCase{false, false},
-                                           OracleCase{false, true},
-                                           OracleCase{true, false},
-                                           OracleCase{true, true}),
+                         ::testing::Values(OracleCase{false, false, 1.0},
+                                           OracleCase{false, true, 1.0},
+                                           OracleCase{true, false, 1.0},
+                                           OracleCase{true, true, 1.0},
+                                           OracleCase{false, false, 30.0},
+                                           OracleCase{true, true, 30.0}),
                          OracleCaseName);
+
+// --- One latency row set for every price: the scaled re-price and the
+// compiled program both time I/O at PlannerConfig::concurrency.
+
+TEST(DssPlanningConcurrencyTest, AllOnesHintKeepsTheUnhintedEstimate) {
+  // A hint of all ones scales nothing, so at any planning concurrency it
+  // must leave the estimate where the unhinted one is (up to the re-price's
+  // per-object summation order).
+  const Schema subset = MakeTpchEsSubsetSchema(2.0);
+  Schema schema = subset.Subset({"lineitem", "orders", "customer", "part",
+                                 "lineitem_pkey", "orders_pkey"});
+  const BoxConfig box = MakeBox1();
+  const int n = schema.NumObjects();
+  const std::vector<double> ones(static_cast<size_t>(n), 1.0);
+  for (double concurrency : {1.0, 30.0, 300.0}) {
+    PlannerConfig config;
+    config.concurrency = concurrency;
+    const DssWorkloadModel model("TPC-H-6obj", &schema, &box,
+                                 MakeTpchSubsetTemplates(),
+                                 RepeatSequence(11, 3), config);
+    EXPECT_EQ(model.concurrency(), concurrency);
+    Rng rng(static_cast<std::uint64_t>(concurrency));
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<int> placement(static_cast<size_t>(n));
+      for (int& cls : placement) {
+        cls = static_cast<int>(
+            rng.NextBounded(static_cast<std::uint64_t>(box.NumClasses())));
+      }
+      const double unhinted = model.Estimate(placement).elapsed_ms;
+      const double hinted =
+          model.EstimateWithIoScale(placement, ones, false).elapsed_ms;
+      EXPECT_NEAR(hinted, unhinted, 1e-12 * unhinted)
+          << "concurrency " << concurrency << " trial " << trial;
+    }
+  }
+}
+
+// --- Admissible floors under an io_scale (DssFastScorer::EnsureFloors).
+
+/// Full TPC-H with spills on Box 1 (original templates) or Box 2 (modified
+/// ones) at planning `concurrency`, over random placements and hints with
+/// s_o in [0, 3], a quarter of them 0. A template's floor —
+/// CompiledTemplate::RunScaled with every footprint object on the
+/// optimistic column, deflated by kBoundSafety — and each conditional floor
+/// — one footprint object pinned to its class — must not exceed
+/// RunTemplate's scaled re-price at any placement that agrees with them.
+/// The scorer's bound cursor, which holds the same floors, must stay under
+/// Score at every depth of a random assignment order, and start above 0.
+void ExpectScaledFloorsAdmissible(bool box2, double concurrency) {
+  Schema schema = MakeTpchSchema(20.0);
+  const BoxConfig box = box2 ? MakeBox2() : MakeBox1();
+  PlannerConfig config;
+  config.temp_object_id =
+      schema.AddAuxiliary("temp", ObjectKind::kTempSpace, 50.0);
+  config.work_mem_gb = 0.01;
+  config.concurrency = concurrency;
+  const std::vector<QuerySpec> templates =
+      box2 ? MakeModifiedTpchTemplates() : MakeTpchTemplates();
+  const int num_templates = static_cast<int>(templates.size());
+  const DssWorkloadModel model("floors", &schema, &box, templates,
+                               RepeatSequence(num_templates, 2), config);
+  const int n = schema.NumObjects();
+  const int optimistic = box.NumClasses();
+  const std::vector<double> no_caps(model.sequence().size(),
+                                    std::numeric_limits<double>::infinity());
+  Rng rng(0xf100 + static_cast<std::uint64_t>(box2) * 2 +
+          static_cast<std::uint64_t>(concurrency));
+  int positive_floors = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    std::vector<int> placement(static_cast<size_t>(n));
+    for (int& cls : placement) {
+      cls = static_cast<int>(
+          rng.NextBounded(static_cast<std::uint64_t>(box.NumClasses())));
+    }
+    std::vector<double> io_scale(static_cast<size_t>(n));
+    for (double& s : io_scale) {
+      s = rng.NextBounded(4) == 0 ? 0.0 : rng.NextUniform(0.0, 3.0);
+    }
+    for (int t = 0; t < num_templates; ++t) {
+      const double exact = model.RunTemplate(t, placement, io_scale).time_ms;
+      const CompiledTemplate& program =
+          model.compiled()[static_cast<size_t>(t)];
+      std::vector<int> probe(static_cast<size_t>(n), optimistic);
+      const double floor =
+          program.RunScaled(probe.data(), io_scale.data()).time_ms *
+          (1 - kBoundSafety);
+      EXPECT_LE(floor, exact) << "template " << t;
+      if (floor > 0) ++positive_floors;
+      for (int o : program.footprint()) {
+        probe[static_cast<size_t>(o)] = placement[static_cast<size_t>(o)];
+        const double cond =
+            program.RunScaled(probe.data(), io_scale.data()).time_ms *
+            (1 - kBoundSafety);
+        EXPECT_LE(cond, exact) << "template " << t << " pinned object " << o;
+        probe[static_cast<size_t>(o)] = optimistic;
+      }
+    }
+
+    const std::unique_ptr<FastScorer> scorer =
+        model.MakeFastScorer(io_scale, no_caps, 0.0, 0.0);
+    const double score = scorer->Score(placement).elapsed_ms;
+    const std::unique_ptr<FastScorer::BoundCursor> cursor =
+        scorer->MakeBoundCursor();
+    std::vector<int> order(static_cast<size_t>(n));
+    for (int o = 0; o < n; ++o) order[static_cast<size_t>(o)] = o;
+    for (int i = n - 1; i > 0; --i) {
+      const size_t k = rng.NextBounded(static_cast<std::uint64_t>(i) + 1);
+      std::swap(order[static_cast<size_t>(i)], order[k]);
+    }
+    EXPECT_GT(cursor->Optimistic(placement).elapsed_ms, 0);
+    for (int o : order) {
+      EXPECT_LE(cursor->Optimistic(placement).elapsed_ms, score)
+          << "before object " << o;
+      cursor->Assign(o, placement);
+    }
+    EXPECT_EQ(Bits(cursor->Optimistic(placement).elapsed_ms), Bits(score));
+  }
+  EXPECT_GT(positive_floors, 0);
+}
+
+TEST(DssScaledFloorTest, FloorsLowerBoundTheScaledRePrice) {
+  for (bool box2 : {false, true}) {
+    for (double concurrency : {1.0, 30.0}) {
+      SCOPED_TRACE(std::string(box2 ? "box 2" : "box 1") + " concurrency " +
+                   std::to_string(concurrency));
+      ExpectScaledFloorsAdmissible(box2, concurrency);
+    }
+  }
+}
 
 TEST(RepeatSequenceTest, TemplateMajorOrder) {
   const std::vector<int> seq = RepeatSequence(3, 2);
