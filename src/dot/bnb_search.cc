@@ -143,6 +143,8 @@ class SubtreeWalker {
   void RunSubtree(const std::vector<int>& prefix) {
     BeginTask();
     for (int d = 0; d < sh_.shard_depth; ++d) {
+      // The sharding pass ran each prefix node's entry check against the
+      // same seed incumbent; only the cursor state is replayed here.
       AssignLevel(d, prefix[static_cast<size_t>(d)]);
     }
     Dfs(sh_.shard_depth);
@@ -170,10 +172,12 @@ class SubtreeWalker {
   /// positive when a bound exists). The "no bound" case — no cursor, or
   /// an unbounded optimistic throughput — is the ratio 0 / 1, which sorts
   /// before every real bound and never prunes, exactly like the literal
-  /// toc_lb = 0 it replaces.
+  /// toc_lb = 0 it replaces. `cost_lb` is the child's completion-cost
+  /// bound, kept for the entry check (EnterChild).
   struct Probe {
     double toc_num = 0.0;
     double toc_den = 1.0;
+    double cost_lb = 0.0;
     int cls = 0;
   };
 
@@ -204,15 +208,36 @@ class SubtreeWalker {
   }
 
   /// Commits class `cls` for the depth-d object: placement, the depth+1
-  /// space snapshot, and the bound cursor.
-  void AssignLevel(int depth, int cls) {
+  /// space snapshot, and the bound cursor, which then tightens the node it
+  /// enters. Returns true when that moved the cursor's bound.
+  bool AssignLevel(int depth, int cls) {
     const int obj = sh_.order[static_cast<size_t>(depth)];
     placement_[static_cast<size_t>(obj)] = cls;
     const double* cur = UsedRow(depth);
     double* next = UsedRow(depth + 1);
     for (int j = 0; j < sh_.m; ++j) next[j] = cur[j];
     next[cls] += sh_.size_at_depth[static_cast<size_t>(depth)];
-    if (cursor_ != nullptr) cursor_->Assign(obj, placement_);
+    if (cursor_ == nullptr) return false;
+    cursor_->Assign(obj, placement_);
+    return cursor_->Tighten(placement_);
+  }
+
+  /// The entry check of a child whose bound Tighten raised after its
+  /// probe: pass 3's SLA and TOC tests on the tightened Optimistic(),
+  /// with the probe's `cost_lb`. A failure counts as the prune pass 3
+  /// would have made, so the tree identities still hold.
+  bool EnterChild(int child_depth, double cost_lb) {
+    const QuickPerf qp = cursor_->Optimistic(placement_);
+    if (!qp.sla_ok) {
+      PruneInfeasible(child_depth);
+      return false;
+    }
+    if (qp.tasks_per_hour > 0 &&
+        cost_lb > incumbent_ * (1 + kBoundSafety) * qp.tasks_per_hour) {
+      PruneBound(child_depth);
+      return false;
+    }
+    return true;
   }
 
   void PruneInfeasible(int child_depth) {
@@ -375,19 +400,19 @@ class SubtreeWalker {
       if (mask_[cls] == 0) continue;
       double toc_num = 0.0;
       double toc_den = 1.0;
+      double cost_lb = 0.0;
       if (cursor_ != nullptr) {
         const QuickPerf& qp = qps_[cls];
         if (!qp.sla_ok) {
           PruneInfeasible(depth + 1);
           continue;
         }
+        // Admissible TOC lower bound: assigned space priced exactly,
+        // every unassigned object at its guaranteed marginal minimum,
+        // over the optimistic throughput tp_num / tp_den:
+        // toc = cost_lb·tp_den / tp_num.
+        cost_lb = ChildCostLowerBound(parent_cost, cur, cls, size, depth + 1);
         if (qp.tasks_per_hour > 0) {
-          // Admissible TOC lower bound: assigned space priced exactly,
-          // every unassigned object at its guaranteed marginal minimum,
-          // over the optimistic throughput tp_num / tp_den:
-          // toc = cost_lb·tp_den / tp_num.
-          const double cost_lb =
-              ChildCostLowerBound(parent_cost, cur, cls, size, depth + 1);
           toc_num = cost_lb * tpden_[cls];
           toc_den = qp.tasks_per_hour;
           if (toc_num > inc_scaled * toc_den) {
@@ -398,6 +423,7 @@ class SubtreeWalker {
       }
       probes[live].toc_num = toc_num;
       probes[live].toc_den = toc_den;
+      probes[live].cost_lb = cost_lb;
       probes[live].cls = cls;
       ++live;
     }
@@ -420,8 +446,10 @@ class SubtreeWalker {
         PruneBound(depth + 1);
         continue;
       }
-      AssignLevel(depth, probes[i].cls);
-      Dfs(depth + 1);
+      if (!AssignLevel(depth, probes[i].cls) ||
+          EnterChild(depth + 1, probes[i].cost_lb)) {
+        Dfs(depth + 1);
+      }
       if (cursor_ != nullptr) cursor_->Unassign(obj);
     }
   }

@@ -157,6 +157,13 @@ class EnsembleScorer : public FastScorer {
       --assigned_;
       for (auto& c : children_) c->Unassign(object_id);
     }
+    /// Every child tightens (the aggregation is monotone in each child's
+    /// bound, so any one rising can move the aggregate).
+    bool Tighten(const std::vector<int>& placement) override {
+      bool raised = false;
+      for (auto& c : children_) raised = c->Tighten(placement) || raised;
+      return raised;
+    }
     QuickPerf Optimistic(const std::vector<int>& placement) const override {
       std::array<ScenarioScore, kMaxScenarios> scores;
       QuickPerf nominal;

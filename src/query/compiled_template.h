@@ -59,10 +59,10 @@ class CompiledTemplate {
   /// Run with each entry's device time multiplied by its object's factor
   /// in `io_scale` (indexed by object id, each >= 0): every step picks its
   /// cheapest candidate under the scaled times, and time_ms is that
-  /// plan's scaled time. With every footprint object on the optimistic
-  /// column, or all but one, this lower-bounds (up to rounding) the scaled
-  /// re-price RunTemplate reports at every placement that agrees with it:
-  /// see DssFastScorer::EnsureFloors.
+  /// plan's scaled time. With each footprint object on its real class or
+  /// on the optimistic column, this lower-bounds (up to rounding) the
+  /// scaled re-price RunTemplate reports at every placement that agrees
+  /// with it on the real classes: see DssFastScorer::EnsureFloors.
   Result RunScaled(const int* placement, const double* io_scale) const;
 
   /// The I/O time of `io_by_object` (indexed by object id) on the

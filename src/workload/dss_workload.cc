@@ -178,6 +178,10 @@ class DssFastScorer : public FastScorer {
   ///     bounds is itself admissible), which lets a response-time cap
   ///     kill a subtree the moment one hot object lands on a slow device.
   ///
+  /// The same argument covers any probe whose entries are real classes or
+  /// the optimistic column: the cursor's Tighten runs it with every
+  /// assigned footprint object pinned (FloorOf).
+  ///
   /// With an io_scale the reported time is RunTemplate's scaled re-price
   /// of the plan chosen on *unscaled* costs, so the floors run
   /// CompiledTemplate::RunScaled instead: each entry's device time is
@@ -197,24 +201,17 @@ class DssFastScorer : public FastScorer {
       cond_floors_.assign(fp_objects_.size() * static_cast<size_t>(m), 0.0);
       std::vector<int> probe(
           static_cast<size_t>(model_->schema()->NumObjects()), m);
-      auto floor = [&](const CompiledTemplate& program) {
-        const double time_ms =
-            io_scale_.empty()
-                ? program.Run(probe.data()).time_ms
-                : program.RunScaled(probe.data(), io_scale_.data()).time_ms;
-        return time_ms * (1 - kBoundSafety);
-      };
       for (size_t t = 0; t < floors_.size(); ++t) {
         if (fp_offsets_[t] == fp_offsets_[t + 1]) continue;  // unused
-        const CompiledTemplate& program = model_->compiled()[t];
-        floors_[t] = floor(program);
+        const int ti = static_cast<int>(t);
+        floors_[t] = FloorOf(ti, probe.data());
         for (int k = fp_offsets_[t]; k < fp_offsets_[t + 1]; ++k) {
           const size_t o =
               static_cast<size_t>(fp_objects_[static_cast<size_t>(k)]);
           for (int c = 0; c < m; ++c) {
             probe[o] = c;
             cond_floors_[static_cast<size_t>(k) * static_cast<size_t>(m) +
-                         static_cast<size_t>(c)] = floor(program);
+                         static_cast<size_t>(c)] = FloorOf(ti, probe.data());
           }
           probe[o] = m;
         }
@@ -303,6 +300,14 @@ class DssFastScorer : public FastScorer {
   /// path held (a max over the same floors is the same value). This is
   /// why the LIFO order is checked, not assumed.
   ///
+  /// Tighten raises each incomplete template of the most recently
+  /// assigned object that has at least two assigned objects to its
+  /// compiled floor with all of them pinned (a probe with every assigned
+  /// class and the optimistic column elsewhere). It touches only rows
+  /// that object's Assign pushed, so its Unassign restores them too.
+  /// Assign and Unassign, which the HTAP cursor drives without ever
+  /// tightening, do no extra work for it.
+  ///
   /// Templates the dense cache cannot hold complete through the cursor's
   /// private TemplateMemo.
   class BoundCursor : public FastScorer::BoundCursor {
@@ -362,6 +367,39 @@ class DssFastScorer : public FastScorer {
     QuickPerf Optimistic(const std::vector<int>& placement) const override {
       (void)placement;  // the per-template times already reflect it
       return scorer_->ScoreFromTimes(times_.data());
+    }
+
+    bool Tighten(const std::vector<int>& placement) override {
+      if (assigned_.empty()) return false;
+      // Per-thread scratch, like Score's: a member would grow every
+      // cursor, and a larger cursor measurably slowed htap-advisor, whose
+      // DSS side allocates many cursors and never tightens.
+      static thread_local std::vector<int> probe;
+      probe.assign(scorer_->row_offsets_.size() - 1, scorer_->num_classes_);
+      for (int a : assigned_) {
+        probe[static_cast<size_t>(a)] = placement[static_cast<size_t>(a)];
+      }
+      const size_t o = static_cast<size_t>(assigned_.back());
+      bool raised = false;
+      for (int r = scorer_->row_offsets_[o]; r < scorer_->row_offsets_[o + 1];
+           ++r) {
+        const int t = scorer_->rows_[static_cast<size_t>(r)].t;
+        const size_t ti = static_cast<size_t>(t);
+        const int left = unassigned_[ti];
+        // Complete templates are exact; with one object assigned the run
+        // is that object's conditional floor, which Assign already took.
+        if (left == 0 ||
+            scorer_->fp_offsets_[ti + 1] - scorer_->fp_offsets_[ti] - left <
+                2) {
+          continue;
+        }
+        const double floor = scorer_->FloorOf(t, probe.data());
+        if (floor > times_[ti]) {
+          times_[ti] = floor;
+          raised = true;
+        }
+      }
+      return raised;
     }
 
    private:
@@ -481,6 +519,19 @@ class DssFastScorer : public FastScorer {
     if (tally.misses > 0) {
       misses_.fetch_add(tally.misses, std::memory_order_relaxed);
     }
+  }
+
+  /// Template `t`'s program run (RunScaled under an io_scale) on `probe`,
+  /// whose footprint entries are real classes or the optimistic column,
+  /// deflated by kBoundSafety: a floor over every placement that agrees
+  /// with it on the real entries (see EnsureFloors).
+  double FloorOf(int t, const int* probe) const {
+    const CompiledTemplate& program =
+        model_->compiled()[static_cast<size_t>(t)];
+    const double time_ms =
+        io_scale_.empty() ? program.Run(probe).time_ms
+                          : program.RunScaled(probe, io_scale_.data()).time_ms;
+    return time_ms * (1 - kBoundSafety);
   }
 
   /// Conditional floors of footprint entry `k`, one per class.

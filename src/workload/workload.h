@@ -107,9 +107,10 @@ class FastScorer {
   /// Assign/Unassign follow the search's LIFO discipline, and the cursors
   /// rely on it: each Unassign restores the state its matching Assign
   /// saved (per-depth snapshots for OLTP and HTAP, an undo stack of
-  /// per-template times for DSS), so an out-of-order Unassign would
-  /// restore the wrong values; the DSS cursor DOT_CHECKs it. A BoundCursor
-  /// is single-threaded state; each subtree task creates its own.
+  /// per-template times for DSS), including anything Tighten raised since,
+  /// so an out-of-order Unassign would restore the wrong values; the DSS
+  /// cursor DOT_CHECKs it. A BoundCursor is single-threaded state; each
+  /// subtree task creates its own.
   class BoundCursor {
    public:
     virtual ~BoundCursor() = default;
@@ -122,6 +123,20 @@ class FastScorer {
     /// The optimistic completion score (see contract above). `placement`
     /// entries of unassigned objects are not read.
     virtual QuickPerf Optimistic(const std::vector<int>& placement) const = 0;
+    /// Optionally spends more work to raise the bound of the current node,
+    /// which the most recent Assign entered; returns true when Optimistic()
+    /// may have moved. It may only tighten state the most recent Assign
+    /// saved, so its Unassign undoes both, and Optimistic() stays
+    /// admissible and leaf-exact. Branch-and-bound calls it once per node
+    /// it descends into (never for probes), and re-checks the node when it
+    /// returns true; enumeration never calls it. The default does nothing.
+    /// The DSS cursor re-runs each incomplete template the object touches
+    /// with every assigned object pinned; the ensemble cursor forwards to
+    /// its children; the HTAP cursor keeps the default (see DESIGN.md §5).
+    virtual bool Tighten(const std::vector<int>& placement) {
+      (void)placement;
+      return false;
+    }
     /// Batched interior probe for the branch-and-bound inner loop: for
     /// every class c in [0, num_classes) with mask[c] != 0, evaluates the
     /// optimistic completion that assigns `object` to c and writes it to

@@ -265,6 +265,49 @@ TEST_F(EnsembleOptTest, BranchAndBoundMatchesEnumerationUnderAnEnsemble) {
   }
 }
 
+TEST_F(EnsembleOptTest, TightenedBranchAndBoundMatchesEnumerationAtK2AndK5) {
+  // The ensemble cursor forwards Tighten to every child scorer, so robust
+  // exact solves descend on the same compiled floors as point ones. Each
+  // objective kind, and a chance constraint, at K = 2 and K = 5: the same
+  // status, placement and TOC bits as enumeration, and the tree identity.
+  EnsembleObjective chance = CVaR(0.4);
+  chance.min_feasible_fraction = 0.5;
+  for (int k : {2, 5}) {
+    ScenarioNoise noise;
+    noise.num_scenarios = k;
+    noise.io_scale_cv = 0.3;
+    noise.count_cv = 0.1;
+    noise.seed = 17 + static_cast<uint64_t>(k);
+    const ScenarioEnsemble ensemble =
+        SampleScenarioEnsemble(schema_.NumObjects(), noise);
+    for (const EnsembleObjective& objective :
+         {Expectation(), CVaR(0.4), chance}) {
+      const std::string what =
+          "K=" + std::to_string(k) + " kind " +
+          std::to_string(static_cast<int>(objective.kind)) + " chance " +
+          std::to_string(objective.min_feasible_fraction);
+      DotProblem robust = problem_;
+      robust.ensemble = &ensemble;
+      robust.ensemble_objective = objective;
+      const DotResult bnb =
+          ExactSearch(robust, ExactStrategy::kBranchAndBound);
+      const DotResult enumerated =
+          ExactSearch(robust, ExactStrategy::kEnumerate);
+      ASSERT_EQ(bnb.status.code(), enumerated.status.code()) << what;
+      EXPECT_EQ(bnb.placement, enumerated.placement) << what;
+      EXPECT_EQ(bnb.toc_cents_per_task, enumerated.toc_cents_per_task)
+          << what;
+      EXPECT_EQ(bnb.layouts_evaluated + bnb.layouts_pruned,
+                enumerated.layouts_evaluated)
+          << what;
+      EXPECT_EQ(bnb.nodes_pruned_bound + bnb.nodes_pruned_infeasible +
+                    bnb.layouts_evaluated,
+                1 + (box_.NumClasses() - 1) * bnb.nodes_expanded)
+          << what;
+    }
+  }
+}
+
 TEST_F(EnsembleOptTest, CvarAlphaOneOptimizationMatchesExpectationBitwise) {
   DotProblem expectation = problem_;
   expectation.ensemble = &noisy_;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <thread>
@@ -389,6 +390,78 @@ std::vector<double> CursorWalkIoScale(int n) {
   return scale;
 }
 
+/// Random partial assignments of one bound cursor, each Assign followed by
+/// Tighten the way branch-and-bound descends. At the deepest point
+/// Optimistic() must bound Score over sampled completions (elapsed no
+/// larger, throughput no smaller, an SLA miss only when every sample
+/// misses), a full assignment must score exactly, and each Unassign must
+/// restore Optimistic() to its bits before that Assign. Returns how many
+/// Tighten calls raised the bound.
+int CheckTightenedBounds(const FastScorer& scorer, int n, int m,
+                         uint64_t seed, int trials) {
+  Rng rng(seed);
+  const std::unique_ptr<FastScorer::BoundCursor> cursor =
+      scorer.MakeBoundCursor();
+  int raised = 0;
+  for (int trial = 0; trial < trials; ++trial) {
+    const std::string where =
+        "seed " + std::to_string(seed) + " trial " + std::to_string(trial);
+    cursor->Reset();
+    std::vector<int> order(static_cast<size_t>(n));
+    for (int o = 0; o < n; ++o) order[static_cast<size_t>(o)] = o;
+    for (int i = n - 1; i > 0; --i) {
+      std::swap(order[static_cast<size_t>(i)],
+                order[rng.NextBounded(static_cast<uint64_t>(i) + 1)]);
+    }
+    // Every fifth trial runs to a leaf; the rest stop at least two objects
+    // deep, where Tighten can fire.
+    const int depth =
+        trial % 5 == 0
+            ? n
+            : 2 + static_cast<int>(
+                      rng.NextBounded(static_cast<uint64_t>(n) - 2));
+    std::vector<int> placement(static_cast<size_t>(n), 0);
+    std::vector<QuickPerf> path = {cursor->Optimistic(placement)};
+    for (int i = 0; i < depth; ++i) {
+      const int o = order[static_cast<size_t>(i)];
+      placement[static_cast<size_t>(o)] =
+          static_cast<int>(rng.NextBounded(static_cast<uint64_t>(m)));
+      cursor->Assign(o, placement);
+      if (cursor->Tighten(placement)) ++raised;
+      path.push_back(cursor->Optimistic(placement));
+    }
+    const QuickPerf bound = path.back();
+    if (depth == n) {
+      ExpectSameQuickPerf(bound, scorer.Score(placement), where + " leaf");
+    } else {
+      std::vector<int> completion = placement;
+      for (int sample = 0; sample < 6; ++sample) {
+        for (int i = depth; i < n; ++i) {
+          completion[static_cast<size_t>(order[static_cast<size_t>(i)])] =
+              static_cast<int>(rng.NextBounded(static_cast<uint64_t>(m)));
+        }
+        const QuickPerf exact = scorer.Score(completion);
+        EXPECT_LE(bound.elapsed_ms, exact.elapsed_ms) << where;
+        if (bound.tasks_per_hour > 0) {
+          EXPECT_GE(bound.tasks_per_hour, exact.tasks_per_hour) << where;
+        }
+        if (!bound.sla_ok) {
+          EXPECT_FALSE(exact.sla_ok) << where;
+        }
+      }
+    }
+    for (int i = depth; i-- > 0;) {
+      cursor->Unassign(order[static_cast<size_t>(i)]);
+      ExpectSameQuickPerf(cursor->Optimistic(placement),
+                          path[static_cast<size_t>(i)],
+                          where + " after Unassign at depth " +
+                              std::to_string(i));
+    }
+    if (::testing::Test::HasFailure()) return raised;
+  }
+  return raised;
+}
+
 TEST(DssCursorWalkTest, RandomWalksMatchFreshCursorsAndScore) {
   int boxes = 0;
   for (const BoxConfig& box : {MakeBox1(), MakeBox2()}) {
@@ -426,6 +499,63 @@ TEST(DssCursorWalkTest, EnsembleCursorMatchesFreshCursorsAndScore) {
   DotProblem problem = inst.Problem();
   problem.ensemble = &ensemble;
   inst.Walk(problem, /*seed=*/0xe3);
+
+  // The ensemble cursor forwards Tighten to every child scorer.
+  DotOptimizer estimator(problem);
+  CandidateEvaluator evaluator(estimator);
+  ASSERT_NE(evaluator.scorer(), nullptr);
+  EXPECT_GT(CheckTightenedBounds(*evaluator.scorer(), n,
+                                 inst.box.NumClasses(), /*seed=*/0xe7,
+                                 /*trials=*/40),
+            0);
+}
+
+TEST(DssTightenTest, TightenedBoundsStayAdmissibleAndUnassignRestoresThem) {
+  // Full TPC-H on both boxes, with no hint, a uniform one and a skewed one
+  // (a quarter of the factors 0), at planning concurrency 1 and 30.
+  const Schema schema = MakeTpchSchema(20.0);
+  const int n = schema.NumObjects();
+  int boxes = 0;
+  for (const BoxConfig& box : {MakeBox1(), MakeBox2()}) {
+    ++boxes;
+    for (double concurrency : {1.0, 30.0}) {
+      PlannerConfig config;
+      config.concurrency = concurrency;
+      const DssWorkloadModel workload("TPC-H", &schema, &box,
+                                      MakeTpchTemplates(),
+                                      RepeatSequence(22, 3), config);
+      for (int hint = 0; hint < 3; ++hint) {
+        const std::string what =
+            "box " + std::to_string(boxes) + " concurrency " +
+            std::to_string(concurrency) + " hint " + std::to_string(hint);
+        SCOPED_TRACE(what);
+        Rng rng(static_cast<uint64_t>(boxes * 100 + hint) +
+                static_cast<uint64_t>(concurrency));
+        DotProblem problem;
+        problem.schema = &schema;
+        problem.box = &box;
+        problem.workload = &workload;
+        problem.relative_sla = 0.5;
+        if (hint == 1) {
+          problem.io_scale_hint.assign(static_cast<size_t>(n),
+                                       rng.NextUniform(0.5, 2.0));
+        } else if (hint == 2) {
+          problem.io_scale_hint.resize(static_cast<size_t>(n));
+          for (double& s : problem.io_scale_hint) {
+            s = rng.NextBounded(4) == 0 ? 0.0 : rng.NextUniform(0.0, 3.0);
+          }
+        }
+        DotOptimizer estimator(problem);
+        CandidateEvaluator evaluator(estimator);
+        ASSERT_NE(evaluator.scorer(), nullptr);
+        const int raised =
+            CheckTightenedBounds(*evaluator.scorer(), n, box.NumClasses(),
+                                 rng.NextUint64(), /*trials=*/40);
+        EXPECT_GT(raised, 0) << "Tighten never raised a bound";
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
 }
 
 /// Seeded random DOT-style walk of one move walk: each step moves one
