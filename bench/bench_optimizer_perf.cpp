@@ -340,7 +340,7 @@ void BM_PlanTemplate(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanTemplate)->Arg(0)->Arg(1);
 
-// Raw fast-scorer throughput, search machinery excluded: one evaluator per
+// Raw fast-scorer throughput, search machinery excluded: one optimizer per
 // family (OLTP = full TPC-C, DSS = the §4.4.3 TPC-H subset, HTAP = the
 // CH-benCH shared-object composition) scoring a fixed bag of pregenerated
 // random layouts through EvaluateQuick. This is the microbench of the SoA
@@ -391,8 +391,7 @@ void BM_FastScorerKernel(benchmark::State& state) {
   problem.schema = &schema;
   problem.box = &box;
 
-  DotOptimizer estimator(problem);
-  CandidateEvaluator evaluator(estimator);
+  DotOptimizer optimizer(problem);
   const int n = schema.NumObjects();
   const int m = box.NumClasses();
   Rng rng(0x5c07e);
@@ -409,7 +408,7 @@ void BM_FastScorerKernel(benchmark::State& state) {
   for (auto _ : state) {
     for (const Layout& layout : layouts) {
       benchmark::DoNotOptimize(
-          evaluator.EvaluateQuick(layout.placement()).toc);
+          optimizer.EvaluateQuick(layout.placement()).toc);
     }
     scored += static_cast<long long>(layouts.size());
   }

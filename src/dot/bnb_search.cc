@@ -25,42 +25,42 @@ namespace {
 // ExactStrategy::kEnumerate — the paper's Exhaustive Search comparator.
 // ---------------------------------------------------------------------------
 
-DotResult EnumerateSearch(const DotProblem& problem, long long max_layouts,
-                          double start_ms) {
+/// ExactStrategy::kEnumerate's guard: OutOfRange when M^N exceeds
+/// `max_layouts` or does not fit in a long long. ExactSearch(problem) runs
+/// it before the optimizer is built, so a guard trip derives nothing.
+Status CheckEnumerationGuard(const DotProblem& problem,
+                             long long max_layouts) {
   const int n = problem.schema->NumObjects();
   const int m = problem.box->NumClasses();
   const long long total = LayoutSpaceSize(m, n);
-
-  DotResult result;
-  if (total == kLayoutSpaceSaturated || total > max_layouts) {
-    // A guard trip is an expected outcome on large schemas, not a
-    // programmer error: report it as a Status so callers can fall back to
-    // branch-and-bound (or shrink the instance) instead of aborting.
-    result.status = Status::OutOfRange(
-        "exhaustive enumeration over " + std::to_string(m) + "^" +
-        std::to_string(n) + " = " +
-        (total == kLayoutSpaceSaturated ? std::string("> 9.2e18")
-                                        : std::to_string(total)) +
-        " layouts exceeds the guard (" + std::to_string(max_layouts) +
-        "); use ExactStrategy::kBranchAndBound or raise max_layouts");
-    result.optimize_ms = NowMs() - start_ms;
-    return result;
+  if (total != kLayoutSpaceSaturated && total <= max_layouts) {
+    return Status::OK();
   }
+  // A guard trip is an expected outcome on large schemas, not a programmer
+  // error: report it as a Status so callers can fall back to
+  // branch-and-bound (or shrink the instance) instead of aborting.
+  return Status::OutOfRange(
+      "exhaustive enumeration over " + std::to_string(m) + "^" +
+      std::to_string(n) + " = " +
+      (total == kLayoutSpaceSaturated ? std::string("> 9.2e18")
+                                      : std::to_string(total)) +
+      " layouts exceeds the guard (" + std::to_string(max_layouts) +
+      "); use ExactStrategy::kBranchAndBound or raise max_layouts");
+}
 
-  DotOptimizer estimator(problem);  // reuse estimateTOC / targets
-  result.targets = estimator.targets();
+/// Runs after CheckEnumerationGuard passed.
+DotResult EnumerateSearch(const DotOptimizer& optimizer) {
+  const DotProblem& problem = optimizer.problem();
+  DotResult result;
+  result.targets = optimizer.targets();
 
   // Shard the mixed-radix layout space [0, M^N) across the pool; the
   // reduction under (TOC, lexicographically lowest placement) is a total
   // order, so the winner is the same at every thread count.
   ThreadPool pool(problem.options.num_threads);
-  const CandidateEvaluator evaluator(estimator);
-  CandidateEvaluator::SpaceScan scan =
-      evaluator.ScanLayoutSpace(0, total, &pool);
+  DotOptimizer::SpaceScan scan = optimizer.ScanLayoutSpace(&pool);
 
   result.layouts_evaluated = scan.evaluated;
-  result.plan_cache_hits = evaluator.plan_cache_hits();
-  result.plan_cache_misses = evaluator.plan_cache_misses();
   if (scan.feasible_found) {
     result.placement = std::move(scan.best_placement);
     result.toc_cents_per_task = scan.best.toc;
@@ -70,7 +70,6 @@ DotResult EnumerateSearch(const DotProblem& problem, long long max_layouts,
     result.status = Status::Infeasible(
         "no layout satisfies the capacity and SLA constraints");
   }
-  result.optimize_ms = NowMs() - start_ms;
   return result;
 }
 
@@ -91,9 +90,9 @@ struct SubtreeBest {
 /// is what makes every counter and the task set deterministic.
 struct BnbShared {
   const DotProblem* problem = nullptr;
-  /// The run's evaluator; without a scorer the leaves take the full path
-  /// and no node is bounded.
-  const CandidateEvaluator* evaluator = nullptr;
+  /// The problem's optimizer; without a scorer the leaves take the full
+  /// path and no node is bounded.
+  const DotOptimizer* optimizer = nullptr;
   int n = 0;
   int m = 0;
   /// Assignment order: order[d] is the object assigned at depth d,
@@ -134,7 +133,7 @@ class SubtreeWalker {
         arena_(arena),
         placement_(static_cast<size_t>(sh.n), 0),
         incumbent_(sh.seed_incumbent) {
-    const FastScorer* scorer = sh_.evaluator->scorer();
+    const FastScorer* scorer = sh_.optimizer->scorer();
     if (scorer != nullptr) cursor_ = scorer->MakeBoundCursor();
   }
 
@@ -319,7 +318,7 @@ class SubtreeWalker {
         placement_[static_cast<size_t>(obj)] = cls;
         if (cursor_ != nullptr) cursor_->Assign(obj, placement_);
         const CandidateEval eval =
-            sh_.evaluator->EvaluateLeaf(placement_, cursor_.get());
+            sh_.optimizer->EvaluateLeaf(placement_, cursor_.get());
         if (cursor_ != nullptr) cursor_->Unassign(obj);
         stats_.layouts_evaluated += 1;
         if (eval.feasible) ConsiderLeaf(eval.toc);
@@ -480,21 +479,19 @@ class SubtreeWalker {
 };
 
 DotResult BranchAndBoundSearch(
-    const DotProblem& problem, double start_ms,
+    const DotOptimizer& optimizer,
     const std::vector<std::vector<int>>* warm_starts) {
+  const DotProblem& problem = optimizer.problem();
   const int n = problem.schema->NumObjects();
   const int m = problem.box->NumClasses();
   DOT_CHECK(n >= 1 && m >= 1);
 
   DotResult result;
-  DotOptimizer estimator(problem);
-  result.targets = estimator.targets();
-
-  const CandidateEvaluator evaluator(estimator);
+  result.targets = optimizer.targets();
 
   BnbShared sh;
   sh.problem = &problem;
-  sh.evaluator = &evaluator;
+  sh.optimizer = &optimizer;
   sh.n = n;
   sh.m = m;
 
@@ -516,7 +513,7 @@ DotResult BranchAndBoundSearch(
   // the objects whose placement moves the bound the most are decided first,
   // so both prunes bite near the root. Any order is correct; this one is
   // fast.
-  const FastScorer* scorer = evaluator.scorer();
+  const FastScorer* scorer = optimizer.scorer();
   std::vector<double> cost_spread(static_cast<size_t>(n), 0.0);
   std::vector<double> time_spread(static_cast<size_t>(n), 0.0);
   double max_cost_spread = 0.0;
@@ -576,18 +573,19 @@ DotResult BranchAndBoundSearch(
   // Deterministic incumbent seeds, evaluated through the same path the
   // leaves use: the M uniform layouts plus the DOT heuristic's answer when
   // profiles are available (the paper's own argument that DOT lands within
-  // a few percent of the optimum makes it a near-perfect warm start). Only
+  // a few percent of the optimum makes it a near-perfect warm start; the
+  // walk runs on this optimizer, so it shares the tree's scorer). Only
   // the TOC is kept — the winning *placement* is always rediscovered
   // in-tree, because no subtree whose bound ties the incumbent is ever
   // pruned.
   double seed = std::numeric_limits<double>::infinity();
   for (int cls = 0; cls < m; ++cls) {
     const CandidateEval eval =
-        evaluator.EvaluateQuick(UniformPlacement(n, cls));
+        optimizer.EvaluateQuick(UniformPlacement(n, cls));
     if (eval.feasible) seed = std::min(seed, eval.toc);
   }
   if (problem.profiles != nullptr) {
-    const DotResult dot = estimator.Optimize();
+    const DotResult dot = optimizer.Optimize();
     if (dot.status.ok()) seed = std::min(seed, dot.toc_cents_per_task);
   }
   // Caller-supplied warm starts (the advisor's incumbent layout and cached
@@ -596,7 +594,7 @@ DotResult BranchAndBoundSearch(
   if (warm_starts != nullptr) {
     for (const std::vector<int>& w : *warm_starts) {
       if (!IsValidPlacement(w, n, m)) continue;
-      const CandidateEval eval = evaluator.EvaluateQuick(w);
+      const CandidateEval eval = optimizer.EvaluateQuick(w);
       if (eval.feasible) {
         seed = std::min(seed, eval.toc);
         ++result.warm_start_hits;
@@ -649,7 +647,7 @@ DotResult BranchAndBoundSearch(
 
   // Reduce the counters (SearchStats::Add is order-free) and the winners
   // under the BetterCandidate total order (any reduction order yields the
-  // same winner; see candidate_evaluator.h).
+  // same winner; see BetterCandidate).
   for (const SearchStats& shard : shard_stats) result.Add(shard);
   SubtreeBest best;
   for (size_t i = 0; i < tasks.size(); ++i) {
@@ -661,14 +659,11 @@ DotResult BranchAndBoundSearch(
     }
   }
 
-  result.plan_cache_hits = evaluator.plan_cache_hits();
-  result.plan_cache_misses = evaluator.plan_cache_misses();
-
   if (best.found) {
     // Re-score the winner through the full path (bit-identical toc/cost,
     // now with the PerfEstimate filled) — exactly what the enumerating
     // search does with its winner.
-    const CandidateEval eval = evaluator.EvaluateOne(
+    const CandidateEval eval = optimizer.EvaluateOne(
         Layout(problem.schema, problem.box, best.placement));
     DOT_CHECK(eval.feasible) << "winner infeasible on full re-score";
     result.placement = std::move(best.placement);
@@ -679,31 +674,52 @@ DotResult BranchAndBoundSearch(
     result.status = Status::Infeasible(
         "no layout satisfies the capacity and SLA constraints");
   }
-  result.optimize_ms = NowMs() - start_ms;
   return result;
 }
 
 }  // namespace
 
+DotResult ExactSearch(const DotOptimizer& optimizer, ExactStrategy strategy,
+                      long long max_layouts,
+                      const std::vector<std::vector<int>>* warm_starts) {
+  const double start_ms = NowMs();
+  DotResult result;
+  // The enumerating search scores every layout anyway; a tighter incumbent
+  // seed would not change what it touches.
+  if (strategy == ExactStrategy::kEnumerate) {
+    result.status = CheckEnumerationGuard(optimizer.problem(), max_layouts);
+  }
+  if (result.status.ok()) {
+    // This call's plan-cache traffic, the branch-and-bound seed walk's
+    // included.
+    const long long hits = optimizer.plan_cache_hits();
+    const long long misses = optimizer.plan_cache_misses();
+    result = strategy == ExactStrategy::kEnumerate
+                 ? EnumerateSearch(optimizer)
+                 : BranchAndBoundSearch(optimizer, warm_starts);
+    result.plan_cache_hits = optimizer.plan_cache_hits() - hits;
+    result.plan_cache_misses = optimizer.plan_cache_misses() - misses;
+  }
+  result.optimize_ms = NowMs() - start_ms;
+  return result;
+}
+
 DotResult ExactSearch(const DotProblem& problem, ExactStrategy strategy,
                       long long max_layouts,
                       const std::vector<std::vector<int>>* warm_starts) {
-  if (Status st = ValidateProblem(problem); !st.ok()) {
-    DotResult rejected;
-    rejected.status = std::move(st);
-    return rejected;
-  }
   const double start_ms = NowMs();
-  switch (strategy) {
-    case ExactStrategy::kEnumerate:
-      // The enumerating search scores every layout anyway; a tighter
-      // incumbent seed would not change what it touches.
-      return EnumerateSearch(problem, max_layouts, start_ms);
-    case ExactStrategy::kBranchAndBound:
-      return BranchAndBoundSearch(problem, start_ms, warm_starts);
+  DotResult result;
+  result.status = ValidateProblem(problem);
+  // The guard runs before the optimizer derives anything from the problem.
+  if (result.status.ok() && strategy == ExactStrategy::kEnumerate) {
+    result.status = CheckEnumerationGuard(problem, max_layouts);
   }
-  DOT_CHECK(false) << "unknown ExactStrategy";
-  return DotResult{};
+  if (result.status.ok()) {
+    result = ExactSearch(DotOptimizer(problem), strategy, max_layouts,
+                         warm_starts);
+  }
+  result.optimize_ms = NowMs() - start_ms;  // target derivation included
+  return result;
 }
 
 }  // namespace dot

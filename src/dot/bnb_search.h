@@ -61,6 +61,16 @@ DotResult ExactSearch(
     long long max_layouts = kDefaultMaxEnumeratedLayouts,
     const std::vector<std::vector<int>>* warm_starts = nullptr);
 
+/// ExactSearch on the optimizer the caller holds for the problem, so that
+/// the search (its seed walk included) and the caller's own scoring share
+/// one set of targets and one scorer. Returns what
+/// ExactSearch(optimizer.problem(), ...) returns, bit for bit; the
+/// plan-cache pair counts this call's traffic.
+DotResult ExactSearch(
+    const DotOptimizer& optimizer, ExactStrategy strategy,
+    long long max_layouts = kDefaultMaxEnumeratedLayouts,
+    const std::vector<std::vector<int>>* warm_starts = nullptr);
+
 }  // namespace dot
 
 #endif  // DOTPROV_DOT_BNB_SEARCH_H_

@@ -92,8 +92,8 @@ EnsembleVerdict AggregateEnsemble(const EnsembleObjective& objective,
                                   const std::vector<double>& weights,
                                   const ScenarioScore* scores, int k);
 
-/// Builds the forecast's fast scorer — the one scorer CandidateEvaluator
-/// uses: one child FastScorer per scenario (scenario io_scale composed onto
+/// Builds the forecast's fast scorer — the one scorer DotOptimizer builds
+/// lazily: one child FastScorer per scenario (scenario io_scale composed onto
 /// `io_scale_hint`, the problem's caps and tolerance), aggregated through
 /// AggregateEnsemble. The BoundCursor fans out to K child cursors, inflates
 /// interior-node bounds by kBoundSafety (absorbing aggregation-order drift)

@@ -48,7 +48,7 @@ class Layout {
   /// The fit rule applied to an externally computed space vector (`used_gb`
   /// has NumClasses() entries, summed in schema object order). This is the
   /// one implementation of the rule: ComputeCapacityFit delegates here, and
-  /// the allocation-free fast path (dot/candidate_evaluator.h) calls it on
+  /// the allocation-free fast path (DotOptimizer::FitAndCost) calls it on
   /// a stack buffer, so both agree bit-for-bit.
   static CapacityFit FitFromSpace(const BoxConfig& box,
                                   const double* used_gb);

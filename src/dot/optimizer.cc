@@ -1,15 +1,18 @@
 #include "dot/optimizer.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/clock.h"
-#include "dot/candidate_evaluator.h"
 #include "dot/moves.h"
+#include "storage/pricing.h"
 
 namespace dot {
 
@@ -41,6 +44,11 @@ Status ValidateProblem(const DotProblem& problem) {
         "DotProblem::schema, ::box and ::workload must be set");
   }
   const int n = problem.schema->NumObjects();
+  const Schema* workload_schema = problem.workload->schema();
+  if (workload_schema == nullptr || workload_schema->NumObjects() != n) {
+    return Status::InvalidArgument(
+        "the workload's schema and the problem's differ in size");
+  }
   Status st = problem.targets_override == nullptr
                   ? ValidateRelativeSla(problem.relative_sla)
                   : Status::OK();
@@ -80,6 +88,216 @@ double DotOptimizer::EstimateToc(const Layout& layout,
   return cost / verdict.tasks_per_hour;
 }
 
+CandidateEval DotOptimizer::EvaluateOne(const Layout& layout) const {
+  CandidateEval eval;
+  const Layout::CapacityFit fit = layout.ComputeCapacityFit();
+  eval.fits = fit.fits;
+  eval.violation_gb = fit.violation_gb;
+  if (!eval.fits) {
+    eval.toc = std::numeric_limits<double>::infinity();
+    return eval;
+  }
+  // EstimateToc owns the SLA verdict: the forecast's chance constraint
+  // (MeetsTargets on the point forecast).
+  bool sla_ok = false;
+  eval.toc = EstimateToc(layout, &eval.estimate, &eval.cost_cents_per_hour,
+                         &sla_ok);
+  eval.feasible = sla_ok;
+  if (!eval.feasible) eval.toc = std::numeric_limits<double>::infinity();
+  return eval;
+}
+
+const FastScorer* DotOptimizer::scorer() const {
+  std::call_once(scorer_once_, [this] {
+    if (!problem_.options.use_fast_eval) return;  // the full-path reference
+    if (problem_.box->NumClasses() > kMaxClasses) {
+      // Out of stack budget: stay on the full path — such a box must still
+      // optimize, just not fast.
+      return;
+    }
+    if (targets_.kind != problem_.workload->sla_kind()) {
+      // A targets_override of the other kind (e.g. throughput targets over
+      // a DSS workload) is degenerate but legal — MeetsTargets just finds
+      // every candidate infeasible. The scorers assume matching caps, so
+      // leave the full path to produce that verdict.
+      return;
+    }
+    // K child scorers under the forecast's aggregation, or at K = 1 (the
+    // point forecast) the model's own scorer. Null (a scenario of the
+    // other SLA kind) leaves the full path on.
+    scorer_ = MakeEnsembleScorer(*problem_.workload, *forecast_, objective_,
+                                 problem_.io_scale_hint, targets_);
+    if (scorer_ == nullptr) return;
+    size_gb_.reserve(static_cast<size_t>(problem_.schema->NumObjects()));
+    for (const DbObject& o : problem_.schema->objects()) {
+      size_gb_.push_back(o.size_gb);
+    }
+  });
+  return scorer_.get();
+}
+
+bool DotOptimizer::FitAndCost(const std::vector<int>& placement,
+                              CandidateEval* eval) const {
+  // Space by class, in the exact object order Layout::SpaceByClass sums.
+  std::array<double, kMaxClasses> used{};
+  for (size_t o = 0; o < size_gb_.size(); ++o) {
+    used[static_cast<size_t>(placement[o])] += size_gb_[o];
+  }
+  const Layout::CapacityFit fit =
+      Layout::FitFromSpace(*problem_.box, used.data());
+  eval->fits = fit.fits;
+  eval->violation_gb = fit.violation_gb;
+  if (!eval->fits) {
+    // The full path skips estimation for over-capacity candidates; so do
+    // we.
+    eval->toc = std::numeric_limits<double>::infinity();
+    return false;
+  }
+  eval->cost_cents_per_hour = LayoutCostCentsPerHour(
+      *problem_.box, used.data(), problem_.box->NumClasses(),
+      problem_.cost_model);
+  return true;
+}
+
+CandidateEval DotOptimizer::Finish(CandidateEval eval,
+                                   const QuickPerf& qp) const {
+  DOT_CHECK(qp.tasks_per_hour > 0) << "estimate produced zero throughput";
+  eval.toc = eval.cost_cents_per_hour / qp.tasks_per_hour;
+  eval.feasible = qp.sla_ok;
+  if (!eval.feasible) eval.toc = std::numeric_limits<double>::infinity();
+  return eval;
+}
+
+CandidateEval DotOptimizer::EvaluateQuick(
+    const std::vector<int>& placement) const {
+  const FastScorer* fast = scorer();
+  if (fast == nullptr) {
+    return EvaluateOne(Layout(problem_.schema, problem_.box, placement));
+  }
+  CandidateEval eval;
+  if (!FitAndCost(placement, &eval)) return eval;
+  return Finish(eval, fast->Score(placement));
+}
+
+CandidateEval DotOptimizer::EvaluateLeaf(
+    const std::vector<int>& placement,
+    const FastScorer::BoundCursor* cursor) const {
+  if (cursor == nullptr) return EvaluateQuick(placement);
+  CandidateEval eval;
+  if (!FitAndCost(placement, &eval)) return eval;
+  return Finish(eval, cursor->Optimistic(placement));
+}
+
+std::unique_ptr<FastScorer::MoveWalk> DotOptimizer::MakeMoveWalk(
+    const std::vector<int>& start) const {
+  const FastScorer* fast = scorer();
+  return fast != nullptr ? fast->MakeMoveWalk(start) : nullptr;
+}
+
+CandidateEval DotOptimizer::EvaluateMove(const std::vector<int>& placement,
+                                         const std::vector<int>& moved,
+                                         FastScorer::MoveWalk* walk) const {
+  if (walk == nullptr) return EvaluateQuick(placement);
+  CandidateEval eval;
+  if (!FitAndCost(placement, &eval)) return eval;
+  return Finish(eval, walk->Price(placement, moved));
+}
+
+long long DotOptimizer::plan_cache_hits() const {
+  const FastScorer* fast = scorer();
+  return fast != nullptr ? fast->cache_hits() : 0;
+}
+
+long long DotOptimizer::plan_cache_misses() const {
+  const FastScorer* fast = scorer();
+  return fast != nullptr ? fast->cache_misses() : 0;
+}
+
+DotOptimizer::SpaceScan DotOptimizer::ScanLayoutSpace(ThreadPool* pool) const {
+  const int n = problem_.schema->NumObjects();
+  const int m = problem_.box->NumClasses();
+  const long long space = LayoutSpaceSize(m, n);
+  const FastScorer* fast = scorer();
+  SpaceScan out;
+
+  // Oversplit relative to the lane count for load balance. The shard count
+  // (and thus the boundaries) DOES vary with the thread count — determinism
+  // comes solely from the merge below being a minimum under the
+  // BetterCandidate total order, which picks the same winner for any
+  // partition of the space. Do not replace the reduction with a
+  // first-found or shard-order rule. The fast path keeps this safe: a
+  // fully assigned bound cursor is bit-identical to FastScorer::Score, so a
+  // layout's value cannot depend on which shard (or thread) walked to it.
+  const int num_shards =
+      static_cast<int>(std::min<long long>(space, 8LL * pool->num_threads()));
+  std::vector<SpaceScan> per_shard(static_cast<size_t>(num_shards));
+
+  pool->ParallelForShards(
+      0, space, num_shards,
+      [&](int shard, int64_t shard_begin, int64_t shard_end) {
+        SpaceScan local;
+        std::vector<int> placement = DecodeLayoutIndex(shard_begin, n, m);
+        // The shard walks one bound cursor, LIFO with digit 0 on top: the
+        // start placement is assigned most significant digit first, and
+        // each odometer step unassigns the rolled digits 0..d and
+        // re-assigns d..0, so only the state those digits touch refreshes.
+        // With every object assigned the cursor is exact, and each layout
+        // scores through the branch-and-bound leaf kernel.
+        std::unique_ptr<FastScorer::BoundCursor> cursor;
+        if (fast != nullptr) {
+          cursor = fast->MakeBoundCursor();
+          cursor->Reset();
+          for (int o = n - 1; o >= 0; --o) cursor->Assign(o, placement);
+        }
+        for (int64_t idx = shard_begin; idx < shard_end; ++idx) {
+          local.evaluated += 1;
+          CandidateEval eval = EvaluateLeaf(placement, cursor.get());
+          if (eval.feasible) {
+            if (!local.feasible_found ||
+                BetterCandidate(eval.toc, placement, local.best.toc,
+                                local.best_placement)) {
+              local.feasible_found = true;
+              local.best = std::move(eval);
+              local.best_placement = placement;
+            }
+          }
+          if (idx + 1 == shard_end) break;
+          // Advance the M-ary odometer (digit 0 least significant): digits
+          // 0..d roll, almost always just digit 0.
+          int rolled = 0;
+          while (++placement[static_cast<size_t>(rolled)] >= m) {
+            placement[static_cast<size_t>(rolled)] = 0;
+            ++rolled;
+          }
+          if (cursor != nullptr) {
+            for (int o = 0; o <= rolled; ++o) cursor->Unassign(o);
+            for (int o = rolled; o >= 0; --o) cursor->Assign(o, placement);
+          }
+        }
+        per_shard[static_cast<size_t>(shard)] = std::move(local);
+      });
+
+  for (SpaceScan& shard : per_shard) {
+    out.evaluated += shard.evaluated;
+    if (!shard.feasible_found) continue;
+    if (!out.feasible_found ||
+        BetterCandidate(shard.best.toc, shard.best_placement, out.best.toc,
+                        out.best_placement)) {
+      out.feasible_found = true;
+      out.best = std::move(shard.best);
+      out.best_placement = std::move(shard.best_placement);
+    }
+  }
+
+  // Quick evaluations carry no PerfEstimate; re-score the winner through
+  // the full path (bit-identical toc/cost, now with the estimate filled).
+  if (out.feasible_found && fast != nullptr) {
+    out.best =
+        EvaluateOne(Layout(problem_.schema, problem_.box, out.best_placement));
+  }
+  return out;
+}
+
 DotResult DotOptimizer::Optimize() const {
   const double start_ms = NowMs();
   DotResult result;
@@ -92,15 +310,15 @@ DotResult DotOptimizer::Optimize() const {
     return result;
   }
 
-  const CandidateEvaluator evaluator(*this);
+  const long long cache_hits_before = plan_cache_hits();
+  const long long cache_misses_before = plan_cache_misses();
 
   // The working layout is one scratch placement, starting at L0: each move
   // is applied to it in place, priced through the move walk (which
   // re-prices only what the move touches), and reverted when rejected.
   std::vector<int> current = UniformPlacement(
       problem_.schema->NumObjects(), problem_.box->MostExpensiveClass());
-  const std::unique_ptr<FastScorer::MoveWalk> walk =
-      evaluator.MakeMoveWalk(current);
+  const std::unique_ptr<FastScorer::MoveWalk> walk = MakeMoveWalk(current);
 
   double best_toc = std::numeric_limits<double>::infinity();
   bool feasible_found = false;
@@ -129,8 +347,7 @@ DotResult DotOptimizer::Optimize() const {
   // acceptance rule below starts from its verdict.
   std::vector<int> moved;  // objects the current move changes
   std::vector<int> saved;  // their classes in the working layout
-  const CandidateEval l0_eval =
-      evaluator.EvaluateMove(current, moved, walk.get());
+  const CandidateEval l0_eval = EvaluateMove(current, moved, walk.get());
   commit(current, l0_eval);
   double current_toc = l0_eval.toc;
   double current_violation = l0_eval.violation_gb;
@@ -180,8 +397,7 @@ DotResult DotOptimizer::Optimize() const {
         cls = move.placement[i];
       }
       if (moved.empty()) continue;
-      const CandidateEval eval =
-          evaluator.EvaluateMove(current, moved, walk.get());
+      const CandidateEval eval = EvaluateMove(current, moved, walk.get());
       commit(current, eval);
       bool accept;
       if (problem_.options.acceptance == MoveAcceptance::kAnyFeasible) {
@@ -220,8 +436,8 @@ DotResult DotOptimizer::Optimize() const {
     result.status = Status::Infeasible(
         "no enumerated layout satisfies the capacity and SLA constraints");
   }
-  result.plan_cache_hits = evaluator.plan_cache_hits();
-  result.plan_cache_misses = evaluator.plan_cache_misses();
+  result.plan_cache_hits = plan_cache_hits() - cache_hits_before;
+  result.plan_cache_misses = plan_cache_misses() - cache_misses_before;
   result.optimize_ms = NowMs() - start_ms;
   return result;
 }

@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "common/check.h"
 #include "common/thread_pool.h"
 #include "dot/solve.h"
 
@@ -45,8 +44,10 @@ DotResult OptimizeWithRelaxation(DotProblem& problem, double relax_factor,
 
 ProvisioningResult ProvisionOverOptions(
     const std::vector<ProvisioningOption>& options, int num_threads) {
-  DOT_CHECK(!options.empty()) << "no storage configurations to provision";
   ProvisioningResult out;
+  // An empty menu has no winner. Return before the pool: a lane count of
+  // min(threads, 0) = 0 would mean hardware concurrency.
+  if (options.empty()) return out;
   out.per_option.resize(options.size());
 
   // The fan-out can never use more lanes than there are options; spare

@@ -48,7 +48,8 @@ struct ProvisioningResult {
 /// returning the feasible configuration (plus layout) with the lowest TOC
 /// — the paper's suggested use of DOT for purchasing and capacity-planning
 /// decisions (§7). A malformed option problem comes back as
-/// InvalidArgument in its per_option status and never wins.
+/// InvalidArgument in its per_option status and never wins; an empty menu
+/// returns best_option == -1 with no per-option results.
 ///
 /// The per-option DOT runs are independent, so `num_threads > 1` evaluates
 /// the configuration menu concurrently (1 = serial, 0 = hardware

@@ -22,34 +22,23 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// One epoch's single-shot problem and its evaluator: the planner reuses
-/// the existing optimizer stack rather than re-implementing it.
-/// The estimator derives the epoch's targets exactly as a single-shot run
-/// would; the evaluator scores candidates through the searches' own
-/// CandidateEvaluator (fast path, bit-identical to the full path).
-struct EpochScorer {
-  explicit EpochScorer(const DotProblem& problem)
-      : estimator(problem), evaluator(estimator) {}
-
-  DotOptimizer estimator;
-  CandidateEvaluator evaluator;  ///< references `estimator`
-};
-
-/// One EpochScorer per window of `schedule`, in window order: `problem`
-/// with the window's workload and profiles. A window's io_scale is ground
-/// truth for the recorder and the replays; planning ignores it, as it
-/// ignores the spec's noise and seed.
-std::vector<std::unique_ptr<EpochScorer>> MakeEpochScorers(
+/// One DotOptimizer per window of `schedule`, in window order: `problem`
+/// with the window's workload and profiles, so an epoch derives its
+/// targets exactly as a single-shot run would, and its solo search and its
+/// row of the pool × epoch matrix share one scorer. A window's io_scale is
+/// ground truth for the recorder and the replays; planning ignores it, as
+/// it ignores the spec's noise and seed.
+std::vector<std::unique_ptr<DotOptimizer>> MakeEpochOptimizers(
     const DotProblem& problem, const WorkloadTraceSpec& schedule) {
-  std::vector<std::unique_ptr<EpochScorer>> scorers;
-  scorers.reserve(schedule.windows.size());
+  std::vector<std::unique_ptr<DotOptimizer>> optimizers;
+  optimizers.reserve(schedule.windows.size());
   DotProblem p = problem;
   for (const TraceWindow& window : schedule.windows) {
     p.workload = window.workload;
     p.profiles = window.profiles;
-    scorers.push_back(std::make_unique<EpochScorer>(p));
+    optimizers.push_back(std::make_unique<DotOptimizer>(p));
   }
-  return scorers;
+  return optimizers;
 }
 
 /// Resolves ReprovisionConfig::migration_weight: kAutoMigrationWeight
@@ -58,12 +47,12 @@ std::vector<std::unique_ptr<EpochScorer>> MakeEpochScorers(
 /// Plan and EvaluateSequence always price migration at the same rate.
 double ResolveMigrationWeight(
     double configured, const WorkloadTraceSpec& schedule,
-    const std::vector<std::unique_ptr<EpochScorer>>& scorers) {
+    const std::vector<std::unique_ptr<DotOptimizer>>& optimizers) {
   if (configured != kAutoMigrationWeight) return configured;
   double task_hours = 0.0;
   for (size_t e = 0; e < schedule.windows.size(); ++e) {
     task_hours += schedule.windows[e].duration_hours *
-                  scorers[e]->estimator.targets().best_case.tasks_per_hour;
+                  optimizers[e]->targets().best_case.tasks_per_hour;
   }
   return task_hours > 0.0 ? schedule.TotalHours() / task_hours : 0.0;
 }
@@ -82,8 +71,8 @@ bool BetterTerminal(double obj_a, double toc_a,
 }
 
 /// The input checks Plan and EvaluateSequence share: a valid problem,
-/// config and spec, and a current layout that is empty (greenfield) or a
-/// valid placement.
+/// config and spec, window workloads built over the problem's schema, and
+/// a current layout that is empty (greenfield) or a valid placement.
 Status ValidateInputs(const DotProblem& problem,
                       const ReprovisionConfig& config,
                       const WorkloadTraceSpec& schedule,
@@ -91,6 +80,14 @@ Status ValidateInputs(const DotProblem& problem,
   Status st = ValidateEpochProblem(problem);
   if (st.ok()) st = ValidateReprovisionConfig(config);
   if (st.ok()) st = ValidateTraceSpec(schedule);
+  const int n = st.ok() ? problem.schema->NumObjects() : 0;
+  for (size_t w = 0; st.ok() && w < schedule.windows.size(); ++w) {
+    const Schema* window_schema = schedule.windows[w].workload->schema();
+    if (window_schema == nullptr || window_schema->NumObjects() != n) {
+      st = Status::InvalidArgument("window " + std::to_string(w) +
+                                   "'s workload schema differs in size");
+    }
+  }
   if (!st.ok() || current_layout.empty()) return st;
   return ValidatePlacement(current_layout, *problem.schema, *problem.box,
                            "current layout");
@@ -168,14 +165,14 @@ Status ValidateReprovisionConfig(const ReprovisionConfig& config) {
 }
 
 SearchStats AppendSoloCandidate(
-    const DotProblem& problem, EpochSearch search,
+    const DotOptimizer& optimizer, EpochSearch search,
     std::vector<std::vector<int>>* pool,
     const std::vector<std::vector<int>>* warm_starts) {
   DOT_CHECK(pool != nullptr);
   const DotResult solo =
       search == EpochSearch::kDot
-          ? DotOptimizer(problem).Optimize()
-          : ExactSearch(problem, ExactStrategy::kBranchAndBound,
+          ? optimizer.Optimize()
+          : ExactSearch(optimizer, ExactStrategy::kBranchAndBound,
                         kDefaultMaxEnumeratedLayouts, warm_starts);
   if (solo.status.ok()) {
     bool present = false;
@@ -218,8 +215,8 @@ ReprovisionPlan ReprovisionPlanner::Plan(
       }
     }
   }
-  const std::vector<std::unique_ptr<EpochScorer>> scorers =
-      MakeEpochScorers(problem_, schedule);
+  const std::vector<std::unique_ptr<DotOptimizer>> optimizers =
+      MakeEpochOptimizers(problem_, schedule);
 
   // --- Candidate pool ---
   std::vector<std::vector<int>> pool;
@@ -244,9 +241,8 @@ ReprovisionPlan ReprovisionPlanner::Plan(
     // and re-optimize-every-epoch baselines as sequences.
     add_candidate(current_layout);
     for (int e = 0; e < num_epochs; ++e) {
-      const DotProblem& epoch_problem =
-          scorers[static_cast<size_t>(e)]->estimator.problem();
-      plan.Add(AppendSoloCandidate(epoch_problem, config_.search, &pool));
+      plan.Add(AppendSoloCandidate(*optimizers[static_cast<size_t>(e)],
+                                   config_.search, &pool));
     }
   }
   const int k_pool = static_cast<int>(pool.size());
@@ -262,10 +258,10 @@ ReprovisionPlan ReprovisionPlanner::Plan(
   };
 
   // --- Score every pool layout under every epoch through the epoch's
-  // CandidateEvaluator — the searches' own evaluator, whose quick path is
-  // bit-identical to the full path they commit winners through. The
-  // matrix is filled into distinct slots, so thread count cannot change a
-  // value. Infeasible (capacity or SLA) scores are +inf.
+  // optimizer — the one its solo search ran on, whose quick path is
+  // bit-identical to the full path the searches commit winners through.
+  // The matrix is filled into distinct slots, so thread count cannot
+  // change a value. Infeasible (capacity or SLA) scores are +inf.
   const size_t toc_cells =
       static_cast<size_t>(num_epochs) * static_cast<size_t>(k_pool);
   double* toc = arena.AllocateArray<double>(toc_cells);
@@ -277,7 +273,7 @@ ReprovisionPlan ReprovisionPlanner::Plan(
           const int e = static_cast<int>(flat / k_pool);
           const int k = static_cast<int>(flat % k_pool);
           const CandidateEval eval =
-              scorers[static_cast<size_t>(e)]->evaluator.EvaluateQuick(
+              optimizers[static_cast<size_t>(e)]->EvaluateQuick(
                   pool[static_cast<size_t>(k)]);
           if (eval.feasible) toc[static_cast<size_t>(flat)] = eval.toc;
         });
@@ -290,7 +286,7 @@ ReprovisionPlan ReprovisionPlanner::Plan(
 
   // --- Resolve the migration exchange rate (see ReprovisionConfig).
   const double weight =
-      ResolveMigrationWeight(config_.migration_weight, schedule, scorers);
+      ResolveMigrationWeight(config_.migration_weight, schedule, optimizers);
   plan.resolved_migration_weight = weight;
 
   auto weighted_migration = [&](const std::vector<int>& from,
@@ -453,18 +449,18 @@ ReprovisionPlan ReprovisionPlanner::EvaluateSequence(
   const int num_epochs = static_cast<int>(schedule.windows.size());
 
   // Resolve the weight exactly as Plan does (same targets, same order).
-  const std::vector<std::unique_ptr<EpochScorer>> scorers =
-      MakeEpochScorers(problem_, schedule);
+  const std::vector<std::unique_ptr<DotOptimizer>> optimizers =
+      MakeEpochOptimizers(problem_, schedule);
   const double weight =
-      ResolveMigrationWeight(config_.migration_weight, schedule, scorers);
+      ResolveMigrationWeight(config_.migration_weight, schedule, optimizers);
   plan.resolved_migration_weight = weight;
 
-  // Score the given sequence through Plan's evaluators; an infeasible
-  // epoch scores +inf and marks the whole sequence.
+  // Score the given sequence the way Plan scores its matrix; an
+  // infeasible epoch scores +inf and marks the whole sequence.
   std::vector<double> tocs(static_cast<size_t>(num_epochs), kInf);
   for (int e = 0; e < num_epochs; ++e) {
     const CandidateEval eval =
-        scorers[static_cast<size_t>(e)]->evaluator.EvaluateQuick(
+        optimizers[static_cast<size_t>(e)]->EvaluateQuick(
             placements[static_cast<size_t>(e)]);
     plan.layouts_evaluated += 1;
     if (eval.feasible) tocs[static_cast<size_t>(e)] = eval.toc;

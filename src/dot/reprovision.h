@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "dot/optimizer.h"
 #include "dot/problem.h"
 #include "dot/search_stats.h"
 #include "storage/migration.h"
@@ -116,9 +117,10 @@ struct ReprovisionPlan : SearchStats {
 ///
 /// Mechanics: a candidate layout pool is seeded per epoch by the existing
 /// searches (warm-started branch-and-bound, or DOT's Procedure 1), every
-/// pool layout is scored under every epoch through one CandidateEvaluator
-/// per epoch (EvaluateQuick — bit-identical to the full path the exact
-/// searches re-score winners through), and an exact dynamic program
+/// pool layout is scored under every epoch through that epoch's
+/// DotOptimizer — the one its solo search ran on (EvaluateQuick,
+/// bit-identical to the full path the exact searches re-score winners
+/// through) — and an exact dynamic program
 /// over epochs picks the cheapest sequence; the migration term enters the
 /// DP transition exactly (per-object, zero for staying — the admissible
 /// floor DESIGN.md §8 argues from).
@@ -127,8 +129,8 @@ struct ReprovisionPlan : SearchStats {
 /// current layout) reproduces ExactSearch / Optimize *bit-identically* —
 /// same placement, same TOC, same infeasibility verdicts — because the
 /// pool contains the search's winner, every candidate is scored through
-/// the search's own evaluator, and multiplying TOC by the positive duration
-/// is monotone.
+/// the optimizer the search ran on, and multiplying TOC by the positive
+/// duration is monotone.
 ///
 /// Each epoch's problem is a copy of the planner's DotProblem that takes
 /// the window's workload and profiles, so an epoch derives its targets
@@ -154,12 +156,13 @@ class ReprovisionPlanner {
   /// ValidateEpochProblem rejects, an invalid config
   /// (ValidateReprovisionConfig), an invalid spec (ValidateTraceSpec) or a
   /// current layout that is not a placement on the box (ValidatePlacement)
-  /// returns InvalidArgument.
+  /// returns InvalidArgument, as does a window whose workload is built
+  /// over another object count than the problem's schema.
   ReprovisionPlan Plan(const WorkloadTraceSpec& schedule,
                        const std::vector<int>& current_layout = {}) const;
 
   /// Prices a fixed layout sequence under exactly the plan objective —
-  /// same evaluators, same accounting order (see ReprovisionPlan) — after
+  /// same scoring, same accounting order (see ReprovisionPlan) — after
   /// the same problem, config, spec and current-layout checks. Every
   /// sequence layout must be a valid placement (else InvalidArgument).
   /// The baseline evaluator: bench_reprovision prices the frozen-layout
@@ -193,16 +196,18 @@ Status ValidateReprovisionConfig(const ReprovisionConfig& config);
 /// ValidateReprovisionConfig and ValidateAdvisorConfig.
 Status ValidateMigrationWeight(double weight);
 
-/// Runs the configured candidate search on `problem` — warm-started
-/// branch-and-bound for EpochSearch::kExact, DOT's Procedure 1 for kDot —
-/// and appends the winning placement to `pool` unless already present.
-/// This is the seeding step of ReprovisionPlanner::Plan's non-exhaustive
-/// pool, exposed as a free function so the fleet planner's
-/// FleetPoolMode::kSearch reuses exactly the same searches (same engines,
-/// same warm-start semantics) instead of growing a second seeding path.
-/// Returns the search's counters; an infeasible search appends nothing.
+/// Runs the configured candidate search on the problem `optimizer` holds —
+/// warm-started branch-and-bound for EpochSearch::kExact, DOT's Procedure
+/// 1 for kDot — and appends the winning placement to `pool` unless already
+/// present. The search runs on `optimizer` itself, so the caller scores
+/// its pool with the scorer the search built. This is the seeding step of
+/// ReprovisionPlanner::Plan's non-exhaustive pool, exposed as a free
+/// function so the fleet planner's FleetPoolMode::kSearch reuses exactly
+/// the same searches (same engines, same warm-start semantics) instead of
+/// growing a second seeding path. Returns the search's counters; an
+/// infeasible search appends nothing.
 SearchStats AppendSoloCandidate(
-    const DotProblem& problem, EpochSearch search,
+    const DotOptimizer& optimizer, EpochSearch search,
     std::vector<std::vector<int>>* pool,
     const std::vector<std::vector<int>>* warm_starts = nullptr);
 

@@ -55,7 +55,9 @@ struct SearchStats {
   /// template time served from its dense cache slot, a miss one run of the
   /// template's compiled program. Zero for OLTP models, which have no plan
   /// cache, and when the fast path is disabled; HTAP models report their
-  /// analytic side's cache. The only thread-count-dependent counters.
+  /// analytic side's cache. An exact solve's counters include its DOT seed
+  /// walk, which runs on the solve's scorer. The only
+  /// thread-count-dependent counters.
   long long plan_cache_hits = 0;
   long long plan_cache_misses = 0;
 

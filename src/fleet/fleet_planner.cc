@@ -137,6 +137,9 @@ TenantPool BuildPool(const DotProblem& tenant_problem,
   const int n = p.schema->NumObjects();
   const int m = p.box->NumClasses();
 
+  // One optimizer per pool: the solo search and the candidate scoring
+  // below share its targets and its scorer.
+  const DotOptimizer optimizer(p);
   std::vector<std::vector<int>> candidates;
   if (config.pool_mode == FleetPoolMode::kEnumerate) {
     Result<std::vector<std::vector<int>>> space =
@@ -149,7 +152,7 @@ TenantPool BuildPool(const DotProblem& tenant_problem,
   } else {
     // The ReprovisionPlanner seeding path (solo optimum), plus the M
     // uniform layouts as deterministic downgrade/upgrade anchors.
-    out.stats = AppendSoloCandidate(p, config.search, &candidates);
+    out.stats = AppendSoloCandidate(optimizer, config.search, &candidates);
     for (int cls = 0; cls < m; ++cls) {
       std::vector<int> uniform(static_cast<size_t>(n), cls);
       if (std::find(candidates.begin(), candidates.end(), uniform) ==
@@ -159,14 +162,12 @@ TenantPool BuildPool(const DotProblem& tenant_problem,
     }
   }
 
-  // Score every candidate through the searches' own evaluator: the TOC
-  // fast path, bit-identical to the full estimate.
-  const DotOptimizer estimator(p);
-  const CandidateEvaluator evaluator(estimator);
+  // Score every candidate on the TOC fast path, bit-identical to the full
+  // estimate.
   std::vector<CandidateEval> evals;
   evals.reserve(candidates.size());
   for (const std::vector<int>& c : candidates) {
-    evals.push_back(evaluator.EvaluateQuick(c));
+    evals.push_back(optimizer.EvaluateQuick(c));
   }
   out.stats.layouts_evaluated += static_cast<long long>(candidates.size());
 

@@ -28,7 +28,7 @@ double LinearLayoutCostCentsPerHour(const BoxConfig& box,
 /// Span form of the linear cost: `used_gb` points at NumClasses() entries.
 /// The vector overload delegates here, so both run the same summation and
 /// agree bit-for-bit — the contract the allocation-free TOC fast path
-/// (dot/candidate_evaluator.h) relies on when it prices candidates from a
+/// (dot/optimizer.h) relies on when it prices candidates from a
 /// stack buffer instead of a SpaceUsage vector.
 double LinearLayoutCostCentsPerHour(const BoxConfig& box,
                                     const double* used_gb, int num_classes);

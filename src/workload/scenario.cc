@@ -3,6 +3,7 @@
 #include <cmath>
 #include <string>
 
+#include "catalog/schema.h"
 #include "common/check.h"
 #include "common/rng.h"
 
@@ -70,6 +71,12 @@ Status ValidateEnsemble(const ScenarioEnsemble& ensemble, int num_objects) {
     if (!(std::isfinite(sc.weight) && sc.weight > 0.0)) {
       return Status::InvalidArgument("scenario " + std::to_string(k) +
                                      " weight must be finite and > 0");
+    }
+    if (sc.model != nullptr &&
+        (sc.model->schema() == nullptr ||
+         sc.model->schema()->NumObjects() != num_objects)) {
+      return Status::InvalidArgument("scenario " + std::to_string(k) +
+                                     "'s model schema differs in size");
     }
     Status st = ValidateIoScale(sc.io_scale, num_objects,
                                 "scenario " + std::to_string(k) + " io_scale");

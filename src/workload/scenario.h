@@ -60,8 +60,9 @@ Status ValidateIoScale(const std::vector<double>& io_scale, int num_objects,
                        const std::string& what);
 
 /// Checks `ensemble` against a problem of `num_objects` objects: 1 to
-/// kMaxScenarios scenarios, every weight finite and > 0, every io_scale
-/// valid per ValidateIoScale. ValidateProblem calls it, so a malformed
+/// kMaxScenarios scenarios, every weight finite and > 0, every scenario
+/// model built over `num_objects` objects, every io_scale valid per
+/// ValidateIoScale. ValidateProblem calls it, so a malformed
 /// ensemble comes back as InvalidArgument instead of aborting in the
 /// scorers.
 Status ValidateEnsemble(const ScenarioEnsemble& ensemble, int num_objects);

@@ -109,13 +109,19 @@ TEST_F(ExhaustiveTest, GuardSurvivesOverflowingLayoutCounts) {
   // 3^80 overflows long long; the M^N computation must saturate instead of
   // wrapping (a wrapped value could slip under the guard and start a
   // never-ending enumeration), and the guard must refuse the saturated
-  // count even when the cap itself is LLONG_MAX.
-  Schema big;
-  for (int i = 0; i < 80; ++i) {
-    big.AddTable("t" + std::to_string(i), 1000.0, 100.0);
+  // count even when the cap itself is LLONG_MAX. The problem is a valid
+  // one — the fixture's 4 objects plus 76 padding tables, with the
+  // workload built over the result — so only the guard can refuse it.
+  Schema big = schema_;
+  while (big.NumObjects() < 80) {
+    big.AddTable("pad" + std::to_string(big.NumObjects()), 1000.0, 100.0);
   }
+  const DssWorkloadModel workload("tiny-padded", &big, &box_, templates_,
+                                  RepeatSequence(1, 3), PlannerConfig{});
   DotProblem p = problem_;
   p.schema = &big;
+  p.workload = &workload;
+  ASSERT_TRUE(ValidateProblem(p).ok());
   for (long long max_layouts : {kDefaultMaxEnumeratedLayouts,
                                 std::numeric_limits<long long>::max()}) {
     DotResult r = ExactSearch(p, ExactStrategy::kEnumerate, max_layouts);

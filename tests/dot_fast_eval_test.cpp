@@ -74,8 +74,7 @@ void ExpectResultIdentical(const DotResult& fast, const DotResult& full,
 /// — while still moving footprint objects, which forces invalidation).
 void CheckRandomizedEquivalence(const DotProblem& problem, uint64_t seed,
                                 int rounds) {
-  DotOptimizer estimator(problem);
-  CandidateEvaluator evaluator(estimator);
+  DotOptimizer optimizer(problem);
 
   const int n = problem.schema->NumObjects();
   const int m = problem.box->NumClasses();
@@ -93,13 +92,13 @@ void CheckRandomizedEquivalence(const DotProblem& problem, uint64_t seed,
           static_cast<uint64_t>(m)));
     }
     const Layout layout(problem.schema, problem.box, placement);
-    ExpectEvalIdentical(evaluator.EvaluateQuick(placement),
-                        evaluator.EvaluateOne(layout), placement);
+    ExpectEvalIdentical(optimizer.EvaluateQuick(placement),
+                        optimizer.EvaluateOne(layout), placement);
   }
   // The walk above must have exercised the cache in both directions.
   if (problem.workload->sla_kind() == SlaKind::kPerQueryResponseTime) {
-    EXPECT_GT(evaluator.plan_cache_hits(), 0);
-    EXPECT_GT(evaluator.plan_cache_misses(), 0);
+    EXPECT_GT(optimizer.plan_cache_hits(), 0);
+    EXPECT_GT(optimizer.plan_cache_misses(), 0);
   }
 }
 
@@ -145,15 +144,14 @@ TEST_F(DssFastEvalTest, RandomizedPlacementsMatchWithIoScaleHint) {
 }
 
 TEST_F(DssFastEvalTest, MovingATouchedObjectInvalidatesTheCachedPlan) {
-  DotOptimizer estimator(problem_);
-  CandidateEvaluator evaluator(estimator);
+  DotOptimizer optimizer(problem_);
 
   std::vector<int> placement =
       UniformPlacement(schema_.NumObjects(), box_.MostExpensiveClass());
   const Layout base(&schema_, &box_, placement);
-  ExpectEvalIdentical(evaluator.EvaluateQuick(placement),
-                      evaluator.EvaluateOne(base), placement);
-  const long long misses_before = evaluator.plan_cache_misses();
+  ExpectEvalIdentical(optimizer.EvaluateQuick(placement),
+                      optimizer.EvaluateOne(base), placement);
+  const long long misses_before = optimizer.plan_cache_misses();
 
   // Move lineitem (in the footprint of most subset templates): every
   // template that touches it must re-plan, and the fast verdict must track
@@ -163,18 +161,18 @@ TEST_F(DssFastEvalTest, MovingATouchedObjectInvalidatesTheCachedPlan) {
   for (int cls = 0; cls < box_.NumClasses(); ++cls) {
     placement[static_cast<size_t>(lineitem)] = cls;
     const Layout moved(&schema_, &box_, placement);
-    ExpectEvalIdentical(evaluator.EvaluateQuick(placement),
-                        evaluator.EvaluateOne(moved), placement);
+    ExpectEvalIdentical(optimizer.EvaluateQuick(placement),
+                        optimizer.EvaluateOne(moved), placement);
   }
-  EXPECT_GT(evaluator.plan_cache_misses(), misses_before);
+  EXPECT_GT(optimizer.plan_cache_misses(), misses_before);
 
   // Returning to an already-seen signature must hit, not re-plan.
-  const long long misses_after = evaluator.plan_cache_misses();
+  const long long misses_after = optimizer.plan_cache_misses();
   placement[static_cast<size_t>(lineitem)] = box_.MostExpensiveClass();
   const Layout back(&schema_, &box_, placement);
-  ExpectEvalIdentical(evaluator.EvaluateQuick(placement),
-                      evaluator.EvaluateOne(back), placement);
-  EXPECT_EQ(evaluator.plan_cache_misses(), misses_after);
+  ExpectEvalIdentical(optimizer.EvaluateQuick(placement),
+                      optimizer.EvaluateOne(back), placement);
+  EXPECT_EQ(optimizer.plan_cache_misses(), misses_after);
 }
 
 TEST_F(DssFastEvalTest, OptimizeMatchesSlowPathAtEveryThreadCount) {
@@ -374,10 +372,9 @@ struct TpchCursorInstance {
   }
 
   void Walk(const DotProblem& problem, uint64_t seed) const {
-    DotOptimizer estimator(problem);
-    CandidateEvaluator evaluator(estimator);
-    ASSERT_NE(evaluator.scorer(), nullptr);
-    CheckRandomCursorWalk(*evaluator.scorer(), schema.NumObjects(),
+    DotOptimizer optimizer(problem);
+    ASSERT_NE(optimizer.scorer(), nullptr);
+    CheckRandomCursorWalk(*optimizer.scorer(), schema.NumObjects(),
                           box.NumClasses(), seed, /*steps=*/1000);
   }
 };
@@ -501,10 +498,9 @@ TEST(DssCursorWalkTest, EnsembleCursorMatchesFreshCursorsAndScore) {
   inst.Walk(problem, /*seed=*/0xe3);
 
   // The ensemble cursor forwards Tighten to every child scorer.
-  DotOptimizer estimator(problem);
-  CandidateEvaluator evaluator(estimator);
-  ASSERT_NE(evaluator.scorer(), nullptr);
-  EXPECT_GT(CheckTightenedBounds(*evaluator.scorer(), n,
+  DotOptimizer optimizer(problem);
+  ASSERT_NE(optimizer.scorer(), nullptr);
+  EXPECT_GT(CheckTightenedBounds(*optimizer.scorer(), n,
                                  inst.box.NumClasses(), /*seed=*/0xe7,
                                  /*trials=*/40),
             0);
@@ -545,11 +541,10 @@ TEST(DssTightenTest, TightenedBoundsStayAdmissibleAndUnassignRestoresThem) {
             s = rng.NextBounded(4) == 0 ? 0.0 : rng.NextUniform(0.0, 3.0);
           }
         }
-        DotOptimizer estimator(problem);
-        CandidateEvaluator evaluator(estimator);
-        ASSERT_NE(evaluator.scorer(), nullptr);
+        DotOptimizer optimizer(problem);
+        ASSERT_NE(optimizer.scorer(), nullptr);
         const int raised =
-            CheckTightenedBounds(*evaluator.scorer(), n, box.NumClasses(),
+            CheckTightenedBounds(*optimizer.scorer(), n, box.NumClasses(),
                                  rng.NextUint64(), /*trials=*/40);
         EXPECT_GT(raised, 0) << "Tighten never raised a bound";
         if (::testing::Test::HasFailure()) return;
@@ -615,12 +610,11 @@ TEST(DssMoveWalkTest, RandomGroupMovesMatchScore) {
         if (scaled) {
           problem.io_scale_hint = CursorWalkIoScale(inst.schema.NumObjects());
         }
-        DotOptimizer estimator(problem);
-        CandidateEvaluator evaluator(estimator);
-        ASSERT_NE(evaluator.scorer(), nullptr);
+        DotOptimizer optimizer(problem);
+        ASSERT_NE(optimizer.scorer(), nullptr);
         const uint64_t seed =
             0xa0 + 2 * static_cast<uint64_t>(instance) + (scaled ? 1 : 0);
-        CheckRandomMoveWalk(*evaluator.scorer(), inst.schema,
+        CheckRandomMoveWalk(*optimizer.scorer(), inst.schema,
                             box.NumClasses(), seed, /*steps=*/400);
       }
     }

@@ -198,8 +198,7 @@ void ExpectEvalIdentical(const CandidateEval& fast, const CandidateEval& full,
 /// (the plan cache's hit pattern), as in dot_fast_eval_test.
 void CheckRandomizedEquivalence(const DotProblem& problem, uint64_t seed,
                                 int rounds) {
-  DotOptimizer estimator(problem);
-  CandidateEvaluator evaluator(estimator);
+  DotOptimizer optimizer(problem);
   const int n = problem.schema->NumObjects();
   const int m = problem.box->NumClasses();
   Rng rng(seed);
@@ -216,12 +215,12 @@ void CheckRandomizedEquivalence(const DotProblem& problem, uint64_t seed,
           static_cast<int>(rng.NextBounded(static_cast<uint64_t>(m)));
     }
     const Layout layout(problem.schema, problem.box, placement);
-    ExpectEvalIdentical(evaluator.EvaluateQuick(placement),
-                        evaluator.EvaluateOne(layout), placement);
+    ExpectEvalIdentical(optimizer.EvaluateQuick(placement),
+                        optimizer.EvaluateOne(layout), placement);
   }
   // The analytic side's plan cache must have seen both traffic kinds.
-  EXPECT_GT(evaluator.plan_cache_hits(), 0);
-  EXPECT_GT(evaluator.plan_cache_misses(), 0);
+  EXPECT_GT(optimizer.plan_cache_hits(), 0);
+  EXPECT_GT(optimizer.plan_cache_misses(), 0);
 }
 
 TEST(HtapFastEvalTest, RandomizedPlacementsMatchFullPathExactly) {

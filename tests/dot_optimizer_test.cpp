@@ -5,12 +5,15 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "catalog/tpch_schema.h"
+#include "common/thread_pool.h"
 #include "dot/bnb_search.h"
 #include "dot/layout.h"
 #include "dot/provisioner.h"
+#include "dot/solve.h"
 #include "storage/standard_catalog.h"
 #include "workload/dss_workload.h"
 #include "workload/profiler.h"
@@ -180,7 +183,9 @@ TEST_F(OptimizerTest, DiscreteCostModelProducesValidResult) {
               layout.CostCentsPerHour(p.cost_model), 1e-9);
 }
 
-/// Forwards to a wrapped model and counts its EstimateWithIoScale calls.
+/// Forwards to a wrapped model and counts its EstimateWithIoScale calls
+/// (full estimates) and its MakeFastScorer calls (scorer builds). Atomics:
+/// engines call the model from several threads.
 class CountingWorkload : public WorkloadModel {
  public:
   explicit CountingWorkload(const WorkloadModel* inner) : inner_(inner) {}
@@ -200,6 +205,7 @@ class CountingWorkload : public WorkloadModel {
       const std::vector<double>& io_scale,
       const std::vector<double>& query_caps_ms, double min_tpmc,
       double sla_tolerance) const override {
+    scorer_builds_.fetch_add(1);
     return inner_->MakeFastScorer(io_scale, query_caps_ms, min_tpmc,
                                   sla_tolerance);
   }
@@ -211,11 +217,16 @@ class CountingWorkload : public WorkloadModel {
   }
 
   long long calls() const { return calls_.load(); }
-  void ResetCalls() { calls_.store(0); }
+  long long scorer_builds() const { return scorer_builds_.load(); }
+  void ResetCalls() {
+    calls_.store(0);
+    scorer_builds_.store(0);
+  }
 
  private:
   const WorkloadModel* inner_;
   mutable std::atomic<long long> calls_{0};
+  mutable std::atomic<long long> scorer_builds_{0};
 };
 
 TEST_F(OptimizerTest, FullPathWalkEstimatesEachCommittedCandidateOnce) {
@@ -232,6 +243,182 @@ TEST_F(OptimizerTest, FullPathWalkEstimatesEachCommittedCandidateOnce) {
   const DotResult r = optimizer.Optimize();
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_EQ(counting.calls(), r.layouts_evaluated + 1);
+}
+
+/// The one-optimizer-per-problem invariant: every engine that searches a
+/// problem runs on one DotOptimizer, so the problem's targets are derived
+/// once and its fast scorer is built once, on first use. The counting
+/// double observes both: scorer builds directly, and target derivations
+/// through the full estimates (each derivation's, plus one per full
+/// re-score of a committed winner).
+class OneOptimizerTest : public OptimizerTest {
+ protected:
+  OneOptimizerTest() : counting_(&workload_) { problem_.workload = &counting_; }
+
+  /// Full estimates one DotOptimizer construction makes: its target
+  /// derivation.
+  long long DerivationEstimates(const DotProblem& problem) {
+    counting_.ResetCalls();
+    const DotOptimizer optimizer(problem);
+    return counting_.calls();
+  }
+
+  CountingWorkload counting_;
+};
+
+TEST_F(OneOptimizerTest, EstimatorOnlyCallersBuildNoScorer) {
+  // The advisor's incumbent pricer builds an optimizer per re-plan only to
+  // call EstimateToc: the scorer must not be built for it.
+  counting_.ResetCalls();
+  const DotOptimizer optimizer(problem_);
+  EXPECT_GT(optimizer.targets().best_case.tasks_per_hour, 0.0);
+  PerfEstimate estimate;
+  optimizer.EstimateToc(
+      UniformPlacement(schema_.NumObjects(), box_.MostExpensiveClass()),
+      &estimate);
+  EXPECT_EQ(counting_.scorer_builds(), 0);
+  // The first fast-path call builds it, and later calls reuse it.
+  optimizer.EvaluateQuick(UniformPlacement(schema_.NumObjects(), 0));
+  optimizer.EvaluateQuick(UniformPlacement(schema_.NumObjects(), 1));
+  EXPECT_EQ(counting_.scorer_builds(), 1);
+}
+
+TEST_F(OneOptimizerTest, ExactSolveBuildsOneScorerAndDerivesTargetsOnce) {
+  const long long derivation = DerivationEstimates(problem_);
+  ASSERT_GT(derivation, 0);
+  counting_.ResetCalls();
+  const SolveResult solved = Solve(problem_, SolveSpec{});
+  ASSERT_TRUE(solved.status.ok()) << solved.status.ToString();
+  // The seed walk, the tree and the winner share one scorer.
+  EXPECT_EQ(counting_.scorer_builds(), 1);
+  // One derivation, plus the full re-scores of the seed walk's winner and
+  // of the tree's.
+  EXPECT_EQ(counting_.calls(), derivation + 2);
+}
+
+TEST_F(OneOptimizerTest, ExactEpochPlanBuildsOneScorerPerWindow) {
+  // Each epoch's solo search and its row of the pool × epoch matrix run
+  // on one optimizer.
+  const int kWindows = 3;
+  WorkloadTraceSpec schedule;
+  for (int e = 0; e < kWindows; ++e) {
+    schedule.Add(&counting_, 1.0 + e, "w" + std::to_string(e), &profiles_);
+  }
+  // Each epoch's problem is the fixture's with the window's workload and
+  // profiles, i.e. the fixture's own.
+  const long long derivation = DerivationEstimates(problem_);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    DotProblem problem = problem_;
+    problem.options.num_threads = threads;
+    SolveSpec spec;
+    spec.method = SolveMethod::kEpochPlan;
+    spec.schedule = &schedule;
+    spec.epoch.search = EpochSearch::kExact;
+    counting_.ResetCalls();
+    const SolveResult planned = Solve(problem, spec);
+    ASSERT_TRUE(planned.status.ok()) << planned.status.ToString();
+    EXPECT_EQ(counting_.scorer_builds(), kWindows);
+    EXPECT_EQ(counting_.calls(), kWindows * (derivation + 2));
+  }
+}
+
+TEST_F(OneOptimizerTest, SearchedFleetPoolsBuildOneScorerEach) {
+  // Two distinct tenant problems, three tenants: two pools, each built by
+  // a solo search and scored on the search's optimizer.
+  DotProblem strict = problem_;
+  strict.relative_sla = 0.4;
+  const std::vector<FleetTenant> tenants = {
+      {"a", problem_}, {"b", strict}, {"a2", problem_}};
+  const long long derivation =
+      DerivationEstimates(problem_) + DerivationEstimates(strict);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    DotProblem problem = problem_;
+    problem.options.num_threads = threads;
+    FleetSpec fleet;
+    fleet.tenants = &tenants;
+    fleet.config.pool_mode = FleetPoolMode::kSearch;
+    SolveSpec spec;
+    spec.method = SolveMethod::kFleet;
+    spec.fleet = &fleet;
+    counting_.ResetCalls();
+    const SolveResult solved = Solve(problem, spec);
+    ASSERT_TRUE(solved.status.ok()) << solved.status.ToString();
+    ASSERT_EQ(solved.fleet.pool_builds, 2);
+    EXPECT_EQ(counting_.scorer_builds(), solved.fleet.pool_builds);
+    // One derivation per pool, and each solo search's two winner
+    // re-scores.
+    EXPECT_EQ(counting_.calls(), derivation + 2 * 2);
+  }
+}
+
+TEST_F(OneOptimizerTest, HeldOptimizerSearchMatchesTheProblemSearch) {
+  // Bit for bit, node counters included, with and without profiles, at
+  // every thread count; a second search on the same (now warm) optimizer
+  // decides the same again.
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  for (bool profiles : {true, false}) {
+    for (int threads : {1, 4, hw}) {
+      const std::string what = (profiles ? "profiles, " : "no profiles, ") +
+                               std::to_string(threads) + " threads";
+      DotProblem problem = problem_;
+      problem.profiles = profiles ? &profiles_ : nullptr;
+      problem.options.num_threads = threads;
+      for (ExactStrategy strategy :
+           {ExactStrategy::kBranchAndBound, ExactStrategy::kEnumerate}) {
+        const DotResult reference = ExactSearch(problem, strategy);
+        ASSERT_TRUE(reference.status.ok()) << what;
+        const DotOptimizer held(problem);
+        for (int run = 0; run < 2; ++run) {
+          SCOPED_TRACE(what + ", run " + std::to_string(run));
+          const DotResult r = ExactSearch(held, strategy);
+          ASSERT_TRUE(r.status.ok());
+          EXPECT_EQ(r.placement, reference.placement);
+          EXPECT_EQ(r.toc_cents_per_task, reference.toc_cents_per_task);
+          EXPECT_EQ(r.layout_cost_cents_per_hour,
+                    reference.layout_cost_cents_per_hour);
+          EXPECT_EQ(r.estimate.elapsed_ms, reference.estimate.elapsed_ms);
+          EXPECT_EQ(r.layouts_evaluated, reference.layouts_evaluated);
+          EXPECT_EQ(r.nodes_expanded, reference.nodes_expanded);
+          EXPECT_EQ(r.nodes_pruned_bound, reference.nodes_pruned_bound);
+          EXPECT_EQ(r.nodes_pruned_infeasible,
+                    reference.nodes_pruned_infeasible);
+          EXPECT_EQ(r.layouts_pruned, reference.layouts_pruned);
+          if (run == 0 && threads == 1) {
+            // A fresh optimizer's scorer sees exactly the problem
+            // search's plan-cache traffic.
+            EXPECT_EQ(r.plan_cache_hits, reference.plan_cache_hits);
+            EXPECT_EQ(r.plan_cache_misses, reference.plan_cache_misses);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(OneOptimizerTest, ConcurrentFirstUseBuildsTheScorerOnce) {
+  // Every lane's first call races for the lazy build; each must score
+  // through the one scorer, bit-identical to the full path.
+  const DotOptimizer optimizer(problem_);
+  counting_.ResetCalls();
+  const int n = schema_.NumObjects();
+  const int m = box_.NumClasses();
+  const int kLayouts = 64;
+  std::vector<CandidateEval> quick(kLayouts);
+  ThreadPool pool(4);
+  pool.ParallelFor(0, kLayouts, [&](int64_t i) {
+    const std::vector<int> placement = DecodeLayoutIndex(i * 97, n, m);
+    quick[static_cast<size_t>(i)] = optimizer.EvaluateQuick(placement);
+  });
+  EXPECT_EQ(counting_.scorer_builds(), 1);
+  for (int i = 0; i < kLayouts; ++i) {
+    const std::vector<int> placement = DecodeLayoutIndex(i * 97, n, m);
+    const CandidateEval full =
+        optimizer.EvaluateOne(Layout(&schema_, &box_, placement));
+    EXPECT_EQ(quick[static_cast<size_t>(i)].feasible, full.feasible) << i;
+    EXPECT_EQ(quick[static_cast<size_t>(i)].toc, full.toc) << i;
+  }
 }
 
 TEST_F(OptimizerTest, MissingComponentAborts) {

@@ -109,6 +109,18 @@ TEST_F(ProvisionerTest, MalformedOptionProblemIsReportedNotAborted) {
   }
 }
 
+TEST_F(ProvisionerTest, EmptyMenuHasNoWinner) {
+  // Every lane count, hardware concurrency (0) included: an empty menu
+  // returns before any pool is built.
+  for (int threads : {0, 1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const ProvisioningResult r = ProvisionOverOptions({}, threads);
+    EXPECT_EQ(r.best_option, -1);
+    EXPECT_TRUE(r.best_name.empty());
+    EXPECT_TRUE(r.per_option.empty());
+  }
+}
+
 TEST_F(ProvisionerTest, RelaxationRejectsMalformedKnobs) {
   const ProvisioningOption option = MakeOption(MakeBox1(), 0.5);
   DotProblem problem = option.make_problem();

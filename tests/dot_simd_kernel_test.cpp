@@ -124,11 +124,10 @@ TEST(SimdKernelTest, PlaneGatherSumMatchesReferenceSchedule) {
 // ---------------------------------------------------------------------------
 
 /// Runs `rounds` placements of a deterministic mutation walk through one
-/// evaluator and checks fast == full bitwise each round.
+/// optimizer and checks fast == full bitwise each round.
 void CheckFastEqualsFull(const DotProblem& problem, uint64_t seed,
                          int rounds) {
-  DotOptimizer estimator(problem);
-  CandidateEvaluator evaluator(estimator);
+  DotOptimizer optimizer(problem);
   const int n = problem.schema->NumObjects();
   const int m = problem.box->NumClasses();
   Rng rng(seed);
@@ -145,8 +144,8 @@ void CheckFastEqualsFull(const DotProblem& problem, uint64_t seed,
           static_cast<int>(rng.NextBounded(static_cast<uint64_t>(m)));
     }
     const Layout layout(problem.schema, problem.box, placement);
-    const CandidateEval fast = evaluator.EvaluateQuick(placement);
-    const CandidateEval full = evaluator.EvaluateOne(layout);
+    const CandidateEval fast = optimizer.EvaluateQuick(placement);
+    const CandidateEval full = optimizer.EvaluateOne(layout);
     const std::string what = "round=" + std::to_string(round);
     EXPECT_EQ(fast.fits, full.fits) << what;
     EXPECT_EQ(fast.feasible, full.feasible) << what;

@@ -147,13 +147,12 @@ TEST_F(SolveFacadeTest, WarmStartHitsCountOnlyValidFeasibleSeeds) {
   EXPECT_EQ(reference.provenance.warm_start_hits, 0);
 
   // An infeasible seed: the first uniform layout the search's own
-  // evaluator rejects (capacity or SLA).
+  // optimizer rejects (capacity or SLA).
   const int n = schema_.NumObjects();
-  const DotOptimizer estimator(problem_);
-  const CandidateEvaluator evaluator(estimator);
+  const DotOptimizer optimizer(problem_);
   std::vector<int> infeasible;
   for (int cls = 0; cls < box_.NumClasses(); ++cls) {
-    if (!evaluator.EvaluateQuick(UniformPlacement(n, cls)).feasible) {
+    if (!optimizer.EvaluateQuick(UniformPlacement(n, cls)).feasible) {
       infeasible = UniformPlacement(n, cls);
       break;
     }
@@ -516,6 +515,10 @@ TEST_F(SolveFacadeTest, MalformedRosterGetsTheSameStatusFromSolveAndPlan) {
   with_tenant("io_scale_hint NaN", [&](DotProblem& p) {
     p.io_scale_hint.assign(static_cast<size_t>(schema_.NumObjects()), nan);
   });
+  Schema padded = schema_;
+  padded.AddTable("pad", 1000.0, 100.0);
+  with_tenant("workload over another schema",
+              [&](DotProblem& p) { p.schema = &padded; });
   with_tenant("DOT pools without profiles",
               [](DotProblem& p) { p.profiles = nullptr; },
               /*dot_pools=*/true);
@@ -730,6 +733,12 @@ TEST_F(SolveFacadeTest, EveryEntryPointReturnsOneStatusForAMalformedProblem) {
     p.ensemble = &single;
     p.ensemble_objective.min_feasible_fraction = 0.0;
   });
+  // The workload is built over the fixture's 8 objects, the schema holds
+  // 9: without the check the DSS scorer aborts on the placement arity.
+  Schema padded = schema_;
+  padded.AddTable("pad", 1000.0, 100.0);
+  add("workload over another schema",
+      [&](DotProblem& p) { p.schema = &padded; });
 
   for (const Case& c : cases) {
     SCOPED_TRACE(c.what);
@@ -751,6 +760,35 @@ TEST_F(SolveFacadeTest, EveryEntryPointReturnsOneStatusForAMalformedProblem) {
       EXPECT_EQ(direct.layouts_evaluated, 0);
     }
   }
+}
+
+TEST_F(SolveFacadeTest, ModelsOverAnotherSchemaAreRejectedInEveryRole) {
+  // An epoch window's workload and a scenario's model must be built over
+  // the problem's objects too; each mismatch is an InvalidArgument, not an
+  // abort in the scorer.
+  Schema padded = schema_;
+  padded.AddTable("pad", 1000.0, 100.0);
+  const DssWorkloadModel padded_workload(
+      "TPC-H-ES padded", &padded, &box_, MakeTpchSubsetTemplates(),
+      RepeatSequence(11, 3), PlannerConfig{});
+
+  WorkloadTraceSpec schedule;
+  schedule.Add(&workload_, 1.0, "ok").Add(&padded_workload, 1.0, "padded");
+  SolveSpec epoch;
+  epoch.method = SolveMethod::kEpochPlan;
+  epoch.schedule = &schedule;
+  const SolveResult planned = Solve(problem_, epoch);
+  EXPECT_EQ(planned.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(planned.status.message().find("window 1"), std::string::npos)
+      << planned.status.ToString();
+  const std::vector<int> all_on_0 = UniformPlacement(schema_.NumObjects(), 0);
+  const ReprovisionPlanner planner(problem_, epoch.epoch);
+  EXPECT_EQ(planner.EvaluateSequence(schedule, {all_on_0, all_on_0}).status,
+            planned.status);
+
+  ScenarioEnsemble ensemble = NominalEnsemble(3, schema_.NumObjects());
+  ensemble.scenarios[1].model = &padded_workload;
+  ExpectEnsembleRejected(problem_, ensemble);
 }
 
 TEST_F(SolveFacadeTest, InfeasibleVerdictPassesThroughUnchanged) {
