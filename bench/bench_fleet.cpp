@@ -1,7 +1,7 @@
 // Fleet-scale provisioning: N tenants under one budget vs. going it alone.
 //
 // Synthetic fleets of N = 1e2..1e4 tenants drawn from the fixed
-// OLTP/DSS/HTAP class roster (fleet/synthetic_fleet.h) share one Box 2
+// OLTP/DSS/HTAP class roster (fixtures/synthetic_fleet.h) share one Box 2
 // catalog and one fleet-wide budget. For each N the budget sweeps down
 // from the unconstrained fleet cost; at every point the coupled
 // FleetPlanner (Lagrangian price decomposition + exchange repair, behind
@@ -44,7 +44,7 @@
 #include "common/str_util.h"
 #include "common/table_printer.h"
 #include "dot/dot.h"
-#include "fleet/synthetic_fleet.h"
+#include "fixtures/synthetic_fleet.h"
 
 namespace {
 

@@ -13,7 +13,7 @@
 #include <string>
 
 #include "dot/dot.h"
-#include "fleet/synthetic_fleet.h"
+#include "fixtures/synthetic_fleet.h"
 
 int main() {
   // 1. A fleet: 12 tenants drawn from 8 classes over one shared Box 2

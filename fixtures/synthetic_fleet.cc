@@ -1,4 +1,4 @@
-#include "fleet/synthetic_fleet.h"
+#include "fixtures/synthetic_fleet.h"
 
 #include <string>
 #include <utility>

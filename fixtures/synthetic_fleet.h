@@ -1,5 +1,5 @@
-#ifndef DOTPROV_FLEET_SYNTHETIC_FLEET_H_
-#define DOTPROV_FLEET_SYNTHETIC_FLEET_H_
+#ifndef DOTPROV_FIXTURES_SYNTHETIC_FLEET_H_
+#define DOTPROV_FIXTURES_SYNTHETIC_FLEET_H_
 
 #include <cstdint>
 #include <memory>
@@ -48,4 +48,4 @@ SyntheticFleet MakeSyntheticFleet(int num_tenants, uint64_t seed);
 
 }  // namespace dot
 
-#endif  // DOTPROV_FLEET_SYNTHETIC_FLEET_H_
+#endif  // DOTPROV_FIXTURES_SYNTHETIC_FLEET_H_

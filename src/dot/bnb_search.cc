@@ -574,10 +574,10 @@ DotResult BranchAndBoundSearch(
   // leaves use: the M uniform layouts plus the DOT heuristic's answer when
   // profiles are available (the paper's own argument that DOT lands within
   // a few percent of the optimum makes it a near-perfect warm start; the
-  // walk runs on this optimizer, so it shares the tree's scorer). Only
-  // the TOC is kept — the winning *placement* is always rediscovered
-  // in-tree, because no subtree whose bound ties the incumbent is ever
-  // pruned.
+  // walk runs on this optimizer, so it shares the tree's scorer, and skips
+  // the winner's full estimate). Only the TOC is kept — the winning
+  // *placement* is always rediscovered in-tree, because no subtree whose
+  // bound ties the incumbent is ever pruned.
   double seed = std::numeric_limits<double>::infinity();
   for (int cls = 0; cls < m; ++cls) {
     const CandidateEval eval =
@@ -585,7 +585,7 @@ DotResult BranchAndBoundSearch(
     if (eval.feasible) seed = std::min(seed, eval.toc);
   }
   if (problem.profiles != nullptr) {
-    const DotResult dot = optimizer.Optimize();
+    const DotResult dot = optimizer.Walk();
     if (dot.status.ok()) seed = std::min(seed, dot.toc_cents_per_task);
   }
   // Caller-supplied warm starts (the advisor's incumbent layout and cached

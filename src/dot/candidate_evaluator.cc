@@ -36,8 +36,8 @@ std::vector<int> DecodeLayoutIndex(long long index, int num_objects,
   return placement;
 }
 
-Result<std::vector<std::vector<int>>> EnumerateLayoutSpace(
-    int num_objects, int num_classes, long long max_layouts) {
+Result<long long> GuardedLayoutSpaceSize(int num_objects, int num_classes,
+                                         long long max_layouts) {
   const long long space = LayoutSpaceSize(num_classes, num_objects);
   if (space == kLayoutSpaceSaturated || space > max_layouts) {
     return Status::OutOfRange(
@@ -45,6 +45,14 @@ Result<std::vector<std::vector<int>>> EnumerateLayoutSpace(
         std::to_string(num_objects) + " exceeds the cap of " +
         std::to_string(max_layouts) + " layouts");
   }
+  return space;
+}
+
+Result<std::vector<std::vector<int>>> EnumerateLayoutSpace(
+    int num_objects, int num_classes, long long max_layouts) {
+  DOT_ASSIGN_OR_RETURN(
+      const long long space,
+      GuardedLayoutSpaceSize(num_objects, num_classes, max_layouts));
   std::vector<std::vector<int>> layouts;
   layouts.reserve(static_cast<size_t>(space));
   for (long long idx = 0; idx < space; ++idx) {

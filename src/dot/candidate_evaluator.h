@@ -46,9 +46,15 @@ long long LayoutSpaceSize(int num_classes, int num_objects);
 std::vector<int> DecodeLayoutIndex(long long index, int num_objects,
                                    int num_classes);
 
+/// M^N, or OutOfRange when the space holds more than `max_layouts` layouts:
+/// the one guard of the exhaustive candidate pools (the epoch planner's
+/// EnumerateLayoutSpace and the fleet's enumerated pool scan).
+Result<long long> GuardedLayoutSpaceSize(int num_objects, int num_classes,
+                                         long long max_layouts);
+
 /// Every layout of the M^N space in index order (DecodeLayoutIndex), the
-/// exhaustive candidate pool of the epoch planner and the fleet; OutOfRange
-/// when the space holds more than `max_layouts` layouts.
+/// exhaustive candidate pool of the epoch planner; GuardedLayoutSpaceSize's
+/// OutOfRange when the space holds more than `max_layouts` layouts.
 Result<std::vector<std::vector<int>>> EnumerateLayoutSpace(
     int num_objects, int num_classes, long long max_layouts);
 

@@ -300,6 +300,21 @@ DotOptimizer::SpaceScan DotOptimizer::ScanLayoutSpace(ThreadPool* pool) const {
 
 DotResult DotOptimizer::Optimize() const {
   const double start_ms = NowMs();
+  DotResult result = Walk();
+  if (result.status.ok()) {
+    // One full evaluation of L* fills result.estimate. The fast path's toc
+    // and cost are bit-identical to the full path's, so every committed
+    // field already matches what a full-evaluation walk would have
+    // recorded (pinned by dot_fast_eval_test). The reporting estimate is
+    // scenario 0's: the point forecast's when scenario 0 is nominal.
+    estimator_.Evaluate(result.placement, &result.estimate);
+  }
+  result.optimize_ms = NowMs() - start_ms;
+  return result;
+}
+
+DotResult DotOptimizer::Walk() const {
+  const double start_ms = NowMs();
   DotResult result;
   result.targets = targets_;
   // `profiles` is needed only here (move scoring); EstimateToc and the
@@ -326,8 +341,8 @@ DotResult DotOptimizer::Optimize() const {
   // Commits one evaluation to the result: counts it and records it as L*
   // when it is the best feasible candidate under the engine's total order
   // (TOC, then lexicographically lowest placement). Evaluations here are
-  // TOC-only (no PerfEstimate is materialized); the winner is re-scored
-  // through the full path once, after the walk.
+  // TOC-only (no PerfEstimate is materialized); Optimize() re-scores the
+  // winner through the full path once, after the walk.
   auto commit = [&](const std::vector<int>& placement,
                     const CandidateEval& eval) {
     result.layouts_evaluated += 1;
@@ -425,14 +440,7 @@ DotResult DotOptimizer::Optimize() const {
     if (!improved && sweep > 0) break;
   }
 
-  if (feasible_found) {
-    // One full evaluation of L* fills result.estimate. The fast path's toc
-    // and cost are bit-identical to the full path's, so every committed
-    // field already matches what a full-evaluation walk would have
-    // recorded (pinned by dot_fast_eval_test). The reporting estimate is
-    // scenario 0's: the point forecast's when scenario 0 is nominal.
-    estimator_.Evaluate(result.placement, &result.estimate);
-  } else {
+  if (!feasible_found) {
     result.status = Status::Infeasible(
         "no enumerated layout satisfies the capacity and SLA constraints");
   }

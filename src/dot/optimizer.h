@@ -76,8 +76,15 @@ class DotOptimizer {
 
   /// InvalidArgument, with nothing walked, when DotProblem::profiles is
   /// null (move scoring needs them). The result's plan-cache counters are
-  /// this call's traffic.
+  /// this call's traffic. Walk(), plus one full estimate of the winner to
+  /// fill DotResult::estimate.
   DotResult Optimize() const;
+
+  /// Procedure 1 as Optimize() runs it — same placement, TOC, cost, status
+  /// and counters — but without the winner's full estimate: `estimate`
+  /// stays empty. For callers that keep only the winner's TOC or
+  /// placement (the branch-and-bound seed, solo pool candidates).
+  DotResult Walk() const;
 
   /// estimateTOC(W, L): workload estimate and TOC in cents/task under the
   /// problem's cost model and forecast (applies the refinement io_scale

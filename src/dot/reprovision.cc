@@ -171,7 +171,7 @@ SearchStats AppendSoloCandidate(
   DOT_CHECK(pool != nullptr);
   const DotResult solo =
       search == EpochSearch::kDot
-          ? optimizer.Optimize()
+          ? optimizer.Walk()
           : ExactSearch(optimizer, ExactStrategy::kBranchAndBound,
                         kDefaultMaxEnumeratedLayouts, warm_starts);
   if (solo.status.ok()) {

@@ -16,7 +16,6 @@
 #include "common/thread_pool.h"
 #include "dot/bnb_search.h"
 #include "dot/candidate_evaluator.h"
-#include "dot/layout.h"
 #include "dot/optimizer.h"
 #include "workload/workload.h"
 
@@ -37,8 +36,8 @@ uint64_t Bits(double v) {
 }
 
 /// One step of a 64-bit multiplicative hash: fold `v` into `h`. Cheap on
-/// purpose (pool assignment hashes one key per tenant); fold the high half
-/// down before using the result as a bucket index.
+/// purpose (the roster pass hashes one identity per tenant); fold the high
+/// half down before using the result as a bucket index.
 uint64_t Mix(uint64_t h, uint64_t v) {
   return (h ^ v) * 0x9E3779B97F4A7C15ull;
 }
@@ -108,6 +107,116 @@ struct PoolKey {
   };
 };
 
+/// Whether two tenant problems share an identity: exactly the pointers and
+/// bit patterns the roster checks, ValidateProblem and PoolKey read —
+/// schema, box, workload, targets_override, profiles, ensemble, where the
+/// io_scale_hint is stored, the relative and tail SLAs, and the cost model.
+/// (ValidateProblem reads the ensemble objective only under an ensemble,
+/// which the roster refuses first.) Problems with one identity get the same
+/// verdict and the same pool key, so the roster pass checks and keys each
+/// distinct identity once. A hint is identified by its storage, which also
+/// fixes its length and entries: distinct live vectors never share
+/// storage, so two copies of one hint are two identities, checked twice
+/// and keyed to one pool (PoolKey compares entries).
+const double* HintStorage(const DotProblem& p) {
+  return p.io_scale_hint.empty() ? nullptr : p.io_scale_hint.data();
+}
+
+bool SameIdentity(const DotProblem& a, const DotProblem& b) {
+  return a.schema == b.schema && a.box == b.box && a.workload == b.workload &&
+         a.targets_override == b.targets_override &&
+         a.profiles == b.profiles && a.ensemble == b.ensemble &&
+         HintStorage(a) == HintStorage(b) &&
+         Bits(a.relative_sla) == Bits(b.relative_sla) &&
+         Bits(a.tail_sla.percentile) == Bits(b.tail_sla.percentile) &&
+         Bits(a.tail_sla.latency_cv) == Bits(b.tail_sla.latency_cv) &&
+         a.cost_model.discrete == b.cost_model.discrete &&
+         Bits(a.cost_model.alpha) == Bits(b.cost_model.alpha);
+}
+
+/// Hashes the identity fields that tell a roster's problems apart in
+/// practice; problems with one identity hash equal, and SameIdentity
+/// settles the rest. Each field is mixed in on its own: a roster that
+/// allocates every tenant's schema and workload side by side makes
+/// schema ^ workload nearly constant.
+uint64_t IdentityHash(const DotProblem& p) {
+  uint64_t h = Mix(0, reinterpret_cast<uintptr_t>(p.schema));
+  h = Mix(h, reinterpret_cast<uintptr_t>(p.workload));
+  h = Mix(h, Bits(p.relative_sla));
+  h = Mix(h, reinterpret_cast<uintptr_t>(HintStorage(p)));
+  return h ^ (h >> 32);
+}
+
+/// The distinct tenant problems of a roster, by identity, in
+/// first-occurrence order.
+struct RosterProblems {
+  std::vector<int> of_tenant;     ///< tenant -> problem id
+  std::vector<int> first_tenant;  ///< problem id -> first tenant with it
+};
+
+/// The one roster pass, behind ValidateFleetRoster and FleetPlanner::Plan:
+/// groups the tenants by problem identity and checks each distinct problem
+/// once, on its first tenant. The first failing tenant in roster order is
+/// the first tenant of the first failing identity, so the status names the
+/// tenant a per-tenant walk would.
+Status ScanRoster(const std::vector<FleetTenant>& tenants,
+                  const BoxConfig* box, const FleetConfig& config,
+                  RosterProblems* out) {
+  if (tenants.empty()) return Status::InvalidArgument("fleet has no tenants");
+  const bool runs_dot = config.pool_mode == FleetPoolMode::kSearch &&
+                        config.search == EpochSearch::kDot;
+  // Problem ids by identity hash: open addressing over a power-of-two slot
+  // table of at least twice the roster's size (-1 = empty), probed
+  // linearly, so it never fills and never grows. A tenant costs one hash
+  // and, when its problem was seen before, about one identity comparison.
+  size_t mask = 1;
+  while (mask < 2 * tenants.size()) mask <<= 1;
+  std::vector<int> slots(mask--, -1);
+  std::vector<uint64_t> hashes;  // problem id -> its identity hash
+  out->of_tenant.resize(tenants.size());
+  out->first_tenant.clear();
+  for (size_t i = 0; i < tenants.size(); ++i) {
+    const FleetTenant& t = tenants[i];
+    const uint64_t h = IdentityHash(t.problem);
+    size_t s = h & mask;
+    for (; slots[s] >= 0; s = (s + 1) & mask) {
+      const size_t id = static_cast<size_t>(slots[s]);
+      const size_t first = static_cast<size_t>(out->first_tenant[id]);
+      if (hashes[id] == h && SameIdentity(t.problem, tenants[first].problem)) {
+        break;
+      }
+    }
+    if (slots[s] >= 0) {
+      out->of_tenant[i] = slots[s];
+      continue;
+    }
+    slots[s] = out->of_tenant[i] = static_cast<int>(hashes.size());
+    hashes.push_back(h);
+    out->first_tenant.push_back(static_cast<int>(i));
+    if (t.problem.box != box) {
+      return Status::InvalidArgument(
+          "tenant " + t.name +
+          " references a different box than the fleet problem");
+    }
+    if (t.problem.ensemble != nullptr) {
+      return Status::InvalidArgument(
+          "tenant " + t.name +
+          " carries a scenario ensemble; fleet mode is point-forecast");
+    }
+    const Status st = ValidateProblem(t.problem);
+    if (!st.ok()) {
+      return Status::InvalidArgument("tenant " + t.name + ": " +
+                                     st.message());
+    }
+    if (runs_dot && t.problem.profiles == nullptr) {
+      return Status::InvalidArgument(
+          "tenant " + t.name +
+          " has no profiles; EpochSearch::kDot pools need them");
+    }
+  }
+  return Status::OK();
+}
+
 /// One shared candidate pool: the tenant's feasible frontier, sorted under
 /// the BetterCandidate order (toc, then lexicographically lowest
 /// placement), so index 0 is the solo optimum and ties anywhere resolve
@@ -126,6 +235,36 @@ struct TenantPool {
   int size() const { return static_cast<int>(placements.size()); }
 };
 
+/// A pool build's feasible candidates as flat rows: TOC, cost, the
+/// candidate's rank in lexicographic placement order, and (in a parallel
+/// array) its per-class space. A placement vector is materialized only for
+/// the rows that survive the dominance prune.
+struct PoolRows {
+  struct Row {
+    double toc;
+    double cost;
+    long long rank;
+  };
+  const std::vector<double>& sizes_gb;  ///< the tenant schema's, by id
+  size_t num_classes;
+  std::vector<Row> rows;
+  std::vector<double> space;  ///< [row * num_classes + class], GB
+
+  /// Keeps `placement`, of lexicographic rank `rank`, as a row when its
+  /// evaluation is feasible. Space sums in object-id order, the order
+  /// Layout::SpaceByClass uses, so the sums are bit-identical to it.
+  void Add(const CandidateEval& eval, const std::vector<int>& placement,
+           long long rank) {
+    if (!eval.feasible) return;
+    rows.push_back({eval.toc, eval.cost_cents_per_hour, rank});
+    const size_t at = space.size();
+    space.resize(at + num_classes, 0.0);
+    for (size_t o = 0; o < sizes_gb.size(); ++o) {
+      space[at + static_cast<size_t>(placement[o])] += sizes_gb[o];
+    }
+  }
+};
+
 TenantPool BuildPool(const DotProblem& tenant_problem,
                      const SearchOptions& options, const FleetConfig& config) {
   TenantPool out;
@@ -138,17 +277,30 @@ TenantPool BuildPool(const DotProblem& tenant_problem,
   const int m = p.box->NumClasses();
 
   // One optimizer per pool: the solo search and the candidate scoring
-  // below share its targets and its scorer.
+  // below share its targets and its scorer. Every candidate is scored on
+  // the TOC fast path, bit-identical to the full estimate.
   const DotOptimizer optimizer(p);
-  std::vector<std::vector<int>> candidates;
+  PoolRows scored{p.schema->sizes_gb(), static_cast<size_t>(m), {}, {}};
+  std::vector<std::vector<int>> candidates;  // kSearch, lexicographic
   if (config.pool_mode == FleetPoolMode::kEnumerate) {
-    Result<std::vector<std::vector<int>>> space =
-        EnumerateLayoutSpace(n, m, config.max_pool_layouts);
+    const Result<long long> space =
+        GuardedLayoutSpaceSize(n, m, config.max_pool_layouts);
     if (!space.ok()) {
       out.status = space.status();
       return out;
     }
-    candidates = std::move(space).value();
+    // One odometer placement walks the M^N space in lexicographic order
+    // (the last object rolls fastest), so a layout's scan index is its
+    // rank.
+    std::vector<int> placement(static_cast<size_t>(n), 0);
+    for (long long rank = 0; rank < space.value(); ++rank) {
+      scored.Add(optimizer.EvaluateQuick(placement), placement, rank);
+      for (int o = n - 1; o >= 0; --o) {
+        if (++placement[static_cast<size_t>(o)] < m) break;
+        placement[static_cast<size_t>(o)] = 0;
+      }
+    }
+    out.stats.layouts_evaluated = space.value();
   } else {
     // The ReprovisionPlanner seeding path (solo optimum), plus the M
     // uniform layouts as deterministic downgrade/upgrade anchors.
@@ -160,27 +312,36 @@ TenantPool BuildPool(const DotProblem& tenant_problem,
         candidates.push_back(std::move(uniform));
       }
     }
+    std::sort(candidates.begin(), candidates.end());
+    for (size_t rank = 0; rank < candidates.size(); ++rank) {
+      scored.Add(optimizer.EvaluateQuick(candidates[rank]), candidates[rank],
+                 static_cast<long long>(rank));
+    }
+    out.stats.layouts_evaluated += static_cast<long long>(candidates.size());
   }
+  // The placement of a kept row: the candidate itself, or the rank decoded
+  // with the last object as the least significant digit.
+  auto placement_of = [&](long long rank) {
+    if (config.pool_mode == FleetPoolMode::kSearch) {
+      return candidates[static_cast<size_t>(rank)];
+    }
+    std::vector<int> placement(static_cast<size_t>(n), 0);
+    for (int o = n - 1; o >= 0; --o) {
+      placement[static_cast<size_t>(o)] = static_cast<int>(rank % m);
+      rank /= m;
+    }
+    return placement;
+  };
 
-  // Score every candidate on the TOC fast path, bit-identical to the full
-  // estimate.
-  std::vector<CandidateEval> evals;
-  evals.reserve(candidates.size());
-  for (const std::vector<int>& c : candidates) {
-    evals.push_back(optimizer.EvaluateQuick(c));
-  }
-  out.stats.layouts_evaluated += static_cast<long long>(candidates.size());
-
-  // Keep the feasible ones, in BetterCandidate order.
-  std::vector<int> order;
-  for (size_t i = 0; i < evals.size(); ++i) {
-    if (evals[i].feasible) order.push_back(static_cast<int>(i));
-  }
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return BetterCandidate(evals[static_cast<size_t>(a)].toc,
-                           candidates[static_cast<size_t>(a)],
-                           evals[static_cast<size_t>(b)].toc,
-                           candidates[static_cast<size_t>(b)]);
+  // The feasible rows in BetterCandidate order: rank order is
+  // lexicographic placement order.
+  std::vector<size_t> order(scored.rows.size());
+  for (size_t r = 0; r < order.size(); ++r) order[r] = r;
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    const PoolRows::Row& ra = scored.rows[a];
+    const PoolRows::Row& rb = scored.rows[b];
+    if (ra.toc != rb.toc) return ra.toc < rb.toc;
+    return ra.rank < rb.rank;
   });
 
   // Dominance prune over (toc, cost, per-class space): a candidate
@@ -188,19 +349,16 @@ TenantPool BuildPool(const DotProblem& tenant_problem,
   // dominates it on cost and every class. Exact all-equal ties keep the
   // earlier — lexicographically lower — placement, which is the fleet's
   // determinism tie-break.
-  std::vector<std::vector<double>> kept_space;
-  for (int idx : order) {
-    const CandidateEval& eval = evals[static_cast<size_t>(idx)];
-    const SpaceUsage used =
-        Layout(p.schema, p.box, candidates[static_cast<size_t>(idx)])
-            .SpaceByClass();
+  const size_t mm = static_cast<size_t>(m);
+  for (size_t r : order) {
+    const PoolRows::Row& row = scored.rows[r];
+    const double* used = &scored.space[r * mm];
     bool dominated = false;
-    for (size_t k = 0; k < out.placements.size() && !dominated; ++k) {
-      if (out.cost[k] > eval.cost_cents_per_hour) continue;
+    for (size_t k = 0; k < out.cost.size() && !dominated; ++k) {
+      if (out.cost[k] > row.cost) continue;
       bool covers = true;
-      for (int j = 0; j < m; ++j) {
-        if (kept_space[k][static_cast<size_t>(j)] >
-            used[static_cast<size_t>(j)]) {
+      for (size_t j = 0; j < mm; ++j) {
+        if (out.space[k * mm + j] > used[j]) {
           covers = false;
           break;
         }
@@ -208,17 +366,13 @@ TenantPool BuildPool(const DotProblem& tenant_problem,
       dominated = covers;
     }
     if (dominated) continue;
-    out.placements.push_back(candidates[static_cast<size_t>(idx)]);
-    out.toc.push_back(eval.toc);
-    out.cost.push_back(eval.cost_cents_per_hour);
-    for (int j = 0; j < m; ++j) {
-      out.space.push_back(used[static_cast<size_t>(j)]);
-    }
-    kept_space.push_back(used);
+    out.placements.push_back(placement_of(row.rank));
+    out.toc.push_back(row.toc);
+    out.cost.push_back(row.cost);
+    out.space.insert(out.space.end(), used, used + mm);
   }
   return out;
 }
-
 
 /// The built pools and each tenant's pool id. Every per-candidate quantity
 /// depends on the pool alone (plus the shared prices, or the round-start
@@ -628,32 +782,8 @@ Status ValidateFleetConfig(const FleetConfig& config, const BoxConfig& box) {
 
 Status ValidateFleetRoster(const std::vector<FleetTenant>& tenants,
                            const BoxConfig* box, const FleetConfig& config) {
-  if (tenants.empty()) return Status::InvalidArgument("fleet has no tenants");
-  const bool runs_dot = config.pool_mode == FleetPoolMode::kSearch &&
-                        config.search == EpochSearch::kDot;
-  for (const FleetTenant& t : tenants) {
-    if (t.problem.box != box) {
-      return Status::InvalidArgument(
-          "tenant " + t.name +
-          " references a different box than the fleet problem");
-    }
-    if (t.problem.ensemble != nullptr) {
-      return Status::InvalidArgument(
-          "tenant " + t.name +
-          " carries a scenario ensemble; fleet mode is point-forecast");
-    }
-    const Status st = ValidateProblem(t.problem);
-    if (!st.ok()) {
-      return Status::InvalidArgument("tenant " + t.name + ": " +
-                                     st.message());
-    }
-    if (runs_dot && t.problem.profiles == nullptr) {
-      return Status::InvalidArgument(
-          "tenant " + t.name +
-          " has no profiles; EpochSearch::kDot pools need them");
-    }
-  }
-  return Status::OK();
+  RosterProblems problems;
+  return ScanRoster(tenants, box, config, &problems);
 }
 
 FleetPlanner::FleetPlanner(const DotProblem& problem, FleetConfig config)
@@ -678,43 +808,52 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
   plan.used_gb.assign(static_cast<size_t>(m), 0.0);
   plan.capacity_price.assign(static_cast<size_t>(m), 0.0);
   plan.status = ValidateFleetConfig(config_, *box_);
+  RosterProblems problems;
   if (plan.status.ok()) {
-    plan.status = ValidateFleetRoster(tenants, box_, config_);
+    plan.status = ScanRoster(tenants, box_, config_, &problems);
   }
   if (!plan.status.ok()) return plan;
   const int num_tenants = static_cast<int>(tenants.size());
 
-  // --- Pool assignment: first-occurrence order over cache keys, so pool
-  // ids — and everything downstream — are independent of threading. Each
-  // distinct schema is fingerprinted once.
+  // --- Pool assignment, once per distinct tenant problem: first-occurrence
+  // order over cache keys, so pool ids — and everything downstream — are
+  // independent of threading. Problems come in first-tenant order, so a
+  // key's first problem holds its first tenant. Each distinct schema is
+  // fingerprinted once.
   SharedPools fleet;
-  fleet.tenant_pool.assign(static_cast<size_t>(num_tenants), -1);
-  std::unordered_map<PoolKey, int, PoolKey::Hash> key_to_pool;
-  std::unordered_map<const Schema*, uint64_t> fingerprints;
-  const bool key_profiles = config_.pool_mode == FleetPoolMode::kSearch &&
-                            config_.search == EpochSearch::kDot;
   std::vector<int> pool_reference;  // pool id -> first tenant index
-  for (int i = 0; i < num_tenants; ++i) {
-    int& pool_id = fleet.tenant_pool[static_cast<size_t>(i)];
-    const int next_id = static_cast<int>(pool_reference.size());
-    if (config_.share_pools) {
-      const DotProblem& p = tenants[static_cast<size_t>(i)].problem;
+  if (config_.share_pools) {
+    std::unordered_map<PoolKey, int, PoolKey::Hash> key_to_pool;
+    std::unordered_map<const Schema*, uint64_t> fingerprints;
+    fingerprints.reserve(problems.first_tenant.size());
+    const bool key_profiles = config_.pool_mode == FleetPoolMode::kSearch &&
+                              config_.search == EpochSearch::kDot;
+    std::vector<int> problem_pool;
+    problem_pool.reserve(problems.first_tenant.size());
+    for (int first : problems.first_tenant) {
+      const DotProblem& p = tenants[static_cast<size_t>(first)].problem;
       const auto fp = fingerprints.try_emplace(p.schema, 0);
       if (fp.second) fp.first->second = p.schema->Fingerprint();
+      const int next_id = static_cast<int>(pool_reference.size());
       const auto slot = key_to_pool.try_emplace(
           PoolKey(p, fp.first->second, key_profiles), next_id);
-      pool_id = slot.first->second;
-    } else {
-      pool_id = next_id;
+      if (slot.second) pool_reference.push_back(first);
+      problem_pool.push_back(slot.first->second);
     }
-    if (pool_id == next_id) {
+    fleet.tenant_pool.resize(static_cast<size_t>(num_tenants));
+    for (size_t i = 0; i < fleet.tenant_pool.size(); ++i) {
+      fleet.tenant_pool[i] =
+          problem_pool[static_cast<size_t>(problems.of_tenant[i])];
+    }
+  } else {
+    for (int i = 0; i < num_tenants; ++i) {
+      fleet.tenant_pool.push_back(i);
       pool_reference.push_back(i);
-    } else {
-      ++plan.pool_cache_hits;
     }
   }
   const int num_pools = static_cast<int>(pool_reference.size());
   plan.pool_builds = num_pools;
+  plan.pool_cache_hits = num_tenants - num_pools;
 
   // --- Build the distinct pools, fanned out into distinct slots.
   fleet.pools.resize(static_cast<size_t>(num_pools));

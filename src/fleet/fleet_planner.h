@@ -90,8 +90,12 @@ Status ValidateFleetConfig(const FleetConfig& config, const BoxConfig& box);
 /// Checks each tenant of the roster: the fleet's `box` (by pointer), no
 /// scenario ensemble, a problem ValidateProblem accepts (dot/optimizer.h),
 /// and profiles when the pool build runs DOT's Procedure 1
-/// (FleetPoolMode::kSearch with EpochSearch::kDot).
-/// FleetPlanner::Plan runs it, so a roster is walked once per solve.
+/// (FleetPoolMode::kSearch with EpochSearch::kDot). Tenants whose problems
+/// share an identity — the same pointers and bit patterns these checks and
+/// the pool key read — share a verdict, so each distinct tenant problem is
+/// checked once, on its first tenant; a failure names the first failing
+/// tenant in roster order. FleetPlanner::Plan runs the same pass, so a
+/// roster is walked once per solve.
 Status ValidateFleetRoster(const std::vector<FleetTenant>& tenants,
                            const BoxConfig* box, const FleetConfig& config);
 
@@ -182,12 +186,14 @@ struct FleetPlan : SearchStats {
 /// exchange repair pass.
 ///
 /// Mechanics (DESIGN.md §12):
-///   1. Pools — per distinct cache key, the tenant's feasible candidate
-///      frontier is built once (FleetPoolMode) and scored through the
-///      searches' own evaluation kernel (the TOC fast path, bit-identical
-///      to the full estimate), then dominance-pruned and sorted under the
-///      BetterCandidate order, so pool[0] is exactly the tenant's solo
-///      optimum.
+///   1. Pools — one roster pass groups the tenants by problem identity and
+///      keys each distinct problem once. Per distinct cache key, the
+///      tenant's feasible candidate frontier is built once (FleetPoolMode)
+///      and scored through the searches' own evaluation kernel (the TOC
+///      fast path, bit-identical to the full estimate) into flat rows,
+///      then sorted under the BetterCandidate order and dominance-pruned,
+///      so pool[0] is exactly the tenant's solo optimum; only the kept
+///      rows get a placement vector.
 ///   2. Prices — an outer subgradient loop adjusts a budget price λ and
 ///      per-class prices μ_j; each iteration computes
 ///      argmin(toc + λ·cost + Σ_j μ_j·space_j) once per shared pool (every
@@ -220,7 +226,10 @@ class FleetPlanner {
   /// A null box, a problem ensemble (fleet tenants are point forecasts),
   /// a malformed config (ValidateFleetConfig) or roster
   /// (ValidateFleetRoster) comes back in FleetPlan::status instead of
-  /// aborting; Solve(kFleet) forwards it.
+  /// aborting; Solve(kFleet) forwards it. One pass over the roster
+  /// validates and pool-keys each distinct tenant problem once. Plan keeps
+  /// no state across calls: every call re-reads the roster and rebuilds
+  /// its pools.
   FleetPlan Plan(const std::vector<FleetTenant>& tenants) const;
 
  private:

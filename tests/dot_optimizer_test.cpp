@@ -291,9 +291,9 @@ TEST_F(OneOptimizerTest, ExactSolveBuildsOneScorerAndDerivesTargetsOnce) {
   ASSERT_TRUE(solved.status.ok()) << solved.status.ToString();
   // The seed walk, the tree and the winner share one scorer.
   EXPECT_EQ(counting_.scorer_builds(), 1);
-  // One derivation, plus the full re-scores of the seed walk's winner and
-  // of the tree's.
-  EXPECT_EQ(counting_.calls(), derivation + 2);
+  // One derivation, plus the full re-score of the tree's winner: the seed
+  // walk keeps only its winner's TOC, so it pays for no full estimate.
+  EXPECT_EQ(counting_.calls(), derivation + 1);
 }
 
 TEST_F(OneOptimizerTest, ExactEpochPlanBuildsOneScorerPerWindow) {
@@ -319,7 +319,7 @@ TEST_F(OneOptimizerTest, ExactEpochPlanBuildsOneScorerPerWindow) {
     const SolveResult planned = Solve(problem, spec);
     ASSERT_TRUE(planned.status.ok()) << planned.status.ToString();
     EXPECT_EQ(counting_.scorer_builds(), kWindows);
-    EXPECT_EQ(counting_.calls(), kWindows * (derivation + 2));
+    EXPECT_EQ(counting_.calls(), kWindows * (derivation + 1));
   }
 }
 
@@ -347,9 +347,9 @@ TEST_F(OneOptimizerTest, SearchedFleetPoolsBuildOneScorerEach) {
     ASSERT_TRUE(solved.status.ok()) << solved.status.ToString();
     ASSERT_EQ(solved.fleet.pool_builds, 2);
     EXPECT_EQ(counting_.scorer_builds(), solved.fleet.pool_builds);
-    // One derivation per pool, and each solo search's two winner
-    // re-scores.
-    EXPECT_EQ(counting_.calls(), derivation + 2 * 2);
+    // One derivation per pool, and each solo search's one winner
+    // re-score (its seed walk makes none).
+    EXPECT_EQ(counting_.calls(), derivation + 2 * 1);
   }
 }
 

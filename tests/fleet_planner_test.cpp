@@ -22,7 +22,7 @@
 #include "catalog/schema.h"
 #include "dot/sla.h"
 #include "dot/solve.h"
-#include "fleet/synthetic_fleet.h"
+#include "fixtures/synthetic_fleet.h"
 #include "io/io_types.h"
 #include "storage/standard_catalog.h"
 #include "workload/oltp_workload.h"
@@ -689,6 +689,331 @@ uint64_t Bits(double v) {
   uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
   return bits;
+}
+
+TEST(FleetPlannerTest, EnumerateGuardAdmitsASpaceExactlyAtTheCap) {
+  // The guard refuses only a space larger than max_pool_layouts: a tenant
+  // whose M^N equals the cap plans, and one layout less refuses it.
+  FleetFixture fx(1);
+  const long long space =
+      LayoutSpaceSize(fx.fleet.box->NumClasses(),
+                      fx.fleet.tenants[0].problem.schema->NumObjects());
+  fx.spec.config.max_pool_layouts = space;
+  const SolveResult at_cap = fx.Run();
+  ASSERT_TRUE(at_cap.status.ok()) << at_cap.status.ToString();
+  EXPECT_EQ(at_cap.fleet.layouts_evaluated, space);
+  fx.spec.config.max_pool_layouts = space - 1;
+  EXPECT_EQ(fx.Run().status.code(), StatusCode::kOutOfRange);
+}
+
+TEST(FleetPlannerTest, MalformedTenantDeepInASharedRosterIsNamed) {
+  // 10,000 tenants over the generator's 8 shared problems. Tenant 7,777
+  // carries its own malformed copy of its class's problem; the roster
+  // pass checks each distinct problem once, and the copy is a problem of
+  // its own, so it is caught and named with the message a per-tenant
+  // check gives — through Solve, ValidateFleetRoster and Plan alike.
+  const SyntheticFleet fx = MakeSyntheticFleet(10000, 7);
+  ASSERT_EQ(fx.num_classes, 8);
+  const size_t bad = 7777;
+  const FleetTenant& victim = fx.tenants[bad];
+  const BoxConfig other_box = MakeBox1();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> nan_hint(
+      static_cast<size_t>(victim.problem.schema->NumObjects()), 1.0);
+  nan_hint[0] = kNaN;
+  const std::string box_message =
+      "tenant " + victim.name +
+      " references a different box than the fleet problem";
+  auto problem_message = [&](const DotProblem& p) {
+    return "tenant " + victim.name + ": " + ValidateProblem(p).message();
+  };
+
+  std::vector<std::pair<std::string, DotProblem>> copies;
+  auto copy = [&](const std::string& what) -> DotProblem& {
+    copies.emplace_back(what, victim.problem);
+    return copies.back().second;
+  };
+  copy("NaN relative_sla").relative_sla = kNaN;
+  copy("another box").box = &other_box;
+  copy("NaN hint entry").io_scale_hint = nan_hint;
+  DotProblem& all = copy("all three");
+  all.relative_sla = kNaN;
+  all.box = &other_box;
+  all.io_scale_hint = nan_hint;
+  const std::vector<std::string> expected = {
+      problem_message(copies[0].second), box_message,
+      problem_message(copies[2].second), box_message};
+
+  for (size_t c = 0; c < copies.size(); ++c) {
+    const std::string& what = copies[c].first;
+    std::vector<FleetTenant> roster = fx.tenants;
+    roster[bad].problem = copies[c].second;
+    FleetSpec fleet;
+    fleet.tenants = &roster;
+    SolveSpec spec;
+    spec.method = SolveMethod::kFleet;
+    spec.fleet = &fleet;
+    const std::vector<std::pair<std::string, Status>> statuses = {
+        {"Solve", Solve(FleetProblemOn(fx.box.get()), spec).status},
+        {"ValidateFleetRoster",
+         ValidateFleetRoster(roster, fx.box.get(), FleetConfig{})},
+        {"Plan", FleetPlanner(FleetProblemOn(fx.box.get()), FleetConfig{})
+                     .Plan(roster)
+                     .status}};
+    for (const auto& [via, st] : statuses) {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << what << " " << via;
+      EXPECT_EQ(st.message(), expected[c]) << what << " " << via;
+    }
+  }
+}
+
+TEST(FleetPlannerTest, EveryIdentityFieldIsCheckedOnItsOwn) {
+  // The roster pass checks one tenant per distinct problem identity. A
+  // tenant that differs from a valid one in a single identity field, and
+  // is malformed in that field, must still be checked and named: one
+  // case per field the checks read. The base carries no hint, so copies
+  // of it share every identity field.
+  SyntheticFleet owner = MakeSyntheticFleet(16, 7);
+  const FleetTenant base = MakeOrderVariantTenant(&owner, "base", true);
+  const int n = base.problem.schema->NumObjects();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const BoxConfig other_box = MakeBox1();
+  const PerfTargets targets = MakePerfTargets(
+      *base.problem.workload, *owner.box, n, base.problem.relative_sla);
+  const ScenarioEnsemble ensemble{std::vector<Scenario>(1)};
+  Schema small;
+  small.AddTable("t", 1e5, 100.0);
+  const WorkloadModel* other_workload = nullptr;  // over another size
+  for (const FleetTenant& t : owner.tenants) {
+    if (t.problem.workload->schema()->NumObjects() != n) {
+      other_workload = t.problem.workload;
+      break;
+    }
+  }
+  ASSERT_NE(other_workload, nullptr);
+  const Profiler profiler(base.problem.schema, owner.box.get());
+  const WorkloadModel& model = *base.problem.workload;
+  const WorkloadProfiles profiles = profiler.ProfileWorkload(
+      model, [&](const std::vector<int>& p) { return model.Estimate(p); });
+
+  struct Case {
+    std::string field;
+    FleetConfig config;
+    FleetTenant valid;
+    FleetTenant variant;
+  };
+  std::vector<Case> cases;
+  auto add = [&](const std::string& field) -> DotProblem& {
+    cases.push_back({field, FleetConfig{}, base, base});
+    cases.back().variant.name = "variant";
+    return cases.back().variant.problem;
+  };
+  add("schema").schema = &small;
+  add("box").box = &other_box;
+  add("workload").workload = other_workload;
+  add("ensemble").ensemble = &ensemble;
+  add("io_scale_hint").io_scale_hint.assign(static_cast<size_t>(n), kNaN);
+  add("relative_sla").relative_sla = kNaN;
+  add("tail_sla.percentile").tail_sla.percentile = 1.5;
+  add("tail_sla.latency_cv").tail_sla.latency_cv = -1.0;
+  // An override stands in for a NaN relative SLA; without it the SLA is
+  // checked.
+  add("targets_override").relative_sla = kNaN;
+  cases.back().valid.problem.relative_sla = kNaN;
+  cases.back().valid.problem.targets_override = &targets;
+  // DOT's Procedure 1 pools need profiles.
+  add("profiles");
+  cases.back().config.pool_mode = FleetPoolMode::kSearch;
+  cases.back().config.search = EpochSearch::kDot;
+  cases.back().valid.problem.profiles = &profiles;
+
+  for (const Case& c : cases) {
+    const FleetPlanner planner(FleetProblemOn(owner.box.get()), c.config);
+    const FleetPlan alone = planner.Plan({c.valid});
+    ASSERT_TRUE(alone.status.ok())
+        << c.field << ": " << alone.status.ToString();
+    const std::vector<FleetTenant> roster = {c.valid, c.valid, c.variant};
+    const Status validated =
+        ValidateFleetRoster(roster, owner.box.get(), c.config);
+    const Status planned = planner.Plan(roster).status;
+    for (const Status& st : {validated, planned}) {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << c.field;
+      EXPECT_EQ(st.message().rfind("tenant variant", 0), 0u)
+          << c.field << ": " << st.ToString();
+    }
+  }
+
+  // The cost model is read only by the pool key: a tenant that differs in
+  // it alone is a problem of its own, with a pool of its own.
+  for (const std::string field : {"cost_model.discrete", "cost_model.alpha"}) {
+    FleetTenant variant = base;
+    variant.name = "variant";
+    if (field == "cost_model.discrete") {
+      variant.problem.cost_model.discrete = true;
+    } else {
+      variant.problem.cost_model.alpha = 0.25;
+    }
+    const FleetPlan plan =
+        FleetPlanner(FleetProblemOn(owner.box.get()), FleetConfig{})
+            .Plan({base, base, variant});
+    ASSERT_TRUE(plan.status.ok()) << field << ": " << plan.status.ToString();
+    EXPECT_EQ(plan.pool_builds, 2) << field;
+    EXPECT_NE(plan.tenants[1].pool_id, plan.tenants[2].pool_id) << field;
+  }
+}
+
+TEST(FleetPlannerTest, PermutedRosterGivesThePermutedPlan) {
+  // Validation, pool ids and every per-pool quantity follow the tenants'
+  // problems, not their positions. On selections that give all tenants of
+  // a pool one candidate — the solo optima, and price iterates that need
+  // no exchange or improvement move — a permuted roster gets every tenant
+  // the same candidate, placement and bill bit for bit, tenants that
+  // shared a pool share one again, and the pool counters are equal. The
+  // totals are the same addends summed in the permuted roster's order (the
+  // FleetPlan accounting contract), so they may differ from the original's
+  // in the last bits. A move that splits a pool picks its tenants by
+  // roster index, so beyond these cases the plan is not permutation-free.
+  constexpr int kTenants = 32;
+  const FleetFixture free_fx(kTenants);
+  const SolveResult free_run = free_fx.Run();
+  ASSERT_TRUE(free_run.status.ok()) << free_run.status.ToString();
+  const double floor = free_run.fleet.min_cost_cents_per_hour;
+  const double top = free_run.fleet.total_cost_cents_per_hour;
+
+  std::vector<size_t> perm(kTenants);  // tenant i moves to perm[i]
+  for (size_t i = 0; i < perm.size(); ++i) perm[i] = (i * 13 + 5) % kTenants;
+
+  for (double f : {1.0, 0.25, 0.3}) {
+    const std::string what = "budget fraction " + std::to_string(f);
+    FleetFixture fx(kTenants);
+    if (f < 1.0) {
+      fx.spec.config.constraints.budget_cents_per_hour =
+          floor + f * (top - floor);
+    }
+    std::vector<FleetTenant> permuted(kTenants);
+    for (size_t i = 0; i < perm.size(); ++i) {
+      permuted[perm[i]] = fx.fleet.tenants[i];
+    }
+    const FleetPlanner planner(fx.FleetProblem(), fx.spec.config);
+    const FleetPlan a = planner.Plan(fx.fleet.tenants);
+    const FleetPlan b = planner.Plan(permuted);
+    ASSERT_TRUE(a.status.ok()) << what << ": " << a.status.ToString();
+    ASSERT_TRUE(b.status.ok()) << what << ": " << b.status.ToString();
+    ASSERT_EQ(a.exchange_moves + a.improve_moves, 0) << what;
+    EXPECT_EQ(b.exchange_moves + b.improve_moves, 0) << what;
+    EXPECT_EQ(a.pool_builds, b.pool_builds) << what;
+    EXPECT_EQ(a.pool_cache_hits, b.pool_cache_hits) << what;
+    EXPECT_EQ(a.layouts_evaluated, b.layouts_evaluated) << what;
+    EXPECT_EQ(a.price_iterations_run, b.price_iterations_run) << what;
+
+    std::vector<int> pool_map(static_cast<size_t>(a.pool_builds), -1);
+    double toc = 0.0;
+    double cost = 0.0;
+    for (size_t i = 0; i < perm.size(); ++i) {
+      const FleetTenantChoice& x = a.tenants[i];
+      const FleetTenantChoice& y = b.tenants[perm[i]];
+      const std::string tenant = what + " tenant " + std::to_string(i);
+      EXPECT_EQ(x.placement, y.placement) << tenant;
+      EXPECT_EQ(Bits(x.toc_cents_per_task), Bits(y.toc_cents_per_task))
+          << tenant;
+      EXPECT_EQ(Bits(x.cost_cents_per_hour), Bits(y.cost_cents_per_hour))
+          << tenant;
+      EXPECT_EQ(x.candidate, y.candidate) << tenant;
+      int& mapped = pool_map[static_cast<size_t>(x.pool_id)];
+      if (mapped < 0) mapped = y.pool_id;
+      EXPECT_EQ(mapped, y.pool_id) << tenant;
+    }
+    for (const FleetTenantChoice& y : b.tenants) {
+      toc += y.toc_cents_per_task;
+      cost += y.cost_cents_per_hour;
+    }
+    EXPECT_EQ(Bits(toc), Bits(b.total_toc_cents_per_task)) << what;
+    EXPECT_EQ(Bits(cost), Bits(b.total_cost_cents_per_hour)) << what;
+    EXPECT_NEAR(b.total_toc_cents_per_task, a.total_toc_cents_per_task,
+                1e-12 * a.total_toc_cents_per_task)
+        << what;
+  }
+}
+
+/// Forwards to a wrapped model and counts the reads the roster pass makes
+/// of a tenant's workload: schema() (ValidateProblem) and name() (the pool
+/// key).
+class ReadCountingWorkload : public WorkloadModel {
+ public:
+  explicit ReadCountingWorkload(const WorkloadModel* inner) : inner_(inner) {}
+
+  const std::string& name() const override {
+    ++reads_;
+    return inner_->name();
+  }
+  const Schema* schema() const override {
+    ++reads_;
+    return inner_->schema();
+  }
+  double concurrency() const override { return inner_->concurrency(); }
+  SlaKind sla_kind() const override { return inner_->sla_kind(); }
+  PerfEstimate EstimateWithIoScale(const std::vector<int>& placement,
+                                   const std::vector<double>& io_scale,
+                                   bool need_io_by_object) const override {
+    return inner_->EstimateWithIoScale(placement, io_scale,
+                                       need_io_by_object);
+  }
+  std::unique_ptr<FastScorer> MakeFastScorer(
+      const std::vector<double>& io_scale,
+      const std::vector<double>& query_caps_ms, double min_tpmc,
+      double sla_tolerance) const override {
+    return inner_->MakeFastScorer(io_scale, query_caps_ms, min_tpmc,
+                                  sla_tolerance);
+  }
+  bool PlansArePlacementInvariant() const override {
+    return inner_->PlansArePlacementInvariant();
+  }
+  void RederiveFromUnitTimes(PerfEstimate* est) const override {
+    inner_->RederiveFromUnitTimes(est);
+  }
+
+  long long reads() const { return reads_; }
+  void Reset() { reads_ = 0; }
+
+ private:
+  const WorkloadModel* inner_;
+  mutable long long reads_ = 0;
+};
+
+TEST(FleetPlannerTest, RosterWorkReadsEachDistinctProblemOnce) {
+  // The roster pass validates and keys each distinct tenant problem once,
+  // so a plan reads the tenants' workloads as often for 8,000 tenants as
+  // for 8 over the same 8 problems (one thread: the counter is plain).
+  const SyntheticFleet owner = MakeSyntheticFleet(64, 7);
+  std::vector<std::unique_ptr<ReadCountingWorkload>> models;
+  std::vector<DotProblem> problems;
+  for (const FleetTenant& t : owner.tenants) {
+    bool seen = false;
+    for (const DotProblem& p : problems) seen |= p.schema == t.problem.schema;
+    if (seen) continue;
+    models.push_back(
+        std::make_unique<ReadCountingWorkload>(t.problem.workload));
+    problems.push_back(t.problem);
+    problems.back().workload = models.back().get();
+  }
+  ASSERT_EQ(problems.size(), 8u);
+  const FleetPlanner planner(FleetProblemOn(owner.box.get()), FleetConfig{});
+  auto reads = [&](size_t num_tenants) {
+    std::vector<FleetTenant> roster;
+    for (size_t i = 0; i < num_tenants; ++i) {
+      roster.push_back({"t" + std::to_string(i), problems[i % 8]});
+    }
+    for (const auto& model : models) model->Reset();
+    const FleetPlan plan = planner.Plan(roster);
+    EXPECT_TRUE(plan.status.ok()) << plan.status.ToString();
+    EXPECT_EQ(plan.pool_builds, 8);
+    long long total = 0;
+    for (const auto& model : models) total += model->reads();
+    return total;
+  };
+  const long long few = reads(8);
+  EXPECT_GT(few, 0);
+  EXPECT_EQ(reads(8000), few);
 }
 
 /// One plan pinned to the bit: its totals and shadow prices as IEEE-754
