@@ -21,8 +21,13 @@ namespace dot {
 class Arena {
  public:
   /// `initial_block_bytes` sizes the first block (grown geometrically when
-  /// exhausted).
-  explicit Arena(std::size_t initial_block_bytes = 1 << 16);
+  /// exhausted). The default covers a full TPC-H branch-and-bound shard
+  /// (a 2,192-byte peak) twice over. A solve builds up to 64 shard arenas,
+  /// and 64-KiB first blocks made every solve allocate and zero 4 MiB;
+  /// freed at once, they also sent the heap through a trim and regrow per
+  /// solve, which made htap-advisor op times hinge on unrelated struct
+  /// sizes.
+  explicit Arena(std::size_t initial_block_bytes = 1 << 12);
 
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;

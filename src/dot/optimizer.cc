@@ -188,21 +188,6 @@ CandidateEval DotOptimizer::EvaluateLeaf(
   return Finish(eval, cursor->Optimistic(placement));
 }
 
-std::unique_ptr<FastScorer::MoveWalk> DotOptimizer::MakeMoveWalk(
-    const std::vector<int>& start) const {
-  const FastScorer* fast = scorer();
-  return fast != nullptr ? fast->MakeMoveWalk(start) : nullptr;
-}
-
-CandidateEval DotOptimizer::EvaluateMove(const std::vector<int>& placement,
-                                         const std::vector<int>& moved,
-                                         FastScorer::MoveWalk* walk) const {
-  if (walk == nullptr) return EvaluateQuick(placement);
-  CandidateEval eval;
-  if (!FitAndCost(placement, &eval)) return eval;
-  return Finish(eval, walk->Price(placement, moved));
-}
-
 long long DotOptimizer::plan_cache_hits() const {
   const FastScorer* fast = scorer();
   return fast != nullptr ? fast->cache_hits() : 0;
@@ -333,7 +318,11 @@ DotResult DotOptimizer::Walk() const {
   // re-prices only what the move touches), and reverted when rejected.
   std::vector<int> current = UniformPlacement(
       problem_.schema->NumObjects(), problem_.box->MostExpensiveClass());
-  const std::unique_ptr<FastScorer::MoveWalk> walk = MakeMoveWalk(current);
+  const FastScorer* fast = scorer();
+  const std::unique_ptr<FastScorer::MoveWalk> walk =
+      fast != nullptr ? fast->MakeMoveWalk(current) : nullptr;
+  const bool any_feasible =
+      problem_.options.acceptance == MoveAcceptance::kAnyFeasible;
 
   double best_toc = std::numeric_limits<double>::infinity();
   bool feasible_found = false;
@@ -362,10 +351,44 @@ DotResult DotOptimizer::Walk() const {
   // acceptance rule below starts from its verdict.
   std::vector<int> moved;  // objects the current move changes
   std::vector<int> saved;  // their classes in the working layout
-  const CandidateEval l0_eval = EvaluateMove(current, moved, walk.get());
+  double current_toc = std::numeric_limits<double>::infinity();
+  double current_violation = 0.0;
+
+  // Evaluates `current`, which differs from the working layout in `moved`,
+  // into *eval: the fit and cost kernels, then the move walk's price —
+  // bit-identical to EvaluateQuick, which it falls back to without a
+  // walk. While the working layout is feasible (a finite TOC: it fits and
+  // meets the SLA) the walk's Bound is asked first, and a move it proves
+  // the rules below must reject is rejected unpriced (returns false): one
+  // that must miss the SLA, or under the TOC rule one whose TOC must be
+  // strictly above the working layout's, which is at least the best TOC so
+  // far. Ties are priced: a tie can still be accepted (sweep 0) or win on
+  // placement order. With the working layout over capacity or
+  // SLA-infeasible, the rules accept moves no TOC bound can rule out, so
+  // every move is priced (DESIGN.md §2).
+  auto evaluate = [&](CandidateEval* eval) {
+    if (walk == nullptr) {
+      *eval = EvaluateQuick(current);
+      return true;
+    }
+    if (!FitAndCost(current, eval)) return true;
+    if (std::isfinite(current_toc)) {
+      const QuickPerf bound = walk->Bound(current, moved);
+      if (!bound.sla_ok ||
+          (!any_feasible && bound.tasks_per_hour > 0 &&
+           eval->cost_cents_per_hour / bound.tasks_per_hour > current_toc)) {
+        return false;
+      }
+    }
+    *eval = Finish(*eval, walk->Price(current, moved));
+    return true;
+  };
+
+  CandidateEval l0_eval;
+  evaluate(&l0_eval);
   commit(current, l0_eval);
-  double current_toc = l0_eval.toc;
-  double current_violation = l0_eval.violation_gb;
+  current_toc = l0_eval.toc;
+  current_violation = l0_eval.violation_gb;
 
   // Procedure 1 walks the score-ordered move list, applying each move to
   // the working layout when it helps. Two refinements over the literal
@@ -412,20 +435,28 @@ DotResult DotOptimizer::Walk() const {
         cls = move.placement[i];
       }
       if (moved.empty()) continue;
-      const CandidateEval eval = EvaluateMove(current, moved, walk.get());
-      commit(current, eval);
-      bool accept;
-      if (problem_.options.acceptance == MoveAcceptance::kAnyFeasible) {
-        // Procedure 1 verbatim: keep every feasible move.
-        accept = std::isfinite(eval.toc);
+      CandidateEval eval;
+      bool accept = false;
+      if (!evaluate(&eval)) {
+        // Judged by its bound: counted, but never accepted and never L*.
+        result.layouts_evaluated += 1;
+        result.moves_gated += 1;
       } else {
-        // Sweep 0 accepts non-worsening moves (neutral moves open up later
-        // combinations); converging sweeps demand strict improvement.
-        accept = sweep == 0 ? eval.toc <= current_toc
-                            : eval.toc < current_toc * (1.0 - 1e-12);
+        if (eval.fits) result.moves_priced += 1;
+        commit(current, eval);
+        if (any_feasible) {
+          // Procedure 1 verbatim: keep every feasible move.
+          accept = std::isfinite(eval.toc);
+        } else {
+          // Sweep 0 accepts non-worsening moves (neutral moves open up
+          // later combinations); converging sweeps demand strict
+          // improvement.
+          accept = sweep == 0 ? eval.toc <= current_toc
+                              : eval.toc < current_toc * (1.0 - 1e-12);
+        }
+        accept = accept || (current_violation > 0.0 &&
+                            eval.violation_gb < current_violation);
       }
-      accept = accept || (current_violation > 0.0 &&
-                          eval.violation_gb < current_violation);
       if (accept) {
         if (eval.toc < current_toc) improved = true;
         if (walk != nullptr) walk->Commit(current, moved);

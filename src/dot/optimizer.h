@@ -76,8 +76,10 @@ class DotOptimizer {
 
   /// InvalidArgument, with nothing walked, when DotProblem::profiles is
   /// null (move scoring needs them). The result's plan-cache counters are
-  /// this call's traffic. Walk(), plus one full estimate of the winner to
-  /// fill DotResult::estimate.
+  /// this call's traffic; moves_priced and moves_gated split the moves
+  /// that fit by whether the walk's bound rejected them unpriced, which
+  /// never changes a decision. Walk(), plus one full estimate of the
+  /// winner to fill DotResult::estimate.
   DotResult Optimize() const;
 
   /// Procedure 1 as Optimize() runs it — same placement, TOC, cost, status
@@ -121,23 +123,13 @@ class DotOptimizer {
   CandidateEval EvaluateQuick(const std::vector<int>& placement) const;
 
   /// The exact-search leaf path (branch-and-bound leaves and every
-  /// enumerated layout) and the DOT-walk path: the fit/cost kernels of
-  /// EvaluateQuick, with the workload score from `cursor`, which must have
-  /// every object assigned (Optimistic() is then exact), or from
-  /// walk->Price(placement, moved), which must find `placement` differing
-  /// from the walk's committed placement only in `moved`. Either is asked
-  /// only when the layout fits. Bit-identical to EvaluateQuick, which a
-  /// null cursor or walk (no scorer to make one from) falls back to.
+  /// enumerated layout): the fit/cost kernels of EvaluateQuick, with the
+  /// workload score from `cursor`, which must have every object assigned
+  /// (Optimistic() is then exact) and is asked only when the layout fits.
+  /// Bit-identical to EvaluateQuick, which a null cursor (no scorer to
+  /// make one from) falls back to.
   CandidateEval EvaluateLeaf(const std::vector<int>& placement,
                              const FastScorer::BoundCursor* cursor) const;
-  CandidateEval EvaluateMove(const std::vector<int>& placement,
-                             const std::vector<int>& moved,
-                             FastScorer::MoveWalk* walk) const;
-
-  /// The DOT walk's move pricer, committed at `start`; null when the
-  /// problem takes the full path.
-  std::unique_ptr<FastScorer::MoveWalk> MakeMoveWalk(
-      const std::vector<int>& start) const;
 
   /// Scans the whole mixed-radix layout space (placement[o] = (index /
   /// M^o) mod M — digit 0 least significant, the serial odometer's order),

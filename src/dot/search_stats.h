@@ -33,6 +33,13 @@ struct SearchStats {
   /// their solo searches' counts to the candidates they score themselves.
   long long layouts_evaluated = 0;
 
+  /// The DOT walk's moves (candidates after L0) that fit: priced exactly,
+  /// or rejected unpriced because their bound proves the walk would reject
+  /// them (DESIGN.md §2). With the over-capacity moves they make up
+  /// layouts_evaluated − 1 of one walk.
+  long long moves_priced = 0;
+  long long moves_gated = 0;
+
   /// Branch-and-bound nodes. A node is one partial assignment the search
   /// visited: it is either expanded (its children were generated), pruned,
   /// or — at full depth — an evaluated leaf (counted in layouts_evaluated).
@@ -80,6 +87,8 @@ struct SearchStats {
   /// totals.
   void Add(const SearchStats& o) {
     layouts_evaluated += o.layouts_evaluated;
+    moves_priced += o.moves_priced;
+    moves_gated += o.moves_gated;
     nodes_expanded += o.nodes_expanded;
     nodes_pruned_bound += o.nodes_pruned_bound;
     nodes_pruned_infeasible += o.nodes_pruned_infeasible;

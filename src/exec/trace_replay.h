@@ -27,11 +27,12 @@ namespace dot {
 ///
 /// Returns a trace whose status is InvalidArgument, with no events and
 /// nothing run, for a spec ValidateTraceSpec rejects, or a window whose
-/// executor config ValidateExecutorConfig rejects: an `exec_noise_cv`
+/// executor config ValidateExecutorConfig rejects (an `exec_noise_cv`
 /// that is NaN, infinite or negative, or an io_scale whose length is
-/// neither 0 nor placement.size(). The recorder sees no schema or box, so
-/// `placement` itself must be a valid placement of every window's
-/// workload.
+/// neither 0 nor placement.size()), or a `placement` whose length differs
+/// from a window workload's schema()->NumObjects() or that holds a
+/// negative entry. The recorder sees no box, so it cannot check that every
+/// class exists: that stays the caller's to ensure.
 WorkloadTrace RecordTraceWithExecutor(const WorkloadTraceSpec& spec,
                                       const std::vector<int>& placement,
                                       double exec_noise_cv = 0.0);

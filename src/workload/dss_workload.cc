@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
 #include "common/simd_dispatch.h"
@@ -58,6 +59,58 @@ class TemplateMemo {
   std::unique_ptr<Slot[]> slots_;  ///< null until first use
 };
 
+/// A scorer's dense-cache slots: one block for every template.
+using DenseBlock = std::unique_ptr<std::atomic<std::uint64_t>[]>;
+
+/// The most recently freed dense block, which the next scorer reuses when
+/// it is large enough. A scorer is built per optimization; a block (172 KiB
+/// on original TPC-H) allocated and freed per tpch-pipeline op or
+/// tpch-exact solve left glibc trimming and regrowing the heap, or mapping
+/// and unmapping the block, so its pages faulted in again every time
+/// (DESIGN.md §4). At most one block outlives its scorer. Never destroyed,
+/// so a scorer destroyed during static destruction can still return one.
+struct SpareDenseBlock {
+  std::mutex mu;
+  DenseBlock block;
+  size_t slots = 0;
+
+  static SpareDenseBlock& Get() {
+    static SpareDenseBlock* spare = new SpareDenseBlock;
+    return *spare;
+  }
+};
+
+/// A block of at least `slots` zeroed slots; *capacity receives its size.
+DenseBlock TakeDenseBlock(size_t slots, size_t* capacity) {
+  DenseBlock block;
+  {
+    SpareDenseBlock& spare = SpareDenseBlock::Get();
+    std::lock_guard<std::mutex> lock(spare.mu);
+    if (spare.block != nullptr && spare.slots >= slots) {
+      block = std::move(spare.block);
+      *capacity = spare.slots;
+    }
+  }
+  if (block == nullptr) {
+    *capacity = slots;
+    return std::make_unique<std::atomic<std::uint64_t>[]>(slots);
+  }
+  // The same bytes value-initialization writes: every slot empty.
+  std::memset(static_cast<void*>(block.get()), 0,
+              slots * sizeof(std::atomic<std::uint64_t>));
+  return block;
+}
+
+/// Keeps `block` as the spare unless the spare is at least as large.
+void GiveDenseBlock(DenseBlock block, size_t capacity) {
+  SpareDenseBlock& spare = SpareDenseBlock::Get();
+  std::lock_guard<std::mutex> lock(spare.mu);
+  if (spare.block == nullptr || spare.slots < capacity) {
+    spare.block = std::move(block);
+    spare.slots = capacity;
+  }
+}
+
 /// The DSS fast path. Per template it runs the model's compiled program,
 /// behind a dense cache keyed by the placement restricted to the
 /// template's footprint; scoring a candidate is T probes plus a fixed-order
@@ -71,7 +124,9 @@ class DssFastScorer : public FastScorer {
                 std::vector<double> io_scale,
                 const std::vector<double>& query_caps_ms,
                 double sla_tolerance)
-      : model_(model), io_scale_(std::move(io_scale)) {
+      : model_(model),
+        io_scale_(std::move(io_scale)),
+        fp_(model->footprints()) {
     const auto& templates = model_->templates();
     const auto& sequence = model_->sequence();
     DOT_CHECK(query_caps_ms.size() == sequence.size())
@@ -91,73 +146,55 @@ class DssFastScorer : public FastScorer {
     }
     for (double& thr : thresholds_) thr = thr * (1 + sla_tolerance);
 
-    const int num_objects = model_->schema()->NumObjects();
     const size_t num_templates = templates.size();
     num_classes_ = box.NumClasses();
-    dense_.resize(num_templates);
+    dense_.assign(num_templates, nullptr);
     memo_eligible_.assign(num_templates, 0);
-    fp_offsets_.reserve(num_templates + 1);
-    fp_offsets_.push_back(0);
-    std::vector<int> rows_per_object(static_cast<size_t>(num_objects), 0);
+    std::vector<size_t> dense_at(num_templates, 0);  ///< 1 + offset; 0 = none
+    size_t dense_slots = 0;
     for (size_t t = 0; t < num_templates; ++t) {
       // Templates the sequence never runs are never planned (the full path
       // skips them too): empty footprint, no cache, time pinned to 0.
-      if (model_->seq_count()[t] > 0) {
-        const std::vector<int>& fp = model_->compiled()[t].footprint();
-        fp_objects_.insert(fp_objects_.end(), fp.begin(), fp.end());
-        for (int o : fp) rows_per_object[static_cast<size_t>(o)] += 1;
-        // Small footprints get a dense lock-free cache: one slot per
-        // placement of the footprint, indexed by the base-M key the probe
-        // computes, value-initialized to the empty 0. Values are
-        // deterministic functions of the key, so a racing first-wins fill
-        // stores the same bits either way. Larger ones go to the bound
-        // cursors' and move walks' private memos when the memo tag
-        // (key · T + t + 1) fits in 64 bits.
-        std::int64_t entries = 1;
-        for (size_t i = 0; i < fp.size(); ++i) {
-          entries *= num_classes_;
-          if (entries > DssWorkloadModel::kDenseCacheMaxEntries) break;
-        }
-        if (entries <= DssWorkloadModel::kDenseCacheMaxEntries) {
-          dense_[t] = std::make_unique<std::atomic<std::uint64_t>[]>(
-              static_cast<size_t>(entries));
-        } else {
-          // Every tag key · T + t + 1 is at most T · M^|footprint|; under
-          // 2^63 (a 2x margin over rounding in pow) it fits in 64 bits.
-          const double tags = static_cast<double>(num_templates) *
-                              std::pow(num_classes_, fp.size());
-          memo_eligible_[t] = tags < 0x1p63;
-        }
+      const size_t fp_size =
+          static_cast<size_t>(fp_.offsets[t + 1] - fp_.offsets[t]);
+      if (fp_size == 0) continue;
+      // Small footprints get a dense lock-free cache: one slot per
+      // placement of the footprint, indexed by the base-M key the probe
+      // computes, value-initialized to the empty 0. Values are
+      // deterministic functions of the key, so a racing first-wins fill
+      // stores the same bits either way. Larger ones go to the bound
+      // cursors' and move walks' private memos when the memo tag
+      // (key · T + t + 1) fits in 64 bits.
+      std::int64_t entries = 1;
+      for (size_t i = 0; i < fp_size; ++i) {
+        entries *= num_classes_;
+        if (entries > DssWorkloadModel::kDenseCacheMaxEntries) break;
       }
-      fp_offsets_.push_back(static_cast<int>(fp_objects_.size()));
+      if (entries <= DssWorkloadModel::kDenseCacheMaxEntries) {
+        dense_at[t] = dense_slots + 1;
+        dense_slots += static_cast<size_t>(entries);
+      } else {
+        // Every tag key · T + t + 1 is at most T · M^|footprint|; under
+        // 2^63 (a 2x margin over rounding in pow) it fits in 64 bits.
+        const double tags = static_cast<double>(num_templates) *
+                            std::pow(num_classes_, fp_size);
+        memo_eligible_[t] = tags < 0x1p63;
+      }
     }
-
-    // Per-object floor rows: (template, footprint position) for every
-    // template whose footprint holds the object, in template order.
-    row_offsets_.assign(static_cast<size_t>(num_objects) + 1, 0);
-    for (int o = 0; o < num_objects; ++o) {
-      row_offsets_[static_cast<size_t>(o) + 1] =
-          row_offsets_[static_cast<size_t>(o)] +
-          rows_per_object[static_cast<size_t>(o)];
-    }
-    rows_.resize(fp_objects_.size());
-    std::vector<int> fill(row_offsets_.begin(), row_offsets_.end() - 1);
+    dense_slots_ = TakeDenseBlock(dense_slots, &dense_capacity_);
     for (size_t t = 0; t < num_templates; ++t) {
-      for (int k = fp_offsets_[t]; k < fp_offsets_[t + 1]; ++k) {
-        const size_t o =
-            static_cast<size_t>(fp_objects_[static_cast<size_t>(k)]);
-        rows_[static_cast<size_t>(fill[o]++)] = {static_cast<int>(t), k};
-      }
+      if (dense_at[t] != 0) dense_[t] = dense_slots_.get() + (dense_at[t] - 1);
     }
-
-    floors_.assign(num_templates, 0.0);
   }
 
-  /// Branch-and-bound floors, built on first demand (MakeBoundCursor /
-  /// ObjectTimeSpreadMs) so plain DOT runs — which construct this scorer
-  /// on every optimization — never pay the ~|templates|·|footprint|·M
-  /// extra compiled runs. call_once makes the first demand safe from
-  /// concurrent subtree tasks and enumeration shards.
+  /// Floors for the exact search and the walk's gate (DESIGN.md §5),
+  /// resolved on first demand (MakeBoundCursor, ObjectTimeSpreadMs,
+  /// MoveWalk::Bound) under call_once, which makes the first demand safe
+  /// from concurrent subtree tasks and enumeration shards. Unscaled, they
+  /// are the model's UnscaledFloors, built once per model. With an
+  /// io_scale they are this scorer's own BuildFloors(io_scale) —
+  /// RunScaled floors of the scaled re-price — at T · (1 + |fp| · M)
+  /// program runs.
   ///
   /// Each template's program runs with objects on the optimistic column
   /// (CompiledTemplate::optimistic_class(): per I/O type the minimum
@@ -166,57 +203,31 @@ class DssFastScorer : public FastScorer {
   /// so the resulting time lower-bounds the template's time under *every*
   /// real placement (each candidate's device time only grows on a real
   /// device, and the per-step minimum is taken over the same candidate
-  /// set). Two granularities:
-  ///
-  ///   * floors_[t]: every footprint object optimistic — the
-  ///     unconditional floor;
-  ///   * cond_floors_[k·M + c], k = fp_offsets_[t] + i: footprint object
-  ///     i of template t pinned to its real class c, the rest optimistic
-  ///     — a floor over every completion that places that object there.
-  ///     The bound cursor keeps, per incomplete template, the max of the
-  ///     conditionals of its assigned objects (a max of admissible lower
-  ///     bounds is itself admissible), which lets a response-time cap
-  ///     kill a subtree the moment one hot object lands on a slow device.
+  /// set). A conditional floor pins one footprint object to a real class:
+  /// a floor over every placement that puts the object there. The bound
+  /// cursor keeps, per incomplete template, the max of the conditionals of
+  /// its assigned objects (a max of admissible lower bounds is itself
+  /// admissible), which lets a response-time cap kill a subtree the moment
+  /// one hot object lands on a slow device; the move walk's Bound takes
+  /// that max over a touched template's whole footprint.
   ///
   /// The same argument covers any probe whose entries are real classes or
   /// the optimistic column: the cursor's Tighten runs it with every
   /// assigned footprint object pinned (FloorOf).
-  ///
-  /// With an io_scale the reported time is RunTemplate's scaled re-price
-  /// of the plan chosen on *unscaled* costs, so the floors run
-  /// CompiledTemplate::RunScaled instead: each entry's device time is
-  /// multiplied by its object's s_o before every step takes its minimum.
-  /// That stays admissible: s_o >= 0 (ValidateIoScale); the re-price is
-  /// linear in the chosen plan's per-object I/O, i.e. the sum over the
-  /// plan's entries of s_o × device time; and each step's chosen candidate
-  /// costs at least the cheapest candidate under the scaled optimistic
-  /// times, whichever costs chose it.
-  ///
-  /// All floors are deflated by kBoundSafety because the chosen plan tree
-  /// — and therefore the summation order — can differ from the real
-  /// placement's, and the scaled re-price sums per object, not per node.
-  void EnsureFloors() const {
+  const DssWorkloadModel::Floors& EnsureFloors() const {
     std::call_once(floors_once_, [this] {
-      const int m = num_classes_;
-      cond_floors_.assign(fp_objects_.size() * static_cast<size_t>(m), 0.0);
-      std::vector<int> probe(
-          static_cast<size_t>(model_->schema()->NumObjects()), m);
-      for (size_t t = 0; t < floors_.size(); ++t) {
-        if (fp_offsets_[t] == fp_offsets_[t + 1]) continue;  // unused
-        const int ti = static_cast<int>(t);
-        floors_[t] = FloorOf(ti, probe.data());
-        for (int k = fp_offsets_[t]; k < fp_offsets_[t + 1]; ++k) {
-          const size_t o =
-              static_cast<size_t>(fp_objects_[static_cast<size_t>(k)]);
-          for (int c = 0; c < m; ++c) {
-            probe[o] = c;
-            cond_floors_[static_cast<size_t>(k) * static_cast<size_t>(m) +
-                         static_cast<size_t>(c)] = FloorOf(ti, probe.data());
-          }
-          probe[o] = m;
-        }
+      if (io_scale_.empty()) {
+        floors_ = &model_->UnscaledFloors();
+      } else {
+        own_floors_ = model_->BuildFloors(io_scale_);
+        floors_ = &own_floors_;
       }
     });
+    return *floors_;
+  }
+
+  ~DssFastScorer() override {
+    GiveDenseBlock(std::move(dense_slots_), dense_capacity_);
   }
 
   QuickPerf Score(const std::vector<int>& placement) const override {
@@ -248,9 +259,9 @@ class DssFastScorer : public FastScorer {
     // by each template's run-sequence multiplicity. Ordering hint only.
     double spread = 0.0;
     const int m = num_classes_;
-    for (int r = row_offsets_[static_cast<size_t>(object)];
-         r < row_offsets_[static_cast<size_t>(object) + 1]; ++r) {
-      const FloorRow& row = rows_[static_cast<size_t>(r)];
+    for (int r = fp_.row_offsets[static_cast<size_t>(object)];
+         r < fp_.row_offsets[static_cast<size_t>(object) + 1]; ++r) {
+      const FloorRow& row = fp_.rows[static_cast<size_t>(r)];
       const double* cond = CondRow(row.k);
       double lo = cond[0];
       double hi = lo;
@@ -272,11 +283,8 @@ class DssFastScorer : public FastScorer {
 
  private:
   /// One (template, footprint position) pair of an object: `k` indexes
-  /// fp_objects_ and the conditional-floor rows.
-  struct FloorRow {
-    int t = 0;
-    int k = 0;
-  };
+  /// fp_.objects and the conditional-floor rows.
+  using FloorRow = DssWorkloadModel::FootprintIndex::Row;
 
   /// Per-call hit/miss tallies: one atomic flush per scoring call instead
   /// of one RMW per probe (the probes themselves are a handful of ns, so a
@@ -314,16 +322,16 @@ class DssFastScorer : public FastScorer {
    public:
     explicit BoundCursor(const DssFastScorer* scorer)
         : scorer_(scorer), memo_(kCursorMemoBits) {
-      undo_.reserve(scorer_->rows_.size());
-      assigned_.reserve(scorer_->row_offsets_.size());
+      undo_.reserve(scorer_->fp_.rows.size());
+      assigned_.reserve(scorer_->fp_.row_offsets.size());
       Reset();
     }
 
     void Reset() override {
-      times_ = scorer_->floors_;
+      times_ = scorer_->floors_->by_template;
       unassigned_.resize(times_.size());
       for (size_t t = 0; t < unassigned_.size(); ++t) {
-        unassigned_[t] = scorer_->fp_offsets_[t + 1] - scorer_->fp_offsets_[t];
+        unassigned_[t] = scorer_->fp_.offsets[t + 1] - scorer_->fp_.offsets[t];
       }
       undo_.clear();
       assigned_.clear();
@@ -333,10 +341,10 @@ class DssFastScorer : public FastScorer {
       const int c = placement[static_cast<size_t>(object_id)];
       assigned_.push_back(object_id);
       CacheTally tally;
-      for (int r = scorer_->row_offsets_[static_cast<size_t>(object_id)];
-           r < scorer_->row_offsets_[static_cast<size_t>(object_id) + 1];
+      for (int r = scorer_->fp_.row_offsets[static_cast<size_t>(object_id)];
+           r < scorer_->fp_.row_offsets[static_cast<size_t>(object_id) + 1];
            ++r) {
-        const FloorRow& row = scorer_->rows_[static_cast<size_t>(r)];
+        const FloorRow& row = scorer_->fp_.rows[static_cast<size_t>(r)];
         double& time = times_[static_cast<size_t>(row.t)];
         undo_.push_back(time);
         if (--unassigned_[static_cast<size_t>(row.t)] == 0) {
@@ -355,9 +363,9 @@ class DssFastScorer : public FastScorer {
           << "BoundCursor::Unassign(" << object_id
           << ") is not the most recent Assign";
       assigned_.pop_back();
-      for (int r = scorer_->row_offsets_[static_cast<size_t>(object_id) + 1];
-           r-- > scorer_->row_offsets_[static_cast<size_t>(object_id)];) {
-        const int t = scorer_->rows_[static_cast<size_t>(r)].t;
+      for (int r = scorer_->fp_.row_offsets[static_cast<size_t>(object_id) + 1];
+           r-- > scorer_->fp_.row_offsets[static_cast<size_t>(object_id)];) {
+        const int t = scorer_->fp_.rows[static_cast<size_t>(r)].t;
         times_[static_cast<size_t>(t)] = undo_.back();
         undo_.pop_back();
         unassigned_[static_cast<size_t>(t)] += 1;
@@ -375,25 +383,26 @@ class DssFastScorer : public FastScorer {
       // cursor, and a larger cursor measurably slowed htap-advisor, whose
       // DSS side allocates many cursors and never tightens.
       static thread_local std::vector<int> probe;
-      probe.assign(scorer_->row_offsets_.size() - 1, scorer_->num_classes_);
+      probe.assign(scorer_->fp_.row_offsets.size() - 1, scorer_->num_classes_);
       for (int a : assigned_) {
         probe[static_cast<size_t>(a)] = placement[static_cast<size_t>(a)];
       }
       const size_t o = static_cast<size_t>(assigned_.back());
       bool raised = false;
-      for (int r = scorer_->row_offsets_[o]; r < scorer_->row_offsets_[o + 1];
-           ++r) {
-        const int t = scorer_->rows_[static_cast<size_t>(r)].t;
+      for (int r = scorer_->fp_.row_offsets[o];
+           r < scorer_->fp_.row_offsets[o + 1]; ++r) {
+        const int t = scorer_->fp_.rows[static_cast<size_t>(r)].t;
         const size_t ti = static_cast<size_t>(t);
         const int left = unassigned_[ti];
         // Complete templates are exact; with one object assigned the run
         // is that object's conditional floor, which Assign already took.
         if (left == 0 ||
-            scorer_->fp_offsets_[ti + 1] - scorer_->fp_offsets_[ti] - left <
+            scorer_->fp_.offsets[ti + 1] - scorer_->fp_.offsets[ti] - left <
                 2) {
           continue;
         }
-        const double floor = scorer_->FloorOf(t, probe.data());
+        const double floor =
+            scorer_->model_->FloorOf(t, probe.data(), scorer_->io_scale_);
         if (floor > times_[ti]) {
           times_[ti] = floor;
           raised = true;
@@ -420,12 +429,21 @@ class DssFastScorer : public FastScorer {
   /// adopts the priced templates; it re-prices first when the candidate it
   /// commits is not the one last priced (an over-capacity candidate the
   /// walk keeps because it shrinks the violation is never priced).
+  ///
+  /// Bound prices no template. A touched template's floor is the max of
+  /// its footprint's conditional floors at the candidate's classes; the
+  /// walk keeps each template's committed max and the entry it came from,
+  /// so unless the move changes that entry's object, the floor is the
+  /// committed max raised by the moved rows alone. The floors, the
+  /// committed maxima and the committed elapsed time are set up on the
+  /// first Bound, so a walk that never bounds never pays for them.
   class MoveWalk : public FastScorer::MoveWalk {
    public:
     MoveWalk(const DssFastScorer* scorer, const std::vector<int>& start)
         : scorer_(scorer),
           memo_(kWalkMemoBits),
-          listed_(scorer->thresholds_.size(), 0) {
+          listed_(scorer->thresholds_.size(), 0),
+          committed_placement_(start) {
       const int num_templates = static_cast<int>(listed_.size());
       committed_.resize(listed_.size());
       CacheTally tally;
@@ -443,11 +461,58 @@ class DssFastScorer : public FastScorer {
       return scorer_->ScoreFromTimes(candidate_.data());
     }
 
+    QuickPerf Bound(const std::vector<int>& candidate,
+                    const std::vector<int>& moved) override {
+      if (floor_max_.empty()) InitFloors();
+      // listed_ marks a touched template 1, or 2 when the move changes the
+      // object its committed max came from (that max may no longer hold).
+      bound_touched_.clear();
+      for (int o : moved) {
+        const int c = candidate[static_cast<size_t>(o)];
+        for (int r = scorer_->fp_.row_offsets[static_cast<size_t>(o)];
+             r < scorer_->fp_.row_offsets[static_cast<size_t>(o) + 1]; ++r) {
+          const FloorRow& row = scorer_->fp_.rows[static_cast<size_t>(r)];
+          const size_t t = static_cast<size_t>(row.t);
+          if (listed_[t] == 0) {
+            listed_[t] = 1;
+            bound_touched_.push_back(row.t);
+            floor_[t] = floor_max_[t];
+          }
+          if (row.k == floor_arg_[t]) listed_[t] = 2;
+          floor_[t] = std::max(floor_[t], scorer_->CondRow(row.k)[c]);
+        }
+      }
+      // Untouched templates keep their committed times: the bound moves
+      // the committed elapsed time by each touched template's floor.
+      QuickPerf qp;
+      qp.sla_ok = true;
+      double elapsed = committed_elapsed_;
+      for (int ti : bound_touched_) {
+        const size_t t = static_cast<size_t>(ti);
+        const double floor =
+            listed_[t] == 2 ? FootprintFloor(ti, candidate).first : floor_[t];
+        listed_[t] = 0;
+        if (floor > scorer_->thresholds_[t]) qp.sla_ok = false;
+        elapsed += scorer_->model_->seq_count()[t] * (floor - committed_[t]);
+      }
+      qp.elapsed_ms = elapsed * (1 - kBoundSafety);
+      qp.tasks_per_hour = scorer_->TasksPerHour(qp.elapsed_ms);
+      return qp;
+    }
+
     void Commit(const std::vector<int>& candidate,
                 const std::vector<int>& moved) override {
       if (!PricedIs(candidate, moved)) Reprice(candidate, moved);
       for (int t : touched_) {
         committed_[static_cast<size_t>(t)] = candidate_[static_cast<size_t>(t)];
+      }
+      for (int o : moved) {
+        committed_placement_[static_cast<size_t>(o)] =
+            candidate[static_cast<size_t>(o)];
+      }
+      if (!floor_max_.empty()) {
+        for (int t : touched_) CommitFloor(t);
+        committed_elapsed_ = scorer_->Elapsed(committed_.data());
       }
       priced_ = false;
     }
@@ -463,9 +528,9 @@ class DssFastScorer : public FastScorer {
       }
       touched_.clear();
       for (int o : moved) {
-        for (int r = scorer_->row_offsets_[static_cast<size_t>(o)];
-             r < scorer_->row_offsets_[static_cast<size_t>(o) + 1]; ++r) {
-          const int t = scorer_->rows_[static_cast<size_t>(r)].t;
+        for (int r = scorer_->fp_.row_offsets[static_cast<size_t>(o)];
+             r < scorer_->fp_.row_offsets[static_cast<size_t>(o) + 1]; ++r) {
+          const int t = scorer_->fp_.rows[static_cast<size_t>(r)].t;
           if (listed_[static_cast<size_t>(t)] != 0) continue;
           listed_[static_cast<size_t>(t)] = 1;
           touched_.push_back(t);
@@ -499,17 +564,64 @@ class DssFastScorer : public FastScorer {
       return true;
     }
 
+    /// The max of template `t`'s conditional floors at `placement`'s
+    /// classes, and the footprint entry it came from (-1 for an unused
+    /// template, whose floor is 0).
+    std::pair<double, int> FootprintFloor(
+        int t, const std::vector<int>& placement) const {
+      const DssWorkloadModel::FootprintIndex& fp = scorer_->fp_;
+      std::pair<double, int> best(0.0, -1);
+      for (int k = fp.offsets[static_cast<size_t>(t)];
+           k < fp.offsets[static_cast<size_t>(t) + 1]; ++k) {
+        const int o = fp.objects[static_cast<size_t>(k)];
+        const double floor =
+            scorer_->CondRow(k)[placement[static_cast<size_t>(o)]];
+        if (best.second < 0 || floor > best.first) best = {floor, k};
+      }
+      return best;
+    }
+
+    void CommitFloor(int t) {
+      const std::pair<double, int> max =
+          FootprintFloor(t, committed_placement_);
+      floor_max_[static_cast<size_t>(t)] = max.first;
+      floor_arg_[static_cast<size_t>(t)] = max.second;
+    }
+
+    void InitFloors() {
+      scorer_->EnsureFloors();
+      const size_t num_templates = committed_.size();
+      floor_max_.resize(num_templates);
+      floor_arg_.resize(num_templates);
+      floor_.resize(num_templates);
+      for (size_t t = 0; t < num_templates; ++t) {
+        CommitFloor(static_cast<int>(t));
+      }
+      committed_elapsed_ = scorer_->Elapsed(committed_.data());
+    }
+
     const DssFastScorer* scorer_;
     TemplateMemo memo_;
     std::vector<double> committed_;  ///< per template
     std::vector<double> candidate_;  ///< committed_ but for touched_
     std::vector<int> touched_;       ///< templates the last Reprice priced
-    std::vector<char> listed_;       ///< per template, 0 outside Reprice
+    /// Per template, 0 outside Reprice and Bound.
+    std::vector<char> listed_;
     /// The last priced candidate, as its moved objects and their classes;
     /// meaningful while priced_ (cleared by Commit).
     bool priced_ = false;
     std::vector<int> priced_moved_;
     std::vector<int> priced_classes_;
+    /// Bound's state: the committed placement, which InitFloors reads;
+    /// then, empty until the first Bound, per template the committed
+    /// placement's max conditional floor and its footprint entry, scratch
+    /// for the touched templates' floors, and the committed elapsed time.
+    std::vector<int> committed_placement_;
+    std::vector<double> floor_max_;
+    std::vector<int> floor_arg_;
+    std::vector<double> floor_;
+    std::vector<int> bound_touched_;
+    double committed_elapsed_ = 0.0;
   };
 
   void FlushTally(const CacheTally& tally) const {
@@ -521,22 +633,10 @@ class DssFastScorer : public FastScorer {
     }
   }
 
-  /// Template `t`'s program run (RunScaled under an io_scale) on `probe`,
-  /// whose footprint entries are real classes or the optimistic column,
-  /// deflated by kBoundSafety: a floor over every placement that agrees
-  /// with it on the real entries (see EnsureFloors).
-  double FloorOf(int t, const int* probe) const {
-    const CompiledTemplate& program =
-        model_->compiled()[static_cast<size_t>(t)];
-    const double time_ms =
-        io_scale_.empty() ? program.Run(probe).time_ms
-                          : program.RunScaled(probe, io_scale_.data()).time_ms;
-    return time_ms * (1 - kBoundSafety);
-  }
-
-  /// Conditional floors of footprint entry `k`, one per class.
+  /// Conditional floors of footprint entry `k`, one per class; only
+  /// after EnsureFloors.
   const double* CondRow(int k) const {
-    return cond_floors_.data() +
+    return floors_->cond.data() +
            static_cast<size_t>(k) * static_cast<size_t>(num_classes_);
   }
 
@@ -546,9 +646,9 @@ class DssFastScorer : public FastScorer {
     const size_t ti = static_cast<size_t>(t);
     const std::uint64_t m = static_cast<std::uint64_t>(num_classes_);
     std::uint64_t key = 0;
-    for (int i = fp_offsets_[ti]; i < fp_offsets_[ti + 1]; ++i) {
+    for (int i = fp_.offsets[ti]; i < fp_.offsets[ti + 1]; ++i) {
       key = key * m + static_cast<std::uint64_t>(
-                          placement[fp_objects_[static_cast<size_t>(i)]]);
+                          placement[fp_.objects[static_cast<size_t>(i)]]);
     }
     return key;
   }
@@ -560,8 +660,8 @@ class DssFastScorer : public FastScorer {
     // An unused template has an empty footprint range (and time 0); a
     // dense-cached one costs the base-M key loop plus one relaxed load.
     const size_t ti = static_cast<size_t>(t);
-    if (fp_offsets_[ti] == fp_offsets_[ti + 1]) return 0.0;  // never runs
-    std::atomic<std::uint64_t>* dense = dense_[ti].get();
+    if (fp_.offsets[ti] == fp_.offsets[ti + 1]) return 0.0;  // never runs
+    std::atomic<std::uint64_t>* dense = dense_[ti];
     std::atomic<std::uint64_t>* slot = nullptr;
     if (dense != nullptr) {
       slot = &dense[static_cast<size_t>(FootprintKey(t, placement.data()))];
@@ -604,6 +704,21 @@ class DssFastScorer : public FastScorer {
     return slot.time_ms;
   }
 
+  /// Pinned-schedule gather over the run sequence — the same schedule
+  /// (and the same per-template addends) the full estimate sums with.
+  double Elapsed(const double* time_by_template) const {
+    const std::vector<int>& sequence = model_->sequence();
+    return GatherSum(time_by_template, sequence.data(),
+                     static_cast<int>(sequence.size()));
+  }
+
+  /// Run-sequence entries per hour at `elapsed_ms` (0 when it is 0).
+  double TasksPerHour(double elapsed_ms) const {
+    return elapsed_ms > 0 ? static_cast<double>(model_->sequence().size()) /
+                                (elapsed_ms / kMsPerHour)
+                          : 0.0;
+  }
+
   /// The sequence walk and SLA verdict, shared by Score, the cursor and
   /// the move walk.
   QuickPerf ScoreFromTimes(const double* time_by_template) const {
@@ -615,15 +730,8 @@ class DssFastScorer : public FastScorer {
         break;
       }
     }
-    // Pinned-schedule gather over the run sequence — the same schedule
-    // (and the same per-template addends) the full estimate sums with.
-    const std::vector<int>& sequence = model_->sequence();
-    qp.elapsed_ms = GatherSum(time_by_template, sequence.data(),
-                              static_cast<int>(sequence.size()));
-    if (qp.elapsed_ms > 0) {
-      qp.tasks_per_hour = static_cast<double>(sequence.size()) /
-                          (qp.elapsed_ms / kMsPerHour);
-    }
+    qp.elapsed_ms = Elapsed(time_by_template);
+    qp.tasks_per_hour = TasksPerHour(qp.elapsed_ms);
     return qp;
   }
 
@@ -631,30 +739,26 @@ class DssFastScorer : public FastScorer {
   std::vector<double> io_scale_;
   std::vector<double> thresholds_;  ///< per template, +inf if unused
   int num_classes_ = 0;
-  /// Footprints as CSR: template t owns fp_objects_[fp_offsets_[t] ..
-  /// fp_offsets_[t + 1]), empty when the sequence never runs it.
-  std::vector<int> fp_offsets_;  ///< T + 1
-  std::vector<int> fp_objects_;
-  /// Floor rows as CSR: object o owns rows_[row_offsets_[o] ..
-  /// row_offsets_[o + 1]), in template order. Built once per scorer; the
-  /// cursors and ObjectTimeSpreadMs index them instead of searching
+  /// The model's footprint index: the cursors, the move walk and
+  /// ObjectTimeSpreadMs walk its per-object rows instead of searching
   /// footprints.
-  std::vector<int> row_offsets_;  ///< N + 1
-  std::vector<FloorRow> rows_;
-  /// Lazily built by EnsureFloors (mutable + once_flag: construction cost
-  /// is confined to runs that actually branch-and-bound).
+  const DssWorkloadModel::FootprintIndex& fp_;
+  /// Resolved by EnsureFloors (mutable + once_flag: construction cost is
+  /// confined to runs that bound something): the model's unscaled floors,
+  /// or own_floors_ under an io_scale.
   mutable std::once_flag floors_once_;
-  mutable std::vector<double> floors_;  ///< deflated per-template bounds
-  /// Deflated conditional floors, [k · M + class] for footprint entry k
-  /// (scaled ones under an io_scale, like floors_).
-  mutable std::vector<double> cond_floors_;
+  mutable const DssWorkloadModel::Floors* floors_ = nullptr;
+  mutable DssWorkloadModel::Floors own_floors_;
   /// Per template, footprints with at most kDenseCacheMaxEntries
   /// placements: one atomic slot per base-M key holding the complemented
   /// bits of the time, so the value-initialized 0 reads as empty (its
   /// complement, all ones, is a NaN no finite plan time has); null = no
   /// cache. Lock-free: a probe is one relaxed load, a fill one relaxed
-  /// store of a value any racing filler would compute identically.
-  std::vector<std::unique_ptr<std::atomic<std::uint64_t>[]>> dense_;
+  /// store of a value any racing filler would compute identically. The
+  /// slots of every template share dense_slots_, of dense_capacity_ slots.
+  DenseBlock dense_slots_;
+  size_t dense_capacity_ = 0;
+  std::vector<std::atomic<std::uint64_t>*> dense_;
   /// 1 for used templates with no dense cache whose memo tag fits in 64
   /// bits: the bound cursors and move walks memoize them.
   std::vector<char> memo_eligible_;
@@ -685,6 +789,89 @@ DssWorkloadModel::DssWorkloadModel(std::string name, const Schema* schema,
         << "sequence references unknown template " << idx;
     seq_count_[static_cast<size_t>(idx)] += 1;
   }
+
+  // The footprint index: templates' footprints in template order, then
+  // per object its (template, entry) rows, also in template order.
+  const size_t num_templates = templates_.size();
+  const size_t num_objects = static_cast<size_t>(schema_->NumObjects());
+  FootprintIndex& fp = footprints_;
+  fp.offsets.assign(num_templates + 1, 0);
+  for (size_t t = 0; t < num_templates; ++t) {
+    const size_t size = seq_count_[t] > 0 ? compiled_[t].footprint().size() : 0;
+    fp.offsets[t + 1] = fp.offsets[t] + static_cast<int>(size);
+  }
+  fp.objects.resize(static_cast<size_t>(fp.offsets[num_templates]));
+  fp.rows.resize(fp.objects.size());
+  fp.row_offsets.assign(num_objects + 1, 0);
+  for (size_t t = 0; t < num_templates; ++t) {
+    if (seq_count_[t] == 0) continue;
+    size_t k = static_cast<size_t>(fp.offsets[t]);
+    for (int o : compiled_[t].footprint()) {
+      fp.objects[k++] = o;
+      fp.row_offsets[static_cast<size_t>(o) + 1] += 1;
+    }
+  }
+  for (size_t o = 0; o < num_objects; ++o) {
+    fp.row_offsets[o + 1] += fp.row_offsets[o];
+  }
+  std::vector<int> fill(fp.row_offsets.begin(), fp.row_offsets.end() - 1);
+  for (size_t t = 0; t < num_templates; ++t) {
+    for (int k = fp.offsets[t]; k < fp.offsets[t + 1]; ++k) {
+      const size_t o = static_cast<size_t>(fp.objects[static_cast<size_t>(k)]);
+      fp.rows[static_cast<size_t>(fill[o]++)] = {static_cast<int>(t), k};
+    }
+  }
+}
+
+double DssWorkloadModel::FloorOf(int t, const int* probe,
+                                 const std::vector<double>& io_scale) const {
+  const CompiledTemplate& program = compiled_[static_cast<size_t>(t)];
+  const double time_ms =
+      io_scale.empty() ? program.Run(probe).time_ms
+                       : program.RunScaled(probe, io_scale.data()).time_ms;
+  return time_ms * (1 - kBoundSafety);
+}
+
+// With an io_scale the exact time is RunTemplate's scaled re-price of the
+// plan chosen on *unscaled* costs, so the floors run RunScaled instead:
+// each entry's device time is multiplied by its object's s_o before every
+// step takes its minimum. That stays admissible: s_o >= 0
+// (ValidateIoScale); the re-price is linear in the chosen plan's
+// per-object I/O, i.e. the sum over the plan's entries of s_o × device
+// time; and each step's chosen candidate costs at least the cheapest
+// candidate under the scaled optimistic times, whichever costs chose it.
+//
+// FloorOf deflates every floor by kBoundSafety because the chosen plan
+// tree — and therefore the summation order — can differ from the real
+// placement's, and the scaled re-price sums per object, not per node.
+DssWorkloadModel::Floors DssWorkloadModel::BuildFloors(
+    const std::vector<double>& io_scale) const {
+  const int m = box_->NumClasses();
+  const FootprintIndex& fp = footprints_;
+  Floors out;
+  out.by_template.assign(templates_.size(), 0.0);
+  out.cond.assign(fp.objects.size() * static_cast<size_t>(m), 0.0);
+  std::vector<int> probe(static_cast<size_t>(schema_->NumObjects()), m);
+  for (size_t t = 0; t < templates_.size(); ++t) {
+    if (fp.offsets[t] == fp.offsets[t + 1]) continue;  // unused
+    const int ti = static_cast<int>(t);
+    out.by_template[t] = FloorOf(ti, probe.data(), io_scale);
+    for (int k = fp.offsets[t]; k < fp.offsets[t + 1]; ++k) {
+      const size_t o = static_cast<size_t>(fp.objects[static_cast<size_t>(k)]);
+      for (int c = 0; c < m; ++c) {
+        probe[o] = c;
+        out.cond[static_cast<size_t>(k) * static_cast<size_t>(m) +
+                 static_cast<size_t>(c)] = FloorOf(ti, probe.data(), io_scale);
+      }
+      probe[o] = m;
+    }
+  }
+  return out;
+}
+
+const DssWorkloadModel::Floors& DssWorkloadModel::UnscaledFloors() const {
+  std::call_once(floors_once_, [this] { floors_ = BuildFloors({}); });
+  return floors_;
 }
 
 CompiledTemplate::Result DssWorkloadModel::RunTemplate(

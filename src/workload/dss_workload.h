@@ -2,6 +2,7 @@
 #define DOTPROV_WORKLOAD_DSS_WORKLOAD_H_
 
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -87,6 +88,49 @@ class DssWorkloadModel : public WorkloadModel {
                                        const std::vector<double>& io_scale,
                                        ObjectIoMap* io = nullptr) const;
 
+  /// The footprints of the templates the sequence runs, indexed both ways
+  /// for the fast scorer (built with the model).
+  struct FootprintIndex {
+    /// One (template, footprint entry) pair of an object.
+    struct Row {
+      int t = 0;
+      int k = 0;
+    };
+    /// Template t owns objects[offsets[t] .. offsets[t + 1]): its compiled
+    /// footprint, empty when seq_count()[t] == 0. An entry's index k keys
+    /// the conditional floors.
+    std::vector<int> offsets;  ///< T + 1
+    std::vector<int> objects;
+    /// Object o owns rows[row_offsets[o] .. row_offsets[o + 1]), in
+    /// template order.
+    std::vector<int> row_offsets;  ///< N + 1
+    std::vector<Row> rows;
+  };
+  const FootprintIndex& footprints() const { return footprints_; }
+
+  /// Admissible per-template time floors (DESIGN.md §5), deflated by
+  /// kBoundSafety: `by_template[t]` with every footprint object on the
+  /// optimistic column, `cond[k · M + c]` with footprint entry k pinned to
+  /// class c and the rest optimistic. Zero for unused templates.
+  struct Floors {
+    std::vector<double> by_template;
+    std::vector<double> cond;
+  };
+  /// The floors under `io_scale` (empty = unscaled): T · (1 + |fp| · M)
+  /// program runs.
+  Floors BuildFloors(const std::vector<double>& io_scale) const;
+  /// BuildFloors({}), built on the first call (thread-safe) and kept for
+  /// the model's lifetime: every unscaled fast scorer of the model reads
+  /// these. The model's constructor does not build them, so a model that
+  /// never bounds anything never pays for them.
+  const Floors& UnscaledFloors() const;
+  /// Template `t`'s program run (CompiledTemplate::RunScaled under an
+  /// io_scale) on `probe`, whose footprint entries are real classes or the
+  /// optimistic column, deflated by kBoundSafety: a floor over every
+  /// placement that agrees with `probe` on its real entries.
+  double FloorOf(int t, const int* probe,
+                 const std::vector<double>& io_scale) const;
+
  private:
   std::string name_;
   const Schema* schema_;
@@ -96,6 +140,9 @@ class DssWorkloadModel : public WorkloadModel {
   std::vector<int> seq_count_;  ///< occurrences of each template in sequence_
   Planner planner_;
   std::vector<CompiledTemplate> compiled_;
+  FootprintIndex footprints_;
+  mutable std::once_flag floors_once_;
+  mutable Floors floors_;  ///< UnscaledFloors(), once built
 };
 
 }  // namespace dot

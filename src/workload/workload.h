@@ -185,19 +185,39 @@ class FastScorer {
   /// listed in `moved` (objects listed but unchanged are allowed). Commit
   /// makes such a candidate the committed placement, whether or not it was
   /// priced since the last Commit.
+  ///
+  /// Bound is the walk's gate (DESIGN.md §2): an optimistic score of the
+  /// candidate under BoundCursor::Optimistic's contract — tasks_per_hour
+  /// an admissible upper bound on Price's (0 means unbounded), sla_ok
+  /// false only when Price's must be false — cheap enough that the walk
+  /// rejects a move from it without pricing it. It leaves the committed
+  /// state as it was, so a later Price or Commit returns and does what it
+  /// would have without it. The default is "no bound"
+  /// (0, true), so the walk prices every move. The DSS walk bounds each
+  /// template the move touches by the max of its footprint's conditional
+  /// floors at the candidate's classes, and keeps the committed exact time
+  /// of every other template.
   class MoveWalk {
    public:
     virtual ~MoveWalk() = default;
     virtual QuickPerf Price(const std::vector<int>& candidate,
                             const std::vector<int>& moved) = 0;
+    virtual QuickPerf Bound(const std::vector<int>& candidate,
+                            const std::vector<int>& moved) {
+      (void)candidate;
+      (void)moved;
+      QuickPerf none;
+      none.sla_ok = true;
+      return none;
+    }
     virtual void Commit(const std::vector<int>& candidate,
                         const std::vector<int>& moved) = 0;
   };
 
   /// Returns a walk whose committed placement is `start`. The default
-  /// walk holds nothing: Price is Score and Commit does nothing. The DSS
-  /// scorer keeps the committed per-template times and re-prices only the
-  /// templates a move touches.
+  /// walk holds nothing: Price is Score, Commit does nothing and Bound is
+  /// the default. The DSS scorer keeps the committed per-template times
+  /// and re-prices only the templates a move touches.
   virtual std::unique_ptr<MoveWalk> MakeMoveWalk(
       const std::vector<int>& start) const;
 

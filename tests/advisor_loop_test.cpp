@@ -172,6 +172,8 @@ TEST(AdvisorLoopTest, DecisionSequenceIsThreadCountInvariant) {
     const AdvisorRun& a = runs[0];
     const AdvisorRun& b = runs[i];
     EXPECT_EQ(a.layouts_evaluated, b.layouts_evaluated) << i;
+    EXPECT_EQ(a.moves_priced, b.moves_priced) << i;
+    EXPECT_EQ(a.moves_gated, b.moves_gated) << i;
     EXPECT_EQ(a.nodes_expanded, b.nodes_expanded) << i;
     EXPECT_EQ(a.nodes_pruned_bound, b.nodes_pruned_bound) << i;
     EXPECT_EQ(a.nodes_pruned_infeasible, b.nodes_pruned_infeasible) << i;

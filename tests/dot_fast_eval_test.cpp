@@ -20,6 +20,7 @@
 #include "dot/candidate_evaluator.h"
 #include "dot/bnb_search.h"
 #include "dot/optimizer.h"
+#include "dot/solve.h"
 #include "storage/standard_catalog.h"
 #include "workload/dss_workload.h"
 #include "workload/profiler.h"
@@ -621,6 +622,183 @@ TEST(DssMoveWalkTest, RandomGroupMovesMatchScore) {
   }
 }
 
+/// Seeded random DOT-style walk that asks Bound before every Price: the
+/// bound must be admissible (elapsed no larger, throughput no smaller,
+/// an SLA miss only when Price misses too). Moves are committed priced,
+/// committed unpriced (after Bound alone) or rejected, so Bound runs
+/// against committed maxima that both kinds of Commit refreshed. Returns
+/// how many bounds were tight enough to matter: an SLA miss, or a
+/// throughput bound below the committed placement's.
+int CheckRandomMoveBounds(const FastScorer& scorer, const Schema& schema,
+                          int m, uint64_t seed, int steps) {
+  const std::vector<ObjectGroup> groups = schema.MakeGroups();
+  Rng rng(seed);
+  std::vector<int> committed(static_cast<size_t>(schema.NumObjects()),
+                             m - 1);
+  const std::unique_ptr<FastScorer::MoveWalk> walk =
+      scorer.MakeMoveWalk(committed);
+  int tight = 0;
+  for (int step = 0; step < steps; ++step) {
+    const std::string where =
+        "seed " + std::to_string(seed) + " step " + std::to_string(step);
+    const std::vector<int>& moved =
+        groups[rng.NextBounded(groups.size())].members;
+    std::vector<int> candidate = committed;
+    for (int o : moved) {
+      candidate[static_cast<size_t>(o)] =
+          static_cast<int>(rng.NextBounded(static_cast<uint64_t>(m)));
+    }
+    const QuickPerf bound = walk->Bound(candidate, moved);
+    const QuickPerf exact = scorer.Score(candidate);
+    EXPECT_LE(bound.elapsed_ms, exact.elapsed_ms) << where;
+    if (bound.tasks_per_hour > 0) {
+      EXPECT_GE(bound.tasks_per_hour, exact.tasks_per_hour) << where;
+    }
+    if (!bound.sla_ok) {
+      EXPECT_FALSE(exact.sla_ok) << where;
+    }
+    if (!bound.sla_ok ||
+        (bound.tasks_per_hour > 0 &&
+         bound.tasks_per_hour < scorer.Score(committed).tasks_per_hour)) {
+      ++tight;
+    }
+    const uint64_t r = rng.NextBounded(4);
+    if (r != 0) {
+      ExpectSameQuickPerf(walk->Price(candidate, moved), exact, where);
+    }
+    if (r <= 1) {
+      walk->Commit(candidate, moved);
+      committed = candidate;
+    }
+    if (::testing::Test::HasFailure()) return tight;
+  }
+  return tight;
+}
+
+/// One instance of the move-walk sweeps: a full TPC-H problem at SLA 0.5
+/// with profiles, how it was drawn, and a seed of its own.
+struct SweepInstance {
+  DotProblem problem;
+  bool modified = false;
+  double concurrency = 1.0;
+  int hint = 0;
+  uint64_t seed = 0;
+};
+
+/// Calls `check` on original and modified TPC-H on both boxes, at planning
+/// concurrency 1 and 30, each with no hint, a uniform one and a skewed one
+/// (a quarter of the factors 0), stopping at the first failure.
+template <typename Check>
+void ForEachSweepInstance(Check check) {
+  const Schema schema = MakeTpchSchema(20.0);
+  const int n = schema.NumObjects();
+  int instance = 0;
+  for (const bool modified : {false, true}) {
+    int boxes = 0;
+    for (const BoxConfig& box : {MakeBox1(), MakeBox2()}) {
+      ++boxes;
+      for (double concurrency : {1.0, 30.0}) {
+        PlannerConfig config;
+        config.concurrency = concurrency;
+        const DssWorkloadModel workload(
+            "TPC-H", &schema, &box,
+            modified ? MakeModifiedTpchTemplates() : MakeTpchTemplates(),
+            modified ? RepeatSequence(5, 20) : RepeatSequence(22, 3), config);
+        const WorkloadProfiles profiles =
+            Profiler(&schema, &box)
+                .ProfileWorkload(workload, [&](const std::vector<int>& p) {
+                  return workload.Estimate(p);
+                });
+        for (int hint = 0; hint < 3; ++hint) {
+          SCOPED_TRACE(std::string(modified ? "modified" : "original") +
+                       " TPC-H, box " + std::to_string(boxes) +
+                       ", concurrency " + std::to_string(concurrency) +
+                       ", hint " + std::to_string(hint));
+          SweepInstance inst;
+          inst.modified = modified;
+          inst.concurrency = concurrency;
+          inst.hint = hint;
+          Rng rng(static_cast<uint64_t>(++instance) * 7919);
+          inst.problem.schema = &schema;
+          inst.problem.box = &box;
+          inst.problem.workload = &workload;
+          inst.problem.relative_sla = 0.5;
+          inst.problem.profiles = &profiles;
+          if (hint == 1) {
+            inst.problem.io_scale_hint.assign(static_cast<size_t>(n),
+                                              rng.NextUniform(0.5, 2.0));
+          } else if (hint == 2) {
+            inst.problem.io_scale_hint.resize(static_cast<size_t>(n));
+            for (double& s : inst.problem.io_scale_hint) {
+              s = rng.NextBounded(4) == 0 ? 0.0 : rng.NextUniform(0.0, 3.0);
+            }
+          }
+          inst.seed = rng.NextUint64();
+          check(inst);
+          if (::testing::Test::HasFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+TEST(DssMoveWalkTest, BoundsAreAdmissible) {
+  ForEachSweepInstance([](const SweepInstance& inst) {
+    DotOptimizer optimizer(inst.problem);
+    ASSERT_NE(optimizer.scorer(), nullptr);
+    EXPECT_GT(CheckRandomMoveBounds(*optimizer.scorer(), *inst.problem.schema,
+                                    inst.problem.box->NumClasses(), inst.seed,
+                                    /*steps=*/300),
+              0)
+        << "no bound was tight enough to gate a move";
+  });
+}
+
+/// Runs Procedure 1 on `problem` gated (the fast path) and ungated (the
+/// full path, which has no bound): placement, TOC bits, status and the
+/// count of judged layouts must agree. The full path prices every move
+/// that fits, so the moves it does not price are the over-capacity ones;
+/// the fast walk's priced and gated moves plus those make up every
+/// candidate after L0. Returns the fast walk's result.
+DotResult ExpectGatedWalkMatchesFullPath(DotProblem problem) {
+  DotProblem full = problem;
+  full.options.use_fast_eval = false;
+  problem.options.use_fast_eval = true;
+  const DotResult slow = DotOptimizer(full).Walk();
+  const DotResult fast = DotOptimizer(problem).Walk();
+  EXPECT_EQ(fast.status.code(), slow.status.code());
+  EXPECT_EQ(fast.placement, slow.placement);
+  EXPECT_EQ(fast.toc_cents_per_task, slow.toc_cents_per_task);
+  EXPECT_EQ(fast.layout_cost_cents_per_hour, slow.layout_cost_cents_per_hour);
+  EXPECT_EQ(fast.layouts_evaluated, slow.layouts_evaluated);
+  EXPECT_EQ(slow.moves_gated, 0);
+  const long long over_capacity =
+      slow.layouts_evaluated - 1 - slow.moves_priced;
+  EXPECT_EQ(fast.moves_priced + fast.moves_gated + over_capacity,
+            fast.layouts_evaluated - 1);
+  return fast;
+}
+
+TEST(DssMoveWalkTest, GatedWalkMatchesUngatedFullPath) {
+  ForEachSweepInstance([](const SweepInstance& inst) {
+    const DotResult gated = ExpectGatedWalkMatchesFullPath(inst.problem);
+    ASSERT_TRUE(gated.status.ok()) << gated.status.ToString();
+    EXPECT_GT(gated.moves_priced, 0);
+    if (!inst.modified && inst.concurrency == 1.0 && inst.hint == 0) {
+      // The paper's setting gates on both boxes.
+      EXPECT_GT(gated.moves_gated, 0);
+    }
+    // The ablations: Procedure 1's keep-every-feasible rule gates on the
+    // SLA alone, and per-object moves change one object at a time.
+    DotProblem any_feasible = inst.problem;
+    any_feasible.options.acceptance = MoveAcceptance::kAnyFeasible;
+    ExpectGatedWalkMatchesFullPath(any_feasible);
+    DotProblem per_object = inst.problem;
+    per_object.options.group_objects = false;
+    ExpectGatedWalkMatchesFullPath(per_object);
+  });
+}
+
 TEST(DssMoveWalkTest, OverCapacityStartMatchesSlowPath) {
   // A premium-class cap below the database size makes L0 over capacity, so
   // the walk keeps unpriced candidates while it shrinks the violation.
@@ -652,6 +830,143 @@ TEST(DssMoveWalkTest, OverCapacityStartMatchesSlowPath) {
                           "Optimize fast vs full, over-capacity L0");
   }
 }
+
+TEST(DssMoveWalkTest, GatedWalkMatchesFullPathFromOverCapacityStarts) {
+  // Premium-class caps below the database size make L0 over capacity: the
+  // walk must price every move until it fits and meets the SLA, since the
+  // violation rescue keeps moves a bound would reject. The first instance
+  // is OverCapacityStartMatchesSlowPath's; on the second, a gate that also
+  // fired over capacity would end the walk with another verdict.
+  struct Capped {
+    BoxConfig box;
+    double cap_share;
+    double relative_sla;
+  };
+  int instance = 0;
+  for (const Capped& capped :
+       {Capped{MakeBox1(), 0.5, 0.25}, Capped{MakeBox2(), 0.8, 0.5}}) {
+    SCOPED_TRACE("capped instance " + std::to_string(++instance));
+    TpchCursorInstance inst(capped.box);
+    const int premium = inst.box.MostExpensiveClass();
+    inst.box.classes[static_cast<size_t>(premium)].set_capacity_gb(
+        capped.cap_share * inst.schema.TotalSizeGb());
+    Profiler profiler(&inst.schema, &inst.box);
+    const WorkloadProfiles profiles = profiler.ProfileWorkload(
+        *inst.workload,
+        [&](const std::vector<int>& p) { return inst.workload->Estimate(p); });
+    for (const bool scaled : {false, true}) {
+      SCOPED_TRACE(scaled ? "io_scale hint" : "no hint");
+      DotProblem problem = inst.Problem();
+      problem.relative_sla = capped.relative_sla;
+      problem.profiles = &profiles;
+      if (scaled) {
+        problem.io_scale_hint = CursorWalkIoScale(inst.schema.NumObjects());
+      }
+      const DotResult gated = ExpectGatedWalkMatchesFullPath(problem);
+      // Some moves were over capacity; a walk that reached a feasible
+      // layout gated after it.
+      EXPECT_LT(gated.moves_priced + gated.moves_gated,
+                gated.layouts_evaluated - 1);
+      if (gated.status.ok()) {
+        EXPECT_GT(gated.moves_gated, 0);
+      }
+    }
+  }
+}
+
+/// Full TPC-H on Box 1 with its profiles, for exact solves that seed from
+/// the walk.
+struct ExactTpchInstance {
+  Schema schema = MakeTpchSchema(20.0);
+  BoxConfig box = MakeBox1();
+  std::unique_ptr<DssWorkloadModel> workload = MakeWorkload();
+  WorkloadProfiles profiles =
+      Profiler(&schema, &box)
+          .ProfileWorkload(*workload, [this](const std::vector<int>& p) {
+            return workload->Estimate(p);
+          });
+
+  std::unique_ptr<DssWorkloadModel> MakeWorkload() const {
+    return std::make_unique<DssWorkloadModel>(
+        "TPC-H", &schema, &box, MakeTpchTemplates(), RepeatSequence(22, 3),
+        PlannerConfig{});
+  }
+
+  SolveResult SolveExact(const DssWorkloadModel& model,
+                         std::vector<double> hint = {}) const {
+    DotProblem problem;
+    problem.schema = &schema;
+    problem.box = &box;
+    problem.workload = &model;
+    problem.relative_sla = 0.5;
+    problem.profiles = &profiles;
+    problem.io_scale_hint = std::move(hint);
+    SolveSpec spec;
+    spec.method = SolveMethod::kExact;
+    return Solve(problem, spec);
+  }
+};
+
+void ExpectSameExactSolve(const SolveResult& got, const SolveResult& want) {
+  ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+  ASSERT_TRUE(want.status.ok()) << want.status.ToString();
+  EXPECT_EQ(got.placement, want.placement);
+  EXPECT_EQ(got.toc_cents_per_task, want.toc_cents_per_task);
+  EXPECT_EQ(got.provenance.layouts_evaluated,
+            want.provenance.layouts_evaluated);
+  EXPECT_EQ(got.provenance.nodes_expanded, want.provenance.nodes_expanded);
+  EXPECT_EQ(got.provenance.nodes_pruned_bound,
+            want.provenance.nodes_pruned_bound);
+  EXPECT_EQ(got.provenance.nodes_pruned_infeasible,
+            want.provenance.nodes_pruned_infeasible);
+  EXPECT_EQ(got.provenance.layouts_pruned, want.provenance.layouts_pruned);
+}
+
+TEST(DssModelFloorsTest, ConcurrentSolvesShareOneBuildOfTheModelFloors) {
+  // Several threads build scorers on one fresh model at once; the first
+  // demand builds the model's floors, and every solve reads that one
+  // build: its storage, and the values a fresh model builds, with the
+  // node counters of a one-thread solve on a fresh model.
+  const ExactTpchInstance inst;
+  const SolveResult want = inst.SolveExact(*inst.workload);
+  const std::unique_ptr<DssWorkloadModel> shared = inst.MakeWorkload();
+  constexpr int kThreads = 4;
+  std::vector<SolveResult> got(kThreads);
+  std::vector<const double*> seen(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      got[static_cast<size_t>(i)] = inst.SolveExact(*shared);
+      seen[static_cast<size_t>(i)] = shared->UnscaledFloors().cond.data();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const DssWorkloadModel::Floors fresh = inst.MakeWorkload()->BuildFloors({});
+  EXPECT_EQ(shared->UnscaledFloors().by_template, fresh.by_template);
+  EXPECT_EQ(shared->UnscaledFloors().cond, fresh.cond);
+  for (int i = 0; i < kThreads; ++i) {
+    SCOPED_TRACE("thread " + std::to_string(i));
+    EXPECT_EQ(seen[static_cast<size_t>(i)],
+              shared->UnscaledFloors().cond.data());
+    ExpectSameExactSolve(got[static_cast<size_t>(i)], want);
+  }
+}
+
+TEST(DssModelFloorsTest, HintedSolveLeavesTheModelFloorsUnscaled) {
+  // A hinted solve builds its own scaled floors; an unscaled solve after
+  // it on the same model must match one on a fresh model.
+  const ExactTpchInstance inst;
+  std::vector<double> hint(static_cast<size_t>(inst.schema.NumObjects()));
+  for (size_t o = 0; o < hint.size(); ++o) {
+    hint[o] = o % 4 == 0 ? 0.0 : 0.5 + 0.5 * static_cast<double>(o % 3);
+  }
+  const std::unique_ptr<DssWorkloadModel> used = inst.MakeWorkload();
+  const SolveResult hinted = inst.SolveExact(*used, hint);
+  ASSERT_TRUE(hinted.status.ok()) << hinted.status.ToString();
+  ExpectSameExactSolve(inst.SolveExact(*used),
+                       inst.SolveExact(*inst.MakeWorkload()));
+}
+
 
 class OltpFastEvalTest : public ::testing::Test {
  protected:

@@ -179,6 +179,8 @@ TEST_F(SolveFacadeTest, WarmStartHitsCountOnlyValidFeasibleSeeds) {
 void ExpectSameSearchStats(const SearchStats& a, const SearchStats& b,
                            const std::string& what) {
   EXPECT_EQ(a.layouts_evaluated, b.layouts_evaluated) << what;
+  EXPECT_EQ(a.moves_priced, b.moves_priced) << what;
+  EXPECT_EQ(a.moves_gated, b.moves_gated) << what;
   EXPECT_EQ(a.nodes_expanded, b.nodes_expanded) << what;
   EXPECT_EQ(a.nodes_pruned_bound, b.nodes_pruned_bound) << what;
   EXPECT_EQ(a.nodes_pruned_infeasible, b.nodes_pruned_infeasible) << what;

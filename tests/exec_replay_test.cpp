@@ -315,6 +315,30 @@ TEST(ReplayTpchTest, RecordingRefusesAnIoScaleOfTheWrongLength) {
   EXPECT_EQ(ok.events.size(), 2u);
 }
 
+TEST(ReplayTpchTest, RecordingRefusesAPlacementThatDoesNotFitAWindow) {
+  // The recorder returns a status where the workload model used to abort
+  // ("placement arity mismatch", "placement holds invalid class").
+  const Schema schema = MakeTpchSchema(1.0);
+  const BoxConfig box = MakeBox1();
+  const DssWorkloadModel tpch("TPC-H", &schema, &box, MakeTpchTemplates(),
+                              RepeatSequence(22, 1), PlannerConfig{});
+  WorkloadTraceSpec spec;
+  spec.Add(&tpch, 1.0);
+  spec.Add(&tpch, 1.0);
+  const size_t n = static_cast<size_t>(schema.NumObjects());
+  std::vector<int> negative(n, 0);
+  negative[3] = -1;
+  for (const std::vector<int>& bad :
+       {std::vector<int>(n - 1, 0), std::vector<int>(n + 1, 0), negative}) {
+    const WorkloadTrace trace = RecordTraceWithExecutor(spec, bad);
+    EXPECT_EQ(trace.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(trace.status.message().find("window 0 placement"),
+              std::string::npos)
+        << trace.status.ToString();
+    EXPECT_TRUE(trace.events.empty());
+  }
+}
+
 TEST_F(ReplayTest, RefusesAnInvalidCurrentLayout) {
   const std::vector<std::vector<int>> track(2, std::vector<int>{0, 0, 0, 0});
   for (const std::vector<int>& bad :
