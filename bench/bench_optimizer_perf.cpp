@@ -152,11 +152,11 @@ BENCHMARK(BM_ExhaustiveSearch)
 // Exact branch-and-bound over the same synthetic spaces as
 // BM_ExhaustiveSearch — identical optima, but the prunable search touches
 // a shrinking fraction of M^N as the instance grows (read layouts_pruned
-// against 3^(2·tables)). The threads column shards the top-k subtree tasks.
+// against 3^(2·tables)). The search is serial; the trailing /1 keeps the
+// row names of the recorded trajectory.
 void BM_BnbExactSearch(benchmark::State& state) {
   SyntheticInstance inst(static_cast<int>(state.range(0)));
   DotProblem problem = inst.Problem();
-  problem.options.num_threads = static_cast<int>(state.range(1));
   SearchCounters counters;
   for (auto _ : state) {
     DotResult r = ExactSearch(problem, ExactStrategy::kBranchAndBound);
@@ -165,18 +165,16 @@ void BM_BnbExactSearch(benchmark::State& state) {
   }
   counters.Report(state);
   state.SetLabel(std::to_string(2 * state.range(0)) + " objects => 3^" +
-                 std::to_string(2 * state.range(0)) + " layouts / " +
-                 std::to_string(state.range(1)) + " threads");
+                 std::to_string(2 * state.range(0)) + " layouts");
 }
 BENCHMARK(BM_BnbExactSearch)
     ->ArgsProduct({{2, 4, 6, 8}, {1}})
-    ->ArgsProduct({{8}, {2, 4, 8}})
     ->Unit(benchmark::kMillisecond);
 
 // The flagship exact instance the enumerating comparator cannot touch: all
 // 19 TPC-C objects on Box 2 — 3^19 ≈ 1.16e9 effective layouts — solved
 // exactly by pruning upwards of 99.99% of the tree (§4.5.3 setting,
-// relative SLA 0.25).
+// relative SLA 0.25). Serial, like every BnB row; /1 names the row.
 void BM_BnbTpccFull(benchmark::State& state) {
   Schema schema = MakeTpccSchema(300);
   BoxConfig box = MakeBox2();
@@ -186,7 +184,6 @@ void BM_BnbTpccFull(benchmark::State& state) {
   problem.box = &box;
   problem.workload = workload.get();
   problem.relative_sla = 0.25;
-  problem.options.num_threads = static_cast<int>(state.range(0));
   SearchCounters counters;
   for (auto _ : state) {
     DotResult r = ExactSearch(problem, ExactStrategy::kBranchAndBound);
@@ -194,15 +191,14 @@ void BM_BnbTpccFull(benchmark::State& state) {
     counters.Tally(r);
   }
   counters.Report(state);
-  state.SetLabel("19 objects => 3^19 layouts / " +
-                 std::to_string(state.range(0)) + " threads");
+  state.SetLabel("19 objects => 3^19 layouts");
 }
-BENCHMARK(BM_BnbTpccFull)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BnbTpccFull)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Exact search over the HTAP composition (CH-benCH analytics + the TPC-C
 // mix on the shared hot-object subset): the summed two-side bound drives
 // the pruning, and the per-leaf cost now includes both sides' kernels —
-// the figure of merit for the composite scorer.
+// the figure of merit for the composite scorer. Serial; /1 names the row.
 void BM_HtapBnbExactSearch(benchmark::State& state) {
   Schema full = MakeTpccSchema(300);
   Schema schema = full.Subset({"stock", "pk_stock", "order_line",
@@ -215,7 +211,6 @@ void BM_HtapBnbExactSearch(benchmark::State& state) {
   problem.box = &box;
   problem.workload = bundle.htap.get();
   problem.relative_sla = 0.35;
-  problem.options.num_threads = static_cast<int>(state.range(0));
   SearchCounters counters;
   for (auto _ : state) {
     DotResult r = ExactSearch(problem, ExactStrategy::kBranchAndBound);
@@ -223,13 +218,9 @@ void BM_HtapBnbExactSearch(benchmark::State& state) {
     counters.Tally(r);
   }
   counters.Report(state);
-  state.SetLabel("8 shared objects => 3^8 layouts / " +
-                 std::to_string(state.range(0)) + " threads");
+  state.SetLabel("8 shared objects => 3^8 layouts");
 }
-BENCHMARK(BM_HtapBnbExactSearch)
-    ->Arg(1)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HtapBnbExactSearch)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // DOT's heuristic walk over the same HTAP instance (profiled baselines):
 // the everyday optimization path for the mixed workload.

@@ -1,17 +1,14 @@
 #include "dot/bnb_search.h"
 
 #include <algorithm>
-#include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/check.h"
 #include "common/clock.h"
-#include "common/thread_pool.h"
 #include "dot/candidate_evaluator.h"
 #include "dot/layout.h"
 #include "dot/sla.h"
@@ -50,15 +47,14 @@ Status CheckEnumerationGuard(const DotProblem& problem,
 
 /// Runs after CheckEnumerationGuard passed.
 DotResult EnumerateSearch(const DotOptimizer& optimizer) {
-  const DotProblem& problem = optimizer.problem();
   DotResult result;
   result.targets = optimizer.targets();
 
-  // Shard the mixed-radix layout space [0, M^N) across the pool; the
-  // reduction under (TOC, lexicographically lowest placement) is a total
-  // order, so the winner is the same at every thread count.
-  ThreadPool pool(problem.options.num_threads);
-  DotOptimizer::SpaceScan scan = optimizer.ScanLayoutSpace(&pool);
+  // The scan splits the mixed-radix layout space [0, M^N) across the
+  // problem's lanes; the reduction under (TOC, lexicographically lowest
+  // placement) is a total order, so the winner is the same at every thread
+  // count.
+  DotOptimizer::SpaceScan scan = optimizer.ScanLayoutSpace();
 
   result.layouts_evaluated = scan.evaluated;
   if (scan.feasible_found) {
@@ -77,92 +73,49 @@ DotResult EnumerateSearch(const DotOptimizer& optimizer) {
 // ExactStrategy::kBranchAndBound
 // ---------------------------------------------------------------------------
 
-/// Winner of one subtree task under the BetterCandidate total order.
-struct SubtreeBest {
-  bool found = false;
-  double toc = std::numeric_limits<double>::infinity();
-  std::vector<int> placement;
-};
-
-/// Everything the subtree walkers share, read-only during the parallel
-/// phase. The assignment order, suffix tables, shard depth, and seed
-/// incumbent depend only on the problem — never on the thread count — which
-/// is what makes every counter and the task set deterministic.
-struct BnbShared {
-  const DotProblem* problem = nullptr;
-  /// The problem's optimizer; without a scorer the leaves take the full
-  /// path and no node is bounded.
-  const DotOptimizer* optimizer = nullptr;
-  int n = 0;
-  int m = 0;
-  /// Assignment order: order[d] is the object assigned at depth d,
-  /// descending space/I-O weight (normalized cost spread + time spread).
-  std::vector<int> order;
-  std::vector<double> size_at_depth;    ///< size_gb of order[d]
-  std::vector<double> suffix_min_cost;  ///< [d] Σ_{i>=d} min marginal cost
-  std::vector<double> suffix_size;      ///< [d] Σ_{i>=d} size_gb
-  std::vector<double> capacity;         ///< per class, c_j
-  std::vector<double> class_price;      ///< per class, p_j (hoisted)
-  bool linear_cost = false;             ///< cost model has no discrete part
-  std::vector<long long> leaves_below;  ///< [d] = M^(N-d), saturating
-  double seed_incumbent = std::numeric_limits<double>::infinity();
-  int shard_depth = 0;  ///< tasks are the surviving depth-k prefixes
-};
-
-/// One depth-first subtree walker: per-depth space snapshots (pure
-/// functions of the assignment path, so backtracking cannot accumulate
-/// floating-point drift), a per-walker bound cursor, and best-first child
-/// ordering. Pruning compares admissible bounds through the kBoundSafety
-/// margin, so a subtree is cut only when no completion can beat the
-/// incumbent or be feasible; ties are never cut, which preserves the
-/// lexicographic tie-break bit for bit.
-class SubtreeWalker {
+/// The branch-and-bound search: one depth-first walk over the whole tree
+/// with one bound cursor and one running incumbent. Per-depth space
+/// snapshots are pure functions of the assignment path, so backtracking
+/// cannot accumulate floating-point drift; children are probed first and
+/// expanded best-first. Pruning compares admissible bounds through the
+/// kBoundSafety margin, so a subtree is cut only when no completion can
+/// beat the incumbent or be feasible; ties are never cut, and leaves
+/// reduce under BetterCandidate, which preserves the lexicographic
+/// tie-break bit for bit.
+class BnbWalker {
  public:
-  /// With `task_sink` non-null the walker stops at shard_depth and emits
-  /// the surviving prefixes instead of descending (the top-k sharding
-  /// pass); with it null the walker searches the subtree exhaustively.
-  /// `arena` backs the per-depth snapshot and probe arrays; the walker is
-  /// built once per shard and reused across its tasks (BeginTask resets
-  /// the arena and every piece of per-task state), so the steady state
-  /// allocates nothing per task — not even the bound cursor, whose Reset
-  /// contract restores its full initial state.
-  SubtreeWalker(const BnbShared& sh, std::vector<std::vector<int>>* task_sink,
-                Arena* arena)
-      : sh_(sh),
-        task_sink_(task_sink),
-        arena_(arena),
-        placement_(static_cast<size_t>(sh.n), 0),
-        incumbent_(sh.seed_incumbent) {
-    const FastScorer* scorer = sh_.optimizer->scorer();
+  /// `incumbent` is the seed TOC (+inf when no seed is feasible). Without a
+  /// scorer the leaves take the full path and no node is bounded.
+  BnbWalker(const DotOptimizer& optimizer, double incumbent)
+      : problem_(optimizer.problem()),
+        optimizer_(optimizer),
+        n_(problem_.schema->NumObjects()),
+        m_(problem_.box->NumClasses()),
+        linear_cost_(!problem_.cost_model.discrete),
+        incumbent_(incumbent),
+        placement_(static_cast<size_t>(n_), 0),
+        used_(static_cast<size_t>(n_ + 1) * static_cast<size_t>(m_), 0.0),
+        probes_(used_.size()),
+        mask_(static_cast<size_t>(m_)),
+        qps_(static_cast<size_t>(m_)),
+        pfree_(static_cast<size_t>(m_)),
+        tpden_(static_cast<size_t>(m_)) {
+    const FastScorer* scorer = optimizer_.scorer();
     if (scorer != nullptr) cursor_ = scorer->MakeBoundCursor();
+    BuildTables(scorer);
+    stats_.arena_bytes_peak = static_cast<long long>(
+        (used_.size() + pfree_.size() + tpden_.size()) * sizeof(double) +
+        probes_.size() * sizeof(Probe) + mask_.size() +
+        qps_.size() * sizeof(QuickPerf));
   }
 
-  /// Replays a shard prefix (classes of order[0..shard_depth)) — already
-  /// vetted by the sharding pass — and searches the subtree below it.
-  void RunSubtree(const std::vector<int>& prefix) {
-    BeginTask();
-    for (int d = 0; d < sh_.shard_depth; ++d) {
-      // The sharding pass ran each prefix node's entry check against the
-      // same seed incumbent; only the cursor state is replayed here.
-      AssignLevel(d, prefix[static_cast<size_t>(d)]);
-    }
-    Dfs(sh_.shard_depth);
-  }
+  /// Searches the tree from the root.
+  void Run() { Dfs(0); }
 
-  /// The sharding pass: walk (and prune) levels [0, shard_depth).
-  void RunPrefix() {
-    BeginTask();
-    Dfs(0);
-  }
-
-  /// The walker's counters: its node counts summed over every task it has
-  /// run, and its arena's high-water mark.
-  SearchStats stats() const {
-    SearchStats out = stats_;
-    out.arena_bytes_peak = static_cast<long long>(arena_->bytes_peak());
-    return out;
-  }
-  const SubtreeBest& best() const { return best_; }
+  /// The node counters, and the bytes of the per-depth scratch vectors.
+  const SearchStats& stats() const { return stats_; }
+  /// The best feasible leaf under BetterCandidate; empty when none was.
+  std::vector<int>& best() { return best_; }
 
  private:
   /// Admissible TOC lower bound of one child, kept as the unreduced ratio
@@ -180,42 +133,84 @@ class SubtreeWalker {
     int cls = 0;
   };
 
-  double* UsedRow(int depth) {
-    return used_ + static_cast<size_t>(depth) * static_cast<size_t>(sh_.m);
+  /// The per-problem tables: class capacities and prices, the assignment
+  /// order, and the per-depth suffix sums.
+  void BuildTables(const FastScorer* scorer) {
+    const size_t n = static_cast<size_t>(n_);
+    double max_price = 0.0;
+    double min_price = std::numeric_limits<double>::infinity();
+    for (const StorageClass& sc : problem_.box->classes) {
+      capacity_.push_back(sc.capacity_gb());
+      class_price_.push_back(sc.price_cents_per_gb_hour());
+      max_price = std::max(max_price, sc.price_cents_per_gb_hour());
+      min_price = std::min(min_price, sc.price_cents_per_gb_hour());
+    }
+
+    // Assignment order: descending space/I-O weight. An object's weight is
+    // its guaranteed cost spread (size × price spread) plus its
+    // workload-time spread across classes, each normalized to the largest
+    // in the schema — the objects whose placement moves the bound the most
+    // are decided first, so both prunes bite near the root. Any order is
+    // correct; this one is fast.
+    std::vector<double> cost_spread(n, 0.0);
+    std::vector<double> time_spread(n, 0.0);
+    double max_cost_spread = 0.0;
+    double max_time_spread = 0.0;
+    for (size_t o = 0; o < n; ++o) {
+      cost_spread[o] = problem_.schema->object(static_cast<int>(o)).size_gb *
+                       (max_price - min_price);
+      if (scorer != nullptr) {
+        time_spread[o] = scorer->ObjectTimeSpreadMs(static_cast<int>(o));
+      }
+      max_cost_spread = std::max(max_cost_spread, cost_spread[o]);
+      max_time_spread = std::max(max_time_spread, time_spread[o]);
+    }
+    std::vector<double> weight(n, 0.0);
+    for (size_t o = 0; o < n; ++o) {
+      if (max_cost_spread > 0) weight[o] += cost_spread[o] / max_cost_spread;
+      if (max_time_spread > 0) weight[o] += time_spread[o] / max_time_spread;
+    }
+    order_.resize(n);
+    for (size_t o = 0; o < n; ++o) order_[o] = static_cast<int>(o);
+    std::sort(order_.begin(), order_.end(), [&](int a, int b) {
+      const double wa = weight[static_cast<size_t>(a)];
+      const double wb = weight[static_cast<size_t>(b)];
+      return wa != wb ? wa > wb : a < b;
+    });
+
+    size_at_depth_.resize(n);
+    for (size_t d = 0; d < n; ++d) {
+      size_at_depth_[d] = problem_.schema->object(order_[d]).size_gb;
+    }
+    suffix_min_cost_.assign(n + 1, 0.0);
+    suffix_size_.assign(n + 1, 0.0);
+    for (size_t d = n; d-- > 0;) {
+      suffix_min_cost_[d] =
+          suffix_min_cost_[d + 1] +
+          MinObjectCostCentsPerHour(*problem_.box, size_at_depth_[d],
+                                    problem_.cost_model);
+      suffix_size_[d] = suffix_size_[d + 1] + size_at_depth_[d];
+    }
+    leaves_below_.resize(n + 1);
+    for (int d = 0; d <= n_; ++d) {
+      leaves_below_[static_cast<size_t>(d)] = LayoutSpaceSize(m_, n_ - d);
+    }
   }
 
-  /// Per-task reset: reclaim the arena, re-carve the per-depth arrays from
-  /// it, and restore every piece of state a fresh walker would start with
-  /// — the per-task results must be identical whether a walker is fresh or
-  /// reused, or the shard mapping would leak into the search outcome. The
-  /// counters alone carry over: they sum across tasks, in any order.
-  void BeginTask() {
-    arena_->Reset();
-    const size_t cells =
-        static_cast<size_t>(sh_.n + 1) * static_cast<size_t>(sh_.m);
-    used_ = arena_->AllocateArray<double>(cells);
-    std::fill(used_, used_ + cells, 0.0);
-    probes_ = arena_->AllocateArray<Probe>(cells);
-    mask_ = arena_->AllocateArray<unsigned char>(static_cast<size_t>(sh_.m));
-    qps_ = arena_->AllocateArray<QuickPerf>(static_cast<size_t>(sh_.m));
-    pfree_ = arena_->AllocateArray<double>(static_cast<size_t>(sh_.m));
-    tpden_ = arena_->AllocateArray<double>(static_cast<size_t>(sh_.m));
-    std::fill(placement_.begin(), placement_.end(), 0);
-    incumbent_ = sh_.seed_incumbent;
-    best_ = SubtreeBest{};
-    if (cursor_ != nullptr) cursor_->Reset();
+  double* UsedRow(int depth) {
+    return used_.data() + static_cast<size_t>(depth) * static_cast<size_t>(m_);
   }
 
   /// Commits class `cls` for the depth-d object: placement, the depth+1
   /// space snapshot, and the bound cursor, which then tightens the node it
   /// enters. Returns true when that moved the cursor's bound.
   bool AssignLevel(int depth, int cls) {
-    const int obj = sh_.order[static_cast<size_t>(depth)];
+    const int obj = order_[static_cast<size_t>(depth)];
     placement_[static_cast<size_t>(obj)] = cls;
     const double* cur = UsedRow(depth);
     double* next = UsedRow(depth + 1);
-    for (int j = 0; j < sh_.m; ++j) next[j] = cur[j];
-    next[cls] += sh_.size_at_depth[static_cast<size_t>(depth)];
+    for (int j = 0; j < m_; ++j) next[j] = cur[j];
+    next[cls] += size_at_depth_[static_cast<size_t>(depth)];
     if (cursor_ == nullptr) return false;
     cursor_->Assign(obj, placement_);
     return cursor_->Tighten(placement_);
@@ -242,15 +237,13 @@ class SubtreeWalker {
   void PruneInfeasible(int child_depth) {
     stats_.nodes_pruned_infeasible += 1;
     stats_.layouts_pruned = SaturatingAdd(
-        stats_.layouts_pruned,
-        sh_.leaves_below[static_cast<size_t>(child_depth)]);
+        stats_.layouts_pruned, leaves_below_[static_cast<size_t>(child_depth)]);
   }
 
   void PruneBound(int child_depth) {
     stats_.nodes_pruned_bound += 1;
     stats_.layouts_pruned = SaturatingAdd(
-        stats_.layouts_pruned,
-        sh_.leaves_below[static_cast<size_t>(child_depth)]);
+        stats_.layouts_pruned, leaves_below_[static_cast<size_t>(child_depth)]);
   }
 
   /// Completion-cost lower bound of the child that adds the depth-d
@@ -264,51 +257,45 @@ class SubtreeWalker {
   double ChildCostLowerBound(double parent_cost, const double* cur, int cls,
                              double size, int child_depth) {
     const double remaining =
-        sh_.suffix_min_cost[static_cast<size_t>(child_depth)];
-    if (sh_.linear_cost) {
-      return parent_cost + sh_.class_price[static_cast<size_t>(cls)] * size +
+        suffix_min_cost_[static_cast<size_t>(child_depth)];
+    if (linear_cost_) {
+      return parent_cost + class_price_[static_cast<size_t>(cls)] * size +
              remaining;
     }
     double* next = UsedRow(child_depth);  // scratch until AssignLevel
-    for (int j = 0; j < sh_.m; ++j) next[j] = cur[j];
+    for (int j = 0; j < m_; ++j) next[j] = cur[j];
     next[cls] += size;
-    return CompletionCostLowerBoundCentsPerHour(
-        *sh_.problem->box, next, sh_.m, remaining, sh_.problem->cost_model);
+    return CompletionCostLowerBoundCentsPerHour(*problem_.box, next, m_,
+                                                remaining, problem_.cost_model);
   }
 
   void ConsiderLeaf(double toc) {
-    if (!best_.found ||
-        BetterCandidate(toc, placement_, best_.toc, best_.placement)) {
-      best_.found = true;
-      best_.toc = toc;
-      best_.placement = placement_;
+    if (best_.empty() || BetterCandidate(toc, placement_, best_toc_, best_)) {
+      best_toc_ = toc;
+      best_ = placement_;
     }
     incumbent_ = std::min(incumbent_, toc);
   }
 
   /// Expands the node with `depth` objects assigned (depth < n).
   void Dfs(int depth) {
-    if (task_sink_ != nullptr && depth == sh_.shard_depth) {
-      task_sink_->emplace_back(placement_prefix(depth));
-      return;
-    }
     stats_.nodes_expanded += 1;
 
-    const int obj = sh_.order[static_cast<size_t>(depth)];
-    const double size = sh_.size_at_depth[static_cast<size_t>(depth)];
+    const int obj = order_[static_cast<size_t>(depth)];
+    const double size = size_at_depth_[static_cast<size_t>(depth)];
     const double* cur = UsedRow(depth);
-    Probe* probes = probes_ + static_cast<size_t>(depth + 1) *
-                                  static_cast<size_t>(sh_.m);
+    Probe* probes = probes_.data() + static_cast<size_t>(depth + 1) *
+                                         static_cast<size_t>(m_);
 
-    if (depth + 1 == sh_.n) {
-      for (int cls = 0; cls < sh_.m; ++cls) {
+    if (depth + 1 == n_) {
+      for (int cls = 0; cls < m_; ++cls) {
         // Assigned objects never move again, so a class already at or
         // over its (strict) capacity dooms every completion. Deflated:
         // the snapshot is an assignment-order sum while the exact fit
         // rule sums in object order, and a few ULPs must not prune a
         // fitting leaf.
         if ((cur[cls] + size) * (1 - kBoundSafety) >=
-            sh_.capacity[static_cast<size_t>(cls)]) {
+            capacity_[static_cast<size_t>(cls)]) {
           PruneInfeasible(depth + 1);
           continue;
         }
@@ -318,7 +305,7 @@ class SubtreeWalker {
         placement_[static_cast<size_t>(obj)] = cls;
         if (cursor_ != nullptr) cursor_->Assign(obj, placement_);
         const CandidateEval eval =
-            sh_.optimizer->EvaluateLeaf(placement_, cursor_.get());
+            optimizer_.EvaluateLeaf(placement_, cursor_.get());
         if (cursor_ != nullptr) cursor_->Unassign(obj);
         stats_.layouts_evaluated += 1;
         if (eval.feasible) ConsiderLeaf(eval.toc);
@@ -338,20 +325,20 @@ class SubtreeWalker {
     // feed carries the kBoundSafety margin (~1e-9, nine orders above ULP
     // noise), so no fitting or tying completion can be cut.
     const double remaining_size =
-        sh_.suffix_size[static_cast<size_t>(depth + 1)];
+        suffix_size_[static_cast<size_t>(depth + 1)];
     double parent_free = 0.0;
-    for (int j = 0; j < sh_.m; ++j) {
-      pfree_[j] = std::max(0.0, sh_.capacity[static_cast<size_t>(j)] -
+    for (int j = 0; j < m_; ++j) {
+      pfree_[j] = std::max(0.0, capacity_[static_cast<size_t>(j)] -
                                     cur[j]);
       parent_free += pfree_[j];
     }
 
     // Pass 1: space feasibility.
     int live = 0;
-    for (int cls = 0; cls < sh_.m; ++cls) {
+    for (int cls = 0; cls < m_; ++cls) {
       mask_[cls] = 0;
       const double used_cls = cur[cls] + size;
-      if (used_cls * (1 - kBoundSafety) >= sh_.capacity[static_cast<size_t>(
+      if (used_cls * (1 - kBoundSafety) >= capacity_[static_cast<size_t>(
                                                cls)]) {
         PruneInfeasible(depth + 1);
         continue;
@@ -359,7 +346,7 @@ class SubtreeWalker {
       // The unassigned volume must fit in the remaining free space.
       const double free_gb =
           parent_free - pfree_[cls] +
-          std::max(0.0, sh_.capacity[static_cast<size_t>(cls)] - used_cls);
+          std::max(0.0, capacity_[static_cast<size_t>(cls)] - used_cls);
       if (remaining_size * (1 - kBoundSafety) >= free_gb * (1 + kBoundSafety)) {
         PruneInfeasible(depth + 1);
         continue;
@@ -376,7 +363,8 @@ class SubtreeWalker {
     // nothing), and the search degrades to capacity pruning — skip the
     // cost kernel entirely.
     if (cursor_ != nullptr && live > 0) {
-      cursor_->ProbeClasses(obj, placement_, sh_.m, mask_, qps_, tpden_);
+      cursor_->ProbeClasses(obj, placement_, m_, mask_.data(), qps_.data(),
+                            tpden_.data());
     }
 
     // Pass 3: SLA and bound pruning; survivors become child probes.
@@ -389,13 +377,13 @@ class SubtreeWalker {
     // the division spelling.
     const double inc_scaled = incumbent_ * (1 + kBoundSafety);
     double parent_cost = 0.0;
-    if (cursor_ != nullptr && live > 0 && sh_.linear_cost) {
-      for (int j = 0; j < sh_.m; ++j) {
-        parent_cost += sh_.class_price[static_cast<size_t>(j)] * cur[j];
+    if (cursor_ != nullptr && live > 0 && linear_cost_) {
+      for (int j = 0; j < m_; ++j) {
+        parent_cost += class_price_[static_cast<size_t>(j)] * cur[j];
       }
     }
     live = 0;
-    for (int cls = 0; cls < sh_.m; ++cls) {
+    for (int cls = 0; cls < m_; ++cls) {
       if (mask_[cls] == 0) continue;
       double toc_num = 0.0;
       double toc_den = 1.0;
@@ -453,29 +441,31 @@ class SubtreeWalker {
     }
   }
 
-  std::vector<int> placement_prefix(int depth) const {
-    std::vector<int> prefix(static_cast<size_t>(depth));
-    for (int d = 0; d < depth; ++d) {
-      prefix[static_cast<size_t>(d)] =
-          placement_[static_cast<size_t>(sh_.order[static_cast<size_t>(d)])];
-    }
-    return prefix;
-  }
-
-  const BnbShared& sh_;
-  std::vector<std::vector<int>>* task_sink_;
-  Arena* arena_;
+  const DotProblem& problem_;
+  const DotOptimizer& optimizer_;
+  const int n_;
+  const int m_;
+  const bool linear_cost_;               ///< cost model has no discrete part
+  std::vector<double> capacity_;         ///< per class, c_j
+  std::vector<double> class_price_;      ///< per class, p_j (hoisted)
+  /// Assignment order: order_[d] is the object assigned at depth d.
+  std::vector<int> order_;
+  std::vector<double> size_at_depth_;    ///< size_gb of order_[d]
+  std::vector<double> suffix_min_cost_;  ///< [d] Σ_{i>=d} min marginal cost
+  std::vector<double> suffix_size_;      ///< [d] Σ_{i>=d} size_gb
+  std::vector<long long> leaves_below_;  ///< [d] = M^(N-d), saturating
+  double incumbent_;                     ///< best TOC known, seeds included
   std::vector<int> placement_;  ///< vector: the scorer API's currency
-  double* used_ = nullptr;      ///< (n+1) × m space snapshots, arena-backed
-  Probe* probes_ = nullptr;     ///< (n+1) × m child-probe scratch
-  unsigned char* mask_ = nullptr;  ///< per-class space-feasibility, one node
-  QuickPerf* qps_ = nullptr;       ///< per-class batched probe results
-  double* pfree_ = nullptr;        ///< per-class parent free space, one node
-  double* tpden_ = nullptr;        ///< per-class probe ratio denominators
+  std::vector<double> used_;    ///< (n+1) × m space snapshots
+  std::vector<Probe> probes_;   ///< (n+1) × m child-probe scratch
+  std::vector<unsigned char> mask_;  ///< per-class space feasibility
+  std::vector<QuickPerf> qps_;       ///< per-class batched probe results
+  std::vector<double> pfree_;        ///< per-class parent free space
+  std::vector<double> tpden_;        ///< per-class probe ratio denominators
   std::unique_ptr<FastScorer::BoundCursor> cursor_;
-  double incumbent_;
   SearchStats stats_;
-  SubtreeBest best_;
+  double best_toc_ = std::numeric_limits<double>::infinity();
+  std::vector<int> best_;
 };
 
 DotResult BranchAndBoundSearch(
@@ -488,87 +478,6 @@ DotResult BranchAndBoundSearch(
 
   DotResult result;
   result.targets = optimizer.targets();
-
-  BnbShared sh;
-  sh.problem = &problem;
-  sh.optimizer = &optimizer;
-  sh.n = n;
-  sh.m = m;
-
-  sh.capacity.reserve(static_cast<size_t>(m));
-  sh.class_price.reserve(static_cast<size_t>(m));
-  sh.linear_cost = !problem.cost_model.discrete;
-  double max_price = 0.0;
-  double min_price = std::numeric_limits<double>::infinity();
-  for (const StorageClass& sc : problem.box->classes) {
-    sh.capacity.push_back(sc.capacity_gb());
-    sh.class_price.push_back(sc.price_cents_per_gb_hour());
-    max_price = std::max(max_price, sc.price_cents_per_gb_hour());
-    min_price = std::min(min_price, sc.price_cents_per_gb_hour());
-  }
-
-  // Assignment order: descending space/I-O weight. An object's weight is
-  // its guaranteed cost spread (size × price spread) plus its workload-time
-  // spread across classes, each normalized to the largest in the schema —
-  // the objects whose placement moves the bound the most are decided first,
-  // so both prunes bite near the root. Any order is correct; this one is
-  // fast.
-  const FastScorer* scorer = optimizer.scorer();
-  std::vector<double> cost_spread(static_cast<size_t>(n), 0.0);
-  std::vector<double> time_spread(static_cast<size_t>(n), 0.0);
-  double max_cost_spread = 0.0;
-  double max_time_spread = 0.0;
-  for (int o = 0; o < n; ++o) {
-    cost_spread[static_cast<size_t>(o)] =
-        problem.schema->object(o).size_gb * (max_price - min_price);
-    if (scorer != nullptr) {
-      time_spread[static_cast<size_t>(o)] = scorer->ObjectTimeSpreadMs(o);
-    }
-    max_cost_spread =
-        std::max(max_cost_spread, cost_spread[static_cast<size_t>(o)]);
-    max_time_spread =
-        std::max(max_time_spread, time_spread[static_cast<size_t>(o)]);
-  }
-  sh.order.resize(static_cast<size_t>(n));
-  for (int o = 0; o < n; ++o) sh.order[static_cast<size_t>(o)] = o;
-  std::vector<double> weight(static_cast<size_t>(n), 0.0);
-  for (int o = 0; o < n; ++o) {
-    double w = 0.0;
-    if (max_cost_spread > 0) {
-      w += cost_spread[static_cast<size_t>(o)] / max_cost_spread;
-    }
-    if (max_time_spread > 0) {
-      w += time_spread[static_cast<size_t>(o)] / max_time_spread;
-    }
-    weight[static_cast<size_t>(o)] = w;
-  }
-  std::sort(sh.order.begin(), sh.order.end(), [&](int a, int b) {
-    const double wa = weight[static_cast<size_t>(a)];
-    const double wb = weight[static_cast<size_t>(b)];
-    return wa != wb ? wa > wb : a < b;
-  });
-
-  sh.size_at_depth.resize(static_cast<size_t>(n));
-  for (int d = 0; d < n; ++d) {
-    sh.size_at_depth[static_cast<size_t>(d)] =
-        problem.schema->object(sh.order[static_cast<size_t>(d)]).size_gb;
-  }
-  sh.suffix_min_cost.assign(static_cast<size_t>(n) + 1, 0.0);
-  sh.suffix_size.assign(static_cast<size_t>(n) + 1, 0.0);
-  for (int d = n - 1; d >= 0; --d) {
-    sh.suffix_min_cost[static_cast<size_t>(d)] =
-        sh.suffix_min_cost[static_cast<size_t>(d) + 1] +
-        MinObjectCostCentsPerHour(*problem.box,
-                                  sh.size_at_depth[static_cast<size_t>(d)],
-                                  problem.cost_model);
-    sh.suffix_size[static_cast<size_t>(d)] =
-        sh.suffix_size[static_cast<size_t>(d) + 1] +
-        sh.size_at_depth[static_cast<size_t>(d)];
-  }
-  sh.leaves_below.resize(static_cast<size_t>(n) + 1);
-  for (int d = 0; d <= n; ++d) {
-    sh.leaves_below[static_cast<size_t>(d)] = LayoutSpaceSize(m, n - d);
-  }
 
   // Deterministic incumbent seeds, evaluated through the same path the
   // leaves use: the M uniform layouts plus the DOT heuristic's answer when
@@ -601,72 +510,19 @@ DotResult BranchAndBoundSearch(
       }
     }
   }
-  sh.seed_incumbent = seed;
 
-  // Shard the top k levels into independent subtree tasks. k depends only
-  // on (M, N) — never on the thread count — so the task set, the reduction,
-  // and every counter are identical at any parallelism.
-  int shard_depth = 0;
-  while (shard_depth < n - 1 && LayoutSpaceSize(m, shard_depth) < 64) {
-    ++shard_depth;
-  }
-  sh.shard_depth = shard_depth;
+  BnbWalker walker(optimizer, seed);
+  walker.Run();
+  result.Add(walker.stats());
 
-  std::vector<std::vector<int>> tasks;
-  Arena prefix_arena;
-  SubtreeWalker prefix_walker(sh, &tasks, &prefix_arena);
-  prefix_walker.RunPrefix();
-
-  result.Add(prefix_walker.stats());
-
-  // One arena + walker (and therefore one bound cursor) per shard, reused
-  // across the shard's tasks. Shard boundaries depend only on the task
-  // count — never on the thread count — and BeginTask restores fresh-walker
-  // state per task, so per-task results and per-shard counters are
-  // identical at any parallelism.
-  // The shard count caps at 64 for load balancing; below that it is one
-  // task per shard, exactly the old walker-per-task behaviour minus the
-  // allocations.
-  ThreadPool pool(problem.options.num_threads);
-  const int num_shards = static_cast<int>(std::min<size_t>(tasks.size(), 64));
-  std::vector<SearchStats> shard_stats(static_cast<size_t>(num_shards));
-  std::vector<SubtreeBest> task_best(tasks.size());
-  if (!tasks.empty()) {
-    pool.ParallelForShards(
-        0, static_cast<int64_t>(tasks.size()), num_shards,
-        [&](int shard, int64_t shard_begin, int64_t shard_end) {
-          Arena arena;
-          SubtreeWalker walker(sh, nullptr, &arena);
-          for (int64_t i = shard_begin; i < shard_end; ++i) {
-            walker.RunSubtree(tasks[static_cast<size_t>(i)]);
-            task_best[static_cast<size_t>(i)] = walker.best();
-          }
-          shard_stats[static_cast<size_t>(shard)] = walker.stats();
-        });
-  }
-
-  // Reduce the counters (SearchStats::Add is order-free) and the winners
-  // under the BetterCandidate total order (any reduction order yields the
-  // same winner; see BetterCandidate).
-  for (const SearchStats& shard : shard_stats) result.Add(shard);
-  SubtreeBest best;
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    SubtreeBest& cand = task_best[static_cast<size_t>(i)];
-    if (!cand.found) continue;
-    if (!best.found || BetterCandidate(cand.toc, cand.placement, best.toc,
-                                       best.placement)) {
-      best = std::move(cand);
-    }
-  }
-
-  if (best.found) {
+  if (!walker.best().empty()) {
     // Re-score the winner through the full path (bit-identical toc/cost,
     // now with the PerfEstimate filled) — exactly what the enumerating
     // search does with its winner.
     const CandidateEval eval = optimizer.EvaluateOne(
-        Layout(problem.schema, problem.box, best.placement));
+        Layout(problem.schema, problem.box, walker.best()));
     DOT_CHECK(eval.feasible) << "winner infeasible on full re-score";
-    result.placement = std::move(best.placement);
+    result.placement = std::move(walker.best());
     result.toc_cents_per_task = eval.toc;
     result.layout_cost_cents_per_hour = eval.cost_cents_per_hour;
     result.estimate = eval.estimate;

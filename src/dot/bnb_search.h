@@ -17,14 +17,15 @@ enum class ExactStrategy {
   /// §4.4.3/§4.5.3). Pays M^N evaluations; refuses spaces larger than
   /// `max_layouts`.
   kEnumerate,
-  /// Best-first branch-and-bound (DESIGN.md §5): assigns objects one at a
-  /// time in descending space/I-O weight, lower-bounds every partial
+  /// Branch-and-bound (DESIGN.md §5): one serial depth-first search that
+  /// assigns objects one at a time in descending space/I-O weight, expands
+  /// each node's children best bound first, lower-bounds every partial
   /// placement with an admissible completion-cost/device-time bound, and
   /// discards a subtree as soon as its optimistic completion violates a
-  /// performance target, cannot fit the box, or cannot beat the incumbent.
-  /// Needs no layout guard — pruning statistics come back on DotResult
-  /// (nodes_expanded, nodes_pruned_bound, nodes_pruned_infeasible,
-  /// layouts_pruned).
+  /// performance target, cannot fit the box, or cannot beat the running
+  /// incumbent. Ignores `options.num_threads`. Needs no layout guard —
+  /// pruning statistics come back on DotResult (nodes_expanded,
+  /// nodes_pruned_bound, nodes_pruned_infeasible, layouts_pruned).
   kBranchAndBound,
 };
 

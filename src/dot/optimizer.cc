@@ -11,6 +11,7 @@
 
 #include "common/check.h"
 #include "common/clock.h"
+#include "common/thread_pool.h"
 #include "dot/moves.h"
 #include "storage/pricing.h"
 
@@ -198,12 +199,13 @@ long long DotOptimizer::plan_cache_misses() const {
   return fast != nullptr ? fast->cache_misses() : 0;
 }
 
-DotOptimizer::SpaceScan DotOptimizer::ScanLayoutSpace(ThreadPool* pool) const {
+DotOptimizer::SpaceScan DotOptimizer::ScanLayoutSpace() const {
   const int n = problem_.schema->NumObjects();
   const int m = problem_.box->NumClasses();
   const long long space = LayoutSpaceSize(m, n);
   const FastScorer* fast = scorer();
   SpaceScan out;
+  ThreadPool pool(problem_.options.num_threads);
 
   // Oversplit relative to the lane count for load balance. The shard count
   // (and thus the boundaries) DOES vary with the thread count — determinism
@@ -214,10 +216,10 @@ DotOptimizer::SpaceScan DotOptimizer::ScanLayoutSpace(ThreadPool* pool) const {
   // fully assigned bound cursor is bit-identical to FastScorer::Score, so a
   // layout's value cannot depend on which shard (or thread) walked to it.
   const int num_shards =
-      static_cast<int>(std::min<long long>(space, 8LL * pool->num_threads()));
+      static_cast<int>(std::min<long long>(space, 8LL * pool.num_threads()));
   std::vector<SpaceScan> per_shard(static_cast<size_t>(num_shards));
 
-  pool->ParallelForShards(
+  pool.ParallelForShards(
       0, space, num_shards,
       [&](int shard, int64_t shard_begin, int64_t shard_end) {
         SpaceScan local;

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "dot/candidate_evaluator.h"
 #include "dot/ensemble.h"
 #include "dot/layout.h"
@@ -133,23 +132,22 @@ class DotOptimizer {
 
   /// Scans the whole mixed-radix layout space (placement[o] = (index /
   /// M^o) mod M — digit 0 least significant, the serial odometer's order),
-  /// sharded across `pool`, and returns the feasible minimum under
-  /// BetterCandidate. Each shard walks the odometer with one
-  /// FastScorer::BoundCursor (only the rolled digits are unassigned and
-  /// re-assigned) and scores every layout through the branch-and-bound
-  /// leaf kernel; the winner is re-scored through the full path so
-  /// `best.estimate` is populated. The caller checks that M^N fits.
+  /// sharded across the problem's `options.num_threads` lanes, and returns
+  /// the feasible minimum under BetterCandidate. Each shard walks the
+  /// odometer with one FastScorer::BoundCursor (only the rolled digits are
+  /// unassigned and re-assigned) and scores every layout through the
+  /// branch-and-bound leaf kernel; the winner is re-scored through the full
+  /// path so `best.estimate` is populated. The caller checks that M^N fits.
   struct SpaceScan {
     bool feasible_found = false;
     std::vector<int> best_placement;
     CandidateEval best;
     long long evaluated = 0;
   };
-  SpaceScan ScanLayoutSpace(ThreadPool* pool) const;
+  SpaceScan ScanLayoutSpace() const;
 
   /// The workload scorer, built on first use; null when the problem takes
-  /// the full path. The exact search builds its per-subtree and per-shard
-  /// BoundCursors from it.
+  /// the full path. The exact searches build their BoundCursors from it.
   const FastScorer* scorer() const;
 
   /// Plan-cache traffic of the scorer so far (0/0 without one, or when the

@@ -35,15 +35,16 @@ enum class MoveAcceptance {
 /// defaults reproduce the full DOT method.
 struct SearchOptions {
   /// Execution lanes (1 = serial, 0 = std::thread::hardware_concurrency())
-  /// for the engines that fan out independent work: the exact search
-  /// (branch-and-bound subtree tasks), enumeration (layout-space shards),
-  /// the epoch planner's pool × epoch score matrix, and the fleet planner's
-  /// pool builds and per-pool pricing. The provisioner fans its per-option
-  /// DOT runs out the same way, sized by ProvisionOverOptions' own
-  /// `num_threads` argument. The DOT heuristic walk is serial and ignores
-  /// this knob. Results are bit-identical at every setting — candidates are
-  /// reduced under a total order (TOC, then lexicographically lowest
-  /// placement), never by arrival time.
+  /// for the engines that fan out independent work: enumeration
+  /// (layout-space shards), the epoch planner's pool × epoch score matrix,
+  /// and the fleet planner's pool builds and per-pool pricing. The
+  /// provisioner fans its per-option DOT runs out the same way, sized by
+  /// ProvisionOverOptions' own `num_threads` argument. The DOT heuristic
+  /// walk and the branch-and-bound search are serial and ignore this knob:
+  /// every tree the exact search builds is a few hundred nodes at most, and
+  /// threads only slowed it down. Results are bit-identical at every
+  /// setting — candidates are reduced under a total order (TOC, then
+  /// lexicographically lowest placement), never by arrival time.
   int num_threads = 1;
 
   /// TOC-only fast path for candidate scoring (DESIGN.md §4): per-object

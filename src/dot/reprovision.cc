@@ -7,7 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "common/arena.h"
 #include "common/check.h"
 #include "common/clock.h"
 #include "common/thread_pool.h"
@@ -248,11 +247,18 @@ ReprovisionPlan ReprovisionPlanner::Plan(
   const int k_pool = static_cast<int>(pool.size());
   plan.pool_size = k_pool;
 
-  // All DP-sized tables below come from one bump arena: one block serves
-  // the whole plan, and its high-water mark joins arena_bytes_peak.
-  Arena arena;
+  // The DP-sized tables below; their bytes join arena_bytes_peak.
+  std::vector<double> toc;
+  std::vector<double> pair_migration;
+  std::vector<double> dp;
+  std::vector<double> next;
+  std::vector<int> pred;
+  std::vector<int> choice;
   auto finish = [&] {
-    const long long tables = static_cast<long long>(arena.bytes_peak());
+    const long long tables = static_cast<long long>(
+        (toc.size() + pair_migration.size() + dp.size() + next.size()) *
+            sizeof(double) +
+        (pred.size() + choice.size()) * sizeof(int));
     plan.arena_bytes_peak = std::max(plan.arena_bytes_peak, tables);
     plan.plan_ms = NowMs() - start_ms;
   };
@@ -264,8 +270,7 @@ ReprovisionPlan ReprovisionPlanner::Plan(
   // change a value. Infeasible (capacity or SLA) scores are +inf.
   const size_t toc_cells =
       static_cast<size_t>(num_epochs) * static_cast<size_t>(k_pool);
-  double* toc = arena.AllocateArray<double>(toc_cells);
-  std::fill(toc, toc + toc_cells, kInf);
+  toc.assign(toc_cells, kInf);
   {
     ThreadPool threads(problem_.options.num_threads);
     threads.ParallelFor(
@@ -305,12 +310,11 @@ ReprovisionPlan ReprovisionPlanner::Plan(
   // make K² large — the DP then prices transitions on the fly (same
   // function, same bits).
   const bool free_migration = config_.migration.IsZero() || weight == 0.0;
-  double* pair_migration = nullptr;
   const bool memoized = !free_migration && num_epochs > 1 &&
                         static_cast<long long>(k_pool) * k_pool <= (1 << 20);
   if (memoized) {
-    pair_migration = arena.AllocateArray<double>(
-        static_cast<size_t>(k_pool) * static_cast<size_t>(k_pool));
+    pair_migration.resize(static_cast<size_t>(k_pool) *
+                          static_cast<size_t>(k_pool));
     for (int j = 0; j < k_pool; ++j) {
       for (int k = 0; k < k_pool; ++k) {
         pair_migration[static_cast<size_t>(j) * static_cast<size_t>(k_pool) +
@@ -333,16 +337,14 @@ ReprovisionPlan ReprovisionPlanner::Plan(
   // --- Exact DP over epochs. dp[k] is the cheapest objective of any pool
   // sequence ending with layout k; the accounting order is the documented
   // contract: total = (total + weight·migration) + toc·duration.
-  double* dp = arena.AllocateArray<double>(static_cast<size_t>(k_pool));
-  double* next = arena.AllocateArray<double>(static_cast<size_t>(k_pool));
-  std::fill(dp, dp + k_pool, kInf);
+  dp.assign(static_cast<size_t>(k_pool), kInf);
+  next.resize(static_cast<size_t>(k_pool));
   // pred flattened to [e * k_pool + k]; -1 = no feasible predecessor.
-  int* pred = arena.AllocateArray<int>(toc_cells);
-  std::fill(pred, pred + toc_cells, -1);
+  pred.assign(toc_cells, -1);
   for (int e = 0; e < num_epochs; ++e) {
     const double duration =
         schedule.windows[static_cast<size_t>(e)].duration_hours;
-    std::fill(next, next + k_pool, kInf);
+    std::fill(next.begin(), next.end(), kInf);
     bool any_feasible = false;
     for (int k = 0; k < k_pool; ++k) {
       const double toc_ek = toc_at(e, k);
@@ -403,8 +405,7 @@ ReprovisionPlan ReprovisionPlanner::Plan(
     }
   }
   DOT_CHECK(best_k >= 0);  // any_feasible held for the last epoch
-  int* choice = arena.AllocateArray<int>(static_cast<size_t>(num_epochs));
-  std::fill(choice, choice + num_epochs, -1);
+  choice.assign(static_cast<size_t>(num_epochs), -1);
   choice[static_cast<size_t>(num_epochs - 1)] = best_k;
   for (int e = num_epochs - 1; e > 0; --e) {
     choice[static_cast<size_t>(e - 1)] =

@@ -88,7 +88,7 @@ struct EpochPlanStep {
 /// per-epoch solo searches' totals plus the pool × epoch matrix (one per
 /// sequence epoch for EvaluateSequence); the solo searches' node, warm-start
 /// and plan-cache counters, summed; arena_bytes_peak, the max of theirs and
-/// the DP table arena's.
+/// the bytes of the DP tables.
 struct ReprovisionPlan : SearchStats {
   Status status = Status::OK();
   std::vector<EpochPlanStep> steps;

@@ -68,8 +68,8 @@ struct SearchStats {
   long long plan_cache_hits = 0;
   long long plan_cache_misses = 0;
 
-  /// The largest high-water live-byte mark of any single search arena
-  /// (branch-and-bound's shard arenas, the epoch DP's table arena).
+  /// Peak bytes of one search's scratch tables: branch-and-bound's
+  /// per-depth vectors, the epoch DP's tables.
   long long arena_bytes_peak = 0;
 
   /// The epoch DP's candidate-pool size.
@@ -83,7 +83,7 @@ struct SearchStats {
 
   /// The one reduction: sums every counter, except that layouts_pruned
   /// adds with saturation and arena_bytes_peak takes the max. Order-free,
-  /// so reducing per-task or per-run stats in any order gives the same
+  /// so reducing per-run or per-pool stats in any order gives the same
   /// totals.
   void Add(const SearchStats& o) {
     layouts_evaluated += o.layouts_evaluated;

@@ -1,6 +1,5 @@
 #include "exec/trace_replay.h"
 
-#include <algorithm>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -17,22 +16,16 @@ WorkloadTrace RecordTraceWithExecutor(const WorkloadTraceSpec& spec,
   WorkloadTrace trace;
   trace.status = ValidateTraceSpec(spec);
   for (size_t w = 0; w < spec.windows.size() && trace.status.ok(); ++w) {
-    // The recorder sees no box, so it checks what the window's workload
-    // would otherwise abort on: one non-negative entry per schema object.
+    // What the window's workload would otherwise abort on: one entry per
+    // schema object, each a class of the model's box.
     const std::string where = "window " + std::to_string(w);
-    const int n = spec.windows[w].workload->schema()->NumObjects();
-    if (static_cast<int>(placement.size()) != n) {
-      trace.status = Status::InvalidArgument(
-          where + " placement has " + std::to_string(placement.size()) +
-          " entries; the workload's schema has " + std::to_string(n) +
-          " objects");
-    } else if (std::any_of(placement.begin(), placement.end(),
-                           [](int cls) { return cls < 0; })) {
-      trace.status =
-          Status::InvalidArgument(where + " placement holds a negative class");
-    } else {
+    const WorkloadModel& model = *spec.windows[w].workload;
+    trace.status = ValidatePlacement(placement, *model.schema(), *model.box(),
+                                     where + " placement");
+    if (trace.status.ok()) {
       trace.status = ValidateExecutorConfig(
-          {exec_noise_cv, spec.windows[w].io_scale}, n, where);
+          {exec_noise_cv, spec.windows[w].io_scale},
+          model.schema()->NumObjects(), where);
     }
   }
   if (!trace.status.ok()) return trace;

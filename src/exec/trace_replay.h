@@ -30,9 +30,8 @@ namespace dot {
 /// executor config ValidateExecutorConfig rejects (an `exec_noise_cv`
 /// that is NaN, infinite or negative, or an io_scale whose length is
 /// neither 0 nor placement.size()), or a `placement` whose length differs
-/// from a window workload's schema()->NumObjects() or that holds a
-/// negative entry. The recorder sees no box, so it cannot check that every
-/// class exists: that stays the caller's to ensure.
+/// from a window workload's schema()->NumObjects() or that holds an entry
+/// outside [0, box()->NumClasses()) of that workload.
 WorkloadTrace RecordTraceWithExecutor(const WorkloadTraceSpec& spec,
                                       const std::vector<int>& placement,
                                       double exec_noise_cv = 0.0);

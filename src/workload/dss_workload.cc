@@ -190,11 +190,10 @@ class DssFastScorer : public FastScorer {
   /// Floors for the exact search and the walk's gate (DESIGN.md §5),
   /// resolved on first demand (MakeBoundCursor, ObjectTimeSpreadMs,
   /// MoveWalk::Bound) under call_once, which makes the first demand safe
-  /// from concurrent subtree tasks and enumeration shards. Unscaled, they
-  /// are the model's UnscaledFloors, built once per model. With an
-  /// io_scale they are this scorer's own BuildFloors(io_scale) —
-  /// RunScaled floors of the scaled re-price — at T · (1 + |fp| · M)
-  /// program runs.
+  /// from concurrent enumeration shards. Unscaled, they are the model's
+  /// UnscaledFloors, built once per model. With an io_scale they are this
+  /// scorer's own BuildFloors(io_scale) — RunScaled floors of the scaled
+  /// re-price — at T · (1 + |fp| · M) program runs.
   ///
   /// Each template's program runs with objects on the optimistic column
   /// (CompiledTemplate::optimistic_class(): per I/O type the minimum

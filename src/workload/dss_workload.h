@@ -44,6 +44,7 @@ class DssWorkloadModel : public WorkloadModel {
 
   const std::string& name() const override { return name_; }
   const Schema* schema() const override { return schema_; }
+  const BoxConfig* box() const override { return box_; }
   /// The planning concurrency (PlannerConfig::concurrency), at which every
   /// plan and every scaled re-price is timed.
   double concurrency() const override { return planner_.config().concurrency; }

@@ -90,6 +90,7 @@ class HtapWorkload : public WorkloadModel {
 
   const std::string& name() const override { return name_; }
   const Schema* schema() const override { return schema_; }
+  const BoxConfig* box() const override { return box_; }
   double concurrency() const override { return oltp_->concurrency(); }
   SlaKind sla_kind() const override {
     return SlaKind::kPerQueryResponseTime;

@@ -54,6 +54,7 @@ class OltpWorkloadModel : public WorkloadModel {
 
   const std::string& name() const override { return name_; }
   const Schema* schema() const override { return schema_; }
+  const BoxConfig* box() const override { return box_; }
   double concurrency() const override { return concurrency_; }
   SlaKind sla_kind() const override { return SlaKind::kThroughput; }
   PerfEstimate EstimateWithIoScale(

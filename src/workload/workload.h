@@ -74,9 +74,9 @@ inline constexpr double kBoundSafety = 1e-9;
 /// and then queried for thousands of candidate placements.
 ///
 /// Thread-safety: Score() must be safe to call concurrently (internal caches
-/// synchronize themselves); a BoundCursor is single-threaded state, so each
-/// subtree task of the exact search and each shard of an enumeration scan
-/// creates its own.
+/// synchronize themselves); a BoundCursor is single-threaded state, so the
+/// branch-and-bound search and each shard of an enumeration scan create
+/// their own.
 class FastScorer {
  public:
   virtual ~FastScorer() = default;
@@ -110,7 +110,7 @@ class FastScorer {
   /// per-template times for DSS), including anything Tighten raised since,
   /// so an out-of-order Unassign would restore the wrong values; the DSS
   /// cursor DOT_CHECKs it. A BoundCursor is single-threaded state; each
-  /// subtree task creates its own.
+  /// search creates its own.
   class BoundCursor {
    public:
     virtual ~BoundCursor() = default;
@@ -248,6 +248,10 @@ class WorkloadModel {
   /// The schema the model is built over: placements, I/O maps and io_scale
   /// vectors are indexed by its object ids.
   virtual const Schema* schema() const = 0;
+
+  /// The box the model prices placements on: placement entries index its
+  /// classes.
+  virtual const BoxConfig* box() const = 0;
 
   /// Degree of concurrency the workload runs at (§3.5: 1 for the DSS
   /// experiments, 300 for TPC-C).

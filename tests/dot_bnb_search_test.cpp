@@ -3,8 +3,9 @@
 // instance — same placement, same TOC, same lexicographic tie-break, same
 // infeasibility verdicts — across randomized problems (varying box, object
 // count, SLA, io_scale hints, discrete cost model, targets_override),
-// checks determinism across 1/4/hardware threads including every pruning
-// counter, and checks that the counters account for the full M^N tree.
+// checks that every pruning counter is the same at 1/4/hardware threads
+// (the search is serial and ignores the knob), that warm starts only shrink
+// the tree, and that the counters account for the full M^N tree.
 // Under io_scale hints the match must hold at every planning concurrency.
 
 #include "dot/bnb_search.h"
@@ -12,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
@@ -141,7 +141,11 @@ struct RandomDssInstance {
   }
 };
 
-TEST(BnbSearchTest, MatchesEnumerationOnRandomizedDssInstances) {
+/// Runs `check(inst, problem, what)` on eight randomized DSS problems:
+/// 4-10 objects, three SLAs, io_scale hints on half the draws and the
+/// discrete cost model on a third.
+template <typename Check>
+void ForEachRandomizedDssProblem(Check check) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     Rng rng(seed * 7919);
     const int tables = 2 + static_cast<int>(rng.NextBounded(4));  // 4-10 obj
@@ -160,14 +164,41 @@ TEST(BnbSearchTest, MatchesEnumerationOnRandomizedDssInstances) {
       problem.cost_model.discrete = true;
       problem.cost_model.alpha = rng.NextUniform(0.1, 0.9);
     }
+    check(inst, problem, "dss seed " + std::to_string(seed));
+  }
+}
 
-    const std::string what = "dss seed " + std::to_string(seed);
+TEST(BnbSearchTest, MatchesEnumerationOnRandomizedDssInstances) {
+  ForEachRandomizedDssProblem([](const RandomDssInstance& inst,
+                                 const DotProblem& problem,
+                                 const std::string& what) {
     DotResult es = ExactSearch(problem, ExactStrategy::kEnumerate);
     DotResult bnb = ExactSearch(problem, ExactStrategy::kBranchAndBound);
     ExpectSameOptimum(bnb, es, what);
     ExpectCountersAccountForTree(bnb, inst.box.NumClasses(),
                                  inst.schema.NumObjects(), what);
-  }
+  });
+}
+
+TEST(BnbSearchTest, WarmStartsOnlyShrinkTheTree) {
+  // Seeding the incumbent with the enumerated optimum keeps the answer bit
+  // for bit, and the search can only cut more: it starts from the lowest
+  // TOC any leaf has, so it prunes every node the cold search prunes.
+  ForEachRandomizedDssProblem([](const RandomDssInstance& inst,
+                                 const DotProblem& problem,
+                                 const std::string& what) {
+    const DotResult es = ExactSearch(problem, ExactStrategy::kEnumerate);
+    const DotResult cold = ExactSearch(problem, ExactStrategy::kBranchAndBound);
+    const std::vector<std::vector<int>> seeds = {es.placement};
+    const DotResult warm = ExactSearch(problem, ExactStrategy::kBranchAndBound,
+                                       kDefaultMaxEnumeratedLayouts, &seeds);
+    ExpectSameOptimum(warm, cold, what);
+    ExpectCountersAccountForTree(warm, inst.box.NumClasses(),
+                                 inst.schema.NumObjects(), what);
+    EXPECT_EQ(warm.warm_start_hits, es.status.ok() ? 1 : 0) << what;
+    EXPECT_LE(warm.nodes_expanded, cold.nodes_expanded) << what;
+    EXPECT_LE(warm.layouts_evaluated, cold.layouts_evaluated) << what;
+  });
 }
 
 TEST(BnbSearchTest, MatchesEnumerationWithTargetsOverride) {
@@ -463,13 +494,14 @@ TEST(BnbSearchTest, DotWarmStartSeedDoesNotChangeTheOptimum) {
 /// raised bound already misses the SLA: the branch-and-bound entry check
 /// must then prune that node on the SLA alone, i.e. backtrack it with
 /// nothing but Optimistic between Tighten and Unassign (`sla_prunes`).
-/// Counts are atomics because subtree tasks run on several threads.
+/// Only branch-and-bound calls Tighten, and it runs on the caller's thread
+/// alone, so the counts are plain integers.
 class TightenCountingModel : public WorkloadModel {
  public:
   struct Counts {
-    std::atomic<long long> raised{0};
-    std::atomic<long long> sla_misses{0};
-    std::atomic<long long> sla_prunes{0};
+    long long raised = 0;
+    long long sla_misses = 0;
+    long long sla_prunes = 0;
   };
 
   TightenCountingModel(const WorkloadModel* inner, Counts* counts)
@@ -477,6 +509,7 @@ class TightenCountingModel : public WorkloadModel {
 
   const std::string& name() const override { return inner_->name(); }
   const Schema* schema() const override { return inner_->schema(); }
+  const BoxConfig* box() const override { return inner_->box(); }
   double concurrency() const override { return inner_->concurrency(); }
   SlaKind sla_kind() const override { return inner_->sla_kind(); }
   PerfEstimate EstimateWithIoScale(const std::vector<int>& placement,
@@ -626,10 +659,9 @@ TEST(BnbSearchTest, MatchesEnumerationWhereTheEntryCheckFires) {
       ++instance;
     }
   }
-  EXPECT_GT(counts.raised.load(), 0) << "Tighten never raised a bound";
-  EXPECT_GT(counts.sla_misses.load(), 0)
-      << "no tightened bound missed the SLA";
-  EXPECT_EQ(counts.sla_prunes.load(), counts.sla_misses.load())
+  EXPECT_GT(counts.raised, 0) << "Tighten never raised a bound";
+  EXPECT_GT(counts.sla_misses, 0) << "no tightened bound missed the SLA";
+  EXPECT_EQ(counts.sla_prunes, counts.sla_misses)
       << "a node whose tightened bound misses the SLA was entered";
 }
 

@@ -192,6 +192,7 @@ class CountingWorkload : public WorkloadModel {
 
   const std::string& name() const override { return inner_->name(); }
   const Schema* schema() const override { return inner_->schema(); }
+  const BoxConfig* box() const override { return inner_->box(); }
   double concurrency() const override { return inner_->concurrency(); }
   SlaKind sla_kind() const override { return inner_->sla_kind(); }
   PerfEstimate EstimateWithIoScale(const std::vector<int>& placement,

@@ -328,8 +328,11 @@ TEST(ReplayTpchTest, RecordingRefusesAPlacementThatDoesNotFitAWindow) {
   const size_t n = static_cast<size_t>(schema.NumObjects());
   std::vector<int> negative(n, 0);
   negative[3] = -1;
+  std::vector<int> past_the_box(n, 0);
+  past_the_box[3] = box.NumClasses();
   for (const std::vector<int>& bad :
-       {std::vector<int>(n - 1, 0), std::vector<int>(n + 1, 0), negative}) {
+       {std::vector<int>(n - 1, 0), std::vector<int>(n + 1, 0), negative,
+        past_the_box}) {
     const WorkloadTrace trace = RecordTraceWithExecutor(spec, bad);
     EXPECT_EQ(trace.status.code(), StatusCode::kInvalidArgument);
     EXPECT_NE(trace.status.message().find("window 0 placement"),

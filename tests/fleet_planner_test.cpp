@@ -950,6 +950,7 @@ class ReadCountingWorkload : public WorkloadModel {
     ++reads_;
     return inner_->schema();
   }
+  const BoxConfig* box() const override { return inner_->box(); }
   double concurrency() const override { return inner_->concurrency(); }
   SlaKind sla_kind() const override { return inner_->sla_kind(); }
   PerfEstimate EstimateWithIoScale(const std::vector<int>& placement,
