@@ -2,20 +2,48 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "catalog/schema.h"
 #include "common/check.h"
+#include "dot/layout.h"
 #include "dot/sla.h"
 
 namespace dot {
 
+namespace {
+
+/// TOC and SLA verdict of `placement` under the optimizer's problem, priced
+/// on its scorer: cost / Score().tasks_per_hour and Score().sla_ok are
+/// bit-identical to EstimateToc (the fast == full contract), and an
+/// SLA-infeasible layout keeps its finite TOC, as EstimateToc reports it.
+/// Without a scorer, EstimateToc itself, which owns the verdict (the
+/// forecast's chance constraint; MeetsTargets on the point forecast).
+double PriceIncumbent(const DotOptimizer& optimizer,
+                      const std::vector<int>& placement, bool* sla_ok) {
+  const FastScorer* scorer = optimizer.scorer();
+  if (scorer == nullptr) {
+    return optimizer.EstimateToc(placement, nullptr, nullptr, sla_ok);
+  }
+  const DotProblem& problem = optimizer.problem();
+  const double cost = Layout(problem.schema, problem.box, placement)
+                          .CostCentsPerHour(problem.cost_model);
+  const QuickPerf qp = scorer->Score(placement);
+  DOT_CHECK(qp.tasks_per_hour > 0) << "estimate produced zero throughput";
+  *sla_ok = qp.sla_ok;
+  return cost / qp.tasks_per_hour;
+}
+
+}  // namespace
+
 Status ValidateAdvisorConfig(const AdvisorConfig& config) {
-  if (config.replan_method == SolveMethod::kEpochPlan) {
+  if (config.replan_method == SolveMethod::kEpochPlan ||
+      config.replan_method == SolveMethod::kFleet) {
     return Status::InvalidArgument(
-        "replan_method must not be kEpochPlan: the advisor is the stateful "
-        "loop; re-plans are single-shot");
+        "replan_method must be kDotHeuristic, kExact or kEnumerate: the "
+        "advisor is the stateful loop; re-plans are single-shot");
   }
   // NaN fails the comparison.
   if (!(config.payback_horizon_hours >= 0.0)) {
@@ -74,8 +102,8 @@ Status Advisor::Init() {
 
   incumbent_ = solved.placement;
   incumbent_toc_ = solved.toc_cents_per_task;
-  pool_.clear();
-  pool_.push_back(incumbent_);
+  pool_.assign(1, incumbent_);
+  pool_predicted_.assign(1, {});
 
   // The drift baseline is what the incumbent plan assumed the workload
   // does: the base model's predicted counts. A trace that matches the
@@ -121,12 +149,22 @@ int Advisor::ClassifyWorkload(const ObjectIoMap& observed) {
   // observed profile becomes the planning model. Scale hints then correct
   // only the residual — a task-mix swing is handled by the model switch,
   // not mis-expressed as per-object scaling.
+  //
+  // A model's predicted counts depend on the model and the layout alone,
+  // so they are estimated once per pool layout and kept with it.
+  const size_t slot = static_cast<size_t>(
+      std::find(pool_.begin(), pool_.end(), incumbent_) - pool_.begin());
+  DOT_CHECK(slot < pool_.size()) << "the incumbent is always in the pool";
+  std::vector<ObjectIoMap>& by_model = pool_predicted_[slot];
+  if (by_model.empty()) {
+    for (const WorkloadModel* model : config_.model_pool) {
+      by_model.push_back(model->Estimate(incumbent_).io_by_object);
+    }
+  }
   int best_index = -1;
   double best_score = 0.0;
-  ObjectIoMap best_predicted;
-  for (size_t m = 0; m < config_.model_pool.size(); ++m) {
-    ObjectIoMap predicted =
-        config_.model_pool[m]->Estimate(incumbent_).io_by_object;
+  for (size_t m = 0; m < by_model.size(); ++m) {
+    const ObjectIoMap& predicted = by_model[m];
     DOT_CHECK(predicted.size() == observed.size())
         << "model_pool entry built over a different schema";
     double abs_diff = 0.0;
@@ -142,12 +180,11 @@ int Advisor::ClassifyWorkload(const ObjectIoMap& observed) {
     if (best_index < 0 || score < best_score) {
       best_index = static_cast<int>(m);
       best_score = score;
-      best_predicted = std::move(predicted);
     }
   }
   if (best_index >= 0) {
     problem_.workload = config_.model_pool[static_cast<size_t>(best_index)];
-    reference_counts_ = std::move(best_predicted);
+    reference_counts_ = by_model[static_cast<size_t>(best_index)];
   }
   return best_index;
 }
@@ -170,8 +207,10 @@ std::vector<double> Advisor::EstimateIoScale(
 void Advisor::AddToPool(const std::vector<int>& layout) {
   if (std::find(pool_.begin(), pool_.end(), layout) != pool_.end()) return;
   pool_.push_back(layout);
+  pool_predicted_.emplace_back();
   if (static_cast<int>(pool_.size()) > config_.max_pool) {
     pool_.erase(pool_.begin());
+    pool_predicted_.erase(pool_predicted_.begin());
   }
 }
 
@@ -215,7 +254,17 @@ void Advisor::Observe(const TraceEvent& event, AdvisorRun* run) {
     // branch-and-bound incumbent, so an undisturbed subtree prunes at
     // once and a re-plan near the incumbent is nearly free.
     spec.warm_starts = &pool_;
-    const SolveResult candidate = Solve(problem_, spec);
+    // One optimizer per re-plan: the search and the incumbent's pricing
+    // below share its targets and its scorer. The optimizer asserts
+    // ValidateProblem, so a problem it rejects comes back as the
+    // re-plan's status.
+    std::optional<DotOptimizer> optimizer;
+    SolveResult candidate;
+    candidate.status = ValidateProblem(problem_);
+    if (candidate.status.ok()) {
+      optimizer.emplace(problem_);
+      candidate = Solve(*optimizer, spec);
+    }
     run->Add(candidate.provenance);
 
     if (candidate.status.ok()) {
@@ -223,13 +272,9 @@ void Advisor::Observe(const TraceEvent& event, AdvisorRun* run) {
       // Price the incumbent under the *same* scaled model — comparing a
       // scaled candidate against an unscaled incumbent would manufacture
       // phantom savings — and check whether it still meets the SLA there.
-      // EstimateToc owns the feasibility verdict (the forecast's chance
-      // constraint; MeetsTargets on the point forecast).
-      const DotOptimizer pricer(problem_);
-      PerfEstimate incumbent_estimate;
       bool incumbent_sla = false;
-      decision.incumbent_toc = pricer.EstimateToc(
-          incumbent_, &incumbent_estimate, nullptr, &incumbent_sla);
+      decision.incumbent_toc =
+          PriceIncumbent(*optimizer, incumbent_, &incumbent_sla);
       decision.incumbent_feasible = incumbent_sla;
       decision.verdict = GateMigration(
           config_.migration, *problem_.box, *problem_.schema, incumbent_,

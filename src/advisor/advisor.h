@@ -117,8 +117,8 @@ struct AdvisorRun : SearchStats {
 };
 
 /// The config checks Advisor::Init runs first, returned as
-/// InvalidArgument instead of aborting: replan_method is not kEpochPlan
-/// (the advisor is the stateful loop; re-plans are single-shot),
+/// InvalidArgument instead of aborting: replan_method is a single-shot
+/// method, not kEpochPlan or kFleet (the advisor is the stateful loop),
 /// payback_horizon_hours >= 0, cooldown_windows >= 0,
 /// replan_interval_windows >= 0, max_pool >= 1, no null model_pool entry,
 /// the drift config (ValidateDriftConfig) and the migration weight
@@ -175,12 +175,20 @@ class Advisor {
   std::vector<int> incumbent_;
   double incumbent_toc_ = 0.0;
 
-  /// Model-predicted counts on the initial incumbent: the denominator of
-  /// io_scale estimation for the whole session (scale is always relative
-  /// to the *base* model, matching DotProblem::io_scale_hint's contract).
+  /// The planning model's predicted counts on the incumbent: the
+  /// denominator of io_scale estimation (scale is always relative to the
+  /// *unscaled* model, matching DotProblem::io_scale_hint's contract). Init
+  /// sets it from the base model; with a model_pool, every re-plan's
+  /// classification replaces it with the chosen class's counts.
   ObjectIoMap reference_counts_;
 
+  /// Past incumbents and re-plan winners, oldest first: the warm starts.
+  /// The incumbent is always among them.
   std::vector<std::vector<int>> pool_;
+  /// pool_predicted_[i][m]: model_pool[m]'s predicted counts on pool_[i],
+  /// classification's memo; empty until pool_[i] is first classified on,
+  /// and evicted with it.
+  std::vector<std::vector<ObjectIoMap>> pool_predicted_;
   double resolved_weight_ = 0.0;
   int cooldown_remaining_ = 0;
   long long windows_seen_ = 0;

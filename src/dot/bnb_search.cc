@@ -16,15 +16,10 @@
 
 namespace dot {
 
-namespace {
-
 // ---------------------------------------------------------------------------
 // ExactStrategy::kEnumerate — the paper's Exhaustive Search comparator.
 // ---------------------------------------------------------------------------
 
-/// ExactStrategy::kEnumerate's guard: OutOfRange when M^N exceeds
-/// `max_layouts` or does not fit in a long long. ExactSearch(problem) runs
-/// it before the optimizer is built, so a guard trip derives nothing.
 Status CheckEnumerationGuard(const DotProblem& problem,
                              long long max_layouts) {
   const int n = problem.schema->NumObjects();
@@ -44,6 +39,8 @@ Status CheckEnumerationGuard(const DotProblem& problem,
       " layouts exceeds the guard (" + std::to_string(max_layouts) +
       "); use ExactStrategy::kBranchAndBound or raise max_layouts");
 }
+
+namespace {
 
 /// Runs after CheckEnumerationGuard passed.
 DotResult EnumerateSearch(const DotOptimizer& optimizer) {

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "common/status.h"
 #include "dot/optimizer.h"
 #include "dot/problem.h"
 
@@ -33,6 +34,12 @@ enum class ExactStrategy {
 /// status when M^N exceeds this (or the caller's `max_layouts`), or does
 /// not fit in a long long.
 inline constexpr long long kDefaultMaxEnumeratedLayouts = 50'000'000;
+
+/// The kEnumerate guard on a problem ValidateProblem accepts: OutOfRange
+/// when M^N exceeds `max_layouts` or does not fit in a long long.
+/// ExactSearch(problem) and Solve(problem) run it before the optimizer is
+/// built, so a guard trip derives nothing.
+Status CheckEnumerationGuard(const DotProblem& problem, long long max_layouts);
 
 /// The exact-search entry point. kEnumerate is the paper's Exhaustive
 /// Search comparator; kBranchAndBound is the scalable choice — bit-identical

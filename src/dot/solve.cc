@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/clock.h"
 
 namespace dot {
 
@@ -23,26 +24,72 @@ SolveResult FromDot(DotResult result, SolveMethod method,
   return out;
 }
 
+/// The engine label of a single-shot method; null for the others.
+const char* SingleShotEngine(SolveMethod method) {
+  switch (method) {
+    case SolveMethod::kDotHeuristic:
+      return "dot-heuristic";
+    case SolveMethod::kExact:
+      return "branch-and-bound";
+    case SolveMethod::kEnumerate:
+      return "enumerate";
+    case SolveMethod::kEpochPlan:
+    case SolveMethod::kFleet:
+      break;
+  }
+  return nullptr;
+}
+
 }  // namespace
+
+SolveResult Solve(const DotOptimizer& optimizer, const SolveSpec& spec) {
+  const char* engine = SingleShotEngine(spec.method);
+  if (engine == nullptr) {
+    SolveResult out;
+    out.status = Status::InvalidArgument(
+        "Solve on a caller-held optimizer runs kDotHeuristic, kExact or "
+        "kEnumerate only");
+    out.provenance.method = spec.method;
+    return out;
+  }
+  // Optimize returns the missing-profiles status itself; the enumerating
+  // search ignores warm starts.
+  DotResult result =
+      spec.method == SolveMethod::kDotHeuristic
+          ? optimizer.Optimize()
+          : ExactSearch(optimizer,
+                        spec.method == SolveMethod::kExact
+                            ? ExactStrategy::kBranchAndBound
+                            : ExactStrategy::kEnumerate,
+                        spec.max_layouts, spec.warm_starts);
+  return FromDot(std::move(result), spec.method, engine);
+}
 
 SolveResult Solve(const DotProblem& problem, const SolveSpec& spec) {
   switch (spec.method) {
-    case SolveMethod::kDotHeuristic: {
-      // The optimizer asserts ValidateProblem; return it instead. Optimize
-      // returns the missing-profiles status itself.
-      DotResult result;
-      result.status = ValidateProblem(problem);
-      if (result.status.ok()) result = DotOptimizer(problem).Optimize();
-      return FromDot(std::move(result), spec.method, "dot-heuristic");
-    }
+    case SolveMethod::kDotHeuristic:
     case SolveMethod::kExact:
-      return FromDot(ExactSearch(problem, ExactStrategy::kBranchAndBound,
-                                 spec.max_layouts, spec.warm_starts),
-                     spec.method, "branch-and-bound");
-    case SolveMethod::kEnumerate:
-      return FromDot(
-          ExactSearch(problem, ExactStrategy::kEnumerate, spec.max_layouts),
-          spec.method, "enumerate");
+    case SolveMethod::kEnumerate: {
+      // The optimizer asserts ValidateProblem; return it instead. The
+      // enumeration guard runs before the optimizer derives anything.
+      const double start_ms = NowMs();
+      Status st = ValidateProblem(problem);
+      if (st.ok() && spec.method == SolveMethod::kEnumerate) {
+        st = CheckEnumerationGuard(problem, spec.max_layouts);
+      }
+      SolveResult out;
+      if (st.ok()) {
+        out = Solve(DotOptimizer(problem), spec);
+      } else {
+        DotResult rejected;
+        rejected.status = std::move(st);
+        out = FromDot(std::move(rejected), spec.method,
+                      SingleShotEngine(spec.method));
+      }
+      // Target derivation included.
+      out.dot.optimize_ms = out.provenance.solve_ms = NowMs() - start_ms;
+      return out;
+    }
     case SolveMethod::kEpochPlan: {
       ReprovisionPlanner planner(problem, spec.epoch);
 

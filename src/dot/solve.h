@@ -155,14 +155,25 @@ struct SolveResult {
 /// Solve() routes and never aborts on a malformed input: each input is
 /// checked once, by the engine it enters (DESIGN.md §11), and Solve
 /// forwards that status — the one a direct engine call returns. It checks
-/// only kFleet's SolveSpec::fleet itself, and runs ValidateProblem before
-/// it builds the kDotHeuristic optimizer (whose constructor asserts it).
+/// only kFleet's SolveSpec::fleet itself. A single-shot method runs
+/// ValidateProblem (the optimizer's constructor asserts it) and, for
+/// kEnumerate, CheckEnumerationGuard, then builds one DotOptimizer and runs
+/// the overload below on it; its solve_ms counts the target derivation.
 ///
 /// kEpochPlan runs ReprovisionPlanner(problem, spec.epoch): each epoch
 /// derives its targets from its own best case, tail SLA included, so
 /// problem.targets_override and problem.io_scale_hint are ignored on this
 /// path.
 SolveResult Solve(const DotProblem& problem, const SolveSpec& spec = {});
+
+/// The single-shot methods (kDotHeuristic, kExact, kEnumerate) on the
+/// optimizer the caller holds for a problem, so that the search and the
+/// caller's own pricing share one set of targets and one scorer (the
+/// advisor prices its incumbent on the re-plan's scorer). Returns what
+/// Solve(optimizer.problem(), spec) returns, bit for bit, except that
+/// solve_ms and dot.optimize_ms count the engine run alone. Any other
+/// method returns InvalidArgument.
+SolveResult Solve(const DotOptimizer& optimizer, const SolveSpec& spec);
 
 }  // namespace dot
 

@@ -312,8 +312,8 @@ class DssFastScorer : public FastScorer {
   /// compiled floor with all of them pinned (a probe with every assigned
   /// class and the optimistic column elsewhere). It touches only rows
   /// that object's Assign pushed, so its Unassign restores them too.
-  /// Assign and Unassign, which the HTAP cursor drives without ever
-  /// tightening, do no extra work for it.
+  /// Assign and Unassign do no extra work for it: probes and enumeration,
+  /// which replay them without tightening, pay nothing.
   ///
   /// Templates the dense cache cannot hold complete through the cursor's
   /// private TemplateMemo.
@@ -379,8 +379,8 @@ class DssFastScorer : public FastScorer {
     bool Tighten(const std::vector<int>& placement) override {
       if (assigned_.empty()) return false;
       // Per-thread scratch, like Score's: a member would grow every
-      // cursor, and a larger cursor measurably slowed htap-advisor, whose
-      // DSS side allocates many cursors and never tightens.
+      // cursor, and a larger DSS cursor once measurably slowed
+      // htap-advisor, which builds one per HTAP cursor (DESIGN.md §5).
       static thread_local std::vector<int> probe;
       probe.assign(scorer_->fp_.row_offsets.size() - 1, scorer_->num_classes_);
       for (int a : assigned_) {

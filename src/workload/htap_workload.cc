@@ -127,6 +127,13 @@ class HtapFastScorer : public FastScorer {
       --depth_;
     }
 
+    /// The OLTP and interference sides are per-object sums with nothing
+    /// left to tighten; the DSS side raises its floors, which its Unassign
+    /// restores.
+    bool Tighten(const std::vector<int>& placement) override {
+      return dss_cursor_->Tighten(placement);
+    }
+
     QuickPerf Optimistic(const std::vector<int>& placement) const override {
       if (depth_ == scorer_->tables_.num_objects()) {
         // Leaf: the DSS cursor is exact here (bit-identical to the DSS

@@ -132,7 +132,7 @@ class FastScorer {
     /// returns true; enumeration never calls it. The default does nothing.
     /// The DSS cursor re-runs each incomplete template the object touches
     /// with every assigned object pinned; the ensemble cursor forwards to
-    /// its children; the HTAP cursor keeps the default (see DESIGN.md §5).
+    /// its children, and the HTAP cursor to its DSS side (DESIGN.md §5).
     virtual bool Tighten(const std::vector<int>& placement) {
       (void)placement;
       return false;

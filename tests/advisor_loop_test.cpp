@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <string>
@@ -25,6 +27,7 @@
 
 #include "catalog/tpcc_schema.h"
 #include "catalog/tpch_schema.h"
+#include "common/check.h"
 #include "common/rng.h"
 #include "common/str_util.h"
 #include "exec/trace_replay.h"
@@ -202,12 +205,19 @@ TEST(AdvisorLoopTest, InitRejectsANanMigrationWeight) {
   EXPECT_EQ(advisor.Init().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(AdvisorLoopTest, InitRejectsAnEpochPlanReplanMethod) {
+TEST(AdvisorLoopTest, InitRejectsAStatefulReplanMethod) {
+  // Rejected by the config check (kFleet not by Solve's missing-roster
+  // status).
   TpchSession session;
-  AdvisorConfig config;
-  config.replan_method = SolveMethod::kEpochPlan;
-  Advisor advisor(session.problem, config);
-  EXPECT_EQ(advisor.Init().code(), StatusCode::kInvalidArgument);
+  for (SolveMethod method : {SolveMethod::kEpochPlan, SolveMethod::kFleet}) {
+    AdvisorConfig config;
+    config.replan_method = method;
+    Advisor advisor(session.problem, config);
+    const Status st = advisor.Init();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(st.message().find("replan_method"), std::string::npos)
+        << st.ToString();
+  }
 }
 
 TEST(AdvisorLoopTest, InitRejectsANegativePaybackHorizon) {
@@ -397,6 +407,208 @@ TEST(AdvisorLoopTest, RunIsResumableAcrossFeedSegments) {
   stitched.num_replans += run_b.num_replans;
   EXPECT_EQ(DecisionFingerprint(stitched), DecisionFingerprint(whole));
   EXPECT_EQ(split_advisor.incumbent(), whole_advisor.incumbent());
+}
+
+/// A pool model that counts its unscaled estimates. The advisor's re-plans
+/// always run under an io_scale hint (estimate_io_scale is on), so an
+/// estimate with no scale is a classification's predicted counts.
+class EstimateCountingModel : public WorkloadModel {
+ public:
+  EstimateCountingModel(const WorkloadModel* inner, long long* count)
+      : inner_(inner), count_(count) {}
+
+  const std::string& name() const override { return inner_->name(); }
+  const Schema* schema() const override { return inner_->schema(); }
+  const BoxConfig* box() const override { return inner_->box(); }
+  double concurrency() const override { return inner_->concurrency(); }
+  SlaKind sla_kind() const override { return inner_->sla_kind(); }
+  PerfEstimate EstimateWithIoScale(const std::vector<int>& placement,
+                                   const std::vector<double>& io_scale,
+                                   bool need_io_by_object) const override {
+    if (io_scale.empty()) ++*count_;
+    return inner_->EstimateWithIoScale(placement, io_scale,
+                                       need_io_by_object);
+  }
+  std::unique_ptr<FastScorer> MakeFastScorer(
+      const std::vector<double>& io_scale,
+      const std::vector<double>& query_caps_ms, double min_tpmc,
+      double sla_tolerance) const override {
+    return inner_->MakeFastScorer(io_scale, query_caps_ms, min_tpmc,
+                                  sla_tolerance);
+  }
+
+ private:
+  const WorkloadModel* inner_;
+  long long* count_;
+};
+
+/// A diurnal CH-benCH session: the shared TPC-C objects on Box 2, the
+/// analytics ratio swinging 0.1 -> 8 -> 64 -> 8 every day, the advisor
+/// planning against the daytime model with the three mixes as its model
+/// pool and the migration gate on. The relative SLA is the tightest from
+/// 0.35 down (x0.9 steps) the daytime problem meets, so the incumbent
+/// misses it under the heavy mixes.
+struct DiurnalHtapSession {
+  Schema schema;
+  BoxConfig box;
+  std::vector<double> rhos = {0.1, 8.0, 64.0};
+  std::vector<HtapBundle> bundles;
+  DotProblem problem;
+  WorkloadTrace trace;
+  AdvisorConfig config;
+
+  explicit DiurnalHtapSession(int days)
+      : schema(MakeTpccSchema(300).Subset(
+            {"stock", "pk_stock", "order_line", "pk_order_line", "customer",
+             "pk_customer", "orders", "pk_orders"})),
+        box(MakeBox2()) {
+    for (double rho : rhos) {
+      HtapConfig htap;
+      htap.analytics_streams = rho;
+      bundles.push_back(MakeChbenchHtapWorkload(&schema, &box, htap));
+    }
+    problem.schema = &schema;
+    problem.box = &box;
+    problem.workload = bundles[0].htap.get();
+    problem.relative_sla = 0.35;
+    SolveResult base;
+    for (;;) {
+      base = Solve(problem);
+      if (base.status.ok() || problem.relative_sla < 0.02) break;
+      problem.relative_sla *= 0.9;
+    }
+    DOT_CHECK(base.status.ok());
+
+    WorkloadTraceSpec spec;
+    spec.count_noise_cv = 0.002;
+    spec.seed = 7;
+    const std::pair<int, int> phases[] = {{0, 10}, {1, 4}, {2, 8}, {1, 2}};
+    for (int d = 0; d < days; ++d) {
+      for (const auto& [bundle, hours] : phases) {
+        for (int h = 0; h < hours; ++h) {
+          TraceWindow window;
+          window.workload = bundles[static_cast<size_t>(bundle)].htap.get();
+          spec.windows.push_back(window);
+        }
+      }
+    }
+    trace = RecordTraceWithExecutor(spec, base.placement);
+
+    config.migration.transfer_price_cents_per_gb = 0.03;
+    config.migration.downtime_price_cents_per_hour = 15.0;
+    config.drift.ewma_alpha = 0.7;
+    config.payback_horizon_hours = 6.0;
+    for (const HtapBundle& bundle : bundles) {
+      config.model_pool.push_back(bundle.htap.get());
+    }
+  }
+
+  AdvisorRun Run(const DotProblem& p, const AdvisorConfig& c) const {
+    Advisor advisor(p, c);
+    RecordedTraceFeed feed(&trace);
+    return advisor.Run(&feed);
+  }
+};
+
+TEST(AdvisorLoopTest, FastAndFullIncumbentPricingAgreeBitForBit) {
+  // The incumbent is priced on the re-plan's scorer when it has one, and
+  // through EstimateToc without: every decision field must agree, on an
+  // SLA-feasible incumbent and on one the heavy mix pushes over the SLA.
+  const DiurnalHtapSession session(/*days=*/2);
+  DotProblem full = session.problem;
+  full.options.use_fast_eval = false;
+  const AdvisorRun fast = session.Run(session.problem, session.config);
+  const AdvisorRun slow = session.Run(full, session.config);
+  ASSERT_TRUE(fast.status.ok()) << fast.status.ToString();
+  ASSERT_TRUE(slow.status.ok()) << slow.status.ToString();
+  ASSERT_EQ(fast.decisions.size(), slow.decisions.size());
+  int feasible = 0;
+  int infeasible = 0;
+  for (size_t i = 0; i < fast.decisions.size(); ++i) {
+    const AdvisorDecision& a = fast.decisions[i];
+    const AdvisorDecision& b = slow.decisions[i];
+    SCOPED_TRACE("window " + std::to_string(a.window));
+    EXPECT_EQ(a.replanned, b.replanned);
+    EXPECT_EQ(a.migrated, b.migrated);
+    EXPECT_EQ(StrPrintf("%a", a.incumbent_toc),
+              StrPrintf("%a", b.incumbent_toc));
+    EXPECT_EQ(StrPrintf("%a", a.candidate_toc),
+              StrPrintf("%a", b.candidate_toc));
+    EXPECT_EQ(a.incumbent_feasible, b.incumbent_feasible);
+    EXPECT_EQ(a.model_index, b.model_index);
+    EXPECT_EQ(a.verdict.migrate, b.verdict.migrate);
+    EXPECT_EQ(StrPrintf("%a", a.verdict.bill.cents),
+              StrPrintf("%a", b.verdict.bill.cents));
+    EXPECT_EQ(StrPrintf("%a", a.verdict.toc_delta_cents_per_task),
+              StrPrintf("%a", b.verdict.toc_delta_cents_per_task));
+    EXPECT_EQ(StrPrintf("%a", a.verdict.projected_saving),
+              StrPrintf("%a", b.verdict.projected_saving));
+    EXPECT_EQ(StrPrintf("%a", a.verdict.weighted_bill),
+              StrPrintf("%a", b.verdict.weighted_bill));
+    if (a.replanned && a.candidate_toc > 0.0) {
+      ++(a.incumbent_feasible ? feasible : infeasible);
+      EXPECT_TRUE(std::isfinite(a.incumbent_toc));
+    }
+  }
+  EXPECT_EQ(DecisionFingerprint(fast), DecisionFingerprint(slow));
+  EXPECT_GT(feasible, 0);
+  EXPECT_GT(infeasible, 0) << "no re-plan priced an SLA-infeasible incumbent";
+}
+
+TEST(AdvisorLoopTest, ClassificationEstimatesOncePerDistinctIncumbent) {
+  // Each pool model's predicted counts on a layout are estimated once
+  // while the layout stays in the candidate pool: |model_pool| estimates
+  // per distinct incumbent classified on, not per re-plan. At max_pool = 1
+  // the pool keeps only the incumbent, so every change of incumbent
+  // between classifications estimates again.
+  const DiurnalHtapSession session(/*days=*/3);
+  long long count = 0;
+  std::vector<std::unique_ptr<EstimateCountingModel>> counting;
+  AdvisorConfig config = session.config;
+  for (const WorkloadModel*& model : config.model_pool) {
+    counting.push_back(std::make_unique<EstimateCountingModel>(model, &count));
+    model = counting.back().get();
+  }
+  const long long pool_size =
+      static_cast<long long>(config.model_pool.size());
+
+  std::string reference;
+  for (int max_pool : {16, 1}) {
+    SCOPED_TRACE("max_pool " + std::to_string(max_pool));
+    config.max_pool = max_pool;
+    count = 0;
+    const AdvisorRun run = session.Run(session.problem, config);
+    ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+    std::vector<std::vector<int>> distinct;
+    long long changes = 0;
+    const std::vector<int>* last = nullptr;
+    for (size_t w = 0; w < run.decisions.size(); ++w) {
+      if (!run.decisions[w].replanned) continue;
+      const std::vector<int>& incumbent = run.layout_by_window[w];
+      if (std::find(distinct.begin(), distinct.end(), incumbent) ==
+          distinct.end()) {
+        distinct.push_back(incumbent);
+      }
+      if (last == nullptr || *last != incumbent) ++changes;
+      last = &incumbent;
+    }
+    ASSERT_GT(static_cast<long long>(distinct.size()), 1);
+    ASSERT_GT(run.num_replans, static_cast<int>(distinct.size()));
+    EXPECT_EQ(count, pool_size * (max_pool == 1
+                                      ? changes
+                                      : static_cast<long long>(
+                                            distinct.size())));
+    if (max_pool == 1) {
+      EXPECT_GT(changes, static_cast<long long>(distinct.size()))
+          << "no incumbent came back after its eviction";
+    }
+    // The pool only seeds warm starts: decisions do not depend on it.
+    if (reference.empty()) {
+      reference = DecisionFingerprint(run);
+    } else {
+      EXPECT_EQ(DecisionFingerprint(run), reference);
+    }
+  }
 }
 
 /// Randomized full-schema HTAP sessions: the CH-benCH mix over a TPC-C

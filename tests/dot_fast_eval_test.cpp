@@ -23,6 +23,7 @@
 #include "dot/solve.h"
 #include "storage/standard_catalog.h"
 #include "workload/dss_workload.h"
+#include "workload/htap_workload.h"
 #include "workload/profiler.h"
 #include "workload/scenario.h"
 #include "workload/tpcc_workload.h"
@@ -552,6 +553,45 @@ TEST(DssTightenTest, TightenedBoundsStayAdmissibleAndUnassignRestoresThem) {
       }
     }
   }
+}
+
+TEST(HtapTightenTest, TightenedBoundsStayAdmissibleAndUnassignRestoresThem) {
+  // The HTAP cursor forwards Tighten to its DSS side: the CH-benCH mix on
+  // the shared TPC-C objects, on both boxes, at a light and a heavy
+  // analytic load, with no hint and with a skewed one.
+  const Schema schema = MakeTpccSchema(300).Subset(
+      {"stock", "pk_stock", "order_line", "pk_order_line", "customer",
+       "pk_customer", "orders", "pk_orders"});
+  const int n = schema.NumObjects();
+  int raised = 0;
+  int boxes = 0;
+  for (const BoxConfig& box : {MakeBox1(), MakeBox2()}) {
+    ++boxes;
+    for (double rho : {8.0, 64.0}) {
+      HtapConfig config;
+      config.analytics_streams = rho;
+      const HtapBundle bundle = MakeChbenchHtapWorkload(&schema, &box, config);
+      for (int hint = 0; hint < 2; ++hint) {
+        SCOPED_TRACE("box " + std::to_string(boxes) + " rho " +
+                     std::to_string(rho) + " hint " + std::to_string(hint));
+        DotProblem problem;
+        problem.schema = &schema;
+        problem.box = &box;
+        problem.workload = bundle.htap.get();
+        problem.relative_sla = 0.3;
+        if (hint == 1) problem.io_scale_hint = CursorWalkIoScale(n);
+        DotOptimizer optimizer(problem);
+        ASSERT_NE(optimizer.scorer(), nullptr);
+        raised += CheckTightenedBounds(
+            *optimizer.scorer(), n, box.NumClasses(),
+            /*seed=*/static_cast<uint64_t>(boxes * 1000 + hint) +
+                static_cast<uint64_t>(rho),
+            /*trials=*/40);
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(raised, 0) << "Tighten never raised an HTAP bound";
 }
 
 /// Seeded random DOT-style walk of one move walk: each step moves one

@@ -109,6 +109,44 @@ TEST_F(SolveFacadeTest, HeuristicMatchesDotOptimizerBitwise) {
   ExpectSameDotResult(direct, facade.dot);
 }
 
+TEST_F(SolveFacadeTest, CallerHeldOptimizerMatchesTheProblemFacade) {
+  // One optimizer serves every single-shot method, each call returning
+  // what Solve(problem) returns for it; warm starts ride along.
+  const std::vector<std::vector<int>> warm = {
+      UniformPlacement(schema_.NumObjects(), 0)};
+  const DotOptimizer optimizer(problem_);
+  for (SolveMethod method : {SolveMethod::kDotHeuristic, SolveMethod::kExact,
+                             SolveMethod::kEnumerate}) {
+    SCOPED_TRACE(static_cast<int>(method));
+    SolveSpec spec;
+    spec.method = method;
+    spec.warm_starts = &warm;
+    const SolveResult facade = Solve(problem_, spec);
+    const SolveResult held = Solve(optimizer, spec);
+    ASSERT_TRUE(held.status.ok()) << held.status.ToString();
+    ExpectSameDotResult(facade.dot, held.dot);
+    EXPECT_EQ(held.placement, facade.placement);
+    EXPECT_EQ(held.toc_cents_per_task, facade.toc_cents_per_task);
+    EXPECT_EQ(held.provenance.method, method);
+    EXPECT_STREQ(held.provenance.engine, facade.provenance.engine);
+    EXPECT_EQ(held.provenance.warm_start_hits,
+              facade.provenance.warm_start_hits);
+  }
+}
+
+TEST_F(SolveFacadeTest, CallerHeldOptimizerRefusesStatefulMethods) {
+  const DotOptimizer optimizer(problem_);
+  for (SolveMethod method : {SolveMethod::kEpochPlan, SolveMethod::kFleet}) {
+    SolveSpec spec;
+    spec.method = method;
+    const SolveResult out = Solve(optimizer, spec);
+    EXPECT_EQ(out.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(out.provenance.method, method);
+    EXPECT_FALSE(out.has_plan);
+    EXPECT_FALSE(out.has_fleet);
+  }
+}
+
 TEST_F(SolveFacadeTest, EnumerateRefusesOversizedSpaces) {
   SolveSpec spec;
   spec.method = SolveMethod::kEnumerate;
