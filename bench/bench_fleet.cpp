@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
               << free_run.fleet.pool_cache_hits << " cache hits\n";
     TablePrinter t({"budget slack", "feasible", "fleet TOC (c/task)",
                     "independent TOC", "saved", "exch moves",
-                    "price iters", "plan (ms)"});
+                    "impr moves", "price iters", "plan (ms)"});
 
     for (double f : fractions) {
       const double budget = floor + f * (cost0 - floor);
@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
       if (!r.status.ok()) {
         t.AddRow({StrPrintf("%.2f", f), "no (" +
                   std::string(StatusCodeName(r.status.code())) + ")", "-",
-                  "-", "-", "-", "-", "-"});
+                  "-", "-", "-", "-", "-", "-"});
         continue;
       }
       const FleetPlan& plan = r.fleet;
@@ -191,6 +191,7 @@ int main(int argc, char** argv) {
                 bench::Sci(plan.independent_toc_cents_per_task),
                 StrPrintf("%.2f%%", saved),
                 StrPrintf("%d", plan.exchange_moves),
+                StrPrintf("%d", plan.improve_moves),
                 StrPrintf("%d", plan.price_iterations_run),
                 StrPrintf("%.1f", plan.plan_ms)});
       if (!json_path.empty()) {
@@ -205,6 +206,7 @@ int main(int argc, char** argv) {
              {"pool_cache_hits",
               static_cast<double>(plan.pool_cache_hits)},
              {"exchange_moves", static_cast<double>(plan.exchange_moves)},
+             {"improve_moves", static_cast<double>(plan.improve_moves)},
              {"layouts_evaluated",
               static_cast<double>(plan.layouts_evaluated)}}));
       }

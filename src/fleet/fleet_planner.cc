@@ -6,12 +6,13 @@
 #include <cstring>
 #include <functional>
 #include <limits>
-#include <map>
 #include <string_view>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
 #include "catalog/schema.h"
+#include "common/check.h"
 #include "common/clock.h"
 #include "common/thread_pool.h"
 #include "dot/bnb_search.h"
@@ -385,316 +386,334 @@ struct SharedPools {
   size_t pool_of(size_t tenant) const {
     return static_cast<size_t>(tenant_pool[tenant]);
   }
-  const TenantPool& of(size_t tenant) const { return pools[pool_of(tenant)]; }
 };
 
-/// Fleet totals of one selection, accumulated in tenant-index order — the
-/// ONE implementation of the FleetPlan accounting contract.
-struct FleetTotals {
-  double toc = 0.0;
-  double cost = 0.0;
-  std::vector<double> used;
+/// A fleet total in exact integer arithmetic (CountFleet).
+__extension__ typedef __int128 Wide;
+
+/// The quantities of a pool row, in CountFleet's order: TOC, cost, then
+/// the space of each storage class.
+constexpr size_t kToc = 0;
+constexpr size_t kCost = 1;
+constexpr size_t kSpace = 2;
+
+/// A fleet selection as pool counts: count[CountFleet::Row(p, c)] tenants
+/// of pool p sit on candidate c, and each pool's counts sum to its size.
+/// `total` holds the selection's exact totals, one per quantity.
+struct CountSelection {
+  std::vector<int> count;
+  std::vector<Wide> total;
 };
 
-FleetTotals ComputeTotals(const std::vector<int>& choice,
-                          const SharedPools& fleet, int num_classes) {
-  FleetTotals t;
-  t.used.assign(static_cast<size_t>(num_classes), 0.0);
-  for (size_t i = 0; i < choice.size(); ++i) {
-    const TenantPool& pool = fleet.of(i);
-    const size_t c = static_cast<size_t>(choice[i]);
-    t.toc += pool.toc[c];
-    t.cost += pool.cost[c];
-    for (int j = 0; j < num_classes; ++j) {
-      t.used[static_cast<size_t>(j)] +=
-          pool.space[c * static_cast<size_t>(num_classes) +
-                     static_cast<size_t>(j)];
-    }
-  }
-  return t;
-}
-
-/// The tenant-level selection of a per-pool one: every tenant of pool p
-/// takes candidate `pool_arg[p]`.
-std::vector<int> TenantSelection(const SharedPools& fleet,
-                                 const std::vector<int>& pool_arg) {
-  std::vector<int> choice(fleet.tenant_pool.size());
-  for (size_t i = 0; i < choice.size(); ++i) {
-    choice[i] = pool_arg[fleet.pool_of(i)];
-  }
-  return choice;
-}
-
-/// The totals of every per-pool selection one Plan call has asked for.
-/// A selection's totals are computed once, in tenant order, on its first
-/// request; a later request returns them, bit-identical to a recount (the
-/// same addends in the same order). The price loop revisits a handful of
-/// selections over its iterations, so this turns one O(N·M) pass per
-/// iteration into one per distinct selection. References stay valid for
-/// the memo's lifetime.
-class SelectionMemo {
+/// The fleet's arithmetic over count selections. Once per plan, every pool
+/// row's quantities are quantized to int64, rounded up, at one
+/// power-of-two scale per quantity that puts its largest magnitude in
+/// [2^61, 2^62). A selection's totals, Σ count · value in __int128, are
+/// then exact: independent of grouping and tenant order, and free of drift.
+/// A cap no selection can reach is inactive and never quantized; an active
+/// cap is quantized down and shrunk by the worst relative rounding of the
+/// tenant-order double sums the plan reports, so totals that pass
+/// Feasible() report within the FleetConstraints.
+class CountFleet {
  public:
-  SelectionMemo(const SharedPools& fleet, int num_classes)
-      : fleet_(fleet), num_classes_(num_classes) {}
-
-  const FleetTotals& Totals(const std::vector<int>& pool_arg) {
-    const auto slot = totals_.try_emplace(pool_arg);
-    if (slot.second) {
-      slot.first->second = ComputeTotals(TenantSelection(fleet_, pool_arg),
-                                         fleet_, num_classes_);
+  CountFleet(const SharedPools& fleet, const FleetConstraints& cons,
+             int num_classes)
+      : fleet_(fleet),
+        width_(kSpace + static_cast<size_t>(num_classes)),
+        exponent_(width_, 0),
+        cap_(width_, 0),
+        cap_norm_(width_, 0.0) {
+    const size_t num_pools = fleet.pools.size();
+    size_.assign(num_pools, 0);
+    for (int p : fleet.tenant_pool) ++size_[static_cast<size_t>(p)];
+    const size_t m = static_cast<size_t>(num_classes);
+    auto value = [&](const TenantPool& pool, size_t c, size_t d) {
+      return d == kToc    ? pool.toc[c]
+             : d == kCost ? pool.cost[c]
+                          : pool.space[c * m + d - kSpace];
+    };
+    // The pools' rows, the largest magnitude of each quantity, and its
+    // reach: the largest total any selection can have.
+    std::vector<double> largest(width_, 0.0);
+    std::vector<double> reach(width_, 0.0);
+    row_begin_.assign(1, 0);
+    for (size_t p = 0; p < num_pools; ++p) {
+      const TenantPool& pool = fleet.pools[p];
+      row_begin_.push_back(row_begin_.back() + static_cast<size_t>(pool.size()));
+      for (size_t d = 0; d < width_; ++d) {
+        double pool_largest = 0.0;
+        for (size_t c = 0; c < static_cast<size_t>(pool.size()); ++c) {
+          pool_largest = std::max(pool_largest, value(pool, c, d));
+        }
+        largest[d] = std::max(largest[d], pool_largest);
+        reach[d] += static_cast<double>(size_[p]) * pool_largest;
+      }
     }
-    return slot.first->second;
+    for (size_t d = 0; d < width_; ++d) {
+      if (largest[d] > 0.0) exponent_[d] = 61 - std::ilogb(largest[d]);
+    }
+    q_.resize(row_begin_.back() * width_);
+    for (size_t p = 0; p < num_pools; ++p) {
+      const TenantPool& pool = fleet.pools[p];
+      for (size_t c = 0; c < static_cast<size_t>(pool.size()); ++c) {
+        for (size_t d = 0; d < width_; ++d) {
+          q_[Row(p, static_cast<int>(c)) * width_ + d] = static_cast<int64_t>(
+              std::ceil(std::ldexp(value(pool, c, d), exponent_[d])));
+        }
+      }
+    }
+
+    // A tenant-order sum of N non-negative doubles is within a relative
+    // (N-1)·ε/2, to first order, of its exact value (ε = DBL_EPSILON);
+    // `drift` covers that with room for the cap's own rounding below.
+    const double drift = 2.0 * static_cast<double>(fleet.tenant_pool.size()) *
+                         std::numeric_limits<double>::epsilon();
+    auto add_cap = [&](size_t d, double limit) {
+      const double cap = limit * (1.0 + kFleetFeasTol);
+      if (!(cap < reach[d] * (1.0 + drift))) return;  // unreachable
+      active_.push_back(d);
+      cap_[d] = static_cast<Wide>(
+          std::floor(std::ldexp(cap / (1.0 + drift), exponent_[d])));
+      cap_norm_[d] = std::max(cap, kEps);
+    };
+    if (cons.budget_cents_per_hour > 0.0) {
+      add_cap(kCost, cons.budget_cents_per_hour);
+    }
+    for (size_t j = 0; j < cons.capacity_gb.size(); ++j) {
+      add_cap(kSpace + j, cons.capacity_gb[j]);
+    }
+  }
+
+  size_t width() const { return width_; }
+  size_t num_pools() const { return size_.size(); }
+  int pool_rows(size_t p) const { return fleet_.pools[p].size(); }
+  double toc(size_t p, int c) const {
+    return fleet_.pools[p].toc[static_cast<size_t>(c)];
+  }
+  size_t Row(size_t p, int c) const {
+    return row_begin_[p] + static_cast<size_t>(c);
+  }
+
+  /// The totals of the selection that puts every tenant of pool p on
+  /// candidate pool_arg[p], into `out` (width() entries).
+  void Totals(const std::vector<int>& pool_arg, Wide* out) const {
+    std::fill(out, out + width_, Wide{0});
+    for (size_t p = 0; p < pool_arg.size(); ++p) {
+      const int64_t* q = &q_[Row(p, pool_arg[p]) * width_];
+      for (size_t d = 0; d < width_; ++d) {
+        out[d] += static_cast<Wide>(size_[p]) * q[d];
+      }
+    }
+  }
+
+  /// That selection as counts: one non-zero entry per pool.
+  CountSelection Select(const std::vector<int>& pool_arg) const {
+    CountSelection s;
+    s.count.assign(row_begin_.back(), 0);
+    for (size_t p = 0; p < pool_arg.size(); ++p) {
+      s.count[Row(p, pool_arg[p])] = size_[p];
+    }
+    s.total.resize(width_);
+    Totals(pool_arg, s.total.data());
+    return s;
+  }
+
+  /// `t` with one tenant of pool p moved from candidate `from` to `to`,
+  /// into `out`.
+  void Step(const Wide* t, size_t p, int from, int to, Wide* out) const {
+    const int64_t* a = &q_[Row(p, from) * width_];
+    const int64_t* c = &q_[Row(p, to) * width_];
+    for (size_t d = 0; d < width_; ++d) out[d] = t[d] + (c[d] - a[d]);
+  }
+
+  /// Total `d`, rounded to double.
+  double Value(const Wide* t, size_t d) const {
+    return std::ldexp(static_cast<double>(t[d]), -exponent_[d]);
+  }
+
+  bool Feasible(const Wide* t) const {
+    for (size_t d : active_) {
+      if (t[d] > cap_[d]) return false;
+    }
+    return true;
+  }
+
+  /// Normalized total violation: 0 iff Feasible. The repair pass's
+  /// potential function — every applied exchange strictly decreases it.
+  double Violation(const Wide* t) const {
+    double v = 0.0;
+    for (size_t d : active_) {
+      if (t[d] > cap_[d]) {
+        v += std::ldexp(static_cast<double>(t[d] - cap_[d]), -exponent_[d]) /
+             cap_norm_[d];
+      }
+    }
+    return v;
   }
 
  private:
   const SharedPools& fleet_;
-  int num_classes_;
-  std::map<std::vector<int>, FleetTotals> totals_;
+  size_t width_;
+  std::vector<int> size_;          ///< pool -> tenants in it
+  std::vector<size_t> row_begin_;  ///< pool -> its first row; + end
+  std::vector<int64_t> q_;         ///< [row * width + quantity]
+  std::vector<int> exponent_;      ///< quantity -> scale 2^exponent
+  std::vector<size_t> active_;     ///< the constrained quantities
+  std::vector<Wide> cap_;          ///< quantity -> quantized cap
+  std::vector<double> cap_norm_;   ///< quantity -> violation denominator
 };
 
-bool FleetFeasible(const FleetTotals& t, const FleetConstraints& c) {
-  if (c.budget_cents_per_hour > 0.0 &&
-      t.cost > c.budget_cents_per_hour * (1.0 + kFleetFeasTol)) {
-    return false;
-  }
-  for (size_t j = 0; j < c.capacity_gb.size(); ++j) {
-    if (t.used[j] > c.capacity_gb[j] * (1.0 + kFleetFeasTol)) return false;
-  }
-  return true;
-}
+/// A group move of the repair or improvement pass: tenants of `pool` from
+/// candidate `from` to candidate `to`, ordered by `key` (smaller first),
+/// ties by (pool, from, to).
+struct GroupMove {
+  double key;
+  int pool;
+  int from;
+  int to;
 
-/// Normalized total violation: 0 iff FleetFeasible. The repair pass's
-/// potential function — every applied exchange strictly decreases it.
-double Violation(const FleetTotals& t, const FleetConstraints& c) {
-  double v = 0.0;
-  if (c.budget_cents_per_hour > 0.0) {
-    const double cap = c.budget_cents_per_hour * (1.0 + kFleetFeasTol);
-    if (t.cost > cap) v += (t.cost - cap) / std::max(cap, kEps);
+  bool operator<(const GroupMove& o) const {
+    return std::tie(key, pool, from, to) <
+           std::tie(o.key, o.pool, o.from, o.to);
   }
-  for (size_t j = 0; j < c.capacity_gb.size(); ++j) {
-    const double cap = c.capacity_gb[j] * (1.0 + kFleetFeasTol);
-    if (t.used[j] > cap) v += (t.used[j] - cap) / std::max(cap, kEps);
-  }
-  return v;
-}
-
-/// `t` with one tenant moved from candidate `from` to `to`, written into
-/// `out` (a reused buffer: scoring a move allocates nothing).
-void ApplyMove(const FleetTotals& t, const TenantPool& pool, int from, int to,
-               int num_classes, FleetTotals* out) {
-  *out = t;
-  const size_t f = static_cast<size_t>(from);
-  const size_t c = static_cast<size_t>(to);
-  out->toc += pool.toc[c] - pool.toc[f];
-  out->cost += pool.cost[c] - pool.cost[f];
-  for (int j = 0; j < num_classes; ++j) {
-    out->used[static_cast<size_t>(j)] +=
-        pool.space[c * static_cast<size_t>(num_classes) +
-                   static_cast<size_t>(j)] -
-        pool.space[f * static_cast<size_t>(num_classes) +
-                   static_cast<size_t>(j)];
-  }
-}
-
-/// One candidate move of the repair or improvement pass, ordered by `key`
-/// (smaller first), ties by (tenant, candidate) index.
-struct Move {
-  double key = 0.0;
-  int tenant = 0;
-  int candidate = 0;
 };
 
-/// Builds a round's move list in (key, tenant, candidate) order. A move's
-/// key depends only on the tenant's pool, its current candidate and the
-/// round-start totals, so keys are computed once per (pool id, current
-/// candidate) group — filled lazily through a dense per-pool slot table.
-/// The distinct keys (at most one per group move) are then sorted and
-/// ranked, and each tenant's copy of its group's moves is placed by a
-/// stable counting sort over the ranks in tenant order: equal keys keep
-/// tenant order and, within a tenant, candidate order. The list is
-/// element for element the one a per-tenant scan and a comparison sort
-/// build, at O(G·K log(G·K) + S) for G groups of K candidates and S moves
-/// instead of O(S log S).
-class MoveCollector {
+/// One round of group moves: every occupied (pool, from) scored against
+/// every other candidate at the round's starting totals, then applied in
+/// (key, pool, from, to) order, each to as many of the tenants that
+/// started the round on `from` as pass the per-tenant test one after
+/// another. A tenant moves at most once per round, so k tenants of a pool
+/// move as k one-tenant pools of the same problem would.
+class MoveRound {
  public:
-  explicit MoveCollector(const SharedPools& fleet) : fleet_(fleet) {
-    size_t slots = 0;
-    for (const TenantPool& pool : fleet.pools) {
-      first_slot_.push_back(slots);
-      slots += static_cast<size_t>(pool.size());
-    }
-    group_of_slot_.resize(slots);
-  }
+  explicit MoveRound(const CountFleet& f) : f_(f), next_(f.width()) {}
 
-  /// `key_of(pool, cur, c, &key)` says whether moving a tenant of `pool`
-  /// from `cur` to `c` is a move this round, and with which key.
+  /// `key_of(p, from, to, next, &key)` — `next` being the totals after one
+  /// tenant moves — says whether the move is one this round, and with
+  /// which key.
   template <typename KeyFn>
-  const std::vector<Move>& Collect(const std::vector<int>& choice,
-                                   KeyFn key_of) {
-    std::fill(group_of_slot_.begin(), group_of_slot_.end(), -1);
-    group_begin_.assign(1, 0);
-    group_tenants_.clear();
-    group_moves_.clear();
-    tenant_group_.resize(choice.size());
-    for (size_t i = 0; i < choice.size(); ++i) {
-      const size_t pid = fleet_.pool_of(i);
-      const int cur = choice[i];
-      int& group = group_of_slot_[first_slot_[pid] + static_cast<size_t>(cur)];
-      if (group < 0) {
-        const TenantPool& pool = fleet_.pools[pid];
-        for (int c = 0; c < pool.size(); ++c) {
-          Move mv;
-          mv.candidate = c;
-          if (c != cur && key_of(pool, cur, c, &mv.key)) {
-            group_moves_.push_back(mv);
+  void Collect(const CountSelection& s, KeyFn key_of) {
+    moves_.clear();
+    movable_ = s.count;
+    for (size_t p = 0; p < f_.num_pools(); ++p) {
+      for (int from = 0; from < f_.pool_rows(p); ++from) {
+        if (s.count[f_.Row(p, from)] == 0) continue;
+        for (int to = 0; to < f_.pool_rows(p); ++to) {
+          if (to == from) continue;
+          f_.Step(s.total.data(), p, from, to, next_.data());
+          double key = 0.0;
+          if (key_of(p, from, to, next_.data(), &key)) {
+            moves_.push_back({key, static_cast<int>(p), from, to});
           }
         }
-        group = static_cast<int>(group_tenants_.size());
-        group_begin_.push_back(group_moves_.size());
-        group_tenants_.push_back(0);
       }
-      tenant_group_[i] = group;
-      ++group_tenants_[static_cast<size_t>(group)];
     }
+    std::sort(moves_.begin(), moves_.end());
+  }
 
-    // Rank the distinct keys (== keys share a rank) and size each rank's
-    // bucket: a group's move appears once per tenant of the group.
-    keys_.clear();
-    for (const Move& mv : group_moves_) keys_.push_back(mv.key);
-    std::sort(keys_.begin(), keys_.end());
-    keys_.erase(std::unique(keys_.begin(), keys_.end()), keys_.end());
-    rank_.resize(group_moves_.size());
-    bucket_.assign(keys_.size() + 1, 0);
-    for (size_t g = 0; g < group_tenants_.size(); ++g) {
-      for (size_t k = group_begin_[g]; k < group_begin_[g + 1]; ++k) {
-        const double key = group_moves_[k].key;
-        rank_[k] = static_cast<size_t>(
-            std::lower_bound(keys_.begin(), keys_.end(), key) - keys_.begin());
-        bucket_[rank_[k] + 1] += group_tenants_[g];
+  /// Applies the collected moves; `accept(next)` is the per-tenant test.
+  /// Returns whether any tenant moved.
+  template <typename AcceptFn>
+  bool Apply(CountSelection* s, AcceptFn accept, int* moves_applied) {
+    bool moved = false;
+    for (const GroupMove& mv : moves_) {
+      const size_t p = static_cast<size_t>(mv.pool);
+      for (int& left = movable_[f_.Row(p, mv.from)]; left > 0; --left) {
+        f_.Step(s->total.data(), p, mv.from, mv.to, next_.data());
+        if (!accept(next_.data())) break;
+        --s->count[f_.Row(p, mv.from)];
+        ++s->count[f_.Row(p, mv.to)];
+        std::copy(next_.begin(), next_.end(), s->total.begin());
+        ++*moves_applied;
+        moved = true;
       }
     }
-    for (size_t r = 1; r < bucket_.size(); ++r) bucket_[r] += bucket_[r - 1];
-
-    moves_.resize(bucket_.back());
-    for (size_t i = 0; i < choice.size(); ++i) {
-      const size_t g = static_cast<size_t>(tenant_group_[i]);
-      for (size_t k = group_begin_[g]; k < group_begin_[g + 1]; ++k) {
-        Move& out = moves_[bucket_[rank_[k]]++];
-        out = group_moves_[k];
-        out.tenant = static_cast<int>(i);
-      }
-    }
-    return moves_;
+    return moved;
   }
 
  private:
-  const SharedPools& fleet_;
-  std::vector<size_t> first_slot_;     ///< pool id -> its first slot
-  std::vector<int> group_of_slot_;     ///< slot -> group, -1 = unscored
-  std::vector<size_t> group_begin_;    ///< group -> first move; + end
-  std::vector<size_t> group_tenants_;  ///< group -> tenants in it
-  std::vector<Move> group_moves_;      ///< every group's moves, in order
-  std::vector<int> tenant_group_;      ///< tenant -> group
-  std::vector<double> keys_;           ///< distinct keys, ascending
-  std::vector<size_t> rank_;           ///< group move -> rank of its key
-  std::vector<size_t> bucket_;         ///< rank -> next output slot
-  std::vector<Move> moves_;
+  const CountFleet& f_;
+  std::vector<Wide> next_;
+  std::vector<GroupMove> moves_;
+  std::vector<int> movable_;  ///< [CountFleet::Row(p, c)]
 };
 
-/// Deterministic greedy exchange: walk tenants onto candidates that
+constexpr int kMaxMoveRounds = 64;
+
+/// Deterministic greedy exchange: moves tenants onto candidates that
 /// strictly reduce the violation, cheapest ΔTOC per unit of violation
-/// removed first, ties by (tenant, candidate) index. Batch rounds — all
-/// improving moves are collected and ordered once (MoveCollector), then
-/// re-checked and applied sequentially — keep a round near-linear in the
-/// collected moves instead of re-sorting after every apply. Returns true
-/// when the selection is feasible.
-bool ExchangeRepair(const SharedPools& fleet,
-                    const FleetConstraints& constraints, int num_classes,
-                    std::vector<int>* choice, FleetTotals* totals,
+/// removed first; a tenant passes while it lowers the violation by more
+/// than kEps. Returns true when the selection is feasible.
+bool ExchangeRepair(const CountFleet& f, CountSelection* s,
                     int* moves_applied) {
-  constexpr int kMaxRounds = 64;
-  MoveCollector collector(fleet);
-  FleetTotals next;
-  for (int round = 0; round < kMaxRounds; ++round) {
-    double viol = Violation(*totals, constraints);
+  MoveRound round(f);
+  for (int r = 0; r < kMaxMoveRounds; ++r) {
+    double viol = f.Violation(s->total.data());
     if (viol <= 0.0) return true;
-    const double round_viol = viol;
-    const std::vector<Move>& moves = collector.Collect(
-        *choice, [&](const TenantPool& pool, int cur, int c, double* key) {
-          ApplyMove(*totals, pool, cur, c, num_classes, &next);
-          const double dv = Violation(next, constraints) - round_viol;
-          if (dv >= -kEps) return false;
-          *key = (pool.toc[static_cast<size_t>(c)] -
-                  pool.toc[static_cast<size_t>(cur)]) /
-                 (-dv);
-          return true;
-        });
-    if (moves.empty()) return false;
-    bool applied_any = false;
-    for (const Move& mv : moves) {
-      const size_t i = static_cast<size_t>(mv.tenant);
-      const int cur = (*choice)[i];
-      if (cur == mv.candidate) continue;
-      ApplyMove(*totals, fleet.of(i), cur, mv.candidate, num_classes, &next);
-      const double dv = Violation(next, constraints) - viol;
-      if (dv >= -kEps) continue;  // stale after earlier applies
-      (*choice)[i] = mv.candidate;
-      *totals = next;
-      viol += dv;
-      ++*moves_applied;
-      applied_any = true;
-      if (viol <= 0.0) break;
-    }
-    // Kill incremental drift before the feasibility verdict: totals are
-    // re-accumulated in the contract order.
-    *totals = ComputeTotals(*choice, fleet, num_classes);
-    if (Violation(*totals, constraints) <= 0.0) return true;
-    if (!applied_any) return false;
+    round.Collect(*s, [&](size_t p, int from, int to, const Wide* next,
+                          double* key) {
+      const double dv = f.Violation(next) - viol;
+      if (dv >= -kEps) return false;
+      *key = (f.toc(p, to) - f.toc(p, from)) / (-dv);
+      return true;
+    });
+    auto lowers_violation = [&](const Wide* next) {
+      const double after = f.Violation(next);
+      if (after - viol >= -kEps) return false;
+      viol = after;
+      return true;
+    };
+    if (!round.Apply(s, lowers_violation, moves_applied)) return false;
   }
-  return false;
+  return f.Violation(s->total.data()) <= 0.0;
 }
 
 /// Deterministic greedy improvement: moves that strictly lower a tenant's
-/// TOC while the fleet stays feasible, best ΔTOC first, ties by (tenant,
-/// candidate). Monotone in Σ TOC, so it terminates; it can only tighten
-/// the never-lose guarantee.
-void ImprovementPass(const SharedPools& fleet,
-                     const FleetConstraints& constraints, int num_classes,
-                     std::vector<int>* choice, FleetTotals* totals,
+/// TOC while the fleet stays feasible, best ΔTOC first. Monotone in Σ TOC,
+/// so it terminates; it can only tighten the never-lose guarantee. It
+/// stops at a round with no such move for any single tenant.
+void ImprovementPass(const CountFleet& f, CountSelection* s,
                      int* moves_applied) {
-  constexpr int kMaxRounds = 64;
-  MoveCollector collector(fleet);
-  FleetTotals next;
-  for (int round = 0; round < kMaxRounds; ++round) {
-    const std::vector<Move>& moves = collector.Collect(
-        *choice, [&](const TenantPool& pool, int cur, int c, double* key) {
-          const double dt = pool.toc[static_cast<size_t>(c)] -
-                            pool.toc[static_cast<size_t>(cur)];
-          if (dt >= 0.0) return false;
-          ApplyMove(*totals, pool, cur, c, num_classes, &next);
-          if (!FleetFeasible(next, constraints)) return false;
-          *key = dt;
-          return true;
-        });
-    if (moves.empty()) return;
-    bool applied_any = false;
-    for (const Move& mv : moves) {
-      const size_t i = static_cast<size_t>(mv.tenant);
-      const TenantPool& pool = fleet.of(i);
-      const int cur = (*choice)[i];
-      if (cur == mv.candidate) continue;
-      const double dt = pool.toc[static_cast<size_t>(mv.candidate)] -
-                        pool.toc[static_cast<size_t>(cur)];
-      if (dt >= 0.0) continue;
-      ApplyMove(*totals, pool, cur, mv.candidate, num_classes, &next);
-      if (!FleetFeasible(next, constraints)) continue;
-      (*choice)[i] = mv.candidate;
-      *totals = next;
-      ++*moves_applied;
-      applied_any = true;
-    }
-    *totals = ComputeTotals(*choice, fleet, num_classes);
-    if (!applied_any) return;
+  MoveRound round(f);
+  auto feasible = [&](const Wide* next) { return f.Feasible(next); };
+  for (int r = 0; r < kMaxMoveRounds; ++r) {
+    round.Collect(*s, [&](size_t p, int from, int to, const Wide* next,
+                          double* key) {
+      *key = f.toc(p, to) - f.toc(p, from);
+      return *key < 0.0 && f.Feasible(next);
+    });
+    if (!round.Apply(s, feasible, moves_applied)) return;
+  }
+}
+
+/// Writes a count selection out tenant by tenant: within each pool, the
+/// tenants in roster order take candidates in ascending candidate order.
+/// The plan's totals are tenant-order sums of the emitted bills (the
+/// FleetPlan accounting contract).
+void Emit(const SharedPools& fleet, const CountFleet& f,
+          const std::vector<int>& count, int num_classes, FleetPlan* plan) {
+  const size_t m = static_cast<size_t>(num_classes);
+  std::vector<int> cursor(fleet.pools.size(), -1);  // pool -> candidate
+  std::vector<int> left(fleet.pools.size(), 0);     // tenants it still takes
+  plan->tenants.resize(fleet.tenant_pool.size());
+  plan->total_toc_cents_per_task = 0.0;
+  plan->total_cost_cents_per_hour = 0.0;
+  plan->used_gb.assign(m, 0.0);
+  for (size_t i = 0; i < fleet.tenant_pool.size(); ++i) {
+    const size_t p = fleet.pool_of(i);
+    while (left[p] == 0) left[p] = count[f.Row(p, ++cursor[p])];
+    --left[p];
+    const TenantPool& pool = fleet.pools[p];
+    const size_t c = static_cast<size_t>(cursor[p]);
+    FleetTenantChoice& out = plan->tenants[i];
+    out.placement = pool.placements[c];
+    out.toc_cents_per_task = pool.toc[c];
+    out.cost_cents_per_hour = pool.cost[c];
+    out.pool_id = static_cast<int>(p);
+    out.candidate = cursor[p];
+    plan->total_toc_cents_per_task += pool.toc[c];
+    plan->total_cost_cents_per_hour += pool.cost[c];
+    for (size_t j = 0; j < m; ++j) plan->used_gb[j] += pool.space[c * m + j];
   }
 }
 
@@ -886,20 +905,18 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
   const FleetConstraints& cons = config_.constraints;
   const bool budget_active = cons.budget_cents_per_hour > 0.0;
   const bool capacity_active = !cons.capacity_gb.empty();
+  const CountFleet counts(fleet, cons, m);
 
   // --- The zero-price selection: every tenant's solo optimum (pool[0]).
   // Its Σ TOC lower-bounds every selection, so if it is feasible it is THE
-  // fleet optimum over the pools. Every selection below — solo, baseline,
-  // each price iterate — gives all tenants of a pool one candidate, so its
-  // totals come from the memo.
-  SelectionMemo memo(fleet, m);
-  const std::vector<int> solo(static_cast<size_t>(num_pools), 0);
-  const FleetTotals& solo_totals = memo.Totals(solo);
+  // fleet optimum over the pools.
+  const CountSelection solo =
+      counts.Select(std::vector<int>(static_cast<size_t>(num_pools), 0));
 
   // --- The fleet's cost floor: every tenant on its pool's cheapest
-  // candidate (summed in tenant-index order, like every total). Below it
-  // no selection exists, so callers can sweep budgets from min_cost to the
-  // solo cost.
+  // candidate (summed in tenant-index order, like every reported total).
+  // Below it no selection exists, so callers can sweep budgets from
+  // min_cost to the solo cost.
   std::vector<double> pool_cheapest(static_cast<size_t>(num_pools), 0.0);
   for (int pid = 0; pid < num_pools; ++pid) {
     const TenantPool& pool = fleet.pools[static_cast<size_t>(pid)];
@@ -939,40 +956,47 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
     }
     baseline[static_cast<size_t>(pid)] = pick;
   }
-  const FleetTotals& baseline_totals = memo.Totals(baseline);
-  plan.independent_toc_cents_per_task = baseline_totals.toc;
-  plan.independent_cost_cents_per_hour = baseline_totals.cost;
+  for (size_t i = 0; i < fleet.tenant_pool.size(); ++i) {
+    const size_t p = fleet.pool_of(i);
+    const size_t c = static_cast<size_t>(baseline[p]);
+    plan.independent_toc_cents_per_task += fleet.pools[p].toc[c];
+    plan.independent_cost_cents_per_hour += fleet.pools[p].cost[c];
+  }
+  const CountSelection base = counts.Select(baseline);
+  const bool base_feasible =
+      plan.independent_feasible && counts.Feasible(base.total.data());
 
-  // --- Decide the fleet selection.
-  std::vector<int> choice;
-  FleetTotals totals;
+  // --- Decide the fleet selection, on counts and exact totals.
+  CountSelection choice;
   bool feasible = false;
 
-  if (FleetFeasible(solo_totals, cons)) {
+  if (counts.Feasible(solo.total.data())) {
     // Unconstrained (or slack) fleet: the solo optima win outright, and
     // with no coupling this reproduces dot::Solve per tenant bit for bit.
-    choice = TenantSelection(fleet, solo);
-    totals = solo_totals;
+    choice = solo;
     feasible = true;
   } else {
     // --- Lagrangian price decomposition. Prices are normalized so that
     // one unit of relative over-subscription moves the objective by about
     // one solo Σ TOC; the harmonic step keeps updates deterministic.
+    const double solo_toc = counts.Value(solo.total.data(), kToc);
     double lambda = 0.0;
     std::vector<double> mu(static_cast<size_t>(m), 0.0);
     const double lambda_unit =
-        solo_totals.toc / std::max(solo_totals.cost, kEps);
+        solo_toc / std::max(counts.Value(solo.total.data(), kCost), kEps);
     std::vector<double> mu_unit(static_cast<size_t>(m), 0.0);
     for (int j = 0; j < m; ++j) {
       mu_unit[static_cast<size_t>(j)] =
-          solo_totals.toc /
-          std::max(solo_totals.used[static_cast<size_t>(j)], kEps);
+          solo_toc /
+          std::max(counts.Value(solo.total.data(),
+                                kSpace + static_cast<size_t>(j)),
+                   kEps);
     }
-    // The loop's state is the per-pool argmin; no tenant-level selection
-    // is built until one leaves the loop.
+    // The loop's state is the per-pool argmin and its totals.
     std::vector<int> pool_arg(static_cast<size_t>(num_pools), 0);
+    std::vector<Wide> t(counts.width());
     std::vector<int> best_feasible;  // per pool; empty = none yet
-    double best_feasible_toc = 0.0;
+    Wide best_feasible_toc = 0;
     for (int r = 1; r <= config_.price_iterations; ++r) {
       // One argmin per pool (every tenant of a pool sees the same prices),
       // into distinct slots; small fan-outs run inline.
@@ -981,22 +1005,24 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
             PricedArgmin(fleet.pools[static_cast<size_t>(pid)],
                          budget_active, lambda, capacity_active, mu, m);
       });
-      const FleetTotals& t = memo.Totals(pool_arg);
-      if (FleetFeasible(t, cons) &&
-          (best_feasible.empty() || t.toc < best_feasible_toc)) {
+      counts.Totals(pool_arg, t.data());
+      if (counts.Feasible(t.data()) &&
+          (best_feasible.empty() || t[kToc] < best_feasible_toc)) {
         best_feasible = pool_arg;
-        best_feasible_toc = t.toc;
+        best_feasible_toc = t[kToc];
       }
       const double step = 1.0 / r;
       if (budget_active) {
-        const double g = (t.cost - cons.budget_cents_per_hour) /
-                         std::max(cons.budget_cents_per_hour, kEps);
+        const double g =
+            (counts.Value(t.data(), kCost) - cons.budget_cents_per_hour) /
+            std::max(cons.budget_cents_per_hour, kEps);
         lambda = std::max(0.0, lambda + step * lambda_unit * g);
       }
       for (int j = 0; capacity_active && j < m; ++j) {
         const double cap = cons.capacity_gb[static_cast<size_t>(j)];
         const double g =
-            (t.used[static_cast<size_t>(j)] - cap) / std::max(cap, kEps);
+            (counts.Value(t.data(), kSpace + static_cast<size_t>(j)) - cap) /
+            std::max(cap, kEps);
         mu[static_cast<size_t>(j)] = std::max(
             0.0, mu[static_cast<size_t>(j)] +
                      step * mu_unit[static_cast<size_t>(j)] * g);
@@ -1010,29 +1036,18 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
     // {repaired, best price-feasible, independent baseline} — fixed
     // precedence on exact ties, so the choice is deterministic and the
     // never-lose guarantee is structural.
-    std::vector<int> repaired = TenantSelection(fleet, pool_arg);
-    FleetTotals repaired_totals = memo.Totals(pool_arg);
-    const bool repaired_ok =
-        ExchangeRepair(fleet, cons, m, &repaired, &repaired_totals,
-                       &plan.exchange_moves);
-    if (repaired_ok) {
-      choice = repaired;
-      totals = repaired_totals;
+    CountSelection repaired = counts.Select(pool_arg);
+    if (ExchangeRepair(counts, &repaired, &plan.exchange_moves)) {
+      choice = std::move(repaired);
       feasible = true;
     }
-    if (!best_feasible.empty()) {
-      const FleetTotals& t = memo.Totals(best_feasible);
-      if (!feasible || t.toc < totals.toc) {
-        choice = TenantSelection(fleet, best_feasible);
-        totals = t;
-        feasible = true;
-      }
+    if (!best_feasible.empty() &&
+        (!feasible || best_feasible_toc < choice.total[kToc])) {
+      choice = counts.Select(best_feasible);
+      feasible = true;
     }
-    if (plan.independent_feasible &&
-        FleetFeasible(baseline_totals, cons) &&
-        (!feasible || baseline_totals.toc < totals.toc)) {
-      choice = TenantSelection(fleet, baseline);
-      totals = baseline_totals;
+    if (base_feasible && (!feasible || base.total[kToc] < choice.total[kToc])) {
+      choice = base;
       feasible = true;
     }
   }
@@ -1045,24 +1060,27 @@ FleetPlan FleetPlanner::Plan(const std::vector<FleetTenant>& tenants) const {
   }
 
   // --- Reclaim slack: greedy TOC improvement, feasibility-preserving.
-  ImprovementPass(fleet, cons, m, &choice, &totals, &plan.improve_moves);
+  ImprovementPass(counts, &choice, &plan.improve_moves);
 
-  plan.fell_back_to_baseline = plan.independent_feasible &&
-                               choice == TenantSelection(fleet, baseline);
-  plan.tenants.resize(static_cast<size_t>(num_tenants));
-  for (int i = 0; i < num_tenants; ++i) {
-    const TenantPool& pool = fleet.of(static_cast<size_t>(i));
-    const size_t c = static_cast<size_t>(choice[static_cast<size_t>(i)]);
-    FleetTenantChoice& out = plan.tenants[static_cast<size_t>(i)];
-    out.placement = pool.placements[c];
-    out.toc_cents_per_task = pool.toc[c];
-    out.cost_cents_per_hour = pool.cost[c];
-    out.pool_id = fleet.tenant_pool[static_cast<size_t>(i)];
-    out.candidate = static_cast<int>(c);
+  // --- Emit once. Never-lose holds on the reported tenant-order sums: when
+  // rounding puts them above a feasible baseline's, the baseline goes out.
+  Emit(fleet, counts, choice.count, m, &plan);
+  if (base_feasible && plan.total_toc_cents_per_task >
+                           plan.independent_toc_cents_per_task) {
+    choice = base;
+    Emit(fleet, counts, choice.count, m, &plan);
   }
-  plan.total_toc_cents_per_task = totals.toc;
-  plan.total_cost_cents_per_hour = totals.cost;
-  plan.used_gb = totals.used;
+  plan.fell_back_to_baseline =
+      plan.independent_feasible && choice.count == base.count;
+  // The quantized caps leave room for the reported sums' rounding.
+  DOT_CHECK(!budget_active || plan.total_cost_cents_per_hour <=
+                                  cons.budget_cents_per_hour *
+                                      (1.0 + kFleetFeasTol))
+      << "fleet cost " << plan.total_cost_cents_per_hour;
+  for (size_t j = 0; j < cons.capacity_gb.size(); ++j) {
+    DOT_CHECK(plan.used_gb[j] <= cons.capacity_gb[j] * (1.0 + kFleetFeasTol))
+        << "fleet class " << j << " at " << plan.used_gb[j] << " GB";
+  }
   plan.plan_ms = NowMs() - start_ms;
   return plan;
 }

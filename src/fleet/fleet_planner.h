@@ -112,10 +112,12 @@ struct FleetTenantChoice {
 /// A fleet provisioning plan.
 ///
 /// Accounting contract (the ReprovisionPlan rule, lifted to fleets): every
-/// total below is accumulated over tenants in index order — total_toc +=
-/// toc_i, total_cost += cost_i, used_gb[j] += space_ij — so independently
-/// recomputed totals of the same selection are bit-identical at any thread
-/// count (floating-point addition is not associative).
+/// reported total below is accumulated over tenants in index order —
+/// total_toc += toc_i, total_cost += cost_i, used_gb[j] += space_ij — so
+/// independently recomputed totals of the same plan are bit-identical at
+/// any thread count (floating-point addition is not associative). The
+/// planner decides on exact integer totals of pool counts (FleetPlanner,
+/// Mechanics 2) and sums these once, over the emitted tenants.
 ///
 /// Guarantees, when the plan status is OK:
 ///   * feasibility — total_cost and used_gb satisfy FleetConstraints
@@ -194,29 +196,38 @@ struct FleetPlan : SearchStats {
 ///      then sorted under the BetterCandidate order and dominance-pruned,
 ///      so pool[0] is exactly the tenant's solo optimum; only the kept
 ///      rows get a placement vector.
-///   2. Prices — an outer subgradient loop adjusts a budget price λ and
+///   2. Counts — a selection is a count matrix: how many tenants of each
+///      pool sit on each of its candidates. Its totals are exact integer
+///      sums over pool rows quantized once per plan, independent of
+///      grouping and tenant order; caps keep room for the rounding of the
+///      reported sums, and a cap no selection can reach stays inactive.
+///   3. Prices — an outer subgradient loop adjusts a budget price λ and
 ///      per-class prices μ_j; each iteration computes
-///      argmin(toc + λ·cost + Σ_j μ_j·space_j) once per shared pool (every
-///      tenant of a pool sees the same prices), fanned out on the
-///      ThreadPool into distinct per-pool slots; the loop's state is that
-///      per-pool argmin vector. Per-iteration cost O(P·K·M) for P pools of
-///      K candidates and M classes, plus one O(N·M) tenant-order total
-///      (N tenants) per distinct per-pool selection: a memo scoped to the
-///      Plan call hands a revisited selection its totals, bit-identical.
-///   3. Repair — when the relaxation over-subscribes, a deterministic
-///      greedy exchange walks tenants onto cheaper candidates in best
-///      ΔTOC-per-violation-reduction order (ties by tenant then candidate
-///      index) until the fleet fits; a final greedy improvement pass then
-///      reclaims any slack. Both score a round's moves once per
-///      (pool, current candidate) group and copy them to the group's
-///      tenants. The independent fair-share baseline competes as a
-///      candidate selection, which is what proves never-lose.
+///      argmin(toc + λ·cost + Σ_j μ_j·space_j) once per shared pool,
+///      fanned out on the ThreadPool into distinct per-pool slots, and
+///      totals it in O(P·M) for P pools over M classes.
+///   4. Repair — when the relaxation over-subscribes, a deterministic
+///      greedy exchange moves tenants onto cheaper candidates in best
+///      ΔTOC-per-violation-reduction order until the fleet fits; a greedy
+///      improvement pass then reclaims slack. Both make group moves: a
+///      round scores each occupied (pool, candidate) against every
+///      candidate once, sorts by (key, pool, from, to), and moves as many
+///      of the tenants that started the round there as pass the per-tenant
+///      test one after another — O(P·K²·M) per round for K candidates. The
+///      independent fair-share baseline competes as a candidate selection,
+///      which is what proves never-lose.
+///   5. Emit — within each pool, tenants in roster order take candidates
+///      in ascending candidate order; the reported totals are summed over
+///      them, and if rounding puts the reported TOC above a feasible
+///      baseline's, the baseline goes out instead.
 ///
 /// The fleet's own DotProblem supplies only the shared box and the engine
 /// knobs. `options.num_threads` drives the pool-build and per-pool pricing
 /// fan-outs; results are bit-identical at every thread count — pools and
-/// per-pool argmins write distinct slots, and every total is accumulated
-/// serially in tenant-index order.
+/// per-pool argmins write distinct slots, decisions read exact totals, and
+/// every reported total is accumulated serially in tenant-index order. A
+/// permuted roster gets the same count matrix, counters and prices, and
+/// totals that differ only by the order of their addends.
 class FleetPlanner {
  public:
   /// `problem.box` must outlive the planner and be the box every tenant
